@@ -26,16 +26,20 @@
 // With -checkpoint, the run additionally maintains a single-file sweep
 // ledger (internal/checkpoint's sealed binary format, atomic
 // write-then-rename): every finished task's result and, for the
-// sync-accuracy, fig7, and faults suites — which then run phased (at the
-// end-of-sync barrier, between message sizes, and at the end of the FT
-// sync, respectively) — the latest mid-run cut snapshot of each in-flight
-// simulation. After a SIGKILL, rerunning the
+// sync-accuracy, fig7, and faults suites — whose simulations are split into
+// session phases (at the end-of-sync allreduce, between message sizes, and
+// at the end of the FT sync, respectively) — the latest mid-run cut
+// snapshot of each in-flight simulation. After a SIGKILL, rerunning the
 // same command line with -restore FILE serves finished tasks from the
 // ledger and resumes in-flight simulations from their last quiescent cut,
 // producing output byte-identical to an uninterrupted checkpointed run
-// (see DESIGN.md §11). Note phased execution is a different — equally
-// deterministic — schedule than unphased, so checkpointed sync-accuracy
-// outputs are not byte-comparable to non-checkpointed ones.
+// (see DESIGN.md §11). Note that splitting a sync-accuracy or fig7
+// simulation is a different — equally deterministic — schedule than running
+// it in one piece, so their checkpointed outputs are not byte-comparable to
+// non-checkpointed ones; faults is always split and byte-identical either
+// way. -checkpoint refuses (exit 2) to start on a ledger file that already
+// holds data: resuming it is -restore's job, and starting over means
+// removing it first.
 //
 // With -fabric N, simulations run in N supervised child *processes*
 // instead of in-process goroutines: runexp re-executes itself with -worker
@@ -102,9 +106,10 @@ func seeded(seed int64, base *int64) {
 }
 
 // registry lists the runnable suites. With cut set (checkpointing active)
-// the sync-accuracy, fig7, and faults suites run phased, so a killed sweep resumes
-// from each mpirun's last quiescent cut; phased results are deterministic
-// but keyed and hashed separately from unphased ones. workers is the kernel dispatch
+// the sync-accuracy and fig7 suites run split into session phases, so a
+// killed sweep resumes from each mpirun's last quiescent cut; split results
+// are deterministic but keyed and hashed separately from joined ones (faults
+// is always split and needs no switch). workers is the kernel dispatch
 // parallelism (-workers): it reaches the scale suite's sharded step-proc
 // sweeps, where N > 1 engages sim.RunParallel, and the sync-accuracy jobs,
 // where today's fiber ranks make it a byte-identical no-op. It never enters
@@ -213,7 +218,6 @@ func registry(cut bool, workers int) []suiteDef {
 			if tiny {
 				cfg = experiments.TinyFaultsConfig()
 			}
-			cfg.Cut = cut
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunFaults(eng, cfg)
 		}},
@@ -308,6 +312,14 @@ func main() {
 	if *restore != "" && *ckptPath != "" && *restore != *ckptPath {
 		fmt.Fprintln(os.Stderr, "runexp: -restore and -checkpoint must name the same ledger file")
 		os.Exit(2)
+	}
+	if *ckptPath != "" && *restore == "" {
+		// Without -restore the ledger starts empty and the first flush
+		// replaces the file: never do that to one holding a sweep's progress.
+		if fi, err := os.Stat(*ckptPath); err == nil && fi.Size() > 0 {
+			fmt.Fprintf(os.Stderr, "runexp: -checkpoint %s: ledger already exists; resume it with -restore %s, or remove it to start over\n", *ckptPath, *ckptPath)
+			os.Exit(2)
+		}
 	}
 	if *ckptPath == "" {
 		*ckptPath = *restore

@@ -65,10 +65,10 @@ func TestRepositoryIsClean(t *testing.T) {
 		analysis.DirWallclock: 22,
 		analysis.DirSeedok:    0,
 		analysis.DirChecked:   0,
-		analysis.DirSnapshot:  9,
+		analysis.DirSnapshot:  8,
 		analysis.DirNosnap:    0,
 		analysis.DirExeconly:  3,
-		analysis.DirZerokey:   28,
+		analysis.DirZerokey:   27,
 		analysis.DirGuardedby: 6,
 		analysis.DirUnguarded: 6,
 	}

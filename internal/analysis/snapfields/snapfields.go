@@ -4,11 +4,10 @@
 // function, or carry a reasoned //synclint:nosnap escape.
 //
 // The invariant this guards is the repo's byte-identical checkpoint
-// round-trip: the codecs in internal/checkpoint (and the suite-local
-// cut codecs in internal/experiments) enumerate fields by hand, so "you
-// added a field but forgot to wire it" is otherwise a silent corruption
-// that no compiler error and no existing golden catches until a restore
-// diverges. PR 8's trace-digest gap (fields added to the trace record
+// round-trip: the codecs in internal/checkpoint enumerate fields by
+// hand, so "you added a field but forgot to wire it" is otherwise a
+// silent corruption that no compiler error and no existing golden
+// catches until a restore diverges. PR 8's trace-digest gap (fields added to the trace record
 // never entered the hash) is the same failure mode one layer over.
 //
 // What the analyzer proves: every reachable field NAME appears in at
@@ -21,9 +20,10 @@
 // remain the ground truth for value fidelity.
 //
 // The analyzer is program-level: state roots live in internal/{mpi,
-// cluster, clocksync, sim, checkpoint}, while the codecs that discharge
-// their obligations live in internal/checkpoint and
-// internal/experiments, so no single-package view can decide coverage.
+// cluster, sim, faults, checkpoint}, while the codecs that discharge
+// their obligations live in internal/checkpoint, so no single-package
+// view can decide coverage. (The experiments' own cross-phase payloads
+// are JSON since PR 12 — reflection, nothing to enumerate.)
 // When a run loads no encode or no decode codecs at all (a subset
 // invocation like `synclint ./internal/mpi`), the analyzer stays silent
 // rather than flagging every field.

@@ -101,11 +101,6 @@ type MeanRTTOffset struct {
 	// NRTT is the number of ping-pongs used for the one-time RTT
 	// estimate per pair (defaults to NExchanges).
 	NRTT int
-
-	// rtt caches the per-(viewer,ref,client) RTT, mirroring Alg. 8's
-	// have_rtt flag. Each rank tracks its own flag; the simulation is
-	// sequential, so the shared map is race-free.
-	rtt map[[3]int]float64
 }
 
 // Name returns the paper's label fragment.
@@ -122,16 +117,19 @@ func (m *MeanRTTOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, clie
 		panic(fmt.Sprintf("clocksync: rank %d called MeasureOffset for pair (%d,%d)",
 			me, ref, client))
 	}
-	if m.rtt == nil {
-		m.rtt = make(map[[3]int]float64)
-	}
-	// Key by world ranks: the same instance may serve many disjoint
-	// subcommunicators whose local rank numbers collide.
-	key := [3]int{comm.WorldRank(me), comm.WorldRank(ref), comm.WorldRank(client)}
-	rtt, haveRTT := m.rtt[key]
+	// Alg. 8's have_rtt flag, per (ref, client) pair as this rank sees it.
+	// The cache hangs off the rank, not off m: one MeanRTTOffset value is
+	// shared by every job built from the same config, and an RTT measured in
+	// one job says nothing about another machine instantiation — nor may
+	// concurrent jobs skip each other's handshakes. Keyed by world ranks:
+	// the same instance may serve many disjoint subcommunicators whose local
+	// rank numbers collide.
+	cache := comm.Proc().Local(m, func() any { return map[[2]int]float64{} }).(map[[2]int]float64)
+	key := [2]int{comm.WorldRank(ref), comm.WorldRank(client)}
+	rtt, haveRTT := cache[key]
 	if !haveRTT {
 		rtt = m.measureRTT(comm, clk, ref, client)
-		m.rtt[key] = rtt
+		cache[key] = rtt
 	}
 	if me == ref {
 		for i := 0; i < n; i++ {

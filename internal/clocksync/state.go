@@ -13,7 +13,12 @@ import "hclocksync/internal/clock"
 // SyncState is the serializable state of one rank's synchronized clock: the
 // drift models from innermost (closest to the hardware clock) to outermost.
 //
-//synclint:snapshot
+// It crosses a checkpoint cut as JSON, inside an experiment's cross-phase
+// state (experiments.runPhases), so every exported field here and in
+// clock.LinearModel is carried by construction and there is no hand-written
+// codec for snapfields to audit. Keep the fields exported and untagged: one
+// encoding/json skips would be zeroed by a resume, which only the
+// resume==uninterrupted tests would notice.
 type SyncState struct {
 	Models []clock.LinearModel
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"hclocksync/internal/harness"
 )
 
 func TestAblationJKOffsetAlgRuns(t *testing.T) {
@@ -23,6 +25,28 @@ func TestAblationJKOffsetAlgRuns(t *testing.T) {
 	PrintAblation(&b, "jk offset alg", res)
 	if !strings.Contains(b.String(), "Ablation: jk offset alg") {
 		t.Error("PrintAblation output malformed")
+	}
+}
+
+// AblationJKOffsetAlg puts one *MeanRTTOffset in the config, so every task
+// of the sweep runs on the same algorithm value: its RTT cache must belong
+// to the job, not the value, or runs skip each other's RTT handshakes
+// (deadlock, or a race at -jobs > 1) and the output depends on which run
+// measured first.
+func TestAblationJKOffsetAlgSharedAcrossJobs(t *testing.T) {
+	var ref string
+	for _, jobs := range []int{1, 4} {
+		res, err := AblationJKOffsetAlg(harness.New(harness.Options{Jobs: jobs}), 8, 30, 10, 3)
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		var b strings.Builder
+		PrintAblation(&b, "jk offset alg", res)
+		if ref == "" {
+			ref = b.String()
+		} else if b.String() != ref {
+			t.Errorf("output at jobs=%d differs from jobs=1:\n%s\nvs\n%s", jobs, b.String(), ref)
+		}
 	}
 }
 

@@ -37,13 +37,6 @@ type FaultsConfig struct {
 	// ground truth is simulator-only — so the measurement itself cannot
 	// deadlock at any drop rate.
 	Horizon float64
-	// Cut runs each cell as two session phases split at the end of the
-	// fault-tolerant sync, so a killed sweep resumes from the cut instead
-	// of re-synchronizing (see faultsRunPhased). Phased execution is a
-	// different — equally deterministic — schedule: readings assemble in
-	// rank order rather than completion order, so faultscut pins its own
-	// golden hash.
-	Cut bool
 }
 
 // FaultsRun is one (drop rate, crash count, replication) outcome.
@@ -83,9 +76,6 @@ type faultsTask struct {
 	Schedule faults.PlanConfig
 	Horizon  float64
 	Run      int
-	// Cut is omitted when false so enabling phased execution leaves the
-	// unphased cache keys untouched.
-	Cut bool `json:",omitempty"` //synclint:zerokey -- false is the unphased run, which is what pre-cut cache keys already name
 }
 
 // RunFaults executes the sweep through the engine, one task per
@@ -118,17 +108,10 @@ func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
 						Job: cfg.Job, Drop: drop, Crashes: crashes,
 						NFit: cfg.NFitpoints, FT: cfg.FT,
 						Schedule: cfg.Schedule, Horizon: cfg.Horizon, Run: run,
-						Cut: cfg.Cut,
 					},
 				}
-				if cfg.Cut {
-					t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (FaultsRun, error) {
-						return faultsRunPhased(cfg, drop, crashes, run, seed, ckpt)
-					}
-				} else {
-					t.Run = func(seed int64) (FaultsRun, error) {
-						return faultsRun(cfg, drop, crashes, run, seed)
-					}
+				t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (FaultsRun, error) {
+					return faultsRun(cfg, drop, crashes, run, seed, ckpt)
 				}
 				tasks = append(tasks, t)
 			}
@@ -141,62 +124,107 @@ func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
 	return &FaultsResult{Config: cfg, Runs: runs}, nil
 }
 
+// faultsCut is what the FT sync hands the ground-truth sampling.
+type faultsCut struct {
+	Reps    []clocksync.RankSync  `json:"reps"`   // every rank's sync-quality report
+	States  []clocksync.SyncState `json:"states"` // every rank's synchronized clock
+	Done    []bool                `json:"done"`   // ranks that returned from the sync (crashed ones never do)
+	LastEnd float64               `json:"last_end"`
+}
+
 // faultsRun executes one cell replication with the given derived seed. The
 // fault plan is a pure function of (schedule, nprocs, seed), which is what
 // makes a run replayable from its manifest seed alone.
-func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64) (FaultsRun, error) {
+//
+// The run is always split at the end of the fault-tolerant sync: the second
+// body does no communication and reads each hardware clock at a fixed true
+// time, so where its ranks respawn cannot move a byte — a faults cell is
+// byte-identical checkpointed or not, and needs no Cut knob. Between the
+// bodies the whole job (kernel, clocks, injector state, plus faultsCut)
+// snapshots, so a killed sweep resumes there instead of re-synchronizing.
+func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
+	ckpt harness.TaskCheckpoint) (FaultsRun, error) {
 	job := cfg.Job
 	job.Seed = seed
 	sched := cfg.Schedule
 	sched.DropProb = drop
 	sched.NCrashes = crashes
-	plan := sched.Derive(job.NProcs, seed)
+	mcfg := job.config()
+	mcfg.Faults = faults.NewInjector(sched.Derive(job.NProcs, seed))
 	alg := clocksync.HCA3FT{NFitpoints: cfg.NFitpoints, Opts: cfg.FT}
 
-	row := FaultsRun{
-		DropProb: drop, Crashes: crashes, Run: run,
-		PerRank: make([]clocksync.RankSync, job.NProcs),
-	}
+	n := job.NProcs
 	var mu sync.Mutex
-	var readings []float64
-	var lastEnd float64
-	err := mpi.Run(mpi.Config{
-		Spec:        job.Spec,
-		NProcs:      job.NProcs,
-		Mapping:     job.Mapping,
-		Seed:        job.Seed,
-		ClockSource: job.ClockSource,
-		Barrier:     job.Barrier,
-		Allreduce:   job.Allreduce,
-		Faults:      faults.NewInjector(plan),
-	}, func(p *mpi.Proc) {
-		g, rep := alg.SyncFT(p.World(), clock.NewLocal(p))
-		end := p.TrueNow()
-		_, m := clock.Collapse(g)
-		l := p.HWClock().ReadAt(cfg.Horizon)
-		mu.Lock()
-		defer mu.Unlock()
-		row.PerRank[p.Rank()] = rep
-		if !rep.Alive {
-			return
-		}
-		if end > lastEnd {
-			lastEnd = end
-		}
-		readings = append(readings, l-m.Predict(l))
-	})
+	cut := faultsCut{
+		Reps:   make([]clocksync.RankSync, n),
+		States: make([]clocksync.SyncState, n),
+		Done:   make([]bool, n),
+	}
+	readings := make([]float64, n)
+	has := make([]bool, n)
+	err := runPhases(mcfg, true, ckpt, &cut,
+		func(int) error {
+			if len(cut.Reps) != n || len(cut.States) != n || len(cut.Done) != n {
+				return fmt.Errorf("shaped for %d/%d/%d ranks, want %d",
+					len(cut.Reps), len(cut.States), len(cut.Done), n)
+			}
+			return nil
+		},
+		[]func(*mpi.Proc){
+			func(p *mpi.Proc) {
+				g, rep := alg.SyncFT(p.World(), clock.NewLocal(p))
+				end := p.TrueNow()
+				mu.Lock()
+				defer mu.Unlock()
+				r := p.Rank()
+				cut.Reps[r] = rep
+				cut.States[r] = clocksync.CaptureClock(g)
+				cut.Done[r] = true
+				if rep.Alive && end > cut.LastEnd {
+					cut.LastEnd = end
+				}
+			},
+			// Evaluate every survivor's global clock at the horizon. The
+			// kernel only respawns ranks whose scheduled crash has not yet
+			// struck; the Done/Alive guard additionally skips doomed
+			// stragglers whose crash time falls after the sync's end.
+			func(p *mpi.Proc) {
+				r := p.Rank()
+				mu.Lock()
+				st, survived := cut.States[r], cut.Done[r] && cut.Reps[r].Alive
+				mu.Unlock()
+				if !survived {
+					return
+				}
+				_, m := clock.Collapse(st.Rebuild(clock.NewLocal(p)))
+				l := p.HWClock().ReadAt(cfg.Horizon)
+				mu.Lock()
+				readings[r], has[r] = l-m.Predict(l), true
+				mu.Unlock()
+			},
+		})
 	if err != nil {
 		return FaultsRun{}, fmt.Errorf("drop %g crashes %d run %d: %w", drop, crashes, run, err)
 	}
-	if err := faultsFinish(cfg, &row, readings, lastEnd); err != nil {
+	row := FaultsRun{DropProb: drop, Crashes: crashes, Run: run, PerRank: cut.Reps}
+	// Survivors' readings in rank order: the order is part of the output
+	// (the mean below sums in it), so it must not depend on which rank
+	// happened to finish first.
+	var alive []float64
+	for r, ok := range has {
+		if ok {
+			alive = append(alive, readings[r])
+		}
+	}
+	if err := faultsFinish(cfg, &row, alive, cut.LastEnd); err != nil {
 		return FaultsRun{}, err
 	}
 	return row, nil
 }
 
-// faultsFinish assembles the survivor statistics shared by the unphased
-// and phased pipelines: horizon sanity, survivor/degraded counts, loss
-// fraction, and the ground-truth spread of the readings.
+// faultsFinish assembles the survivor statistics: horizon sanity,
+// survivor/degraded counts, loss fraction, and the ground-truth spread of
+// the readings.
 func faultsFinish(cfg FaultsConfig, row *FaultsRun, readings []float64, lastEnd float64) error {
 	if lastEnd > cfg.Horizon {
 		return fmt.Errorf("drop %g crashes %d run %d: sync ended at %.3f s, past the %.3f s horizon",

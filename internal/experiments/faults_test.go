@@ -80,7 +80,7 @@ func TestFaultScheduleReplaysFromManifestSeed(t *testing.T) {
 		if !ok {
 			t.Fatalf("task %q missing from the manifest", name)
 		}
-		got, err := faultsRun(cfg, row.DropProb, row.Crashes, row.Run, seed)
+		got, err := faultsRun(cfg, row.DropProb, row.Crashes, row.Run, seed, nil)
 		if err != nil {
 			t.Fatalf("replaying %q: %v", name, err)
 		}

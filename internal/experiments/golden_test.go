@@ -50,11 +50,11 @@ func goldenSuites() []goldenSuite {
 			return b.String(), nil
 		}},
 		{"fig3cut", func(eng *harness.Engine) (string, error) {
-			// The phased (checkpointable) fig3 pipeline. Its schedule
-			// differs from unphased fig3 — phase B respawns every rank at
-			// the cut's global virtual time — so it pins its own hash; the
-			// plain fig3 hash proves cut-mode support left the unphased
-			// path untouched.
+			// fig3 split at the end-of-sync cut (the checkpointable
+			// schedule). The check phase respawns every rank at the cut's
+			// global virtual time rather than each rank's own, so it pins
+			// its own hash; the plain fig3 hash pins the same phase bodies
+			// run joined.
 			cfg := TinyFig3Config()
 			cfg.Cut = true
 			res, err := RunSyncAccuracy(eng, cfg)
@@ -75,11 +75,8 @@ func goldenSuites() []goldenSuite {
 			return b.String(), nil
 		}},
 		{"fig7cut", func(eng *harness.Engine) (string, error) {
-			// The phased (checkpointable) fig7 pipeline: one session phase
-			// per message size. As with fig3cut, its schedule differs from
-			// the unphased cell, so it pins its own hash while the plain
-			// fig7 hash proves cut-mode support left the unphased path
-			// untouched.
+			// fig7 split between message sizes: as with fig3cut, a
+			// different schedule than the joined cell, with its own hash.
 			cfg := TinyFig7Config()
 			cfg.Cut = true
 			res, err := RunFig7(eng, cfg)
@@ -91,23 +88,9 @@ func goldenSuites() []goldenSuite {
 			return b.String(), nil
 		}},
 		{"faults", func(eng *harness.Engine) (string, error) {
+			// Always split at the end of the FT sync; there is no joined
+			// variant to pin (see faultsRun).
 			res, err := RunFaults(eng, TinyFaultsConfig())
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			res.Print(&b)
-			return b.String(), nil
-		}},
-		{"faultscut", func(eng *harness.Engine) (string, error) {
-			// The phased (checkpointable) faults pipeline. As with fig3cut,
-			// its schedule differs from the unphased suite — phase B collects
-			// readings in rank order instead of completion order — so it pins
-			// its own hash while the plain faults hash proves cut-mode support
-			// left the unphased path untouched.
-			cfg := TinyFaultsConfig()
-			cfg.Cut = true
-			res, err := RunFaults(eng, cfg)
 			if err != nil {
 				return "", err
 			}

@@ -1,180 +1,119 @@
 package experiments
 
-// Phased execution of the Figs. 3–6 harness: the same mpirun as
-// syncAccuracyRun, split into two session phases at the end-of-sync
-// barrier (the quiescent virtual-time cut of internal/checkpoint). Phase A
-// runs the synchronization algorithm; phase B runs the accuracy check and
-// the ground-truth sampling. Between the phases the whole job — kernel,
-// clocks, mailboxes, plus the per-rank synchronized-clock models captured
-// here as the application payload — can be snapshotted, and a killed sweep
-// resumes from the cut instead of re-synchronizing.
+// Phased execution: the one mechanism by which a suite's simulated mpirun
+// becomes checkpointable. A suite states its per-rank program once, as an
+// ordered list of phase bodies over one JSON-serializable cross-phase state
+// struct; runPhases owns everything else — whether the bodies run joined
+// (one mpirun, each rank going straight from one body to the next) or split
+// (one mpi.Session phase per body, every boundary a quiescent virtual-time
+// cut of internal/checkpoint), and in split mode resuming from the task's
+// latest cut and saving a snapshot plus the marshalled state at each new one.
+//
+// What a suite supplies:
+//
+//   - bodies: what every rank does, cut where the job is quiescent. A body
+//     may hand later bodies data only through the state struct, indexed by
+//     rank or written with one value by all ranks — in joined mode a rank
+//     enters body k+1 while others are still in body k, so it may read only
+//     what it wrote itself; in split mode whatever it reads may come from a
+//     snapshot written by another process.
+//   - state: a pointer to that struct, pre-sized for the job. JSON keeps the
+//     payload self-describing and still round-trips every float64 bit-exactly
+//     (Go prints shortest round-trip floats), which is all the byte-identity
+//     contract needs.
+//   - validate: the shape check applied to a state decoded from a snapshot
+//     (slice lengths against the rank count, entries against the cut) before
+//     any body indexes into it.
 
 import (
-	"encoding/binary"
+	"encoding/json"
 	"fmt"
-	"math"
-	"sync"
 
 	"hclocksync/internal/checkpoint"
-	"hclocksync/internal/clock"
-	"hclocksync/internal/clocksync"
 	"hclocksync/internal/harness"
 	"hclocksync/internal/mpi"
 )
 
-// syncAccuracyRunPhased is the phased counterpart of syncAccuracyRun. With
-// a nil checkpoint handle it runs both phases back to back (the
-// "uninterrupted" baseline the golden test pins); with a handle it saves a
-// snapshot at the cut and resumes from one when the handle offers it.
-func syncAccuracyRunPhased(base Job, alg clocksync.Algorithm, run int, seed int64,
-	wait float64, check clocksync.CheckConfig, ckpt harness.TaskCheckpoint) (SyncRun, error) {
-	job := base
-	job.Seed = seed
-	cfg := job.config()
-	row := SyncRun{Label: alg.Name(), Run: run}
-	fail := func(err error) (SyncRun, error) {
-		return SyncRun{}, fmt.Errorf("%s run %d: %w", alg.Name(), run, err)
+// runPhases executes bodies on a job built from cfg. Joined (split false) is
+// a single phase running every body back to back per rank — the plain
+// mpi.Run schedule — and never touches ckpt. Split runs one phase per body;
+// phase respawn happens at the cut's global virtual time, so a suite whose
+// bodies communicate after a cut gets a different (equally deterministic)
+// schedule than joined. With a nil ckpt split mode is the uninterrupted
+// baseline; with a handle the cut number saved after body k is k+1, and a
+// run resumed from cut c executes bodies[c:] only.
+func runPhases[S any](cfg mpi.Config, split bool, ckpt harness.TaskCheckpoint, state *S,
+	validate func(cut int) error, bodies []func(*mpi.Proc)) error {
+	if !split {
+		all := bodies
+		bodies = []func(*mpi.Proc){func(p *mpi.Proc) {
+			for _, body := range all {
+				body(p)
+			}
+		}}
+		ckpt = nil
 	}
 
 	var s *mpi.Session
-	var states []clocksync.SyncState
-	var t0, end float64
 	cut := 0
 	if ckpt != nil {
 		if c, snap, ok := ckpt.Latest(); ok {
+			if c < 1 || c >= len(bodies) {
+				return fmt.Errorf("resuming: cut %d out of range [1,%d)", c, len(bodies))
+			}
 			decoded, err := checkpoint.DecodeSession(snap)
 			if err != nil {
-				return fail(fmt.Errorf("decoding cut snapshot: %w", err))
+				return fmt.Errorf("decoding cut %d snapshot: %w", c, err)
 			}
-			resumed, err := mpi.ResumeSession(cfg, decoded.State)
+			if decoded.Cut != c {
+				return fmt.Errorf("ledger names cut %d but the snapshot was taken at cut %d", c, decoded.Cut)
+			}
+			if len(decoded.App) != 1 {
+				return fmt.Errorf("cut %d payload has %d blobs, want 1", c, len(decoded.App))
+			}
+			// Decode into a zero S, not over the caller's pre-sized one: a
+			// payload that omits a field must fail validate, not inherit a
+			// plausible-looking empty slice.
+			var loaded S
+			if err := json.Unmarshal(decoded.App[0], &loaded); err != nil {
+				return fmt.Errorf("decoding cut %d payload: %w", c, err)
+			}
+			*state = loaded
+			if err := validate(c); err != nil {
+				return fmt.Errorf("cut %d payload: %w", c, err)
+			}
+			s, err = mpi.ResumeSession(cfg, decoded.State)
 			if err != nil {
-				return fail(fmt.Errorf("resuming from cut %d: %w", c, err))
+				return fmt.Errorf("resuming from cut %d: %w", c, err)
 			}
-			states, t0, end, err = decodeSyncCut(decoded.App, job.NProcs)
-			if err != nil {
-				return fail(fmt.Errorf("decoding cut %d payload: %w", c, err))
-			}
-			s, cut = resumed, c
+			cut = c
 		}
 	}
 	if s == nil {
-		fresh, err := mpi.NewSession(cfg)
+		var err error
+		if s, err = mpi.NewSession(cfg); err != nil {
+			return err
+		}
+	}
+
+	for k := cut; k < len(bodies); k++ {
+		if err := s.RunPhase(bodies[k]); err != nil {
+			return err
+		}
+		if ckpt == nil || k+1 == len(bodies) {
+			continue
+		}
+		st, err := s.Snapshot()
 		if err != nil {
-			return fail(err)
+			return fmt.Errorf("snapshot at cut %d: %w", k+1, err)
 		}
-		s = fresh
-	}
-
-	if cut < 1 {
-		states = make([]clocksync.SyncState, job.NProcs)
-		var mu sync.Mutex
-		err := s.RunPhase(func(p *mpi.Proc) {
-			comm := p.World()
-			comm.Barrier()
-			myT0 := p.TrueNow()
-			g := alg.Sync(comm, clock.NewLocal(p))
-			myEnd := comm.AllreduceF64(p.TrueNow(), mpi.OpMax)
-			mu.Lock()
-			states[comm.Rank()] = clocksync.CaptureClock(g)
-			if comm.Rank() == 0 {
-				t0, end = myT0, myEnd
-			}
-			mu.Unlock()
-		})
+		payload, err := json.Marshal(state)
 		if err != nil {
-			return fail(err)
+			return fmt.Errorf("encoding cut %d payload: %w", k+1, err)
 		}
-		cut = 1
-		if ckpt != nil {
-			st, err := s.Snapshot()
-			if err != nil {
-				return fail(fmt.Errorf("snapshot at cut %d: %w", cut, err))
-			}
-			ckpt.Save(cut, checkpoint.EncodeSession(&checkpoint.Session{
-				Cut: cut, State: st, App: encodeSyncCut(states, t0, end),
-			}))
-		}
+		ckpt.Save(k+1, checkpoint.EncodeSession(&checkpoint.Session{
+			Cut: k + 1, State: st, App: [][]byte{payload},
+		}))
 	}
-
-	var mu sync.Mutex
-	readings0 := make([]float64, job.NProcs)
-	readingsW := make([]float64, job.NProcs)
-	err := s.RunPhase(func(p *mpi.Proc) {
-		comm := p.World()
-		g := states[comm.Rank()].Rebuild(clock.NewLocal(p))
-		samples := clocksync.CheckAccuracy(comm, g, check)
-		_, m := clock.Collapse(g)
-		hw := p.HWClock()
-		l0, lw := hw.ReadAt(end), hw.ReadAt(end+wait)
-		mu.Lock()
-		readings0[comm.Rank()] = l0 - m.Predict(l0)
-		readingsW[comm.Rank()] = lw - m.Predict(lw)
-		mu.Unlock()
-		if comm.Rank() == 0 {
-			at0, atW := clocksync.MaxAbsOffsets(samples)
-			mu.Lock()
-			row.Duration = end - t0
-			row.MaxAbs0, row.MaxAbsW = at0, atW
-			mu.Unlock()
-		}
-	})
-	if err != nil {
-		return fail(err)
-	}
-	row.TrueSpread0 = spread(readings0)
-	row.TrueSpreadW = spread(readingsW)
-	return row, nil
-}
-
-// encodeSyncCut serializes the cross-phase payload: one header blob with
-// the phase-A timestamps, then one blob per rank holding its synchronized
-// clock's model stack as (slope, intercept) pairs. Everything is
-// little-endian float64 bits, so the payload round-trips bit-exactly — a
-// JSON detour would survive too (Go prints shortest round-trip floats) but
-// the raw bits make the byte-identity contract self-evident.
-func encodeSyncCut(states []clocksync.SyncState, t0, end float64) [][]byte {
-	app := make([][]byte, 0, 1+len(states))
-	app = append(app, appendF64s(nil, t0, end))
-	for _, st := range states {
-		var b []byte
-		for _, m := range st.Models {
-			b = appendF64s(b, m.Slope, m.Intercept)
-		}
-		app = append(app, b)
-	}
-	return app
-}
-
-// decodeSyncCut inverts encodeSyncCut, validating the shape against the
-// job's rank count.
-func decodeSyncCut(app [][]byte, nprocs int) ([]clocksync.SyncState, float64, float64, error) {
-	if len(app) != 1+nprocs {
-		return nil, 0, 0, fmt.Errorf("payload has %d blobs, want %d", len(app), 1+nprocs)
-	}
-	hdr := app[0]
-	if len(hdr) != 16 {
-		return nil, 0, 0, fmt.Errorf("header blob is %d bytes, want 16", len(hdr))
-	}
-	t0 := math.Float64frombits(binary.LittleEndian.Uint64(hdr))
-	end := math.Float64frombits(binary.LittleEndian.Uint64(hdr[8:]))
-	states := make([]clocksync.SyncState, nprocs)
-	for r, b := range app[1:] {
-		if len(b)%16 != 0 {
-			return nil, 0, 0, fmt.Errorf("rank %d model blob is %d bytes, not a multiple of 16", r, len(b))
-		}
-		for i := 0; i < len(b); i += 16 {
-			states[r].Models = append(states[r].Models, clock.LinearModel{
-				Slope:     math.Float64frombits(binary.LittleEndian.Uint64(b[i:])),
-				Intercept: math.Float64frombits(binary.LittleEndian.Uint64(b[i+8:])),
-			})
-		}
-	}
-	return states, t0, end, nil
-}
-
-func appendF64s(b []byte, vs ...float64) []byte {
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
+	return nil
 }

@@ -1,64 +1,236 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"hclocksync/internal/bench"
+	"hclocksync/internal/checkpoint"
 	"hclocksync/internal/harness"
+	"hclocksync/internal/mpi"
 )
 
 // memCkpt is an in-memory harness.TaskCheckpoint: what the sweep ledger
-// hands a phased task, minus the file.
+// hands a phased task, minus the file. Unlike the ledger it keeps every cut
+// ever saved, and offers the one numbered resume as the latest — so a test
+// can "kill" a run after any phase it likes.
 type memCkpt struct {
-	cut  int
-	snap []byte
+	saved  map[int][]byte
+	resume int
 }
 
-func (m *memCkpt) Latest() (int, []byte, bool) { return m.cut, m.snap, m.cut > 0 }
+func (m *memCkpt) Latest() (int, []byte, bool) {
+	snap, ok := m.saved[m.resume]
+	return m.resume, snap, ok
+}
+
 func (m *memCkpt) Save(cut int, snap []byte) {
-	m.cut, m.snap = cut, append([]byte(nil), snap...)
+	if m.saved == nil {
+		m.saved = map[int][]byte{}
+	}
+	m.saved[cut] = append([]byte(nil), snap...)
+}
+
+// phasedCase is one simulated mpirun of a checkpointable suite, in split
+// mode: run executes it against the given checkpoint handle.
+type phasedCase struct {
+	suite string // fig3, fig7, faults
+	name  string // subtest name
+	ncuts int    // cuts an uninterrupted checkpointing run saves
+	run   func(ckpt harness.TaskCheckpoint) (any, error)
+}
+
+func phasedCases() []phasedCase {
+	var cases []phasedCase
+
+	fig3 := TinyFig3Config()
+	check := fig3.Check
+	check.WaitTime = fig3.WaitTime
+	for _, alg := range fig3.Algorithms[:2] { // HCA and HCA2 keep this fast
+		alg := alg
+		seed := harness.DeriveSeed("fig3cut", "run0", fig3.Job.Seed)
+		cases = append(cases, phasedCase{"fig3", alg.Name(), 1, func(ckpt harness.TaskCheckpoint) (any, error) {
+			return syncAccuracyRun(fig3.Job, alg, 0, seed, fig3.WaitTime, check, true, ckpt)
+		}})
+	}
+
+	fig7 := TinyFig7Config()
+	fig7.Cut = true
+	cell := fmt.Sprintf("%s_%s", fig7.Suites[0], fig7.Barriers[0])
+	cases = append(cases, phasedCase{"fig7", cell, len(fig7.MSizes) - 1, func(ckpt harness.TaskCheckpoint) (any, error) {
+		seed := harness.DeriveSeed("fig7cut", "cell", fig7.Job.Seed)
+		return fig7Cell(fig7, fig7.Suites[0], fig7.Barriers[0], seed, ckpt)
+	}})
+
+	// Message drops and rank crashes too: the injector state rides the
+	// snapshot, and dead ranks must stay dead across the cut.
+	fc := TinyFaultsConfig()
+	for _, cell := range []struct {
+		drop    float64
+		crashes int
+	}{{0, 0}, {0.05, 1}} {
+		cell := cell
+		name := fmt.Sprintf("drop%g_crash%d", cell.drop, cell.crashes)
+		cases = append(cases, phasedCase{"faults", name, 1, func(ckpt harness.TaskCheckpoint) (any, error) {
+			seed := harness.DeriveSeed("faults", fmt.Sprintf("drop%g/crash%d/run0", cell.drop, cell.crashes), fc.Job.Seed)
+			row, err := faultsRun(fc, cell.drop, cell.crashes, 0, seed, ckpt)
+			if err == nil && cell.crashes > 0 && row.Survivors >= fc.Job.NProcs {
+				err = fmt.Errorf("crash cell lost no ranks (%d/%d survivors) — fault path not exercised", row.Survivors, fc.Job.NProcs)
+			}
+			return row, err
+		}})
+	}
+	return cases
 }
 
 // The acceptance property of the checkpoint subsystem, at the level of one
-// mpirun: an uninterrupted phased run, a checkpointing run, and a run
-// resumed in a "fresh process" from the saved cut all produce the same
-// SyncRun, bit for bit.
-func TestSyncAccuracyPhasedResumeMatchesUninterrupted(t *testing.T) {
-	cfg := TinyFig3Config()
-	check := cfg.Check
-	check.WaitTime = cfg.WaitTime
-	for _, alg := range cfg.Algorithms[:2] { // HCA and HCA2 keep this fast
-		alg := alg
-		t.Run(alg.Name(), func(t *testing.T) {
-			seed := harness.DeriveSeed("fig3cut", "run0", cfg.Job.Seed)
-
-			plain, err := syncAccuracyRunPhased(cfg.Job, alg, 0, seed, cfg.WaitTime, check, nil)
+// mpirun, for every suite that goes through runPhases: an uninterrupted
+// split run, a checkpointing run, and a run resumed in a "fresh process"
+// from each cut the checkpointing run saved all produce the same result,
+// bit for bit.
+func checkResumeMatchesUninterrupted(t *testing.T, suite string) {
+	for _, c := range phasedCases() {
+		if c.suite != suite {
+			continue
+		}
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			plain, err := c.run(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			saver := &memCkpt{}
-			saved, err := syncAccuracyRunPhased(cfg.Job, alg, 0, seed, cfg.WaitTime, check, saver)
+			saved, err := c.run(saver)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if saver.cut != 1 || len(saver.snap) == 0 {
-				t.Fatalf("no snapshot saved at the cut (cut=%d, %d bytes)", saver.cut, len(saver.snap))
 			}
 			if !reflect.DeepEqual(saved, plain) {
 				t.Fatalf("checkpointing changed the result:\n got %+v\nwant %+v", saved, plain)
 			}
-
-			// "Kill" after phase A: a fresh invocation sees only the saved
-			// snapshot and must replay phase B to the identical result.
-			resumed, err := syncAccuracyRunPhased(cfg.Job, alg, 0, seed, cfg.WaitTime, check, saver)
-			if err != nil {
-				t.Fatal(err)
+			if len(saver.saved) != c.ncuts {
+				t.Fatalf("%d cuts saved, want %d", len(saver.saved), c.ncuts)
 			}
-			if !reflect.DeepEqual(resumed, plain) {
-				t.Fatalf("resumed run diverged:\n got %+v\nwant %+v", resumed, plain)
+			for cut := 1; cut <= c.ncuts; cut++ {
+				if len(saver.saved[cut]) == 0 {
+					t.Fatalf("no snapshot saved at cut %d", cut)
+				}
+				// "Kill" right after this cut: a fresh invocation sees only
+				// its snapshot and must replay the rest to the same result.
+				killed := &memCkpt{saved: map[int][]byte{cut: saver.saved[cut]}, resume: cut}
+				resumed, err := c.run(killed)
+				if err != nil {
+					t.Fatalf("resuming from cut %d: %v", cut, err)
+				}
+				if !reflect.DeepEqual(resumed, plain) {
+					t.Fatalf("run resumed from cut %d diverged:\n got %+v\nwant %+v", cut, resumed, plain)
+				}
+				// It resumed rather than recomputed: only later cuts were
+				// saved on top of the one it started from.
+				if got, want := len(killed.saved), 1+c.ncuts-cut; got != want {
+					t.Fatalf("run resumed from cut %d holds %d cuts, want %d", cut, got, want)
+				}
 			}
 		})
+	}
+}
+
+// One entry point per suite, so each keeps the name it has had in CI logs
+// since its cut path landed; the table and the check are shared.
+func TestSyncAccuracyPhasedResumeMatchesUninterrupted(t *testing.T) {
+	checkResumeMatchesUninterrupted(t, "fig3")
+}
+func TestFig7PhasedResumeMatchesUninterrupted(t *testing.T) {
+	checkResumeMatchesUninterrupted(t, "fig7")
+}
+func TestFaultsPhasedResumeMatchesUninterrupted(t *testing.T) {
+	checkResumeMatchesUninterrupted(t, "faults")
+}
+
+// Whatever a ledger hands runPhases as the latest cut — a file from another
+// job, a truncated write, a cut number it never saved — comes back as an
+// error before any phase body indexes into the decoded state; nothing
+// panics.
+func TestRunPhasesRejectsHostilePayload(t *testing.T) {
+	type counts struct {
+		Per []int `json:"per"`
+	}
+	cfg := TinyFig7Config().Job.config()
+	var mu sync.Mutex
+	var st counts
+	body := func(p *mpi.Proc) {
+		p.World().Barrier()
+		mu.Lock()
+		st.Per[p.Rank()]++
+		mu.Unlock()
+	}
+	run := func(ckpt harness.TaskCheckpoint) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("runPhases panicked: %v", r)
+			}
+		}()
+		st = counts{Per: make([]int, cfg.NProcs)}
+		return runPhases(cfg, true, ckpt, &st, func(int) error {
+			if len(st.Per) != cfg.NProcs {
+				return fmt.Errorf("shaped for %d ranks, want %d", len(st.Per), cfg.NProcs)
+			}
+			return nil
+		}, []func(*mpi.Proc){body, body, body})
+	}
+
+	good := &memCkpt{}
+	if err := run(good); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&memCkpt{saved: good.saved, resume: 2}); err != nil {
+		t.Fatalf("the snapshot the hostile cases are built from does not itself resume: %v", err)
+	}
+	for r, n := range st.Per {
+		if n != 3 { // two bodies carried by the snapshot, the third replayed
+			t.Fatalf("resumed state = %v, want every rank at 3 (rank %d is not)", st.Per, r)
+		}
+	}
+
+	// withApp re-seals cut 1's snapshot around a different payload.
+	withApp := func(app ...[]byte) []byte {
+		s, err := checkpoint.DecodeSession(good.saved[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.App = app
+		return checkpoint.EncodeSession(s)
+	}
+	payload := func() []byte {
+		s, err := checkpoint.DecodeSession(good.saved[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.App[0]
+	}()
+	for _, h := range []struct {
+		name string
+		cut  int
+		snap []byte
+	}{
+		{"cut zero", 0, good.saved[1]},
+		{"cut negative", -1, good.saved[1]},
+		{"cut past the last boundary", 3, good.saved[2]},
+		{"cut number of another snapshot", 2, good.saved[1]},
+		{"not a container", 1, []byte("not a snapshot")},
+		{"truncated container", 1, good.saved[1][:len(good.saved[1])/2]},
+		{"no payload blob", 1, withApp()},
+		{"two payload blobs", 1, withApp(payload, payload)},
+		{"truncated JSON", 1, withApp(payload[:len(payload)/2])},
+		{"wrong JSON type", 1, withApp([]byte(`{"per":"three"}`))},
+		{"state field missing", 1, withApp([]byte(`{}`))},
+		{"state for another rank count", 1, withApp([]byte(`{"per":[1,1]}`))},
+	} {
+		if err := run(&memCkpt{saved: map[int][]byte{h.cut: h.snap}, resume: h.cut}); err == nil {
+			t.Errorf("%s: runPhases accepted it", h.name)
+		}
 	}
 }
 
@@ -104,58 +276,32 @@ func TestSyncAccuracySuiteResumesFromLedger(t *testing.T) {
 	}
 }
 
-// The same acceptance property for the phased fig7 cell: an uninterrupted
-// phased run, a checkpointing run (which saves a cut after every finished
-// message size), and a run resumed from a mid-cell cut all produce the same
-// rows, bit for bit.
-func TestFig7PhasedResumeMatchesUninterrupted(t *testing.T) {
-	cfg := TinyFig7Config()
-	suite, barrier := cfg.Suites[0], cfg.Barriers[0]
-	seed := harness.DeriveSeed("fig7cut", "cell", cfg.Job.Seed)
-
-	plain, err := fig7CellPhased(cfg, suite, barrier, seed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saver := &memCkpt{}
-	saved, err := fig7CellPhased(cfg, suite, barrier, seed, saver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(cfg.MSizes) - 1; saver.cut != want || len(saver.snap) == 0 {
-		t.Fatalf("last saved cut = %d (%d bytes), want %d", saver.cut, len(saver.snap), want)
-	}
-	if !reflect.DeepEqual(saved, plain) {
-		t.Fatalf("checkpointing changed the result:\n got %+v\nwant %+v", saved, plain)
-	}
-
-	// "Kill" mid-cell: a fresh invocation sees only the last saved cut and
-	// must replay the remaining message sizes to the identical rows.
-	resumed, err := fig7CellPhased(cfg, suite, barrier, seed, saver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed, plain) {
-		t.Fatalf("resumed run diverged:\n got %+v\nwant %+v", resumed, plain)
-	}
-}
-
-// Cut mode must not collide with unphased results in the cache: the two
-// configurations key differently (and false keeps the legacy key).
+// Cut mode must not collide with joined results in the cache: the two
+// configurations key differently (and false keeps the legacy key), for both
+// suites that still carry the switch.
 func TestSyncTaskCutChangesCacheKey(t *testing.T) {
-	cfg := TinyFig3Config()
-	base := syncTask{Job: cfg.Job, Alg: "a", WaitTime: 2, Check: "c", Run: 0}
-	cut := base
-	cut.Cut = true
-	k1, err := harness.CacheKey("v", "fig3", "t", 1, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := harness.CacheKey("v", "fig3", "t", 1, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k2 {
-		t.Fatal("Cut flag does not separate cache keys")
+	job := TinyFig3Config().Job
+	for _, c := range []struct {
+		name      string
+		base, cut any
+	}{
+		{"fig3",
+			syncTask{Job: job, Alg: "a", WaitTime: 2, Check: "c"},
+			syncTask{Job: job, Alg: "a", WaitTime: 2, Check: "c", Cut: true}},
+		{"fig7",
+			fig7Task{Job: job, Suite: string(bench.SuiteIMB), Barrier: "tree", MSizes: []int{4}, NRep: 1},
+			fig7Task{Job: job, Suite: string(bench.SuiteIMB), Barrier: "tree", MSizes: []int{4}, NRep: 1, Cut: true}},
+	} {
+		k1, err := harness.CacheKey("v", c.name, "t", 1, c.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2, err := harness.CacheKey("v", c.name, "t", 1, c.cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k1 == k2 {
+			t.Errorf("%s: Cut flag does not separate cache keys", c.name)
+		}
 	}
 }

@@ -23,13 +23,13 @@ type SyncAccuracyConfig struct {
 	NRuns      int
 	WaitTime   float64
 	Check      clocksync.CheckConfig
-	// Cut runs each mpirun as two session phases split at the end-of-sync
-	// barrier (sync, then accuracy check), snapshotting the whole job at
-	// the cut when the engine has a checkpointer — a killed sweep resumes
-	// from the cut instead of re-synchronizing. Phase respawn happens at
-	// the global virtual time of the cut, so phased results are
-	// deterministic but not byte-identical to unphased ones; the flag is
-	// part of the cache key.
+	// Cut runs each mpirun split (see runPhases) at the end-of-sync
+	// allreduce: sync, then accuracy check, with the whole job snapshotted
+	// at the cut when the engine has a checkpointer — a killed sweep
+	// resumes from the cut instead of re-synchronizing. Phase respawn
+	// happens at the global virtual time of the cut, so split results are
+	// deterministic but not byte-identical to joined ones; the flag is part
+	// of the cache key.
 	Cut bool
 }
 
@@ -90,14 +90,8 @@ func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracy
 					Cut: cfg.Cut,
 				},
 			}
-			if cfg.Cut {
-				t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (SyncRun, error) {
-					return syncAccuracyRunPhased(cfg.Job, alg, run, seed, cfg.WaitTime, check, ckpt)
-				}
-			} else {
-				t.Run = func(seed int64) (SyncRun, error) {
-					return syncAccuracyRun(cfg.Job, alg, run, seed, cfg.WaitTime, check)
-				}
+			t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (SyncRun, error) {
+				return syncAccuracyRun(cfg.Job, alg, run, seed, cfg.WaitTime, check, cfg.Cut, ckpt)
 			}
 			tasks = append(tasks, t)
 		}
@@ -109,40 +103,70 @@ func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracy
 	return &SyncAccuracyResult{Config: cfg, Runs: runs}, nil
 }
 
+// syncCut is what the sync phase of one mpirun hands the check phase.
+type syncCut struct {
+	States []clocksync.SyncState `json:"states"` // per rank: the synchronized clock's model stack
+	T0     float64               `json:"t0"`     // rank 0's true time at the start of the sync
+	End    float64               `json:"end"`    // all-reduced true time at which the last rank finished
+}
+
 // syncAccuracyRun executes one (algorithm, replication) mpirun with the
-// given derived seed.
+// given derived seed: the synchronization, then — past the end-of-sync
+// allreduce, where the job is quiescent — the accuracy check and the
+// ground-truth sampling. split makes that boundary a session cut.
 func syncAccuracyRun(base Job, alg clocksync.Algorithm, run int, seed int64,
-	wait float64, check clocksync.CheckConfig) (SyncRun, error) {
+	wait float64, check clocksync.CheckConfig, split bool, ckpt harness.TaskCheckpoint) (SyncRun, error) {
 	job := base
 	job.Seed = seed
 	row := SyncRun{Label: alg.Name(), Run: run}
 	var mu sync.Mutex
+	cut := syncCut{States: make([]clocksync.SyncState, job.NProcs)}
 	readings0 := make([]float64, job.NProcs)
 	readingsW := make([]float64, job.NProcs)
-	err := job.run(func(p *mpi.Proc) {
-		comm := p.World()
-		comm.Barrier()
-		t0 := p.TrueNow()
-		g := alg.Sync(comm, clock.NewLocal(p))
-		end := comm.AllreduceF64(p.TrueNow(), mpi.OpMax)
-		samples := clocksync.CheckAccuracy(comm, g, check)
-		// Ground truth: evaluate every rank's global clock at the
-		// common instants end and end+wait.
-		_, m := clock.Collapse(g)
-		hw := p.HWClock()
-		l0, lw := hw.ReadAt(end), hw.ReadAt(end+wait)
-		mu.Lock()
-		readings0[comm.Rank()] = l0 - m.Predict(l0)
-		readingsW[comm.Rank()] = lw - m.Predict(lw)
-		mu.Unlock()
-		if comm.Rank() == 0 {
-			at0, atW := clocksync.MaxAbsOffsets(samples)
-			mu.Lock()
-			row.Duration = end - t0
-			row.MaxAbs0, row.MaxAbsW = at0, atW
-			mu.Unlock()
-		}
-	})
+	err := runPhases(job.config(), split, ckpt, &cut,
+		func(int) error {
+			if len(cut.States) != job.NProcs {
+				return fmt.Errorf("shaped for %d ranks, want %d", len(cut.States), job.NProcs)
+			}
+			return nil
+		},
+		[]func(*mpi.Proc){
+			func(p *mpi.Proc) {
+				comm := p.World()
+				comm.Barrier()
+				t0 := p.TrueNow()
+				g := alg.Sync(comm, clock.NewLocal(p))
+				end := comm.AllreduceF64(p.TrueNow(), mpi.OpMax)
+				mu.Lock()
+				cut.States[comm.Rank()] = clocksync.CaptureClock(g)
+				cut.End = end // the allreduce hands every rank the same value
+				if comm.Rank() == 0 {
+					cut.T0 = t0
+				}
+				mu.Unlock()
+			},
+			func(p *mpi.Proc) {
+				comm := p.World()
+				mu.Lock()
+				st, end := cut.States[comm.Rank()], cut.End
+				mu.Unlock()
+				g := st.Rebuild(clock.NewLocal(p))
+				samples := clocksync.CheckAccuracy(comm, g, check)
+				// Ground truth: evaluate every rank's global clock at the
+				// common instants end and end+wait.
+				_, m := clock.Collapse(g)
+				hw := p.HWClock()
+				l0, lw := hw.ReadAt(end), hw.ReadAt(end+wait)
+				mu.Lock()
+				defer mu.Unlock()
+				readings0[comm.Rank()] = l0 - m.Predict(l0)
+				readingsW[comm.Rank()] = lw - m.Predict(lw)
+				if comm.Rank() == 0 {
+					row.Duration = end - cut.T0
+					row.MaxAbs0, row.MaxAbsW = clocksync.MaxAbsOffsets(samples)
+				}
+			},
+		})
 	if err != nil {
 		return SyncRun{}, fmt.Errorf("%s run %d: %w", alg.Name(), run, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,23 @@ import (
 	"hclocksync/internal/harness"
 )
 
-// The pool tests run real ServeWorker loops in-process over pipes, so the
+// workerEnv marks a re-execution of this test binary as a fabric worker:
+// the one test that needs real processes (Close must reap them) spawns the
+// binary itself with it set, and TestMain serves instead of testing.
+const workerEnv = "FABRIC_TEST_WORKER"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(workerEnv) != "" {
+		if err := ServeWorker(os.Stdin, os.Stdout, WorkerOptions{}, echoExec); err != nil {
+			fmt.Fprintln(os.Stderr, "test worker:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// The other pool tests run real ServeWorker loops in-process over pipes, so the
 // whole protocol stack is exercised — framing, heartbeats, cuts — with
 // only process creation faked. killing a testConn severs both pipes at
 // once, which is what SIGKILL looks like from the coordinator's seat.
@@ -154,6 +171,55 @@ func TestPoolRunsJobs(t *testing.T) {
 	st := p.Stats()
 	if st.Jobs != 8 || st.Retries != 0 || st.Poisoned != 0 || st.LostWorkers != 0 {
 		t.Errorf("stats = %+v; want 8 clean jobs", st)
+	}
+}
+
+// Close must not return while a worker process is still running or waiting
+// to be reaped: every process the pool ever spawned has been waited on.
+func TestCloseReapsWorkerProcesses(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skipf("cannot locate the test binary to re-execute as a worker: %v", err)
+	}
+	t.Setenv(workerEnv, "1")
+	spawn := processStarter([]string{exe})
+	var mu sync.Mutex
+	var conns []*procConn
+	p, err := NewPool(Config{Workers: 2, starter: func(slot int) (conn, error) {
+		c, err := spawn(slot)
+		if err == nil {
+			mu.Lock()
+			conns = append(conns, c.(*procConn))
+			mu.Unlock()
+		}
+		return c, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.SetEntry("fig3")
+	for i := 0; i < 4; i++ {
+		task := fmt.Sprintf("run%d", i)
+		raw, err := p.RunTask("suite", task, "key"+task, 0, false)
+		if err != nil {
+			t.Fatalf("%s: %v", task, err)
+		}
+		if want := fmt.Sprintf(`{"task":%q}`, task); string(raw) != want {
+			t.Errorf("%s result = %s, want %s", task, raw, want)
+		}
+	}
+	p.Close()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(conns) < 2 {
+		t.Fatalf("%d worker processes spawned, want one per slot", len(conns))
+	}
+	for _, c := range conns {
+		if c.cmd.ProcessState == nil {
+			t.Errorf("worker pid %d not reaped when Close returned", c.pid())
+		}
 	}
 }
 

@@ -27,18 +27,19 @@ func processStarter(command []string) starter {
 		if err := cmd.Start(); err != nil {
 			return nil, err
 		}
-		c := &procConn{cmd: cmd, in: stdin, ch: make(chan Frame, 64), done: make(chan struct{})}
+		c := &procConn{cmd: cmd, in: stdin, ch: make(chan Frame, 64), done: make(chan struct{}), reaped: make(chan struct{})}
 		go c.read(stdout)
 		return c, nil
 	}
 }
 
 type procConn struct {
-	cmd  *exec.Cmd
-	in   io.WriteCloser
-	ch   chan Frame
-	done chan struct{}
-	once sync.Once
+	cmd    *exec.Cmd
+	in     io.WriteCloser
+	ch     chan Frame
+	done   chan struct{}
+	reaped chan struct{} // closed by read once cmd.Wait has returned
+	once   sync.Once
 }
 
 // read pumps the worker's stdout into the frame channel, closing it at
@@ -48,6 +49,7 @@ type procConn struct {
 // frames already delivered stay ordered and are never stolen from the
 // supervisor.
 func (c *procConn) read(stdout io.Reader) {
+	defer close(c.reaped)
 	defer close(c.ch)
 	sc := bufio.NewScanner(stdout)
 	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
@@ -80,9 +82,12 @@ func (c *procConn) send(req JobRequest) error {
 
 func (c *procConn) frames() <-chan Frame { return c.ch }
 
-// kill terminates the worker; idempotent. Closing done releases the
-// reader from any pending frame send once the supervisor abandons the
-// conn.
+// kill terminates the worker and returns once it has been reaped;
+// idempotent. Closing done releases the reader from any pending frame send
+// once the supervisor abandons the conn; the kill signal closes the
+// worker's stdout, which ends the reader's scan, and the reader then waits
+// on the process. Joining it here is what lets Pool.Close promise that no
+// worker process — zombie or live — outlasts it.
 func (c *procConn) kill() {
 	c.once.Do(func() {
 		close(c.done)
@@ -91,6 +96,7 @@ func (c *procConn) kill() {
 			_ = c.cmd.Process.Kill()
 		}
 	})
+	<-c.reaped
 }
 
 func (c *procConn) pid() int {

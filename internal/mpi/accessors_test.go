@@ -47,6 +47,24 @@ func TestAccessors(t *testing.T) {
 	})
 }
 
+// Local state is per rank and per job: a key shared by every rank of two
+// jobs still yields each rank its own value, created once.
+func TestProcLocalIsPerRankPerJob(t *testing.T) {
+	type cell struct{ n int }
+	key := new(int)
+	for job := 0; job < 2; job++ {
+		runIdeal(t, 4, func(p *Proc) {
+			made := 0
+			mk := func() any { made++; return &cell{} }
+			p.Local(key, mk).(*cell).n++
+			p.World().Barrier()
+			if c := p.Local(key, mk).(*cell); c.n != 1 || made != 1 {
+				t.Errorf("rank %d: n = %d after %d constructions, want 1 after 1", p.Rank(), c.n, made)
+			}
+		})
+	}
+}
+
 func TestAlgStringNames(t *testing.T) {
 	if BarrierAlg(99).String() == "" || AllreduceAlg(99).String() == "" ||
 		BcastAlg(99).String() == "" || AlltoallAlg(99).String() == "" {

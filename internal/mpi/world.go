@@ -105,6 +105,7 @@ type Proc struct {
 	lastDst   int      // peer of the cached non-overtaking clamp cell
 	lastArrP  *float64 // cached clamp cell for (rank, lastDst)
 	scratch   []float64
+	local     map[any]any // rank-scoped state of layers above mpi, see Local
 }
 
 // scratchF64s returns the rank's scratch vector resized to n, for
@@ -116,6 +117,24 @@ func (p *Proc) scratchF64s(n int) []float64 {
 		p.scratch = make([]float64, n) //synclint:alloc -- scratch growth: amortized to the widest collective
 	}
 	return p.scratch[:n]
+}
+
+// Local returns this rank's value for key, creating it with mk on first
+// use. An algorithm value configured once and shared by many jobs — one
+// experiment config fans out into concurrent mpiruns — keeps its per-rank
+// caches here rather than in itself, so they are private to the job (and to
+// the one fiber that runs the rank) and die with it. Not part of a Session
+// snapshot: a resumed job starts with none.
+func (p *Proc) Local(key any, mk func() any) any {
+	v, ok := p.local[key]
+	if !ok {
+		if p.local == nil {
+			p.local = make(map[any]any)
+		}
+		v = mk()
+		p.local[key] = v
+	}
+	return v
 }
 
 // Run builds a machine from cfg, spawns cfg.NProcs ranks each executing

@@ -3,7 +3,9 @@
 # sweep with a checkpoint ledger, SIGKILL it mid-flight, resume with
 # -restore, and assert that (1) the resumed output is byte-identical to an
 # uninterrupted run, (2) the manifests describe the same work, and (3) at
-# least one task was served from the ledger rather than recomputed.
+# least one task was served from the ledger rather than recomputed. Last,
+# (4) -checkpoint without -restore must refuse the now-populated ledger
+# (exit 2) and leave it byte for byte as it was.
 #
 # Usage: scripts/kill_resume.sh [suite]   (default: faults)
 set -euo pipefail
@@ -47,4 +49,18 @@ if ! grep -q '"checkpoint_hit": true' "$tmp/resumed/manifest.json"; then
     echo "kill_resume: resume recomputed every task — nothing came from the ledger" >&2
     exit 1
 fi
+# A second -checkpoint on the same file would start from an empty ledger and
+# replace this one at its first flush.
+cp "$tmp/run.ckpt" "$tmp/run.ckpt.before"
+rc=0
+"$tmp/runexp" "${args[@]}" -checkpoint "$tmp/run.ckpt" >/dev/null 2>"$tmp/refusal.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q -- '-restore' "$tmp/refusal.err"; then
+    echo "kill_resume: -checkpoint on an existing ledger exited $rc, want 2 with a message naming -restore:" >&2
+    cat "$tmp/refusal.err" >&2
+    exit 1
+fi
+cmp "$tmp/run.ckpt.before" "$tmp/run.ckpt" || {
+    echo "kill_resume: the refused -checkpoint run still rewrote the ledger" >&2
+    exit 1
+}
 echo "kill_resume: OK ($suite resumed byte-identically with ledger hits)"
