@@ -283,9 +283,10 @@ func BenchmarkSnapshot(b *testing.B) {
 
 func BenchmarkDispatch(b *testing.B) {
 	// Per-event dispatch cost of the kernel's two process representations:
-	// a step proc is resumed by an inline function call, a fiber by a
-	// channel handoff (here always the single-fiber fast path, so no
-	// goroutine switch — the gap against "step" is pure baton overhead).
+	// a step proc is resumed by an inline function call; a lone fiber
+	// consumes its own next event in place (the self-resume path), so
+	// "fiber" is the floor of the blocking API, not the price of a
+	// coroutine switch between two fibers — BenchmarkHCA3Sync pays those.
 	b.Run("step", func(b *testing.B) {
 		b.ReportAllocs()
 		env := sim.NewEnv(1)

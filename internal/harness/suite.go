@@ -40,8 +40,9 @@ type Task[R any] struct {
 // Run executes tasks through e's worker pool and returns their results in
 // task order — never in completion order. Each task's seed derives from
 // (suite, SeedKey, baseSeed) via DeriveSeed. On error, the first failing
-// task (by index, not by completion time) is reported; the engine still
-// drains tasks already started but skips ones not yet begun.
+// task (by index, not by completion time) is reported: the engine skips
+// tasks above the lowest failed index that have not begun, and still runs
+// every task below it.
 func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, error) {
 	e = e.get()
 	n := len(tasks)
@@ -52,7 +53,19 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 	started := time.Now() //synclint:wallclock -- wall-time telemetry for the manifest; never hashed
 	e.reporter.Start(suite, n)
 
-	var failed atomic.Bool
+	// lowestFailed is the lowest index of a failed task so far, n while none
+	// has failed. Only tasks above it are skipped: one below it may yet be
+	// the first failure by index, whatever order the workers finish in.
+	var lowestFailed atomic.Int64
+	lowestFailed.Store(int64(n))
+	fail := func(i int) {
+		for {
+			cur := lowestFailed.Load()
+			if int64(i) >= cur || lowestFailed.CompareAndSwap(cur, int64(i)) {
+				return
+			}
+		}
+	}
 	var done atomic.Int64
 	runOne := func(i int) {
 		t := tasks[i]
@@ -83,7 +96,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 		if kerr != nil {
 			errs[i] = kerr
 			rec.Error = kerr.Error()
-			failed.Store(true)
+			fail(i)
 		} else {
 			rec.CacheKey = key
 			switch {
@@ -107,7 +120,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				if rerr != nil {
 					errs[i] = fmt.Errorf("%s/%s: %w", suite, name, rerr)
 					rec.Error = errs[i].Error()
-					failed.Store(true)
+					fail(i)
 				} else {
 					rec.Remote = true
 					e.cache.Put(key, e.version, suite, name, seed, t.Config, results[i])
@@ -124,7 +137,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				if err != nil {
 					errs[i] = fmt.Errorf("%s/%s: %w", suite, name, err)
 					rec.Error = errs[i].Error()
-					failed.Store(true)
+					fail(i)
 				} else {
 					results[i] = res
 					e.cache.Put(key, e.version, suite, name, seed, t.Config, res)
@@ -146,7 +159,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 	}
 	if workers <= 1 {
 		for i := range tasks {
-			if failed.Load() {
+			if int64(i) > lowestFailed.Load() {
 				break
 			}
 			runOne(i)
@@ -159,7 +172,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					if failed.Load() {
+					if int64(i) > lowestFailed.Load() {
 						continue
 					}
 					runOne(i)

@@ -129,6 +129,8 @@ func (c *Comm) Split(color, key int) *Comm {
 }
 
 // allgatherInts gathers one [2]int from every rank using a ring allgather.
+// Each of the n(n-1) messages is a 24-byte (source, color, key) triple in a
+// pooled vector, so a split allocates per rank, not per message.
 func (c *Comm) allgatherInts(mine [2]int) [][2]int {
 	tag := c.nextTag(kindSplit)
 	n := c.Size()
@@ -140,13 +142,14 @@ func (c *Comm) allgatherInts(mine [2]int) [][2]int {
 	right := (c.rank + 1) % n
 	left := (c.rank - 1 + n) % n
 	cur := c.rank
+	var buf [3]float64
 	for step := 0; step < n-1; step++ {
 		v := out[cur]
-		c.Send(right, tag, EncodeF64s([]float64{float64(cur), float64(v[0]), float64(v[1])}))
-		got := DecodeF64s(c.Recv(left, tag))
-		src := int(got[0])
-		out[src] = [2]int{int(got[1]), int(got[2])}
-		cur = src
+		buf = [3]float64{float64(cur), float64(v[0]), float64(v[1])}
+		c.p.sendF64s(c.id, c.ranks[right], tag, 8*len(buf), buf[:])
+		c.p.recvF64sInto(buf[:], c.id, c.ranks[left], tag)
+		cur = int(buf[0])
+		out[cur] = [2]int{int(buf[1]), int(buf[2])}
 	}
 	return out
 }

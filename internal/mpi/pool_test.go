@@ -144,3 +144,38 @@ func TestMessagePoolRecycles(t *testing.T) {
 		t.Errorf("message pool grew to %d entries for a 2-in-flight workload", poolCap)
 	}
 }
+
+// TestSplitAllocsLinearInRanks pins what one Comm.Split allocates at 64
+// ranks, differencing two split counts to cancel the job's set-up. Each
+// rank allocates a fixed handful of objects (the gathered table, its group,
+// the sort, the new Comm); the ring allgather's n(n-1) = 4032 messages must
+// add nothing. Encoding each message on the heap cost 2 objects apiece,
+// 8064 a split, which is what the bound excludes.
+func TestSplitAllocsLinearInRanks(t *testing.T) {
+	const n = 64
+	mallocsFor := func(splits int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := Run(Config{Spec: cluster.Ideal(8, 2, 4), NProcs: n, Seed: 5}, func(p *Proc) {
+			for i := 0; i < splits; i++ {
+				if sub := p.World().Split(p.Rank()%4, p.Rank()); sub.Size() != n/4 {
+					t.Errorf("split %d: rank %d got a group of %d, want %d", i, p.Rank(), sub.Size(), n/4)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+
+	base := mallocsFor(1)
+	big := mallocsFor(9)
+	perSplit := (float64(big) - float64(base)) / 8
+	t.Logf("%.0f objects per 64-rank Split (%.1f per rank)", perSplit, perSplit/n)
+	if perSplit > 20*n {
+		t.Errorf("Comm.Split allocates %.0f objects at %d ranks, want at most %d (O(n)); base=%d big=%d",
+			perSplit, n, 20*n, base, big)
+	}
+}

@@ -35,8 +35,8 @@ package sim
 // statically absent from the scale workloads): spawning procs, Env.Rand,
 // blocking fiber primitives, and Wake across a partition boundary. A
 // population containing any fiber proc falls back to serial dispatch —
-// fibers hold the baton on their own goroutines and cannot be resumed on
-// an arbitrary worker — as does Workers <= 1. The fallback is the same
+// the blocking primitives schedule on the kernel's own queue and clock, not
+// on a worker's — as does Workers <= 1. The fallback is the same
 // code path as Run, so -workers N on a fiber workload is byte-identical to
 // -workers 1 by construction.
 
@@ -260,8 +260,8 @@ func (e *Env) RunParallel(cfg ParallelConfig) error {
 	}
 	for _, p := range e.procs {
 		if p.step == nil {
-			// Fibers own their stacks; they cannot be resumed on arbitrary
-			// workers. Serial dispatch is always a correct schedule.
+			// The blocking primitives know only the serial kernel's queue and
+			// clock. Serial dispatch is always a correct schedule.
 			return e.Run()
 		}
 	}

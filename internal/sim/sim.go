@@ -16,18 +16,20 @@
 //     (After, Until, Park, Stop). A step proc costs O(bytes) — one arena
 //     slot — so simulations reach 10^5–10^6 ranks; this is the
 //     representation the `scale` experiment suite is built on.
-//   - Fiber procs (Spawn) run a blocking-style function on a goroutine:
-//     the function calls WaitUntil, Sleep, or Suspend, and control passes
-//     directly from the yielding fiber to the next runnable one over a
-//     single buffered channel send, without bouncing through a central
-//     scheduler goroutine. Fibers cost a goroutine stack each; the
+//   - Fiber procs (Spawn) run a blocking-style function on a runtime
+//     coroutine (iter.Pull): the dispatch loop resumes the fiber with one
+//     direct coroutine switch, and the function's next WaitUntil, Sleep, or
+//     Suspend switches straight back. The Go scheduler is never involved
+//     and no second thread is woken, so a fiber run uses one core. A fiber
+//     whose own event is the next one due consumes it in place and keeps
+//     running without any switch. Fibers cost a goroutine stack each; the
 //     direct-style MPI layer (internal/mpi) is written against them.
 //
-// The hot path is allocation-free: events are stored by value in an inline
+// Both kinds are driven by the one dispatch loop on Run's goroutine. The
+// hot path is allocation-free: events are stored by value in an inline
 // 4-ary min-heap (no interface boxing, no per-event pointers), step procs
-// are resumed by a plain function call, and fiber handoff reuses one
-// capacity-1 channel per proc. See DESIGN.md §8 and §12 for the measured
-// effect.
+// are resumed by a plain function call, and a fiber's coroutine is set up
+// once at Spawn. See DESIGN.md §8 and §12 for the measured effect.
 //
 // The package knows nothing about networks or clocks; higher layers
 // (internal/cluster, internal/mpi, internal/scale) build those on top of
@@ -37,7 +39,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -59,8 +60,8 @@ type Env struct {
 	// processed counts events delivered to a live process — a deterministic
 	// measure of simulation work, reported by the scale suite.
 	processed uint64
-	// failMu guards the first-failure record. Serial dispatch has a single
-	// baton holder, but the guard makes first-failure-wins explicit and
+	// failMu guards the first-failure record. Serial dispatch runs one
+	// process at a time, but the guard makes first-failure-wins explicit and
 	// future-proof; the parallel dispatcher records failures per worker and
 	// merges them deterministically at the window barrier instead (see
 	// parallel.go).
@@ -78,10 +79,6 @@ type Env struct {
 	// par is non-nil while RunParallel is dispatching; it routes Wake, Post,
 	// and time queries to the owning worker (see parallel.go).
 	par *parRun
-	// drained receives the baton when the event queue empties (or a process
-	// fails): whichever goroutine runs out of events hands control back to
-	// Run. Capacity 1 so the final handoff never blocks.
-	drained chan struct{}
 }
 
 // NewEnv returns a new simulation environment whose random source is seeded
@@ -89,9 +86,8 @@ type Env struct {
 func NewEnv(seed int64) *Env {
 	src := detrand.New(seed)
 	return &Env{
-		src:     src,
-		rng:     rand.New(src),
-		drained: make(chan struct{}, 1),
+		src: src,
+		rng: rand.New(src),
 	}
 }
 
@@ -126,12 +122,10 @@ func (e *Env) Processed() uint64 { return e.processed }
 type Proc struct {
 	id  int
 	env *Env
-	// resume carries the run baton of a fiber. Capacity 1: a dispatching
-	// fiber may pick its own next event and reclaim the baton without
-	// parking, which is the single-fiber fast path (no goroutine switch at
-	// all). nil for step procs, which need no baton — the dispatch loop
-	// calls them inline.
-	resume chan struct{}
+	// fib is the coroutine a fiber runs on; nil for step procs, which the
+	// dispatch loop calls inline. One pointer, so the proc record stays the
+	// size KernelBytesPerProc reports.
+	fib *fiber
 	// step is the continuation of a step proc; nil for fibers. The proc is
 	// resumed by calling it and interpreting the returned Control.
 	step StepFunc
@@ -191,30 +185,16 @@ func (e *Env) nowOf(p *Proc) float64 {
 // tens of thousands of procs should use SpawnSteps instead.
 func (e *Env) Spawn(fn func(p *Proc)) *Proc {
 	e.checkSpawn()
-	p := &Proc{
-		id:     e.spawned,
-		env:    e,
-		resume: make(chan struct{}, 1),
-	}
+	p := &Proc{id: e.spawned, env: e}
 	e.spawned++
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				e.failMu.Lock()
-				if e.failure == nil {
-					e.failure = r
-					e.failed = p
-					e.failT = e.now
-				}
-				e.failMu.Unlock()
-			}
-			p.done = true
-			e.dispatch()
-		}()
+	f := &fiber{}
+	f.next, f.stop = pull(func(yield func(struct{}) bool) {
+		f.yield = yield
+		defer p.fiberEnd()
 		fn(p)
-	}()
+	})
+	p.fib = f
 	e.schedule(e.now, p)
 	return p
 }
@@ -239,16 +219,14 @@ func (e *Env) schedule(t float64, p *Proc) {
 	e.events.push(event{t: t, seq: e.seq, p: p, gen: p.gen})
 }
 
-// dispatch is the kernel's event loop: it pops events until it finds a live
-// one and delivers it. A step proc is resumed inline — a function call on
-// the dispatching goroutine, no context switch — and the loop continues
-// with whatever it scheduled; a fiber gets the baton over its resume
-// channel and the loop ends (the fiber calls dispatch again when it
-// yields). If the queue drains, or a process failed, the baton goes back to
-// Run. It is called by the goroutine that currently holds the baton.
+// dispatch is the kernel's event loop, run on Run's goroutine: it pops
+// events until the queue drains or a process fails, and delivers each live
+// one. A step proc is resumed inline, a function call; a fiber is resumed
+// by switching to its coroutine, and the loop continues when the fiber
+// blocks again or its function returns.
 //synclint:allocfree
 func (e *Env) dispatch() {
-	//synclint:unguarded -- serial dispatch: the baton holder is the only goroutine touching the record outside the recover path
+	//synclint:unguarded -- serial dispatch: the failure record is written by the running process's recover path only, and one process runs at a time
 	for e.failure == nil {
 		// Deposits interleave with events by (t, seq); at equal times a
 		// deposit lands first, so a proc resuming at t always finds every
@@ -265,7 +243,7 @@ func (e *Env) dispatch() {
 			}
 		}
 		if e.events.len() == 0 {
-			break
+			return
 		}
 		ev := e.events.pop()
 		if ev.p.done || ev.gen != ev.p.gen {
@@ -279,10 +257,47 @@ func (e *Env) dispatch() {
 			e.runStep(ev.p)
 			continue
 		}
-		ev.p.resume <- struct{}{}
-		return
+		ev.p.fib.next()
 	}
-	e.drained <- struct{}{}
+}
+
+// resumeSelf is dispatch's loop run by a blocking fiber for as long as
+// nothing else is due: it lands deposits and discards stale events exactly
+// as dispatch would, and if the next live event is p's own it consumes it
+// and reports true, so p keeps running with no coroutine switch. It leaves
+// any other proc's event in the queue and reports false: only dispatch
+// resumes other procs.
+//
+//synclint:allocfree
+func (e *Env) resumeSelf(p *Proc) bool {
+	for {
+		if e.deposits.len() > 0 {
+			dt := e.deposits.head().t
+			if e.events.len() == 0 || dt <= e.events.ev[0].t {
+				d := e.deposits.pop()
+				e.now = d.t
+				e.deliverDeposit(d)
+				continue
+			}
+		}
+		if e.events.len() == 0 {
+			return false
+		}
+		ev := &e.events.ev[0]
+		if ev.p.done || ev.gen != ev.p.gen {
+			e.events.pop()
+			continue
+		}
+		if ev.p != p {
+			return false
+		}
+		e.now = ev.t
+		e.events.pop()
+		p.gen++
+		p.hasEv = false
+		e.processed++
+		return true
+	}
 }
 
 // DeadlockError is returned by Run when the event queue drains while
@@ -303,10 +318,11 @@ func (e *DeadlockError) Error() string {
 // Run executes the simulation until no events remain or a process panics.
 // It returns an error if a process panicked, or a *DeadlockError naming the
 // stuck processes if some are still suspended when the event queue drains.
+// Either way no fiber goroutine outlives the call.
 func (e *Env) Run() error {
+	defer e.stopFibers()
 	e.dispatch()
-	<-e.drained
-	if e.failure != nil { //synclint:unguarded -- read after <-e.drained: the run loop has exited, so every writer is done (happens-before via the channel)
+	if e.failure != nil { //synclint:unguarded -- read after dispatch returned: no process is running
 		return fmt.Errorf("sim: process %d panicked: %v", e.failed.id, e.failure)
 	}
 	return e.finishRun()
@@ -328,16 +344,70 @@ func (e *Env) finishRun() error {
 	return nil
 }
 
-// block hands the baton to the next runnable process and waits for it to
-// come back. If the next event belongs to the calling fiber itself, the
-// buffered resume channel makes the round trip free of goroutine switches.
+// fiber is the coroutine half of a fiber proc.
+type fiber struct {
+	// next switches from the dispatch loop into the fiber and returns when
+	// the fiber blocks or its function returns.
+	next func() (struct{}, bool)
+	// yield switches from the fiber back to the dispatch loop.
+	yield func(struct{}) bool
+	// stop ends a fiber that Run leaves unfinished; stopped records that it
+	// was called, after which every blocking call unwinds instead of waiting.
+	stop    func()
+	stopped bool
+}
+
+// fiberExit is the panic value that unwinds a fiber's stack without failing
+// the run: raised by Exit, and by block once the fiber is stopped.
+type fiberExit struct{}
+
+// fiberEnd is deferred under every fiber's function. A stopped fiber did
+// not finish by itself, so its proc stays not done (and whatever its
+// deferred functions raised while unwinding is dropped with it).
+func (p *Proc) fiberEnd() {
+	r := recover()
+	if p.fib.stopped {
+		return
+	}
+	if r != nil && r != (fiberExit{}) {
+		e := p.env
+		e.failMu.Lock()
+		if e.failure == nil {
+			e.failure = r
+			e.failed = p
+			e.failT = e.now
+		}
+		e.failMu.Unlock()
+	}
+	p.done = true
+}
+
+// stopFibers unwinds every fiber still parked when Run ends (after a
+// deadlock or a process panic), running its deferred functions, so the
+// goroutines and everything their stacks reference are released.
+func (e *Env) stopFibers() {
+	for i := 0; i < len(e.procs); i++ { // by index: an unwinding fiber may Spawn
+		p := e.procs[i]
+		if f := p.fib; f != nil && !p.done && !f.stopped {
+			f.stopped = true
+			f.stop()
+		}
+	}
+}
+
+// block parks the calling fiber until its next live event: in place if
+// that event is the next one due, otherwise by yielding to the dispatch
+// loop, which switches back when the event fires.
 //synclint:allocfree
 func (p *Proc) block() {
-	if p.resume == nil {
+	f := p.fib
+	if f == nil {
 		panic("sim: blocking primitive called from a step proc (return a Control instead)")
 	}
-	p.env.dispatch()
-	<-p.resume
+	if !f.stopped && (p.env.resumeSelf(p) || f.yield(struct{}{})) {
+		return
+	}
+	panic(fiberExit{})
 }
 
 // WaitUntil blocks the calling process until virtual time t. Times in the
@@ -357,10 +427,10 @@ func (p *Proc) WaitUntil(t float64) {
 // waiting on it block forever unless they use timeouts (Run then reports a
 // DeadlockError). A step proc crash-stops by returning Stop instead.
 func (p *Proc) Exit() {
-	if p.step != nil {
+	if p.fib == nil {
 		panic("sim: Exit called from a step proc (return Stop() instead)")
 	}
-	runtime.Goexit()
+	panic(fiberExit{})
 }
 
 // Sleep blocks the calling process for d seconds.

@@ -89,6 +89,5 @@ func ResumeEnv(st EnvState) *Env {
 		src:     src,
 		rng:     rand.New(src),
 		spawned: st.Spawned,
-		drained: make(chan struct{}, 1),
 	}
 }

@@ -4,16 +4,16 @@ package sim
 //
 // A step proc is a small state machine. Instead of running a blocking
 // function on a goroutine, the proc carries a step function; every time the
-// proc's event fires, the dispatch loop calls the function inline — on
-// whatever goroutine currently holds the baton — and the function returns a
-// Control describing the proc's next transition: sleep until a time
-// (After/Until), park until another proc Wakes it (Park), or finish (Stop).
+// proc's event fires, the dispatch loop calls the function inline, on Run's
+// goroutine, and the function returns a Control describing the proc's next
+// transition: sleep until a time (After/Until), park until another proc
+// Wakes it (Park), or finish (Stop).
 // Any state the proc needs across resumptions lives outside the kernel, in
 // records the workload owns (typically a flat array indexed by Proc.ID —
 // the arena pattern internal/scale uses).
 //
 // Compared to a fiber, a step proc has no goroutine, no 8KB+ stack, and no
-// resume-channel round trip: resuming it is one function call, and its
+// coroutine switch: resuming it is one function call, and its
 // kernel footprint is a single Proc record (plus its slot in the event
 // heap). That puts per-rank cost at O(bytes) and lets simulations reach
 // 10^5–10^6 ranks; see DESIGN.md §12 for the memory model and the
@@ -112,7 +112,7 @@ func (e *Env) runStep(p *Proc) {
 }
 
 // stepFailed records a panic escaping a step function as the simulation's
-// failure, mirroring the recover wrapper every fiber goroutine runs under.
+// failure, mirroring fiberEnd, the recover wrapper every fiber runs under.
 // The lock is only taken on the (cold) panic path; parallel workers use
 // their own worker-local twin and merge at the barrier (parallel.go).
 //
