@@ -2,7 +2,10 @@ GO ?= go
 
 # The substrate micro-benchmarks: the sim kernel + MPI messaging building
 # blocks every experiment bottoms out in. `make bench` tracks them in
-# BENCH_sim.json, the perf trajectory future PRs regress against.
+# BENCH_sim.json, the perf trajectory future PRs regress against. The
+# BenchmarkSim prefix takes in the barrier/allreduce/alltoall sweeps and
+# BenchmarkSimPingPong; that one and BenchmarkHCA3Sync also report events/op,
+# the deterministic kernel-event count next to the noisy ns/op.
 SUBSTRATE_BENCH = BenchmarkSim|BenchmarkHCA3Sync|BenchmarkLinearFit|BenchmarkSnapshot|BenchmarkDispatch|BenchmarkKernelMemoryPerRank
 
 # Pinned third-party linter versions. CI installs exactly these; locally

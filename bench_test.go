@@ -200,10 +200,45 @@ func BenchmarkAblationWander(b *testing.B) {
 
 func runBench(b *testing.B, nprocs int, main func(p *mpi.Proc)) {
 	b.Helper()
-	cfg := mpi.Config{Spec: cluster.TestBox(), NProcs: nprocs, Seed: 99}
-	if err := mpi.Run(cfg, main); err != nil {
+	runBenchEvents(b, nprocs, 99, main)
+}
+
+// runBenchEvents runs main as one job on its own kernel, as mpi.Run would,
+// and returns the number of kernel events the job took — a count that
+// repeats exactly for a fixed seed and program, unlike ns/op.
+func runBenchEvents(b *testing.B, nprocs int, seed int64, main func(p *mpi.Proc)) uint64 {
+	b.Helper()
+	cfg := mpi.Config{Spec: cluster.TestBox(), NProcs: nprocs, Seed: seed}
+	m, err := cluster.NewMachine(cfg.Spec, cfg.NProcs, cfg.Mapping, cfg.Seed)
+	if err != nil {
 		b.Fatal(err)
 	}
+	env := sim.NewEnv(cfg.Seed + 1)
+	if err := mpi.RunOn(env, m, cfg, main); err != nil {
+		b.Fatal(err)
+	}
+	return env.Processed()
+}
+
+// BenchmarkSimPingPong is the loop every offset measurement bottoms out in:
+// one op is one SendF64/RecvF64 round trip between two ranks. events/op is
+// the kernel events it costs (the job's three set-up events amortised over
+// b.N).
+func BenchmarkSimPingPong(b *testing.B) {
+	b.ReportAllocs()
+	events := runBenchEvents(b, 2, 99, func(p *mpi.Proc) {
+		w, peer := p.World(), 1-p.Rank()
+		for i := 0; i < b.N; i++ {
+			if p.Rank() == 0 {
+				w.SendF64(peer, 1, float64(i))
+				w.RecvF64(peer, 1)
+			} else {
+				w.RecvF64(peer, 1)
+				w.SendF64(peer, 1, float64(i))
+			}
+		}
+	})
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 func BenchmarkSimBarrierAlgorithms(b *testing.B) {
@@ -237,14 +272,13 @@ func BenchmarkSimAllreduceAlgorithms(b *testing.B) {
 func BenchmarkHCA3Sync(b *testing.B) {
 	b.ReportAllocs()
 	params := clocksync.Params{NFitpoints: 20, Offset: clocksync.SKaMPIOffset{NExchanges: 5}}
+	var events uint64
 	for i := 0; i < b.N; i++ {
-		if err := mpi.Run(mpi.Config{Spec: cluster.TestBox(), NProcs: 16, Seed: int64(i)},
-			func(p *mpi.Proc) {
-				clocksync.HCA3{Params: params}.Sync(p.World(), clock.NewLocal(p))
-			}); err != nil {
-			b.Fatal(err)
-		}
+		events += runBenchEvents(b, 16, int64(i), func(p *mpi.Proc) {
+			clocksync.HCA3{Params: params}.Sync(p.World(), clock.NewLocal(p))
+		})
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 func BenchmarkSnapshot(b *testing.B) {

@@ -184,7 +184,7 @@ func registry(cut bool, workers int) []suiteDef {
 		{"driftaware", "Offset-only vs drift-aware global clocks", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := experiments.DefaultDriftAwareConfig()
 			if tiny {
-				cfg.NRuns = 2
+				cfg = experiments.TinyDriftAwareConfig()
 			}
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunDriftAware(eng, cfg)
@@ -192,7 +192,7 @@ func registry(cut bool, workers int) []suiteDef {
 		{"windowloss", "Window cascade vs Round-Time yield", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := experiments.DefaultWindowLossConfig()
 			if tiny {
-				cfg.NRep = 100
+				cfg = experiments.TinyWindowLossConfig()
 			}
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunWindowLoss(eng, cfg)
@@ -200,7 +200,7 @@ func registry(cut bool, workers int) []suiteDef {
 		{"tracecorr", "Timestamp correction over a long trace", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := experiments.DefaultTraceCorrectionConfig()
 			if tiny {
-				cfg.NIter, cfg.ComputePer = 20, 2
+				cfg = experiments.TinyTraceCorrectionConfig()
 			}
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunTraceCorrection(eng, cfg)
@@ -208,7 +208,7 @@ func registry(cut bool, workers int) []suiteDef {
 		{"tuning", "PGMPITuneLib-style algorithm selection", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := experiments.DefaultTuningConfig()
 			if tiny {
-				cfg.NRep, cfg.MSizes = 10, []int{8, 8192}
+				cfg = experiments.TinyTuningConfig()
 			}
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunTuning(eng, cfg)

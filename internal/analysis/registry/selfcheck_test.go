@@ -58,8 +58,14 @@ func TestRepositoryIsClean(t *testing.T) {
 	// Counts cover the loaded (non-test) tree; _test.go files and fixture
 	// testdata are outside the load, so seedok/checked — which today only
 	// appear in fixtures and in diagnostic message text — sit at zero.
+	// Review, rank-local lazy time (mpi): allocfree 99 -> 103 is four new
+	// helpers on the messaging hot path, each reached from an allocfree
+	// caller (Proc.now, settle, crashAt, recvDone) — more functions under
+	// the check, no new //synclint:alloc hole. execonly 3 -> 4 is
+	// mpi.Proc.lt, which no snapshot carries because every rank has
+	// settled at a quiescent cut.
 	wantEscapes := map[string]int{
-		analysis.DirAllocfree: 99,
+		analysis.DirAllocfree: 103,
 		analysis.DirAlloc:     30,
 		analysis.DirOrdered:   14,
 		analysis.DirWallclock: 22,
@@ -67,7 +73,7 @@ func TestRepositoryIsClean(t *testing.T) {
 		analysis.DirChecked:   0,
 		analysis.DirSnapshot:  8,
 		analysis.DirNosnap:    0,
-		analysis.DirExeconly:  3,
+		analysis.DirExeconly:  4,
 		analysis.DirZerokey:   27,
 		analysis.DirGuardedby: 6,
 		analysis.DirUnguarded: 6,

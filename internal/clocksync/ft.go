@@ -222,8 +222,7 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // applying the rank's Byzantine perturbation when the fault plan marks it
 // adversarial. Honest ranks get the raw reading with no random draw.
 func serveReading(comm *mpi.Comm, clk clock.Clock) float64 {
-	p := comm.Proc()
-	return p.Faults().PerturbTimestamp(comm.WorldRank(comm.Rank()), clk.Time())
+	return comm.Proc().PerturbTimestamp(clk.Time())
 }
 
 // ftServe is the reference side of one learning session: answer

@@ -7,6 +7,7 @@ import (
 	"hclocksync/internal/clock"
 	"hclocksync/internal/cluster"
 	"hclocksync/internal/mpi"
+	"hclocksync/internal/sim"
 )
 
 // noJitterBox is a TestBox variant with deterministic link latencies but
@@ -54,6 +55,34 @@ func TestSKaMPIOffsetMeasuresTrueOffset(t *testing.T) {
 			}
 		}
 	})
+}
+
+// One SKaMPI exchange is four kernel events: each side settles once (the
+// client's clock read and send overhead, the reference's receive overhead,
+// clock read and send overhead) and wakes once at a message arrival. It was
+// nine while every clock read and messaging overhead was an event of its own.
+func TestSKaMPIExchangeIsFourEvents(t *testing.T) {
+	events := func(n int) uint64 {
+		cfg := mpi.Config{Spec: cluster.TestBox(), NProcs: 2, Seed: 21}
+		m, err := cluster.NewMachine(cfg.Spec, cfg.NProcs, cfg.Mapping, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := sim.NewEnv(cfg.Seed + 1)
+		if err := mpi.RunOn(env, m, cfg, func(p *mpi.Proc) {
+			SKaMPIOffset{NExchanges: n}.MeasureOffset(p.World(), clock.NewLocal(p), 0, 1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return env.Processed()
+	}
+	// Two spawn events, and the client settling the reads that follow its
+	// last receive when it returns.
+	for _, n := range []int{1, 10, 100} {
+		if got, want := events(n), uint64(4*n+3); got != want {
+			t.Errorf("%d exchanges: %d kernel events, want %d", n, got, want)
+		}
+	}
 }
 
 func TestMeanRTTOffsetMeasuresTrueOffset(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,13 +20,13 @@ import (
 // The simulation kernel and MPI layer carry an observable determinism
 // contract: for a fixed seed, an experiment's rendered output is a fixed
 // byte sequence, at any -jobs setting and any GOMAXPROCS. The hashes in
-// testdata/golden_hashes.json pin fig3, fig7, the faults and clockfaults
-// suites, and the step-proc scale suite against silent drift: any change to the (t, seq)
-// tie-break, an RNG draw order, or message matching shows up here as a
-// hash mismatch. The fig3/fig7 hashes are additionally the zero-plan
-// byte-identity guarantee: they predate both the zero-allocation kernel
-// rewrite (PR 3) and the clock-fault subsystem (PR 4) and still match,
-// proving a nil/zero fault plan leaves the simulation untouched.
+// testdata/golden_hashes.json pin every suite runexp lists against silent
+// drift: any change to the (t, seq) tie-break, an RNG draw order, or message
+// matching shows up here as a hash mismatch. The fig3/fig7 hashes are
+// additionally the zero-plan byte-identity guarantee: they predate both the
+// zero-allocation kernel rewrite (PR 3) and the clock-fault subsystem (PR 4)
+// and still match, proving a nil/zero fault plan leaves the simulation
+// untouched.
 //
 // Regenerate (only when an output change is intended and understood) with:
 //
@@ -38,75 +39,73 @@ type goldenSuite struct {
 	render func(eng *harness.Engine) (string, error)
 }
 
+// golden pins the printed result of run on a fresh cfg() per render.
+func golden[C any, R interface{ Print(w io.Writer) }](name string, run func(*harness.Engine, C) (R, error), cfg func() C) goldenSuite {
+	return goldenSuite{name, func(eng *harness.Engine) (string, error) {
+		res, err := run(eng, cfg())
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		res.Print(&b)
+		return b.String(), nil
+	}}
+}
+
+// goldenSuites lists every fiber suite runexp can run, at its tiny scale
+// (the configs runexp -scale tiny uses), plus the step-proc scale suite.
+// fig3, fig6 and fig9 are pinned at a second seed as well: a different seed
+// draws different delays, so other (t, seq) orders between ranks are reached.
 func goldenSuites() []goldenSuite {
+	const seed2 = 7
+	syncSeeded := func(cfg func() SyncAccuracyConfig) func() SyncAccuracyConfig {
+		return func() SyncAccuracyConfig {
+			c := cfg()
+			c.Job.Seed = seed2
+			return c
+		}
+	}
 	return []goldenSuite{
-		{"fig3", func(eng *harness.Engine) (string, error) {
-			res, err := RunSyncAccuracy(eng, TinyFig3Config())
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			res.Print(&b)
-			return b.String(), nil
-		}},
-		{"fig3cut", func(eng *harness.Engine) (string, error) {
-			// fig3 split at the end-of-sync cut (the checkpointable
-			// schedule). The check phase respawns every rank at the cut's
-			// global virtual time rather than each rank's own, so it pins
-			// its own hash; the plain fig3 hash pins the same phase bodies
-			// run joined.
+		golden("fig2", RunFig2, TinyFig2Config),
+		golden("fig3", RunSyncAccuracy, TinyFig3Config),
+		golden("fig3seed7", RunSyncAccuracy, syncSeeded(TinyFig3Config)),
+		// fig3 split at the end-of-sync cut (the checkpointable schedule).
+		// The check phase respawns every rank at the cut's global virtual
+		// time rather than each rank's own, so it pins its own hash; the
+		// plain fig3 hash pins the same phase bodies run joined.
+		golden("fig3cut", RunSyncAccuracy, func() SyncAccuracyConfig {
 			cfg := TinyFig3Config()
 			cfg.Cut = true
-			res, err := RunSyncAccuracy(eng, cfg)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			res.Print(&b)
-			return b.String(), nil
-		}},
-		{"fig7", func(eng *harness.Engine) (string, error) {
-			res, err := RunFig7(eng, TinyFig7Config())
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			res.Print(&b)
-			return b.String(), nil
-		}},
-		{"fig7cut", func(eng *harness.Engine) (string, error) {
-			// fig7 split between message sizes: as with fig3cut, a
-			// different schedule than the joined cell, with its own hash.
+			return cfg
+		}),
+		golden("fig4", RunSyncAccuracy, TinyFig4Config),
+		golden("fig5", RunSyncAccuracy, TinyFig5Config),
+		golden("fig6", RunSyncAccuracy, TinyFig6Config),
+		golden("fig6seed7", RunSyncAccuracy, syncSeeded(TinyFig6Config)),
+		golden("fig7", RunFig7, TinyFig7Config),
+		// fig7 split between message sizes: as with fig3cut, a different
+		// schedule than the joined cell, with its own hash.
+		golden("fig7cut", RunFig7, func() Fig7Config {
 			cfg := TinyFig7Config()
 			cfg.Cut = true
-			res, err := RunFig7(eng, cfg)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			res.Print(&b)
-			return b.String(), nil
-		}},
-		{"faults", func(eng *harness.Engine) (string, error) {
-			// Always split at the end of the FT sync; there is no joined
-			// variant to pin (see faultsRun).
-			res, err := RunFaults(eng, TinyFaultsConfig())
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			res.Print(&b)
-			return b.String(), nil
-		}},
-		{"clockfaults", func(eng *harness.Engine) (string, error) {
-			res, err := RunClockFaults(eng, TinyClockFaultsConfig())
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			res.Print(&b)
-			return b.String(), nil
-		}},
+			return cfg
+		}),
+		golden("fig8", RunFig8, TinyFig8Config),
+		golden("fig9", RunFig9, TinyFig9Config),
+		golden("fig9seed7", RunFig9, func() Fig9Config {
+			cfg := TinyFig9Config()
+			cfg.Job.Seed = seed2
+			return cfg
+		}),
+		golden("fig10", RunFig10, TinyFig10Config),
+		golden("driftaware", RunDriftAware, TinyDriftAwareConfig),
+		golden("windowloss", RunWindowLoss, TinyWindowLossConfig),
+		golden("tracecorr", RunTraceCorrection, TinyTraceCorrectionConfig),
+		golden("tuning", RunTuning, TinyTuningConfig),
+		// Always split at the end of the FT sync; there is no joined
+		// variant to pin (see faultsRun).
+		golden("faults", RunFaults, TinyFaultsConfig),
+		golden("clockfaults", RunClockFaults, TinyClockFaultsConfig),
 		{"scale", func(eng *harness.Engine) (string, error) {
 			// The step-proc synthetic sweeps: the only suite whose ranks are
 			// goroutine-free state machines end to end. Its stats are pure

@@ -127,3 +127,31 @@ func TinyFig10Config() Fig10Config {
 	c.Sync = clocksync.NewH2HCA(clocksync.HCA3{Params: tinyParams()})
 	return c
 }
+
+// TinyDriftAwareConfig: the default job, 2 runs.
+func TinyDriftAwareConfig() DriftAwareConfig {
+	c := DefaultDriftAwareConfig()
+	c.NRuns = 2
+	return c
+}
+
+// TinyWindowLossConfig: the default job, 100 repetitions.
+func TinyWindowLossConfig() WindowLossConfig {
+	c := DefaultWindowLossConfig()
+	c.NRep = 100
+	return c
+}
+
+// TinyTraceCorrectionConfig: 20 iterations of 2 s compute.
+func TinyTraceCorrectionConfig() TraceCorrectionConfig {
+	c := DefaultTraceCorrectionConfig()
+	c.NIter, c.ComputePer = 20, 2
+	return c
+}
+
+// TinyTuningConfig: 10 repetitions at the two extreme message sizes.
+func TinyTuningConfig() TuningConfig {
+	c := DefaultTuningConfig()
+	c.NRep, c.MSizes = 10, []int{8, 8192}
+	return c
+}

@@ -75,9 +75,12 @@ type splitKey struct {
 
 // commID returns the agreed-upon id for the subcommunicator produced by
 // split operation seq of parent for the given color. The first member to
-// ask allocates it; determinism follows from colors being identical across
-// members.
-func (w *World) commID(parent, seq, color int) int {
+// ask allocates it — ids follow the virtual-time order of the asking ranks,
+// so p settles first; determinism follows from colors being identical
+// across members.
+func (p *Proc) commID(parent, seq, color int) int {
+	p.settle()
+	w := p.world
 	k := splitKey{parent, seq, color}
 	if id, ok := w.commIDs[k]; ok {
 		return id
@@ -122,7 +125,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	}
 	return &Comm{
 		p:     c.p,
-		id:    c.p.world.commID(c.id, seq, color),
+		id:    c.p.commID(c.id, seq, color),
 		ranks: newRanks,
 		rank:  myNew,
 	}
@@ -197,7 +200,7 @@ func (c *Comm) checkRoot(root int) {
 
 // DeadNow reports whether comm rank r is crashed at the current true time.
 func (c *Comm) DeadNow(r int) bool {
-	return c.p.world.cfg.Faults.CrashedAt(c.ranks[r], c.p.sp.Now())
+	return c.p.world.cfg.Faults.CrashedAt(c.ranks[r], c.p.now())
 }
 
 // Doomed reports whether comm rank r crashes at any point in the fault
@@ -252,7 +255,7 @@ func (c *Comm) ShrinkSurvivors() *Comm {
 	return &Comm{
 		p: c.p,
 		// Negative seq keys cannot collide with Split's (seq >= 0).
-		id:    c.p.world.commID(c.id, -1-seq, 0),
+		id:    c.p.commID(c.id, -1-seq, 0),
 		ranks: newRanks,
 		rank:  myNew,
 	}

@@ -64,34 +64,38 @@ func TestZeroPlanInjectorIsByteIdentical(t *testing.T) {
 func TestClockStepScopedToTargetRank(t *testing.T) {
 	const at, delta = 0.5, 2e-3
 	plan := faults.Plan{Steps: []faults.ClockStep{{Rank: 1, At: at, Delta: delta}}}
-	var healthy, faulted [][2]float64
-	probe := func(rec *[][2]float64) func(p *Proc) {
+	// Samples are recorded per rank: Advance is not a scheduling point, so
+	// the order in which ranks run their loops is not the order of their
+	// sample times.
+	const nprocs, nsamples = 4, 4
+	probe := func(rec *[nprocs][]float64) func(p *Proc) {
 		return func(p *Proc) {
-			for i := 0; i < 4; i++ {
+			for i := 0; i < nsamples; i++ {
 				p.Advance(0.3)
-				*rec = append(*rec, [2]float64{float64(p.Rank()), p.HWClock().ReadAt(p.TrueNow())})
+				rec[p.Rank()] = append(rec[p.Rank()], p.HWClock().ReadAt(p.TrueNow()))
 			}
 		}
 	}
-	cfg := Config{Spec: cluster.TestBox(), NProcs: 4, Seed: 17}
+	var healthy, faulted [nprocs][]float64
+	cfg := Config{Spec: cluster.TestBox(), NProcs: nprocs, Seed: 17}
 	if err := Run(cfg, probe(&healthy)); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFaulty(4, 17, plan, probe(&faulted)); err != nil {
+	if err := runFaulty(nprocs, 17, plan, probe(&faulted)); err != nil {
 		t.Fatal(err)
 	}
-	if len(healthy) != len(faulted) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(healthy), len(faulted))
-	}
-	for i := range healthy {
-		rank, hv := healthy[i][0], healthy[i][1]
-		fv := faulted[i][1]
-		want := hv
-		if rank == 1 && i >= 4 { // rank 1's samples after t=0.5 (first is at 0.3)
-			want += delta
+	for rank := range healthy {
+		if len(healthy[rank]) != nsamples || len(faulted[rank]) != nsamples {
+			t.Fatalf("rank %d: %d healthy and %d faulted samples, want %d each",
+				rank, len(healthy[rank]), len(faulted[rank]), nsamples)
 		}
-		if fv != want {
-			t.Errorf("sample %d (rank %v): got %v, want %v", i, rank, fv, want)
+		for i, want := range healthy[rank] {
+			if rank == 1 && i >= 1 { // rank 1's samples after t=0.5 (first is at 0.3)
+				want += delta
+			}
+			if got := faulted[rank][i]; got != want {
+				t.Errorf("rank %d sample %d: got %v, want %v", rank, i, got, want)
+			}
 		}
 	}
 }

@@ -277,6 +277,8 @@ func (p *Proc) sendCommon(dst, nbytes int) *message {
 	// Sender-side CPU overhead (crash-clamped: a rank whose crash time
 	// falls inside the overhead never gets the message onto the wire).
 	p.Advance(w.cfg.Spec.SendOverhead)
+	// The draws and the mailbox push below are visible to other ranks.
+	p.settle()
 	delay := w.machine.Delay(p.rank, dst, nbytes, w.env.Rand())
 	if f := w.cfg.Faults; f != nil {
 		factor, extra := f.Degrade(p.rank, p.sp.Now())
@@ -353,6 +355,7 @@ func (p *Proc) recvMsg(comm, src, tag int) *message {
 		panic(fmt.Sprintf("mpi: recv from invalid world rank %d", src)) //synclint:alloc -- cold: invalid-rank panic
 	}
 	p.maybeCrash()
+	p.settle() // the queue holds what senders pushed up to the kernel clock
 	mb := p.recvMB(mbKey{comm, p.rank, src, tag})
 	for mb.n == 0 {
 		if mb.waiter != nil {
@@ -369,12 +372,19 @@ func (p *Proc) recvMsg(comm, src, tag int) *message {
 		// forever — the realistic outcome of the receiver dying mid-match.
 		p.maybeCrash()
 	}
-	p.Advance(w.cfg.Spec.RecvOverhead)
-	if msg.ssend {
-		// Release the synchronous sender at match time.
-		w.env.Wake(msg.sender.sp, p.sp.Now())
-	}
+	p.recvDone(msg)
 	return msg
+}
+
+// recvDone charges the receive overhead for a matched message and, if it
+// was sent synchronously, releases the sender at match time.
+//synclint:allocfree
+func (p *Proc) recvDone(msg *message) {
+	p.Advance(p.world.cfg.Spec.RecvOverhead)
+	if msg.ssend {
+		p.settle()
+		p.world.env.Wake(msg.sender.sp, p.sp.Now())
+	}
 }
 
 // recv is the untyped blocking receive: it returns the payload as bytes.
@@ -461,7 +471,11 @@ func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 	if src < 0 || src >= len(w.procs) {
 		panic(fmt.Sprintf("mpi: recv from invalid world rank %d", src)) //synclint:alloc -- cold: invalid-rank panic
 	}
+	if timeout != timeout {
+		panic("mpi: RecvTimeout with a NaN timeout")
+	}
 	p.maybeCrash()
+	p.settle()
 	deadline := p.sp.Now() + timeout
 	mb := p.recvMB(mbKey{comm, p.rank, src, tag})
 	for {
@@ -480,10 +494,7 @@ func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 				p.sp.WaitUntil(msg.arrival)
 				p.maybeCrash()
 			}
-			p.Advance(w.cfg.Spec.RecvOverhead)
-			if msg.ssend {
-				w.env.Wake(msg.sender.sp, p.sp.Now())
-			}
+			p.recvDone(msg)
 			return msg
 		}
 		if p.sp.Now() >= deadline {

@@ -53,11 +53,7 @@ func (s *Session) RunPhase(main func(p *Proc)) error {
 		if s.world.cfg.Faults.CrashedAt(p.rank, s.env.Now()) {
 			continue
 		}
-		p := p
-		p.sp = s.env.Spawn(func(sp *sim.Proc) {
-			sp.Ctx = p
-			main(p)
-		})
+		p.spawn(main)
 	}
 	return runKernel(s.env, s.machine, s.world.cfg)
 }

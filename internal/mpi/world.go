@@ -19,6 +19,14 @@
 //		world.Barrier()
 //		...
 //	})
+//
+// A rank's local CPU charges — Advance, a clock read's cost, the send and
+// receive overheads — move only its rank-local time; the kernel sees an
+// event when the rank settles, which it does before anything another rank
+// can observe (a send, a receive, WaitUntilTrue, Rand, a communicator split,
+// the end of the program). Rank code must not order memory it shares with
+// other ranks by how far each has advanced: see DESIGN.md §8, "Kernel time
+// vs rank-local time".
 package mpi
 
 import (
@@ -99,6 +107,13 @@ type Proc struct {
 	world *World
 	rank  int
 	comm  *Comm // world communicator handle
+
+	// lt is the rank-local time: the true time this rank has reached by
+	// consuming CPU (Advance) without telling the kernel. The rank's time
+	// is max(lt, kernel now) — see now and settle. Whenever the rank is
+	// not running, and so at every quiescent cut, lt <= kernel now and
+	// carries no information.
+	lt float64 //synclint:execonly -- at a quiescent cut every rank has settled (lt <= kernel now), so a resumed rank starts from the kernel clock
 
 	sendCache mbCacheEntry
 	recvCache mbCacheEntry
@@ -224,11 +239,41 @@ func newWorld(env *sim.Env, machine *cluster.Machine, cfg Config) (*World, error
 // order — the spawn order is part of the determinism contract).
 func (w *World) spawnMain(main func(p *Proc)) {
 	for _, p := range w.procs {
-		p := p
-		p.sp = w.env.Spawn(func(sp *sim.Proc) {
-			sp.Ctx = p
-			main(p)
-		})
+		p.spawn(main)
+	}
+}
+
+// spawn starts the rank's sim process on main. The rank settles when main
+// ends, by return or by panic, so the kernel clock the job leaves behind
+// (Env.Now, a Session cut, the time of a failure) includes CPU time the
+// rank consumed after its last communication.
+func (p *Proc) spawn(main func(p *Proc)) {
+	p.sp = p.world.env.Spawn(func(sp *sim.Proc) {
+		sp.Ctx = p
+		defer p.settle()
+		main(p)
+	})
+}
+
+// now returns the rank's time: the kernel clock, or the rank-local time
+// when the rank has run ahead of it.
+//synclint:allocfree
+func (p *Proc) now() float64 {
+	if t := p.sp.Now(); t > p.lt {
+		return t
+	}
+	return p.lt
+}
+
+// settle brings the kernel clock up to the rank's time: one kernel event,
+// however many Advance calls built up the lead. It runs before anything
+// another rank can observe and before this rank observes another (DESIGN.md
+// "Kernel time vs rank-local time" lists every call), so each such action
+// still happens inside a kernel event at the virtual time it always had.
+//synclint:allocfree
+func (p *Proc) settle() {
+	if p.lt > p.sp.Now() {
+		p.sp.WaitUntil(p.lt)
 	}
 }
 
@@ -249,33 +294,48 @@ func (p *Proc) Location() cluster.Location { return p.world.machine.Location(p.r
 
 // TrueNow returns the current true simulation time — the ground truth no
 // real MPI process could observe. Experiments use it for validation only.
-func (p *Proc) TrueNow() float64 { return p.sp.Now() }
+func (p *Proc) TrueNow() float64 { return p.now() }
 
 // Advance consumes d seconds of this rank's (virtual) CPU time. It models
-// local computation. If the rank's scheduled crash time falls inside the
-// interval, the rank advances to the crash time and halts there.
+// local computation, which no other rank can observe: it moves only the
+// rank-local time and is not a kernel event. If the rank's scheduled crash
+// time falls inside the interval, the rank blocks until the crash time and
+// halts there.
 //synclint:allocfree
 func (p *Proc) Advance(d float64) {
-	if d <= 0 {
+	if !(d > 0) {
+		if d != d {
+			panic("mpi: Advance(NaN)")
+		}
 		return
 	}
-	if ct := p.world.cfg.Faults.CrashTime(p.rank); p.sp.Now()+d >= ct {
-		if ct > p.sp.Now() {
-			p.sp.WaitUntil(ct)
-		}
-		p.sp.Exit()
+	t := p.now() + d
+	if ct := p.world.cfg.Faults.CrashTime(p.rank); t >= ct {
+		p.crashAt(ct)
 	}
-	p.sp.Sleep(d)
+	p.lt = t
+}
+
+// crashAt halts the rank at its scheduled crash time ct, first blocking
+// until then if the rank has not reached it.
+//synclint:allocfree
+func (p *Proc) crashAt(ct float64) {
+	p.settle()
+	if ct > p.sp.Now() {
+		p.sp.WaitUntil(ct)
+	}
+	p.sp.Exit()
 }
 
 // WaitUntilTrue blocks the rank until true simulation time t (or until its
 // scheduled crash time, whichever comes first).
 func (p *Proc) WaitUntilTrue(t float64) {
+	if t != t {
+		panic("mpi: WaitUntilTrue(NaN)")
+	}
+	p.settle()
 	if ct := p.world.cfg.Faults.CrashTime(p.rank); t >= ct {
-		if ct > p.sp.Now() {
-			p.sp.WaitUntil(ct)
-		}
-		p.sp.Exit()
+		p.crashAt(ct)
 	}
 	p.sp.WaitUntil(t)
 }
@@ -283,15 +343,30 @@ func (p *Proc) WaitUntilTrue(t float64) {
 // maybeCrash crash-stops the rank if its scheduled crash time has passed.
 // The MPI layer calls it at communication entry points and after blocking
 // resumes, so a doomed rank cannot keep communicating past its crash time.
+// Advance never lets the rank-local time reach the crash time, so a rank
+// that halts here is never ahead of the kernel clock.
 //synclint:allocfree
 func (p *Proc) maybeCrash() {
-	if p.sp.Now() >= p.world.cfg.Faults.CrashTime(p.rank) {
+	if p.now() >= p.world.cfg.Faults.CrashTime(p.rank) {
 		p.sp.Exit()
 	}
 }
 
 // Faults returns the job's fault injector (nil when faults are disabled).
 func (p *Proc) Faults() *faults.Injector { return p.world.cfg.Faults }
+
+// PerturbTimestamp returns reading as this rank serves it to a sync client:
+// unchanged for an honest rank, with the rank's Byzantine bias and jitter
+// for an adversarial one (see faults.Injector.PerturbTimestamp). The
+// adversarial ranks draw their jitter from one stream, so one that draws
+// settles first, keeping the draws in virtual-time order.
+func (p *Proc) PerturbTimestamp(reading float64) float64 {
+	f := p.world.cfg.Faults
+	if f.IsByzantine(p.rank) {
+		p.settle()
+	}
+	return f.PerturbTimestamp(p.rank, reading)
+}
 
 // HWClock returns the hardware clock this rank reads under the job's
 // configured clock source. A rank with scheduled clock faults reads its
@@ -321,10 +396,16 @@ func (p *Proc) HWClockOf(src cluster.ClockSource) *cluster.HWClock {
 func (p *Proc) ReadHWClock() float64 {
 	c := p.HWClock()
 	p.Advance(c.Spec.ReadCost)
-	return c.ReadAt(p.sp.Now())
+	return c.ReadAt(p.now())
 }
 
 // Rand returns the job's seeded random source. Only the currently running
 // rank may use it (the natural pattern in a sequential simulation); draws
-// model nondeterministic local effects like OS noise.
-func (p *Proc) Rand() *rand.Rand { return p.world.env.Rand() }
+// model nondeterministic local effects like OS noise. The stream is shared
+// by all ranks, so the rank settles first and draws keep their virtual-time
+// order across ranks: draw from the result at once, do not hold it across
+// an Advance or a clock read.
+func (p *Proc) Rand() *rand.Rand {
+	p.settle()
+	return p.world.env.Rand()
+}

@@ -15,10 +15,13 @@
 # 1 when at least one did — so CI can gate on `scripts/benchdiff.sh base
 # head`. Every reported unit is gated, not just ns/op: the substrate
 # benches report capacity and throughput as custom metrics (B/rank,
-# kernelB/rank, events/s, plus -benchmem's B/op and allocs/op), and a
-# per-rank memory or dispatch-rate regression is as real as a time one.
+# kernelB/rank, events/s, events/op, plus -benchmem's B/op and allocs/op),
+# and a per-rank memory or dispatch-rate regression is as real as a time one.
 # Units ending in "/s" are rates where higher is better (a regression is a
-# decrease); everything else is a cost where lower is better. The gate
+# decrease); everything else is a cost where lower is better — including
+# events/op, the kernel events one operation takes: it does not end in "/s",
+# and unlike ns/op it repeats exactly, so any delta on that row is a change
+# in the code, never noise. The gate
 # compares the per-benchmark best value across the -count repetitions in
 # each file (minimum for costs, maximum for rates): the best sample is the
 # least noise-polluted estimate of the true value, which keeps
