@@ -1,6 +1,8 @@
-// Command runexp runs arbitrary experiment suites through the parallel
-// experiment engine (internal/harness), with deterministic seeding, a
-// persistent result cache, and a run manifest.
+// Command runexp runs the repository's experiment suites — every table,
+// figure, ablation and extension in experiments.Suites() — through the
+// parallel experiment engine (internal/harness), with deterministic seeding,
+// a persistent result cache, and a run manifest. It is the one experiment
+// binary: `runexp -suite all` regenerates results_default.txt.
 //
 // Usage:
 //
@@ -13,15 +15,15 @@
 //
 // Each suite's simulations are fanned out across -jobs workers; for a fixed
 // seed the results are identical at any -jobs setting. Orthogonally,
-// -workers N dispatches *each* simulation on N kernel workers under
-// conservative lookahead windows (sim.RunParallel, DESIGN.md §13) — today
-// that engages the scale suite's sharded step-proc sweeps, while
-// fiber-backed suites fall back to serial dispatch — and results stay
-// byte-identical at any value, which the golden-hash suite pins. Finished simulations
-// are stored content-addressed in -cache (default .expcache), so re-running
-// an interrupted or repeated invocation re-simulates only what is missing —
-// that is the resume story: kill runexp at any point and run the same
-// command line again, and completed work is served from disk.
+// -workers N dispatches each simulation of the scale suite's sharded
+// step-proc sweeps on N kernel workers under conservative lookahead windows
+// (sim.RunParallel, DESIGN.md §13); it reaches no other suite — their ranks
+// are fibers, which the kernel dispatches serially — and results stay
+// byte-identical at any value, which the golden-hash suite pins. Finished
+// simulations are stored content-addressed in -cache (default .expcache), so
+// re-running an interrupted or repeated invocation re-simulates only what is
+// missing — that is the resume story: kill runexp at any point and run the
+// same command line again, and completed work is served from disk.
 //
 // With -checkpoint, the run additionally maintains a single-file sweep
 // ledger (internal/checkpoint's sealed binary format, atomic
@@ -61,10 +63,13 @@
 //	runexp -suite fig7 -scale tiny -cache "" -cpuprofile cpu.prof
 //	go tool pprof -top cpu.prof
 //
-// With -outdir, every suite's output is written to DIR/<suite>.txt and the
-// run's manifest — every task's config, derived seed, wall time, and
-// whether it was served from cache — to DIR/manifest.json. A summary line
-// with the cache-hit rate is always printed at the end.
+// With -outdir, every suite's output is written to DIR/<suite>.txt, its
+// artifacts next to it — fig2_series.csv (the drift curves),
+// fig8_hist.txt (the imbalance histograms), fig10_spans.csv (the Gantt
+// spans), whenever that suite ran — and the run's manifest — every task's
+// config, derived seed, wall time, and whether it was served from cache, with
+// per-suite wall time and sims/s — to DIR/manifest.json. A summary line with
+// the cache-hit rate is always printed at the end.
 package main
 
 import (
@@ -76,7 +81,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -85,172 +89,53 @@ import (
 	"hclocksync/internal/harness"
 )
 
-// printer is the common surface of every experiment result.
-type printer interface{ Print(w io.Writer) }
-
-// suiteDef is one runnable entry of the registry. tiny selects the
-// test-sized configs; smoke (implies tiny elsewhere, see -scale) is only
-// distinguished by the scale suite, which keeps fig6 at the full 16384
-// ranks but trims it to a single run for the CI memory gate.
-type suiteDef struct {
-	name  string
-	title string
-	run   func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error)
-}
-
-// seeded applies the -seed override to a Job-carrying config.
-func seeded(seed int64, base *int64) {
-	if seed != 0 {
-		*base = seed
+// parseSuites resolves a -suite value against the suite table: "all", or a
+// comma-separated list of names (blanks around a name are ignored). An
+// empty, unknown or repeated name is an error naming the offending token —
+// a repeat would run the suite twice, record it twice in the manifest and
+// overwrite its -outdir files.
+func parseSuites(arg string, table []experiments.Suite) ([]experiments.Suite, error) {
+	if arg == "all" {
+		return table, nil
 	}
-}
-
-// registry lists the runnable suites. With cut set (checkpointing active)
-// the sync-accuracy and fig7 suites run split into session phases, so a
-// killed sweep resumes from each mpirun's last quiescent cut; split results
-// are deterministic but keyed and hashed separately from joined ones (faults
-// is always split and needs no switch). workers is the kernel dispatch
-// parallelism (-workers): it reaches the scale suite's sharded step-proc
-// sweeps, where N > 1 engages sim.RunParallel, and the sync-accuracy jobs,
-// where today's fiber ranks make it a byte-identical no-op. It never enters
-// a cache key — for a fixed seed the output is identical at any value.
-func registry(cut bool, workers int) []suiteDef {
-	pickSync := func(tiny bool, tinyFn, defFn func() experiments.SyncAccuracyConfig) experiments.SyncAccuracyConfig {
-		if tiny {
-			return tinyFn()
+	var selected []experiments.Suite
+	for _, tok := range strings.Split(arg, ",") {
+		name := strings.TrimSpace(tok)
+		if name == "" {
+			return nil, fmt.Errorf("empty suite name %q in -suite %q", tok, arg)
 		}
-		return defFn()
+		s, ok := suiteByName(table, name)
+		if !ok {
+			known := make([]string, len(table))
+			for i, s := range table {
+				known[i] = s.Name
+			}
+			return nil, fmt.Errorf("unknown suite %q (known: %s)", name, strings.Join(known, ", "))
+		}
+		for _, prev := range selected {
+			if prev.Name == name {
+				return nil, fmt.Errorf("suite %q named twice in -suite %q", name, arg)
+			}
+		}
+		selected = append(selected, s)
 	}
-	syncSuite := func(name, title string, tinyFn, defFn func() experiments.SyncAccuracyConfig) suiteDef {
-		return suiteDef{name, title, func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := pickSync(tiny, tinyFn, defFn)
-			cfg.Cut = cut
-			cfg.Job.Workers = workers
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunSyncAccuracy(eng, cfg)
-		}}
+	return selected, nil
+}
+
+func suiteByName(table []experiments.Suite, name string) (experiments.Suite, bool) {
+	for _, s := range table {
+		if s.Name == name {
+			return s, true
+		}
 	}
-	return []suiteDef{
-		{"fig2", "Fig. 2 — clock drift", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig2Config()
-			if tiny {
-				cfg = experiments.TinyFig2Config()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunFig2(eng, cfg)
-		}},
-		syncSuite("fig3", "Fig. 3 — HCA/HCA2/HCA3/JK accuracy vs duration",
-			experiments.TinyFig3Config, experiments.DefaultFig3Config),
-		syncSuite("fig4", "Fig. 4 — HCA3 vs H2HCA, Jupiter",
-			experiments.TinyFig4Config, experiments.DefaultFig4Config),
-		syncSuite("fig5", "Fig. 5 — HCA3 vs H2HCA, Hydra",
-			experiments.TinyFig5Config, experiments.DefaultFig5Config),
-		syncSuite("fig6", "Fig. 6 — HCA3 vs H2HCA, Titan",
-			experiments.TinyFig6Config, experiments.DefaultFig6Config),
-		{"fig7", "Fig. 7 — benchmark suite x barrier algorithm", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig7Config()
-			if tiny {
-				cfg = experiments.TinyFig7Config()
-			}
-			cfg.Cut = cut
-			cfg.Job.Workers = workers
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunFig7(eng, cfg)
-		}},
-		{"fig8", "Fig. 8 — barrier exit imbalance", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig8Config()
-			if tiny {
-				cfg = experiments.TinyFig8Config()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunFig8(eng, cfg)
-		}},
-		{"fig9", "Fig. 9 — OSU vs Round-Time across message sizes", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig9Config()
-			if tiny {
-				cfg = experiments.TinyFig9Config()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunFig9(eng, cfg)
-		}},
-		{"fig10", "Fig. 10 — AMG2013 trace Gantt", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig10Config()
-			if tiny {
-				cfg = experiments.TinyFig10Config()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunFig10(eng, cfg)
-		}},
-		{"driftaware", "Offset-only vs drift-aware global clocks", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultDriftAwareConfig()
-			if tiny {
-				cfg = experiments.TinyDriftAwareConfig()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunDriftAware(eng, cfg)
-		}},
-		{"windowloss", "Window cascade vs Round-Time yield", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultWindowLossConfig()
-			if tiny {
-				cfg = experiments.TinyWindowLossConfig()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunWindowLoss(eng, cfg)
-		}},
-		{"tracecorr", "Timestamp correction over a long trace", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultTraceCorrectionConfig()
-			if tiny {
-				cfg = experiments.TinyTraceCorrectionConfig()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunTraceCorrection(eng, cfg)
-		}},
-		{"tuning", "PGMPITuneLib-style algorithm selection", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultTuningConfig()
-			if tiny {
-				cfg = experiments.TinyTuningConfig()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunTuning(eng, cfg)
-		}},
-		{"faults", "Faults — FT-HCA3 sync error under drop rate x crash count", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFaultsConfig()
-			if tiny {
-				cfg = experiments.TinyFaultsConfig()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunFaults(eng, cfg)
-		}},
-		{"clockfaults", "Clock faults — LS vs robust sync under step x Byzantine", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultClockFaultsConfig()
-			if tiny {
-				cfg = experiments.TinyClockFaultsConfig()
-			}
-			seeded(seed, &cfg.Job.Seed)
-			return experiments.RunClockFaults(eng, cfg)
-		}},
-		{"scale", "Scale — fig6 at the full 16k ranks + 100k-1M-rank step-proc sweeps", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultScaleConfig()
-			switch {
-			case smoke:
-				cfg = experiments.SmokeScaleConfig()
-			case tiny:
-				cfg = experiments.TinyScaleConfig()
-			}
-			cfg.Workers = workers
-			cfg.Fig6.Job.Workers = workers
-			seeded(seed, &cfg.Seed)
-			seeded(seed, &cfg.Fig6.Job.Seed)
-			return experiments.RunScale(eng, cfg)
-		}},
-	}
+	return experiments.Suite{}, false
 }
 
 func main() {
 	suites := flag.String("suite", "", "comma-separated suite names, or \"all\"")
 	scale := flag.String("scale", "default", "default, tiny, or smoke (tiny everywhere except the scale suite, which keeps fig6 at full rank count)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "simulations to run concurrently")
-	workers := flag.Int("workers", 1, "kernel dispatch workers per simulation (parallel DES; results are byte-identical at any value)")
+	workers := flag.Int("workers", 1, "kernel dispatch workers per simulation of the scale suite's sharded step-proc sweeps (parallel DES); every other suite's ranks are fibers, which dispatch serially. Results are byte-identical at any value")
 	fabricN := flag.Int("fabric", 0, "run simulations in N supervised child processes (fault-tolerant sweep fabric; results are byte-identical to -jobs N)")
 	workerMode := flag.Bool("worker", false, "internal: serve fabric jobs on stdin/stdout")
 	cache := flag.String("cache", ".expcache", "result-cache directory (empty disables caching)")
@@ -324,10 +209,10 @@ func main() {
 	if *ckptPath == "" {
 		*ckptPath = *restore
 	}
-	reg := registry(*ckptPath != "", *workers)
+	table := experiments.Suites()
 	if *list {
-		for _, s := range reg {
-			fmt.Printf("%-12s %s\n", s.name, s.title)
+		for _, s := range table {
+			fmt.Printf("%-12s %s\n", s.Name, s.Title)
 		}
 		return
 	}
@@ -335,28 +220,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "runexp: -suite is required (try -list)")
 		os.Exit(2)
 	}
-	var selected []suiteDef
-	if *suites == "all" {
-		selected = reg
-	} else {
-		byName := map[string]suiteDef{}
-		for _, s := range reg {
-			byName[s.name] = s
-		}
-		for _, name := range strings.Split(*suites, ",") {
-			s, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				var known []string
-				for n := range byName { //synclint:ordered -- keys collected then sorted below
-					known = append(known, n)
-				}
-				sort.Strings(known)
-				fmt.Fprintf(os.Stderr, "runexp: unknown suite %q (known: %s)\n",
-					name, strings.Join(known, ", "))
-				os.Exit(2)
-			}
-			selected = append(selected, s)
-		}
+	selected, err := parseSuites(*suites, table)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "runexp:", err)
+		os.Exit(2)
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
@@ -416,26 +283,35 @@ func main() {
 	eng := harness.New(opts)
 	start := time.Now() //synclint:wallclock -- wall-time telemetry for the manifest; never hashed
 
+	runOpts := experiments.Options{
+		Scale:   experiments.Scale(*scale),
+		Seed:    *seed,
+		Cut:     *ckptPath != "",
+		Workers: *workers,
+	}
 	for _, s := range selected {
 		if pool != nil {
-			// The registry entry name disambiguates which suite's
-			// decomposition a worker must replay: several entries share one
+			// The table row's name disambiguates which suite's
+			// decomposition a worker must replay: several rows share one
 			// harness suite name (fig3–fig6 are all "syncaccuracy").
-			pool.SetEntry(s.name)
+			pool.SetEntry(s.Name)
 		}
-		res, err := s.run(eng, *scale != "default", *scale == "smoke", *seed)
+		res, err := s.Run(eng, runOpts)
 		if err != nil {
-			fail(fmt.Errorf("%s: %w", s.name, err))
+			fail(fmt.Errorf("%s: %w", s.Name, err))
 		}
-		fmt.Printf("\n==================== %s ====================\n", s.title)
+		fmt.Printf("\n==================== %s ====================\n", s.Title)
 		res.Print(os.Stdout)
 		if *outdir != "" {
-			f, err := os.Create(filepath.Join(*outdir, s.name+".txt"))
-			if err != nil {
-				fail(err)
+			section := experiments.Artifact{File: s.Name + ".txt", Write: func(w io.Writer) error {
+				res.Print(w)
+				return nil
+			}}
+			for _, a := range append([]experiments.Artifact{section}, res.Artifacts...) {
+				if err := writeFile(filepath.Join(*outdir, a.File), a.Write); err != nil {
+					fail(err)
+				}
 			}
-			res.Print(f)
-			f.Close()
 		}
 	}
 
@@ -465,24 +341,25 @@ func main() {
 
 // runWorker is the child-process side of -fabric: it serves fabric jobs
 // on stdin/stdout until the coordinator closes the pipe. Each job re-runs
-// the registry entry named in the request with a single-job engine whose
+// the suite-table row named in the request with a single-job engine whose
 // filter skips every task but the requested one — so the task's config and
 // seed are rebuilt from the same first principles as in the coordinator —
 // and whose observer captures that task's canonical-JSON result. The
 // streaming ledger handed in by ServeWorker replays any migrated resume
 // snapshot into the task and relays its cut saves back over the wire.
+//
+// A row may submit the same (suite, task) more than once under different
+// configs — ablations runs fig2/drift with skew wander on and off — so the
+// task is selected on the request's cache key as well: same-named tasks run
+// in submission order until one's key matches, and that one is returned.
+// When none matches (code-version or config skew between the processes) the
+// first is returned, and ServeWorker's key check rejects it by name.
 func runWorker() error {
+	table := experiments.Suites()
 	return fabric.ServeWorker(os.Stdin, os.Stdout, fabric.WorkerOptions{}, func(req fabric.JobRequest, ledger harness.Ledger) (string, json.RawMessage, error) {
-		reg := registry(req.Cut, req.Workers)
-		var def *suiteDef
-		for i := range reg {
-			if reg[i].name == req.Entry {
-				def = &reg[i]
-				break
-			}
-		}
-		if def == nil {
-			return "", nil, fmt.Errorf("unknown registry entry %q", req.Entry)
+		row, ok := suiteByName(table, req.Entry)
+		if !ok {
+			return "", nil, fmt.Errorf("unknown suite-table row %q", req.Entry)
 		}
 		var (
 			key   string
@@ -494,11 +371,11 @@ func runWorker() error {
 			Jobs:       1,
 			Checkpoint: ledger,
 			Filter: func(suite, name string) bool {
-				return suite == req.Suite && name == req.Task
+				return suite == req.Suite && name == req.Task && !(found && key == req.Key)
 			},
 			Observer: func(suite, name, k string, seed int64, result any) {
-				if suite != req.Suite || name != req.Task || found {
-					return
+				if found && k != req.Key {
+					return // keep the first of the same-named tasks
 				}
 				b, err := json.Marshal(result)
 				if err != nil {
@@ -508,7 +385,8 @@ func runWorker() error {
 				key, raw, found = k, b, true
 			},
 		})
-		if _, err := def.run(eng, req.Scale != "default", req.Scale == "smoke", req.Seed); err != nil {
+		opts := experiments.Options{Scale: experiments.Scale(req.Scale), Seed: req.Seed, Cut: req.Cut, Workers: req.Workers}
+		if _, err := row.Run(eng, opts); err != nil {
 			return "", nil, err
 		}
 		if merr != nil {
@@ -519,6 +397,19 @@ func runWorker() error {
 		}
 		return key, raw, nil
 	})
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fail(err error) {

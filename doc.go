@@ -13,8 +13,11 @@
 //   - internal/bench      — barrier/window/Round-Time measurement schemes
 //   - internal/trace      — MPI tracing library
 //   - internal/amg        — AMG2013 proxy workload
-//   - internal/experiments— one harness per paper table/figure
+//   - internal/experiments— one harness per paper table/figure, and
+//     Suites(), the one table listing all of them
 //
 // The benchmarks in bench_test.go regenerate every table and figure at a
-// reduced scale; the cmd/ tools run them at the default (larger) scale.
+// reduced scale; cmd/runexp runs any row of experiments.Suites() at the
+// default (larger) scale — "runexp -suite all" is results_default.txt, and
+// -outdir adds the CSV series and histograms.
 package hclocksync

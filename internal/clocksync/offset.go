@@ -106,6 +106,14 @@ type MeanRTTOffset struct {
 // Name returns the paper's label fragment.
 func (m *MeanRTTOffset) Name() string { return fmt.Sprintf("Mean-RTT-Offset/%d", m.NExchanges) }
 
+// GoString renders the parameters instead of the pointer %#v would print:
+// an algorithm's %#v is cache-key material (experiments.desc), and a key
+// holding an address differs in every process — no cache hit, and a fabric
+// worker that can never reproduce the coordinator's key.
+func (m *MeanRTTOffset) GoString() string {
+	return fmt.Sprintf("&clocksync.MeanRTTOffset{NExchanges:%d, NRTT:%d}", m.NExchanges, m.NRTT)
+}
+
 // MeasureOffset implements Alg. 8.
 func (m *MeanRTTOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, client int) ClockOffset {
 	n := m.NExchanges

@@ -35,11 +35,3 @@ func (l LinkSpec) Sample(nbytes int, rng *rand.Rand) float64 {
 func (l LinkSpec) Min(nbytes int) float64 {
 	return l.Alpha + l.Beta*float64(nbytes)
 }
-
-// MinDelay returns the link's absolute latency floor — the α term, the
-// minimum positive delay any message on this link can add regardless of
-// size, jitter, or spikes. It is the per-link conservative lookahead bound
-// the parallel dispatcher's windows are derived from (sim.ParallelConfig
-// and DESIGN.md §13): no cross-partition event posted now can take effect
-// sooner than now + MinDelay.
-func (l LinkSpec) MinDelay() float64 { return l.Alpha }

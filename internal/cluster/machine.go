@@ -99,25 +99,6 @@ type MachineSpec struct {
 // CoresPerNode returns SocketsPerNode*CoresPerSocket.
 func (s MachineSpec) CoresPerNode() int { return s.SocketsPerNode * s.CoresPerSocket }
 
-// MinLinkDelay returns the machine-wide latency floor: the smallest
-// MinDelay over the communication levels ranks can actually use. It is the
-// machine's conservative lookahead for parallel dispatch — any message
-// between any two distinct ranks takes at least this long. A zero return
-// (some level models an instantaneous link) means the machine admits no
-// positive lookahead and parallel dispatch must fall back to serial.
-func (s MachineSpec) MinLinkDelay() float64 {
-	min := s.InterNode.MinDelay()
-	if s.CoresPerNode() > 1 {
-		if d := s.IntraNode.MinDelay(); d < min {
-			min = d
-		}
-		if d := s.IntraSocket.MinDelay(); d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // TotalCores returns the machine's core count.
 func (s MachineSpec) TotalCores() int { return s.Nodes * s.CoresPerNode() }
 

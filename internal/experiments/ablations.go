@@ -10,16 +10,21 @@ import (
 )
 
 // Ablation experiments probe the design choices the paper (and DESIGN.md)
-// call out. Each returns a SyncAccuracyResult comparing exactly two
-// configurations so the effect is isolated.
+// call out. Each compares exactly two configurations so the effect is
+// isolated; the ablations suite (AblationsConfig, RunAblations) runs all
+// three at one scale.
 
 // AblationJKOffsetAlg reproduces the paper's §III-C3 side-finding: swapping
 // JK's native Mean-RTT-Offset for SKaMPI-Offset "boosts the global clock
 // precision of JK significantly".
 func AblationJKOffsetAlg(eng *harness.Engine, nprocs, nfit, nexch int, nruns int) (*SyncAccuracyResult, error) {
+	return RunSyncAccuracy(eng, jkOffsetAblation(nprocs, nfit, nexch, nruns))
+}
+
+func jkOffsetAblation(nprocs, nfit, nexch, nruns int) SyncAccuracyConfig {
 	spec := cluster.Jupiter()
 	spec.Nodes, spec.CoresPerSocket = nprocs/2, 1
-	return RunSyncAccuracy(eng, SyncAccuracyConfig{
+	return SyncAccuracyConfig{
 		Job:      Job{Spec: spec, NProcs: nprocs, Seed: 11},
 		NRuns:    nruns,
 		WaitTime: 5,
@@ -32,19 +37,23 @@ func AblationJKOffsetAlg(eng *harness.Engine, nprocs, nfit, nexch int, nruns int
 			}},
 		},
 		Check: clocksync.CheckConfig{Offset: clocksync.SKaMPIOffset{NExchanges: 10}},
-	})
+	}
 }
 
 // AblationRecomputeIntercept isolates HCA3's recompute_intercept flag
 // (Alg. 2): re-anchoring the intercept after the regression should improve
 // the offset right after synchronization.
 func AblationRecomputeIntercept(eng *harness.Engine, nprocs, nfit, nexch, nruns int) (*SyncAccuracyResult, error) {
+	return RunSyncAccuracy(eng, recomputeInterceptAblation(nprocs, nfit, nexch, nruns))
+}
+
+func recomputeInterceptAblation(nprocs, nfit, nexch, nruns int) SyncAccuracyConfig {
 	spec := cluster.Jupiter()
 	spec.Nodes, spec.CoresPerSocket = nprocs/2, 1
 	off := clocksync.SKaMPIOffset{NExchanges: nexch}
 	with := clocksync.Params{NFitpoints: nfit, Offset: off, RecomputeIntercept: true}
 	without := clocksync.Params{NFitpoints: nfit, Offset: off}
-	return RunSyncAccuracy(eng, SyncAccuracyConfig{
+	return SyncAccuracyConfig{
 		Job:      Job{Spec: spec, NProcs: nprocs, Seed: 12},
 		NRuns:    nruns,
 		WaitTime: 5,
@@ -53,7 +62,7 @@ func AblationRecomputeIntercept(eng *harness.Engine, nprocs, nfit, nexch, nruns 
 			clocksync.HCA3{Params: with},
 		},
 		Check: clocksync.CheckConfig{Offset: clocksync.SKaMPIOffset{NExchanges: 10}},
-	})
+	}
 }
 
 // AblationWander contrasts drifting-skew clocks against fixed-skew clocks
@@ -63,22 +72,27 @@ func AblationRecomputeIntercept(eng *harness.Engine, nprocs, nfit, nexch, nruns 
 // number — with wander off, drift is a perfect line (R² ≈ 1) however long
 // you watch.
 func AblationWander(eng *harness.Engine, nprocs int, horizon float64) (withWander, withoutWander *Fig2Result, err error) {
-	mk := func(wander bool) Fig2Config {
-		cfg := DefaultFig2Config()
-		cfg.Job.NProcs = nprocs
-		cfg.Duration = horizon
-		cfg.SampleEvery = horizon / 60
-		cfg.Exchanges = 8
-		if !wander {
-			cfg.Job.Spec.Mono.WanderSigma = 0
-		}
-		return cfg
-	}
-	withWander, err = RunFig2(eng, mk(true))
+	return runWanderAblation(eng, wanderAblation(nprocs, horizon))
+}
+
+// wanderAblation is the wander-on half; runWanderAblation derives the
+// fixed-skew half from it.
+func wanderAblation(nprocs int, horizon float64) Fig2Config {
+	cfg := DefaultFig2Config()
+	cfg.Job.NProcs = nprocs
+	cfg.Duration = horizon
+	cfg.SampleEvery = horizon / 60
+	cfg.Exchanges = 8
+	return cfg
+}
+
+func runWanderAblation(eng *harness.Engine, cfg Fig2Config) (withWander, withoutWander *Fig2Result, err error) {
+	withWander, err = RunFig2(eng, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	withoutWander, err = RunFig2(eng, mk(false))
+	cfg.Job.Spec.Mono.WanderSigma = 0
+	withoutWander, err = RunFig2(eng, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -103,4 +117,64 @@ func PrintAblation(w io.Writer, title string, res *SyncAccuracyResult) {
 		fmt.Fprintf(w, "  %-64s dur %8.4fs  max|off|@0 %9.3fus  @W %9.3fus\n",
 			l, dur, us(at0), us(atW))
 	}
+}
+
+// AblationsConfig is the ablations suite: the three studies above, each as
+// the config of the harness it runs on, so their base seeds sit where every
+// other suite's do.
+type AblationsConfig struct {
+	JKOffset           SyncAccuracyConfig
+	RecomputeIntercept SyncAccuracyConfig
+	// Wander is the realistic-clock drift run; the suite repeats it with
+	// WanderSigma = 0.
+	Wander Fig2Config
+}
+
+// DefaultAblationsConfig: 16 ranks, 60 fit points of 15 exchanges, 3 runs;
+// drift watched for 200 s. These are the numbers EXPERIMENTS.md reports.
+func DefaultAblationsConfig() AblationsConfig { return ablationsConfig(16, 60, 15, 3, 200) }
+
+// TinyAblationsConfig: 8 ranks, 30 fit points of 10 exchanges, 2 runs; 60 s.
+func TinyAblationsConfig() AblationsConfig { return ablationsConfig(8, 30, 10, 2, 60) }
+
+func ablationsConfig(nprocs, nfit, nexch, nruns int, horizon float64) AblationsConfig {
+	return AblationsConfig{
+		JKOffset:           jkOffsetAblation(nprocs, nfit, nexch, nruns),
+		RecomputeIntercept: recomputeInterceptAblation(nprocs, nfit, nexch, nruns),
+		Wander:             wanderAblation(6, horizon),
+	}
+}
+
+// AblationsResult bundles the three studies.
+type AblationsResult struct {
+	Config             AblationsConfig
+	JKOffset           *SyncAccuracyResult
+	RecomputeIntercept *SyncAccuracyResult
+	WanderOn           *Fig2Result
+	WanderOff          *Fig2Result
+}
+
+// RunAblations runs the three studies in turn.
+func RunAblations(eng *harness.Engine, cfg AblationsConfig) (*AblationsResult, error) {
+	res := &AblationsResult{Config: cfg}
+	var err error
+	if res.JKOffset, err = RunSyncAccuracy(eng, cfg.JKOffset); err != nil {
+		return nil, err
+	}
+	if res.RecomputeIntercept, err = RunSyncAccuracy(eng, cfg.RecomputeIntercept); err != nil {
+		return nil, err
+	}
+	if res.WanderOn, res.WanderOff, err = runWanderAblation(eng, cfg.Wander); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Print renders the three comparisons.
+func (r *AblationsResult) Print(w io.Writer) {
+	PrintAblation(w, "JK offset algorithm (paper III-C3 side-finding)", r.JKOffset)
+	PrintAblation(w, "recompute_intercept (Alg. 2)", r.RecomputeIntercept)
+	fmt.Fprintf(w, "Ablation: skew wander (drift linearity over %.0f s)\n", r.Config.Wander.Duration)
+	fmt.Fprintf(w, "  wander ON  (realistic clocks):     mean full-horizon R² = %.6f\n", MeanFullR2(r.WanderOn))
+	fmt.Fprintf(w, "  wander OFF (perfectly linear):     mean full-horizon R² = %.6f\n", MeanFullR2(r.WanderOff))
 }

@@ -75,3 +75,20 @@ func TestAblationRecomputeInterceptRuns(t *testing.T) {
 		t.Fatalf("labels = %v", res.labels())
 	}
 }
+
+// The JK ablation's *MeanRTTOffset must describe itself by value: desc feeds
+// the cache key, and a pointer's address there would differ between two
+// constructions of one config — and between a fabric coordinator and its
+// worker processes.
+func TestAblationCacheKeyMaterialHasNoAddresses(t *testing.T) {
+	a, b := TinyAblationsConfig(), TinyAblationsConfig()
+	for i := range a.JKOffset.Algorithms {
+		da, db := desc(a.JKOffset.Algorithms[i]), desc(b.JKOffset.Algorithms[i])
+		if da != db {
+			t.Errorf("algorithm %d describes itself differently per construction:\n%s\n%s", i, da, db)
+		}
+		if strings.Contains(da, "0x") {
+			t.Errorf("algorithm %d: description holds an address: %s", i, da)
+		}
+	}
+}

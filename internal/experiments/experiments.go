@@ -2,8 +2,12 @@
 // paper's evaluation. Each harness has a Default*Config constructor (CLI
 // scale — smaller than the paper's testbeds, see DESIGN.md §1), a Run
 // function returning typed results, and a Print function that emits the
-// same rows/series the paper reports. The cmd/ tools and the repository's
-// benchmark suite are thin wrappers around these.
+// same rows/series the paper reports. Suites() (suites.go) lists them all —
+// one row per table, figure, ablation and extension — and is what cmd/runexp
+// ("runexp -suite NAME", plus -outdir for the CSV series and histograms) and
+// the golden-hash test iterate; the repository's benchmark suite and
+// examples/ call the Run* functions directly, which stays the way to run a
+// suite at a size neither its Default* nor its Tiny* constructor gives.
 //
 // Every Run* function takes an *harness.Engine as its first argument and
 // submits each independent simulated mpirun as one engine task, so
@@ -17,6 +21,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"hclocksync/internal/cluster"
 	"hclocksync/internal/mpi"
@@ -31,10 +36,6 @@ type Job struct {
 	ClockSource cluster.ClockSource
 	Barrier     mpi.BarrierAlg
 	Allreduce   mpi.AllreduceAlg
-	// Workers is the kernel dispatch parallelism (mpi.Config.Workers). An
-	// execution knob: excluded from serialization so cache keys — which
-	// embed the job — are identical at any value, as the results are.
-	Workers int `json:"-"` //synclint:execonly -- kernel dispatch parallelism; results are byte-identical at any value
 }
 
 // config converts the job to the MPI layer's configuration.
@@ -47,7 +48,6 @@ func (j Job) config() mpi.Config {
 		ClockSource: j.ClockSource,
 		Barrier:     j.Barrier,
 		Allreduce:   j.Allreduce,
-		Workers:     j.Workers,
 	}
 }
 
@@ -65,7 +65,18 @@ func us(sec float64) float64 { return sec * 1e6 }
 // configs, i.e. cache-key material. %#v spells out the concrete types and
 // every parameter field, so two differently-parameterized algorithms never
 // collide on a cache entry.
-func desc(v any) string { return fmt.Sprintf("%#v", v) }
+//
+// A pointer below the top level prints as its address, which differs in
+// every process: a key that never hits the cache and that no fabric worker
+// can reproduce. That is a bug in the described type — it needs a GoString
+// printing its parameters, as clocksync.MeanRTTOffset has — so desc panics.
+func desc(v any) string {
+	s := fmt.Sprintf("%#v", v)
+	if strings.Contains(s, ")(0x") {
+		panic(fmt.Sprintf("experiments: cache-key material holds an address: %s", s))
+	}
+	return s
+}
 
 // seedKeyRun is the shared seed key of replication run: tasks that pass the
 // same key receive the same derived seed, which is how the paired designs

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -34,105 +33,85 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_hashes.json from the current build")
 
+// goldenVariants are extra pins of a Suites() row under non-default
+// options. fig3, fig6 and fig9 are pinned at a second seed: a different seed
+// draws different delays, so other (t, seq) orders between ranks are
+// reached. fig3cut and fig7cut pin the split (checkpointable) schedule: its
+// later phases respawn every rank at the cut's global virtual time rather
+// than each rank's own, so it has its own hash, while the plain hash pins
+// the same phase bodies run joined. (faults is always split; there is no
+// joined variant to pin.)
+var goldenVariants = []struct {
+	key, row string
+	opts     Options
+}{
+	{"fig3seed7", "fig3", Options{Seed: 7}},
+	{"fig3cut", "fig3", Options{Cut: true}},
+	{"fig6seed7", "fig6", Options{Seed: 7}},
+	{"fig7cut", "fig7", Options{Cut: true}},
+	{"fig9seed7", "fig9", Options{Seed: 7}},
+}
+
+// goldenRowOptions lists the rows whose plain pin is rendered more than
+// once, every render having to be the same byte stream. scale — the one
+// suite whose ranks are goroutine-free state machines end to end, run 8-way
+// sharded — renders at 1 and 4 kernel dispatch workers, extending the pinned
+// contract to parallel dispatch: -workers must never move a byte.
+var goldenRowOptions = map[string][]Options{
+	"scale": {{Workers: 1}, {Workers: 4}},
+}
+
 type goldenSuite struct {
 	name   string
 	render func(eng *harness.Engine) (string, error)
 }
 
-// golden pins the printed result of run on a fresh cfg() per render.
-func golden[C any, R interface{ Print(w io.Writer) }](name string, run func(*harness.Engine, C) (R, error), cfg func() C) goldenSuite {
-	return goldenSuite{name, func(eng *harness.Engine) (string, error) {
-		res, err := run(eng, cfg())
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		res.Print(&b)
-		return b.String(), nil
-	}}
-}
-
-// goldenSuites lists every fiber suite runexp can run, at its tiny scale
-// (the configs runexp -scale tiny uses), plus the step-proc scale suite.
-// fig3, fig6 and fig9 are pinned at a second seed as well: a different seed
-// draws different delays, so other (t, seq) orders between ranks are reached.
-func goldenSuites() []goldenSuite {
-	const seed2 = 7
-	syncSeeded := func(cfg func() SyncAccuracyConfig) func() SyncAccuracyConfig {
-		return func() SyncAccuracyConfig {
-			c := cfg()
-			c.Job.Seed = seed2
-			return c
-		}
-	}
-	return []goldenSuite{
-		golden("fig2", RunFig2, TinyFig2Config),
-		golden("fig3", RunSyncAccuracy, TinyFig3Config),
-		golden("fig3seed7", RunSyncAccuracy, syncSeeded(TinyFig3Config)),
-		// fig3 split at the end-of-sync cut (the checkpointable schedule).
-		// The check phase respawns every rank at the cut's global virtual
-		// time rather than each rank's own, so it pins its own hash; the
-		// plain fig3 hash pins the same phase bodies run joined.
-		golden("fig3cut", RunSyncAccuracy, func() SyncAccuracyConfig {
-			cfg := TinyFig3Config()
-			cfg.Cut = true
-			return cfg
-		}),
-		golden("fig4", RunSyncAccuracy, TinyFig4Config),
-		golden("fig5", RunSyncAccuracy, TinyFig5Config),
-		golden("fig6", RunSyncAccuracy, TinyFig6Config),
-		golden("fig6seed7", RunSyncAccuracy, syncSeeded(TinyFig6Config)),
-		golden("fig7", RunFig7, TinyFig7Config),
-		// fig7 split between message sizes: as with fig3cut, a different
-		// schedule than the joined cell, with its own hash.
-		golden("fig7cut", RunFig7, func() Fig7Config {
-			cfg := TinyFig7Config()
-			cfg.Cut = true
-			return cfg
-		}),
-		golden("fig8", RunFig8, TinyFig8Config),
-		golden("fig9", RunFig9, TinyFig9Config),
-		golden("fig9seed7", RunFig9, func() Fig9Config {
-			cfg := TinyFig9Config()
-			cfg.Job.Seed = seed2
-			return cfg
-		}),
-		golden("fig10", RunFig10, TinyFig10Config),
-		golden("driftaware", RunDriftAware, TinyDriftAwareConfig),
-		golden("windowloss", RunWindowLoss, TinyWindowLossConfig),
-		golden("tracecorr", RunTraceCorrection, TinyTraceCorrectionConfig),
-		golden("tuning", RunTuning, TinyTuningConfig),
-		// Always split at the end of the FT sync; there is no joined
-		// variant to pin (see faultsRun).
-		golden("faults", RunFaults, TinyFaultsConfig),
-		golden("clockfaults", RunClockFaults, TinyClockFaultsConfig),
-		{"scale", func(eng *harness.Engine) (string, error) {
-			// The step-proc synthetic sweeps: the only suite whose ranks are
-			// goroutine-free state machines end to end. Its stats are pure
-			// virtual-time quantities, so the byte-identity contract holds
-			// for the new representation exactly as for the fiber suites.
-			// The sweeps run 8-way sharded; rendering at 1 and 4 kernel
-			// dispatch workers extends the pinned contract to parallel
-			// dispatch: the -workers knob must never move a byte.
+// goldenSuites derives the pinned set from Suites(): every row at its tiny
+// scale (what runexp -scale tiny runs), then the variants.
+func goldenSuites(t *testing.T) []goldenSuite {
+	pin := func(key string, s Suite, opts ...Options) goldenSuite {
+		return goldenSuite{key, func(eng *harness.Engine) (string, error) {
 			var ref string
-			for _, w := range []int{1, 4} {
-				cfg := TinyScaleConfig()
-				cfg.Workers = w
-				res, err := RunScale(eng, cfg)
+			for i, o := range opts {
+				o.Scale = ScaleTiny
+				res, err := s.Run(eng, o)
 				if err != nil {
 					return "", err
 				}
 				var b strings.Builder
 				res.Print(&b)
-				if ref == "" {
+				if i == 0 {
 					ref = b.String()
 				} else if b.String() != ref {
-					return "", fmt.Errorf("scale output at workers=4 differs from workers=1")
+					return "", fmt.Errorf("output under %+v differs from %+v", o, opts[0])
 				}
 			}
 			return ref, nil
-		}},
+		}}
 	}
+	rows := map[string]Suite{}
+	var out []goldenSuite
+	for _, s := range Suites() {
+		rows[s.Name] = s
+		opts := goldenRowOptions[s.Name]
+		if opts == nil {
+			opts = []Options{{}}
+		}
+		out = append(out, pin(s.Name, s, opts...))
+	}
+	for row := range goldenRowOptions {
+		if _, ok := rows[row]; !ok {
+			t.Fatalf("goldenRowOptions names no Suites() row %q", row)
+		}
+	}
+	for _, v := range goldenVariants {
+		s, ok := rows[v.row]
+		if !ok {
+			t.Fatalf("golden variant %s names no Suites() row %q", v.key, v.row)
+		}
+		out = append(out, pin(v.key, s, v.opts))
+	}
+	return out
 }
 
 const goldenPath = "testdata/golden_hashes.json"
@@ -141,7 +120,7 @@ func TestGoldenOutputs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	got := map[string]string{}
-	for _, s := range goldenSuites() {
+	for _, s := range goldenSuites(t) {
 		// Every (jobs, GOMAXPROCS) combination must produce one identical
 		// byte stream; record the suite under a single key.
 		var ref string
@@ -194,6 +173,11 @@ func TestGoldenOutputs(t *testing.T) {
 	want := map[string]string{}
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("parsing %s: %v", goldenPath, err)
+	}
+	for name := range want {
+		if got[name] == "" {
+			t.Errorf("%s: golden hash names no Suites() row or variant", name)
+		}
 	}
 	for name, h := range got {
 		if want[name] == "" {

@@ -180,7 +180,7 @@ type Pool struct {
 	start starter
 	q     *jobQueue
 
-	entry  atomic.Value // string: current registry entry for SetEntry
+	entry  atomic.Value // string: current suite-table row for SetEntry
 	nextID atomic.Int64
 	alive  atomic.Int64
 	closed atomic.Bool
@@ -222,7 +222,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// SetEntry names the registry entry whose tasks subsequent RunTask calls
+// SetEntry names the suite-table row whose tasks subsequent RunTask calls
 // belong to. runexp calls it before each suite of a run; suites execute
 // sequentially, so a plain store suffices.
 func (p *Pool) SetEntry(name string) { p.entry.Store(name) }

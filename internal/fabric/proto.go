@@ -28,16 +28,16 @@ const (
 
 // JobRequest asks a worker to execute one task of one suite. The worker
 // does not receive the task's config or derived seed directly — it re-runs
-// the named registry entry's own decomposition (filtered down to Task) so
+// the named suite-table row's own decomposition (filtered down to Task) so
 // both are reconstructed from first principles in the child process, and
 // Key lets it prove it reconstructed the same task the coordinator meant.
 type JobRequest struct {
 	Type string `json:"type"` // always "job"
 	// ID correlates every Frame the worker emits back to this job.
 	ID int64 `json:"id"`
-	// Entry is the runexp registry name of the suite ("fig3", "faults", …).
+	// Entry is the suite's experiments.Suites() row name ("fig3", "faults", …).
 	// It differs from Suite, the harness suite name used in seeds and cache
-	// keys ("syncaccuracy", "faults", …): several registry entries decompose
+	// keys ("syncaccuracy", "faults", …): several rows decompose
 	// into the same harness suite, so both are needed to replay one task.
 	Entry string `json:"entry"`
 	// Suite and Task name the one task to execute within the entry's

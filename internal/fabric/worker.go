@@ -18,7 +18,7 @@ import (
 // sweep ledger the worker substitutes for a file-backed checkpointer: its
 // per-task handle replays the request's resume snapshot through Latest and
 // relays every Save to the coordinator as a cut frame. runexp's worker mode
-// supplies an Executor that re-runs the registry entry named in the request
+// supplies an Executor that re-runs the suite-table row named in the request
 // with the engine filtered down to the one task.
 type Executor func(req JobRequest, ledger harness.Ledger) (key string, result json.RawMessage, err error)
 

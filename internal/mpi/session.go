@@ -55,12 +55,8 @@ func (s *Session) RunPhase(main func(p *Proc)) error {
 		}
 		p.spawn(main)
 	}
-	return runKernel(s.env, s.machine, s.world.cfg)
+	return s.env.Run()
 }
-
-// Lookahead returns the job's conservative parallel-dispatch window width:
-// the machine's link-latency floor.
-func (s *Session) Lookahead() float64 { return s.machine.Spec.MinLinkDelay() }
 
 // Now returns the job's current virtual time.
 func (s *Session) Now() float64 { return s.env.Now() }

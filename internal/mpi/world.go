@@ -56,14 +56,6 @@ type Config struct {
 	// without fault support: the fault hooks draw no random numbers and
 	// change no timings unless the injector actually fires.
 	Faults *faults.Injector
-	// Workers selects parallel kernel dispatch (sim.RunParallel) with the
-	// machine's link-latency floor (MachineSpec.MinLinkDelay) as the
-	// conservative lookahead. It is an execution knob, not part of the
-	// experiment configuration: results are byte-identical at any value.
-	// MPI ranks are fiber procs today, so the kernel falls back to serial
-	// dispatch; the plumbing is what lets a future step-proc rank
-	// representation engage the parallel path with no API change.
-	Workers int
 }
 
 // World is the shared state of a simulated MPI job.
@@ -172,17 +164,6 @@ func RunOn(env *sim.Env, machine *cluster.Machine, cfg Config, main func(p *Proc
 		return err
 	}
 	w.spawnMain(main)
-	return runKernel(env, machine, cfg)
-}
-
-// runKernel dispatches the spawned job, parallel when cfg.Workers asks for
-// it and the machine admits a positive lookahead. sim.RunParallel makes the
-// call a byte-identical no-op for fiber populations (today's rank
-// representation), so -workers is always safe to pass.
-func runKernel(env *sim.Env, machine *cluster.Machine, cfg Config) error {
-	if la := machine.Spec.MinLinkDelay(); cfg.Workers > 1 && la > 0 {
-		return env.RunParallel(sim.ParallelConfig{Workers: cfg.Workers, Lookahead: la})
-	}
 	return env.Run()
 }
 

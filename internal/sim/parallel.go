@@ -52,8 +52,8 @@ type ParallelConfig struct {
 	Workers int
 	// Lookahead is the conservative window width: a lower bound on the
 	// virtual-time distance of any cross-partition Post. Derive it from the
-	// platform's minimum link delay (cluster.LinkSpec.MinDelay); it must be
-	// positive for a parallel run to make progress.
+	// modelled platform's minimum link latency; it must be positive for a
+	// parallel run to make progress.
 	Lookahead float64
 	// Shards partitions procs into contiguous groups that may interact
 	// freely (shared state, Wake); interaction *between* shards must go
