@@ -45,12 +45,18 @@ fuzz:
 	$(GO) test ./internal/analysis -run '^$$' -fuzz FuzzFieldCoverage -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
 
-# The repository's own multichecker (determinism, seed flow, allocfree
-# hot path, MPI error discards, //synclint: grammar), then the pinned
-# third-party linters when available. CI installs staticcheck and
+# gofmt first (any file it would rewrite fails the target; analyzer
+# fixtures under testdata/ are exempt), then the repository's own
+# multichecker (determinism, seed flow, allocfree hot path, MPI error
+# discards, //synclint: grammar), then the pinned third-party linters when
+# available. CI installs staticcheck and
 # govulncheck at the pinned versions; offline checkouts skip them with a
 # note rather than failing.
 lint:
+	@unformatted=$$(gofmt -l *.go benchmark cmd examples internal | grep -v '/testdata/' || true); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt would rewrite:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/synclint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

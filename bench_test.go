@@ -204,9 +204,10 @@ func runBench(b *testing.B, nprocs int, main func(p *mpi.Proc)) {
 }
 
 // runBenchEvents runs main as one job on its own kernel, as mpi.Run would,
-// and returns the number of kernel events the job took — a count that
-// repeats exactly for a fixed seed and program, unlike ns/op.
-func runBenchEvents(b *testing.B, nprocs int, seed int64, main func(p *mpi.Proc)) uint64 {
+// and returns the number of kernel events the job took and the number of
+// fiber resumes among them — counts that repeat exactly for a fixed seed and
+// program, unlike ns/op.
+func runBenchEvents(b *testing.B, nprocs int, seed int64, main func(p *mpi.Proc)) (events, switches uint64) {
 	b.Helper()
 	cfg := mpi.Config{Spec: cluster.TestBox(), NProcs: nprocs, Seed: seed}
 	m, err := cluster.NewMachine(cfg.Spec, cfg.NProcs, cfg.Mapping, cfg.Seed)
@@ -217,7 +218,24 @@ func runBenchEvents(b *testing.B, nprocs int, seed int64, main func(p *mpi.Proc)
 	if err := mpi.RunOn(env, m, cfg, main); err != nil {
 		b.Fatal(err)
 	}
-	return env.Processed()
+	return env.Processed(), env.Switches()
+}
+
+// pingPongPairs is b.N SendF64/RecvF64 round trips between each even rank
+// and the odd rank above it.
+func pingPongPairs(b *testing.B) func(p *mpi.Proc) {
+	return func(p *mpi.Proc) {
+		w, peer := p.World(), p.Rank()^1
+		for i := 0; i < b.N; i++ {
+			if p.Rank()%2 == 0 {
+				w.SendF64(peer, 1, float64(i))
+				w.RecvF64(peer, 1)
+			} else {
+				w.RecvF64(peer, 1)
+				w.SendF64(peer, 1, float64(i))
+			}
+		}
+	}
 }
 
 // BenchmarkSimPingPong is the loop every offset measurement bottoms out in:
@@ -226,19 +244,20 @@ func runBenchEvents(b *testing.B, nprocs int, seed int64, main func(p *mpi.Proc)
 // b.N).
 func BenchmarkSimPingPong(b *testing.B) {
 	b.ReportAllocs()
-	events := runBenchEvents(b, 2, 99, func(p *mpi.Proc) {
-		w, peer := p.World(), 1-p.Rank()
-		for i := 0; i < b.N; i++ {
-			if p.Rank() == 0 {
-				w.SendF64(peer, 1, float64(i))
-				w.RecvF64(peer, 1)
-			} else {
-				w.RecvF64(peer, 1)
-				w.SendF64(peer, 1, float64(i))
-			}
-		}
-	})
+	events, _ := runBenchEvents(b, 2, 99, pingPongPairs(b))
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// BenchmarkSimPingPongPairs is the same loop as eight concurrent pairs on 16
+// ranks, the shape of a sync round: one op is eight round trips. A lone pair
+// consumes most of its own events in place; with other pairs' events in
+// between, every event a rank blocks on resumes its fiber, and switches/op
+// counts those resumes next to events/op.
+func BenchmarkSimPingPongPairs(b *testing.B) {
+	b.ReportAllocs()
+	events, switches := runBenchEvents(b, 16, 99, pingPongPairs(b))
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 }
 
 func BenchmarkSimBarrierAlgorithms(b *testing.B) {
@@ -272,13 +291,15 @@ func BenchmarkSimAllreduceAlgorithms(b *testing.B) {
 func BenchmarkHCA3Sync(b *testing.B) {
 	b.ReportAllocs()
 	params := clocksync.Params{NFitpoints: 20, Offset: clocksync.SKaMPIOffset{NExchanges: 5}}
-	var events uint64
+	var events, switches uint64
 	for i := 0; i < b.N; i++ {
-		events += runBenchEvents(b, 16, int64(i), func(p *mpi.Proc) {
+		e, s := runBenchEvents(b, 16, int64(i), func(p *mpi.Proc) {
 			clocksync.HCA3{Params: params}.Sync(p.World(), clock.NewLocal(p))
 		})
+		events, switches = events+e, switches+s
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 }
 
 func BenchmarkSnapshot(b *testing.B) {

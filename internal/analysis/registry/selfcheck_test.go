@@ -69,8 +69,19 @@ func TestRepositoryIsClean(t *testing.T) {
 	// the five timing sites of the deleted all-figures binary; ordered
 	// 14 -> 13 is runexp's sorted map walk over suite names, now a walk of
 	// the table.
+	// Review, sends on the wire in the kernel: allocfree 103 -> 108 is
+	// sim.Env.CallAt and runCallback (the callback event's schedule and
+	// delivery, both inside dispatch's hot loop) plus, in mpi, newSend, post,
+	// wireNext, wire and clampArrival replacing sendCommon and deliver (the
+	// send path split into its rank-local and wire halves, the callback that
+	// joins them, and the clamp both message copies share) — more functions
+	// under the check, no new //synclint:alloc hole. execonly 3 -> 5:
+	// sim.Env.switches is a diagnostic counter like processed, restarted by
+	// a resumed kernel; mpi.Proc.outTail is the
+	// pending-send FIFO, empty at every quiescent cut because spawn's
+	// deferred settle returns only after the rank's last callback.
 	wantEscapes := map[string]int{
-		analysis.DirAllocfree: 103,
+		analysis.DirAllocfree: 108,
 		analysis.DirAlloc:     30,
 		analysis.DirOrdered:   13,
 		analysis.DirWallclock: 17,
@@ -78,7 +89,7 @@ func TestRepositoryIsClean(t *testing.T) {
 		analysis.DirChecked:   0,
 		analysis.DirSnapshot:  8,
 		analysis.DirNosnap:    0,
-		analysis.DirExeconly:  3,
+		analysis.DirExeconly:  5,
 		analysis.DirZerokey:   27,
 		analysis.DirGuardedby: 6,
 		analysis.DirUnguarded: 6,

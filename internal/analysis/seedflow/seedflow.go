@@ -37,7 +37,7 @@ var seedArgs = map[string]map[string][]int{
 		// named source was checked at its own construction.
 	},
 	"math/rand/v2": {
-		"NewPCG":    {0, 1},
+		"NewPCG":     {0, 1},
 		"NewChaCha8": {0},
 	},
 }

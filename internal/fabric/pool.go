@@ -152,9 +152,9 @@ type job struct {
 
 	// Owned by whichever supervisor holds the job; a job is never held by
 	// two supervisors at once (requeue happens-before redispatch).
-	attempts int    // failures since the last new cut
-	maxCut   int    // highest cut ever saved, for the progress reset
-	cut      int    // latest snapshot, shipped to the adopting worker
+	attempts int // failures since the last new cut
+	maxCut   int // highest cut ever saved, for the progress reset
+	cut      int // latest snapshot, shipped to the adopting worker
 	snap     []byte
 
 	once   sync.Once

@@ -132,7 +132,7 @@ type streamLedger struct {
 	w   *frameWriter
 }
 
-func (l *streamLedger) Lookup(string, any) bool     { return false }
+func (l *streamLedger) Lookup(string, any) bool            { return false }
 func (l *streamLedger) Record(string, string, string, any) {}
 
 // Task returns the wire-bridging checkpoint handle for the one task this

@@ -59,10 +59,10 @@ func (m *Manifest) HitRate() float64 {
 // RunManifest aggregates the manifests of one tool invocation into the
 // manifest.json the cmd/ tools write next to their artifacts.
 type RunManifest struct {
-	Tool      string      `json:"tool"`
-	Version   string      `json:"version"`
-	Jobs      int         `json:"jobs"`
-	CacheDir  string      `json:"cache_dir,omitempty"`
+	Tool      string    `json:"tool"`
+	Version   string    `json:"version"`
+	Jobs      int       `json:"jobs"`
+	CacheDir  string    `json:"cache_dir,omitempty"`
 	Started   time.Time `json:"started"`
 	WallSec   float64   `json:"wall_s"`
 	Sims      int       `json:"sims"`

@@ -46,10 +46,12 @@ func BarrierAlgs() []BarrierAlg {
 
 // Barrier blocks until all ranks of the communicator have entered it, using
 // the job's configured default algorithm.
+//
 //synclint:allocfree
 func (c *Comm) Barrier() { c.BarrierWith(c.p.world.cfg.Barrier) }
 
 // BarrierWith runs a barrier with an explicit algorithm.
+//
 //synclint:allocfree
 func (c *Comm) BarrierWith(alg BarrierAlg) {
 	tag := c.nextTag(kindBarrier)
@@ -91,6 +93,7 @@ func (c *Comm) barrierLinear(tag int) {
 }
 
 // barrierTree: binomial fan-in to rank 0, then binomial fan-out.
+//
 //synclint:allocfree
 func (c *Comm) barrierTree(tag int) {
 	n := c.Size()
@@ -111,6 +114,7 @@ func (c *Comm) barrierTree(tag int) {
 
 // binomialRelease broadcasts a zero-byte release along a binomial tree
 // rooted at root.
+//
 //synclint:allocfree
 func (c *Comm) binomialRelease(tag, root int) {
 	n := c.Size()
@@ -190,6 +194,7 @@ func (c *Comm) barrierDissemination(tag int) {
 // barrierDoubleRing circulates a token from rank 0 around the ring twice;
 // the first pass establishes that everyone arrived, the second releases.
 // The paper notes this algorithm has by far the largest exit imbalance.
+//
 //synclint:allocfree
 func (c *Comm) barrierDoubleRing(tag int) {
 	n := c.Size()

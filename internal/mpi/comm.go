@@ -21,10 +21,12 @@ type Comm struct {
 }
 
 // Rank returns the calling process's rank within the communicator.
+//
 //synclint:allocfree
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the communicator.
+//
 //synclint:allocfree
 func (c *Comm) Size() int { return len(c.ranks) }
 
@@ -32,6 +34,7 @@ func (c *Comm) Size() int { return len(c.ranks) }
 func (c *Comm) Proc() *Proc { return c.p }
 
 // WorldRank translates a communicator rank to a world rank.
+//
 //synclint:allocfree
 func (c *Comm) WorldRank(r int) int { return c.ranks[r] }
 
@@ -59,6 +62,7 @@ const (
 // Static tags keep the mailbox set bounded, which is what lets the
 // messaging layer recycle mailboxes instead of allocating a fresh queue
 // per collective call.
+//
 //synclint:allocfree
 func (c *Comm) nextTag(kind int) int {
 	c.collSeq++

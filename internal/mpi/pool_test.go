@@ -37,7 +37,7 @@ func TestMailboxRingPopClearsSlotAndWraps(t *testing.T) {
 		t.Fatalf("ring not empty: n=%d", mb.n)
 	}
 	// Retention: every slot of the backing array must be nil once drained,
-	// so popped messages (and their sender *Procs) are collectable.
+	// so popped messages are collectable.
 	for i, s := range mb.buf {
 		if s != nil {
 			t.Errorf("drained ring still holds a message at slot %d", i)

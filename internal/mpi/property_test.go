@@ -257,6 +257,37 @@ func TestRunOnSharedMachineClocksKeepDrifting(t *testing.T) {
 	}
 }
 
+// The machine a job runs on carries its messaging overheads: a caller that
+// hands RunOn a machine and leaves Config.Spec zero is not simulating free
+// sends and receives.
+func TestRunOnChargesMachineOverheads(t *testing.T) {
+	spec := cluster.TestBox()
+	m, err := cluster.NewMachine(spec, 2, cluster.MapBlock, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent, arrived, received float64
+	if err := RunOn(sim.NewEnv(3), m, Config{NProcs: 2}, func(p *Proc) {
+		if p.Rank() == 0 {
+			p.World().SendF64(1, 1, 0)
+			sent = p.TrueNow()
+			return
+		}
+		p.WaitUntilTrue(1) // the message is long there: only the overhead is left
+		arrived = p.TrueNow()
+		p.World().RecvF64(0, 1)
+		received = p.TrueNow()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sent != spec.SendOverhead {
+		t.Errorf("send returned at %v, want the machine's send overhead %v", sent, spec.SendOverhead)
+	}
+	if got := received - arrived; got != (1+spec.RecvOverhead)-1 {
+		t.Errorf("receive cost %v, want the machine's receive overhead %v", got, spec.RecvOverhead)
+	}
+}
+
 func TestInvalidConfigRejected(t *testing.T) {
 	if err := Run(Config{Spec: cluster.TestBox(), NProcs: 1000, Seed: 1}, func(*Proc) {}); err == nil {
 		t.Error("expected error for oversubscribed machine")

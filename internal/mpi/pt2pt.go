@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"hclocksync/internal/sim"
 )
 
 // Point-to-point messaging.
@@ -15,11 +17,11 @@ import (
 //
 // The steady-state send/recv path is allocation-free: message structs are
 // recycled through a per-World free list, mailbox queues are ring buffers
-// whose popped slots are nilled (so neither the backing array nor the
-// sender *Proc is pinned), repeated exchanges on one (comm, peer, tag)
-// triple hit a per-rank single-entry mailbox cache instead of the map, and
-// single-float64 payloads — the workhorse of the clock-offset algorithms —
-// travel inside the message struct with no byte-slice encode at all.
+// whose popped slots are nilled (so the backing array pins no message),
+// repeated exchanges on one (comm, peer, tag) triple hit a per-rank
+// single-entry mailbox cache instead of the map, and single-float64
+// payloads — the workhorse of the clock-offset algorithms — travel inside
+// the message struct with no byte-slice encode at all.
 
 type mbKey struct {
 	comm, dst, src, tag int
@@ -44,14 +46,22 @@ type message struct {
 	data    []byte
 	fv      []float64
 	v       float64
-	arrival float64
-	kind    msgKind
-	ssend   bool
-	sender  *Proc
+	arrival float64 // set by the wire half
+	// next links the sender's outbox, the messages whose wire half is a
+	// pending kernel callback; nil once the message is on the wire.
+	next *message
+	// The envelope, read by the wire half (the sender is the rank whose
+	// outbox holds the message). It is packed into 32-bit fields so the
+	// struct stays in the allocator's 96-byte class: newSend rejects a tag
+	// or a wire size that does not fit.
+	tag, comm, dst, nbytes int32
+	kind                   msgKind
+	ssend                  bool
 }
 
 // newMsg takes a recycled message off the free list, or allocates the
 // pool's next entry.
+//
 //synclint:allocfree
 func (w *World) newMsg() *message {
 	if n := len(w.msgFree); n > 0 {
@@ -63,9 +73,10 @@ func (w *World) newMsg() *message {
 	return &message{} //synclint:alloc -- pool miss: grows the free list once per high-water mark
 }
 
-// freeMsg zeroes m (dropping its payload and sender references) and
+// freeMsg zeroes m (dropping its payload references) and
 // returns it to the free list. Callers must extract or release pooled
 // payloads (fv) first.
+//
 //synclint:allocfree
 func (w *World) freeMsg(m *message) {
 	*m = message{}
@@ -73,6 +84,7 @@ func (w *World) freeMsg(m *message) {
 }
 
 // getF64s returns a pooled []float64 of length n.
+//
 //synclint:allocfree
 func (w *World) getF64s(n int) []float64 {
 	if k := len(w.f64Free); k > 0 {
@@ -87,6 +99,7 @@ func (w *World) getF64s(n int) []float64 {
 }
 
 // putF64s returns a slice obtained from getF64s to the pool.
+//
 //synclint:allocfree
 func (w *World) putF64s(s []float64) {
 	w.f64Free = append(w.f64Free, s) //synclint:alloc -- pool free list: amortized growth to the high-water mark
@@ -95,6 +108,7 @@ func (w *World) putF64s(s []float64) {
 // bytes materializes a message's payload as a byte slice (allocating for
 // the non-bytes kinds, which only happens when a typed send meets an
 // untyped Recv) and releases any pooled payload.
+//
 //synclint:allocfree
 func (w *World) bytes(m *message) []byte {
 	switch m.kind {
@@ -151,7 +165,7 @@ func (mb *mailbox) pop() *message {
 func (w *World) mailbox(k mbKey) *mailbox {
 	mb := w.mailboxes[k]
 	if mb == nil {
-		mb = &mailbox{} //synclint:alloc -- cold: one mailbox per (comm, dst, src, tag), first use only
+		mb = &mailbox{}     //synclint:alloc -- cold: one mailbox per (comm, dst, src, tag), first use only
 		w.mailboxes[k] = mb //synclint:alloc -- cold: mailbox interning, first use only
 	}
 	return mb
@@ -160,6 +174,7 @@ func (w *World) mailbox(k mbKey) *mailbox {
 // sendMB resolves the sender-side mailbox for (comm, dst, tag) through the
 // rank's single-entry cache; ping-pong style exchanges (JK offset, SKaMPI)
 // hit the cache on every iteration after the first.
+//
 //synclint:allocfree
 func (p *Proc) sendMB(k mbKey) *mailbox {
 	if p.sendCache.mb != nil && p.sendCache.key == k {
@@ -171,6 +186,7 @@ func (p *Proc) sendMB(k mbKey) *mailbox {
 }
 
 // recvMB is the receiver-side counterpart of sendMB.
+//
 //synclint:allocfree
 func (p *Proc) recvMB(k mbKey) *mailbox {
 	if p.recvCache.mb != nil && p.recvCache.key == k {
@@ -184,6 +200,7 @@ func (p *Proc) recvMB(k mbKey) *mailbox {
 // arrClamp returns the non-overtaking clamp cell for messages from p to
 // dst, cached per rank: a rank's consecutive sends overwhelmingly target
 // the same peer.
+//
 //synclint:allocfree
 func (p *Proc) arrClamp(dst int) *float64 {
 	if p.lastDst == dst && p.lastArrP != nil {
@@ -192,80 +209,71 @@ func (p *Proc) arrClamp(dst int) *float64 {
 	pk := pairKey{p.rank, dst}
 	cell := p.world.lastArr[pk]
 	if cell == nil {
-		cell = new(float64) //synclint:alloc -- cold: one clamp cell per (src, dst) pair, first use only
+		cell = new(float64)        //synclint:alloc -- cold: one clamp cell per (src, dst) pair, first use only
 		p.world.lastArr[pk] = cell //synclint:alloc -- cold: clamp-cell interning, first use only
 	}
 	p.lastDst, p.lastArrP = dst, cell
 	return cell
 }
 
+// A send has two halves. The rank-local half (newSend) is everything only
+// the sender can see: validation, the crash check, the sender overhead, and
+// filling a pooled message with its payload and envelope. The wire half
+// (wire) is everything other ranks can see — the kernel-RNG delay draw, the
+// fault draws, the non-overtaking clamp, the mailbox push, the receiver's
+// wake-up — and must happen inside a kernel event at the send's virtual
+// time. post joins them: a rank that has run ahead of the kernel clock
+// queues the message on its outbox and schedules the wire half as a kernel
+// callback at its local time, then keeps running; a rank that is not ahead
+// runs the wire half on the spot.
+
 // send implements standard (eager) and synchronous sends of a byte
 // payload. nbytes is the wire size; data is the payload content (may be
 // shorter than nbytes — benchmarking messages are mostly padding).
+//
 //synclint:allocfree
 func (p *Proc) send(comm, dst, tag, nbytes int, data []byte, ssend bool) {
 	if nbytes < len(data) {
 		nbytes = len(data)
 	}
-	m := p.sendCommon(dst, nbytes)
-	if m == nil {
-		if ssend {
-			p.sp.Suspend() // dropped Ssend can never complete
-		}
-		return
-	}
+	m := p.newSend(comm, dst, tag, nbytes)
 	m.kind = msgBytes
 	m.data = data
-	m.ssend = ssend
-	p.deliver(comm, dst, tag, nbytes, m)
-	if ssend {
-		p.sp.Suspend() // the receiver wakes us at match time
-	}
+	p.post(m, ssend)
 }
 
 // sendF64 sends one float64 carried inside the message struct: no encode,
 // no allocation.
+//
 //synclint:allocfree
 func (p *Proc) sendF64(comm, dst, tag int, v float64, ssend bool) {
-	m := p.sendCommon(dst, 8)
-	if m == nil {
-		if ssend {
-			p.sp.Suspend()
-		}
-		return
-	}
+	m := p.newSend(comm, dst, tag, 8)
 	m.kind = msgF64
 	m.v = v
-	m.ssend = ssend
-	p.deliver(comm, dst, tag, 8, m)
-	if ssend {
-		p.sp.Suspend()
-	}
+	p.post(m, ssend)
 }
 
 // sendF64s sends a float64 vector in a pooled slice; the receive side
 // (recvF64sInto) releases it. Collectives use this pair to keep their
 // per-step exchanges off the heap.
+//
 //synclint:allocfree
 func (p *Proc) sendF64s(comm, dst, tag, nbytes int, vals []float64) {
 	if nbytes < 8*len(vals) {
 		nbytes = 8 * len(vals)
 	}
-	m := p.sendCommon(dst, nbytes)
-	if m == nil {
-		return
-	}
+	m := p.newSend(comm, dst, tag, nbytes)
 	m.kind = msgF64s
 	m.fv = append(p.world.getF64s(0)[:0], vals...) //synclint:alloc -- pooled vector copy: amortized to the widest payload
-	p.deliver(comm, dst, tag, nbytes, m)
+	p.post(m, false)
 }
 
-// sendCommon runs the shared front half of every send: validation, crash
-// checks, the sender overhead, and the delay + fault draws. It returns a
-// pooled message with arrival set, or nil if the network dropped the
-// message. The RNG draw order here is an observable determinism contract.
+// newSend is the rank-local half of every send: validation, the crash
+// check, the sender overhead, and a pooled message carrying the envelope.
+// The caller adds the payload and posts it.
+//
 //synclint:allocfree
-func (p *Proc) sendCommon(dst, nbytes int) *message {
+func (p *Proc) newSend(comm, dst, tag, nbytes int) *message {
 	w := p.world
 	if dst < 0 || dst >= len(w.procs) {
 		panic(fmt.Sprintf("mpi: send to invalid world rank %d", dst)) //synclint:alloc -- cold: invalid-rank panic
@@ -273,66 +281,103 @@ func (p *Proc) sendCommon(dst, nbytes int) *message {
 	if dst == p.rank {
 		panic("mpi: send-to-self is not supported; collectives avoid it")
 	}
+	if nbytes > math.MaxInt32 || tag > math.MaxInt32 || tag < math.MinInt32 {
+		panic("mpi: message tag or wire size does not fit in 32 bits")
+	}
 	p.maybeCrash()
 	// Sender-side CPU overhead (crash-clamped: a rank whose crash time
 	// falls inside the overhead never gets the message onto the wire).
-	p.Advance(w.cfg.Spec.SendOverhead)
-	// The draws and the mailbox push below are visible to other ranks.
-	p.settle()
+	p.Advance(w.machine.Spec.SendOverhead)
+	m := w.newMsg()
+	m.tag, m.comm, m.dst, m.nbytes = int32(tag), int32(comm), int32(dst), int32(nbytes)
+	return m
+}
+
+// post puts m on the wire at the rank's time. Ahead of the kernel clock
+// that is a kernel callback at lt — the event the rank used to block on,
+// with the (t, seq) it had, so the wire halves of all ranks still run in
+// virtual-time order — behind the rank's earlier pending sends (lt never
+// decreases, so the outbox is in callback order). A synchronous send then
+// suspends until the receiver matches it; a dropped one can never complete,
+// just as a real MPI_Ssend cannot, so fault-tolerant code must not Ssend on
+// lossy links.
+//
+//synclint:allocfree
+func (p *Proc) post(m *message, ssend bool) {
+	m.ssend = ssend
+	if p.lt > p.sp.Now() {
+		if p.outTail == nil {
+			m.next = m
+		} else {
+			m.next, p.outTail.next = p.outTail.next, m
+		}
+		p.outTail = m
+		p.world.env.CallAt(p.lt, p.sp)
+	} else {
+		p.wire(m)
+	}
+	if ssend {
+		p.sp.Suspend() // the receiver wakes us at match time
+	}
+}
+
+// wireNext is the kernel callback of every job: it puts the oldest message
+// in the rank's outbox on the wire.
+//
+//synclint:allocfree
+func wireNext(sp *sim.Proc) {
+	p := sp.Ctx.(*Proc)
+	m := p.outTail.next
+	if m == p.outTail {
+		p.outTail = nil
+	} else {
+		p.outTail.next = m.next
+	}
+	m.next = nil
+	p.wire(m)
+}
+
+// wire is the half of a send other ranks can see. It runs inside a kernel
+// event at the send's virtual time — on the sender's fiber when the sender
+// was not ahead, in the dispatch loop otherwise — and never blocks. The RNG
+// draw order here is an observable determinism contract.
+//
+//synclint:allocfree
+func (p *Proc) wire(m *message) {
+	w := p.world
+	dst, nbytes := int(m.dst), int(m.nbytes)
 	delay := w.machine.Delay(p.rank, dst, nbytes, w.env.Rand())
-	if f := w.cfg.Faults; f != nil {
+	f := w.cfg.Faults
+	if f != nil {
 		factor, extra := f.Degrade(p.rank, p.sp.Now())
 		delay = delay*factor + extra
 		if f.Drop() {
 			// The message vanishes in the network after the sender paid
-			// its overhead. A dropped synchronous send blocks forever —
-			// no receive can ever match it, just as a real MPI_Ssend
-			// cannot complete — so fault-tolerant code must not Ssend on
-			// lossy links.
-			return nil
+			// its overhead.
+			if m.kind == msgF64s {
+				w.putF64s(m.fv)
+			}
+			w.freeMsg(m)
+			return
 		}
 	}
-	arrival := p.sp.Now() + delay
-	clamp := p.arrClamp(dst)
-	if arrival < *clamp {
-		arrival = *clamp
-	}
-	*clamp = arrival
-	m := w.newMsg()
-	m.arrival = arrival
-	m.sender = p
-	return m
-}
-
-// deliver enqueues m, wakes a blocked receiver, and emits the duplicate
-// copy when the fault injector asks for one.
-//synclint:allocfree
-func (p *Proc) deliver(comm, dst, tag, nbytes int, m *message) {
-	w := p.world
-	mb := p.sendMB(mbKey{comm, dst, p.rank, tag})
+	m.arrival = p.clampArrival(dst, p.sp.Now()+delay)
+	mb := p.sendMB(mbKey{int(m.comm), dst, p.rank, int(m.tag)})
 	mb.push(m)
 	if mb.waiter != nil {
 		q := mb.waiter
 		mb.waiter = nil
 		w.env.Wake(q.sp, m.arrival)
 	}
-	if f := w.cfg.Faults; f != nil && f.Duplicate() {
+	if f != nil && f.Duplicate() {
 		// Deliver a second copy with an independently sampled delay. The
 		// draw comes from the injector's private stream so the kernel's
 		// stream is untouched, and the copy is clamped behind the original
 		// to keep delivery non-overtaking. The copy is never synchronous:
 		// only the first match may release an Ssend. Pooled payloads are
 		// re-materialized so the two copies never share a pooled slice.
-		d2 := w.machine.Delay(p.rank, dst, nbytes, f.Rng())
-		arr2 := p.sp.Now() + d2
-		clamp := p.arrClamp(dst)
-		if arr2 < *clamp {
-			arr2 = *clamp
-		}
-		*clamp = arr2
 		dup := w.newMsg()
-		dup.arrival = arr2
-		dup.sender = p
+		dup.arrival = p.clampArrival(dst, p.sp.Now()+w.machine.Delay(p.rank, dst, nbytes, f.Rng()))
 		dup.kind = m.kind
 		dup.v = m.v
 		switch m.kind {
@@ -345,9 +390,24 @@ func (p *Proc) deliver(comm, dst, tag, nbytes int, m *message) {
 	}
 }
 
+// clampArrival applies the non-overtaking rule to a message from p to dst:
+// it arrives no earlier than the pair's previous message, and becomes the
+// floor for the next.
+//
+//synclint:allocfree
+func (p *Proc) clampArrival(dst int, arrival float64) float64 {
+	clamp := p.arrClamp(dst)
+	if arrival < *clamp {
+		arrival = *clamp
+	}
+	*clamp = arrival
+	return arrival
+}
+
 // recvMsg blocks until a matching message has arrived and been taken off
 // the queue, charges the receive overhead, and returns the message. The
 // caller extracts the payload and frees the message.
+//
 //synclint:allocfree
 func (p *Proc) recvMsg(comm, src, tag int) *message {
 	w := p.world
@@ -355,7 +415,10 @@ func (p *Proc) recvMsg(comm, src, tag int) *message {
 		panic(fmt.Sprintf("mpi: recv from invalid world rank %d", src)) //synclint:alloc -- cold: invalid-rank panic
 	}
 	p.maybeCrash()
-	p.settle() // the queue holds what senders pushed up to the kernel clock
+	// No settle. The queue is FIFO and arrivals are compared with the rank's
+	// own time, so a rank that looks while ahead of the kernel clock matches
+	// the message it would have matched after waiting, at the same time: one
+	// pushed before the kernel reaches lt merely wakes it early.
 	mb := p.recvMB(mbKey{comm, p.rank, src, tag})
 	for mb.n == 0 {
 		if mb.waiter != nil {
@@ -366,28 +429,31 @@ func (p *Proc) recvMsg(comm, src, tag int) *message {
 		p.maybeCrash()
 	}
 	msg := mb.pop()
-	if msg.arrival > p.sp.Now() {
+	if msg.arrival > p.now() {
 		p.sp.WaitUntil(msg.arrival)
 		// Crashing here leaves a matched synchronous sender suspended
 		// forever — the realistic outcome of the receiver dying mid-match.
 		p.maybeCrash()
 	}
-	p.recvDone(msg)
+	p.recvDone(msg, src)
 	return msg
 }
 
-// recvDone charges the receive overhead for a matched message and, if it
-// was sent synchronously, releases the sender at match time.
+// recvDone charges the receive overhead for a message matched from world
+// rank src and, if it was sent synchronously, releases the sender at match
+// time.
+//
 //synclint:allocfree
-func (p *Proc) recvDone(msg *message) {
-	p.Advance(p.world.cfg.Spec.RecvOverhead)
+func (p *Proc) recvDone(msg *message, src int) {
+	p.Advance(p.world.machine.Spec.RecvOverhead)
 	if msg.ssend {
 		p.settle()
-		p.world.env.Wake(msg.sender.sp, p.sp.Now())
+		p.world.env.Wake(p.world.procs[src].sp, p.sp.Now())
 	}
 }
 
 // recv is the untyped blocking receive: it returns the payload as bytes.
+//
 //synclint:allocfree
 func (p *Proc) recv(comm, src, tag int) []byte {
 	m := p.recvMsg(comm, src, tag)
@@ -397,10 +463,11 @@ func (p *Proc) recv(comm, src, tag int) []byte {
 }
 
 // recvF64 receives a message sent by sendF64 without touching the heap.
+//
 //synclint:allocfree
 func (p *Proc) recvF64(comm, src, tag int) float64 {
 	m := p.recvMsg(comm, src, tag)
-	v, ok := f64Of(m)
+	v, ok := p.world.f64Of(m)
 	p.world.freeMsg(m)
 	if !ok {
 		panic("mpi: RecvF64 on a non-8-byte message")
@@ -410,15 +477,16 @@ func (p *Proc) recvF64(comm, src, tag int) float64 {
 
 // f64Of extracts a single-float64 payload of any kind, releasing pooled
 // storage. ok is false when the payload is not exactly one float64.
+//
 //synclint:allocfree
-func f64Of(m *message) (v float64, ok bool) {
+func (w *World) f64Of(m *message) (v float64, ok bool) {
 	switch m.kind {
 	case msgF64:
 		return m.v, true
 	case msgF64s:
 		fv := m.fv
 		m.fv = nil
-		m.sender.world.putF64s(fv)
+		w.putF64s(fv)
 		if len(fv) != 1 {
 			return 0, false
 		}
@@ -434,6 +502,7 @@ func f64Of(m *message) (v float64, ok bool) {
 // recvF64sInto receives a float64 vector into dst (which must have the
 // sender's length), releasing the pooled payload. It is the receive half
 // of sendF64s.
+//
 //synclint:allocfree
 func (p *Proc) recvF64sInto(dst []float64, comm, src, tag int) {
 	m := p.recvMsg(comm, src, tag)
@@ -465,6 +534,7 @@ func (p *Proc) recvF64sInto(dst []float64, comm, src, tag int) {
 // message. A nil message means the deadline passed without a deliverable
 // message; a message still in flight past the deadline stays queued for a
 // future receive on the same (src, tag).
+//
 //synclint:allocfree
 func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 	w := p.world
@@ -475,6 +545,10 @@ func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 		panic("mpi: RecvTimeout with a NaN timeout")
 	}
 	p.maybeCrash()
+	// Unlike recvMsg this settles: whether the deadline beats a message is
+	// decided by what is queued when the kernel reaches the rank's time — a
+	// zero-timeout poll must find a message pushed while the kernel caught
+	// up — and the deadline is a kernel event counted from that time.
 	p.settle()
 	deadline := p.sp.Now() + timeout
 	mb := p.recvMB(mbKey{comm, p.rank, src, tag})
@@ -494,7 +568,7 @@ func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 				p.sp.WaitUntil(msg.arrival)
 				p.maybeCrash()
 			}
-			p.recvDone(msg)
+			p.recvDone(msg, src)
 			return msg
 		}
 		if p.sp.Now() >= deadline {
@@ -517,6 +591,7 @@ func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 }
 
 // recvTimeout is the untyped timed receive.
+//
 //synclint:allocfree
 func (p *Proc) recvTimeout(comm, src, tag int, timeout float64) ([]byte, bool) {
 	m := p.recvMsgTimeout(comm, src, tag, timeout)
@@ -531,6 +606,7 @@ func (p *Proc) recvTimeout(comm, src, tag int, timeout float64) ([]byte, bool) {
 // --- Comm-level typed helpers ---
 
 // Send performs a standard-mode (eager) send of payload to comm rank dst.
+//
 //synclint:allocfree
 func (c *Comm) Send(dst, tag int, payload []byte) {
 	c.p.send(c.id, c.ranks[dst], tag, len(payload), payload, false)
@@ -538,6 +614,7 @@ func (c *Comm) Send(dst, tag int, payload []byte) {
 
 // SendN sends a message whose wire size is nbytes regardless of payload
 // length; benchmarking messages are mostly padding.
+//
 //synclint:allocfree
 func (c *Comm) SendN(dst, tag, nbytes int, payload []byte) {
 	c.p.send(c.id, c.ranks[dst], tag, nbytes, payload, false)
@@ -546,6 +623,7 @@ func (c *Comm) SendN(dst, tag, nbytes int, payload []byte) {
 // Ssend performs a synchronous send: it returns only after the matching
 // receive has been posted and matched (MPI_Ssend), which the JK offset
 // measurement relies on.
+//
 //synclint:allocfree
 func (c *Comm) Ssend(dst, tag int, payload []byte) {
 	c.p.send(c.id, c.ranks[dst], tag, len(payload), payload, true)
@@ -553,6 +631,7 @@ func (c *Comm) Ssend(dst, tag int, payload []byte) {
 
 // Recv blocks until the message from comm rank src with the given tag
 // arrives and returns its payload.
+//
 //synclint:allocfree
 func (c *Comm) Recv(src, tag int) []byte {
 	return c.p.recv(c.id, c.ranks[src], tag)
@@ -561,19 +640,21 @@ func (c *Comm) Recv(src, tag int) []byte {
 // RecvTimeout waits at most timeout seconds for the message from comm rank
 // src with the given tag. ok=false means the deadline passed; a copy still
 // in flight stays queued for a later receive on the same (src, tag).
+//
 //synclint:allocfree
 func (c *Comm) RecvTimeout(src, tag int, timeout float64) (data []byte, ok bool) {
 	return c.p.recvTimeout(c.id, c.ranks[src], tag, timeout)
 }
 
 // RecvF64Timeout is the timed variant of RecvF64.
+//
 //synclint:allocfree
 func (c *Comm) RecvF64Timeout(src, tag int, timeout float64) (v float64, ok bool) {
 	m := c.p.recvMsgTimeout(c.id, c.ranks[src], tag, timeout)
 	if m == nil {
 		return 0, false
 	}
-	v, fok := f64Of(m)
+	v, fok := c.p.world.f64Of(m)
 	c.p.world.freeMsg(m)
 	if !fok {
 		panic("mpi: RecvF64Timeout on a non-8-byte message")
@@ -584,18 +665,21 @@ func (c *Comm) RecvF64Timeout(src, tag int, timeout float64) (v float64, ok bool
 // SendF64 sends one float64 (8 B on the wire), the workhorse of the clock
 // offset algorithms (timestamps). The value travels inside the message
 // struct: the hot ping-pong loops never allocate.
+//
 //synclint:allocfree
 func (c *Comm) SendF64(dst, tag int, v float64) {
 	c.p.sendF64(c.id, c.ranks[dst], tag, v, false)
 }
 
 // RecvF64 receives one float64 from src.
+//
 //synclint:allocfree
 func (c *Comm) RecvF64(src, tag int) float64 {
 	return c.p.recvF64(c.id, c.ranks[src], tag)
 }
 
 // SsendF64 is the synchronous variant of SendF64.
+//
 //synclint:allocfree
 func (c *Comm) SsendF64(dst, tag int, v float64) {
 	c.p.sendF64(c.id, c.ranks[dst], tag, v, true)

@@ -143,7 +143,7 @@ func (s *Session) Snapshot() (SessionState, error) {
 				Arrival: m.arrival,
 				Kind:    uint8(m.kind),
 				V:       m.v,
-				Sender:  m.sender.rank,
+				Sender:  k.src,
 			}
 			if m.data != nil {
 				msg.Data = append([]byte(nil), m.data...)
@@ -238,7 +238,6 @@ func ResumeSession(cfg Config, st SessionState) (*Session, error) {
 			default:
 				return nil, fmt.Errorf("mpi: resume: unknown message kind %d", msg.Kind)
 			}
-			m.sender = w.procs[msg.Sender]
 			mb.push(m)
 		}
 	}

@@ -21,12 +21,16 @@
 //	})
 //
 // A rank's local CPU charges — Advance, a clock read's cost, the send and
-// receive overheads — move only its rank-local time; the kernel sees an
-// event when the rank settles, which it does before anything another rank
-// can observe (a send, a receive, WaitUntilTrue, Rand, a communicator split,
-// the end of the program). Rank code must not order memory it shares with
-// other ranks by how far each has advanced: see DESIGN.md §8, "Kernel time
-// vs rank-local time".
+// receive overheads — move only its rank-local time. What other ranks can
+// observe still happens inside a kernel event at the virtual time it always
+// had: a send's wire half (delay draw, mailbox push, receiver wake) runs as a
+// kernel callback at the rank's local time while the rank keeps going, and
+// the rank settles — blocks until the kernel clock reaches its own — before
+// the few things that must see the kernel at that time (a timed receive,
+// WaitUntilTrue, Rand, a communicator split, the end of the program). A
+// blocking receive does neither: it takes what is queued or suspends. Rank
+// code must not order memory it shares with other ranks by how far each has
+// advanced: see DESIGN.md §8, "Kernel time vs rank-local time".
 package mpi
 
 import (
@@ -40,6 +44,9 @@ import (
 
 // Config describes one simulated MPI job (one "mpirun").
 type Config struct {
+	// Spec is the machine Run and NewSession build. RunOn takes a built
+	// machine and reads everything, the messaging overheads included, from
+	// that.
 	Spec    cluster.MachineSpec
 	NProcs  int
 	Mapping cluster.Mapping
@@ -102,10 +109,18 @@ type Proc struct {
 
 	// lt is the rank-local time: the true time this rank has reached by
 	// consuming CPU (Advance) without telling the kernel. The rank's time
-	// is max(lt, kernel now) — see now and settle. Whenever the rank is
-	// not running, and so at every quiescent cut, lt <= kernel now and
-	// carries no information.
+	// is max(lt, kernel now) — see now and settle. A rank parked in a
+	// blocking receive or a synchronous send may be ahead of the kernel
+	// clock; once its program has ended, and so at every quiescent cut,
+	// lt <= kernel now and carries no information.
 	lt float64 //synclint:execonly -- at a quiescent cut every rank has settled (lt <= kernel now), so a resumed rank starts from the kernel clock
+
+	// outTail is the rank's outbox: the messages it sent while ahead of the
+	// kernel clock, each waiting for the kernel callback that puts it on
+	// the wire (see post). It is a ring threaded through the messages —
+	// outTail is the newest, outTail.next the oldest — so a pending send
+	// allocates nothing and the rank record stays in its size class.
+	outTail *message //synclint:execonly -- nil at a quiescent cut: spawn's deferred settle returns after the rank's last callback
 
 	sendCache mbCacheEntry
 	recvCache mbCacheEntry
@@ -118,6 +133,7 @@ type Proc struct {
 // scratchF64s returns the rank's scratch vector resized to n, for
 // short-lived decode targets inside collectives. At most one scratch user
 // may be live at a time.
+//
 //synclint:allocfree
 func (p *Proc) scratchF64s(n int) []float64 {
 	if cap(p.scratch) < n {
@@ -187,6 +203,7 @@ func newWorld(env *sim.Env, machine *cluster.Machine, cfg Config) (*World, error
 		commIDs:   make(map[splitKey]int),
 		nextComm:  1,
 	}
+	env.OnCallback(wireNext)
 	if cfg.Faults.HasClockFaults() {
 		w.faultyClocks = make(map[int]*cluster.HWClock)
 		for r := 0; r < cfg.NProcs; r++ {
@@ -227,7 +244,8 @@ func (w *World) spawnMain(main func(p *Proc)) {
 // spawn starts the rank's sim process on main. The rank settles when main
 // ends, by return or by panic, so the kernel clock the job leaves behind
 // (Env.Now, a Session cut, the time of a failure) includes CPU time the
-// rank consumed after its last communication.
+// rank consumed after its last communication, and every send the rank made
+// is on the wire before its process is done.
 func (p *Proc) spawn(main func(p *Proc)) {
 	p.sp = p.world.env.Spawn(func(sp *sim.Proc) {
 		sp.Ctx = p
@@ -238,6 +256,7 @@ func (p *Proc) spawn(main func(p *Proc)) {
 
 // now returns the rank's time: the kernel clock, or the rank-local time
 // when the rank has run ahead of it.
+//
 //synclint:allocfree
 func (p *Proc) now() float64 {
 	if t := p.sp.Now(); t > p.lt {
@@ -247,10 +266,13 @@ func (p *Proc) now() float64 {
 }
 
 // settle brings the kernel clock up to the rank's time: one kernel event,
-// however many Advance calls built up the lead. It runs before anything
-// another rank can observe and before this rank observes another (DESIGN.md
-// "Kernel time vs rank-local time" lists every call), so each such action
-// still happens inside a kernel event at the virtual time it always had.
+// however many Advance calls built up the lead, delivered after every
+// callback the rank's earlier sends left pending (their times are no later
+// and their seqs smaller). It runs before the rank does anything that must
+// see, or be seen by, the kernel at the rank's own time and that cannot be
+// handed to the kernel as a callback (DESIGN.md "Kernel time vs rank-local
+// time" lists every call).
+//
 //synclint:allocfree
 func (p *Proc) settle() {
 	if p.lt > p.sp.Now() {
@@ -282,6 +304,7 @@ func (p *Proc) TrueNow() float64 { return p.now() }
 // rank-local time and is not a kernel event. If the rank's scheduled crash
 // time falls inside the interval, the rank blocks until the crash time and
 // halts there.
+//
 //synclint:allocfree
 func (p *Proc) Advance(d float64) {
 	if !(d > 0) {
@@ -299,6 +322,7 @@ func (p *Proc) Advance(d float64) {
 
 // crashAt halts the rank at its scheduled crash time ct, first blocking
 // until then if the rank has not reached it.
+//
 //synclint:allocfree
 func (p *Proc) crashAt(ct float64) {
 	p.settle()
@@ -326,6 +350,7 @@ func (p *Proc) WaitUntilTrue(t float64) {
 // resumes, so a doomed rank cannot keep communicating past its crash time.
 // Advance never lets the rank-local time reach the crash time, so a rank
 // that halts here is never ahead of the kernel clock.
+//
 //synclint:allocfree
 func (p *Proc) maybeCrash() {
 	if p.now() >= p.world.cfg.Faults.CrashTime(p.rank) {

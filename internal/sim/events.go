@@ -24,6 +24,7 @@ type event struct {
 // before reports heap order: earlier time first, insertion order on ties.
 // The (t, seq) tie-break is an observable determinism contract — see
 // TestTwoProcessesInterleaveDeterministically.
+//
 //synclint:allocfree
 func (a event) before(b event) bool {
 	if a.t != b.t {
@@ -40,6 +41,7 @@ type eventQueue struct {
 func (q *eventQueue) len() int { return len(q.ev) }
 
 // push inserts e, sifting it up from the tail.
+//
 //synclint:allocfree
 func (q *eventQueue) push(e event) {
 	q.ev = append(q.ev, e) //synclint:alloc -- heap growth: amortized to the high-water event count
@@ -56,6 +58,7 @@ func (q *eventQueue) push(e event) {
 
 // pop removes and returns the minimum event. It must not be called on an
 // empty queue.
+//
 //synclint:allocfree
 func (q *eventQueue) pop() event {
 	ev := q.ev[0]
@@ -71,6 +74,7 @@ func (q *eventQueue) pop() event {
 
 // siftDown restores heap order below i by repeatedly swapping with the
 // smallest of up to four children.
+//
 //synclint:allocfree
 func (q *eventQueue) siftDown(i int) {
 	n := len(q.ev)

@@ -25,11 +25,17 @@
 //     running without any switch. Fibers cost a goroutine stack each; the
 //     direct-style MPI layer (internal/mpi) is written against them.
 //
-// Both kinds are driven by the one dispatch loop on Run's goroutine. The
-// hot path is allocation-free: events are stored by value in an inline
+// Both kinds are driven by the one dispatch loop on Run's goroutine. One
+// more kind of event resumes nobody: a callback (CallAt) runs the kernel's
+// one callback function inline at its (t, seq), like a step, on behalf of a
+// fiber that has run ahead of the clock and keeps running — the MPI layer
+// puts sends on the wire this way, so a rank is resumed for the messages it
+// waits for and not for the ones it sends.
+//
+// The hot path is allocation-free: events are stored by value in an inline
 // 4-ary min-heap (no interface boxing, no per-event pointers), step procs
-// are resumed by a plain function call, and a fiber's coroutine is set up
-// once at Spawn. See DESIGN.md §8 and §12 for the measured effect.
+// and callbacks are run by a plain function call, and a fiber's coroutine
+// is set up once at Spawn. See DESIGN.md §8 and §12 for the measured effect.
 //
 // The package knows nothing about networks or clocks; higher layers
 // (internal/cluster, internal/mpi, internal/scale) build those on top of
@@ -60,6 +66,12 @@ type Env struct {
 	// processed counts events delivered to a live process — a deterministic
 	// measure of simulation work, reported by the scale suite.
 	processed uint64
+	// switches counts the fiber resumes dispatch performed: the coroutine
+	// switches a run paid, next to the events it processed.
+	switches uint64 //synclint:execonly -- a diagnostic like processed: not in EnvState, a resumed kernel restarts the count
+	// callback is the function callback events run (see OnCallback); one per
+	// kernel, so an event carries no function value.
+	callback func(p *Proc)
 	// failMu guards the first-failure record. Serial dispatch runs one
 	// process at a time, but the guard makes first-failure-wins explicit and
 	// future-proof; the parallel dispatcher records failures per worker and
@@ -114,6 +126,42 @@ func (e *Env) Procs() []*Proc { return e.procs }
 // far. It is deterministic for a fixed seed and workload, but it is a
 // diagnostic, not part of EnvState: a resumed kernel restarts the count.
 func (e *Env) Processed() uint64 { return e.processed }
+
+// Switches returns the number of times dispatch resumed a fiber, one
+// coroutine switch in and one back out each. Events that run inline — step
+// procs, callbacks, a blocking fiber consuming its own next event — are
+// processed without one. Deterministic and a diagnostic, like Processed.
+func (e *Env) Switches() uint64 { return e.switches }
+
+// OnCallback installs fn as the function the kernel's callback events run.
+// There is one per kernel: CallAt names the process an event belongs to and
+// fn finds the work through it (the MPI layer keeps a FIFO on the rank).
+func (e *Env) OnCallback(fn func(p *Proc)) { e.callback = fn }
+
+// callbackGen marks an event as a callback. Process generations count up
+// from zero, so no wake-up event carries it, and no resume of p makes a
+// callback stale.
+const callbackGen = -1
+
+// CallAt schedules the kernel's callback function to run for p at time t
+// (clamped to now), ordered by (t, seq) with every other event. The
+// callback runs inline in the dispatch loop — on whichever goroutine is
+// dispatching, like a step function — so it must not block; unlike a
+// wake-up it is not cancelled when p resumes, and p keeps running. It is
+// how a fiber that has run ahead of the kernel clock hands the kernel work
+// that must happen at a later virtual time without waiting for it.
+//
+//synclint:allocfree
+func (e *Env) CallAt(t float64, p *Proc) {
+	if e.par != nil {
+		panic("sim: CallAt during a parallel run (callbacks dispatch serially)")
+	}
+	if t < e.now {
+		t = e.now
+	}
+	e.seq++
+	e.events.push(event{t: t, seq: e.seq, p: p, gen: callbackGen})
+}
 
 // Proc is a simulated process — a fiber (Spawn) or a step proc (SpawnStep).
 // The blocking methods (WaitUntil, Sleep, Suspend) must only be called from
@@ -209,6 +257,7 @@ func (e *Env) checkSpawn() {
 }
 
 // schedule enqueues a wake-up for p at time t (clamped to now).
+//
 //synclint:allocfree
 func (e *Env) schedule(t float64, p *Proc) {
 	if t < e.now {
@@ -224,6 +273,7 @@ func (e *Env) schedule(t float64, p *Proc) {
 // one. A step proc is resumed inline, a function call; a fiber is resumed
 // by switching to its coroutine, and the loop continues when the fiber
 // blocks again or its function returns.
+//
 //synclint:allocfree
 func (e *Env) dispatch() {
 	//synclint:unguarded -- serial dispatch: the failure record is written by the running process's recover path only, and one process runs at a time
@@ -246,6 +296,10 @@ func (e *Env) dispatch() {
 			return
 		}
 		ev := e.events.pop()
+		if ev.gen == callbackGen {
+			e.runCallback(ev)
+			continue
+		}
 		if ev.p.done || ev.gen != ev.p.gen {
 			continue
 		}
@@ -257,16 +311,27 @@ func (e *Env) dispatch() {
 			e.runStep(ev.p)
 			continue
 		}
+		e.switches++
 		ev.p.fib.next()
 	}
 }
 
+// runCallback delivers a popped callback event: the clock moves to its time
+// and the kernel's callback function runs on the dispatching goroutine.
+//
+//synclint:allocfree
+func (e *Env) runCallback(ev event) {
+	e.now = ev.t
+	e.processed++
+	e.callback(ev.p)
+}
+
 // resumeSelf is dispatch's loop run by a blocking fiber for as long as
-// nothing else is due: it lands deposits and discards stale events exactly
-// as dispatch would, and if the next live event is p's own it consumes it
-// and reports true, so p keeps running with no coroutine switch. It leaves
-// any other proc's event in the queue and reports false: only dispatch
-// resumes other procs.
+// nothing else is due: it lands deposits, runs callbacks and discards stale
+// events exactly as dispatch would, and if the next live event is p's own
+// it consumes it and reports true, so p keeps running with no coroutine
+// switch. It leaves any other proc's wake-up in the queue and reports
+// false: only dispatch resumes other procs.
 //
 //synclint:allocfree
 func (e *Env) resumeSelf(p *Proc) bool {
@@ -284,6 +349,10 @@ func (e *Env) resumeSelf(p *Proc) bool {
 			return false
 		}
 		ev := &e.events.ev[0]
+		if ev.gen == callbackGen {
+			e.runCallback(e.events.pop()) // popped first: it may schedule events
+			continue
+		}
 		if ev.p.done || ev.gen != ev.p.gen {
 			e.events.pop()
 			continue
@@ -398,6 +467,7 @@ func (e *Env) stopFibers() {
 // block parks the calling fiber until its next live event: in place if
 // that event is the next one due, otherwise by yielding to the dispatch
 // loop, which switches back when the event fires.
+//
 //synclint:allocfree
 func (p *Proc) block() {
 	f := p.fib
@@ -415,6 +485,7 @@ func (p *Proc) block() {
 // this one first, WaitUntil returns early at the wake time and the original
 // wake-up at t is cancelled — the "sleep until t or until poked" primitive
 // the MPI layer's timed receive is built on.
+//
 //synclint:allocfree
 func (p *Proc) WaitUntil(t float64) {
 	p.env.schedule(t, p)
@@ -434,11 +505,13 @@ func (p *Proc) Exit() {
 }
 
 // Sleep blocks the calling process for d seconds.
+//
 //synclint:allocfree
 func (p *Proc) Sleep(d float64) { p.WaitUntil(p.env.now + d) }
 
 // Suspend parks the calling process with no scheduled wake-up. Another
 // process must call Wake to resume it.
+//
 //synclint:allocfree
 func (p *Proc) Suspend() {
 	p.suspended = true

@@ -56,6 +56,7 @@ func Park() Control { return Control{op: ctlPark} }
 func Until(t float64) Control { return Control{t: t, op: ctlWait} }
 
 // After resumes the step proc d seconds from now, like a fiber's Sleep.
+//
 //synclint:allocfree
 func (p *Proc) After(d float64) Control { return Control{t: p.env.nowOf(p) + d, op: ctlWait} }
 
@@ -97,6 +98,7 @@ func (e *Env) SpawnSteps(n int, step StepFunc) []*Proc {
 // goroutine, then the returned Control is applied. A panic inside the step
 // function is recovered exactly like a fiber panic — the proc is marked
 // done and Run reports the failure.
+//
 //synclint:allocfree
 func (e *Env) runStep(p *Proc) {
 	defer e.stepFailed(p) //synclint:alloc -- open-coded defer: no heap frame; the recover path runs only on a (cold) proc panic

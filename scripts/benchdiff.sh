@@ -19,9 +19,10 @@
 # and a per-rank memory or dispatch-rate regression is as real as a time one.
 # Units ending in "/s" are rates where higher is better (a regression is a
 # decrease); everything else is a cost where lower is better — including
-# events/op, the kernel events one operation takes: it does not end in "/s",
-# and unlike ns/op it repeats exactly, so any delta on that row is a change
-# in the code, never noise. The gate
+# events/op and switches/op, the kernel events one operation takes and the
+# fiber resumes among them: neither ends in "/s", and unlike ns/op both
+# repeat exactly, so any delta on those rows is a change in the code, never
+# noise. The gate
 # compares the per-benchmark best value across the -count repetitions in
 # each file (minimum for costs, maximum for rates): the best sample is the
 # least noise-polluted estimate of the true value, which keeps
