@@ -26,11 +26,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# The engine, simulator, MPI, and fault-tolerant sync layers are the
-# concurrency-bearing packages; cluster and stats feed them shared state
+# The engine runs simulations concurrently; inside one, the simulator's
+# fibers are goroutines the serial dispatch loop hands control one at a time,
+# and the MPI and fault-tolerant sync layers (and internal/scale's fiber
+# cross-checks) run on them; cluster and stats feed them shared state
 # (disturbed hardware clocks, robust summaries), and checkpoint + detrand
-# snapshot that shared state while workers run, so all of them go under
-# the race detector.
+# snapshot that shared state while engine workers run, so all of them go
+# under the race detector.
 race:
 	$(GO) test -race ./internal/sim ./internal/scale ./internal/mpi ./internal/harness ./internal/clocksync ./internal/faults ./internal/cluster ./internal/stats ./internal/checkpoint ./internal/detrand
 

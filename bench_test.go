@@ -368,34 +368,23 @@ func BenchmarkDispatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-	// Whole-simulation dispatch throughput on the scale suite's 1M-rank
-	// sharded hiersync workload: serial dispatch vs the parallel windowed
-	// dispatcher at 4 workers. Results are byte-identical by construction
-	// (the scale goldens pin that); this pair measures only the speed. The
-	// parallel/serial ratio is only meaningful on a multi-core host — on a
-	// single-CPU machine the workers serialize and the ratio reads as pure
-	// coordination overhead (see DESIGN.md §13).
-	for _, d := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 4}} {
-		b.Run(d.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := scale.HierSyncConfig{
-				Ranks: 1_000_000, Exchanges: 10, Latency: 2e-6, Jitter: 5e-7,
-				Seed: 11, Shards: 8, Workers: d.workers,
+	// Whole-simulation dispatch throughput: the scale suite's 1M-rank
+	// hiersync workload, every rank a step proc.
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := scale.HierSyncConfig{
+			Ranks: 1_000_000, Exchanges: 10, Latency: 2e-6, Jitter: 5e-7, Seed: 11,
+		}
+		var events uint64
+		for i := 0; i < b.N; i++ {
+			st, err := scale.RunHierSync(cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				st, err := scale.RunHierSync(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = st.Events
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
+			events = st.Events
+		}
+		b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	})
 }
 
 func BenchmarkKernelMemoryPerRank(b *testing.B) {

@@ -7,23 +7,18 @@
 // Usage:
 //
 //	runexp -suite NAME[,NAME...]|all [-scale default|tiny|smoke] [-jobs N]
-//	       [-workers N] [-fabric N] [-cache DIR] [-outdir DIR] [-seed S]
-//	       [-quiet] [-checkpoint FILE] [-checkpoint-every N] [-restore FILE]
+//	       [-fabric N] [-cache DIR] [-outdir DIR] [-seed S] [-quiet]
+//	       [-checkpoint FILE] [-checkpoint-every N] [-restore FILE]
 //	       [-cpuprofile FILE] [-memprofile FILE]
 //	runexp -list
 //	runexp -worker
 //
 // Each suite's simulations are fanned out across -jobs workers; for a fixed
-// seed the results are identical at any -jobs setting. Orthogonally,
-// -workers N dispatches each simulation of the scale suite's sharded
-// step-proc sweeps on N kernel workers under conservative lookahead windows
-// (sim.RunParallel, DESIGN.md §13); it reaches no other suite — their ranks
-// are fibers, which the kernel dispatches serially — and results stay
-// byte-identical at any value, which the golden-hash suite pins. Finished
-// simulations are stored content-addressed in -cache (default .expcache), so
-// re-running an interrupted or repeated invocation re-simulates only what is
-// missing — that is the resume story: kill runexp at any point and run the
-// same command line again, and completed work is served from disk.
+// seed the results are identical at any -jobs setting. Finished simulations
+// are stored content-addressed in -cache (default .expcache), so re-running
+// an interrupted or repeated invocation re-simulates only what is missing —
+// that is the resume story: kill runexp at any point and run the same
+// command line again, and completed work is served from disk.
 //
 // With -checkpoint, the run additionally maintains a single-file sweep
 // ledger (internal/checkpoint's sealed binary format, atomic
@@ -135,7 +130,6 @@ func main() {
 	suites := flag.String("suite", "", "comma-separated suite names, or \"all\"")
 	scale := flag.String("scale", "default", "default, tiny, or smoke (tiny everywhere except the scale suite, which keeps fig6 at full rank count)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "simulations to run concurrently")
-	workers := flag.Int("workers", 1, "kernel dispatch workers per simulation of the scale suite's sharded step-proc sweeps (parallel DES); every other suite's ranks are fibers, which dispatch serially. Results are byte-identical at any value")
 	fabricN := flag.Int("fabric", 0, "run simulations in N supervised child processes (fault-tolerant sweep fabric; results are byte-identical to -jobs N)")
 	workerMode := flag.Bool("worker", false, "internal: serve fabric jobs on stdin/stdout")
 	cache := flag.String("cache", ".expcache", "result-cache directory (empty disables caching)")
@@ -257,7 +251,6 @@ func main() {
 			Scale:      *scale,
 			Seed:       *seed,
 			Cut:        *ckptPath != "",
-			SimWorkers: *workers,
 			JitterSeed: *seed,
 		}
 		if ckpt != nil {
@@ -284,10 +277,9 @@ func main() {
 	start := time.Now() //synclint:wallclock -- wall-time telemetry for the manifest; never hashed
 
 	runOpts := experiments.Options{
-		Scale:   experiments.Scale(*scale),
-		Seed:    *seed,
-		Cut:     *ckptPath != "",
-		Workers: *workers,
+		Scale: experiments.Scale(*scale),
+		Seed:  *seed,
+		Cut:   *ckptPath != "",
 	}
 	for _, s := range selected {
 		if pool != nil {
@@ -385,7 +377,7 @@ func runWorker() error {
 				key, raw, found = k, b, true
 			},
 		})
-		opts := experiments.Options{Scale: experiments.Scale(req.Scale), Seed: req.Seed, Cut: req.Cut, Workers: req.Workers}
+		opts := experiments.Options{Scale: experiments.Scale(req.Scale), Seed: req.Seed, Cut: req.Cut}
 		if _, err := row.Run(eng, opts); err != nil {
 			return "", nil, err
 		}

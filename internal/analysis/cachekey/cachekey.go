@@ -12,8 +12,8 @@
 //   - JSON-visible: exported, not tagged json:"-" — it enters the key;
 //   - execution-only: tagged json:"-" (or unexported, which the encoder
 //     skips the same way) AND annotated //synclint:execonly -- <reason>
-//     recording why results cannot depend on it (the PR 8 Workers
-//     pattern, made mandatory).
+//     recording why results cannot depend on it (okCfg.Workers in this
+//     package's fixture, a parallelism knob, is the model).
 //
 // JSON-visible fields tagged omitempty additionally need
 // //synclint:zerokey -- <reason>: omitempty drops the zero value from
@@ -23,10 +23,9 @@
 // zero is a meaningful setting — the reason must say which one this is.
 //
 // What the analyzer cannot prove: that an execonly field truly does not
-// influence results (that is what the byte-identity tests at different
-// worker counts are for), or key hygiene for configs passed as
-// pre-formed interface values whose concrete type never appears at a
-// call site.
+// influence results (that is what a byte-identity test across its values
+// is for), or key hygiene for configs passed as pre-formed interface values
+// whose concrete type never appears at a call site.
 package cachekey
 
 import (

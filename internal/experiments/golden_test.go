@@ -52,15 +52,6 @@ var goldenVariants = []struct {
 	{"fig9seed7", "fig9", Options{Seed: 7}},
 }
 
-// goldenRowOptions lists the rows whose plain pin is rendered more than
-// once, every render having to be the same byte stream. scale — the one
-// suite whose ranks are goroutine-free state machines end to end, run 8-way
-// sharded — renders at 1 and 4 kernel dispatch workers, extending the pinned
-// contract to parallel dispatch: -workers must never move a byte.
-var goldenRowOptions = map[string][]Options{
-	"scale": {{Workers: 1}, {Workers: 4}},
-}
-
 type goldenSuite struct {
 	name   string
 	render func(eng *harness.Engine) (string, error)
@@ -69,40 +60,23 @@ type goldenSuite struct {
 // goldenSuites derives the pinned set from Suites(): every row at its tiny
 // scale (what runexp -scale tiny runs), then the variants.
 func goldenSuites(t *testing.T) []goldenSuite {
-	pin := func(key string, s Suite, opts ...Options) goldenSuite {
+	pin := func(key string, s Suite, o Options) goldenSuite {
 		return goldenSuite{key, func(eng *harness.Engine) (string, error) {
-			var ref string
-			for i, o := range opts {
-				o.Scale = ScaleTiny
-				res, err := s.Run(eng, o)
-				if err != nil {
-					return "", err
-				}
-				var b strings.Builder
-				res.Print(&b)
-				if i == 0 {
-					ref = b.String()
-				} else if b.String() != ref {
-					return "", fmt.Errorf("output under %+v differs from %+v", o, opts[0])
-				}
+			o.Scale = ScaleTiny
+			res, err := s.Run(eng, o)
+			if err != nil {
+				return "", err
 			}
-			return ref, nil
+			var b strings.Builder
+			res.Print(&b)
+			return b.String(), nil
 		}}
 	}
 	rows := map[string]Suite{}
 	var out []goldenSuite
 	for _, s := range Suites() {
 		rows[s.Name] = s
-		opts := goldenRowOptions[s.Name]
-		if opts == nil {
-			opts = []Options{{}}
-		}
-		out = append(out, pin(s.Name, s, opts...))
-	}
-	for row := range goldenRowOptions {
-		if _, ok := rows[row]; !ok {
-			t.Fatalf("goldenRowOptions names no Suites() row %q", row)
-		}
+		out = append(out, pin(s.Name, s, Options{}))
 	}
 	for _, v := range goldenVariants {
 		s, ok := rows[v.row]

@@ -27,10 +27,6 @@ type ScaleConfig struct {
 	Barrier      scale.BarrierConfig
 	HierSync     scale.HierSyncConfig
 	Seed         int64
-	// Workers is the kernel dispatch parallelism handed to every synthetic
-	// sweep point (see sim.RunParallel). An execution knob, never part of a
-	// cache key or an output: results are byte-identical at any value.
-	Workers int `json:"-"`
 }
 
 // ScalePoint is one synthetic sweep outcome. Every field is deterministic
@@ -106,11 +102,6 @@ func SmokeScaleConfig() ScaleConfig {
 	return cfg
 }
 
-// Both templates run 8-way sharded: cross-shard edges use the kernel's
-// message transport, which is what lets -workers dispatch the sweeps in
-// parallel. Shards shapes the protocol (it is part of the cache key), so 8
-// is fixed here independent of the worker count — the same sharded run is
-// simply dispatched by 1..8 workers with byte-identical results.
 func defaultBarrierTemplate() scale.BarrierConfig {
 	return scale.BarrierConfig{
 		Arity:   8,
@@ -118,7 +109,6 @@ func defaultBarrierTemplate() scale.BarrierConfig {
 		Latency: 5e-6,
 		SendGap: 4e-7,
 		Compute: 1e-4,
-		Shards:  8,
 	}
 }
 
@@ -127,7 +117,6 @@ func defaultHierSyncTemplate() scale.HierSyncConfig {
 		Exchanges: 10,
 		Latency:   2e-6,
 		Jitter:    5e-7,
-		Shards:    8,
 	}
 }
 
@@ -153,7 +142,6 @@ func RunScale(eng *harness.Engine, cfg ScaleConfig) (*ScaleResult, error) {
 			Run: func(seed int64) (ScalePoint, error) {
 				c := bc
 				c.Seed = seed
-				c.Workers = cfg.Workers
 				st, err := scale.RunBarrier(c)
 				if err != nil {
 					return ScalePoint{}, err
@@ -175,7 +163,6 @@ func RunScale(eng *harness.Engine, cfg ScaleConfig) (*ScaleResult, error) {
 			Run: func(seed int64) (ScalePoint, error) {
 				c := hc
 				c.Seed = seed
-				c.Workers = cfg.Workers
 				st, err := scale.RunHierSync(c)
 				if err != nil {
 					return ScalePoint{}, err

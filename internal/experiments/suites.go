@@ -32,11 +32,6 @@ type Options struct {
 	// from the joined schedule. faults is always split; other suites
 	// ignore it.
 	Cut bool
-	// Workers is the kernel dispatch parallelism of the scale suite's
-	// sharded step-proc sweeps (sim.RunParallel). Every other suite's ranks
-	// are fibers, which dispatch serially, so it reaches nothing else. It
-	// never enters a cache key: output is byte-identical at any value.
-	Workers int
 }
 
 // seed applies the Seed override to one base seed.
@@ -192,7 +187,6 @@ func Suites() []Suite {
 		suite("scale", "Scale — fig6 at the full 16k ranks + 100k-1M-rank step-proc sweeps",
 			configs[ScaleConfig]{def: DefaultScaleConfig, tiny: TinyScaleConfig, smoke: SmokeScaleConfig},
 			func(c *ScaleConfig, o Options) {
-				c.Workers = o.Workers
 				o.seed(&c.Seed)
 				o.seed(&c.Fig6.Job.Seed)
 			},

@@ -20,13 +20,12 @@ type Config struct {
 	// typically the coordinator's own executable with -worker. Required
 	// unless a test installs its own starter.
 	Command []string
-	// Scale, Seed, Cut, and SimWorkers are copied into every JobRequest so
-	// workers rebuild the coordinator's suite configuration exactly; they
-	// mirror runexp's -scale, -seed, -checkpoint presence, and -workers.
-	Scale      string
-	Seed       int64
-	Cut        bool
-	SimWorkers int
+	// Scale, Seed, and Cut are copied into every JobRequest so workers
+	// rebuild the coordinator's suite configuration exactly; they mirror
+	// runexp's -scale, -seed, and -checkpoint presence.
+	Scale string
+	Seed  int64
+	Cut   bool
 	// LeaseTTL is how long a dispatched job may go without any frame from
 	// its worker before the lease is revoked and the job reassigned.
 	// Zero means 10s. Heartbeats renew the lease, so this bounds wedge
@@ -354,17 +353,16 @@ func (p *Pool) drive(c conn, slot int) (done bool) {
 // lease; only result resolves the job successfully.
 func (p *Pool) runJob(c conn, j *job) error {
 	req := JobRequest{
-		Type:    "job",
-		ID:      j.id,
-		Entry:   j.entry,
-		Suite:   j.suite,
-		Task:    j.task,
-		Scale:   p.cfg.Scale,
-		Seed:    p.cfg.Seed,
-		Cut:     p.cfg.Cut,
-		Workers: p.cfg.SimWorkers,
-		Key:     j.key,
-		Phased:  j.phased,
+		Type:   "job",
+		ID:     j.id,
+		Entry:  j.entry,
+		Suite:  j.suite,
+		Task:   j.task,
+		Scale:  p.cfg.Scale,
+		Seed:   p.cfg.Seed,
+		Cut:    p.cfg.Cut,
+		Key:    j.key,
+		Phased: j.phased,
 	}
 	if len(j.snap) > 0 {
 		req.ResumeCut, req.ResumeSnap = j.cut, j.snap

@@ -11,18 +11,6 @@ package scale
 // parent consumed its round-R report (the release for round R proves the
 // consumption). Slot overwrites therefore panic — a built-in self-check
 // that the alternation argument actually holds at any scale.
-//
-// With Shards > 1 the rank space is cut into contiguous shards and every
-// tree edge that crosses a shard boundary switches from the shared slot to
-// a kernel message (sim.Post at the link latency), which is the partition
-// contract parallel dispatch requires: shards map onto workers, intra-shard
-// edges stay shared-memory, and nothing crosses a worker boundary except
-// lookahead-delayed Posts. Incoming messages are materialized into the very
-// same edge slots on drain, so both transports feed one protocol (and one
-// set of alternation self-checks). The shard count is part of the
-// configuration — the protocol shape, and hence every timing, depends on
-// Shards but never on Workers, which is what keeps results byte-identical
-// at any worker count.
 
 import (
 	"errors"
@@ -30,7 +18,7 @@ import (
 	"hclocksync/internal/sim"
 )
 
-var errBarrierConfig = errors.New("scale: barrier config needs Ranks >= 1, Arity >= 2, Rounds >= 1")
+var errBarrierConfig = errors.New("scale: barrier config needs Ranks >= 1, Arity >= 2, Rounds >= 1 and finite Latency, SendGap, Compute >= 0")
 
 // BarrierConfig describes one synthetic tree-barrier run.
 type BarrierConfig struct {
@@ -40,20 +28,11 @@ type BarrierConfig struct {
 	Latency float64 // one-way message latency, seconds
 	SendGap float64 // serialization gap between consecutive release sends
 	Compute float64 // mean per-round local compute, seconds
-	// Shards cuts the rank space into contiguous partitions; tree edges
-	// crossing a shard boundary use kernel messages instead of shared
-	// slots. Shards shapes the protocol and is part of the configuration
-	// (<= 1 means the legacy all-slots single-shard run).
-	Shards int `json:",omitempty"` //synclint:zerokey -- Shards <= 1 is the legacy single-shard run, the experiment old keys name
-	Seed   int64
-	// Workers is the kernel dispatch parallelism. It is an execution knob,
-	// excluded from serialization (and thus from harness cache keys):
-	// results are byte-identical at any value.
-	Workers int `json:"-"` //synclint:execonly -- kernel dispatch parallelism; byte-identity at any value is pinned by the scale goldens
+	Seed    int64
 }
 
 // BarrierStats is the deterministic outcome of a barrier run: identical for
-// identical configs, byte for byte, at any parallelism.
+// identical configs, byte for byte.
 type BarrierStats struct {
 	Ranks      int
 	Rounds     int
@@ -112,45 +91,6 @@ func newBarrierSim(cfg BarrierConfig) *barrierSim {
 	return b
 }
 
-// shard returns the contiguous shard rank r belongs to.
-//
-//synclint:allocfree
-func (b *barrierSim) shard(r int) int {
-	if b.cfg.Shards <= 1 {
-		return 0
-	}
-	return r * b.cfg.Shards / b.cfg.Ranks
-}
-
-// drain materializes queued cross-shard messages into the same edge slots
-// the shared-memory transport uses: reports land in the sender child's
-// report slot, releases in this rank's release slot. From > r identifies a
-// report (heap-tree children always have larger IDs than their parent).
-//
-//synclint:allocfree
-func (b *barrierSim) drain(p *sim.Proc, r int) {
-	for {
-		m, ok := p.Recv()
-		if !ok {
-			return
-		}
-		var sl *brSlot
-		if int(m.From) > r {
-			sl = &b.report[m.From]
-			if sl.round != -1 {
-				panic("scale: barrier report slot overwrite (alternation violated)")
-			}
-		} else {
-			sl = &b.release[r]
-			if sl.round != -1 {
-				panic("scale: barrier release slot overwrite (alternation violated)")
-			}
-		}
-		sl.round = m.Kind
-		sl.at = p.Now()
-	}
-}
-
 // kids returns the half-open child ID range of rank r.
 //
 //synclint:allocfree
@@ -180,7 +120,6 @@ func (b *barrierSim) computeTime(r, round int) float64 {
 func (b *barrierSim) stepRank(p *sim.Proc) sim.Control {
 	r := p.ID()
 	st := &b.rank[r]
-	b.drain(p, r)
 	for {
 		switch st.phase {
 		case bpStart:
@@ -253,10 +192,6 @@ func (b *barrierSim) sendReport(p *sim.Proc, r int) {
 	st := &b.rank[r]
 	parent := (r - 1) / b.cfg.Arity
 	at := p.Now() + b.cfg.Latency
-	if b.shard(parent) != b.shard(r) {
-		p.Post(b.procs[parent], at, sim.Msg{From: int32(r), Kind: st.round})
-		return
-	}
 	sl := &b.report[r]
 	if sl.round != -1 {
 		panic("scale: barrier report slot overwrite (alternation violated)")
@@ -274,10 +209,6 @@ func (b *barrierSim) releaseKids(p *sim.Proc, r int, round int32) {
 	lo, hi := b.kids(r)
 	for c := lo; c < hi; c++ {
 		at := p.Now() + b.cfg.Latency + float64(c-lo)*b.cfg.SendGap
-		if b.shard(c) != b.shard(r) {
-			p.Post(b.procs[c], at, sim.Msg{From: int32(r), Kind: round})
-			continue
-		}
 		sl := &b.release[c]
 		if sl.round != -1 {
 			panic("scale: barrier release slot overwrite (alternation violated)")
@@ -326,17 +257,11 @@ func (b *barrierSim) stats() BarrierStats {
 // RunBarrier runs the tree barrier to completion and returns its
 // deterministic statistics.
 func RunBarrier(cfg BarrierConfig) (BarrierStats, error) {
-	if cfg.Ranks < 1 || cfg.Arity < 2 || cfg.Rounds < 1 {
+	if cfg.Ranks < 1 || cfg.Arity < 2 || cfg.Rounds < 1 || !finiteNonNeg(cfg.Latency, cfg.SendGap, cfg.Compute) {
 		return BarrierStats{}, errBarrierConfig
 	}
 	b := newBarrierSim(cfg)
-	err := b.env.RunParallel(sim.ParallelConfig{
-		Workers:   cfg.Workers,
-		Lookahead: cfg.Latency,
-		Shards:    cfg.Shards,
-		ShardOf:   b.shard,
-	})
-	if err != nil {
+	if err := b.env.Run(); err != nil {
 		return BarrierStats{}, err
 	}
 	return b.stats(), nil

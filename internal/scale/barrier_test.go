@@ -1,6 +1,8 @@
 package scale
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"hclocksync/internal/sim"
@@ -137,9 +139,16 @@ func TestBarrierRejectsBadConfig(t *testing.T) {
 		{Ranks: 0, Arity: 2, Rounds: 1},
 		{Ranks: 4, Arity: 1, Rounds: 1},
 		{Ranks: 4, Arity: 2, Rounds: 0},
+		{Ranks: 64, Arity: 2, Rounds: 1, Latency: math.NaN()},
+		{Ranks: 64, Arity: 2, Rounds: 1, Compute: math.NaN()},
+		{Ranks: 64, Arity: 2, Rounds: 1, SendGap: math.NaN()},
+		{Ranks: 64, Arity: 2, Rounds: 1, Latency: -1e-6},
+		{Ranks: 64, Arity: 2, Rounds: 1, Latency: math.Inf(1)},
+		{Ranks: 64, Arity: 2, Rounds: 1, SendGap: -1e-7},
+		{Ranks: 64, Arity: 2, Rounds: 1, Compute: math.Inf(1)},
 	} {
-		if _, err := RunBarrier(cfg); err == nil {
-			t.Errorf("config %+v: want error, got nil", cfg)
+		if _, err := RunBarrier(cfg); !errors.Is(err, errBarrierConfig) {
+			t.Errorf("config %+v: want errBarrierConfig, got %v", cfg, err)
 		}
 	}
 }

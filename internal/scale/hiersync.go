@@ -18,17 +18,6 @@ package scale
 // discipline as the barrier: each rank owns one record; the first of a pair
 // to reach their common stage parks, and the second drives the whole
 // exchange, advancing both ranks to the stage's end time.
-//
-// With Shards > 1, pairs that straddle a shard boundary rendezvous by
-// kernel message instead: each side posts its arrival time and accumulated
-// error to the other (one Latency later — the parallel dispatcher's
-// lookahead), and each side computes the identical exchange independently
-// from max(T₁, T₂), which is exactly the instant the slot protocol's
-// second arriver would have driven from. FinishTime and the error fields
-// are therefore invariant in Shards; only the kernel event count differs
-// (message deliveries replace driver wakes). As with the barrier, the
-// protocol shape depends on Shards — part of the configuration — and never
-// on Workers.
 
 import (
 	"errors"
@@ -37,7 +26,7 @@ import (
 	"hclocksync/internal/sim"
 )
 
-var errHierSyncConfig = errors.New("scale: hiersync config needs Ranks >= 1, Exchanges >= 1, Latency > 0")
+var errHierSyncConfig = errors.New("scale: hiersync config needs Ranks >= 1, Exchanges >= 1, finite Latency > 0 and Jitter >= 0")
 
 // HierSyncConfig describes one synthetic hierarchical-sync run.
 type HierSyncConfig struct {
@@ -45,16 +34,7 @@ type HierSyncConfig struct {
 	Exchanges int     // ping-pongs per pair synchronization (the paper's N_exchange)
 	Latency   float64 // one-way message latency, seconds
 	Jitter    float64 // max one-way jitter, seconds (uniform in [0, Jitter))
-	// Shards cuts the rank space into contiguous partitions; pairs
-	// straddling a boundary rendezvous by kernel message. Part of the
-	// configuration (<= 1 means the legacy all-slots single-shard run),
-	// though every stat except Events is invariant in it.
-	Shards int `json:",omitempty"` //synclint:zerokey -- Shards <= 1 is the legacy single-shard run, the experiment old keys name
-	Seed   int64
-	// Workers is the kernel dispatch parallelism. It is an execution knob,
-	// excluded from serialization (and thus from harness cache keys):
-	// results are byte-identical at any value.
-	Workers int `json:"-"` //synclint:execonly -- kernel dispatch parallelism; byte-identity at any value is pinned by the scale goldens
+	Seed      int64
 }
 
 // HierSyncStats is the deterministic outcome of a run. The error fields are
@@ -70,24 +50,11 @@ type HierSyncStats struct {
 
 // hsState is the per-rank record: the next stage to process, whether the
 // rank is parked at that stage's rendezvous, and its accumulated offset
-// error against the root. posted/arrT/pend serve cross-shard rendezvous
-// only: whether this rank has posted its arrival for the current stage,
-// when it arrived, and partner arrivals drained but not yet consumed
-// (a future-stage partner can post before this rank gets there).
+// error against the root.
 type hsState struct {
 	s       int32
 	arrived bool
-	posted  bool
-	arrT    float64
 	err     float64
-	pend    []hsPend
-}
-
-// hsPend is one drained cross-shard arrival: the sender's stage, arrival
-// time, and accumulated error at that arrival.
-type hsPend struct {
-	s      int32
-	t, err float64
 }
 
 type hierSim struct {
@@ -97,16 +64,6 @@ type hierSim struct {
 	rank    []hsState
 	doneAt  []float64
 	nrounds int
-}
-
-// shard returns the contiguous shard rank r belongs to.
-//
-//synclint:allocfree
-func (h *hierSim) shard(r int) int {
-	if h.cfg.Shards <= 1 {
-		return 0
-	}
-	return r * h.cfg.Shards / h.cfg.Ranks
 }
 
 // hcaPartner returns rank r's engagement at stage s: its partner, whether r
@@ -167,19 +124,9 @@ func hsExchange(cfg HierSyncConfig, start float64, learner, s int) (end, merr fl
 func (h *hierSim) stepRank(p *sim.Proc) sim.Control {
 	r := p.ID()
 	st := &h.rank[r]
-	drained := 0
-	for {
-		m, ok := p.Recv()
-		if !ok {
-			break
-		}
-		st.pend = append(st.pend, hsPend{s: m.Kind, t: m.A, err: m.B}) //synclint:alloc -- pend growth: bounded by concurrent cross-shard partners
-		drained++
-	}
-	if st.arrived && drained == 0 {
-		// A parked rank may be resumed by its local partner driving the
-		// exchange (arrived cleared first) or by a cross-shard arrival
-		// (drained > 0). Anything else is a protocol violation.
+	if st.arrived {
+		// A parked rank is resumed only by its partner driving the exchange,
+		// which clears arrived first.
 		panic("scale: hiersync rank resumed while parked at a rendezvous")
 	}
 	for {
@@ -191,9 +138,6 @@ func (h *hierSim) stepRank(p *sim.Proc) sim.Control {
 		if !ok {
 			st.s++
 			continue
-		}
-		if h.shard(partner) != h.shard(r) {
-			return h.crossRendezvous(p, r, st, partner, learner)
 		}
 		ps := &h.rank[partner]
 		if !(ps.arrived && ps.s == st.s) {
@@ -218,53 +162,6 @@ func (h *hierSim) stepRank(p *sim.Proc) sim.Control {
 		h.env.Wake(h.procs[partner], end)
 		return sim.Until(end)
 	}
-}
-
-// crossRendezvous handles one stage engagement whose partner lives in a
-// different shard. On first arrival the rank posts (arrival time,
-// accumulated error) to the partner; once the partner's symmetric post is
-// in hand, both sides independently compute the identical exchange from
-// max of the two arrival times — the slot protocol's drive instant.
-//
-//synclint:allocfree
-func (h *hierSim) crossRendezvous(p *sim.Proc, r int, st *hsState, partner int, learner bool) sim.Control {
-	if !st.posted {
-		st.posted = true
-		st.arrT = p.Now()
-		p.Post(h.procs[partner], st.arrT+h.cfg.Latency,
-			sim.Msg{From: int32(r), Kind: st.s, A: st.arrT, B: st.err})
-	}
-	found := -1
-	for i := range st.pend {
-		if st.pend[i].s == st.s {
-			found = i
-			break
-		}
-	}
-	if found < 0 {
-		st.arrived = true
-		return sim.Park()
-	}
-	info := st.pend[found]
-	last := len(st.pend) - 1
-	st.pend[found] = st.pend[last]
-	st.pend = st.pend[:last]
-	start := st.arrT
-	if info.t > start {
-		start = info.t
-	}
-	lr := r
-	if !learner {
-		lr = partner
-	}
-	end, merr := hsExchange(h.cfg, start, lr, int(st.s))
-	if learner {
-		st.err = info.err + merr
-	}
-	st.arrived = false
-	st.posted = false
-	st.s++
-	return sim.Until(end)
 }
 
 func newHierSim(cfg HierSyncConfig) *hierSim {
@@ -310,17 +207,11 @@ func (h *hierSim) stats() HierSyncStats {
 // RunHierSync runs the hierarchical synchronization to completion and
 // returns its deterministic statistics.
 func RunHierSync(cfg HierSyncConfig) (HierSyncStats, error) {
-	if cfg.Ranks < 1 || cfg.Exchanges < 1 || cfg.Latency <= 0 {
+	if cfg.Ranks < 1 || cfg.Exchanges < 1 || cfg.Latency <= 0 || !finiteNonNeg(cfg.Latency, cfg.Jitter) {
 		return HierSyncStats{}, errHierSyncConfig
 	}
 	h := newHierSim(cfg)
-	err := h.env.RunParallel(sim.ParallelConfig{
-		Workers:   cfg.Workers,
-		Lookahead: cfg.Latency,
-		Shards:    cfg.Shards,
-		ShardOf:   h.shard,
-	})
-	if err != nil {
+	if err := h.env.Run(); err != nil {
 		return HierSyncStats{}, err
 	}
 	return h.stats(), nil

@@ -1,6 +1,8 @@
 package scale
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"hclocksync/internal/sim"
@@ -143,9 +145,15 @@ func TestHierSyncRejectsBadConfig(t *testing.T) {
 		{Ranks: 0, Exchanges: 1, Latency: 1e-6},
 		{Ranks: 4, Exchanges: 0, Latency: 1e-6},
 		{Ranks: 4, Exchanges: 1, Latency: 0},
+		{Ranks: 64, Exchanges: 1, Latency: math.NaN()},
+		{Ranks: 64, Exchanges: 1, Latency: math.Inf(1)},
+		{Ranks: 64, Exchanges: 1, Latency: -1e-6},
+		{Ranks: 64, Exchanges: 1, Latency: 1e-6, Jitter: math.NaN()},
+		{Ranks: 64, Exchanges: 1, Latency: 1e-6, Jitter: -1e-7},
+		{Ranks: 64, Exchanges: 1, Latency: 1e-6, Jitter: math.Inf(1)},
 	} {
-		if _, err := RunHierSync(cfg); err == nil {
-			t.Errorf("config %+v: want error, got nil", cfg)
+		if _, err := RunHierSync(cfg); !errors.Is(err, errHierSyncConfig) {
+			t.Errorf("config %+v: want errHierSyncConfig, got %v", cfg, err)
 		}
 	}
 }

@@ -17,6 +17,19 @@
 // workload (see the cross-check tests) lands on byte-identical times.
 package scale
 
+import "math"
+
+// finiteNonNeg reports whether every duration is a finite number >= 0; NaN
+// fails the first comparison.
+func finiteNonNeg(ds ...float64) bool {
+	for _, d := range ds {
+		if !(d >= 0 && d <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
+}
+
 // mix64 is the splitmix64 finalizer: a bijective avalanche of its input.
 // Feeding it a running key built from (seed, rank, round, draw) yields an
 // independent stream per counter tuple with no per-rank generator state.

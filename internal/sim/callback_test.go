@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 	"unsafe"
 )
@@ -58,6 +57,11 @@ func TestCallbackRunsInEventOrderWithoutResumingItsProc(t *testing.T) {
 	if got := env.Switches(); got != 4 {
 		t.Errorf("Switches() = %d, want 4", got)
 	}
+	// The callback mark rides in the generation field: the event is no
+	// bigger for carrying one.
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Errorf("event is %d bytes, want 32", got)
+	}
 }
 
 // A callback may wake the very fiber whose blocking call is running it.
@@ -75,26 +79,5 @@ func TestCallbackWakesTheBlockedFiberThatRunsIt(t *testing.T) {
 	}
 	if woke != 7 || env.Switches() != 1 {
 		t.Errorf("woke at %v after %d switches, want 7 after 1 (the spawn)", woke, env.Switches())
-	}
-}
-
-// Callbacks dispatch serially: a parallel run rejects them, and the event
-// that carries one is no bigger for it.
-func TestCallAtBannedUnderRunParallel(t *testing.T) {
-	e := NewEnv(1)
-	e.OnCallback(func(*Proc) {})
-	e.SpawnSteps(8, func(p *Proc) Control {
-		p.Env().CallAt(1, p)
-		return Stop()
-	})
-	err := e.RunParallel(ParallelConfig{
-		Workers: 2, Lookahead: 1, Shards: 2,
-		ShardOf: func(id int) int { return id * 2 / 8 },
-	})
-	if err == nil || !strings.Contains(err.Error(), "CallAt during a parallel run") {
-		t.Fatalf("want the CallAt ban, got %v", err)
-	}
-	if got := unsafe.Sizeof(event{}); got != 32 {
-		t.Errorf("event is %d bytes, want 32", got)
 	}
 }

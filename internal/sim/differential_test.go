@@ -207,11 +207,8 @@ func runFiberSchedule(seed int64, nprocs int) diffResult {
 }
 
 // runStepSchedule executes the same schedule with goroutine-free step
-// procs: one arena-backed state machine per rank. A positive workers count
-// selects the parallel windowed dispatcher (single shard — the schedules
-// Wake arbitrary peers, which the partition contract confines to one
-// shard), whose output must match serial dispatch line for line.
-func runStepSchedule(seed int64, nprocs, workers int) diffResult {
+// procs: one arena-backed state machine per rank.
+func runStepSchedule(seed int64, nprocs int) diffResult {
 	scheds := genSchedule(seed, nprocs)
 	env := NewEnv(seed)
 	var trace []string
@@ -220,22 +217,14 @@ func runStepSchedule(seed int64, nprocs, workers int) diffResult {
 	// before the first event fires.
 	procs := make([]*Proc, nprocs)
 	copy(procs, env.SpawnSteps(nprocs, stepBody(0, scheds, next, procs, &trace)))
-	run := env.Run
-	if workers > 1 {
-		run = func() error {
-			return env.RunParallel(ParallelConfig{Workers: workers, Lookahead: 1})
-		}
-	}
-	return finish(env, &trace, run)
+	return finish(env, &trace, env.Run)
 }
 
 // runMixedSchedule executes the schedule with alternating representations:
 // even ranks are fibers, odd ranks are step procs. The trace must still
 // match the recorded one bit for bit — the representations are
-// interchangeable per proc, not just per run. A positive workers count
-// requests parallel dispatch, which for a mixed (fiber-containing)
-// population must take the serial fallback and still match.
-func runMixedSchedule(seed int64, nprocs, workers int) diffResult {
+// interchangeable per proc, not just per run.
+func runMixedSchedule(seed int64, nprocs int) diffResult {
 	scheds := genSchedule(seed, nprocs)
 	env := NewEnv(seed)
 	var trace []string
@@ -248,13 +237,7 @@ func runMixedSchedule(seed int64, nprocs, workers int) diffResult {
 			procs[i] = env.SpawnStep(stepBody(0, scheds, next, procs, &trace))
 		}
 	}
-	run := env.Run
-	if workers > 1 {
-		run = func() error {
-			return env.RunParallel(ParallelConfig{Workers: workers, Lookahead: 1})
-		}
-	}
-	return finish(env, &trace, run)
+	return finish(env, &trace, env.Run)
 }
 
 // diffConfigs are the recorded configurations: a spread of proc counts and
@@ -288,8 +271,8 @@ func configKey(seed int64, nprocs int) string {
 func TestDifferentialStepEqualsFiber(t *testing.T) {
 	for _, c := range diffConfigs {
 		fib := runFiberSchedule(c.Seed, c.NProcs)
-		stp := runStepSchedule(c.Seed, c.NProcs, 1)
-		mix := runMixedSchedule(c.Seed, c.NProcs, 1)
+		stp := runStepSchedule(c.Seed, c.NProcs)
+		mix := runMixedSchedule(c.Seed, c.NProcs)
 		for name, got := range map[string]diffResult{"step": stp, "mixed": mix} {
 			if got.digest() == fib.digest() {
 				continue
@@ -378,48 +361,11 @@ func TestDifferentialTraces(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if d := runStepSchedule(c.Seed, c.NProcs, 1).digest(); d != w.Digest {
+		if d := runStepSchedule(c.Seed, c.NProcs).digest(); d != w.Digest {
 			t.Errorf("%s: step-proc trace digest %s != recorded %s", key, d, w.Digest)
 		}
-		if d := runMixedSchedule(c.Seed, c.NProcs, 1).digest(); d != w.Digest {
+		if d := runMixedSchedule(c.Seed, c.NProcs).digest(); d != w.Digest {
 			t.Errorf("%s: mixed-representation trace digest %s != recorded %s", key, d, w.Digest)
-		}
-	}
-}
-
-// TestDifferentialParallelDispatch replays every recorded schedule through
-// the parallel windowed dispatcher at 2 and 4 workers and requires the
-// recorded digests bit for bit: step populations take the real windowed
-// path (barrier, horizon, worker-local dispatch), mixed populations take
-// the documented fiber fallback — both must be indistinguishable from
-// serial dispatch in every trace line, the final time, the completion
-// count, and the error rendering. CI runs this under -race, so the window
-// machinery's goroutine handoffs are also checked for data races on every
-// recorded schedule.
-func TestDifferentialParallelDispatch(t *testing.T) {
-	raw, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatalf("reading recorded traces (run with -update-traces to create): %v", err)
-	}
-	want := map[string]recordedTrace{}
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parsing %s: %v", tracePath, err)
-	}
-	for _, c := range diffConfigs {
-		key := configKey(c.Seed, c.NProcs)
-		w, ok := want[key]
-		if !ok {
-			t.Errorf("%s: no recorded trace (run with -update-traces)", key)
-			continue
-		}
-		for _, workers := range []int{2, 4} {
-			if got := runStepSchedule(c.Seed, c.NProcs, workers); got.digest() != w.Digest {
-				t.Errorf("%s: step-proc trace at workers=%d digest %s != recorded %s (now %v vs %v, done %d vs %d, err %q vs %q)",
-					key, workers, got.digest(), w.Digest, got.Now, w.Now, got.Done, w.Done, got.Err, w.Err)
-			}
-			if got := runMixedSchedule(c.Seed, c.NProcs, workers); got.digest() != w.Digest {
-				t.Errorf("%s: mixed trace at workers=%d digest %s != recorded %s", key, workers, got.digest(), w.Digest)
-			}
 		}
 	}
 }

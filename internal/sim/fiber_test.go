@@ -84,37 +84,23 @@ func TestMixedPopulationDispatchedFromRunGoroutine(t *testing.T) {
 }
 
 // TestSingleFiberResumesItselfInDispatchOrder runs a lone fiber through
-// stale events and self-addressed deposits. With nothing else runnable,
-// every block must take the self-resume path (no yield to the dispatch
-// loop), and what the fiber observes must be what dispatch's ordering rule
-// gives — checked against literal expectations and against the same
-// program written as a step proc, which only dispatch ever resumes.
+// stale events and early wakes. With nothing else runnable, every block must
+// take the self-resume path (no yield to the dispatch loop), and what the
+// fiber observes must be what dispatch's ordering rule gives — checked
+// against literal expectations and against the same program written as a
+// step proc, which only dispatch ever resumes.
 func TestSingleFiberResumesItselfInDispatchOrder(t *testing.T) {
-	type obs struct {
-		T   float64
-		Got []float64 // payloads found in the inbox on resumption
+	want := []float64{
+		1,  // Sleep(1) wins over the Wake at 5, which goes stale
+		11, // the stale t=5 event is discarded, not delivered
+		12, // the Wake at 12 wins over WaitUntil(15), which goes stale
+		13,
+		18, // the stale t=15 event is passed over
+		20, // parked: only the Wake resumes it
 	}
-	drain := func(p *Proc) obs {
-		o := obs{T: p.Now()}
-		for {
-			m, ok := p.Recv()
-			if !ok {
-				return o
-			}
-			o.Got = append(o.Got, m.A)
-		}
-	}
-	want := []obs{
-		{T: 1},                     // Sleep(1) wins over the Wake at 5, which goes stale
-		{T: 11},                    // the stale t=5 event is discarded, not delivered
-		{T: 12, Got: []float64{1}}, // a deposit due exactly at the wake-up lands first
-		{T: 13},                    // a deposit due later (13.5) has not landed
-		{T: 14, Got: []float64{2}},
-		{T: 20, Got: []float64{3}}, // parked: the deposit itself schedules the wake-up
-	}
-	const wantProcessed = 7 // the start plus six live resumptions; the stale event does not count
+	const wantProcessed = 7 // the start plus six live resumptions; stale events do not count
 
-	var fiberLog []obs
+	var fiberLog []float64
 	yields := 0
 	env := NewEnv(1)
 	env.Spawn(func(p *Proc) {
@@ -124,26 +110,25 @@ func TestSingleFiberResumesItselfInDispatchOrder(t *testing.T) {
 
 		env.Wake(p, 5)
 		p.Sleep(1)
-		fiberLog = append(fiberLog, drain(p))
+		fiberLog = append(fiberLog, p.Now())
 		p.Sleep(10)
-		fiberLog = append(fiberLog, drain(p))
-		p.Post(p, 12, Msg{A: 1})
-		p.WaitUntil(12)
-		fiberLog = append(fiberLog, drain(p))
-		p.Post(p, 13.5, Msg{A: 2})
-		p.WaitUntil(13)
-		fiberLog = append(fiberLog, drain(p))
+		fiberLog = append(fiberLog, p.Now())
+		env.Wake(p, 12)
+		p.WaitUntil(15)
+		fiberLog = append(fiberLog, p.Now())
 		p.Sleep(1)
-		fiberLog = append(fiberLog, drain(p))
-		p.Post(p, 20, Msg{A: 3})
+		fiberLog = append(fiberLog, p.Now())
+		p.Sleep(5)
+		fiberLog = append(fiberLog, p.Now())
+		env.Wake(p, 20)
 		p.Suspend()
-		fiberLog = append(fiberLog, drain(p))
+		fiberLog = append(fiberLog, p.Now())
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fiberLog, want) {
-		t.Errorf("fiber observed\n%+v, want\n%+v", fiberLog, want)
+		t.Errorf("fiber resumed at %v, want %v", fiberLog, want)
 	}
 	if yields != 0 {
 		t.Errorf("a lone fiber yielded to the dispatch loop %d times, want 0", yields)
@@ -152,12 +137,12 @@ func TestSingleFiberResumesItselfInDispatchOrder(t *testing.T) {
 		t.Errorf("fiber run: Processed() = %d, want %d", env.Processed(), wantProcessed)
 	}
 
-	var stepLog []obs
+	var stepLog []float64
 	pc := 0
 	senv := NewEnv(1)
 	senv.SpawnStep(func(p *Proc) Control {
 		if pc > 0 {
-			stepLog = append(stepLog, drain(p))
+			stepLog = append(stepLog, p.Now())
 		}
 		pc++
 		switch pc {
@@ -167,15 +152,14 @@ func TestSingleFiberResumesItselfInDispatchOrder(t *testing.T) {
 		case 2:
 			return p.After(10)
 		case 3:
-			p.Post(p, 12, Msg{A: 1})
-			return Until(12)
+			senv.Wake(p, 12)
+			return Until(15)
 		case 4:
-			p.Post(p, 13.5, Msg{A: 2})
-			return Until(13)
-		case 5:
 			return p.After(1)
+		case 5:
+			return p.After(5)
 		case 6:
-			p.Post(p, 20, Msg{A: 3})
+			senv.Wake(p, 20)
 			return Park()
 		}
 		return Stop()
@@ -184,7 +168,7 @@ func TestSingleFiberResumesItselfInDispatchOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(stepLog, fiberLog) {
-		t.Errorf("step twin observed\n%+v, fiber\n%+v", stepLog, fiberLog)
+		t.Errorf("step twin resumed at %v, fiber at %v", stepLog, fiberLog)
 	}
 	if senv.Processed() != env.Processed() || senv.Now() != env.Now() {
 		t.Errorf("step twin ended at t=%v after %d events, fiber at t=%v after %d",

@@ -72,25 +72,13 @@ type Env struct {
 	// callback is the function callback events run (see OnCallback); one per
 	// kernel, so an event carries no function value.
 	callback func(p *Proc)
-	// failMu guards the first-failure record. Serial dispatch runs one
-	// process at a time, but the guard makes first-failure-wins explicit and
-	// future-proof; the parallel dispatcher records failures per worker and
-	// merges them deterministically at the window barrier instead (see
-	// parallel.go).
-	// failure is the first panic value recovered from a process, failed the
-	// process that raised it, and failT the virtual time it was recorded.
+	// failMu guards the first-failure record. Dispatch runs one process at a
+	// time, but the guard makes first-failure-wins explicit.
+	// failure is the first panic value recovered from a process and failed
+	// the process that raised it.
 	failMu  sync.Mutex
-	failure any     //synclint:guardedby failMu
-	failed  *Proc   //synclint:guardedby failMu
-	failT   float64 //synclint:guardedby failMu
-	// deposits holds in-flight Post messages, interleaved with the event
-	// heap by (t, seq); inboxes is the per-proc FIFO message table, indexed
-	// by proc ID and allocated on first use (see msg.go).
-	deposits depositQueue
-	inboxes  []msgq
-	// par is non-nil while RunParallel is dispatching; it routes Wake, Post,
-	// and time queries to the owning worker (see parallel.go).
-	par *parRun
+	failure any   //synclint:guardedby failMu
+	failed  *Proc //synclint:guardedby failMu
 }
 
 // NewEnv returns a new simulation environment whose random source is seeded
@@ -108,16 +96,8 @@ func (e *Env) Now() float64 { return e.now }
 
 // Rand returns the environment's seeded random source. It must only be used
 // from the currently running process (or before Run), which is the natural
-// call pattern in a sequential simulation. It is unavailable while a
-// parallel run is dispatching: a shared draw-counting stream consumed from
-// concurrent workers would make draw order schedule-dependent, so parallel
-// workloads must use pure counter-keyed randomness (internal/scale's u01).
-func (e *Env) Rand() *rand.Rand {
-	if e.par != nil {
-		panic("sim: Env.Rand is unavailable during parallel dispatch (draw order would depend on the schedule)")
-	}
-	return e.rng
-}
+// call pattern in a sequential simulation.
+func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // Procs returns all processes spawned so far.
 func (e *Env) Procs() []*Proc { return e.procs }
@@ -145,17 +125,14 @@ const callbackGen = -1
 
 // CallAt schedules the kernel's callback function to run for p at time t
 // (clamped to now), ordered by (t, seq) with every other event. The
-// callback runs inline in the dispatch loop — on whichever goroutine is
-// dispatching, like a step function — so it must not block; unlike a
-// wake-up it is not cancelled when p resumes, and p keeps running. It is
-// how a fiber that has run ahead of the kernel clock hands the kernel work
-// that must happen at a later virtual time without waiting for it.
+// callback runs inline in the dispatch loop, like a step function, so it
+// must not block; unlike a wake-up it is not cancelled when p resumes, and
+// p keeps running. It is how a fiber that has run ahead of the kernel clock
+// hands the kernel work that must happen at a later virtual time without
+// waiting for it.
 //
 //synclint:allocfree
 func (e *Env) CallAt(t float64, p *Proc) {
-	if e.par != nil {
-		panic("sim: CallAt during a parallel run (callbacks dispatch serially)")
-	}
 	if t < e.now {
 		t = e.now
 	}
@@ -181,15 +158,6 @@ type Proc struct {
 	// suspended reports that the process is parked with no scheduled wake
 	// event; some other process must Wake it.
 	suspended bool
-	// hasEv reports that at least one live (current-generation) event is
-	// scheduled for the process: set on schedule, cleared on every resume
-	// (the gen++ invalidates all pending events at once). Deposit delivery
-	// reads it to decide between scheduling a wake and waiting silently: a
-	// deposit must never cancel a pending timed wake-up, or the target's
-	// timeline would depend on message arrival rather than its own schedule.
-	// It packs into the padding after the bools, keeping the proc footprint
-	// unchanged.
-	hasEv bool
 	// gen counts resumes. Events capture the value at scheduling time; an
 	// event whose generation is stale (the process was resumed by a
 	// different event in the meantime) is discarded instead of delivered.
@@ -209,30 +177,16 @@ func (p *Proc) ID() int { return p.id }
 // Env returns the environment the process belongs to.
 func (p *Proc) Env() *Env { return p.env }
 
-// Now returns the current virtual time as seen by this process: the serial
-// kernel clock, or the owning worker's clock during a parallel run.
+// Now returns the current virtual time in seconds.
 //
 //synclint:allocfree
-func (p *Proc) Now() float64 { return p.env.nowOf(p) }
-
-// nowOf resolves the clock that governs p: worker-local under RunParallel
-// (workers advance independently inside a window), the kernel clock
-// otherwise.
-//
-//synclint:allocfree
-func (e *Env) nowOf(p *Proc) float64 {
-	if e.par != nil {
-		return e.par.workers[e.par.wof[p.id]].now
-	}
-	return e.now
-}
+func (p *Proc) Now() float64 { return p.env.now }
 
 // Spawn creates a new fiber process running fn and schedules it to start at
 // the current virtual time. It returns immediately; fn runs during Run.
 // Each fiber costs a goroutine (and its stack); populations beyond a few
 // tens of thousands of procs should use SpawnSteps instead.
 func (e *Env) Spawn(fn func(p *Proc)) *Proc {
-	e.checkSpawn()
 	p := &Proc{id: e.spawned, env: e}
 	e.spawned++
 	e.procs = append(e.procs, p)
@@ -247,15 +201,6 @@ func (e *Env) Spawn(fn func(p *Proc)) *Proc {
 	return p
 }
 
-// checkSpawn rejects spawning while a parallel run is dispatching: the proc
-// table and partition map are shared read-only across workers for the whole
-// run. Populations are fixed before Run in every workload.
-func (e *Env) checkSpawn() {
-	if e.par != nil {
-		panic("sim: spawn during a parallel run (the partition is fixed at RunParallel)")
-	}
-}
-
 // schedule enqueues a wake-up for p at time t (clamped to now).
 //
 //synclint:allocfree
@@ -264,7 +209,6 @@ func (e *Env) schedule(t float64, p *Proc) {
 		t = e.now
 	}
 	e.seq++
-	p.hasEv = true
 	e.events.push(event{t: t, seq: e.seq, p: p, gen: p.gen})
 }
 
@@ -278,20 +222,6 @@ func (e *Env) schedule(t float64, p *Proc) {
 func (e *Env) dispatch() {
 	//synclint:unguarded -- serial dispatch: the failure record is written by the running process's recover path only, and one process runs at a time
 	for e.failure == nil {
-		// Deposits interleave with events by (t, seq); at equal times a
-		// deposit lands first, so a proc resuming at t always finds every
-		// message timestamped <= t in its inbox. The parallel dispatcher
-		// applies the same rule per worker (parallel.go), which is what
-		// keeps delivery counts worker-count-invariant.
-		if e.deposits.len() > 0 {
-			dt := e.deposits.head().t
-			if e.events.len() == 0 || dt <= e.events.ev[0].t {
-				d := e.deposits.pop()
-				e.now = d.t
-				e.deliverDeposit(d)
-				continue
-			}
-		}
 		if e.events.len() == 0 {
 			return
 		}
@@ -305,7 +235,6 @@ func (e *Env) dispatch() {
 		}
 		e.now = ev.t
 		ev.p.gen++ // invalidate any other pending wake-ups for this process
-		ev.p.hasEv = false
 		e.processed++
 		if ev.p.step != nil {
 			e.runStep(ev.p)
@@ -327,8 +256,8 @@ func (e *Env) runCallback(ev event) {
 }
 
 // resumeSelf is dispatch's loop run by a blocking fiber for as long as
-// nothing else is due: it lands deposits, runs callbacks and discards stale
-// events exactly as dispatch would, and if the next live event is p's own
+// nothing else is due: it runs callbacks and discards stale events exactly
+// as dispatch would, and if the next live event is p's own
 // it consumes it and reports true, so p keeps running with no coroutine
 // switch. It leaves any other proc's wake-up in the queue and reports
 // false: only dispatch resumes other procs.
@@ -336,15 +265,6 @@ func (e *Env) runCallback(ev event) {
 //synclint:allocfree
 func (e *Env) resumeSelf(p *Proc) bool {
 	for {
-		if e.deposits.len() > 0 {
-			dt := e.deposits.head().t
-			if e.events.len() == 0 || dt <= e.events.ev[0].t {
-				d := e.deposits.pop()
-				e.now = d.t
-				e.deliverDeposit(d)
-				continue
-			}
-		}
 		if e.events.len() == 0 {
 			return false
 		}
@@ -363,7 +283,6 @@ func (e *Env) resumeSelf(p *Proc) bool {
 		e.now = ev.t
 		e.events.pop()
 		p.gen++
-		p.hasEv = false
 		e.processed++
 		return true
 	}
@@ -394,12 +313,6 @@ func (e *Env) Run() error {
 	if e.failure != nil { //synclint:unguarded -- read after dispatch returned: no process is running
 		return fmt.Errorf("sim: process %d panicked: %v", e.failed.id, e.failure)
 	}
-	return e.finishRun()
-}
-
-// finishRun performs the end-of-run deadlock audit shared by Run and
-// RunParallel.
-func (e *Env) finishRun() error {
 	var stuck []int
 	for _, p := range e.procs {
 		if !p.done {
@@ -444,7 +357,6 @@ func (p *Proc) fiberEnd() {
 		if e.failure == nil {
 			e.failure = r
 			e.failed = p
-			e.failT = e.now
 		}
 		e.failMu.Unlock()
 	}
@@ -521,20 +433,10 @@ func (p *Proc) Suspend() {
 
 // Wake schedules process q to resume at time t (clamped to now). It is the
 // counterpart of Suspend (fibers) and Park (step procs) and must be called
-// from the running process. Under RunParallel only q's owning worker may
-// wake it — a cross-partition Wake would race on q's generation counter —
-// so cross-partition signalling must use Post instead; the partition
-// contract makes this statically true for the scale workloads, and the
-// race detector enforces it in CI.
+// from the running process.
 //
 //synclint:allocfree
-func (e *Env) Wake(q *Proc, t float64) {
-	if e.par != nil {
-		e.par.wake(q, t)
-		return
-	}
-	e.schedule(t, q)
-}
+func (e *Env) Wake(q *Proc, t float64) { e.schedule(t, q) }
 
 // Suspended reports whether the process is parked waiting for a Wake.
 func (p *Proc) Suspended() bool { return p.suspended }

@@ -58,13 +58,12 @@ func Until(t float64) Control { return Control{t: t, op: ctlWait} }
 // After resumes the step proc d seconds from now, like a fiber's Sleep.
 //
 //synclint:allocfree
-func (p *Proc) After(d float64) Control { return Control{t: p.env.nowOf(p) + d, op: ctlWait} }
+func (p *Proc) After(d float64) Control { return Control{t: p.env.now + d, op: ctlWait} }
 
 // SpawnStep creates a step proc driven by step and schedules its first
 // resumption at the current virtual time. It returns immediately; step runs
 // during Run.
 func (e *Env) SpawnStep(step StepFunc) *Proc {
-	e.checkSpawn()
 	p := &Proc{id: e.spawned, env: e, step: step}
 	e.spawned++
 	e.procs = append(e.procs, p)
@@ -78,7 +77,6 @@ func (e *Env) SpawnStep(step StepFunc) *Proc {
 // The returned slice aliases the arena. Per-proc behaviour comes from
 // keying workload state off Proc.ID.
 func (e *Env) SpawnSteps(n int, step StepFunc) []*Proc {
-	e.checkSpawn()
 	arena := make([]Proc, n)
 	out := make([]*Proc, n)
 	for i := range arena {
@@ -115,8 +113,7 @@ func (e *Env) runStep(p *Proc) {
 
 // stepFailed records a panic escaping a step function as the simulation's
 // failure, mirroring fiberEnd, the recover wrapper every fiber runs under.
-// The lock is only taken on the (cold) panic path; parallel workers use
-// their own worker-local twin and merge at the barrier (parallel.go).
+// The lock is only taken on the (cold) panic path.
 //
 //synclint:allocfree
 func (e *Env) stepFailed(p *Proc) {
@@ -125,7 +122,6 @@ func (e *Env) stepFailed(p *Proc) {
 		if e.failure == nil {
 			e.failure = r
 			e.failed = p
-			e.failT = e.now
 		}
 		e.failMu.Unlock()
 		p.done = true

@@ -16,17 +16,21 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/runexp" ./cmd/runexp
-args=(-suite "$suite" -scale tiny -jobs 1 -cache "" -quiet -seed 424242)
+args=(-suite "$suite" -scale tiny -jobs 1 -cache "" -seed 424242)
 
 # Uninterrupted reference run. Checkpointing stays on so the sync-accuracy
 # suites take the same phased schedule as the killed run.
-"$tmp/runexp" "${args[@]}" -checkpoint "$tmp/clean.ckpt" -outdir "$tmp/clean" >/dev/null
+"$tmp/runexp" "${args[@]}" -quiet -checkpoint "$tmp/clean.ckpt" -outdir "$tmp/clean" >/dev/null
 
-# Checkpointed run, SIGKILLed as soon as the ledger holds any progress.
-"$tmp/runexp" "${args[@]}" -checkpoint "$tmp/run.ckpt" -outdir "$tmp/killed" >/dev/null 2>&1 &
+# Checkpointed run, SIGKILLed once a task has finished. A non-empty ledger
+# is too early a signal: the first flush can be a mid-task cut, and a resume
+# from cuts alone has no finished task to serve. The run is not -quiet so
+# that its first task-done progress line on stderr, printed after the
+# finished task's ledger flush, marks the moment.
+"$tmp/runexp" "${args[@]}" -checkpoint "$tmp/run.ckpt" -outdir "$tmp/killed" >/dev/null 2>"$tmp/killed.err" &
 pid=$!
 for _ in $(seq 1 400); do
-    [ -s "$tmp/run.ckpt" ] && break
+    grep -qE '^harness: [^ ]+ [1-9][0-9]*/[0-9]+ sims' "$tmp/killed.err" && break
     kill -0 "$pid" 2>/dev/null || break
     sleep 0.02
 done
@@ -38,7 +42,7 @@ if ! [ -s "$tmp/run.ckpt" ]; then
 fi
 
 # Resume from the ledger in a fresh process.
-"$tmp/runexp" "${args[@]}" -restore "$tmp/run.ckpt" -outdir "$tmp/resumed" >/dev/null
+"$tmp/runexp" "${args[@]}" -quiet -restore "$tmp/run.ckpt" -outdir "$tmp/resumed" >/dev/null
 
 diff -u "$tmp/clean/$suite.txt" "$tmp/resumed/$suite.txt" || {
     echo "kill_resume: resumed output differs from the uninterrupted run" >&2
@@ -53,7 +57,7 @@ fi
 # replace this one at its first flush.
 cp "$tmp/run.ckpt" "$tmp/run.ckpt.before"
 rc=0
-"$tmp/runexp" "${args[@]}" -checkpoint "$tmp/run.ckpt" >/dev/null 2>"$tmp/refusal.err" || rc=$?
+"$tmp/runexp" "${args[@]}" -quiet -checkpoint "$tmp/run.ckpt" >/dev/null 2>"$tmp/refusal.err" || rc=$?
 if [ "$rc" -ne 2 ] || ! grep -q -- '-restore' "$tmp/refusal.err"; then
     echo "kill_resume: -checkpoint on an existing ledger exited $rc, want 2 with a message naming -restore:" >&2
     cat "$tmp/refusal.err" >&2
