@@ -23,19 +23,17 @@
 // With -checkpoint, the run additionally maintains a single-file sweep
 // ledger (internal/checkpoint's sealed binary format, atomic
 // write-then-rename): every finished task's result and, for the
-// sync-accuracy, fig7, and faults suites — whose simulations are split into
-// session phases (at the end-of-sync allreduce, between message sizes, and
-// at the end of the FT sync, respectively) — the latest mid-run cut
-// snapshot of each in-flight simulation. After a SIGKILL, rerunning the
-// same command line with -restore FILE serves finished tasks from the
-// ledger and resumes in-flight simulations from their last quiescent cut,
-// producing output byte-identical to an uninterrupted checkpointed run
-// (see DESIGN.md §11). Note that splitting a sync-accuracy or fig7
-// simulation is a different — equally deterministic — schedule than running
-// it in one piece, so their checkpointed outputs are not byte-comparable to
-// non-checkpointed ones; faults is always split and byte-identical either
-// way. -checkpoint refuses (exit 2) to start on a ledger file that already
-// holds data: resuming it is -restore's job, and starting over means
+// sync-accuracy, fig7, and faults simulations — which run as session phases
+// (cut at the end-of-sync allreduce, between message sizes, and at the end
+// of the FT sync, respectively) — the latest mid-run cut snapshot of each
+// in-flight simulation. After a SIGKILL, rerunning the same command line
+// with -restore FILE serves finished tasks from the ledger and resumes
+// in-flight simulations from their last quiescent cut (see DESIGN.md §11).
+// The flag never changes output: a simulation takes the same phased schedule
+// with or without a ledger, so stdout, -outdir files and cache keys are
+// byte-identical with -checkpoint, with -restore after a kill, and with
+// neither. -checkpoint refuses (exit 2) to start on a ledger file that
+// already holds data: resuming it is -restore's job, and starting over means
 // removing it first.
 //
 // With -fabric N, simulations run in N supervised child *processes*
@@ -135,7 +133,7 @@ func main() {
 	cache := flag.String("cache", ".expcache", "result-cache directory (empty disables caching)")
 	outdir := flag.String("outdir", "", "write per-suite .txt outputs and manifest.json here")
 	seed := flag.Int64("seed", 0, "override every suite's base seed")
-	ckptPath := flag.String("checkpoint", "", "write a crash-resumable sweep ledger to this file")
+	ckptPath := flag.String("checkpoint", "", "write a crash-resumable sweep ledger to this file (never changes output)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "flush the ledger after every N completed tasks or saved cuts")
 	restore := flag.String("restore", "", "resume from this sweep ledger (implies -checkpoint to the same file)")
 	list := flag.Bool("list", false, "list available suites and exit")
@@ -250,7 +248,6 @@ func main() {
 			Command:    []string{exe, "-worker"},
 			Scale:      *scale,
 			Seed:       *seed,
-			Cut:        *ckptPath != "",
 			JitterSeed: *seed,
 		}
 		if ckpt != nil {
@@ -276,11 +273,7 @@ func main() {
 	eng := harness.New(opts)
 	start := time.Now() //synclint:wallclock -- wall-time telemetry for the manifest; never hashed
 
-	runOpts := experiments.Options{
-		Scale: experiments.Scale(*scale),
-		Seed:  *seed,
-		Cut:   *ckptPath != "",
-	}
+	runOpts := experiments.Options{Scale: experiments.Scale(*scale), Seed: *seed}
 	for _, s := range selected {
 		if pool != nil {
 			// The table row's name disambiguates which suite's
@@ -377,7 +370,7 @@ func runWorker() error {
 				key, raw, found = k, b, true
 			},
 		})
-		opts := experiments.Options{Scale: experiments.Scale(req.Scale), Seed: req.Seed, Cut: req.Cut}
+		opts := experiments.Options{Scale: experiments.Scale(req.Scale), Seed: req.Seed}
 		if _, err := row.Run(eng, opts); err != nil {
 			return "", nil, err
 		}

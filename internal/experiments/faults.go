@@ -136,12 +136,11 @@ type faultsCut struct {
 // fault plan is a pure function of (schedule, nprocs, seed), which is what
 // makes a run replayable from its manifest seed alone.
 //
-// The run is always split at the end of the fault-tolerant sync: the second
-// body does no communication and reads each hardware clock at a fixed true
-// time, so where its ranks respawn cannot move a byte — a faults cell is
-// byte-identical checkpointed or not, and needs no Cut knob. Between the
-// bodies the whole job (kernel, clocks, injector state, plus faultsCut)
-// snapshots, so a killed sweep resumes there instead of re-synchronizing.
+// The run is cut (see runPhases) at the end of the fault-tolerant sync; the
+// second body does no communication and reads each hardware clock at a fixed
+// true time. With a checkpoint handle the whole job (kernel, clocks, injector
+// state, plus faultsCut) snapshots between the bodies, so a killed sweep
+// resumes there instead of re-synchronizing.
 func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
 	ckpt harness.TaskCheckpoint) (FaultsRun, error) {
 	job := cfg.Job
@@ -162,7 +161,7 @@ func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
 	}
 	readings := make([]float64, n)
 	has := make([]bool, n)
-	err := runPhases(mcfg, true, ckpt, &cut,
+	err := runPhases(mcfg, ckpt, &cut,
 		func(int) error {
 			if len(cut.Reps) != n || len(cut.States) != n || len(cut.Done) != n {
 				return fmt.Errorf("shaped for %d/%d/%d ranks, want %d",

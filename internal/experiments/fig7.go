@@ -21,14 +21,6 @@ type Fig7Config struct {
 	Barriers []mpi.BarrierAlg
 	MSizes   []int
 	NRep     int
-	// Cut runs each (suite, barrier) cell split (see runPhases) between
-	// message sizes, snapshotting the whole job at each boundary when the
-	// engine has a checkpointer — a killed sweep resumes from the last
-	// finished size instead of re-measuring the cell from scratch. Phase
-	// respawn happens at the global virtual time of the cut, so split
-	// results are deterministic but not byte-identical to joined ones; the
-	// flag is part of the cache key.
-	Cut bool
 }
 
 // DefaultFig7Config mirrors the paper: IMB, OSU, and ReproMPI measuring
@@ -67,9 +59,6 @@ type fig7Task struct {
 	Barrier string
 	MSizes  []int
 	NRep    int
-	// Cut is omitted when false so enabling phased execution leaves the
-	// cache keys of every existing unphased result untouched.
-	Cut bool `json:",omitempty"` //synclint:zerokey -- false is the unphased run, which is what pre-cut cache keys already name
 }
 
 // RunFig7 executes one mpirun per (suite, barrier) pair, measuring every
@@ -86,7 +75,7 @@ func RunFig7(eng *harness.Engine, cfg Fig7Config) (*Fig7Result, error) {
 				SeedKey: name,
 				Config: fig7Task{
 					Job: cfg.Job, Suite: string(suite), Barrier: barrier.String(),
-					MSizes: cfg.MSizes, NRep: cfg.NRep, Cut: cfg.Cut,
+					MSizes: cfg.MSizes, NRep: cfg.NRep,
 				},
 			}
 			t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
@@ -113,8 +102,9 @@ type fig7Cut struct {
 }
 
 // fig7Cell measures one (suite, barrier) pair across all message sizes, one
-// phase body per size; with cfg.Cut every size boundary is a session cut, so
-// a killed cell resumes after the last finished size.
+// phase body per size: every size boundary is a session cut (see runPhases),
+// so with a checkpoint handle a killed cell resumes after the last finished
+// size instead of re-measuring from scratch.
 func fig7Cell(cfg Fig7Config, suite bench.Suite, barrier mpi.BarrierAlg,
 	seed int64, ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
 	job := cfg.Job
@@ -137,7 +127,7 @@ func fig7Cell(cfg Fig7Config, suite bench.Suite, barrier mpi.BarrierAlg,
 			}
 		}
 	}
-	err := runPhases(job.config(), cfg.Cut, ckpt, &cut,
+	err := runPhases(job.config(), ckpt, &cut,
 		func(c int) error {
 			if len(cut.Lats) != c {
 				return fmt.Errorf("%d latencies, want one per finished size (%d)", len(cut.Lats), c)

@@ -21,11 +21,9 @@ import (
 // byte sequence, at any -jobs setting and any GOMAXPROCS. The hashes in
 // testdata/golden_hashes.json pin every suite runexp lists against silent
 // drift: any change to the (t, seq) tie-break, an RNG draw order, or message
-// matching shows up here as a hash mismatch. The fig3/fig7 hashes are
-// additionally the zero-plan byte-identity guarantee: they predate both the
-// zero-allocation kernel rewrite (PR 3) and the clock-fault subsystem (PR 4)
-// and still match, proving a nil/zero fault plan leaves the simulation
-// untouched.
+// matching shows up here as a hash mismatch. The fig3/fig7 hashes have held
+// since checkpointing landed (recorded then under the keys fig3cut/fig7cut),
+// through every kernel rewrite since.
 //
 // Regenerate (only when an output change is intended and understood) with:
 //
@@ -36,19 +34,14 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_ha
 // goldenVariants are extra pins of a Suites() row under non-default
 // options. fig3, fig6 and fig9 are pinned at a second seed: a different seed
 // draws different delays, so other (t, seq) orders between ranks are
-// reached. fig3cut and fig7cut pin the split (checkpointable) schedule: its
-// later phases respawn every rank at the cut's global virtual time rather
-// than each rank's own, so it has its own hash, while the plain hash pins
-// the same phase bodies run joined. (faults is always split; there is no
-// joined variant to pin.)
+// reached. (There is no checkpointing variant: a phased simulation takes the
+// same schedule with or without a ledger, so the plain hash pins both.)
 var goldenVariants = []struct {
 	key, row string
 	opts     Options
 }{
 	{"fig3seed7", "fig3", Options{Seed: 7}},
-	{"fig3cut", "fig3", Options{Cut: true}},
 	{"fig6seed7", "fig6", Options{Seed: 7}},
-	{"fig7cut", "fig7", Options{Cut: true}},
 	{"fig9seed7", "fig9", Options{Seed: 7}},
 }
 

@@ -3,20 +3,17 @@ package experiments
 // Phased execution: the one mechanism by which a suite's simulated mpirun
 // becomes checkpointable. A suite states its per-rank program once, as an
 // ordered list of phase bodies over one JSON-serializable cross-phase state
-// struct; runPhases owns everything else — whether the bodies run joined
-// (one mpirun, each rank going straight from one body to the next) or split
-// (one mpi.Session phase per body, every boundary a quiescent virtual-time
-// cut of internal/checkpoint), and in split mode resuming from the task's
-// latest cut and saving a snapshot plus the marshalled state at each new one.
+// struct; runPhases owns everything else — running one mpi.Session phase per
+// body, every boundary a quiescent virtual-time cut of internal/checkpoint,
+// and, when the task has a checkpoint handle, resuming from its latest cut
+// and saving a snapshot plus the marshalled state at each new one.
 //
 // What a suite supplies:
 //
 //   - bodies: what every rank does, cut where the job is quiescent. A body
 //     may hand later bodies data only through the state struct, indexed by
-//     rank or written with one value by all ranks — in joined mode a rank
-//     enters body k+1 while others are still in body k, so it may read only
-//     what it wrote itself; in split mode whatever it reads may come from a
-//     snapshot written by another process.
+//     rank or written with one value by all ranks: whatever a body reads may
+//     come from a snapshot written by another process.
 //   - state: a pointer to that struct, pre-sized for the job. JSON keeps the
 //     payload self-describing and still round-trips every float64 bit-exactly
 //     (Go prints shortest round-trip floats), which is all the byte-identity
@@ -34,26 +31,15 @@ import (
 	"hclocksync/internal/mpi"
 )
 
-// runPhases executes bodies on a job built from cfg. Joined (split false) is
-// a single phase running every body back to back per rank — the plain
-// mpi.Run schedule — and never touches ckpt. Split runs one phase per body;
-// phase respawn happens at the cut's global virtual time, so a suite whose
-// bodies communicate after a cut gets a different (equally deterministic)
-// schedule than joined. With a nil ckpt split mode is the uninterrupted
-// baseline; with a handle the cut number saved after body k is k+1, and a
-// run resumed from cut c executes bodies[c:] only.
-func runPhases[S any](cfg mpi.Config, split bool, ckpt harness.TaskCheckpoint, state *S,
+// runPhases executes bodies on a job built from cfg, one session phase per
+// body. A phase ends when every rank has left its body; the next one respawns
+// the ranks in rank order at the cut's global virtual time — the same fence
+// whether or not anything is saved there, so a checkpoint handle never
+// changes the result. With a nil ckpt nothing is saved; with a handle the cut
+// number saved after body k is k+1, and a run resumed from cut c executes
+// bodies[c:] only.
+func runPhases[S any](cfg mpi.Config, ckpt harness.TaskCheckpoint, state *S,
 	validate func(cut int) error, bodies []func(*mpi.Proc)) error {
-	if !split {
-		all := bodies
-		bodies = []func(*mpi.Proc){func(p *mpi.Proc) {
-			for _, body := range all {
-				body(p)
-			}
-		}}
-		ckpt = nil
-	}
-
 	var s *mpi.Session
 	cut := 0
 	if ckpt != nil {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"hclocksync/internal/bench"
 	"hclocksync/internal/checkpoint"
 	"hclocksync/internal/harness"
 	"hclocksync/internal/mpi"
@@ -34,8 +33,8 @@ func (m *memCkpt) Save(cut int, snap []byte) {
 	m.saved[cut] = append([]byte(nil), snap...)
 }
 
-// phasedCase is one simulated mpirun of a checkpointable suite, in split
-// mode: run executes it against the given checkpoint handle.
+// phasedCase is one simulated mpirun of a checkpointable suite: run executes
+// it against the given checkpoint handle (nil for none).
 type phasedCase struct {
 	suite string // fig3, fig7, faults
 	name  string // subtest name
@@ -51,17 +50,16 @@ func phasedCases() []phasedCase {
 	check.WaitTime = fig3.WaitTime
 	for _, alg := range fig3.Algorithms[:2] { // HCA and HCA2 keep this fast
 		alg := alg
-		seed := harness.DeriveSeed("fig3cut", "run0", fig3.Job.Seed)
+		seed := harness.DeriveSeed("fig3", "run0", fig3.Job.Seed)
 		cases = append(cases, phasedCase{"fig3", alg.Name(), 1, func(ckpt harness.TaskCheckpoint) (any, error) {
-			return syncAccuracyRun(fig3.Job, alg, 0, seed, fig3.WaitTime, check, true, ckpt)
+			return syncAccuracyRun(fig3.Job, alg, 0, seed, fig3.WaitTime, check, ckpt)
 		}})
 	}
 
 	fig7 := TinyFig7Config()
-	fig7.Cut = true
 	cell := fmt.Sprintf("%s_%s", fig7.Suites[0], fig7.Barriers[0])
 	cases = append(cases, phasedCase{"fig7", cell, len(fig7.MSizes) - 1, func(ckpt harness.TaskCheckpoint) (any, error) {
-		seed := harness.DeriveSeed("fig7cut", "cell", fig7.Job.Seed)
+		seed := harness.DeriveSeed("fig7", "cell", fig7.Job.Seed)
 		return fig7Cell(fig7, fig7.Suites[0], fig7.Barriers[0], seed, ckpt)
 	}})
 
@@ -87,10 +85,10 @@ func phasedCases() []phasedCase {
 }
 
 // The acceptance property of the checkpoint subsystem, at the level of one
-// mpirun, for every suite that goes through runPhases: an uninterrupted
-// split run, a checkpointing run, and a run resumed in a "fresh process"
-// from each cut the checkpointing run saved all produce the same result,
-// bit for bit.
+// mpirun, for every suite that goes through runPhases: a run with no
+// checkpoint handle, a checkpointing run, and a run resumed in a "fresh
+// process" from each cut the checkpointing run saved all produce the same
+// result, bit for bit.
 func checkResumeMatchesUninterrupted(t *testing.T, suite string) {
 	for _, c := range phasedCases() {
 		if c.suite != suite {
@@ -173,7 +171,7 @@ func TestRunPhasesRejectsHostilePayload(t *testing.T) {
 			}
 		}()
 		st = counts{Per: make([]int, cfg.NProcs)}
-		return runPhases(cfg, true, ckpt, &st, func(int) error {
+		return runPhases(cfg, ckpt, &st, func(int) error {
 			if len(st.Per) != cfg.NProcs {
 				return fmt.Errorf("shaped for %d ranks, want %d", len(st.Per), cfg.NProcs)
 			}
@@ -234,11 +232,10 @@ func TestRunPhasesRejectsHostilePayload(t *testing.T) {
 	}
 }
 
-// A whole cut-mode suite replayed from its ledger renders byte-identical
+// A whole suite replayed from its ledger renders byte-identical
 // output with every task served as a checkpoint hit.
 func TestSyncAccuracySuiteResumesFromLedger(t *testing.T) {
 	cfg := TinyFig3Config()
-	cfg.Cut = true
 	cfg.NRuns = 1
 	path := t.TempDir() + "/fig3.ckpt"
 
@@ -276,32 +273,67 @@ func TestSyncAccuracySuiteResumesFromLedger(t *testing.T) {
 	}
 }
 
-// Cut mode must not collide with joined results in the cache: the two
-// configurations key differently (and false keeps the legacy key), for both
-// suites that still carry the switch.
-func TestSyncTaskCutChangesCacheKey(t *testing.T) {
-	job := TinyFig3Config().Job
-	for _, c := range []struct {
-		name      string
-		base, cut any
-	}{
-		{"fig3",
-			syncTask{Job: job, Alg: "a", WaitTime: 2, Check: "c"},
-			syncTask{Job: job, Alg: "a", WaitTime: 2, Check: "c", Cut: true}},
-		{"fig7",
-			fig7Task{Job: job, Suite: string(bench.SuiteIMB), Barrier: "tree", MSizes: []int{4}, NRep: 1},
-			fig7Task{Job: job, Suite: string(bench.SuiteIMB), Barrier: "tree", MSizes: []int{4}, NRep: 1, Cut: true}},
-	} {
-		k1, err := harness.CacheKey("v", c.name, "t", 1, c.base)
+// cutLedger is a harness.Ledger that serves no finished results and keeps
+// every task's saved cuts in memory.
+type cutLedger struct {
+	mu    sync.Mutex
+	tasks map[string]*memCkpt
+}
+
+func (l *cutLedger) Lookup(string, any) bool            { return false }
+func (l *cutLedger) Record(string, string, string, any) {}
+func (l *cutLedger) Task(suite, name string) harness.TaskCheckpoint {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	m := &memCkpt{}
+	l.tasks[suite+"/"+name] = m
+	return m
+}
+
+// A ledger never changes the science: on an engine with one attached, every
+// fig3 and fig7 simulation saves its cuts, and the suites render the same
+// bytes under the same cache keys as on an engine without.
+func TestLedgerChangesNeitherOutputNorCacheKeys(t *testing.T) {
+	fig3 := TinyFig3Config()
+	fig3.NRuns = 1
+	fig7 := TinyFig7Config()
+	run := func(ledger harness.Ledger) (string, []string) {
+		eng := harness.New(harness.Options{Jobs: 4, Version: "ledger-test", Checkpoint: ledger})
+		var b strings.Builder
+		sync3, err := RunSyncAccuracy(eng, fig3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k2, err := harness.CacheKey("v", c.name, "t", 1, c.cut)
+		sync3.Print(&b)
+		cells, err := RunFig7(eng, fig7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k1 == k2 {
-			t.Errorf("%s: Cut flag does not separate cache keys", c.name)
+		cells.Print(&b)
+		var keys []string
+		for _, m := range eng.Manifests() {
+			for _, task := range m.Tasks {
+				keys = append(keys, m.Suite+"/"+task.Name+" "+task.CacheKey)
+			}
 		}
+		return b.String(), keys
+	}
+
+	plainOut, plainKeys := run(nil)
+	ledger := &cutLedger{tasks: map[string]*memCkpt{}}
+	ledgerOut, ledgerKeys := run(ledger)
+	if len(ledger.tasks) != len(plainKeys) || len(plainKeys) == 0 {
+		t.Fatalf("%d tasks took a checkpoint handle, want all %d", len(ledger.tasks), len(plainKeys))
+	}
+	for name, m := range ledger.tasks {
+		if len(m.saved) == 0 {
+			t.Errorf("%s saved no cut with a ledger attached", name)
+		}
+	}
+	if ledgerOut != plainOut {
+		t.Errorf("output with a ledger attached differs from the plain run:\n%s\nvs\n%s", ledgerOut, plainOut)
+	}
+	if !reflect.DeepEqual(ledgerKeys, plainKeys) {
+		t.Errorf("cache keys with a ledger attached differ from the plain run:\n%v\nvs\n%v", ledgerKeys, plainKeys)
 	}
 }

@@ -27,11 +27,6 @@ type Options struct {
 	Scale Scale
 	// Seed, when non-zero, overrides the suite's base seed(s).
 	Seed int64
-	// Cut runs fig3–fig6 and fig7 split into session phases (the
-	// checkpointable schedule): deterministic, but keyed and hashed apart
-	// from the joined schedule. faults is always split; other suites
-	// ignore it.
-	Cut bool
 }
 
 // seed applies the Seed override to one base seed.
@@ -104,7 +99,7 @@ func suite[C any, R Printer](name, title string, cfgs configs[C], apply func(*C,
 // syncSuite is a Figs. 3–6 row: one harness, four configs.
 func syncSuite(name, title string, def, tiny func() SyncAccuracyConfig) Suite {
 	return suite(name, title, configs[SyncAccuracyConfig]{def: def, tiny: tiny},
-		func(c *SyncAccuracyConfig, o Options) { c.Cut = o.Cut; o.seed(&c.Job.Seed) },
+		func(c *SyncAccuracyConfig, o Options) { o.seed(&c.Job.Seed) },
 		RunSyncAccuracy, nil)
 }
 
@@ -134,7 +129,7 @@ func Suites() []Suite {
 		syncSuite("fig6", "Fig. 6 — HCA3 vs H2HCA, Titan", DefaultFig6Config, TinyFig6Config),
 		suite("fig7", "Fig. 7 — benchmark suite x barrier algorithm",
 			configs[Fig7Config]{def: DefaultFig7Config, tiny: TinyFig7Config},
-			func(c *Fig7Config, o Options) { c.Cut = o.Cut; o.seed(&c.Job.Seed) },
+			func(c *Fig7Config, o Options) { o.seed(&c.Job.Seed) },
 			RunFig7, nil),
 		suite("fig8", "Fig. 8 — barrier exit imbalance",
 			configs[Fig8Config]{def: DefaultFig8Config, tiny: TinyFig8Config},

@@ -23,14 +23,6 @@ type SyncAccuracyConfig struct {
 	NRuns      int
 	WaitTime   float64
 	Check      clocksync.CheckConfig
-	// Cut runs each mpirun split (see runPhases) at the end-of-sync
-	// allreduce: sync, then accuracy check, with the whole job snapshotted
-	// at the cut when the engine has a checkpointer — a killed sweep
-	// resumes from the cut instead of re-synchronizing. Phase respawn
-	// happens at the global virtual time of the cut, so split results are
-	// deterministic but not byte-identical to joined ones; the flag is part
-	// of the cache key.
-	Cut bool
 }
 
 // SyncRun is one (algorithm, mpirun) outcome.
@@ -60,9 +52,6 @@ type syncTask struct {
 	WaitTime float64
 	Check    string
 	Run      int
-	// Cut is omitted when false so enabling phased execution leaves the
-	// cache keys of every existing unphased result untouched.
-	Cut bool `json:",omitempty"` //synclint:zerokey -- false is the unphased run, which is what pre-cut cache keys already name
 }
 
 // RunSyncAccuracy executes the harness: one engine task per (algorithm,
@@ -87,11 +76,10 @@ func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracy
 				Config: syncTask{
 					Job: cfg.Job, Alg: desc(alg),
 					WaitTime: cfg.WaitTime, Check: desc(check), Run: run,
-					Cut: cfg.Cut,
 				},
 			}
 			t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (SyncRun, error) {
-				return syncAccuracyRun(cfg.Job, alg, run, seed, cfg.WaitTime, check, cfg.Cut, ckpt)
+				return syncAccuracyRun(cfg.Job, alg, run, seed, cfg.WaitTime, check, ckpt)
 			}
 			tasks = append(tasks, t)
 		}
@@ -113,9 +101,11 @@ type syncCut struct {
 // syncAccuracyRun executes one (algorithm, replication) mpirun with the
 // given derived seed: the synchronization, then — past the end-of-sync
 // allreduce, where the job is quiescent — the accuracy check and the
-// ground-truth sampling. split makes that boundary a session cut.
+// ground-truth sampling. That boundary is a session cut (see runPhases): with
+// a checkpoint handle the whole job is snapshotted there, and a killed sweep
+// resumes from the cut instead of re-synchronizing.
 func syncAccuracyRun(base Job, alg clocksync.Algorithm, run int, seed int64,
-	wait float64, check clocksync.CheckConfig, split bool, ckpt harness.TaskCheckpoint) (SyncRun, error) {
+	wait float64, check clocksync.CheckConfig, ckpt harness.TaskCheckpoint) (SyncRun, error) {
 	job := base
 	job.Seed = seed
 	row := SyncRun{Label: alg.Name(), Run: run}
@@ -123,7 +113,7 @@ func syncAccuracyRun(base Job, alg clocksync.Algorithm, run int, seed int64,
 	cut := syncCut{States: make([]clocksync.SyncState, job.NProcs)}
 	readings0 := make([]float64, job.NProcs)
 	readingsW := make([]float64, job.NProcs)
-	err := runPhases(job.config(), split, ckpt, &cut,
+	err := runPhases(job.config(), ckpt, &cut,
 		func(int) error {
 			if len(cut.States) != job.NProcs {
 				return fmt.Errorf("shaped for %d ranks, want %d", len(cut.States), job.NProcs)

@@ -20,12 +20,11 @@ type Config struct {
 	// typically the coordinator's own executable with -worker. Required
 	// unless a test installs its own starter.
 	Command []string
-	// Scale, Seed, and Cut are copied into every JobRequest so workers
-	// rebuild the coordinator's suite configuration exactly; they mirror
-	// runexp's -scale, -seed, and -checkpoint presence.
+	// Scale and Seed are copied into every JobRequest so workers rebuild
+	// the coordinator's suite configuration exactly; they mirror runexp's
+	// -scale and -seed.
 	Scale string
 	Seed  int64
-	Cut   bool
 	// LeaseTTL is how long a dispatched job may go without any frame from
 	// its worker before the lease is revoked and the job reassigned.
 	// Zero means 10s. Heartbeats renew the lease, so this bounds wedge
@@ -360,7 +359,6 @@ func (p *Pool) runJob(c conn, j *job) error {
 		Task:   j.task,
 		Scale:  p.cfg.Scale,
 		Seed:   p.cfg.Seed,
-		Cut:    p.cfg.Cut,
 		Key:    j.key,
 		Phased: j.phased,
 	}

@@ -44,12 +44,10 @@ type JobRequest struct {
 	// decomposition; every other task is filtered out and skipped.
 	Suite string `json:"suite"`
 	Task  string `json:"task"`
-	// Scale, Seed, and Cut replicate the coordinator's -scale, -seed, and
-	// checkpointing settings so the worker rebuilds an identical suite
-	// configuration.
+	// Scale and Seed replicate the coordinator's -scale and -seed so the
+	// worker rebuilds an identical suite configuration.
 	Scale string `json:"scale,omitempty"`
 	Seed  int64  `json:"seed,omitempty"`
-	Cut   bool   `json:"cut,omitempty"`
 	// Key is the coordinator's cache key for the task. The worker recomputes
 	// the key from its own decomposition; a mismatch means the two processes
 	// disagree about the task's identity (code-version or config skew) and

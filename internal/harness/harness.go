@@ -64,7 +64,7 @@ type Options struct {
 	Reporter Reporter
 	// Checkpoint enables the sweep ledger: finished results and in-flight
 	// cut snapshots are persisted so a killed run can resume. Nil disables
-	// checkpointing (phased tasks then run uninterrupted, without cuts).
+	// checkpointing (phased tasks then run the same schedule, saving nothing).
 	// *Checkpointer is the file-backed implementation; the fabric worker
 	// substitutes a streaming ledger that relays cuts to its coordinator.
 	Checkpoint Ledger
@@ -161,7 +161,7 @@ func (e *Engine) record(m *Manifest) {
 
 // schemaVersion is bumped whenever the simulator's semantics change in a way
 // that invalidates previously cached results.
-const schemaVersion = "hclocksync-v1"
+const schemaVersion = "hclocksync-v2"
 
 // CodeVersion returns the string mixed into every cache key to tie entries
 // to the code that produced them: the package schema version plus, when the

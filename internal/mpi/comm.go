@@ -102,16 +102,30 @@ func (p *Proc) commID(parent, seq, color int) int {
 // includes communicator creation in the hierarchical sync duration.
 func (c *Comm) Split(color, key int) *Comm {
 	seq := c.collSeq // nextTag increments; remember for commID
-	pairs := c.allgatherInts([2]int{color, key})
-	if color == ColorUndefined {
-		return nil
-	}
+	tag := c.nextTag(kindSplit)
+	n := c.Size()
+	keep := color != ColorUndefined
 	type member struct{ rank, key int }
 	var group []member
-	for r, pk := range pairs {
-		if pk[0] == color {
-			group = append(group, member{r, pk[1]})
+	if keep {
+		group = append(group, member{c.rank, key})
+	}
+	// Ring allgather: each of the n(n-1) messages is a 24-byte (source,
+	// color, key) triple in a pooled vector, and every step forwards the
+	// triple it just received. A rank keeps only the members of its own
+	// colour, so a split costs memory in its group's size, not in n.
+	right := (c.rank + 1) % n
+	left := (c.rank - 1 + n) % n
+	buf := [3]float64{float64(c.rank), float64(color), float64(key)}
+	for step := 0; step < n-1; step++ {
+		c.p.sendF64s(c.id, c.ranks[right], tag, 8*len(buf), buf[:])
+		c.p.recvF64sInto(buf[:], c.id, c.ranks[left], tag)
+		if keep && int(buf[1]) == color {
+			group = append(group, member{int(buf[0]), int(buf[2])})
 		}
+	}
+	if !keep {
+		return nil
 	}
 	sort.Slice(group, func(i, j int) bool {
 		if group[i].key != group[j].key {
@@ -133,32 +147,6 @@ func (c *Comm) Split(color, key int) *Comm {
 		ranks: newRanks,
 		rank:  myNew,
 	}
-}
-
-// allgatherInts gathers one [2]int from every rank using a ring allgather.
-// Each of the n(n-1) messages is a 24-byte (source, color, key) triple in a
-// pooled vector, so a split allocates per rank, not per message.
-func (c *Comm) allgatherInts(mine [2]int) [][2]int {
-	tag := c.nextTag(kindSplit)
-	n := c.Size()
-	out := make([][2]int, n)
-	out[c.rank] = mine
-	if n == 1 {
-		return out
-	}
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	cur := c.rank
-	var buf [3]float64
-	for step := 0; step < n-1; step++ {
-		v := out[cur]
-		buf = [3]float64{float64(cur), float64(v[0]), float64(v[1])}
-		c.p.sendF64s(c.id, c.ranks[right], tag, 8*len(buf), buf[:])
-		c.p.recvF64sInto(buf[:], c.id, c.ranks[left], tag)
-		cur = int(buf[0])
-		out[cur] = [2]int{int(buf[1]), int(buf[2])}
-	}
-	return out
 }
 
 // SplitShared splits the communicator into per-node subcommunicators,

@@ -11,7 +11,7 @@ import (
 // memory retention in drained mailboxes; these tests hold it to that.
 
 func TestMailboxRingPopClearsSlotAndWraps(t *testing.T) {
-	mb := &mailbox{}
+	mb := newMailbox()
 	mk := func(i int) *message { return &message{arrival: float64(i)} }
 	// Fill, drain halfway, refill past the wrap point, drain fully.
 	for i := 0; i < 6; i++ {
@@ -36,9 +36,10 @@ func TestMailboxRingPopClearsSlotAndWraps(t *testing.T) {
 	if mb.n != 0 {
 		t.Fatalf("ring not empty: n=%d", mb.n)
 	}
-	// Retention: every slot of the backing array must be nil once drained,
-	// so popped messages are collectable.
-	for i, s := range mb.buf {
+	// Retention: every slot of the backing array — and of the inline ring
+	// it outgrew — must be nil once drained, so popped messages are
+	// collectable.
+	for i, s := range append(mb.buf[:len(mb.buf):len(mb.buf)], mb.first[:]...) {
 		if s != nil {
 			t.Errorf("drained ring still holds a message at slot %d", i)
 		}
@@ -46,7 +47,7 @@ func TestMailboxRingPopClearsSlotAndWraps(t *testing.T) {
 }
 
 func TestMailboxRingGrowthPreservesOrder(t *testing.T) {
-	mb := &mailbox{}
+	mb := newMailbox()
 	// Interleave pushes and pops so head is offset when growth happens.
 	next, want := 0, 0
 	push := func() { mb.push(&message{arrival: float64(next)}); next++ }
@@ -145,37 +146,47 @@ func TestMessagePoolRecycles(t *testing.T) {
 	}
 }
 
-// TestSplitAllocsLinearInRanks pins what one Comm.Split allocates at 64
-// ranks, differencing two split counts to cancel the job's set-up. Each
-// rank allocates a fixed handful of objects (the gathered table, its group,
-// the sort, the new Comm); the ring allgather's n(n-1) = 4032 messages must
-// add nothing. Encoding each message on the heap cost 2 objects apiece,
-// 8064 a split, which is what the bound excludes.
+// TestSplitAllocsLinearInRanks pins what one Comm.Split allocates,
+// differencing two split counts to cancel the job's set-up. Each rank
+// allocates a fixed handful of objects (its group, the sort, the new Comm);
+// the ring allgather's n(n-1) messages must add nothing. Encoding each
+// message on the heap cost 2 objects apiece, 8064 a 64-rank split, which is
+// what the object bound excludes. The byte bound excludes a per-rank table of
+// all n (colour, key) pairs: a rank keeps only its own colour, so at equal
+// group size a split costs the same bytes per rank at 64 and at 256 ranks.
 func TestSplitAllocsLinearInRanks(t *testing.T) {
-	const n = 64
-	mallocsFor := func(splits int) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := Run(Config{Spec: cluster.Ideal(8, 2, 4), NProcs: n, Seed: 5}, func(p *Proc) {
-			for i := 0; i < splits; i++ {
-				if sub := p.World().Split(p.Rank()%4, p.Rank()); sub.Size() != n/4 {
-					t.Errorf("split %d: rank %d got a group of %d, want %d", i, p.Rank(), sub.Size(), n/4)
+	const group = 16
+	// perSplit returns objects and bytes allocated by one n-rank Split into
+	// groups of 16.
+	perSplit := func(n int) (objs, bytes float64) {
+		measure := func(splits int) (uint64, uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := Run(Config{Spec: cluster.Ideal(n/8, 2, 4), NProcs: n, Seed: 5}, func(p *Proc) {
+				for i := 0; i < splits; i++ {
+					if sub := p.World().Split(p.Rank()%(n/group), p.Rank()); sub.Size() != group {
+						t.Errorf("split %d: rank %d got a group of %d, want %d", i, p.Rank(), sub.Size(), group)
+					}
 				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		if err != nil {
-			t.Fatal(err)
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		baseObjs, baseBytes := measure(1)
+		bigObjs, bigBytes := measure(5)
+		return (float64(bigObjs) - float64(baseObjs)) / 4, (float64(bigBytes) - float64(baseBytes)) / 4
 	}
 
-	base := mallocsFor(1)
-	big := mallocsFor(9)
-	perSplit := (float64(big) - float64(base)) / 8
-	t.Logf("%.0f objects per 64-rank Split (%.1f per rank)", perSplit, perSplit/n)
-	if perSplit > 20*n {
-		t.Errorf("Comm.Split allocates %.0f objects at %d ranks, want at most %d (O(n)); base=%d big=%d",
-			perSplit, n, 20*n, base, big)
+	objs64, bytes64 := perSplit(64)
+	objs256, bytes256 := perSplit(256)
+	t.Logf("per rank per Split: %.1f objects / %.0f B at 64 ranks, %.1f objects / %.0f B at 256", objs64/64, bytes64/64, objs256/256, bytes256/256)
+	if objs64 > 20*64 {
+		t.Errorf("Comm.Split allocates %.0f objects at 64 ranks, want at most %d (O(n))", objs64, 20*64)
+	}
+	if got, want := bytes256/256, 1.25*bytes64/64; got > want {
+		t.Errorf("Comm.Split allocates %.0f B per rank at 256 ranks but %.0f B at 64 with the same group size: per-rank cost grows with n", got, bytes64/64)
 	}
 }

@@ -127,21 +127,31 @@ func (w *World) bytes(m *message) []byte {
 }
 
 // mailbox is one (comm, dst, src, tag) queue: a ring buffer of in-flight
-// messages plus the at-most-one blocked receiver (the destination rank).
+// messages plus the at-most-one blocked receiver (the destination rank). The
+// ring starts on the inline first, so a mailbox is one object until its
+// backlog passes four messages.
 type mailbox struct {
 	buf    []*message
 	head   int
 	n      int
 	waiter *Proc
+	first  [4]*message
+}
+
+func newMailbox() *mailbox {
+	mb := &mailbox{}
+	mb.buf = mb.first[:]
+	return mb
 }
 
 //synclint:allocfree
 func (mb *mailbox) push(m *message) {
 	if mb.n == len(mb.buf) {
-		grown := make([]*message, max(4, 2*len(mb.buf))) //synclint:alloc -- ring growth: amortized to the deepest backlog
+		grown := make([]*message, 2*len(mb.buf)) //synclint:alloc -- ring growth past the inline four: amortized to the deepest backlog
 		for i := 0; i < mb.n; i++ {
 			grown[i] = mb.buf[(mb.head+i)%len(mb.buf)]
 		}
+		clear(mb.buf) // the inline ring outlives its use: do not pin delivered messages
 		mb.buf = grown
 		mb.head = 0
 	}
@@ -165,7 +175,7 @@ func (mb *mailbox) pop() *message {
 func (w *World) mailbox(k mbKey) *mailbox {
 	mb := w.mailboxes[k]
 	if mb == nil {
-		mb = &mailbox{}     //synclint:alloc -- cold: one mailbox per (comm, dst, src, tag), first use only
+		mb = newMailbox()   //synclint:alloc -- cold: one mailbox (ring included) per (comm, dst, src, tag), first use only
 		w.mailboxes[k] = mb //synclint:alloc -- cold: mailbox interning, first use only
 	}
 	return mb
