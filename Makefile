@@ -27,12 +27,13 @@ test:
 	$(GO) test ./...
 
 # The engine runs simulations concurrently; inside one, the simulator's
-# fibers are goroutines the serial dispatch loop hands control one at a time,
-# and the MPI and fault-tolerant sync layers (and internal/scale's fiber
-# cross-checks) run on them; cluster and stats feed them shared state
-# (disturbed hardware clocks, robust summaries), and checkpoint + detrand
-# snapshot that shared state while engine workers run, so all of them go
-# under the race detector.
+# fibers are runtime coroutines the serial dispatch loop resumes one at a
+# time on its own goroutine, and the MPI and fault-tolerant sync layers (and
+# internal/scale's fiber cross-checks) run on them; cluster and stats feed
+# them shared state (disturbed hardware clocks, robust summaries), and
+# checkpoint + detrand snapshot that shared state while engine workers run,
+# so all of them go under the race detector. CI runs this target and `fuzz`,
+# so these two lists are the only ones.
 race:
 	$(GO) test -race ./internal/sim ./internal/scale ./internal/mpi ./internal/harness ./internal/clocksync ./internal/faults ./internal/cluster ./internal/stats ./internal/checkpoint ./internal/detrand
 
@@ -44,7 +45,6 @@ fuzz:
 	$(GO) test ./internal/clocksync -run '^$$' -fuzz 'FuzzFitOffsetSamples$$' -fuzztime 10s
 	$(GO) test ./internal/clocksync -run '^$$' -fuzz FuzzFitOffsetSamplesRobust -fuzztime 10s
 	$(GO) test ./internal/analysis -run '^$$' -fuzz FuzzParseDirective -fuzztime 10s
-	$(GO) test ./internal/analysis -run '^$$' -fuzz FuzzFieldCoverage -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
 
 # gofmt first (any file it would rewrite fails the target; analyzer

@@ -8,7 +8,7 @@
 //
 //	runexp -suite NAME[,NAME...]|all [-scale default|tiny|smoke] [-jobs N]
 //	       [-fabric N] [-cache DIR] [-outdir DIR] [-seed S] [-quiet]
-//	       [-checkpoint FILE] [-checkpoint-every N] [-restore FILE]
+//	       [-checkpoint FILE] [-restore FILE]
 //	       [-cpuprofile FILE] [-memprofile FILE]
 //	runexp -list
 //	runexp -worker
@@ -134,7 +134,6 @@ func main() {
 	outdir := flag.String("outdir", "", "write per-suite .txt outputs and manifest.json here")
 	seed := flag.Int64("seed", 0, "override every suite's base seed")
 	ckptPath := flag.String("checkpoint", "", "write a crash-resumable sweep ledger to this file (never changes output)")
-	ckptEvery := flag.Int("checkpoint-every", 1, "flush the ledger after every N completed tasks or saved cuts")
 	restore := flag.String("restore", "", "resume from this sweep ledger (implies -checkpoint to the same file)")
 	list := flag.Bool("list", false, "list available suites and exit")
 	quiet := flag.Bool("quiet", false, "suppress progress lines on stderr")
@@ -229,7 +228,9 @@ func main() {
 	}
 	var ckpt *harness.Checkpointer
 	if *ckptPath != "" {
-		ckpt = harness.NewCheckpointer(*ckptPath, *ckptEvery, "")
+		// Flush on every finished task and saved cut: a wider cadence only
+		// widens what a SIGKILL loses.
+		ckpt = harness.NewCheckpointer(*ckptPath, 1, "")
 		if *restore != "" {
 			if err := ckpt.Load(); err != nil {
 				fail(fmt.Errorf("restoring %s: %w", *restore, err))

@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Field paths
 //
 // The field-coverage analyzers (snapfields, cachekey) relate declarations
@@ -12,16 +7,10 @@ import (
 // separate type-checker universes where go/types object identity does not
 // hold. A FieldRef is the universe-independent name of a struct field:
 // package import path, named type, field. Analyzers key their coverage
-// maps by it, print it in diagnostics, and accept it in allow/deny lists.
-//
-// The textual form is
+// maps by its textual form and print it in diagnostics:
 //
 //	<import/path>.<Type>          — the whole struct
 //	<import/path>.<Type>.<Field>  — one field
-//
-// Dots inside the import path are fine in every segment except the last
-// (the part after the final '/'), which must be a plain identifier so the
-// type and field names can be split off unambiguously.
 
 // FieldRef names a struct field — or, with Field empty, a whole named
 // struct type — independently of any go/types universe.
@@ -31,53 +20,10 @@ type FieldRef struct {
 	Field string // field name; empty to name the whole type
 }
 
-// String renders the canonical textual form; it is the inverse of
-// ParseFieldRef for refs ParseFieldRef would accept.
+// String renders the canonical textual form.
 func (r FieldRef) String() string {
 	if r.Field == "" {
 		return r.Pkg + "." + r.Type
 	}
 	return r.Pkg + "." + r.Type + "." + r.Field
-}
-
-// Matches reports whether r covers the concrete field ref other: equal
-// package and type, and either equal field or r naming the whole type.
-func (r FieldRef) Matches(other FieldRef) bool {
-	if r.Pkg != other.Pkg || r.Type != other.Type {
-		return false
-	}
-	return r.Field == "" || r.Field == other.Field
-}
-
-// ParseFieldRef parses the textual form. It rejects anything String
-// cannot have produced from a well-formed ref: missing components,
-// non-identifier type or field names, whitespace, or a final path
-// segment that is not an identifier.
-func ParseFieldRef(s string) (FieldRef, error) {
-	if s == "" {
-		return FieldRef{}, fmt.Errorf("empty field ref")
-	}
-	if strings.IndexFunc(s, func(r rune) bool { return r <= ' ' || r == 0x7f }) >= 0 {
-		return FieldRef{}, fmt.Errorf("field ref %q contains whitespace or control characters", s)
-	}
-	dir := ""
-	seg := s
-	if i := strings.LastIndexByte(s, '/'); i >= 0 {
-		dir, seg = s[:i+1], s[i+1:]
-	}
-	parts := strings.Split(seg, ".")
-	if len(parts) < 2 || len(parts) > 3 {
-		return FieldRef{}, fmt.Errorf("field ref %q: want <pkg>.<Type> or <pkg>.<Type>.<Field> after the final slash, got %d dot-separated parts", s, len(parts))
-	}
-	for i, p := range parts {
-		if !isIdent(p) {
-			what := [...]string{"package segment", "type name", "field name"}[i]
-			return FieldRef{}, fmt.Errorf("field ref %q: %s %q must be a Go identifier", s, what, p)
-		}
-	}
-	ref := FieldRef{Pkg: dir + parts[0], Type: parts[1]}
-	if len(parts) == 3 {
-		ref.Field = parts[2]
-	}
-	return ref, nil
 }

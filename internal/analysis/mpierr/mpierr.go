@@ -1,8 +1,8 @@
 // Package mpierr is errcheck for the MPI layer's fallible operations. The
-// timed receives and the retry protocol report delivery failure through
-// their final ok/acked result; under fault injection a silently discarded
-// result turns a lost message into a wrong number instead of a handled
-// fault, so discarding one is rejected:
+// timed receives report delivery failure through their final ok result;
+// under fault injection a silently discarded result turns a lost message
+// into a wrong number instead of a handled fault, so discarding one is
+// rejected:
 //
 //   - calling a fallible operation as a bare statement (all results
 //     dropped);
@@ -28,8 +28,6 @@ var fallible = map[string]map[string]bool{
 	"Comm": {
 		"RecvTimeout":    true,
 		"RecvF64Timeout": true,
-		"SendRetry":      true,
-		"RecvRetry":      true,
 	},
 	// Unexported transport internals: enforced inside the mpi package
 	// itself, where a dropped ok would corrupt the public wrappers.

@@ -9,8 +9,7 @@ import "hclocksync/internal/mpi"
 
 func drops(c *mpi.Comm) {
 	c.RecvTimeout(0, 1, 1e-3) // want `result of Comm.RecvTimeout discarded`
-	c.SendRetry(1, 2, nil, mpi.RetryOpts{}) // want `result of Comm.SendRetry discarded`
-	c.RecvRetry(1, 2, mpi.RetryOpts{}) // want `result of Comm.RecvRetry discarded`
+	c.RecvF64Timeout(0, 1, 1e-3) // want `result of Comm.RecvF64Timeout discarded`
 }
 
 func blanks(c *mpi.Comm) {
@@ -18,15 +17,11 @@ func blanks(c *mpi.Comm) {
 	_ = data
 	v, _ := c.RecvF64Timeout(0, 1, 1e-3) // want `ok result of Comm.RecvF64Timeout assigned to _`
 	_ = v
-	_ = c.SendRetry(1, 2, nil, mpi.RetryOpts{}) // want `ok result of Comm.SendRetry assigned to _`
 }
 
 func handled(c *mpi.Comm) float64 {
 	if data, ok := c.RecvTimeout(0, 1, 1e-3); ok {
 		_ = data
-	}
-	if !c.SendRetry(1, 2, nil, mpi.RetryOpts{}) {
-		return -1
 	}
 	v, ok := c.RecvF64Timeout(0, 1, 1e-3)
 	if !ok {
@@ -36,7 +31,7 @@ func handled(c *mpi.Comm) float64 {
 }
 
 func audited(c *mpi.Comm) {
-	c.SendRetry(1, 2, nil, mpi.RetryOpts{}) //synclint:checked -- fixture: best-effort notify, loss tolerated
+	c.RecvF64Timeout(0, 1, 1e-3) //synclint:checked -- fixture: drain a best-effort notify, loss tolerated
 	//synclint:checked -- fixture: drain a stale duplicate, content irrelevant
 	data, _ := c.RecvTimeout(0, 1, 1e-3)
 	_ = data

@@ -9,6 +9,7 @@ import (
 	"hclocksync/internal/clocksync"
 	"hclocksync/internal/cluster"
 	"hclocksync/internal/mpi"
+	"hclocksync/internal/stats"
 )
 
 var testParams = clocksync.Params{NFitpoints: 60, Offset: clocksync.SKaMPIOffset{NExchanges: 10}}
@@ -231,7 +232,7 @@ func TestBarrierImbalanceMeasurement(t *testing.T) {
 				t.Errorf("imbalance[%d] = %v s", i, v)
 			}
 		}
-		s := ImbalanceSummary(imb)
+		s := stats.Summarize(imb)
 		if s.Mean <= 0 {
 			t.Errorf("mean imbalance %v should be positive", s.Mean)
 		}
@@ -247,8 +248,8 @@ func TestDoubleRingImbalanceExceedsTree(t *testing.T) {
 		ri := BarrierImbalance(p.World(), g, mpi.BarrierDoubleRing, 30)
 		ti := BarrierImbalance(p.World(), g, mpi.BarrierTree, 30)
 		if p.Rank() == 0 {
-			ring = ImbalanceSummary(ri).Mean
-			tree = ImbalanceSummary(ti).Mean
+			ring = stats.Summarize(ri).Mean
+			tree = stats.Summarize(ti).Mean
 		}
 	})
 	if !(ring > tree) {

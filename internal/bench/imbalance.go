@@ -3,7 +3,6 @@ package bench
 import (
 	"hclocksync/internal/clock"
 	"hclocksync/internal/mpi"
-	"hclocksync/internal/stats"
 )
 
 // BarrierImbalance measures the process imbalance introduced by an
@@ -56,10 +55,4 @@ func BarrierImbalance(comm *mpi.Comm, g clock.Clock, alg mpi.BarrierAlg, ncalls 
 		out[i] = hi - lo
 	}
 	return out
-}
-
-// ImbalanceSummary condenses the per-call imbalances the way the paper's
-// box plots do.
-func ImbalanceSummary(imbalances []float64) stats.Summary {
-	return stats.Summarize(imbalances)
 }

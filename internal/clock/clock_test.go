@@ -208,13 +208,7 @@ func TestModelF64sRoundtrip(t *testing.T) {
 	}
 }
 
-func TestModelIsZeroAndLocalProc(t *testing.T) {
-	if !(LinearModel{}).IsZero() {
-		t.Error("zero model should report IsZero")
-	}
-	if (LinearModel{Slope: 1e-9}).IsZero() {
-		t.Error("nonzero slope reported IsZero")
-	}
+func TestLocalProc(t *testing.T) {
 	run(t, cluster.TestBox(), 2, func(p *mpi.Proc) {
 		if p.Rank() == 0 && NewLocal(p).Proc() != p {
 			t.Error("Local.Proc mismatch")

@@ -12,9 +12,6 @@ type LinearModel struct {
 // Predict returns the modelled offset at base reading t.
 func (m LinearModel) Predict(t float64) float64 { return m.Slope*t + m.Intercept }
 
-// IsZero reports whether the model is the identity.
-func (m LinearModel) IsZero() bool { return m.Slope == 0 && m.Intercept == 0 }
-
 // Merge composes drift models across a hop: if outer models clock b against
 // reference a (so a = t_b − outer(t_b)) and inner models clock c against b,
 // Merge(outer, inner) models c directly against a. This is the model-merge
@@ -28,20 +25,32 @@ func Merge(outer, inner LinearModel) LinearModel {
 
 // --- Wire encoding (flatten_clock / unflatten_clock of Alg. 3) ---
 
+// Models returns the drift models stacked on c, from innermost (closest to
+// the hardware clock) to outermost; nil for a bare base clock.
+func Models(c Clock) []LinearModel {
+	var models []LinearModel
+	for g, ok := c.(*GlobalClockLM); ok; g, ok = g.Base.(*GlobalClockLM) {
+		models = append([]LinearModel{g.Model}, models...)
+	}
+	return models
+}
+
+// Stack wraps base in models, innermost first: the inverse of Models. The
+// nesting is kept, not merged, so readings are bit-identical to the original.
+func Stack(base Clock, models []LinearModel) Clock {
+	c := base
+	for _, m := range models {
+		c = New(c, m)
+	}
+	return c
+}
+
 // Flatten serializes a nested clock into a buffer: the drift models from
 // innermost to outermost. The receiving rank re-instantiates the stack over
 // its own local clock — valid exactly when sender and receiver share a
 // hardware time source (ClockPropSync's precondition).
 func Flatten(c Clock) []byte {
-	var models []LinearModel
-	for {
-		g, ok := c.(*GlobalClockLM)
-		if !ok {
-			break
-		}
-		models = append([]LinearModel{g.Model}, models...)
-		c = g.Base
-	}
+	models := Models(c)
 	vals := make([]float64, 0, 2*len(models))
 	for _, m := range models {
 		vals = append(vals, m.Slope, m.Intercept)
@@ -52,11 +61,11 @@ func Flatten(c Clock) []byte {
 // Unflatten rebuilds a clock stack from a Flatten buffer on top of base.
 func Unflatten(buf []byte, base Clock) Clock {
 	vals := mpi.DecodeF64s(buf)
-	c := base
-	for i := 0; i+1 < len(vals); i += 2 {
-		c = New(c, LinearModel{Slope: vals[i], Intercept: vals[i+1]})
+	models := make([]LinearModel, len(vals)/2)
+	for i := range models {
+		models[i] = ModelFromF64s(vals[2*i:])
 	}
-	return c
+	return Stack(base, models)
 }
 
 // ModelF64s encodes a single model as two float64s for point-to-point

@@ -477,10 +477,7 @@ func (h HCA3FT) SyncFT(comm *mpi.Comm, clk clock.Clock) (clock.Clock, RankSync) 
 		return clk, rep
 	}
 	rep.Alive = true
-	nprocs := s.Size()
 	r := s.Rank()
-	nrounds := log2floor(nprocs)
-	maxPower := 1 << nrounds
 	myClk := clk
 
 	// Scale the first-contact patience to the tree: a pair's partner can be
@@ -491,12 +488,13 @@ func (h HCA3FT) SyncFT(comm *mpi.Comm, clk clock.Clock) (clock.Clock, RankSync) 
 	if nfit <= 0 {
 		nfit = 100
 	}
+	nrounds := log2floor(s.Size())
 	minConnect := int(math.Ceil(float64(nrounds+1) * float64(nfit) * (o.Gap + 2*o.Timeout) / o.Timeout))
 	if o.Connect < minConnect {
 		o.Connect = minConnect
 	}
 
-	learn := func(ref, client int) {
+	hca3Tree(s.Size(), r, func(ref, client int) {
 		lm, n, lost, deg := LearnClockModelFT(s, h.NFitpoints, o, ref, client, myClk)
 		if r != client {
 			return
@@ -506,27 +504,6 @@ func (h HCA3FT) SyncFT(comm *mpi.Comm, clk clock.Clock) (clock.Clock, RankSync) 
 		if n > 0 {
 			myClk = clock.New(clk, lm)
 		}
-	}
-
-	// Step 1: ranks 0 … maxPower−1, top of the binomial tree first.
-	for i := nrounds; i >= 1; i-- {
-		if r >= maxPower {
-			break
-		}
-		running := 1 << i
-		next := 1 << (i - 1)
-		switch {
-		case r%running == 0:
-			learn(r, r+next)
-		case r%running == next:
-			learn(r-next, r)
-		}
-	}
-	// Step 2: remainder ranks learn from their synchronized partner.
-	if r >= maxPower {
-		learn(r-maxPower, r)
-	} else if r < nprocs-maxPower {
-		learn(r, r+maxPower)
-	}
+	})
 	return myClk, rep
 }

@@ -22,43 +22,43 @@ func (h HCA3) Name() string { return h.Params.withDefaults().label("hca3") }
 
 // Sync implements Alg. 1.
 func (h HCA3) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
-	nprocs := comm.Size()
 	r := comm.Rank()
+	myClk := clk // dummy global clock (identity model)
+	hca3Tree(comm.Size(), r, func(ref, client int) {
+		// The reference emulates the global clock with what it has learned.
+		lm := LearnClockModel(comm, h.Params, ref, client, myClk)
+		if r == client {
+			myClk = clock.New(clk, lm)
+		}
+	})
+	return myClk
+}
+
+// hca3Tree calls learn(ref, client) for every pair rank r of nprocs belongs
+// to in Alg. 1's binomial tree, in the order r meets them.
+func hca3Tree(nprocs, r int, learn func(ref, client int)) {
 	nrounds := log2floor(nprocs)
 	maxPower := 1 << nrounds
 
-	myClk := clk // dummy global clock (identity model)
-
 	// Step 1: ranks 0 … maxPower−1, top of the binomial tree first.
-	for i := nrounds; i >= 1; i-- {
-		if r >= maxPower {
-			break
-		}
+	for i := nrounds; i >= 1 && r < maxPower; i-- {
 		running := 1 << i
 		next := 1 << (i - 1)
 		switch {
 		case r%running == 0:
-			// Reference for this round: emulate the global clock.
-			other := r + next
-			LearnClockModel(comm, h.Params, r, other, myClk)
+			learn(r, r+next)
 		case r%running == next:
-			other := r - next
-			lm := LearnClockModel(comm, h.Params, other, r, myClk)
-			myClk = clock.New(clk, lm)
+			learn(r-next, r)
 		}
 	}
 
 	// Step 2: the remainder ranks maxPower … nprocs−1 synchronize against
 	// their already-synchronized partner r − maxPower.
 	if r >= maxPower {
-		other := r - maxPower
-		lm := LearnClockModel(comm, h.Params, other, r, myClk)
-		myClk = clock.New(clk, lm)
+		learn(r-maxPower, r)
 	} else if r < nprocs-maxPower {
-		other := r + maxPower
-		LearnClockModel(comm, h.Params, r, other, myClk)
+		learn(r, r+maxPower)
 	}
-	return myClk
 }
 
 // log2floor returns floor(log2(n)) for n >= 1.

@@ -27,23 +27,11 @@ type SyncState struct {
 // any of the Algorithms. The clock must be a (possibly empty) stack of
 // GlobalClockLM decorators over a *clock.Local.
 func CaptureClock(c clock.Clock) SyncState {
-	var st SyncState
-	for {
-		g, ok := c.(*clock.GlobalClockLM)
-		if !ok {
-			return st
-		}
-		st.Models = append([]clock.LinearModel{g.Model}, st.Models...)
-		c = g.Base
-	}
+	return SyncState{Models: clock.Models(c)}
 }
 
 // Rebuild reconstructs the synchronized clock over base, reproducing the
 // captured nesting exactly.
 func (st SyncState) Rebuild(base clock.Clock) clock.Clock {
-	c := base
-	for _, m := range st.Models {
-		c = clock.New(c, m)
-	}
-	return c
+	return clock.Stack(base, st.Models)
 }

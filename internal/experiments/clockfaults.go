@@ -190,16 +190,9 @@ func clockFaultsRun(cfg ClockFaultsConfig, est string, mag float64, byz, run int
 	var mu sync.Mutex
 	var readings []float64
 	var lastEnd float64
-	err := mpi.Run(mpi.Config{
-		Spec:        job.Spec,
-		NProcs:      job.NProcs,
-		Mapping:     job.Mapping,
-		Seed:        job.Seed,
-		ClockSource: job.ClockSource,
-		Barrier:     job.Barrier,
-		Allreduce:   job.Allreduce,
-		Faults:      faults.NewInjector(plan),
-	}, func(p *mpi.Proc) {
+	mcfg := job.config()
+	mcfg.Faults = faults.NewInjector(plan)
+	err := mpi.Run(mcfg, func(p *mpi.Proc) {
 		g, rep := syncFT(p.World(), clock.NewLocal(p))
 		end := p.TrueNow()
 		_, m := clock.Collapse(g)

@@ -33,15 +33,15 @@
 //
 // Each worker slot runs a supervisor goroutine that spawns the process,
 // leases it one job at a time, and watches two failure signals: process
-// death (stdout EOF) and lease expiry — no frame of any kind for LeaseTTL,
+// death (stdout EOF) and lease expiry — no frame of any kind for 10 s,
 // which catches the worker that is alive but wedged. Heartbeats exist so
 // that a *slow* job is distinguishable from a *hung* worker: a healthy
 // worker heartbeats throughout execution and its lease renews on every
 // frame. On either failure signal the supervisor kills the process,
 // requeues the job (a lease takeover), and respawns a fresh worker within
 // a bounded respawn budget. Requeued jobs back off exponentially with
-// deterministic, seed-derived jitter (backoff.go) and are capped at
-// MaxAttempts, after which the job is quarantined as poisoned — a typed
+// deterministic, seed-derived jitter (backoff.go) and are capped at five
+// attempts, after which the job is quarantined as poisoned — a typed
 // error naming the task and its last failure — rather than livelocking the
 // sweep. Saving a *new* cut resets a job's attempt budget: a task that
 // makes forward progress between crashes is being murdered, not poisoned,

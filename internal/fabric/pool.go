@@ -25,23 +25,24 @@ type Config struct {
 	// -scale and -seed.
 	Scale string
 	Seed  int64
-	// LeaseTTL is how long a dispatched job may go without any frame from
+	// leaseTTL is how long a dispatched job may go without any frame from
 	// its worker before the lease is revoked and the job reassigned.
 	// Zero means 10s. Heartbeats renew the lease, so this bounds wedge
-	// detection, not job duration.
-	LeaseTTL time.Duration
-	// MaxAttempts caps executions of one job before it is quarantined as
+	// detection, not job duration. Like the other unexported bounds below it
+	// has one production value; only the in-package tests shorten it.
+	leaseTTL time.Duration
+	// maxAttempts caps executions of one job before it is quarantined as
 	// poisoned. Zero means 5. Saving a new cut resets the count — forward
 	// progress is never poisoned.
-	MaxAttempts int
-	// BackoffBase and BackoffMax bound the exponential retry backoff;
+	maxAttempts int
+	// backoffBase and backoffMax bound the exponential retry backoff;
 	// zero means 50ms and 2s. JitterSeed seeds the deterministic jitter.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	backoffBase time.Duration
+	backoffMax  time.Duration
 	JitterSeed  int64
-	// MaxRespawns caps process (re)spawns per worker slot. Zero means 8.
+	// maxRespawns caps process (re)spawns per worker slot. Zero means 8.
 	// A slot that exhausts it goes dark; the sweep continues on the rest.
-	MaxRespawns int
+	maxRespawns int
 	// Cuts, when non-nil, is the coordinator-side mirror of workers' cut
 	// snapshots — typically the -checkpoint ledger's Task method — so the
 	// coordinator's own crash ledger stays current, and the source of
@@ -81,7 +82,7 @@ type Stats struct {
 	// LedgerMigrations counts dispatches that shipped a resume snapshot —
 	// a phased job adopted mid-run by a new worker.
 	LedgerMigrations int `json:"ledger_migrations"`
-	// Poisoned counts jobs quarantined after exhausting MaxAttempts.
+	// Poisoned counts jobs quarantined after exhausting maxAttempts.
 	Poisoned int `json:"poisoned"`
 	// LostWorkers counts worker processes lost to death or lease expiry.
 	LostWorkers int `json:"lost_workers"`
@@ -141,12 +142,11 @@ type starter func(slot int) (conn, error)
 
 // job is one task in flight through the pool.
 type job struct {
-	id     int64
-	entry  string
-	suite  string
-	task   string
-	key    string
-	phased bool
+	id    int64
+	entry string
+	suite string
+	task  string
+	key   string
 
 	// Owned by whichever supervisor holds the job; a job is never held by
 	// two supervisors at once (requeue happens-before redispatch).
@@ -194,14 +194,14 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = defaultLeaseTTL
+	if cfg.leaseTTL <= 0 {
+		cfg.leaseTTL = defaultLeaseTTL
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = defaultMaxAttempts
+	if cfg.maxAttempts <= 0 {
+		cfg.maxAttempts = defaultMaxAttempts
 	}
-	if cfg.MaxRespawns <= 0 {
-		cfg.MaxRespawns = defaultMaxRespawns
+	if cfg.maxRespawns <= 0 {
+		cfg.maxRespawns = defaultMaxRespawns
 	}
 	start := cfg.starter
 	if start == nil {
@@ -227,27 +227,25 @@ func (p *Pool) SetEntry(name string) { p.entry.Store(name) }
 
 // RunTask implements harness.Remote: it enqueues the task as a fabric job
 // and blocks until a worker returns its result, the job is poisoned, or
-// the pool dies. The seed parameter is unused — workers re-derive the seed
-// from the suite decomposition, and the cache key (which embeds the seed)
-// is what pins agreement between the processes.
-func (p *Pool) RunTask(suite, name, key string, seed int64, phased bool) (json.RawMessage, error) {
-	_ = seed
+// the pool dies. Workers re-derive the task's seed from the suite
+// decomposition; the cache key (which embeds the seed) is what pins
+// agreement between the processes.
+func (p *Pool) RunTask(suite, name, key string) (json.RawMessage, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
 	entry, _ := p.entry.Load().(string)
 	j := &job{
-		id:     p.nextID.Add(1),
-		entry:  entry,
-		suite:  suite,
-		task:   name,
-		key:    key,
-		phased: phased,
-		done:   make(chan struct{}),
+		id:    p.nextID.Add(1),
+		entry: entry,
+		suite: suite,
+		task:  name,
+		key:   key,
+		done:  make(chan struct{}),
 	}
 	// A coordinator restarted with -restore may already hold a cut for
 	// this task; inherit it so the first dispatch resumes mid-run.
-	if phased && p.cfg.Cuts != nil {
+	if p.cfg.Cuts != nil {
 		if tc := p.cfg.Cuts(suite, name); tc != nil {
 			if cut, snap, ok := tc.Latest(); ok {
 				j.cut, j.maxCut = cut, cut
@@ -302,7 +300,7 @@ func (p *Pool) supervise(slot int) {
 			p.q.shutdown(ErrNoWorkers)
 		}
 	}()
-	for spawns := 0; spawns < p.cfg.MaxRespawns; spawns++ {
+	for spawns := 0; spawns < p.cfg.maxRespawns; spawns++ {
 		if p.closed.Load() {
 			return
 		}
@@ -352,15 +350,14 @@ func (p *Pool) drive(c conn, slot int) (done bool) {
 // lease; only result resolves the job successfully.
 func (p *Pool) runJob(c conn, j *job) error {
 	req := JobRequest{
-		Type:   "job",
-		ID:     j.id,
-		Entry:  j.entry,
-		Suite:  j.suite,
-		Task:   j.task,
-		Scale:  p.cfg.Scale,
-		Seed:   p.cfg.Seed,
-		Key:    j.key,
-		Phased: j.phased,
+		Type:  "job",
+		ID:    j.id,
+		Entry: j.entry,
+		Suite: j.suite,
+		Task:  j.task,
+		Scale: p.cfg.Scale,
+		Seed:  p.cfg.Seed,
+		Key:   j.key,
 	}
 	if len(j.snap) > 0 {
 		req.ResumeCut, req.ResumeSnap = j.cut, j.snap
@@ -373,7 +370,7 @@ func (p *Pool) runJob(c conn, j *job) error {
 		p.logf("fabric: migrating %s/%s ledger (cut %d) to a new worker", j.suite, j.task, j.cut)
 	}
 
-	lease := time.NewTimer(p.cfg.LeaseTTL) //synclint:wallclock -- lease liveness timer: ownership timing affects which worker computes a job, never the job bytes (pinned by the chaos golden)
+	lease := time.NewTimer(p.cfg.leaseTTL) //synclint:wallclock -- lease liveness timer: ownership timing affects which worker computes a job, never the job bytes (pinned by the chaos golden)
 	defer lease.Stop()
 	renew := func() {
 		if !lease.Stop() {
@@ -382,7 +379,7 @@ func (p *Pool) runJob(c conn, j *job) error {
 			default:
 			}
 		}
-		lease.Reset(p.cfg.LeaseTTL)
+		lease.Reset(p.cfg.leaseTTL)
 	}
 
 	for {
@@ -421,7 +418,7 @@ func (p *Pool) runJob(c conn, j *job) error {
 				return &remoteError{f.Error}
 			}
 		case <-lease.C:
-			return fmt.Errorf("lease expired: no frame for %v", p.cfg.LeaseTTL)
+			return fmt.Errorf("lease expired: no frame for %v", p.cfg.leaseTTL)
 		}
 	}
 }
@@ -433,14 +430,14 @@ func (p *Pool) retry(j *job, cause error, takeover bool) {
 	if takeover {
 		p.bump(func(s *Stats) { s.LeaseTakeovers++ })
 	}
-	if j.attempts >= p.cfg.MaxAttempts {
+	if j.attempts >= p.cfg.maxAttempts {
 		p.bump(func(s *Stats) { s.Poisoned++ })
 		j.complete(nil, &PoisonError{Suite: j.suite, Task: j.task, Attempts: j.attempts, Last: cause})
 		return
 	}
 	p.bump(func(s *Stats) { s.Retries++ })
-	d := backoffDelay(p.cfg.BackoffBase, p.cfg.BackoffMax, p.cfg.JitterSeed, j.suite+"/"+j.task, j.attempts)
-	p.logf("fabric: retrying %s/%s (attempt %d/%d) in %v", j.suite, j.task, j.attempts+1, p.cfg.MaxAttempts, d)
+	d := backoffDelay(p.cfg.backoffBase, p.cfg.backoffMax, p.cfg.JitterSeed, j.suite+"/"+j.task, j.attempts)
+	p.logf("fabric: retrying %s/%s (attempt %d/%d) in %v", j.suite, j.task, j.attempts+1, p.cfg.maxAttempts, d)
 	time.AfterFunc(d, func() { p.q.push(j) }) //synclint:wallclock -- retry backoff pacing: the delay is deterministic, the firing time only schedules work and never reaches results
 }
 

@@ -112,14 +112,14 @@ func newTestPool(t *testing.T, cfg Config, wopts WorkerOptions, exec Executor) (
 	t.Helper()
 	tf := &testFabric{spawned: make(chan *testConn, 64)}
 	cfg.starter = tf.starter(wopts, exec)
-	if cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = 2 * time.Second
+	if cfg.leaseTTL == 0 {
+		cfg.leaseTTL = 2 * time.Second
 	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = time.Millisecond
+	if cfg.backoffBase == 0 {
+		cfg.backoffBase = time.Millisecond
 	}
-	if cfg.BackoffMax == 0 {
-		cfg.BackoffMax = 5 * time.Millisecond
+	if cfg.backoffMax == 0 {
+		cfg.backoffMax = 5 * time.Millisecond
 	}
 	p, err := NewPool(cfg)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestPoolRunsJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = p.RunTask("suite", fmt.Sprintf("run%d", i), fmt.Sprintf("key%d", i), 0, false)
+			results[i], errs[i] = p.RunTask("suite", fmt.Sprintf("run%d", i), fmt.Sprintf("key%d", i))
 		}(i)
 	}
 	wg.Wait()
@@ -201,7 +201,7 @@ func TestCloseReapsWorkerProcesses(t *testing.T) {
 	p.SetEntry("fig3")
 	for i := 0; i < 4; i++ {
 		task := fmt.Sprintf("run%d", i)
-		raw, err := p.RunTask("suite", task, "key"+task, 0, false)
+		raw, err := p.RunTask("suite", task, "key"+task)
 		if err != nil {
 			t.Fatalf("%s: %v", task, err)
 		}
@@ -240,7 +240,7 @@ func TestWorkerCrashTakeover(t *testing.T) {
 	first := awaitConn(t, tf)
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := p.RunTask("s", "victim", "k", 0, false)
+		_, err := p.RunTask("s", "victim", "k")
 		resCh <- err
 	}()
 	<-started
@@ -260,9 +260,9 @@ func TestHeartbeatKeepsSlowJobAlive(t *testing.T) {
 		time.Sleep(400 * time.Millisecond) // several leases long
 		return req.Key, json.RawMessage(`{}`), nil
 	}
-	p, _ := newTestPool(t, Config{Workers: 1, LeaseTTL: 100 * time.Millisecond},
+	p, _ := newTestPool(t, Config{Workers: 1, leaseTTL: 100 * time.Millisecond},
 		WorkerOptions{Heartbeat: 20 * time.Millisecond}, exec)
-	if _, err := p.RunTask("s", "slow", "k", 0, false); err != nil {
+	if _, err := p.RunTask("s", "slow", "k"); err != nil {
 		t.Fatalf("slow-but-heartbeating job failed: %v", err)
 	}
 	if st := p.Stats(); st.LeaseTakeovers != 0 || st.Retries != 0 {
@@ -282,9 +282,9 @@ func TestHungWorkerLeaseExpires(t *testing.T) {
 	}
 	// Heartbeats off: a silent worker is indistinguishable from a hung one,
 	// which is exactly what the lease exists to bound.
-	p, _ := newTestPool(t, Config{Workers: 1, LeaseTTL: 80 * time.Millisecond},
+	p, _ := newTestPool(t, Config{Workers: 1, leaseTTL: 80 * time.Millisecond},
 		WorkerOptions{Heartbeat: -1}, exec)
-	if _, err := p.RunTask("s", "wedge", "k", 0, false); err != nil {
+	if _, err := p.RunTask("s", "wedge", "k"); err != nil {
 		t.Fatalf("job did not survive the hung worker: %v", err)
 	}
 	if st := p.Stats(); st.LeaseTakeovers < 1 {
@@ -296,8 +296,8 @@ func TestPoisonedJobQuarantined(t *testing.T) {
 	exec := func(JobRequest, harness.Ledger) (string, json.RawMessage, error) {
 		return "", nil, fmt.Errorf("deterministic failure")
 	}
-	p, _ := newTestPool(t, Config{Workers: 1, MaxAttempts: 3}, WorkerOptions{Heartbeat: -1}, exec)
-	_, err := p.RunTask("s", "bad", "k", 0, false)
+	p, _ := newTestPool(t, Config{Workers: 1, maxAttempts: 3}, WorkerOptions{Heartbeat: -1}, exec)
+	_, err := p.RunTask("s", "bad", "k")
 	var perr *PoisonError
 	if !errors.As(err, &perr) {
 		t.Fatalf("err = %v, want a *PoisonError", err)
@@ -344,7 +344,7 @@ func TestLedgerMigratesToAdoptingWorker(t *testing.T) {
 	first := awaitConn(t, tf)
 	resCh := make(chan json.RawMessage, 1)
 	go func() {
-		res, err := p.RunTask("faults", "run0", "k", 0, true)
+		res, err := p.RunTask("faults", "run0", "k")
 		if err != nil {
 			t.Errorf("phased job failed: %v", err)
 		}
@@ -387,7 +387,7 @@ func TestInheritedCutShipsOnFirstDispatch(t *testing.T) {
 		return restoredCut{cut: 2, snap: []byte("inherited")}
 	}
 	p, _ := newTestPool(t, Config{Workers: 1, Cuts: cuts}, WorkerOptions{Heartbeat: -1}, exec)
-	res, err := p.RunTask("faults", "run1", "k", 0, true)
+	res, err := p.RunTask("faults", "run1", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func (r restoredCut) Save(int, []byte)            {}
 func TestCutProgressResetsAttemptBudget(t *testing.T) {
 	// A phased job killed over and over — but saving a new cut each life —
 	// must never be poisoned: progress distinguishes a murdered job from a
-	// poisonous one. Three kills exceed MaxAttempts=2 unless the reset
+	// poisonous one. Three kills exceed maxAttempts=2 unless the reset
 	// works.
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
@@ -426,11 +426,11 @@ func TestCutProgressResetsAttemptBudget(t *testing.T) {
 		}
 		return req.Key, json.RawMessage(fmt.Sprintf(`{"finished_after_cut":%d}`, cut)), nil
 	}
-	p, tf := newTestPool(t, Config{Workers: 1, MaxAttempts: 2}, WorkerOptions{Heartbeat: 10 * time.Millisecond}, exec)
+	p, tf := newTestPool(t, Config{Workers: 1, maxAttempts: 2}, WorkerOptions{Heartbeat: 10 * time.Millisecond}, exec)
 
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := p.RunTask("s", "murdered", "k", 0, true)
+		_, err := p.RunTask("s", "murdered", "k")
 		resCh <- err
 	}()
 	for i := 0; i < 3; i++ {
@@ -454,10 +454,10 @@ func TestDegradesToSurvivingWorker(t *testing.T) {
 	working := tf.starter(WorkerOptions{Heartbeat: -1}, echoExec)
 	cfg := Config{
 		Workers:     3,
-		MaxRespawns: 2,
-		LeaseTTL:    2 * time.Second,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
+		maxRespawns: 2,
+		leaseTTL:    2 * time.Second,
+		backoffBase: time.Millisecond,
+		backoffMax:  5 * time.Millisecond,
 	}
 	cfg.starter = func(slot int) (conn, error) {
 		if slot != 2 {
@@ -477,7 +477,7 @@ func TestDegradesToSurvivingWorker(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = p.RunTask("s", fmt.Sprintf("run%d", i), "k", 0, false)
+			_, errs[i] = p.RunTask("s", fmt.Sprintf("run%d", i), "k")
 		}(i)
 	}
 	wg.Wait()
@@ -491,8 +491,8 @@ func TestDegradesToSurvivingWorker(t *testing.T) {
 func TestAllWorkersLostFailsOutstandingJobs(t *testing.T) {
 	cfg := Config{
 		Workers:     2,
-		MaxRespawns: 2,
-		LeaseTTL:    time.Second,
+		maxRespawns: 2,
+		leaseTTL:    time.Second,
 	}
 	cfg.starter = func(slot int) (conn, error) {
 		return nil, fmt.Errorf("no workers today")
@@ -502,7 +502,7 @@ func TestAllWorkersLostFailsOutstandingJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	if _, err := p.RunTask("s", "doomed", "k", 0, false); !errors.Is(err, ErrNoWorkers) {
+	if _, err := p.RunTask("s", "doomed", "k"); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
 }
@@ -510,21 +510,21 @@ func TestAllWorkersLostFailsOutstandingJobs(t *testing.T) {
 func TestClosedPoolRejectsJobs(t *testing.T) {
 	p, _ := newTestPool(t, Config{Workers: 1}, WorkerOptions{Heartbeat: -1}, echoExec)
 	p.Close()
-	if _, err := p.RunTask("s", "late", "k", 0, false); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.RunTask("s", "late", "k"); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 }
 
 // A dispatch racing a worker's death is charged to the slot, not the job:
-// even MaxAttempts consecutive dead-on-arrival workers must not poison a
+// even maxAttempts consecutive dead-on-arrival workers must not poison a
 // job that never got to run.
 func TestDispatchFailureDoesNotBurnAttempts(t *testing.T) {
 	tf := &testFabric{spawned: make(chan *testConn, 64)}
 	real := tf.starter(WorkerOptions{Heartbeat: -1}, echoExec)
 	var spawns atomic.Int64
 	p, err := NewPool(Config{
-		Workers: 1, MaxAttempts: 2, MaxRespawns: 8,
-		LeaseTTL: 2 * time.Second, BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,
+		Workers: 1, maxAttempts: 2, maxRespawns: 8,
+		leaseTTL: 2 * time.Second, backoffBase: time.Millisecond, backoffMax: 5 * time.Millisecond,
 		starter: func(slot int) (conn, error) {
 			c, err := real(slot)
 			if err != nil {
@@ -542,7 +542,7 @@ func TestDispatchFailureDoesNotBurnAttempts(t *testing.T) {
 	t.Cleanup(p.Close)
 	p.SetEntry("e")
 
-	raw, err := p.RunTask("s", "run0", "k", 1, false)
+	raw, err := p.RunTask("s", "run0", "k")
 	if err != nil {
 		t.Fatalf("job failed despite a healthy fourth worker: %v", err)
 	}

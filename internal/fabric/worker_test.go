@@ -135,7 +135,7 @@ func TestWorkerCutFramesAndResume(t *testing.T) {
 	w, frames := startWorker(t, WorkerOptions{Heartbeat: -1}, exec)
 	nextFrame(t, frames) // hello
 	sendJob(t, w, JobRequest{
-		Type: "job", ID: 9, Suite: "s", Task: "t", Key: "k", Phased: true,
+		Type: "job", ID: 9, Suite: "s", Task: "t", Key: "k",
 		ResumeCut: 3, ResumeSnap: []byte("resume-state"),
 	})
 	f := nextFrame(t, frames)

@@ -428,24 +428,3 @@ func (in *Injector) ClockFreqJumps(rank int) []FreqJump {
 func (in *Injector) HasClockFaults() bool {
 	return in != nil && (len(in.plan.Steps) > 0 || len(in.plan.FreqJumps) > 0)
 }
-
-// FirstClockFaultAt returns the earliest scheduled clock-fault time of world
-// rank (step or rate excursion), or +Inf if its clock stays healthy. The
-// experiment layer uses it as ground truth for detection latency.
-func (in *Injector) FirstClockFaultAt(rank int) float64 {
-	first := math.Inf(1)
-	if in == nil {
-		return first
-	}
-	for _, s := range in.plan.Steps {
-		if s.Rank == rank && s.At < first {
-			first = s.At
-		}
-	}
-	for _, j := range in.plan.FreqJumps {
-		if j.Rank == rank && j.At < first {
-			first = j.At
-		}
-	}
-	return first
-}

@@ -196,9 +196,6 @@ func TestInjectorByzantine(t *testing.T) {
 	if nilIn.HasClockFaults() || len(nilIn.ClockSteps(1)) != 0 || len(nilIn.ClockFreqJumps(1)) != 0 {
 		t.Error("nil injector reports clock faults")
 	}
-	if !math.IsInf(nilIn.FirstClockFaultAt(1), 1) {
-		t.Error("nil injector has a first clock-fault time")
-	}
 }
 
 func TestInjectorClockFaultViews(t *testing.T) {
@@ -217,15 +214,6 @@ func TestInjectorClockFaultViews(t *testing.T) {
 	}
 	if got := in.ClockFreqJumps(5); len(got) != 1 || got[0].PPM != 100e-6 {
 		t.Errorf("ClockFreqJumps(5) = %+v", got)
-	}
-	if got := in.FirstClockFaultAt(2); got != 0.5 {
-		t.Errorf("FirstClockFaultAt(2) = %v, want 0.5", got)
-	}
-	if got := in.FirstClockFaultAt(5); got != 0.25 {
-		t.Errorf("FirstClockFaultAt(5) = %v, want 0.25", got)
-	}
-	if !math.IsInf(in.FirstClockFaultAt(7), 1) {
-		t.Error("healthy rank has a finite first clock-fault time")
 	}
 }
 

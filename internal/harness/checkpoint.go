@@ -16,6 +16,8 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"sort"
 	"sync"
 
@@ -39,6 +41,14 @@ type Ledger interface {
 	// nil when the ledger does not checkpoint this task mid-run.
 	Task(suite, name string) TaskCheckpoint
 }
+
+// nopLedger is the engine's ledger when Options.Checkpoint is unset: it
+// holds nothing and hands phased tasks a nil handle.
+type nopLedger struct{}
+
+func (nopLedger) Lookup(string, any) bool            { return false }
+func (nopLedger) Record(string, string, string, any) {}
+func (nopLedger) Task(string, string) TaskCheckpoint { return nil }
 
 // TaskCheckpoint is the per-task checkpoint surface handed to a phased
 // task's RunPhased function. Implementations are safe for use from the
@@ -86,9 +96,10 @@ func NewCheckpointer(path string, every int, version string) *Checkpointer {
 }
 
 // Load restores the ledger from its file. A missing file is not an error —
-// the sweep simply starts empty. A corrupt or wrong-version file is a real
-// error (typed, from internal/checkpoint): silently discarding a ledger
-// the user asked to restore would recompute work behind their back.
+// the sweep simply starts empty. An unreadable, corrupt or wrong-version file
+// is a real error (the last two typed, from internal/checkpoint): silently
+// discarding a ledger the user asked to restore would recompute work behind
+// their back, and the first flush would replace the file.
 //
 // Finished results are keyed by cache key, which already embeds the code
 // version, so entries from an older build can never be served — they just
@@ -96,8 +107,11 @@ func NewCheckpointer(path string, every int, version string) *Checkpointer {
 // they are dropped when the ledger's version differs from ours.
 func (c *Checkpointer) Load() error {
 	raw, err := checkpoint.ReadFile(c.path)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil // no ledger yet; start empty
+	}
+	if err != nil {
+		return err
 	}
 	sweep, err := checkpoint.DecodeSweep(raw)
 	if err != nil {

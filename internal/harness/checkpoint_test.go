@@ -202,6 +202,12 @@ func TestCheckpointerLoadMissingAndCorrupt(t *testing.T) {
 	if err := ck2.Load(); err == nil {
 		t.Fatal("corrupt ledger must error, not silently restart the sweep")
 	}
+	// A ledger that exists but cannot be read (here: a directory) is not a
+	// missing one.
+	ck3 := NewCheckpointer(dir, 1, "v")
+	if err := ck3.Load(); err == nil {
+		t.Fatal("unreadable ledger must error, not silently restart the sweep")
+	}
 }
 
 // errSimulatedKill stands in for the process dying mid-sweep.

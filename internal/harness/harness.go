@@ -43,10 +43,8 @@ type Remote interface {
 	// RunTask executes the named task of the suite. key is the
 	// coordinator's cache key for the task — the remote side recomputes it
 	// and a mismatch means the two processes disagree about the task's
-	// identity (version or config skew). phased reports whether the task
-	// checkpoints at cut boundaries, i.e. whether migration snapshots may
-	// flow back mid-run.
-	RunTask(suite, name, key string, seed int64, phased bool) (json.RawMessage, error)
+	// identity (version or config skew).
+	RunTask(suite, name, key string) (json.RawMessage, error)
 }
 
 // Options configures an Engine.
@@ -120,6 +118,9 @@ func New(opts Options) *Engine {
 	}
 	if e.reporter == nil {
 		e.reporter = nopReporter{}
+	}
+	if e.ckpt == nil {
+		e.ckpt = nopLedger{}
 	}
 	if opts.CacheDir != "" {
 		e.cache = OpenCache(opts.CacheDir)

@@ -102,7 +102,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 			switch {
 			case e.cache.Get(key, &results[i]):
 				rec.CacheHit = true
-			case e.ledgerLookup(key, &results[i]):
+			case e.ckpt.Lookup(key, &results[i]):
 				// A finished result from a previous (killed) run of this
 				// sweep; the ledger key embeds version+config+seed exactly
 				// like the cache, so serving it is as safe as a cache hit.
@@ -113,7 +113,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				// detection, and cut migration; what comes back is the
 				// worker's canonical-JSON result — the same representation
 				// a cache hit would be served from.
-				raw, rerr := e.remote.RunTask(suite, name, key, seed, t.RunPhased != nil)
+				raw, rerr := e.remote.RunTask(suite, name, key)
 				if rerr == nil {
 					rerr = json.Unmarshal(raw, &results[i])
 				}
@@ -124,13 +124,13 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				} else {
 					rec.Remote = true
 					e.cache.Put(key, e.version, suite, name, seed, t.Config, results[i])
-					e.ledgerRecord(suite, name, key, results[i])
+					e.ckpt.Record(suite, name, key, results[i])
 				}
 			default:
 				var res R
 				var err error
 				if t.RunPhased != nil {
-					res, err = t.RunPhased(seed, e.ledgerTask(suite, name))
+					res, err = t.RunPhased(seed, e.ckpt.Task(suite, name))
 				} else {
 					res, err = t.Run(seed)
 				}
@@ -141,7 +141,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				} else {
 					results[i] = res
 					e.cache.Put(key, e.version, suite, name, seed, t.Config, res)
-					e.ledgerRecord(suite, name, key, res)
+					e.ckpt.Record(suite, name, key, res)
 					if e.observer != nil {
 						e.observer(suite, name, key, seed, res)
 					}
@@ -221,27 +221,4 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 		}
 	}
 	return results, nil
-}
-
-// ledgerLookup, ledgerRecord, and ledgerTask guard the optional sweep
-// ledger: e.ckpt is an interface now, so the nil-receiver tolerance the
-// *Checkpointer methods provide no longer covers an unset option.
-func (e *Engine) ledgerLookup(key string, out any) bool {
-	if e.ckpt == nil {
-		return false
-	}
-	return e.ckpt.Lookup(key, out)
-}
-
-func (e *Engine) ledgerRecord(suite, name, key string, result any) {
-	if e.ckpt != nil {
-		e.ckpt.Record(suite, name, key, result)
-	}
-}
-
-func (e *Engine) ledgerTask(suite, name string) TaskCheckpoint {
-	if e.ckpt == nil {
-		return nil
-	}
-	return e.ckpt.Task(suite, name)
 }

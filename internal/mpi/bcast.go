@@ -25,7 +25,7 @@ func (a BcastAlg) String() string {
 // Bcast broadcasts data from root to all ranks and returns the payload on
 // every rank (the root gets its own slice back).
 func (c *Comm) Bcast(data []byte, root int) []byte {
-	return c.BcastWith(data, root, c.p.world.cfg.Bcast)
+	return c.BcastWith(data, root, BcastBinomial)
 }
 
 // BcastWith broadcasts with an explicit algorithm.
@@ -124,29 +124,4 @@ func (c *Comm) Gather(data []byte, root int) [][]byte {
 	}
 	c.Send(root, tag, data)
 	return nil
-}
-
-// Allgather collects each rank's fixed-size data everywhere using a ring.
-func (c *Comm) Allgather(data []byte) [][]byte {
-	tag := c.nextTag(kindAllgather)
-	n := c.Size()
-	out := make([][]byte, n)
-	out[c.rank] = data
-	if n == 1 {
-		return out
-	}
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	cur := c.rank
-	for step := 0; step < n-1; step++ {
-		buf := make([]byte, 0, len(out[cur])+8)
-		buf = append(buf, EncodeF64s([]float64{float64(cur)})...)
-		buf = append(buf, out[cur]...)
-		c.Send(right, tag, buf)
-		got := c.Recv(left, tag)
-		src := int(DecodeF64s(got[:8])[0])
-		out[src] = got[8:]
-		cur = src
-	}
-	return out
 }

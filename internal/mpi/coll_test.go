@@ -192,19 +192,26 @@ func TestScatterGather(t *testing.T) {
 	})
 }
 
-func TestAllgather(t *testing.T) {
-	for _, n := range collSizes {
-		n := n
-		t.Run(fmt.Sprintf("p%d", n), func(t *testing.T) {
-			runBox(t, n, 13, func(p *Proc) {
-				all := p.World().Allgather([]byte{byte(p.Rank() * 2)})
-				for i := 0; i < n; i++ {
-					if len(all[i]) != 1 || all[i][0] != byte(i*2) {
-						t.Errorf("rank %d: allgather[%d] = %v", p.Rank(), i, all[i])
-					}
-				}
-			})
-		})
+// Collective tags are -(1+kind) and travel in a snapshot's mailbox keys and
+// order its mailboxes, so a kind must never renumber. Slot 6 was Allgather's
+// and stays empty.
+func TestCollectiveTagKindsPinned(t *testing.T) {
+	for _, k := range []struct {
+		name      string
+		got, want int
+	}{
+		{"kindBarrier", kindBarrier, 0},
+		{"kindBcast", kindBcast, 1},
+		{"kindReduce", kindReduce, 2},
+		{"kindAllreduce", kindAllreduce, 3},
+		{"kindScatter", kindScatter, 4},
+		{"kindGather", kindGather, 5},
+		{"kindSplit", kindSplit, 7},
+		{"kindAlltoall", kindAlltoall, 8},
+	} {
+		if k.got != k.want {
+			t.Errorf("%s = %d, want %d", k.name, k.got, k.want)
+		}
 	}
 }
 

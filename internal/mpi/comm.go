@@ -46,10 +46,9 @@ const (
 	kindAllreduce
 	kindScatter
 	kindGather
-	kindAllgather
+	_ // 6 was Allgather; the slot stays so kindSplit and kindAlltoall keep their tags
 	kindSplit
 	kindAlltoall
-	numKinds
 )
 
 // nextTag advances the collective sequence and returns the internal tag
@@ -97,7 +96,7 @@ func (p *Proc) commID(parent, seq, color int) int {
 
 // Split partitions the communicator by color, ordering each group by
 // (key, old rank), like MPI_Comm_split. Ranks passing ColorUndefined get a
-// nil communicator. The exchange is implemented as an Allgather of
+// nil communicator. The exchange is implemented as a ring allgather of
 // (color, key) pairs, so it costs simulated time — the paper deliberately
 // includes communicator creation in the hierarchical sync duration.
 func (c *Comm) Split(color, key int) *Comm {
@@ -187,7 +186,7 @@ func (c *Comm) checkRoot(root int) {
 // every rank evaluates the same static crash schedule locally, so all
 // members agree on the survivor set without exchanging a byte — the
 // idealized equivalent of a perfect failure detector plus ULFM's
-// MPI_Comm_shrink. Timeouts (RecvTimeout, SendRetry) still matter: the
+// MPI_Comm_shrink. Timeouts (RecvTimeout, RecvF64Timeout) still matter: the
 // oracle says who will die eventually, but a peer can die mid-exchange.
 
 // DeadNow reports whether comm rank r is crashed at the current true time.
@@ -210,18 +209,6 @@ func (c *Comm) Survivors() []int {
 		}
 	}
 	return s
-}
-
-// LowestSurvivor returns the smallest comm rank with no scheduled crash, or
-// -1 if every rank is doomed. The fault-tolerant sync re-elects it as the
-// reference when the original reference crashes.
-func (c *Comm) LowestSurvivor() int {
-	for r := range c.ranks {
-		if !c.Doomed(r) {
-			return r
-		}
-	}
-	return -1
 }
 
 // ShrinkSurvivors returns a communicator containing only the survivor ranks

@@ -27,9 +27,8 @@ type Session struct {
 	world   *World
 }
 
-// NewSession builds a fresh checkpointable job from cfg, exactly as Run
-// would (same machine construction, same kernel seed), but without spawning
-// anything yet.
+// NewSession builds a fresh checkpointable job from cfg — the machine from
+// cfg.Spec, the kernel seeded cfg.Seed+1 — without spawning anything yet.
 func NewSession(cfg Config) (*Session, error) {
 	m, err := cluster.NewMachine(cfg.Spec, cfg.NProcs, cfg.Mapping, cfg.Seed)
 	if err != nil {

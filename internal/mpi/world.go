@@ -2,12 +2,15 @@
 // discrete-event simulator (internal/sim) and the machine model
 // (internal/cluster).
 //
-// It supplies exactly the MPI surface the paper's algorithms need: blocking
-// standard and synchronous sends, blocking receives with (source, tag)
-// matching and non-overtaking delivery, communicators with Split (including
-// the MPI_COMM_TYPE_SHARED split used by the hierarchical synchronization),
-// and the collectives MPI_Barrier, MPI_Bcast, MPI_Scatter, MPI_Gather,
-// MPI_Allgather, MPI_Reduce, and MPI_Allreduce — each with a choice of
+// It supplies exactly the MPI surface the paper's algorithms and benchmarks
+// need: blocking standard and synchronous sends (Send, SendN, Ssend and their
+// F64 forms), blocking receives with (source, tag) matching and
+// non-overtaking delivery (Recv, RecvF64) plus their timed forms for the
+// fault-tolerant paths (RecvTimeout, RecvF64Timeout), communicators with
+// Split (including the MPI_COMM_TYPE_SHARED split used by the hierarchical
+// synchronization) and ShrinkSurvivors, and the collectives MPI_Barrier,
+// MPI_Bcast, MPI_Scatter, MPI_Gather, MPI_Reduce, MPI_Allreduce and
+// MPI_Alltoall — Barrier, Bcast, Allreduce and Alltoall each with a choice of
 // algorithms mirroring Open MPI's tuned collective module (linear, binomial
 // tree, recursive doubling, dissemination/"bruck", double ring, …).
 //
@@ -57,7 +60,6 @@ type Config struct {
 	// Default collective algorithms (zero values pick sensible defaults).
 	Barrier   BarrierAlg
 	Allreduce AllreduceAlg
-	Bcast     BcastAlg
 	// Faults optionally injects message and rank faults into the job. A
 	// nil injector (the default) leaves the job byte-identical to a build
 	// without fault support: the fault hooks draw no random numbers and
@@ -161,14 +163,13 @@ func (p *Proc) Local(key any, mk func() any) any {
 }
 
 // Run builds a machine from cfg, spawns cfg.NProcs ranks each executing
-// main, and runs the simulation to completion.
+// main, and runs the simulation to completion: a one-phase Session.
 func Run(cfg Config, main func(p *Proc)) error {
-	m, err := cluster.NewMachine(cfg.Spec, cfg.NProcs, cfg.Mapping, cfg.Seed)
+	s, err := NewSession(cfg)
 	if err != nil {
 		return err
 	}
-	env := sim.NewEnv(cfg.Seed + 1)
-	return RunOn(env, m, cfg, main)
+	return s.RunPhase(main)
 }
 
 // RunOn runs an MPI job on a pre-built environment and machine. It allows a

@@ -184,8 +184,9 @@ func (p *Proc) Now() float64 { return p.env.now }
 
 // Spawn creates a new fiber process running fn and schedules it to start at
 // the current virtual time. It returns immediately; fn runs during Run.
-// Each fiber costs a goroutine (and its stack); populations beyond a few
-// tens of thousands of procs should use SpawnSteps instead.
+// Each fiber is a coroutine resumed on the dispatch loop's goroutine and costs
+// its own stack; populations beyond a few tens of thousands of procs should
+// use SpawnSteps instead.
 func (e *Env) Spawn(fn func(p *Proc)) *Proc {
 	p := &Proc{id: e.spawned, env: e}
 	e.spawned++

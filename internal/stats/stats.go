@@ -69,20 +69,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// MaxAbs returns the maximum absolute value in xs, or NaN for empty input.
-func MaxAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var m float64
-	for _, x := range xs {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Median returns the median of xs (average of the two middle elements for
 // even lengths), or NaN for empty input. xs is not modified.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }

@@ -61,10 +61,10 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMinMaxAbs(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{-3, 1, 2}
-	if Min(xs) != -3 || Max(xs) != 2 || MaxAbs(xs) != 3 {
-		t.Errorf("Min/Max/MaxAbs = %v/%v/%v", Min(xs), Max(xs), MaxAbs(xs))
+	if Min(xs) != -3 || Max(xs) != 2 {
+		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
 	}
 }
 

@@ -31,10 +31,3 @@ func (ip Interpolation) Correct(local float64) float64 {
 	off := ip.Begin.Offset + frac*(ip.End.Offset-ip.Begin.Offset)
 	return local - off
 }
-
-// CorrectSpan applies the correction to both endpoints of a span.
-func (ip Interpolation) CorrectSpan(s Span) Span {
-	s.Start = ip.Correct(s.Start)
-	s.End = ip.Correct(s.End)
-	return s
-}

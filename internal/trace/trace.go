@@ -42,10 +42,6 @@ func New(p *mpi.Proc, clk clock.Clock) *Tracer {
 	return &Tracer{clk: clk, p: p}
 }
 
-// SetClock swaps the timestamping clock — used by tracers that
-// re-synchronize periodically during a long run.
-func (t *Tracer) SetClock(clk clock.Clock) { t.clk = clk }
-
 // Trace runs f, recording a span named name for iteration iter.
 func (t *Tracer) Trace(name string, iter int, f func()) {
 	trueStart := t.p.TrueNow()
