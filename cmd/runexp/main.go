@@ -67,6 +67,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -124,7 +125,29 @@ func suiteByName(table []experiments.Suite, name string) (experiments.Suite, boo
 	return experiments.Suite{}, false
 }
 
+// usageError is a bad command line: main exits 2 on one, 1 on any other
+// failure.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
+// main only turns run's error into a message and an exit code, so run's
+// deferred profile writers have finished by the time the process exits.
 func main() {
+	err := run()
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "runexp:", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+func run() (err error) {
 	suites := flag.String("suite", "", "comma-separated suite names, or \"all\"")
 	scale := flag.String("scale", "default", "default, tiny, or smoke (tiny everywhere except the scale suite, which keeps fig6 at full rank count)")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "simulations to run concurrently")
@@ -143,22 +166,18 @@ func main() {
 
 	if *workerMode {
 		if *fabricN > 0 {
-			fmt.Fprintln(os.Stderr, "runexp: -worker and -fabric are mutually exclusive")
-			os.Exit(2)
+			return usagef("-worker and -fabric are mutually exclusive")
 		}
-		if err := runWorker(); err != nil {
-			fail(err)
-		}
-		return
+		return runWorker()
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -167,14 +186,12 @@ func main() {
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
+			werr := writeFile(*memprofile, func(w io.Writer) error {
+				runtime.GC()
+				return pprof.WriteHeapProfile(w)
+			})
+			if err == nil {
+				err = werr
 			}
 		}()
 	}
@@ -182,19 +199,16 @@ func main() {
 	switch *scale {
 	case "default", "tiny", "smoke":
 	default:
-		fmt.Fprintf(os.Stderr, "runexp: unknown -scale %q (default, tiny, or smoke)\n", *scale)
-		os.Exit(2)
+		return usagef("unknown -scale %q (default, tiny, or smoke)", *scale)
 	}
 	if *restore != "" && *ckptPath != "" && *restore != *ckptPath {
-		fmt.Fprintln(os.Stderr, "runexp: -restore and -checkpoint must name the same ledger file")
-		os.Exit(2)
+		return usagef("-restore and -checkpoint must name the same ledger file")
 	}
 	if *ckptPath != "" && *restore == "" {
 		// Without -restore the ledger starts empty and the first flush
 		// replaces the file: never do that to one holding a sweep's progress.
 		if fi, err := os.Stat(*ckptPath); err == nil && fi.Size() > 0 {
-			fmt.Fprintf(os.Stderr, "runexp: -checkpoint %s: ledger already exists; resume it with -restore %s, or remove it to start over\n", *ckptPath, *ckptPath)
-			os.Exit(2)
+			return usagef("-checkpoint %s: ledger already exists; resume it with -restore %s, or remove it to start over", *ckptPath, *ckptPath)
 		}
 	}
 	if *ckptPath == "" {
@@ -205,20 +219,18 @@ func main() {
 		for _, s := range table {
 			fmt.Printf("%-12s %s\n", s.Name, s.Title)
 		}
-		return
+		return nil
 	}
 	if *suites == "" {
-		fmt.Fprintln(os.Stderr, "runexp: -suite is required (try -list)")
-		os.Exit(2)
+		return usagef("-suite is required (try -list)")
 	}
 	selected, err := parseSuites(*suites, table)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "runexp:", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
-			fail(err)
+			return err
 		}
 	}
 
@@ -233,7 +245,7 @@ func main() {
 		ckpt = harness.NewCheckpointer(*ckptPath, 1, "")
 		if *restore != "" {
 			if err := ckpt.Load(); err != nil {
-				fail(fmt.Errorf("restoring %s: %w", *restore, err))
+				return fmt.Errorf("restoring %s: %w", *restore, err)
 			}
 		}
 		opts.Checkpoint = ckpt
@@ -242,7 +254,7 @@ func main() {
 	if *fabricN > 0 {
 		exe, err := os.Executable()
 		if err != nil {
-			fail(fmt.Errorf("locating own executable for -fabric workers: %w", err))
+			return fmt.Errorf("locating own executable for -fabric workers: %w", err)
 		}
 		pcfg := fabric.Config{
 			Workers:    *fabricN,
@@ -263,7 +275,7 @@ func main() {
 		}
 		pool, err = fabric.NewPool(pcfg)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer pool.Close()
 		opts.Remote = pool
@@ -284,7 +296,7 @@ func main() {
 		}
 		res, err := s.Run(eng, runOpts)
 		if err != nil {
-			fail(fmt.Errorf("%s: %w", s.Name, err))
+			return fmt.Errorf("%s: %w", s.Name, err)
 		}
 		fmt.Printf("\n==================== %s ====================\n", s.Title)
 		res.Print(os.Stdout)
@@ -295,7 +307,7 @@ func main() {
 			}}
 			for _, a := range append([]experiments.Artifact{section}, res.Artifacts...) {
 				if err := writeFile(filepath.Join(*outdir, a.File), a.Write); err != nil {
-					fail(err)
+					return err
 				}
 			}
 		}
@@ -303,7 +315,7 @@ func main() {
 
 	if ckpt != nil {
 		if err := ckpt.Flush(); err != nil {
-			fail(fmt.Errorf("flushing checkpoint: %w", err))
+			return fmt.Errorf("flushing checkpoint: %w", err)
 		}
 	}
 
@@ -316,13 +328,14 @@ func main() {
 	}
 	if *outdir != "" {
 		if err := m.Write(filepath.Join(*outdir, "manifest.json")); err != nil {
-			fail(err)
+			return err
 		}
 	}
 	// On stderr, like every timing line: stdout must stay byte-comparable
 	// across runs and job counts.
 	fmt.Fprintf(os.Stderr, "\nrunexp: %d sims in %v, %d served from cache (%.0f%% hit rate)\n",
 		m.Sims, time.Since(start).Round(time.Millisecond), m.CacheHits, 100*m.HitRate()) //synclint:wallclock -- progress message on stderr only
+	return nil
 }
 
 // runWorker is the child-process side of -fabric: it serves fabric jobs
@@ -396,9 +409,4 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "runexp:", err)
-	os.Exit(1)
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -130,6 +132,33 @@ func TestBadSuiteListsExitTwo(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig2.txt")); err == nil {
 		t.Error("a rejected command line still ran fig2")
+	}
+}
+
+// A failing run is the one worth profiling: exit 1 must come after the
+// deferred profile writers, not instead of them.
+func TestFailingRunKeepsItsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	// A ledger path that is a directory cannot be read: -restore fails.
+	if _, exit := runexp(t, "-suite", "fig3", "-scale", "tiny", "-cache", "", "-quiet",
+		"-cpuprofile", cpu, "-memprofile", mem, "-restore", dir); exit != 1 {
+		t.Fatalf("exit %d, want 1", exit)
+	}
+	for _, path := range []string{cpu, mem} {
+		// A pprof profile is a gzip-compressed protobuf message.
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if raw, err := io.ReadAll(zr); err != nil || len(raw) == 0 {
+			t.Errorf("%s: %d profile bytes, err %v", filepath.Base(path), len(raw), err)
+		}
+		f.Close()
 	}
 }
 

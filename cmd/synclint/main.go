@@ -4,8 +4,8 @@
 // suite can only falsify after the fact — deterministic, byte-identical
 // outputs (nondeterm, seedflow), the allocation-free sim/MPI hot path
 // (allocfree), silent discards of fallible MPI results (mpierr), the
-// field-coverage family (snapfields for checkpoint codecs, cachekey for
-// cache-key hygiene, guardedby for lock discipline) — plus the
+// field-coverage family (cachekey for cache-key hygiene, guardedby for lock
+// discipline) — plus the
 // //synclint: annotation grammar itself (synclintdir).
 //
 // Usage:

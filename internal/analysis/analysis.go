@@ -34,9 +34,9 @@ type Analyzer struct {
 	// RunProgram applies the analyzer to the whole loaded package set at
 	// once. The field-coverage analyzers need this shape: the struct
 	// declarations and their //synclint: annotations live in the owning
-	// packages while the codec or call sites that discharge the
-	// obligation live elsewhere, so no single-package view can decide
-	// whether a field is covered.
+	// packages while the call sites that discharge the obligation live
+	// elsewhere, so no single-package view can decide whether a field is
+	// covered.
 	RunProgram func(*ProgramPass) error
 }
 

@@ -27,8 +27,7 @@ import (
 //
 // Placement: trailing on the guarded line, or alone on the line directly
 // above it. The function-scope directive (allocfree) goes in the function's
-// doc comment; the type-scope directive (snapshot) goes in the struct
-// type's doc comment.
+// doc comment.
 
 // Known directive names and which analyzers consume them.
 const (
@@ -52,15 +51,6 @@ const (
 	// DirChecked permits an audited discard of an mpi send/recv result.
 	// Requires a reason. Line scope.
 	DirChecked = "checked"
-	// DirSnapshot marks a struct type as a checkpoint state root: the
-	// snapfields analyzer requires every field of every struct reachable
-	// from it to be wired through an encode*/decode* codec pair. Type
-	// scope (the struct's doc comment).
-	DirSnapshot = "snapshot"
-	// DirNosnap exempts one struct field from snapshot coverage (derived
-	// state, config re-supplied on resume, ...). Requires a reason. Line
-	// scope (the field declaration).
-	DirNosnap = "nosnap"
 	// DirExeconly marks a cache-key config field as an execution-only
 	// knob: tagged json:"-" so it never reaches a key, with the reason
 	// recording why results cannot depend on it. Requires a reason. Line
@@ -91,8 +81,6 @@ var knownDirectives = map[string]bool{
 	DirWallclock: true,
 	DirSeedok:    true,
 	DirChecked:   true,
-	DirSnapshot:  false,
-	DirNosnap:    true,
 	DirExeconly:  true,
 	DirZerokey:   true,
 	DirGuardedby: false, // takes an argument instead; reason optional
@@ -157,7 +145,7 @@ func ParseDirective(raw string) (d Directive, ok bool, err error) {
 		}
 	}
 	if _, known := knownDirectives[name]; !known {
-		return Directive{}, false, fmt.Errorf("unknown synclint directive %q (known: allocfree, alloc, ordered, wallclock, seedok, checked, snapshot, nosnap, execonly, zerokey, guardedby, unguarded)", name)
+		return Directive{}, false, fmt.Errorf("unknown synclint directive %q (known: allocfree, alloc, ordered, wallclock, seedok, checked, execonly, zerokey, guardedby, unguarded)", name)
 	}
 	arg := ""
 	if argDirectives[name] {
@@ -301,21 +289,6 @@ func (ix *DirIndex) Count(into map[string]int) {
 			into[d.Name]++
 		}
 	}
-}
-
-// DocDirective reports whether a declaration doc comment carries the named
-// directive — the lookup FuncDirective does for functions, shared with
-// type declarations (//synclint:snapshot roots).
-func DocDirective(doc *ast.CommentGroup, name string) (Directive, bool) {
-	if doc == nil {
-		return Directive{}, false
-	}
-	for _, c := range doc.List {
-		if d, ok, _ := ParseDirective(c.Text); ok && d.Name == name {
-			return d, true
-		}
-	}
-	return Directive{}, false
 }
 
 // FuncDirective reports whether fn's doc comment carries the named

@@ -21,8 +21,6 @@ func TestParseDirective(t *testing.T) {
 		{raw: "//synclint:alloc -- pool warm-up", want: Directive{Name: "alloc", Reason: "pool warm-up"}, ok: true},
 		{raw: "//synclint:seedok -- audited stream", want: Directive{Name: "seedok", Reason: "audited stream"}, ok: true},
 		{raw: "//synclint:checked -- best effort", want: Directive{Name: "checked", Reason: "best effort"}, ok: true},
-		{raw: "//synclint:snapshot", want: Directive{Name: "snapshot"}, ok: true},
-		{raw: "//synclint:nosnap -- derived at restore", want: Directive{Name: "nosnap", Reason: "derived at restore"}, ok: true},
 		{raw: "//synclint:execonly -- parallelism knob", want: Directive{Name: "execonly", Reason: "parallelism knob"}, ok: true},
 		{raw: "//synclint:zerokey -- zero means full run", want: Directive{Name: "zerokey", Reason: "zero means full run"}, ok: true},
 		{raw: "//synclint:unguarded -- construction", want: Directive{Name: "unguarded", Reason: "construction"}, ok: true},
@@ -55,7 +53,6 @@ func TestParseDirective(t *testing.T) {
 		{raw: "//synclint:wallclock", wantErr: "requires a reason"},
 		{raw: "//synclint:seedok", wantErr: "requires a reason"},
 		{raw: "//synclint:checked", wantErr: "requires a reason"},
-		{raw: "//synclint:nosnap", wantErr: "requires a reason"},
 		{raw: "//synclint:execonly", wantErr: "requires a reason"},
 		{raw: "//synclint:zerokey", wantErr: "requires a reason"},
 		{raw: "//synclint:unguarded", wantErr: "requires a reason"},
@@ -92,10 +89,9 @@ func TestDirectiveRoundTrip(t *testing.T) {
 	for _, d := range []Directive{
 		{Name: "allocfree"},
 		{Name: "ordered", Reason: "keys sorted"},
-		{Name: "snapshot"},
 		{Name: "guardedby", Arg: "failMu"},
 		{Name: "guardedby", Arg: "mu", Reason: "lease state"},
-		{Name: "nosnap", Reason: "derived at restore"},
+		{Name: "execonly", Reason: "parallelism knob"},
 	} {
 		got, ok, err := ParseDirective(d.String())
 		if err != nil || !ok || got != d {
@@ -197,12 +193,12 @@ func FuzzParseDirective(f *testing.F) {
 		"//go:noinline",
 		"//synclint:ordered\t--\treason with tabs",
 		"//synclint:ordered -- reason -- with -- separators",
-		"//synclint:snapshot",
+		"//synclint:unguarded -- construction",
 		"//synclint:guardedby failMu",
 		"//synclint:guardedby mu -- lease state",
 		"//synclint:guardedby",
 		"//synclint:guardedby 2mu",
-		"//synclint:nosnap -- derived at restore",
+		"//synclint:execonly -- parallelism knob",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -2,7 +2,7 @@ package analysis
 
 // Field paths
 //
-// The field-coverage analyzers (snapfields, cachekey) relate declarations
+// The field-coverage analyzers (cachekey, guardedby) relate declarations
 // in one package to uses in another — and, under parallel loading, across
 // separate type-checker universes where go/types object identity does not
 // hold. A FieldRef is the universe-independent name of a struct field:

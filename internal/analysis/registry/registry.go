@@ -11,7 +11,6 @@ import (
 	"hclocksync/internal/analysis/mpierr"
 	"hclocksync/internal/analysis/nondeterm"
 	"hclocksync/internal/analysis/seedflow"
-	"hclocksync/internal/analysis/snapfields"
 )
 
 // All returns the full analyzer suite in reporting order.
@@ -22,7 +21,6 @@ func All() []*analysis.Analyzer {
 		seedflow.Analyzer,
 		allocfree.Analyzer,
 		mpierr.Analyzer,
-		snapfields.Analyzer,
 		cachekey.Analyzer,
 		guardedby.Analyzer,
 	}

@@ -12,17 +12,15 @@ import (
 // The field-coverage analyzers both start from the same question: "which
 // named struct types exist in the loaded packages, where are their
 // fields declared, and what do the field types refer to?" StructIndex
-// answers it from the AST side — field positions, doc comments, and tags
-// come from the declaration, which is the only place an escape directive
-// can legally sit — with the type checker consulted only to resolve a
-// field's type expression to the named struct it mentions.
+// answers it from the AST side — field positions and tags come from the
+// declaration, which is the only place an escape directive can legally
+// sit — with the type checker consulted only to resolve a field's type
+// expression to the named struct it mentions.
 
 // StructDecl is one named struct type declaration in a loaded package.
 type StructDecl struct {
 	Pkg    *Package
 	Name   string
-	Spec   *ast.TypeSpec
-	Doc    *ast.CommentGroup // the TypeSpec doc, or the enclosing GenDecl doc
 	Fields []FieldDecl
 
 	fieldLines map[int]bool // lazily built by FieldDirective
@@ -96,11 +94,7 @@ func BuildStructIndex(pkgs []*Package) StructIndex {
 					if !ok {
 						continue
 					}
-					doc := ts.Doc
-					if doc == nil {
-						doc = gd.Doc
-					}
-					sd := &StructDecl{Pkg: pkg, Name: ts.Name.Name, Spec: ts, Doc: doc}
+					sd := &StructDecl{Pkg: pkg, Name: ts.Name.Name}
 					for _, fld := range st.Fields.List {
 						tag := ""
 						if fld.Tag != nil {
@@ -154,11 +148,7 @@ func NamedStructRef(pkg *Package, e ast.Expr) (FieldRef, bool) {
 	if !ok {
 		return FieldRef{}, false
 	}
-	return NamedStructOf(tv.Type)
-}
-
-// NamedStructOf is NamedStructRef on an already-resolved type.
-func NamedStructOf(t types.Type) (FieldRef, bool) {
+	t := tv.Type
 	for {
 		switch u := t.(type) {
 		case *types.Pointer:

@@ -15,10 +15,12 @@
 //
 // The container is magic(8) | version(u32) | kind(u8) | length(u64) |
 // payload | crc32(u32), everything little-endian, the CRC covering all
-// preceding bytes. Encoding is deterministic: equal states serialize to
-// equal bytes (map-backed state is sorted before it gets here), which is
-// what lets golden SHA-256 hashes prove a checkpoint-resume cycle changed
-// nothing. Decoding is defensive: every read is length-guarded, element
+// preceding bytes. The payload is one reflective walk over the state's
+// declared fields (walk.go), so a new state field needs no codec line.
+// Encoding is deterministic: equal states serialize to equal bytes
+// (map-backed state is sorted before it gets here), which is what lets
+// golden SHA-256 hashes prove a checkpoint-resume cycle changed nothing.
+// Decoding is defensive: every read is length-guarded, element
 // counts are validated against the remaining payload before allocation, and
 // all failures are typed errors — never panics — so the decoder can face
 // fuzzers and truncated files on disk.
@@ -29,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
 // magic opens every checkpoint file. The PNG-style framing (high bit set,
@@ -135,20 +136,7 @@ type enc struct {
 	b []byte
 }
 
-func (e *enc) u8(v byte)      { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32)   { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)   { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)    { e.u64(uint64(v)) }
-func (e *enc) count(n int)    { e.u64(uint64(n)) }
-func (e *enc) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *enc) bytes(v []byte) { e.count(len(v)); e.b = append(e.b, v...) }
-func (e *enc) str(v string)   { e.count(len(v)); e.b = append(e.b, v...) }
-func (e *enc) f64s(v []float64) {
-	e.count(len(v))
-	for _, x := range v {
-		e.f64(x)
-	}
-}
+func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 
 // dec is the guarded payload reader. The first failure sticks: every later
 // read returns zero values, and the caller checks err once at the end (or
@@ -165,38 +153,34 @@ func (d *dec) fail(err error) {
 	}
 }
 
-// need reserves n bytes, failing with ErrTruncated if the payload is short.
-func (d *dec) need(n int) bool {
+// take returns the next n bytes as a view into the payload (the caller
+// copies), or nil, failing with ErrTruncated, if the payload is short.
+func (d *dec) take(n int) []byte {
 	if d.err != nil {
-		return false
+		return nil
 	}
 	if n < 0 || len(d.b)-d.off < n {
 		d.fail(ErrTruncated)
-		return false
+		return nil
 	}
-	return true
+	v := d.b[d.off : d.off+n]
+	d.off += n
+	return v
 }
 
 func (d *dec) u8() byte {
-	if !d.need(1) {
-		return 0
+	if b := d.take(1); b != nil {
+		return b[0]
 	}
-	v := d.b[d.off]
-	d.off++
-	return v
+	return 0
 }
 
 func (d *dec) u64() uint64 {
-	if !d.need(8) {
-		return 0
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
+	return 0
 }
-
-func (d *dec) i64() int64   { return int64(d.u64()) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
 // count reads an element-count prefix and validates it against the bytes
 // remaining, given a minimum encoded size per element — the guard that
@@ -214,38 +198,6 @@ func (d *dec) count(elemSize int) int {
 		return 0
 	}
 	return int(n)
-}
-
-func (d *dec) bytes() []byte {
-	n := d.count(1)
-	if n == 0 || !d.need(n) {
-		return nil
-	}
-	v := append([]byte(nil), d.b[d.off:d.off+n]...)
-	d.off += n
-	return v
-}
-
-func (d *dec) str() string {
-	n := d.count(1)
-	if n == 0 || !d.need(n) {
-		return ""
-	}
-	v := string(d.b[d.off : d.off+n])
-	d.off += n
-	return v
-}
-
-func (d *dec) f64s() []float64 {
-	n := d.count(8)
-	if n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.f64()
-	}
-	return v
 }
 
 // finish reports the sticky error, or a CorruptError if undecoded bytes

@@ -1,14 +1,12 @@
 package checkpoint
 
-// Sweep payload codec: a harness sweep's resumable progress. Completed
+// Sweep payload: a harness sweep's resumable progress. Completed
 // tasks carry their canonical-JSON results keyed by harness cache key;
 // tasks interrupted mid-job carry their latest sealed session snapshot.
 // The harness sorts both lists before encoding, so a sweep file is as
 // deterministic as a session one.
 
 // Sweep is a sweep checkpoint's content.
-//
-//synclint:snapshot
 type Sweep struct {
 	// Version is the engine's code-version string. A resumer built from
 	// different code ignores the file rather than mix incompatible results.
@@ -35,48 +33,15 @@ type SweepTask struct {
 
 // EncodeSweep serializes s into a sealed container.
 func EncodeSweep(s *Sweep) []byte {
-	var e enc
-	e.str(s.Version)
-	e.count(len(s.Results))
-	for _, r := range s.Results {
-		e.str(r.Key)
-		e.bytes(r.Result)
-	}
-	e.count(len(s.Tasks))
-	for _, t := range s.Tasks {
-		e.str(t.Suite)
-		e.str(t.Name)
-		e.i64(int64(t.Cut))
-		e.bytes(t.Snap)
-	}
-	return seal(KindSweep, e.b)
+	return sealValue(KindSweep, s)
 }
 
 // DecodeSweep parses a sealed container produced by EncodeSweep, with the
 // same typed-errors-never-panics contract as DecodeSession.
 func DecodeSweep(b []byte) (*Sweep, error) {
-	kind, payload, err := open(b)
-	if err != nil {
+	s := new(Sweep)
+	if err := openValue(b, KindSweep, "not a sweep checkpoint", s); err != nil {
 		return nil, err
 	}
-	if kind != KindSweep {
-		return nil, &CorruptError{Field: "kind", Msg: "not a sweep checkpoint"}
-	}
-	d := &dec{b: payload}
-	var s Sweep
-	s.Version = d.str()
-	n := d.count(16)
-	for i := 0; i < n && d.err == nil; i++ {
-		s.Results = append(s.Results, SweepResult{Key: d.str(), Result: d.bytes()})
-	}
-	n = d.count(32)
-	for i := 0; i < n && d.err == nil; i++ {
-		s.Tasks = append(s.Tasks, SweepTask{
-			Suite: d.str(), Name: d.str(), Cut: int(d.i64()), Snap: d.bytes(),
-		})
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return s, nil
 }

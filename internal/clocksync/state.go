@@ -15,8 +15,8 @@ import "hclocksync/internal/clock"
 //
 // It crosses a checkpoint cut as JSON, inside an experiment's cross-phase
 // state (experiments.runPhases), so every exported field here and in
-// clock.LinearModel is carried by construction and there is no hand-written
-// codec for snapfields to audit. Keep the fields exported and untagged: one
+// clock.LinearModel is carried by construction, with no codec to keep in
+// step. Keep the fields exported and untagged: one
 // encoding/json skips would be zeroed by a resume, which only the
 // resume==uninterrupted tests would notice.
 type SyncState struct {

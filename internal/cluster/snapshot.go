@@ -23,8 +23,6 @@ type Disturbance struct {
 }
 
 // ClockState is the accumulated (non-derivable) state of one HWClock.
-//
-//synclint:snapshot
 type ClockState struct {
 	// Segments is the number of wander segments extended so far; each
 	// extension consumed one NormFloat64 from the clock's private RNG.
@@ -66,8 +64,6 @@ func (c *HWClock) RestoreState(st ClockState) error {
 
 // MachineClockState is the accumulated state of every clock on a machine,
 // indexed by clock-domain id, for both time sources.
-//
-//synclint:snapshot
 type MachineClockState struct {
 	Mono []ClockState
 	GTOD []ClockState

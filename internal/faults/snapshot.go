@@ -13,8 +13,6 @@ import (
 
 // InjectorState is the accumulated state of an Injector: the positions of
 // the per-message fault stream and the Byzantine jitter stream.
-//
-//synclint:snapshot
 type InjectorState struct {
 	MsgDraws uint64
 	ByzDraws uint64

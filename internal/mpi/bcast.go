@@ -47,13 +47,15 @@ func (c *Comm) BcastWith(data []byte, root int, alg BcastAlg) []byte {
 		}
 		return c.Recv(root, tag)
 	case BcastBinomial:
-		return c.bcastBinomial(data, root, tag)
+		return c.bcastBinomial(data, root, tag, 0)
 	default:
 		panic(fmt.Sprintf("mpi: unknown bcast algorithm %d", int(alg)))
 	}
 }
 
-func (c *Comm) bcastBinomial(data []byte, root, tag int) []byte {
+// bcastBinomial relays data down the binomial tree rooted at root. Every
+// message's wire size is nbytes or len(data), whichever is larger.
+func (c *Comm) bcastBinomial(data []byte, root, tag, nbytes int) []byte {
 	n := c.Size()
 	vr := (c.rank - root + n) % n
 	if vr == 0 {
@@ -63,7 +65,7 @@ func (c *Comm) bcastBinomial(data []byte, root, tag int) []byte {
 		}
 		for m := top >> 1; m >= 1; m >>= 1 {
 			if m < n {
-				c.Send((m+root)%n, tag, data)
+				c.SendN((m+root)%n, tag, nbytes, data)
 			}
 		}
 		return data
@@ -75,7 +77,7 @@ func (c *Comm) bcastBinomial(data []byte, root, tag int) []byte {
 	data = c.Recv((vr-mask+root)%n, tag)
 	for m := mask >> 1; m >= 1; m >>= 1 {
 		if vr+m < n {
-			c.Send((vr+m+root)%n, tag, data)
+			c.SendN((vr+m+root)%n, tag, nbytes, data)
 		}
 	}
 	return data

@@ -128,41 +128,12 @@ func (c *Comm) AllreduceSized(vals []float64, op Op, nbytes int, alg AllreduceAl
 		}
 		// Reuse the same tag for the broadcast half; distinct pairs or
 		// ordered channels keep matching unambiguous.
-		return DecodeF64s(c.bcastSized(buf, 0, tag, nbytes))
+		return DecodeF64s(c.bcastBinomial(buf, 0, tag, nbytes))
 	case AllreduceRing:
 		return c.allreduceRing(vals, op, tag, nbytes)
 	default:
 		panic(fmt.Sprintf("mpi: unknown allreduce algorithm %d", int(alg)))
 	}
-}
-
-// bcastSized is a binomial bcast with explicit wire size.
-func (c *Comm) bcastSized(data []byte, root, tag, nbytes int) []byte {
-	n := c.Size()
-	vr := (c.rank - root + n) % n
-	if vr == 0 {
-		top := 1
-		for top < n {
-			top <<= 1
-		}
-		for m := top >> 1; m >= 1; m >>= 1 {
-			if m < n {
-				c.p.send(c.id, c.ranks[(m+root)%n], tag, nbytes, data, false)
-			}
-		}
-		return data
-	}
-	mask := 1
-	for vr&mask == 0 {
-		mask <<= 1
-	}
-	data = c.p.recv(c.id, c.ranks[(vr-mask+root)%n], tag)
-	for m := mask >> 1; m >= 1; m >>= 1 {
-		if vr+m < n {
-			c.p.send(c.id, c.ranks[(vr+m+root)%n], tag, nbytes, data, false)
-		}
-	}
-	return data
 }
 
 func (c *Comm) allreduceRecDoubling(vals []float64, op Op, tag, nbytes int) []float64 {

@@ -22,8 +22,6 @@ import (
 // SessionState is the complete state of a Session at a quiescent cut,
 // sufficient to rebuild it byte-identically with ResumeSession given the
 // same Config.
-//
-//synclint:snapshot
 type SessionState struct {
 	Env    sim.EnvState
 	Clocks cluster.MachineClockState
@@ -31,8 +29,6 @@ type SessionState struct {
 }
 
 // WorldState is the accumulated messaging-layer state of one job.
-//
-//synclint:snapshot
 type WorldState struct {
 	// NextComm and Comms reproduce the communicator-id interning table, so
 	// a Split issued after the cut agrees with the uninterrupted run.

@@ -24,8 +24,6 @@ import (
 // time, the event sequence counter (the determinism tie-break), the RNG
 // stream position, and the number of processes ever spawned (so process
 // IDs keep incrementing identically after a resume).
-//
-//synclint:snapshot
 type EnvState struct {
 	Now      float64
 	Seq      int64
