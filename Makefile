@@ -31,11 +31,12 @@ test:
 # time on its own goroutine, and the MPI and fault-tolerant sync layers (and
 # internal/scale's fiber cross-checks) run on them; cluster and stats feed
 # them shared state (disturbed hardware clocks, robust summaries), and
-# checkpoint + detrand snapshot that shared state while engine workers run,
-# so all of them go under the race detector. CI runs this target and `fuzz`,
-# so these two lists are the only ones.
+# checkpoint + detrand snapshot that shared state while engine workers run;
+# fabric is the one package with supervisor goroutines, lease timers and a
+# condition-variable queue. All of them go under the race detector. CI runs
+# this target and `fuzz`, so these two lists are the only ones.
 race:
-	$(GO) test -race ./internal/sim ./internal/scale ./internal/mpi ./internal/harness ./internal/clocksync ./internal/faults ./internal/cluster ./internal/stats ./internal/checkpoint ./internal/detrand
+	$(GO) test -race ./internal/sim ./internal/scale ./internal/mpi ./internal/harness ./internal/clocksync ./internal/faults ./internal/cluster ./internal/stats ./internal/checkpoint ./internal/detrand ./internal/fabric
 
 # Short smoke run of the native fuzz targets (seed corpora always run as
 # part of `make test`; this explores beyond them).

@@ -138,62 +138,39 @@ func BenchmarkFig10Trace(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md §4) ---
 
-func BenchmarkAblationJKOffsetAlg(b *testing.B) {
-	var meanRTT, skampi float64
+// BenchmarkAblations runs the ablations suite at tiny scale and reports each
+// study's two headline numbers.
+func BenchmarkAblations(b *testing.B) {
+	var res *experiments.AblationsResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationJKOffsetAlg(nil, 8, 30, 10, 2)
-		if err != nil {
+		var err error
+		if res, err = experiments.RunAblations(nil, experiments.TinyAblationsConfig()); err != nil {
 			b.Fatal(err)
 		}
-		var ls []string
-		seen := map[string]bool{}
+	}
+	// The two configurations of a study, in the order it compares them.
+	pair := func(res *experiments.SyncAccuracyResult) (first, second string) {
+		first = res.Runs[0].Label
 		for _, row := range res.Runs {
-			if !seen[row.Label] {
-				seen[row.Label] = true
-				ls = append(ls, row.Label)
+			if row.Label != first {
+				return first, row.Label
 			}
 		}
-		_, _, meanRTT = res.MeanFor(ls[0])
-		_, _, skampi = res.MeanFor(ls[1])
+		b.Fatalf("ablation compares only %q", first)
+		return
 	}
-	b.ReportMetric(meanRTT*1e6, "jk_meanRTT_usAtW")
-	b.ReportMetric(skampi*1e6, "jk_skampi_usAtW")
-}
-
-func BenchmarkAblationRecomputeIntercept(b *testing.B) {
-	var without, with float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationRecomputeIntercept(nil, 8, 30, 10, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ls []string
-		seen := map[string]bool{}
-		for _, row := range res.Runs {
-			if !seen[row.Label] {
-				seen[row.Label] = true
-				ls = append(ls, row.Label)
-			}
-		}
-		_, without, _ = res.MeanFor(ls[0])
-		_, with, _ = res.MeanFor(ls[1])
-	}
-	b.ReportMetric(without*1e6, "plain_usAt0")
-	b.ReportMetric(with*1e6, "recompute_usAt0")
-}
-
-func BenchmarkAblationWander(b *testing.B) {
-	var on, off float64
-	for i := 0; i < b.N; i++ {
-		w1, w0, err := experiments.AblationWander(nil, 5, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		on = experiments.MeanFullR2(w1)
-		off = experiments.MeanFullR2(w0)
-	}
-	b.ReportMetric(on, "R2_wanderOn")
-	b.ReportMetric(off, "R2_wanderOff")
+	meanRTT, skampi := pair(res.JKOffset)
+	_, _, atW := res.JKOffset.MeanFor(meanRTT)
+	b.ReportMetric(atW*1e6, "jk_meanRTT_usAtW")
+	_, _, atW = res.JKOffset.MeanFor(skampi)
+	b.ReportMetric(atW*1e6, "jk_skampi_usAtW")
+	without, with := pair(res.RecomputeIntercept)
+	_, at0, _ := res.RecomputeIntercept.MeanFor(without)
+	b.ReportMetric(at0*1e6, "plain_usAt0")
+	_, at0, _ = res.RecomputeIntercept.MeanFor(with)
+	b.ReportMetric(at0*1e6, "recompute_usAt0")
+	b.ReportMetric(experiments.MeanFullR2(res.WanderOn), "R2_wanderOn")
+	b.ReportMetric(experiments.MeanFullR2(res.WanderOff), "R2_wanderOff")
 }
 
 // --- Substrate micro-benchmarks: cost of the building blocks ---

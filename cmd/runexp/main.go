@@ -340,19 +340,14 @@ func run() (err error) {
 
 // runWorker is the child-process side of -fabric: it serves fabric jobs
 // on stdin/stdout until the coordinator closes the pipe. Each job re-runs
-// the suite-table row named in the request with a single-job engine whose
-// filter skips every task but the requested one — so the task's config and
-// seed are rebuilt from the same first principles as in the coordinator —
-// and whose observer captures that task's canonical-JSON result. The
-// streaming ledger handed in by ServeWorker replays any migrated resume
-// snapshot into the task and relays its cut saves back over the wire.
-//
-// A row may submit the same (suite, task) more than once under different
-// configs — ablations runs fig2/drift with skew wander on and off — so the
-// task is selected on the request's cache key as well: same-named tasks run
-// in submission order until one's key matches, and that one is returned.
-// When none matches (code-version or config skew between the processes) the
-// first is returned, and ServeWorker's key check rejects it by name.
+// the suite-table row named in the request on a single-job engine restricted
+// (harness.Options.Only) to the requested task — so the task's config and
+// seed are rebuilt from the same first principles as in the coordinator, and
+// of several tasks a row submits under one name (ablations runs fig2/drift
+// with skew wander on and off) only the one with the request's cache key
+// simulates. The streaming ledger handed in by ServeWorker replays any
+// migrated resume snapshot into the task and relays its cut saves back over
+// the wire.
 func runWorker() error {
 	table := experiments.Suites()
 	return fabric.ServeWorker(os.Stdin, os.Stdout, fabric.WorkerOptions{}, func(req fabric.JobRequest, ledger harness.Ledger) (string, json.RawMessage, error) {
@@ -360,41 +355,19 @@ func runWorker() error {
 		if !ok {
 			return "", nil, fmt.Errorf("unknown suite-table row %q", req.Entry)
 		}
-		var (
-			key   string
-			raw   json.RawMessage
-			found bool
-			merr  error
-		)
 		eng := harness.New(harness.Options{
 			Jobs:       1,
 			Checkpoint: ledger,
-			Filter: func(suite, name string) bool {
-				return suite == req.Suite && name == req.Task && !(found && key == req.Key)
-			},
-			Observer: func(suite, name, k string, seed int64, result any) {
-				if found && k != req.Key {
-					return // keep the first of the same-named tasks
-				}
-				b, err := json.Marshal(result)
-				if err != nil {
-					merr = fmt.Errorf("marshaling %s/%s result: %w", suite, name, err)
-					return
-				}
-				key, raw, found = k, b, true
-			},
+			Only:       harness.TaskRef{Suite: req.Suite, Name: req.Task, Key: req.Key},
 		})
-		opts := experiments.Options{Scale: experiments.Scale(req.Scale), Seed: req.Seed}
-		if _, err := row.Run(eng, opts); err != nil {
+		if _, err := row.Run(eng, experiments.Options{Scale: experiments.Scale(req.Scale), Seed: req.Seed}); err != nil {
 			return "", nil, err
 		}
-		if merr != nil {
-			return "", nil, merr
+		raw, err := eng.Selected()
+		if err != nil {
+			return "", nil, fmt.Errorf("entry %q: %w", req.Entry, err)
 		}
-		if !found {
-			return "", nil, fmt.Errorf("task %s/%s not in entry %q's decomposition", req.Suite, req.Task, req.Entry)
-		}
-		return key, raw, nil
+		return req.Key, raw, nil
 	})
 }
 

@@ -48,25 +48,33 @@ const AllreduceRegion = "MPI_Allreduce"
 // may timestamp with any clock). It returns the residual-style value of the
 // final Allreduce so the computation cannot be optimized away conceptually.
 func Run(p *mpi.Proc, cfg Config, tr *trace.Tracer) float64 {
+	var res float64
+	for it := 0; it < cfg.withDefaults().Iters; it++ {
+		res = Iteration(p, cfg, tr, it)
+	}
+	return res
+}
+
+// Iteration executes solver iteration it of the proxy on rank p — what Run
+// loops over, exported for callers that interleave other work between
+// iterations (cfg.Iters is not consulted) — and returns its Allreduce value.
+func Iteration(p *mpi.Proc, cfg Config, tr *trace.Tracer, it int) float64 {
 	cfg = cfg.withDefaults()
 	comm := p.World()
-	nm1 := comm.Size() - 1
-	var res float64
-	for it := 0; it < cfg.Iters; it++ {
-		// Local smoothing/relaxation phase: rank-dependent duration plus
-		// OS noise.
-		d := cfg.Compute
-		if nm1 > 0 {
-			d *= 1 + cfg.Imbalance*float64(comm.Rank())/float64(nm1)
-		}
-		d += noise(p, cfg.NoiseSigma)
-		p.Advance(d)
-		// Global residual reduction: the traced 8 B Allreduce.
-		tr.Trace(AllreduceRegion, it, func() {
-			res = comm.AllreduceSized([]float64{float64(it)}, mpi.OpMax,
-				cfg.PayloadBytes, cfg.Allreduce)[0]
-		})
+	// Local smoothing/relaxation phase: rank-dependent duration plus OS
+	// noise.
+	d := cfg.Compute
+	if nm1 := comm.Size() - 1; nm1 > 0 {
+		d *= 1 + cfg.Imbalance*float64(comm.Rank())/float64(nm1)
 	}
+	d += noise(p, cfg.NoiseSigma)
+	p.Advance(d)
+	// Global residual reduction: the traced 8 B Allreduce.
+	var res float64
+	tr.Trace(AllreduceRegion, it, func() {
+		res = comm.AllreduceSized([]float64{float64(it)}, mpi.OpMax,
+			cfg.PayloadBytes, cfg.Allreduce)[0]
+	})
 	return res
 }
 

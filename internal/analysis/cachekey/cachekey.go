@@ -6,26 +6,16 @@
 // never enters the codec.
 //
 // For every struct type that reaches CacheKey's config argument (via a
-// harness.Task literal's Config element or a direct CacheKey call), each
-// field must be exactly one of:
+// harness.Task literal's Config element or a direct CacheKey call), every
+// field — of it and of the struct types its fields name — must enter the
+// key with its value: exported, not tagged json:"-", and not omitempty
+// (which drops the zero value, so "field absent" and "field zero" become
+// the same cache entry). There is no escape hatch: a knob results cannot
+// depend on does not belong in a task's config.
 //
-//   - JSON-visible: exported, not tagged json:"-" — it enters the key;
-//   - execution-only: tagged json:"-" (or unexported, which the encoder
-//     skips the same way) AND annotated //synclint:execonly -- <reason>
-//     recording why results cannot depend on it (okCfg.Workers in this
-//     package's fixture, a parallelism knob, is the model).
-//
-// JSON-visible fields tagged omitempty additionally need
-// //synclint:zerokey -- <reason>: omitempty drops the zero value from
-// the key, so "field absent" and "field zero" become the same cache
-// entry. That is deliberate for additive config growth (a new phased-cut
-// flag must not invalidate every old key), and wrong for a field whose
-// zero is a meaningful setting — the reason must say which one this is.
-//
-// What the analyzer cannot prove: that an execonly field truly does not
-// influence results (that is what a byte-identity test across its values
-// is for), or key hygiene for configs passed as pre-formed interface values
-// whose concrete type never appears at a call site.
+// What the analyzer cannot prove: key hygiene for configs passed as
+// pre-formed interface values whose concrete type never appears at a call
+// site.
 package cachekey
 
 import (
@@ -44,7 +34,7 @@ var harnessPkg = "hclocksync/internal/harness"
 
 var Analyzer = &analysis.Analyzer{
 	Name:       "cachekey",
-	Doc:        "config structs reaching harness.CacheKey must have every field JSON-visible or an audited execution-only knob",
+	Doc:        "config structs reaching harness.CacheKey must have every field exported, JSON-visible and not omitempty",
 	RunProgram: run,
 }
 
@@ -125,37 +115,26 @@ func collectCacheKeyCall(pkg *analysis.Package, call *ast.CallExpr, roots map[st
 	}
 }
 
-// check audits one config struct and recurses into the JSON-visible
-// struct-typed fields (they enter the key too).
+// check audits one config struct and recurses into its struct-typed
+// fields (they enter the key too).
 func check(pass *analysis.ProgramPass, structs analysis.StructIndex, sd *analysis.StructDecl, checked map[string]bool) {
 	if checked[sd.Ref().String()] {
 		return
 	}
 	checked[sd.Ref().String()] = true
-	dirs := pass.Prog.Dirs(sd.Pkg)
 	for _, fld := range sd.Fields {
 		ref := analysis.FieldRef{Pkg: sd.Pkg.PkgPath, Type: sd.Name, Field: fld.Name}
 		jsonTag := reflect.StructTag(fld.Tag).Get("json")
-		name, opts, _ := strings.Cut(jsonTag, ",")
-		exported := ast.IsExported(fld.Name)
+		_, opts, _ := strings.Cut(jsonTag, ",")
 		switch {
-		case name == "-" && jsonTag == "-":
-			// Execution-only by tag: must carry the audit.
-			if _, ok := sd.FieldDirective(dirs, fld, analysis.DirExeconly); !ok {
-				pass.Reportf(sd.Pkg, fld.Pos(), "cache-key field %s is tagged json:\"-\" but not annotated: results must not depend on it; audit with //synclint:execonly -- <reason> (or drop the tag so it enters the key)", ref)
-			}
-		case !exported:
-			// The JSON encoder skips unexported fields, so this is an
-			// untagged execution-only field.
-			if _, ok := sd.FieldDirective(dirs, fld, analysis.DirExeconly); !ok {
-				pass.Reportf(sd.Pkg, fld.Pos(), "cache-key field %s is unexported and never enters the key: export it, or audit with //synclint:execonly -- <reason>", ref)
-			}
+		case jsonTag == "-":
+			pass.Reportf(sd.Pkg, fld.Pos(), "cache-key field %s is tagged json:\"-\" and never enters the key: drop the tag, or move the field out of the task's config", ref)
+		case !ast.IsExported(fld.Name):
+			// The JSON encoder skips unexported fields the same way.
+			pass.Reportf(sd.Pkg, fld.Pos(), "cache-key field %s is unexported and never enters the key: export it, or move it out of the task's config", ref)
+		case hasOpt(opts, "omitempty"):
+			pass.Reportf(sd.Pkg, fld.Pos(), "cache-key field %s is omitempty: the zero value drops out of the key, so a zero config and an absent one share cached results; remove omitempty", ref)
 		default:
-			if hasOpt(opts, "omitempty") {
-				if _, ok := sd.FieldDirective(dirs, fld, analysis.DirZerokey); !ok {
-					pass.Reportf(sd.Pkg, fld.Pos(), "cache-key field %s is omitempty: the zero value drops out of the key, so a zero config and an absent one share cached results; audit with //synclint:zerokey -- <reason> (or remove omitempty)", ref)
-				}
-			}
 			if sub, ok := analysis.NamedStructRef(sd.Pkg, fld.Type); ok {
 				if subDecl, ok := structs[sub.String()]; ok {
 					check(pass, structs, subDecl, checked)

@@ -23,7 +23,7 @@ type goodCfg struct {
 
 type badCfg struct {
 	N       int
-	Workers int  `json:"-"` // want `cache-key field a\.badCfg\.Workers is tagged json:"-" but not annotated`
+	Workers int  `json:"-"` // want `cache-key field a\.badCfg\.Workers is tagged json:"-" and never enters the key`
 	jobs    int  // want `cache-key field a\.badCfg\.jobs is unexported and never enters the key`
 	Cut     bool `json:",omitempty"` // want `cache-key field a\.badCfg\.Cut is omitempty`
 	Nested  nestedCfg
@@ -32,15 +32,13 @@ type badCfg struct {
 // nestedCfg is reachable through badCfg's JSON-visible Nested field, so
 // its fields are obligated too.
 type nestedCfg struct {
-	Hidden int `json:"-"` // want `cache-key field a\.nestedCfg\.Hidden is tagged json:"-" but not annotated`
+	Hidden int `json:"-"` // want `cache-key field a\.nestedCfg\.Hidden is tagged json:"-" and never enters the key`
 	Shown  int
 }
 
-// okCfg carries the audits the analyzer demands.
+// okCfg reaches the key through a direct CacheKey call.
 type okCfg struct {
-	Workers int  `json:"-"`          //synclint:execonly -- parallelism knob; byte-identity at any worker count is pinned by tests
-	Cut     bool `json:",omitempty"` //synclint:zerokey -- false means no cut, which is the same experiment as the field being absent
-	Size    int
+	Size int
 }
 
 // unreached never flows into a Task or CacheKey call: nothing is

@@ -51,16 +51,6 @@ const (
 	// DirChecked permits an audited discard of an mpi send/recv result.
 	// Requires a reason. Line scope.
 	DirChecked = "checked"
-	// DirExeconly marks a cache-key config field as an execution-only
-	// knob: tagged json:"-" so it never reaches a key, with the reason
-	// recording why results cannot depend on it. Requires a reason. Line
-	// scope (the field declaration).
-	DirExeconly = "execonly"
-	// DirZerokey audits an omitempty field of a cache-key config: the
-	// zero value deliberately drops out of the key (the key-stability
-	// pattern of phased cuts), so the reason must say why zero is the
-	// same experiment as absent. Requires a reason. Line scope.
-	DirZerokey = "zerokey"
 	// DirGuardedby declares that a struct field may only be accessed in
 	// functions that lock the named sibling mutex field on the same
 	// receiver. Takes the mutex field name as its argument. Line scope
@@ -81,8 +71,6 @@ var knownDirectives = map[string]bool{
 	DirWallclock: true,
 	DirSeedok:    true,
 	DirChecked:   true,
-	DirExeconly:  true,
-	DirZerokey:   true,
 	DirGuardedby: false, // takes an argument instead; reason optional
 	DirUnguarded: true,
 }
@@ -145,7 +133,7 @@ func ParseDirective(raw string) (d Directive, ok bool, err error) {
 		}
 	}
 	if _, known := knownDirectives[name]; !known {
-		return Directive{}, false, fmt.Errorf("unknown synclint directive %q (known: allocfree, alloc, ordered, wallclock, seedok, checked, execonly, zerokey, guardedby, unguarded)", name)
+		return Directive{}, false, fmt.Errorf("unknown synclint directive %q (known: allocfree, alloc, ordered, wallclock, seedok, checked, guardedby, unguarded)", name)
 	}
 	arg := ""
 	if argDirectives[name] {

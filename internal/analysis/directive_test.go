@@ -21,8 +21,6 @@ func TestParseDirective(t *testing.T) {
 		{raw: "//synclint:alloc -- pool warm-up", want: Directive{Name: "alloc", Reason: "pool warm-up"}, ok: true},
 		{raw: "//synclint:seedok -- audited stream", want: Directive{Name: "seedok", Reason: "audited stream"}, ok: true},
 		{raw: "//synclint:checked -- best effort", want: Directive{Name: "checked", Reason: "best effort"}, ok: true},
-		{raw: "//synclint:execonly -- parallelism knob", want: Directive{Name: "execonly", Reason: "parallelism knob"}, ok: true},
-		{raw: "//synclint:zerokey -- zero means full run", want: Directive{Name: "zerokey", Reason: "zero means full run"}, ok: true},
 		{raw: "//synclint:unguarded -- construction", want: Directive{Name: "unguarded", Reason: "construction"}, ok: true},
 
 		// Argument grammar (guardedby).
@@ -45,6 +43,10 @@ func TestParseDirective(t *testing.T) {
 		{raw: "//synclint:ordered -- ", wantErr: "empty reason"},
 		{raw: "//synclint:ordered --", wantErr: "separated by"},
 		{raw: "//synclint:bogus -- x", wantErr: "unknown synclint directive"},
+		// The cache-key rule has no escape hatch any more: its two former
+		// audits are unknown names like any other.
+		{raw: "//synclint:execonly -- parallelism knob", wantErr: "unknown synclint directive"},
+		{raw: "//synclint:zerokey -- zero means full run", wantErr: "unknown synclint directive"},
 
 		// Escape hatches without a reason are rejected: the audit trail
 		// is the point.
@@ -53,8 +55,6 @@ func TestParseDirective(t *testing.T) {
 		{raw: "//synclint:wallclock", wantErr: "requires a reason"},
 		{raw: "//synclint:seedok", wantErr: "requires a reason"},
 		{raw: "//synclint:checked", wantErr: "requires a reason"},
-		{raw: "//synclint:execonly", wantErr: "requires a reason"},
-		{raw: "//synclint:zerokey", wantErr: "requires a reason"},
 		{raw: "//synclint:unguarded", wantErr: "requires a reason"},
 
 		// Argument violations.
@@ -91,7 +91,6 @@ func TestDirectiveRoundTrip(t *testing.T) {
 		{Name: "ordered", Reason: "keys sorted"},
 		{Name: "guardedby", Arg: "failMu"},
 		{Name: "guardedby", Arg: "mu", Reason: "lease state"},
-		{Name: "execonly", Reason: "parallelism knob"},
 	} {
 		got, ok, err := ParseDirective(d.String())
 		if err != nil || !ok || got != d {
@@ -199,6 +198,7 @@ func FuzzParseDirective(f *testing.F) {
 		"//synclint:guardedby",
 		"//synclint:guardedby 2mu",
 		"//synclint:execonly -- parallelism knob",
+		"//synclint:zerokey -- zero means full run",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -46,60 +46,69 @@ const (
 	ftTagPong = 1002 // ref → client: [seq, refClockReading]
 )
 
-// FTOpts tunes the fault-tolerant exchanges. The zero value picks
-// defaults.
+// FTOpts is what a caller configures of the fault-tolerant exchanges.
 type FTOpts struct {
-	// Timeout bounds each wait for a ping or pong, in true seconds
-	// (default 1 ms — far above any healthy RTT in the machine models).
-	Timeout float64
-	// Attempts is how many consecutive timeouts either side tolerates
-	// mid-session before declaring the peer unresponsive (default 5).
-	Attempts int
-	// Connect is the patience, in Timeout windows, both sides grant the
-	// FIRST exchange of a session (default 100). The tree rounds are not
-	// lockstep — a reference may still be serving its previous round when
-	// its next client starts pinging — so first contact needs far more
-	// patience than a mid-session drop, and connect misses must not count
-	// against the exchange budget.
-	Connect int
 	// Gap is an optional client-side pause between successive exchanges,
 	// in true seconds (default 0, back-to-back). A non-zero gap widens the
 	// fit span, which directly shrinks the noise on the fitted drift slope
 	// and therefore the error growth after the sync. Keep it of the same
-	// order as Timeout; the serving side extends its windows by Gap.
+	// order as ftTimeout; the serving side extends its windows by Gap.
 	Gap float64
-	// MinSamples is the minimum number of kept offset samples below which
-	// the learned model is flagged Degraded (default 3). A degraded model
-	// keeps only the offset correction — a slope fitted through fewer
-	// points would be dominated by noise and explode under extrapolation.
-	MinSamples int
-	// Robust selects the Theil–Sen drift fit (FitOffsetSamplesRobust)
-	// instead of least squares, trading a little efficiency on clean data
-	// for a ~29% breakdown point against corrupted samples.
-	Robust bool
-	// SeqBase offsets the session's wire sequence numbers. Sessions between
+}
+
+// What no caller varies.
+const (
+	// ftTimeout bounds each wait for a ping or pong, in true seconds — far
+	// above any healthy RTT in the machine models.
+	ftTimeout = 1e-3
+	// ftAttempts is how many consecutive timeouts either side tolerates
+	// mid-session before declaring the peer unresponsive.
+	ftAttempts = 5
+	// ftConnect is the least patience, in ftTimeout windows, both sides
+	// grant the FIRST exchange of a session. The tree rounds are not
+	// lockstep — a reference may still be serving its previous round when
+	// its next client starts pinging — so first contact needs far more
+	// patience than a mid-session drop, and connect misses must not count
+	// against the exchange budget.
+	ftConnect = 100
+	// ftMinSamples is the number of kept offset samples below which a
+	// learned model is flagged Degraded and keeps only its offset
+	// correction — a slope fitted through fewer points would be dominated
+	// by noise and explode under extrapolation.
+	ftMinSamples = 3
+)
+
+// session is what one learning session between a (reference, client) pair
+// needs beyond the clocks: built per call by SyncFT and the watchdog from
+// the caller's FTOpts, never written back into them.
+type session struct {
+	gap float64 // FTOpts.Gap
+	// connect and attempts are the first-contact and mid-session patience,
+	// in ftTimeout windows.
+	connect, attempts int
+	// seqBase offsets the session's wire sequence numbers. Sessions between
 	// the same pair that can leave stale packets behind (the drift
 	// watchdog's periodic probes) use disjoint bases so a leftover ping,
 	// pong, or done marker from an earlier session can never be mistaken
-	// for current traffic. Zero (the default) keeps the original wire
-	// format.
-	SeqBase int
+	// for current traffic. Zero is the tree sync's wire format.
+	seqBase int
+	// robust selects the Theil–Sen drift fit (FitOffsetSamplesRobust)
+	// instead of least squares, trading a little efficiency on clean data
+	// for a ~29% breakdown point against corrupted samples.
+	robust bool
 }
 
-func (o FTOpts) withDefaults() FTOpts {
-	if o.Timeout <= 0 {
-		o.Timeout = 1e-3
+// treeSession is the session every pair of a tree sync runs. First-contact
+// patience is scaled to the tree: a pair's partner can be busy with up to
+// ahead earlier sessions, each bounded by nfit exchanges of at most
+// Gap + 2·ftTimeout (a lost exchange costs a full timeout window on both
+// sides).
+func treeSession(gap float64, robust bool, ahead, nfit int) session {
+	se := session{gap: gap, connect: ftConnect, attempts: ftAttempts, robust: robust}
+	if c := int(math.Ceil(float64(ahead) * float64(nfit) * (gap + 2*ftTimeout) / ftTimeout)); c > se.connect {
+		se.connect = c
 	}
-	if o.Attempts <= 0 {
-		o.Attempts = 5
-	}
-	if o.Connect <= 0 {
-		o.Connect = 100
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 3
-	}
-	return o
+	return se
 }
 
 // RankSync is one rank's sync-quality report from a fault-tolerant
@@ -116,7 +125,7 @@ type RankSync struct {
 	// learning the final model.
 	Samples int `json:"samples"`
 	Lost    int `json:"lost"`
-	// Degraded marks a model learned from fewer than MinSamples samples
+	// Degraded marks a model learned from fewer than ftMinSamples samples
 	// (with zero samples the rank falls back to the identity model).
 	Degraded bool `json:"degraded"`
 	// Resyncs counts the drift-watchdog re-synchronizations this rank
@@ -228,22 +237,22 @@ func serveReading(comm *mpi.Comm, clk clock.Clock) float64 {
 // ftServe is the reference side of one learning session: answer
 // sequence-numbered pings with (seq, reference clock reading) until the
 // client's done marker, the client's scheduled death, or the patience
-// budget runs out. The session's sequence numbers live in [o.SeqBase, ∞);
-// its done marker is −(o.SeqBase+1). Anything below the base is a stale
+// budget runs out. The session's sequence numbers live in [se.seqBase, ∞);
+// its done marker is −(se.seqBase+1). Anything below the base is a stale
 // leftover from an earlier session between the pair and is ignored.
-func ftServe(comm *mpi.Comm, clk clock.Clock, client int, o FTOpts) {
+func ftServe(comm *mpi.Comm, clk clock.Clock, client int, se session) {
 	misses, served := 0, false
-	last := o.SeqBase - 1
+	last := se.seqBase - 1
 	for {
 		if comm.DeadNow(client) {
 			return
 		}
-		b, ok := comm.RecvTimeout(client, ftTagPing, o.Timeout+o.Gap)
+		b, ok := comm.RecvTimeout(client, ftTagPing, ftTimeout+se.gap)
 		if !ok {
 			misses++
-			budget := o.Attempts
+			budget := se.attempts
 			if !served {
-				budget = o.Connect // the client may still be in an earlier round
+				budget = se.connect // the client may still be in an earlier round
 			}
 			if misses >= budget {
 				return
@@ -253,7 +262,7 @@ func ftServe(comm *mpi.Comm, clk clock.Clock, client int, o FTOpts) {
 		misses = 0
 		served = true
 		seq := int(mpi.DecodeF64s(b)[0])
-		if seq == -(o.SeqBase + 1) {
+		if seq == -(se.seqBase + 1) {
 			return
 		}
 		if seq <= last {
@@ -275,19 +284,19 @@ func ftServe(comm *mpi.Comm, clk clock.Clock, client int, o FTOpts) {
 // half the queueing delay. Exchanges whose round-trip is far above the
 // session minimum are therefore discarded, the same idea as SKaMPI's
 // minimum-bound filtering.
-func ftSample(comm *mpi.Comm, clk clock.Clock, ref, n int, o FTOpts) (samples []ClockOffset, lost int) {
+func ftSample(comm *mpi.Comm, clk clock.Clock, ref, n int, se session) (samples []ClockOffset, lost int) {
 	var raws []ftRaw
 	p := comm.Proc()
 	// The wire sequence number advances on every ping sent — including
 	// connect retries — so the reference always answers and stale pongs are
 	// unambiguous; it is deliberately decoupled from the fit-point index.
-	seq := o.SeqBase
+	seq := se.seqBase
 	attempt := func() (r ftRaw, ok bool) {
 		sLast := clk.Time()
 		comm.Send(ref, ftTagPing, mpi.EncodeF64s([]float64{float64(seq)}))
 		want := seq
 		seq++
-		deadline := p.TrueNow() + o.Timeout
+		deadline := p.TrueNow() + ftTimeout
 		for {
 			rem := deadline - p.TrueNow()
 			if rem <= 0 {
@@ -315,16 +324,16 @@ func ftSample(comm *mpi.Comm, clk clock.Clock, ref, n int, o FTOpts) (samples []
 	}
 	done := func() {
 		if !comm.DeadNow(ref) {
-			comm.Send(ref, ftTagPing, mpi.EncodeF64s([]float64{float64(-(o.SeqBase + 1))}))
+			comm.Send(ref, ftTagPing, mpi.EncodeF64s([]float64{float64(-(se.seqBase + 1))}))
 		}
 	}
 
 	// Connect phase: the reference may still be serving an earlier tree
-	// round, so the first exchange gets o.Connect timeout windows before
+	// round, so the first exchange gets se.connect timeout windows before
 	// the session is abandoned, and those misses don't touch the exchange
 	// budget. The first successful exchange is fit point 0.
 	connected := false
-	for a := 0; a < o.Connect && !connected; a++ {
+	for a := 0; a < se.connect && !connected; a++ {
 		if comm.DeadNow(ref) {
 			return nil, n
 		}
@@ -344,14 +353,14 @@ func ftSample(comm *mpi.Comm, clk clock.Clock, ref, n int, o FTOpts) (samples []
 			lost += n - i
 			break
 		}
-		if o.Gap > 0 {
-			p.Advance(o.Gap)
+		if se.gap > 0 {
+			p.Advance(se.gap)
 		}
 		r, ok := attempt()
 		if !ok {
 			lost++
 			misses++
-			if misses >= o.Attempts {
+			if misses >= se.attempts {
 				lost += n - i - 1
 				break
 			}
@@ -398,44 +407,47 @@ func ftFilter(raws []ftRaw, lost *int) []ClockOffset {
 	return kept
 }
 
-// LearnClockModelFT is the fault-tolerant counterpart of LearnClockModel:
-// the (ref, client) pair runs nfit timeout-bounded exchanges and the
-// client fits a drift model from whatever samples survived. The reference
-// returns the zero model. degraded is set when fewer than o.MinSamples
-// samples were kept; with zero samples the model is the identity.
-func LearnClockModelFT(comm *mpi.Comm, nfit int, o FTOpts, ref, client int,
-	clk clock.Clock) (lm clock.LinearModel, samples, lost int, degraded bool) {
-	if nfit <= 0 {
-		nfit = 100
+// learn is the client side of one session, shared by every FT algorithm:
+// run nfit timeout-bounded exchanges against ref, fit a drift model from
+// whatever samples survived, and book the session into rep (samples kept
+// and lost; Degraded when fewer than ftMinSamples were kept, in which case
+// the model keeps only the offset correction). ok is false, with the
+// identity model, when the fit failed — no finite sample, or an overflow.
+func (se session) learn(comm *mpi.Comm, clk clock.Clock, ref, nfit int,
+	rep *RankSync) (lm clock.LinearModel, ss []ClockOffset, ok bool) {
+	ss, lost := ftSample(comm, clk, ref, nfit, se)
+	rep.Samples += len(ss)
+	rep.Lost += lost
+	fit := FitOffsetSamples
+	if se.robust {
+		fit = FitOffsetSamplesRobust
 	}
-	o = o.withDefaults()
-	switch comm.Rank() {
-	case ref:
-		ftServe(comm, clk, client, o)
-		return clock.LinearModel{}, 0, 0, false
-	case client:
-		ss, lost := ftSample(comm, clk, ref, nfit, o)
-		fit := FitOffsetSamples
-		if o.Robust {
-			fit = FitOffsetSamplesRobust
-		}
-		lm, err := fit(ss)
-		ok := err == nil
-		degraded = !ok || len(ss) < o.MinSamples
-		if degraded && ok {
-			// Too few samples to trust a fitted slope — through two points
-			// a few RTTs apart it would be pure noise, exploding under
-			// extrapolation. Keep only the offset correction.
-			var mean float64
-			for i, s := range ss {
-				mean += (s.Offset - mean) / float64(i+1)
-			}
-			lm = clock.LinearModel{Intercept: mean}
-		}
-		return lm, len(ss), lost, degraded
-	default:
-		panic(fmt.Sprintf("clocksync: rank %d in LearnClockModelFT(%d,%d)", comm.Rank(), ref, client))
+	lm, err := fit(ss)
+	if err != nil {
+		return lm, ss, false
 	}
+	if len(ss) < ftMinSamples {
+		// Too few samples to trust a fitted slope — through two points
+		// a few RTTs apart it would be pure noise, exploding under
+		// extrapolation. Keep only the offset correction.
+		var mean float64
+		for i, s := range ss {
+			mean += (s.Offset - mean) / float64(i+1)
+		}
+		lm = clock.LinearModel{Intercept: mean}
+		rep.Degraded = true
+	}
+	return lm, ss, true
+}
+
+// survivors is the prologue of every SyncFT: start the rank's report and
+// shrink comm to the survivor set. s is nil on a doomed rank, which is
+// excluded from the survivor tree and keeps its local time.
+func survivors(comm *mpi.Comm) (s *mpi.Comm, rep RankSync) {
+	rep = RankSync{Rank: comm.WorldRank(comm.Rank()), Ref: -1}
+	s = comm.ShrinkSurvivors()
+	rep.Alive = s != nil
+	return s, rep
 }
 
 // HCA3FT is the fault-tolerant HCA3: the same binomial-tree reference
@@ -450,14 +462,15 @@ type HCA3FT struct {
 	Opts       FTOpts
 }
 
-// Name returns the paper-style label.
-func (h HCA3FT) Name() string {
-	n := h.NFitpoints
-	if n <= 0 {
-		n = 100
+func (h HCA3FT) nfit() int {
+	if h.NFitpoints <= 0 {
+		return 100
 	}
-	return fmt.Sprintf("hca3ft/%d", n)
+	return h.NFitpoints
 }
+
+// Name returns the paper-style label.
+func (h HCA3FT) Name() string { return fmt.Sprintf("hca3ft/%d", h.nfit()) }
 
 // Sync implements Algorithm, discarding the per-rank report.
 func (h HCA3FT) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
@@ -469,39 +482,23 @@ func (h HCA3FT) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
 // quality. Ranks whose crash is scheduled (and ranks that learned zero
 // samples) keep their local clock; everyone returns, nobody hangs.
 func (h HCA3FT) SyncFT(comm *mpi.Comm, clk clock.Clock) (clock.Clock, RankSync) {
-	o := h.Opts.withDefaults()
-	rep := RankSync{Rank: comm.WorldRank(comm.Rank()), Ref: -1}
-	s := comm.ShrinkSurvivors()
+	s, rep := survivors(comm)
 	if s == nil {
-		// Doomed rank: excluded from the survivor tree, keeps local time.
 		return clk, rep
 	}
-	rep.Alive = true
 	r := s.Rank()
 	myClk := clk
-
-	// Scale the first-contact patience to the tree: a pair's partner can be
-	// busy with up to nrounds earlier sessions, each bounded by NFitpoints
-	// exchanges of at most Gap + 2·Timeout (a lost exchange costs a full
-	// timeout window on both sides).
-	nfit := h.NFitpoints
-	if nfit <= 0 {
-		nfit = 100
-	}
-	nrounds := log2floor(s.Size())
-	minConnect := int(math.Ceil(float64(nrounds+1) * float64(nfit) * (o.Gap + 2*o.Timeout) / o.Timeout))
-	if o.Connect < minConnect {
-		o.Connect = minConnect
-	}
-
+	// A partner can be busy with one earlier session per stage.
+	se := treeSession(h.Opts.Gap, false, TreeStages(s.Size()), h.nfit())
 	hca3Tree(s.Size(), r, func(ref, client int) {
-		lm, n, lost, deg := LearnClockModelFT(s, h.NFitpoints, o, ref, client, myClk)
-		if r != client {
+		if r == ref {
+			ftServe(s, myClk, client, se)
 			return
 		}
 		rep.Ref = s.WorldRank(ref)
-		rep.Samples, rep.Lost, rep.Degraded = n, lost, deg
-		if n > 0 {
+		lm, ss, ok := se.learn(s, myClk, ref, h.nfit(), &rep)
+		rep.Degraded = rep.Degraded || !ok
+		if len(ss) > 0 {
 			myClk = clock.New(clk, lm)
 		}
 	})

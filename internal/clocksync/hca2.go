@@ -47,59 +47,53 @@ func hca2Body(comm *mpi.Comm, p Params, clk clock.Clock, adjustOffsets bool) clo
 	p = p.withDefaults()
 	nprocs := comm.Size()
 	r := comm.Rank()
-	nrounds := log2floor(nprocs)
-	maxPower := 1 << nrounds
+	last := TreeStages(nprocs) - 1
 
 	// models[rank] = drift model of rank's clock relative to MY clock;
 	// maintained by ranks acting as subtree roots on the way up.
 	models := make(map[int]clock.LinearModel)
 
-	if r < maxPower {
-		for i := 1; i <= nrounds; i++ {
-			running := 1 << i
-			next := 1 << (i - 1)
-			switch {
-			case r%running == 0:
-				// Reference: learn model to partner, then absorb the
-				// partner's subtree table, re-based through the new model.
-				other := r + next
-				LearnClockModel(comm, p, r, other, clk)
-				cmRefOther := clock.ModelFromF64s(mpi.DecodeF64s(comm.Recv(other, tagModel)))
-				models[other] = cmRefOther
-				table := mpi.DecodeF64s(comm.Recv(other, tagModel))
-				for k := 0; k+2 < len(table); k += 3 {
-					sub := int(table[k])
-					cmOtherSub := clock.ModelFromF64s(table[k+1 : k+3])
-					models[sub] = clock.Merge(cmRefOther, cmOtherSub)
-				}
-			case r%running == next:
-				// Client: fit the model and ship it (plus my subtree
-				// table) to the reference; my part of the tree is done.
-				other := r - next
-				lm := LearnClockModel(comm, p, other, r, clk)
-				comm.Send(other, tagModel, mpi.EncodeF64s(lm.ModelF64s()))
-				comm.Send(other, tagModel, mpi.EncodeF64s(modelTable(models)))
+	// Alg. 1's Step 1 pairs, bottom of the binomial tree first.
+	for stage := last - 1; stage >= 0; stage-- {
+		switch other, client, ok := TreePair(r, stage, nprocs); {
+		case !ok:
+		case client:
+			// Client: fit the model and ship it (plus my subtree
+			// table) to the reference; my part of the tree is done.
+			lm := LearnClockModel(comm, p, other, r, clk)
+			comm.Send(other, tagModel, mpi.EncodeF64s(lm.ModelF64s()))
+			comm.Send(other, tagModel, mpi.EncodeF64s(modelTable(models)))
+		default:
+			// Reference: learn model to partner, then absorb the
+			// partner's subtree table, re-based through the new model.
+			LearnClockModel(comm, p, r, other, clk)
+			cmRefOther := clock.ModelFromF64s(mpi.DecodeF64s(comm.Recv(other, tagModel)))
+			models[other] = cmRefOther
+			table := mpi.DecodeF64s(comm.Recv(other, tagModel))
+			for k := 0; k+2 < len(table); k += 3 {
+				sub := int(table[k])
+				cmOtherSub := clock.ModelFromF64s(table[k+1 : k+3])
+				models[sub] = clock.Merge(cmRefOther, cmOtherSub)
 			}
 		}
 	}
 
-	// Remainder: ranks >= maxPower learn against r − maxPower and forward
-	// the model straight to rank 0, which merges it with cm(0, r−maxPower).
-	if r >= maxPower {
-		other := r - maxPower
-		lm := LearnClockModel(comm, p, other, r, clk)
-		comm.Send(0, tagModel, mpi.EncodeF64s(lm.ModelF64s()))
-	} else if r < nprocs-maxPower {
-		LearnClockModel(comm, p, r, r+maxPower, clk)
+	// Remainder: a rank of Step 2 learns against its partner and forwards
+	// the model straight to rank 0, which merges it with cm(0, partner) —
+	// the identity (a missing entry) when the partner is rank 0 itself.
+	if other, client, ok := TreePair(r, last, nprocs); ok {
+		if client {
+			lm := LearnClockModel(comm, p, other, r, clk)
+			comm.Send(0, tagModel, mpi.EncodeF64s(lm.ModelF64s()))
+		} else {
+			LearnClockModel(comm, p, r, other, clk)
+		}
 	}
 	if r == 0 {
-		for q := maxPower; q < nprocs; q++ {
+		for q := 1 << last; q < nprocs; q++ {
 			lm := clock.ModelFromF64s(mpi.DecodeF64s(comm.Recv(q, tagModel)))
-			base := clock.LinearModel{}
-			if q-maxPower != 0 {
-				base = models[q-maxPower]
-			}
-			models[q] = clock.Merge(base, lm)
+			ref, _, _ := TreePair(q, last, nprocs)
+			models[q] = clock.Merge(models[ref], lm)
 		}
 	}
 

@@ -1,6 +1,8 @@
 package clocksync
 
 import (
+	"math/bits"
+
 	"hclocksync/internal/clock"
 	"hclocksync/internal/mpi"
 )
@@ -37,35 +39,56 @@ func (h HCA3) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
 // hca3Tree calls learn(ref, client) for every pair rank r of nprocs belongs
 // to in Alg. 1's binomial tree, in the order r meets them.
 func hca3Tree(nprocs, r int, learn func(ref, client int)) {
-	nrounds := log2floor(nprocs)
-	maxPower := 1 << nrounds
-
-	// Step 1: ranks 0 … maxPower−1, top of the binomial tree first.
-	for i := nrounds; i >= 1 && r < maxPower; i-- {
-		running := 1 << i
-		next := 1 << (i - 1)
-		switch {
-		case r%running == 0:
-			learn(r, r+next)
-		case r%running == next:
-			learn(r-next, r)
+	for stage := 0; stage < TreeStages(nprocs); stage++ {
+		switch partner, client, ok := TreePair(r, stage, nprocs); {
+		case !ok:
+		case client:
+			learn(partner, r)
+		default:
+			learn(r, partner)
 		}
-	}
-
-	// Step 2: the remainder ranks maxPower … nprocs−1 synchronize against
-	// their already-synchronized partner r − maxPower.
-	if r >= maxPower {
-		learn(r-maxPower, r)
-	} else if r < nprocs-maxPower {
-		learn(r, r+maxPower)
 	}
 }
 
-// log2floor returns floor(log2(n)) for n >= 1.
-func log2floor(n int) int {
-	k := 0
-	for 1<<(k+1) <= n {
-		k++
+// TreeStages returns the number of stages of Alg. 1's reference tree over
+// nprocs >= 1 ranks: the ⌊log2 nprocs⌋ rounds of Step 1 plus the remainder
+// step.
+//
+//synclint:allocfree
+func TreeStages(nprocs int) int { return bits.Len(uint(nprocs)) }
+
+// TreePair is Alg. 1's pairing rule, the one statement of the binomial
+// reference tree (Fig. 1b) every tree-shaped algorithm here walks: rank r's
+// partner at a stage, whether r is the client (the learner) of the pair,
+// and whether r is engaged at all. Stages 0 … ⌊log2 nprocs⌋−1 are Step 1's
+// rounds, top of the tree first: the ranks synchronized before stage s are
+// the multiples of maxPower>>s below maxPower = 2^⌊log2 nprocs⌋, and each
+// serves the rank half a stride above it. The last stage is Step 2, where
+// the remainder ranks maxPower … nprocs−1 learn from r − maxPower.
+//
+//synclint:allocfree
+func TreePair(r, stage, nprocs int) (partner int, client, ok bool) {
+	last := TreeStages(nprocs) - 1
+	maxPower := 1 << last
+	if stage == last {
+		switch {
+		case r >= maxPower:
+			return r - maxPower, true, true
+		case r < nprocs-maxPower:
+			return r + maxPower, false, true
+		}
+		return 0, false, false
 	}
-	return k
+	if r >= maxPower {
+		return 0, false, false
+	}
+	running := maxPower >> stage
+	next := running >> 1
+	switch r % running {
+	case 0:
+		return r + next, false, true
+	case next:
+		return r - next, true, true
+	}
+	return 0, false, false
 }

@@ -55,74 +55,65 @@ type HCA3Robust struct {
 	Watch WatchOpts
 }
 
-// WatchOpts tunes the drift watchdog. The zero value disables it; setting
-// Rounds > 0 enables it with defaults for the rest.
+// WatchOpts is what a caller configures of the drift watchdog. The zero
+// value disables it; setting Rounds > 0 enables it with defaults for the
+// rest.
 type WatchOpts struct {
 	// Rounds is the number of probe rounds (0 = no watchdog).
 	Rounds int
-	// Interval is the global-clock time between probe rounds (default
-	// 40 ms). A divergence detected in round t is corrected in round t+1,
-	// so the worst-case correction latency is ~2·Interval.
-	Interval float64
-	// Delay is the global-clock delay between the root's schedule
-	// broadcast and round 0 (default 50 ms).
-	Delay float64
-	// ProbeN is the number of exchanges per probe session (default 5).
-	ProbeN int
+	// Threshold is the divergence that triggers a resync (default 50 µs).
+	Threshold float64
 	// Servers is how many successor ranks each rank probes per round
 	// (default 3, clamped to the communicator size minus one). With 2f+1
 	// probed servers, up to f Byzantine servers cannot fake or mask a
 	// divergence.
 	Servers int
-	// Threshold is the divergence that triggers a resync (default 50 µs).
-	Threshold float64
-	// SlopeFloor zeroes a resync correction's fitted slope when its
-	// magnitude is below this value (default 1e-4). A step has no rate
-	// component — the fitted slope over a short probe window is pure
-	// noise that would explode under extrapolation — while a real
-	// frequency excursion of hundreds of ppm clears the floor.
-	SlopeFloor float64
 }
 
-func (w WatchOpts) withDefaults() WatchOpts {
-	if w.Interval <= 0 {
-		w.Interval = 0.04
+// What no caller varies of the watchdog.
+const (
+	// watchInterval is the global-clock time between probe rounds. A
+	// divergence detected in round t is corrected in round t+1, so the
+	// worst-case correction latency is ~2·watchInterval.
+	watchInterval = 0.04
+	// watchDelay is the global-clock delay between the root's schedule
+	// broadcast and round 0.
+	watchDelay = 0.05
+	// watchProbeN is the number of exchanges per probe session.
+	watchProbeN = 5
+	// watchSlopeFloor zeroes a resync correction's fitted slope when its
+	// magnitude is below this value. A step has no rate component — the
+	// fitted slope over a short probe window is pure noise that would
+	// explode under extrapolation — while a real frequency excursion of
+	// hundreds of ppm clears the floor.
+	watchSlopeFloor = 1e-4
+	// watchConnect and watchAttempts are a probe session's patience: rounds
+	// are aligned on the global clocks, so a peer that does not answer
+	// within a few windows is late for the round, not busy in another.
+	watchConnect, watchAttempts = 50, 3
+	// watchSeqStride is the sequence-number namespace width per watchdog
+	// round: round t's sessions use seqBase (t+1)·watchSeqStride, so stale
+	// packets from any earlier session between the same pair are
+	// unmistakable.
+	watchSeqStride = 1 << 20
+)
+
+func (h HCA3Robust) nfit() int {
+	if h.NFitpoints <= 0 {
+		return 30
 	}
-	if w.Delay <= 0 {
-		w.Delay = 0.05
-	}
-	if w.ProbeN <= 0 {
-		w.ProbeN = 5
-	}
-	if w.Servers <= 0 {
-		w.Servers = 3
-	}
-	if w.Threshold <= 0 {
-		w.Threshold = 50e-6
-	}
-	if w.SlopeFloor <= 0 {
-		w.SlopeFloor = 1e-4
-	}
-	return w
+	return h.NFitpoints
 }
 
-// watchSeqStride is the sequence-number namespace width per watchdog round:
-// round t's sessions use SeqBase (t+1)·watchSeqStride, so stale packets from
-// any earlier session between the same pair are unmistakable.
-const watchSeqStride = 1 << 20
+func (h HCA3Robust) f() int {
+	if h.F <= 0 {
+		return 1
+	}
+	return h.F
+}
 
 // Name returns the paper-style label.
-func (h HCA3Robust) Name() string {
-	n := h.NFitpoints
-	if n <= 0 {
-		n = 30
-	}
-	f := h.F
-	if f <= 0 {
-		f = 1
-	}
-	return fmt.Sprintf("hca3robust/f%d/%d", f, n)
-}
+func (h HCA3Robust) Name() string { return fmt.Sprintf("hca3robust/f%d/%d", h.f(), h.nfit()) }
 
 // Sync implements Algorithm, discarding the per-rank report.
 func (h HCA3Robust) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
@@ -218,30 +209,13 @@ func samplePivot(ss []ClockOffset) float64 {
 // learnQuorum runs the client side of one tree round: a full robust session
 // against every server in the quorum, aggregated by median. It returns the
 // aggregate (zero with ok=false when no server yielded a usable fit).
-func learnQuorum(s *mpi.Comm, clk clock.Clock, servers []int, nfit int, o FTOpts,
+func learnQuorum(s *mpi.Comm, clk clock.Clock, servers []int, nfit int, se session,
 	rep *RankSync) (clock.LinearModel, bool) {
 	var fits []anchoredFit
 	for _, srv := range servers {
-		ss, lost := ftSample(s, clk, srv, nfit, o)
-		rep.Samples += len(ss)
-		rep.Lost += lost
-		if len(ss) == 0 {
-			continue
+		if lm, ss, ok := se.learn(s, clk, srv, nfit, rep); ok {
+			fits = append(fits, anchoredFit{lm: lm, pivot: samplePivot(ss)})
 		}
-		lm, err := FitOffsetSamplesRobust(ss)
-		if err != nil {
-			continue
-		}
-		if len(ss) < o.MinSamples {
-			// Too few samples to trust a fitted slope; offset-only.
-			var mean float64
-			for i, smp := range ss {
-				mean += (smp.Offset - mean) / float64(i+1)
-			}
-			lm = clock.LinearModel{Intercept: mean}
-			rep.Degraded = true
-		}
-		fits = append(fits, anchoredFit{lm: lm, pivot: samplePivot(ss)})
 	}
 	if len(fits) == 0 {
 		return clock.LinearModel{}, false
@@ -254,45 +228,36 @@ func learnQuorum(s *mpi.Comm, clk clock.Clock, servers []int, nfit int, o FTOpts
 // learning, runs the drift watchdog when configured, and reports each
 // rank's sync quality.
 func (h HCA3Robust) SyncFT(comm *mpi.Comm, clk clock.Clock) (clock.Clock, RankSync) {
-	o := h.Opts.withDefaults()
-	o.Robust = true
-	f := h.F
-	if f <= 0 {
-		f = 1
-	}
-	nfit := h.NFitpoints
-	if nfit <= 0 {
-		nfit = 30
-	}
-	rep := RankSync{Rank: comm.WorldRank(comm.Rank()), Ref: -1}
-	s := comm.ShrinkSurvivors()
+	s, rep := survivors(comm)
 	if s == nil {
 		return clk, rep
 	}
-	rep.Alive = true
+	f, nfit := h.f(), h.nfit()
 	nprocs := s.Size()
 	r := s.Rank()
-	nrounds := log2floor(nprocs)
-	maxPower := 1 << nrounds
+	stages := TreeStages(nprocs)
+	maxPower := 1 << (stages - 1)
 	myClk := clk
 
-	// First-contact patience: a partner can be busy with earlier sessions of
-	// its own quorum in every earlier round, plus the root serializes one
-	// session per client. Bound both.
-	q := 2*f + 1
-	minConnect := int(math.Ceil(float64((nrounds+1)*q+nprocs) * float64(nfit) * (o.Gap + 2*o.Timeout) / o.Timeout))
-	if o.Connect < minConnect {
-		o.Connect = minConnect
-	}
+	// A partner can be busy with earlier sessions of its own quorum in every
+	// earlier stage, plus the root serializes one session per client.
+	se := treeSession(h.Opts.Gap, true, stages*(2*f+1)+nprocs, nfit)
 
-	// runTree executes one tree round: clients learn from their quorum,
-	// synchronized ranks serve every quorum that includes them, in global
-	// (client, quorum-index) order so pairs meet roughly in sequence.
-	serveRound := func(clients []int, serversOf func(c int) []int) {
-		for _, c := range clients {
+	// One tree stage: the ranks Alg. 1 makes clients learn from a quorum led
+	// by their Alg. 1 reference, drawn from the ranks synchronized before
+	// the stage — the multiples of stride below maxPower; synchronized ranks
+	// serve every quorum that includes them, in global (client,
+	// quorum-index) order so pairs meet roughly in sequence.
+	for stage := 0; stage < stages; stage++ {
+		stride := maxPower >> stage
+		for c := 0; c < nprocs; c++ {
+			ref, client, ok := TreePair(c, stage, nprocs)
+			if !ok || !client || (c != r && r >= maxPower) {
+				continue // not a client, or a remainder rank's: they serve nobody
+			}
+			srv := quorumServers(ref, stride, maxPower, f)
 			if c == r {
-				srv := serversOf(c)
-				if lm, ok := learnQuorum(s, clk, srv, nfit, o, &rep); ok {
+				if lm, ok := learnQuorum(s, clk, srv, nfit, se, &rep); ok {
 					rep.Ref = s.WorldRank(srv[0])
 					myClk = clock.New(clk, lm)
 				} else {
@@ -300,42 +265,16 @@ func (h HCA3Robust) SyncFT(comm *mpi.Comm, clk clock.Clock) (clock.Clock, RankSy
 				}
 				continue
 			}
-			for _, srv := range serversOf(c) {
-				if srv == r {
-					ftServe(s, myClk, c, o)
+			for _, sv := range srv {
+				if sv == r {
+					ftServe(s, myClk, c, se)
 				}
 			}
 		}
 	}
 
-	// Step 1: ranks 0 … maxPower−1, top of the binomial tree first.
-	for i := nrounds; i >= 1; i-- {
-		running := 1 << i
-		next := 1 << (i - 1)
-		var clients []int
-		for c := next; c < maxPower; c += running {
-			clients = append(clients, c)
-		}
-		if r < maxPower {
-			serveRound(clients, func(c int) []int {
-				return quorumServers(c-next, running, maxPower, f)
-			})
-		}
-	}
-	// Step 2: remainder ranks learn from quorums over the whole synchronized
-	// power-of-two block.
-	if nprocs > maxPower {
-		var clients []int
-		for c := maxPower; c < nprocs; c++ {
-			clients = append(clients, c)
-		}
-		serveRound(clients, func(c int) []int {
-			return quorumServers(c-maxPower, 1, maxPower, f)
-		})
-	}
-
 	if h.Watch.Rounds > 0 && nprocs >= 3 {
-		myClk = h.runWatchdog(s, myClk, o, nfit, &rep)
+		myClk = h.runWatchdog(s, myClk, &rep)
 	}
 	return myClk, rep
 }
@@ -352,22 +291,26 @@ type watchAction struct {
 // communicator. Rank 0 serves but never probes or resyncs: it anchors the
 // global time base, and resyncing the anchor toward a possibly-faulty
 // majority would redefine truth rather than repair a clock.
-func (h HCA3Robust) runWatchdog(s *mpi.Comm, myClk clock.Clock, o FTOpts, nfit int,
-	rep *RankSync) clock.Clock {
-	w := h.Watch.withDefaults()
+func (h HCA3Robust) runWatchdog(s *mpi.Comm, myClk clock.Clock, rep *RankSync) clock.Clock {
 	n := s.Size()
 	r := s.Rank()
 	p := s.Proc()
-	ns := w.Servers
+	ns, threshold := h.Watch.Servers, h.Watch.Threshold
+	if ns <= 0 {
+		ns = 3
+	}
 	if ns > n-1 {
 		ns = n - 1
 	}
+	if threshold <= 0 {
+		threshold = 50e-6
+	}
 
 	// The root announces the schedule: round t starts when each rank's
-	// global clock reads start + t·Interval. Global clocks agree to
+	// global clock reads start + t·watchInterval. Global clocks agree to
 	// microseconds after the tree sync, so rounds align across ranks
 	// without any rank observing true time.
-	start := s.BcastF64(myClk.Time()+w.Delay, 0)
+	start := s.BcastF64(myClk.Time()+watchDelay, 0)
 
 	var actions []watchAction
 	for j := 0; j < ns; j++ {
@@ -386,24 +329,24 @@ func (h HCA3Robust) runWatchdog(s *mpi.Comm, myClk clock.Clock, o FTOpts, nfit i
 	})
 
 	resyncPending := false
-	for round := 0; round < w.Rounds; round++ {
-		waitUntilReading(p, myClk, start+float64(round)*w.Interval)
-		po := o
-		po.SeqBase = (round + 1) * watchSeqStride
-		po.Connect = 50
-		po.Attempts = 3
-		probeN := w.ProbeN
+	for round := 0; round < h.Watch.Rounds; round++ {
+		waitUntilReading(p, myClk, start+float64(round)*watchInterval)
+		probe := session{
+			gap: h.Opts.Gap, connect: watchConnect, attempts: watchAttempts,
+			seqBase: (round + 1) * watchSeqStride,
+		}
+		probeN := watchProbeN
 		if resyncPending {
-			probeN = nfit
+			probeN = h.nfit()
 		}
 		var medians []float64
 		var fits []anchoredFit
 		for _, a := range actions {
 			if a.serve {
-				ftServe(s, myClk, a.peer, po)
+				ftServe(s, myClk, a.peer, probe)
 				continue
 			}
-			ss, _ := ftSample(s, myClk, a.peer, probeN, po)
+			ss, _ := ftSample(s, myClk, a.peer, probeN, probe)
 			if len(ss) == 0 {
 				continue
 			}
@@ -420,7 +363,7 @@ func (h HCA3Robust) runWatchdog(s *mpi.Comm, myClk clock.Clock, o FTOpts, nfit i
 		}
 		if resyncPending && len(fits) > 0 {
 			lm, pivot := aggregateFits(fits)
-			if math.Abs(lm.Slope) < w.SlopeFloor {
+			if math.Abs(lm.Slope) < watchSlopeFloor {
 				// A step has no rate component; zero the noise slope while
 				// preserving the aggregate's prediction at the probe window.
 				lm = clock.LinearModel{Intercept: lm.Predict(pivot)}
@@ -431,7 +374,7 @@ func (h HCA3Robust) runWatchdog(s *mpi.Comm, myClk clock.Clock, o FTOpts, nfit i
 			continue
 		}
 		if len(medians) > 0 {
-			if div := stats.Median(medians); math.Abs(div) > w.Threshold {
+			if div := stats.Median(medians); math.Abs(div) > threshold {
 				if rep.DetectedAt == 0 {
 					rep.DetectedAt = p.TrueNow()
 				}

@@ -178,11 +178,7 @@ func TestWatchdogDetectsStepAndResyncs(t *testing.T) {
 	alg := HCA3Robust{
 		NFitpoints: 20,
 		Opts:       FTOpts{Gap: 5e-4},
-		Watch: WatchOpts{
-			Rounds:   8,
-			Interval: 0.04,
-			Delay:    0.05,
-		},
+		Watch:      WatchOpts{Rounds: 8},
 	}
 	reps, readings := robustReports(t, n, seed, plan, alg.SyncFT, 0)
 
@@ -194,7 +190,7 @@ func TestWatchdogDetectsStepAndResyncs(t *testing.T) {
 		t.Errorf("detected at %v, before the step at %v", rep.DetectedAt, stepAt)
 	}
 	// Detection must land within a couple of probe intervals of the fault.
-	if lat := rep.DetectedAt - stepAt; lat > 3*alg.Watch.Interval {
+	if lat := rep.DetectedAt - stepAt; lat > 3*watchInterval {
 		t.Errorf("detection latency %v, want < 3 intervals", lat)
 	}
 	if rep.Resyncs < 1 {
@@ -234,7 +230,7 @@ func TestWatchdogQuietOnHealthyClocks(t *testing.T) {
 	alg := HCA3Robust{
 		NFitpoints: 20,
 		Opts:       FTOpts{Gap: 5e-4},
-		Watch:      WatchOpts{Rounds: 4, Interval: 0.04, Delay: 0.05},
+		Watch:      WatchOpts{Rounds: 4},
 	}
 	reps, readings := robustReports(t, n, seed, faults.Plan{}, alg.SyncFT, 0)
 	for r, rep := range reps {

@@ -173,3 +173,64 @@ func TestHCA2ScheduleSamePairsAsHCA3(t *testing.T) {
 		})
 	}
 }
+
+// TestTreePairIsAlgorithm1 pins the one statement of Alg. 1's pairing on
+// its own terms, for every communicator size the tree shape can differ on:
+// at every stage each engaged rank's partner names it back with the
+// opposite role; the references of a Step 1 stage are exactly the ranks
+// synchronized before it (in the remainder stage, which has fewer clients
+// than synchronized ranks, every reference is one of them); and every rank
+// but 0 is a client exactly once.
+func TestTreePairIsAlgorithm1(t *testing.T) {
+	for nprocs := 1; nprocs <= 130; nprocs++ {
+		stages := TreeStages(nprocs)
+		if 1<<(stages-1) > nprocs || 1<<stages <= nprocs {
+			t.Fatalf("TreeStages(%d) = %d, want ⌊log2⌋+1", nprocs, stages)
+		}
+		synced := map[int]bool{0: true}
+		clientAt := map[int]int{}
+		for stage := 0; stage < stages; stage++ {
+			refs := map[int]bool{}
+			var clients []int
+			for r := 0; r < nprocs; r++ {
+				partner, client, ok := TreePair(r, stage, nprocs)
+				if !ok {
+					continue
+				}
+				if partner < 0 || partner >= nprocs || partner == r {
+					t.Fatalf("p=%d stage %d: rank %d paired with %d", nprocs, stage, r, partner)
+				}
+				if back, pclient, pok := TreePair(partner, stage, nprocs); !pok || back != r || pclient == client {
+					t.Errorf("p=%d stage %d: %d→%d (client=%v) but %d→%d (client=%v, ok=%v)",
+						nprocs, stage, r, partner, client, partner, back, pclient, pok)
+				}
+				if client {
+					clients = append(clients, r)
+					if prev, dup := clientAt[r]; dup {
+						t.Errorf("p=%d: rank %d is a client at stages %d and %d", nprocs, r, prev, stage)
+					}
+					clientAt[r] = stage
+				} else {
+					refs[r] = true
+				}
+			}
+			for r := range refs {
+				if !synced[r] {
+					t.Errorf("p=%d stage %d: reference %d is not synchronized yet", nprocs, stage, r)
+				}
+			}
+			if stage < stages-1 && len(refs) != len(synced) {
+				t.Errorf("p=%d stage %d: %d references, %d synchronized ranks", nprocs, stage, len(refs), len(synced))
+			}
+			for _, c := range clients {
+				synced[c] = true
+			}
+		}
+		if len(clientAt) != nprocs-1 || len(synced) != nprocs {
+			t.Errorf("p=%d: %d clients, %d synchronized; want %d, %d", nprocs, len(clientAt), len(synced), nprocs-1, nprocs)
+		}
+		if _, ok := clientAt[0]; ok {
+			t.Errorf("p=%d: rank 0 is a client", nprocs)
+		}
+	}
+}

@@ -14,13 +14,9 @@ import (
 // isolated; the ablations suite (AblationsConfig, RunAblations) runs all
 // three at one scale.
 
-// AblationJKOffsetAlg reproduces the paper's §III-C3 side-finding: swapping
+// jkOffsetAblation reproduces the paper's §III-C3 side-finding: swapping
 // JK's native Mean-RTT-Offset for SKaMPI-Offset "boosts the global clock
 // precision of JK significantly".
-func AblationJKOffsetAlg(eng *harness.Engine, nprocs, nfit, nexch int, nruns int) (*SyncAccuracyResult, error) {
-	return RunSyncAccuracy(eng, jkOffsetAblation(nprocs, nfit, nexch, nruns))
-}
-
 func jkOffsetAblation(nprocs, nfit, nexch, nruns int) SyncAccuracyConfig {
 	spec := cluster.Jupiter()
 	spec.Nodes, spec.CoresPerSocket = nprocs/2, 1
@@ -40,13 +36,9 @@ func jkOffsetAblation(nprocs, nfit, nexch, nruns int) SyncAccuracyConfig {
 	}
 }
 
-// AblationRecomputeIntercept isolates HCA3's recompute_intercept flag
+// recomputeInterceptAblation isolates HCA3's recompute_intercept flag
 // (Alg. 2): re-anchoring the intercept after the regression should improve
 // the offset right after synchronization.
-func AblationRecomputeIntercept(eng *harness.Engine, nprocs, nfit, nexch, nruns int) (*SyncAccuracyResult, error) {
-	return RunSyncAccuracy(eng, recomputeInterceptAblation(nprocs, nfit, nexch, nruns))
-}
-
 func recomputeInterceptAblation(nprocs, nfit, nexch, nruns int) SyncAccuracyConfig {
 	spec := cluster.Jupiter()
 	spec.Nodes, spec.CoresPerSocket = nprocs/2, 1
@@ -65,17 +57,12 @@ func recomputeInterceptAblation(nprocs, nfit, nexch, nruns int) SyncAccuracyConf
 	}
 }
 
-// AblationWander contrasts drifting-skew clocks against fixed-skew clocks
+// wanderAblation contrasts drifting-skew clocks against fixed-skew clocks
 // (WanderSigma = 0) using the Fig. 2 drift experiment: the wander is the
 // model ingredient that makes long-horizon drift nonlinear (paper §III-C2),
 // so the full-horizon R² of a linear fit collapses the difference into one
 // number — with wander off, drift is a perfect line (R² ≈ 1) however long
-// you watch.
-func AblationWander(eng *harness.Engine, nprocs int, horizon float64) (withWander, withoutWander *Fig2Result, err error) {
-	return runWanderAblation(eng, wanderAblation(nprocs, horizon))
-}
-
-// wanderAblation is the wander-on half; runWanderAblation derives the
+// you watch. This is the wander-on half; runWanderAblation derives the
 // fixed-skew half from it.
 func wanderAblation(nprocs int, horizon float64) Fig2Config {
 	cfg := DefaultFig2Config()

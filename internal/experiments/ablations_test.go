@@ -8,7 +8,7 @@ import (
 )
 
 func TestAblationJKOffsetAlgRuns(t *testing.T) {
-	res, err := AblationJKOffsetAlg(nil, 8, 30, 10, 2)
+	res, err := RunSyncAccuracy(nil, jkOffsetAblation(8, 30, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestAblationJKOffsetAlgRuns(t *testing.T) {
 	}
 }
 
-// AblationJKOffsetAlg puts one *MeanRTTOffset in the config, so every task
+// jkOffsetAblation puts one *MeanRTTOffset in the config, so every task
 // of the sweep runs on the same algorithm value: its RTT cache must belong
 // to the job, not the value, or runs skip each other's RTT handshakes
 // (deadlock, or a race at -jobs > 1) and the output depends on which run
@@ -36,7 +36,7 @@ func TestAblationJKOffsetAlgRuns(t *testing.T) {
 func TestAblationJKOffsetAlgSharedAcrossJobs(t *testing.T) {
 	var ref string
 	for _, jobs := range []int{1, 4} {
-		res, err := AblationJKOffsetAlg(harness.New(harness.Options{Jobs: jobs}), 8, 30, 10, 3)
+		res, err := RunSyncAccuracy(harness.New(harness.Options{Jobs: jobs}), jkOffsetAblation(8, 30, 10, 3))
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -51,7 +51,7 @@ func TestAblationJKOffsetAlgSharedAcrossJobs(t *testing.T) {
 }
 
 func TestAblationWanderMakesDriftNonlinear(t *testing.T) {
-	with, without, err := AblationWander(nil, 5, 120)
+	with, without, err := runWanderAblation(nil, wanderAblation(5, 120))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestAblationWanderMakesDriftNonlinear(t *testing.T) {
 }
 
 func TestAblationRecomputeInterceptRuns(t *testing.T) {
-	res, err := AblationRecomputeIntercept(nil, 8, 30, 10, 2)
+	res, err := RunSyncAccuracy(nil, recomputeInterceptAblation(8, 30, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -304,9 +304,7 @@ func DefaultClockFaultsConfig() ClockFaultsConfig {
 		// A faulted cell can have a stepped rank AND Byzantine ranks alive at
 		// once, so a probing rank may see two faulty servers; 5 probe servers
 		// (2f+1 with f=2) keep the divergence median honest in every cell.
-		Watch: clocksync.WatchOpts{
-			Rounds: 8, Interval: 0.04, Delay: 0.05, Threshold: 1e-4, Servers: 5,
-		},
+		Watch: clocksync.WatchOpts{Rounds: 8, Threshold: 1e-4, Servers: 5},
 		Schedule: faults.PlanConfig{
 			StepFrom: 0.75, StepTo: 0.8,
 			ByzBias: 2e-3, ByzJitter: 1e-5,

@@ -76,7 +76,7 @@ func TestClockFaultsAcceptance(t *testing.T) {
 	}
 
 	// Watchdog: every stepped robust run detects and repairs in-window.
-	window := float64(cfg.Watch.Rounds) * cfg.Watch.Interval
+	window := float64(cfg.Watch.Rounds) * 0.04 // clocksync's probe-round spacing
 	for _, key := range [][2]float64{{step, 0}, {step, float64(byz)}} {
 		for _, row := range cells[key]["robust"] {
 			if row.Detected < 1 {

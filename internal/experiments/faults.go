@@ -46,7 +46,7 @@ type FaultsRun struct {
 	Run      int
 
 	Survivors int // ranks that completed sync
-	Degraded  int // survivors whose model fell below MinSamples
+	Degraded  int // survivors whose model kept fewer than three samples
 	LostFrac  float64
 	Duration  float64 // last survivor's sync end, seconds
 

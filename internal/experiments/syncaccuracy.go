@@ -306,8 +306,10 @@ func DefaultFig5Config() SyncAccuracyConfig {
 }
 
 // DefaultFig6Config: Titan at scale (paper: 1024×16 = 16k procs, 5 runs,
-// 10% accuracy sample; scaled to 64×4 = 256 procs by default — pass
-// -procs/-nodes on the CLI for larger runs).
+// 10% accuracy sample; scaled to 64×4 = 256 procs by default). The scale
+// suite (`runexp -suite scale`) runs it at the full 16384 ranks; any other
+// size is this config with Job edited in Go, until ROADMAP's `-scale paper`
+// item gives paper parameters a CLI entry point.
 func DefaultFig6Config() SyncAccuracyConfig {
 	spec := cluster.Titan()
 	spec.Nodes, spec.CoresPerSocket = 64, 2

@@ -147,7 +147,7 @@ func traceCorrRun(cfg TraceCorrectionConfig, seed int64) (map[CorrectionScheme][
 		// clock; corrections are applied post-mortem.
 		lc := clock.NewLocal(p)
 		tr := trace.New(p, lc)
-		app := amg.Config{Iters: 1, Compute: cfg.ComputePer, Imbalance: 0.3, NoiseSigma: 1e-5}
+		app := amg.Config{Compute: cfg.ComputePer, Imbalance: 0.3, NoiseSigma: 1e-5}
 		for it := 0; it < cfg.NIter; it++ {
 			if it > 0 && cfg.ResyncEvery > 0 && it%cfg.ResyncEvery == 0 {
 				gi := cfg.Sync.Sync(comm, clock.NewLocal(p))
@@ -157,7 +157,7 @@ func traceCorrRun(cfg TraceCorrectionConfig, seed int64) (map[CorrectionScheme][
 					m        clock.LinearModel
 				}{it, mi})
 			}
-			runIteration(p, tr, app, it)
+			amg.Iteration(p, app, tr, it)
 		}
 
 		// Scheme 2: end anchor.
@@ -176,23 +176,6 @@ func traceCorrRun(cfg TraceCorrectionConfig, seed int64) (map[CorrectionScheme][
 		return nil, err
 	}
 	return evaluateCorrections(cfg, models, spans, rootClock).SpreadByIter, nil
-}
-
-// runIteration executes one AMG-proxy iteration with tracing.
-func runIteration(p *mpi.Proc, tr *trace.Tracer, app amg.Config, it int) {
-	comm := p.World()
-	d := app.Compute
-	if comm.Size() > 1 {
-		d *= 1 + app.Imbalance*float64(comm.Rank())/float64(comm.Size()-1)
-	}
-	n := p.Rand().NormFloat64() * app.NoiseSigma
-	if n < 0 {
-		n = -n
-	}
-	p.Advance(d + n)
-	tr.Trace(amg.AllreduceRegion, it, func() {
-		comm.AllreduceSized([]float64{1}, mpi.OpMax, 8, mpi.AllreduceRecursiveDoubling)
-	})
 }
 
 // measureAnchor measures this rank's offset to rank 0 (rank 0 serves all

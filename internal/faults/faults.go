@@ -111,47 +111,48 @@ func (p Plan) Zero() bool {
 
 // PlanConfig describes fault *intensity*; Derive expands it into a concrete
 // Plan for one job using the run seed. It is the JSON-serializable knob set
-// experiment configs carry.
+// experiment configs carry; every knob enters a cache key, zero (which
+// disables it) included.
 type PlanConfig struct {
-	DropProb float64 `json:"drop_prob,omitempty"` //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	DupProb  float64 `json:"dup_prob,omitempty"`  //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
+	DropProb float64 `json:"drop_prob"`
+	DupProb  float64 `json:"dup_prob"`
 	// NCrashes ranks are chosen uniformly (without replacement) among all
 	// ranks — including rank 0, so reference re-election is exercised —
 	// each with a crash time uniform in [CrashFrom, CrashTo).
-	NCrashes  int     `json:"n_crashes,omitempty"`  //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	CrashFrom float64 `json:"crash_from,omitempty"` //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	CrashTo   float64 `json:"crash_to,omitempty"`   //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
+	NCrashes  int     `json:"n_crashes"`
+	CrashFrom float64 `json:"crash_from"`
+	CrashTo   float64 `json:"crash_to"`
 	// NEpisodes degraded windows are placed uniformly in [EpisodeFrom,
 	// EpisodeTo), each EpisodeLen long, hitting one random rank with the
 	// given Factor/Extra.
-	NEpisodes     int     `json:"n_episodes,omitempty"`     //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	EpisodeFrom   float64 `json:"episode_from,omitempty"`   //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	EpisodeTo     float64 `json:"episode_to,omitempty"`     //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	EpisodeLen    float64 `json:"episode_len,omitempty"`    //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	EpisodeFactor float64 `json:"episode_factor,omitempty"` //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	EpisodeExtra  float64 `json:"episode_extra,omitempty"`  //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
+	NEpisodes     int     `json:"n_episodes"`
+	EpisodeFrom   float64 `json:"episode_from"`
+	EpisodeTo     float64 `json:"episode_to"`
+	EpisodeLen    float64 `json:"episode_len"`
+	EpisodeFactor float64 `json:"episode_factor"`
+	EpisodeExtra  float64 `json:"episode_extra"`
 	// NSteps one-shot clock jumps hit distinct non-root ranks (rank 0
 	// anchors global time, so stepping it would redefine truth rather than
 	// fault a clock), each at a time uniform in [StepFrom, StepTo) with a
 	// magnitude uniform in [StepMin, StepMax). Signs are taken as given —
 	// configure a negative range for backward steps.
-	NSteps   int     `json:"n_steps,omitempty"`   //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	StepFrom float64 `json:"step_from,omitempty"` //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	StepTo   float64 `json:"step_to,omitempty"`   //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	StepMin  float64 `json:"step_min,omitempty"`  //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	StepMax  float64 `json:"step_max,omitempty"`  //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
+	NSteps   int     `json:"n_steps"`
+	StepFrom float64 `json:"step_from"`
+	StepTo   float64 `json:"step_to"`
+	StepMin  float64 `json:"step_min"`
+	StepMax  float64 `json:"step_max"`
 	// NFreqJumps persistent rate excursions of FreqPPM hit distinct
 	// non-root ranks at times uniform in [FreqFrom, FreqTo).
-	NFreqJumps int     `json:"n_freq_jumps,omitempty"` //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	FreqFrom   float64 `json:"freq_from,omitempty"`    //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	FreqTo     float64 `json:"freq_to,omitempty"`      //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	FreqPPM    float64 `json:"freq_ppm,omitempty"`     //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
+	NFreqJumps int     `json:"n_freq_jumps"`
+	FreqFrom   float64 `json:"freq_from"`
+	FreqTo     float64 `json:"freq_to"`
+	FreqPPM    float64 `json:"freq_ppm"`
 	// NByzantine non-root ranks serve adversarially perturbed timestamps:
 	// a per-rank bias of magnitude ByzBias with a seed-derived sign, plus
 	// uniform jitter of amplitude ByzJitter per served timestamp.
-	NByzantine int     `json:"n_byzantine,omitempty"` //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	ByzBias    float64 `json:"byz_bias,omitempty"`    //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
-	ByzJitter  float64 `json:"byz_jitter,omitempty"`  //synclint:zerokey -- zero disables this fault knob: the same run as a config that never sets it
+	NByzantine int     `json:"n_byzantine"`
+	ByzBias    float64 `json:"byz_bias"`
+	ByzJitter  float64 `json:"byz_jitter"`
 }
 
 // Derive expands the config into a concrete Plan for a job with nprocs

@@ -28,6 +28,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -45,6 +46,23 @@ type Remote interface {
 	// and a mismatch means the two processes disagree about the task's
 	// identity (version or config skew).
 	RunTask(suite, name, key string) (json.RawMessage, error)
+}
+
+// TaskRef names one task of a decomposed suite the way the fabric's job
+// protocol does: by harness suite, task name and cache key. The key is what
+// tells apart tasks a suite-table row submits under one name with different
+// configs (ablations runs fig2/drift with skew wander on and off).
+type TaskRef struct {
+	Suite, Name, Key string
+}
+
+// NoTaskError is Selected's error when nothing submitted to an engine
+// restricted by Options.Only was the task it names: the two processes
+// disagree about the row's decomposition (code-version or config skew).
+type NoTaskError struct{ TaskRef }
+
+func (e *NoTaskError) Error() string {
+	return fmt.Sprintf("harness: no submitted task is %s/%s with cache key %s", e.Suite, e.Name, e.Key)
 }
 
 // Options configures an Engine.
@@ -66,16 +84,13 @@ type Options struct {
 	// *Checkpointer is the file-backed implementation; the fabric worker
 	// substitutes a streaming ledger that relays cuts to its coordinator.
 	Checkpoint Ledger
-	// Filter, when non-nil, restricts execution to the tasks it approves: a
-	// task for which it returns false is skipped outright — no cache
-	// lookup, no run, a zero-value result, and a skipped manifest record.
-	// The fabric worker uses it to execute exactly one task of a decomposed
+	// Only, when non-zero, restricts the engine to the one task it names:
+	// every other submitted task is skipped outright — no run, no cache or
+	// ledger traffic, a zero-value result and a skipped manifest record —
+	// and Selected hands back the named task's canonical-JSON result. The
+	// fabric worker uses it to execute exactly one task of a decomposed
 	// suite; the surrounding suite code never notices.
-	Filter func(suite, name string) bool
-	// Observer, when non-nil, receives every locally computed result right
-	// after it succeeds (cache and ledger hits are not reported). The
-	// fabric worker uses it to capture the one task it was asked to run.
-	Observer func(suite, name, key string, seed int64, result any)
+	Only TaskRef
 	// Remote, when non-nil, executes tasks out of process instead of
 	// calling their Run functions locally. Cache and ledger hits are still
 	// served in-process.
@@ -91,12 +106,12 @@ type Engine struct {
 	version  string
 	reporter Reporter
 	ckpt     Ledger
-	filter   func(suite, name string) bool
-	observer func(suite, name, key string, seed int64, result any)
+	only     TaskRef
 	remote   Remote
 
 	mu        sync.Mutex
 	manifests []*Manifest
+	selected  json.RawMessage // the Options.Only task's result, once it ran
 }
 
 // New builds an engine from opts.
@@ -106,8 +121,7 @@ func New(opts Options) *Engine {
 		version:  opts.Version,
 		reporter: opts.Reporter,
 		ckpt:     opts.Checkpoint,
-		filter:   opts.Filter,
-		observer: opts.Observer,
+		only:     opts.Only,
 		remote:   opts.Remote,
 	}
 	if e.jobs <= 0 {
@@ -152,6 +166,26 @@ func (e *Engine) Manifests() []*Manifest {
 	out := make([]*Manifest, len(e.manifests))
 	copy(out, e.manifests)
 	return out
+}
+
+// Selected returns the canonical-JSON result of the task Options.Only named,
+// or a *NoTaskError when no task submitted so far was that one.
+func (e *Engine) Selected() (json.RawMessage, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.selected == nil {
+		return nil, &NoTaskError{e.only}
+	}
+	return e.selected, nil
+}
+
+// skipsKey reports whether Options.Only excludes a task of the suite and
+// name it names: another config under the same name, or a repeat of the one
+// already run.
+func (e *Engine) skipsKey(key string) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.only != (TaskRef{}) && (key != e.only.Key || e.selected != nil)
 }
 
 func (e *Engine) record(m *Manifest) {

@@ -219,3 +219,77 @@ func TestProgressReporterEmits(t *testing.T) {
 		t.Errorf("reporter output missing summary: %q", out)
 	}
 }
+
+// A suite-table row may submit one (suite, name) twice under different
+// configs (ablations runs fig2/drift with skew wander on and off). An
+// engine restricted to one of them by cache key — the fabric worker's —
+// simulates that one alone, whichever position it was submitted in, and
+// says by type when the key names none of them.
+func TestOnlyRunsTheTaskItsKeyNames(t *testing.T) {
+	const suite, name, base = "fig2", "drift", int64(7)
+	var ran [2]atomic.Int64
+	tasks := func() []Task[simResult] {
+		var ts []Task[simResult]
+		for i, wander := range []bool{true, false} {
+			i := i
+			ts = append(ts, Task[simResult]{
+				Name: name, SeedKey: "run0", Config: map[string]bool{"wander": wander},
+				Run: func(seed int64) (simResult, error) {
+					ran[i].Add(1)
+					return simResult{Index: i, Seed: seed}, nil
+				},
+			})
+		}
+		return append(ts, makeTasks(3)...)
+	}
+	seed := DeriveSeed(suite, "run0", base)
+	for want, wander := range []bool{true, false} {
+		key, err := CacheKey("v", suite, name, seed, map[string]bool{"wander": wander})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran[0].Store(0)
+		ran[1].Store(0)
+		e := New(Options{Jobs: 2, Version: "v", Only: TaskRef{Suite: suite, Name: name, Key: key}})
+		// The row replays every harness suite it is made of; only the
+		// named one may match, and a second submission of it runs nothing.
+		for _, s := range []string{"other", suite, suite} {
+			if _, err := Run(e, s, base, tasks()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := [2]int64{ran[0].Load(), ran[1].Load()}; got[want] != 1 || got[1-want] != 0 {
+			t.Errorf("wander=%v: Run calls %v, want exactly one of task %d", wander, got, want)
+		}
+		raw, err := e.Selected()
+		if wantRaw := fmt.Sprintf(`{"Index":%d,"Seed":%d,"Value":0}`, want, seed); err != nil || string(raw) != wantRaw {
+			t.Errorf("wander=%v: Selected() = %s, %v; want %s", wander, raw, err, wantRaw)
+		}
+		executed := 0
+		for _, m := range e.Manifests() {
+			for _, rec := range m.Tasks {
+				if !rec.Skipped {
+					executed++
+				}
+			}
+		}
+		if executed != 1 {
+			t.Errorf("wander=%v: %d manifest records not marked skipped, want 1", wander, executed)
+		}
+	}
+
+	ran[0].Store(0)
+	ran[1].Store(0)
+	ref := TaskRef{Suite: suite, Name: name, Key: "0000"}
+	e := New(Options{Jobs: 1, Version: "v", Only: ref})
+	if _, err := Run(e, suite, base, tasks()); err != nil {
+		t.Fatal(err)
+	}
+	var nte *NoTaskError
+	if _, err := e.Selected(); !errors.As(err, &nte) || nte.TaskRef != ref {
+		t.Errorf("unknown key: Selected() error = %v, want *NoTaskError naming %+v", err, ref)
+	}
+	if ran[0].Load()+ran[1].Load() != 0 {
+		t.Errorf("unknown key still simulated: %v %v", ran[0].Load(), ran[1].Load())
+	}
+}

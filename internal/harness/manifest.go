@@ -19,8 +19,8 @@ type TaskRecord struct {
 	CheckpointHit bool `json:"checkpoint_hit,omitempty"`
 	// Remote marks a task executed out of process by the sweep fabric.
 	Remote bool `json:"remote,omitempty"`
-	// Skipped marks a task the engine's filter excluded (the fabric worker
-	// runs exactly one task of a decomposed suite).
+	// Skipped marks a task Options.Only excluded (the fabric worker runs
+	// exactly one task of a decomposed suite).
 	Skipped bool    `json:"skipped,omitempty"`
 	WallSec float64 `json:"wall_s"`
 	Error   string  `json:"error,omitempty"`

@@ -79,7 +79,14 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 		}
 		seed := DeriveSeed(suite, seedKey, baseSeed)
 		rec := TaskRecord{Name: name, SeedKey: seedKey, Seed: seed}
-		if e.filter != nil && !e.filter(suite, name) {
+		var key string
+		var kerr error
+		ours := e.only == (TaskRef{}) || (suite == e.only.Suite && name == e.only.Name)
+		if ours {
+			key, kerr = CacheKey(e.version, suite, name, seed, t.Config)
+			ours = kerr != nil || !e.skipsKey(key)
+		}
+		if !ours {
 			// Not ours to run (the fabric worker executes exactly one task
 			// of the decomposed suite): zero result, no cache traffic.
 			rec.Skipped = true
@@ -92,7 +99,6 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 		}
 		t0 := time.Now() //synclint:wallclock -- per-task wall-time telemetry; never hashed
 
-		key, kerr := CacheKey(e.version, suite, name, seed, t.Config)
 		if kerr != nil {
 			errs[i] = kerr
 			rec.Error = kerr.Error()
@@ -142,10 +148,20 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 					results[i] = res
 					e.cache.Put(key, e.version, suite, name, seed, t.Config, res)
 					e.ckpt.Record(suite, name, key, res)
-					if e.observer != nil {
-						e.observer(suite, name, key, seed, res)
-					}
 				}
+			}
+			if errs[i] == nil && e.only != (TaskRef{}) {
+				// The one task this engine exists for: keep its result for
+				// Selected, in the representation a cache entry would hold.
+				raw, merr := json.Marshal(results[i])
+				if merr != nil {
+					errs[i] = fmt.Errorf("%s/%s: marshaling result: %w", suite, name, merr)
+					rec.Error = errs[i].Error()
+					fail(i)
+				}
+				e.mu.Lock()
+				e.selected = raw
+				e.mu.Unlock()
 			}
 		}
 		rec.WallSec = time.Since(t0).Seconds() //synclint:wallclock -- per-task wall-time telemetry; never hashed

@@ -108,45 +108,8 @@ func (c *Comm) barrierTree(tag int) {
 			c.Recv(r+mask, tag)
 		}
 	}
-	// Fan-out: mirror image (binomial broadcast of the release).
-	c.binomialRelease(tag, 0)
-}
-
-// binomialRelease broadcasts a zero-byte release along a binomial tree
-// rooted at root.
-//
-//synclint:allocfree
-func (c *Comm) binomialRelease(tag, root int) {
-	n := c.Size()
-	vr := (c.rank - root + n) % n // virtual rank with root at 0
-	// Find the highest bit where vr has a set bit: that's our parent edge.
-	if vr != 0 {
-		mask := 1
-		for vr&mask == 0 {
-			mask <<= 1
-		}
-		parent := (vr - mask + root) % n
-		c.Recv(parent, tag)
-		// Children are at vr + m for m > mask's position? No: after
-		// receiving, forward to vr | higher bits? See below loop with
-		// mask starting at our lowest set bit.
-		for m := mask >> 1; m >= 1; m >>= 1 {
-			if vr+m < n {
-				c.Send((vr+m+root)%n, tag, empty)
-			}
-		}
-		return
-	}
-	// Root: send to vr + 2^k for descending k.
-	top := 1
-	for top < n {
-		top <<= 1
-	}
-	for m := top >> 1; m >= 1; m >>= 1 {
-		if m < n {
-			c.Send((m+root)%n, tag, empty)
-		}
-	}
+	// Fan-out: mirror image, a binomial broadcast of the zero-byte release.
+	c.bcastBinomial(empty, 0, tag, 0)
 }
 
 //synclint:allocfree

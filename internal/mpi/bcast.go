@@ -55,6 +55,8 @@ func (c *Comm) BcastWith(data []byte, root int, alg BcastAlg) []byte {
 
 // bcastBinomial relays data down the binomial tree rooted at root. Every
 // message's wire size is nbytes or len(data), whichever is larger.
+//
+//synclint:allocfree
 func (c *Comm) bcastBinomial(data []byte, root, tag, nbytes int) []byte {
 	n := c.Size()
 	vr := (c.rank - root + n) % n

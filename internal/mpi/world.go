@@ -114,15 +114,18 @@ type Proc struct {
 	// is max(lt, kernel now) — see now and settle. A rank parked in a
 	// blocking receive or a synchronous send may be ahead of the kernel
 	// clock; once its program has ended, and so at every quiescent cut,
-	// lt <= kernel now and carries no information.
-	lt float64 //synclint:execonly -- at a quiescent cut every rank has settled (lt <= kernel now), so a resumed rank starts from the kernel clock
+	// lt <= kernel now and carries no information: no snapshot holds it,
+	// and a resumed rank starts from the kernel clock.
+	lt float64
 
 	// outTail is the rank's outbox: the messages it sent while ahead of the
 	// kernel clock, each waiting for the kernel callback that puts it on
 	// the wire (see post). It is a ring threaded through the messages —
 	// outTail is the newest, outTail.next the oldest — so a pending send
-	// allocates nothing and the rank record stays in its size class.
-	outTail *message //synclint:execonly -- nil at a quiescent cut: spawn's deferred settle returns after the rank's last callback
+	// allocates nothing and the rank record stays in its size class. It is
+	// nil at a quiescent cut (spawn's deferred settle returns after the
+	// rank's last callback), so no snapshot holds it.
+	outTail *message
 
 	sendCache mbCacheEntry
 	recvCache mbCacheEntry

@@ -2,17 +2,17 @@ package scale
 
 // HCA3-shaped hierarchical clock synchronization as a step-proc workload.
 //
-// This reproduces the *schedule* of the paper's Alg. 1 (internal/clocksync
-// HCA3) — the binomial-tree round structure in which already-synchronized
-// ranks emulate the reference clock for later rounds — without the MPI
-// layer underneath, so it runs at rank counts (10^5–10^6) the fiber-backed
-// MPI stack cannot reach. Each pair synchronization is modeled as
-// Exchanges ping-pongs whose one-way jitter is drawn from the counter-keyed
-// PRNG; the learner's resulting offset error is the mean midpoint error,
-// accumulated on top of its reference's error exactly as model composition
-// accumulates in the real algorithm. The root's error is zero by
-// definition, so the final per-rank errors measure how estimation error
-// propagates down the synchronization tree.
+// This walks the *schedule* of the paper's Alg. 1 (clocksync.TreePair, the
+// pairing HCA3 itself walks) — the binomial-tree round structure in which
+// already-synchronized ranks emulate the reference clock for later rounds —
+// without the MPI layer underneath, so it runs at rank counts (10^5–10^6)
+// the fiber-backed MPI stack cannot reach. Each pair synchronization is
+// modeled as Exchanges ping-pongs whose one-way jitter is drawn from the
+// counter-keyed PRNG; the learner's resulting offset error is the mean
+// midpoint error, accumulated on top of its reference's error exactly as
+// model composition accumulates in the real algorithm. The root's error is
+// zero by definition, so the final per-rank errors measure how estimation
+// error propagates down the synchronization tree.
 //
 // Rendezvous between a reference and its learner uses the same single-slot
 // discipline as the barrier: each rank owns one record; the first of a pair
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"math"
 
+	"hclocksync/internal/clocksync"
 	"hclocksync/internal/sim"
 )
 
@@ -58,44 +59,12 @@ type hsState struct {
 }
 
 type hierSim struct {
-	cfg     HierSyncConfig
-	env     *sim.Env
-	procs   []*sim.Proc
-	rank    []hsState
-	doneAt  []float64
-	nrounds int
-}
-
-// hcaPartner returns rank r's engagement at stage s: its partner, whether r
-// is the learner, and whether r participates at all. Stages 0..nrounds-1
-// are Alg. 1's Step 1 rounds i = nrounds..1 (top of the binomial tree
-// first); stage nrounds is Step 2, where the remainder ranks >= 2^nrounds
-// synchronize against their already-synchronized partner.
-//
-//synclint:allocfree
-func hcaPartner(r, s, nprocs, nrounds int) (partner int, learner, ok bool) {
-	maxPower := 1 << nrounds
-	if s < nrounds {
-		if r >= maxPower {
-			return 0, false, false
-		}
-		running := 1 << (nrounds - s)
-		next := running >> 1
-		switch r % running {
-		case 0:
-			return r + next, false, true
-		case next:
-			return r - next, true, true
-		}
-		return 0, false, false
-	}
-	if r >= maxPower {
-		return r - maxPower, true, true
-	}
-	if r < nprocs-maxPower {
-		return r + maxPower, false, true
-	}
-	return 0, false, false
+	cfg    HierSyncConfig
+	env    *sim.Env
+	procs  []*sim.Proc
+	rank   []hsState
+	doneAt []float64
+	stages int // clocksync.TreeStages(cfg.Ranks)
 }
 
 // hsExchange computes one pair synchronization: Exchanges ping-pongs
@@ -130,11 +99,11 @@ func (h *hierSim) stepRank(p *sim.Proc) sim.Control {
 		panic("scale: hiersync rank resumed while parked at a rendezvous")
 	}
 	for {
-		if int(st.s) > h.nrounds {
+		if int(st.s) >= h.stages {
 			h.doneAt[r] = p.Now()
 			return sim.Stop()
 		}
-		partner, learner, ok := hcaPartner(r, int(st.s), h.cfg.Ranks, h.nrounds)
+		partner, learner, ok := clocksync.TreePair(r, int(st.s), h.cfg.Ranks)
 		if !ok {
 			st.s++
 			continue
@@ -165,16 +134,12 @@ func (h *hierSim) stepRank(p *sim.Proc) sim.Control {
 }
 
 func newHierSim(cfg HierSyncConfig) *hierSim {
-	nrounds := 0
-	for 1<<(nrounds+1) <= cfg.Ranks {
-		nrounds++
-	}
 	h := &hierSim{
-		cfg:     cfg,
-		env:     sim.NewEnv(cfg.Seed),
-		rank:    make([]hsState, cfg.Ranks),
-		doneAt:  make([]float64, cfg.Ranks),
-		nrounds: nrounds,
+		cfg:    cfg,
+		env:    sim.NewEnv(cfg.Seed),
+		rank:   make([]hsState, cfg.Ranks),
+		doneAt: make([]float64, cfg.Ranks),
+		stages: clocksync.TreeStages(cfg.Ranks),
 	}
 	h.procs = h.env.SpawnSteps(cfg.Ranks, h.stepRank)
 	return h
@@ -183,7 +148,7 @@ func newHierSim(cfg HierSyncConfig) *hierSim {
 func (h *hierSim) stats() HierSyncStats {
 	s := HierSyncStats{
 		Ranks:  h.cfg.Ranks,
-		Stages: h.nrounds + 1,
+		Stages: h.stages,
 		Events: h.env.Processed(),
 	}
 	var sq float64

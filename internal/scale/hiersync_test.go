@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"hclocksync/internal/clocksync"
 	"hclocksync/internal/sim"
 )
 
@@ -15,10 +16,6 @@ func runHierSyncFibers(t *testing.T, cfg HierSyncConfig) ([]float64, []float64) 
 	t.Helper()
 	env := sim.NewEnv(cfg.Seed)
 	n := cfg.Ranks
-	nrounds := 0
-	for 1<<(nrounds+1) <= n {
-		nrounds++
-	}
 	arrived := make([]bool, n)
 	stage := make([]int32, n)
 	errs := make([]float64, n)
@@ -26,8 +23,8 @@ func runHierSyncFibers(t *testing.T, cfg HierSyncConfig) ([]float64, []float64) 
 	procs := make([]*sim.Proc, n)
 	body := func(p *sim.Proc) {
 		r := p.ID()
-		for s := 0; s <= nrounds; s++ {
-			partner, learner, ok := hcaPartner(r, s, n, nrounds)
+		for s := 0; s < clocksync.TreeStages(n); s++ {
+			partner, learner, ok := clocksync.TreePair(r, s, n)
 			if !ok {
 				continue
 			}

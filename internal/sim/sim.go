@@ -67,8 +67,9 @@ type Env struct {
 	// measure of simulation work, reported by the scale suite.
 	processed uint64
 	// switches counts the fiber resumes dispatch performed: the coroutine
-	// switches a run paid, next to the events it processed.
-	switches uint64 //synclint:execonly -- a diagnostic like processed: not in EnvState, a resumed kernel restarts the count
+	// switches a run paid, next to the events it processed. A diagnostic
+	// like processed: not in EnvState, a resumed kernel restarts the count.
+	switches uint64
 	// callback is the function callback events run (see OnCallback); one per
 	// kernel, so an event carries no function value.
 	callback func(p *Proc)
