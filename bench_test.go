@@ -1,8 +1,8 @@
 package hclocksync_test
 
 // One benchmark per table and figure of the paper, at the reduced "tiny"
-// scale (see internal/experiments/tiny.go; the cmd/ tools run the larger
-// default scale). Each benchmark reports, besides ns/op, the experiment's
+// scale (each suite's scale table in internal/experiments; cmd/runexp runs
+// the larger default scale). Each benchmark reports, besides ns/op, the experiment's
 // headline quantities as custom metrics so `go test -bench=.` regenerates
 // the paper's numbers in one sweep.
 

@@ -149,7 +149,7 @@ func main() {
 
 func run() (err error) {
 	suites := flag.String("suite", "", "comma-separated suite names, or \"all\"")
-	scale := flag.String("scale", "default", "default, tiny, or smoke (tiny everywhere except the scale suite, which keeps fig6 at full rank count)")
+	scale := flag.String("scale", "default", fmt.Sprintf("one of %v (smoke is tiny everywhere except the scale suite, which keeps fig6 at full rank count)", experiments.Scales()))
 	jobs := flag.Int("jobs", runtime.NumCPU(), "simulations to run concurrently")
 	fabricN := flag.Int("fabric", 0, "run simulations in N supervised child processes (fault-tolerant sweep fabric; results are byte-identical to -jobs N)")
 	workerMode := flag.Bool("worker", false, "internal: serve fabric jobs on stdin/stdout")
@@ -196,10 +196,8 @@ func run() (err error) {
 		}()
 	}
 
-	switch *scale {
-	case "default", "tiny", "smoke":
-	default:
-		return usagef("unknown -scale %q (default, tiny, or smoke)", *scale)
+	if err := experiments.Scale(*scale).Validate(); err != nil {
+		return usagef("-scale: %v", err)
 	}
 	if *restore != "" && *ckptPath != "" && *restore != *ckptPath {
 		return usagef("-restore and -checkpoint must name the same ledger file")
@@ -360,6 +358,7 @@ func runWorker() error {
 			Checkpoint: ledger,
 			Only:       harness.TaskRef{Suite: req.Suite, Name: req.Task, Key: req.Key},
 		})
+		// Run refuses a scale outside experiments.Scales() before simulating.
 		if _, err := row.Run(eng, experiments.Options{Scale: experiments.Scale(req.Scale), Seed: req.Seed}); err != nil {
 			return "", nil, err
 		}

@@ -124,6 +124,11 @@ func TestBadSuiteListsExitTwo(t *testing.T) {
 			t.Errorf("-suite %q: exit %d, want 2", arg, exit)
 		}
 	}
+	for _, scale := range []string{"bogus", "", "Default"} {
+		if _, exit := runexp(t, "-suite", "fig2", "-scale", scale, "-cache", "", "-outdir", dir, "-quiet"); exit != 2 {
+			t.Errorf("-scale %q: exit %d, want 2", scale, exit)
+		}
+	}
 	// The ledger's flush cadence is no longer a flag (spelled in halves so a
 	// grep for the removed name finds only history).
 	gone := "-checkpoint" + "-every"

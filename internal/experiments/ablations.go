@@ -14,48 +14,35 @@ import (
 // isolated; the ablations suite (AblationsConfig, RunAblations) runs all
 // three at one scale.
 
-// jkOffsetAblation reproduces the paper's §III-C3 side-finding: swapping
-// JK's native Mean-RTT-Offset for SKaMPI-Offset "boosts the global clock
-// precision of JK significantly".
-func jkOffsetAblation(nprocs, nfit, nexch, nruns int) SyncAccuracyConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = nprocs/2, 1
-	return SyncAccuracyConfig{
-		Job:      Job{Spec: spec, NProcs: nprocs, Seed: 11},
-		NRuns:    nruns,
-		WaitTime: 5,
-		Algorithms: []clocksync.Algorithm{
+// The two sync studies share one scale table: 16 ranks, 60 fit points of 15
+// exchanges and 3 runs by default (the numbers EXPERIMENTS.md reports); 8
+// ranks, 30 × 10 and 2 runs small.
+var ablationDef, ablationSmall = syncScale{8, 1, 60, 15, 3, 5, 10, 0}, syncScale{4, 1, 30, 10, 2, 5, 10, 0}
+
+var (
+	// jkOffsetAblation reproduces the paper's §III-C3 side-finding: swapping
+	// JK's native Mean-RTT-Offset for SKaMPI-Offset "boosts the global clock
+	// precision of JK significantly".
+	jkOffsetAblation = syncRow{cluster.Jupiter, 11, func(nfit, nexch int) []clocksync.Algorithm {
+		return []clocksync.Algorithm{
 			clocksync.JK{Params: clocksync.Params{
 				NFitpoints: nfit, Offset: &clocksync.MeanRTTOffset{NExchanges: nexch},
 			}},
 			clocksync.JK{Params: clocksync.Params{
 				NFitpoints: nfit, Offset: clocksync.SKaMPIOffset{NExchanges: nexch},
 			}},
-		},
-		Check: clocksync.CheckConfig{Offset: clocksync.SKaMPIOffset{NExchanges: 10}},
-	}
-}
-
-// recomputeInterceptAblation isolates HCA3's recompute_intercept flag
-// (Alg. 2): re-anchoring the intercept after the regression should improve
-// the offset right after synchronization.
-func recomputeInterceptAblation(nprocs, nfit, nexch, nruns int) SyncAccuracyConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = nprocs/2, 1
-	off := clocksync.SKaMPIOffset{NExchanges: nexch}
-	with := clocksync.Params{NFitpoints: nfit, Offset: off, RecomputeIntercept: true}
-	without := clocksync.Params{NFitpoints: nfit, Offset: off}
-	return SyncAccuracyConfig{
-		Job:      Job{Spec: spec, NProcs: nprocs, Seed: 12},
-		NRuns:    nruns,
-		WaitTime: 5,
-		Algorithms: []clocksync.Algorithm{
-			clocksync.HCA3{Params: without},
-			clocksync.HCA3{Params: with},
-		},
-		Check: clocksync.CheckConfig{Offset: clocksync.SKaMPIOffset{NExchanges: 10}},
-	}
-}
+		}
+	}, ablationDef, ablationSmall}
+	// recomputeInterceptAblation isolates HCA3's recompute_intercept flag
+	// (Alg. 2): re-anchoring the intercept after the regression should
+	// improve the offset right after synchronization.
+	recomputeInterceptAblation = syncRow{cluster.Jupiter, 12, func(nfit, nexch int) []clocksync.Algorithm {
+		without := clocksync.Params{NFitpoints: nfit, Offset: clocksync.SKaMPIOffset{NExchanges: nexch}}
+		with := without
+		with.RecomputeIntercept = true
+		return []clocksync.Algorithm{clocksync.HCA3{Params: without}, clocksync.HCA3{Params: with}}
+	}, ablationDef, ablationSmall}
+)
 
 // wanderAblation contrasts drifting-skew clocks against fixed-skew clocks
 // (WanderSigma = 0) using the Fig. 2 drift experiment: the wander is the
@@ -65,7 +52,7 @@ func recomputeInterceptAblation(nprocs, nfit, nexch, nruns int) SyncAccuracyConf
 // you watch. This is the wander-on half; runWanderAblation derives the
 // fixed-skew half from it.
 func wanderAblation(nprocs int, horizon float64) Fig2Config {
-	cfg := DefaultFig2Config()
+	cfg := fig2Config(ScaleDefault)
 	cfg.Job.NProcs = nprocs
 	cfg.Duration = horizon
 	cfg.SampleEvery = horizon / 60
@@ -117,20 +104,22 @@ type AblationsConfig struct {
 	Wander Fig2Config
 }
 
-// DefaultAblationsConfig: 16 ranks, 60 fit points of 15 exchanges, 3 runs;
-// drift watched for 200 s. These are the numbers EXPERIMENTS.md reports.
-func DefaultAblationsConfig() AblationsConfig { return ablationsConfig(16, 60, 15, 3, 200) }
-
-// TinyAblationsConfig: 8 ranks, 30 fit points of 10 exchanges, 2 runs; 60 s.
-func TinyAblationsConfig() AblationsConfig { return ablationsConfig(8, 30, 10, 2, 60) }
-
-func ablationsConfig(nprocs, nfit, nexch, nruns int, horizon float64) AblationsConfig {
+// ablationsConfig is the ablations suite at s: the two sync studies at their
+// table's row, and drift watched for 200 s by default, 60 s small.
+func ablationsConfig(s Scale) AblationsConfig {
+	horizon := 200.0
+	if s.small() {
+		horizon = 60
+	}
 	return AblationsConfig{
-		JKOffset:           jkOffsetAblation(nprocs, nfit, nexch, nruns),
-		RecomputeIntercept: recomputeInterceptAblation(nprocs, nfit, nexch, nruns),
+		JKOffset:           jkOffsetAblation.config(s),
+		RecomputeIntercept: recomputeInterceptAblation.config(s),
 		Wander:             wanderAblation(6, horizon),
 	}
 }
+
+// TinyAblationsConfig is the ablations suite at tiny scale.
+func TinyAblationsConfig() AblationsConfig { return ablationsConfig(ScaleTiny) }
 
 // AblationsResult bundles the three studies.
 type AblationsResult struct {

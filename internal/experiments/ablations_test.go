@@ -8,7 +8,7 @@ import (
 )
 
 func TestAblationJKOffsetAlgRuns(t *testing.T) {
-	res, err := RunSyncAccuracy(nil, jkOffsetAblation(8, 30, 10, 2))
+	res, err := RunSyncAccuracy(nil, jkOffsetAblation.config(ScaleTiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,11 @@ func TestAblationJKOffsetAlgRuns(t *testing.T) {
 // (deadlock, or a race at -jobs > 1) and the output depends on which run
 // measured first.
 func TestAblationJKOffsetAlgSharedAcrossJobs(t *testing.T) {
+	cfg := jkOffsetAblation.config(ScaleTiny)
+	cfg.NRuns = 3
 	var ref string
 	for _, jobs := range []int{1, 4} {
-		res, err := RunSyncAccuracy(harness.New(harness.Options{Jobs: jobs}), jkOffsetAblation(8, 30, 10, 3))
+		res, err := RunSyncAccuracy(harness.New(harness.Options{Jobs: jobs}), cfg)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -67,7 +69,7 @@ func TestAblationWanderMakesDriftNonlinear(t *testing.T) {
 }
 
 func TestAblationRecomputeInterceptRuns(t *testing.T) {
-	res, err := RunSyncAccuracy(nil, recomputeInterceptAblation(8, 30, 10, 2))
+	res, err := RunSyncAccuracy(nil, recomputeInterceptAblation.config(ScaleTiny))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -103,26 +104,15 @@ type clockFaultsTask struct {
 // RunClockFaults executes the sweep through the engine, one task per
 // (estimator, step magnitude, Byzantine count, replication).
 func RunClockFaults(eng *harness.Engine, cfg ClockFaultsConfig) (*ClockFaultsResult, error) {
-	if cfg.NRuns <= 0 {
-		cfg.NRuns = 3
-	}
-	if cfg.NFitpoints <= 0 {
-		cfg.NFitpoints = 20
-	}
-	if cfg.F <= 0 {
-		cfg.F = 1
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 0.7
-	}
-	if len(cfg.StepMags) == 0 {
-		cfg.StepMags = []float64{0}
-	}
-	if len(cfg.ByzCounts) == 0 {
-		cfg.ByzCounts = []int{0}
-	}
-	if len(cfg.Estimators) == 0 {
-		cfg.Estimators = []string{"ls", "robust"}
+	if err := errors.Join(
+		positive("ClockFaultsConfig.NRuns", cfg.NRuns),
+		positive("ClockFaultsConfig.NFitpoints", cfg.NFitpoints),
+		positive("ClockFaultsConfig.F", cfg.F),
+		positive("ClockFaultsConfig.Horizon", cfg.Horizon),
+		nonEmpty("ClockFaultsConfig.StepMags", cfg.StepMags),
+		nonEmpty("ClockFaultsConfig.ByzCounts", cfg.ByzCounts),
+		nonEmpty("ClockFaultsConfig.Estimators", cfg.Estimators)); err != nil {
+		return nil, err
 	}
 	var tasks []harness.Task[ClockFaultsRun]
 	for _, est := range cfg.Estimators {
@@ -281,7 +271,7 @@ func (r *ClockFaultsResult) Print(w io.Writer) {
 	}
 }
 
-// DefaultClockFaultsConfig: 32 ranks on Jupiter. The tree sync takes
+// clockFaultsConfig: 32 ranks on Jupiter. The tree sync takes
 // ~0.6 s at this scale (the reference serializes one quorum session per
 // client), so the watchdog's probe rounds span roughly [0.67, 1.0] s and
 // the step window [0.75, 0.8) lands in their middle: LS models — learned
@@ -289,11 +279,13 @@ func (r *ClockFaultsResult) Print(w io.Writer) {
 // has rounds to spare for detection and resync. The 0.3 ms exchange gap
 // widens each session's fit span to ~6 ms, keeping honest slope noise well
 // under the watchdog threshold over the measurement window.
-func DefaultClockFaultsConfig() ClockFaultsConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 8, 2
-	return ClockFaultsConfig{
-		Job:        Job{Spec: spec, NProcs: 32, Seed: 13},
+//
+// Small scales: 16 ranks, a 2×2 grid, 2 runs. The halved rank count halves
+// the tree-sync duration (~0.25 s), so the fault window and horizon shift
+// earlier with it.
+func clockFaultsConfig(s Scale) ClockFaultsConfig {
+	c := ClockFaultsConfig{
+		Job:        Job{Spec: cluster.Jupiter(), Seed: 13}.resized(8, 2),
 		StepMags:   []float64{0, 1e-3, 5e-3},
 		ByzCounts:  []int{0, 1, 2},
 		Estimators: []string{"ls", "robust"},
@@ -311,20 +303,12 @@ func DefaultClockFaultsConfig() ClockFaultsConfig {
 		},
 		Horizon: 1.3,
 	}
+	if s.small() {
+		c.Job, c.StepMags, c.ByzCounts, c.NRuns = c.Job.resized(4, 2), []float64{0, 5e-3}, []int{0, 1}, 2
+		c.Schedule.StepFrom, c.Schedule.StepTo, c.Horizon = 0.3, 0.35, 0.7
+	}
+	return c
 }
 
-// TinyClockFaultsConfig: 16 ranks, a 2×2 grid, 2 runs. The halved rank
-// count halves the tree-sync duration (~0.25 s), so the fault window and
-// horizon shift earlier with it.
-func TinyClockFaultsConfig() ClockFaultsConfig {
-	cfg := DefaultClockFaultsConfig()
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 4, 2
-	cfg.Job = Job{Spec: spec, NProcs: 16, Seed: 13}
-	cfg.StepMags = []float64{0, 5e-3}
-	cfg.ByzCounts = []int{0, 1}
-	cfg.NRuns = 2
-	cfg.Schedule.StepFrom, cfg.Schedule.StepTo = 0.3, 0.35
-	cfg.Horizon = 0.7
-	return cfg
-}
+// TinyClockFaultsConfig is the clockfaults row at tiny scale.
+func TinyClockFaultsConfig() ClockFaultsConfig { return clockFaultsConfig(ScaleTiny) }

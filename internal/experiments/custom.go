@@ -123,9 +123,7 @@ func RunCustom(cfg CustomConfig) (*CustomResult, error) {
 	}
 	needsClock := scheme != "barrier"
 	if needsClock && cfg.Sync == nil {
-		cfg.Sync = clocksync.NewH2HCA(clocksync.HCA3{Params: clocksync.Params{
-			NFitpoints: 150, Offset: clocksync.SKaMPIOffset{NExchanges: 20},
-		}})
+		cfg.Sync = h2hca(150, 20)
 	}
 	// Validate the operation up front.
 	if _, err := cfg.op(cfg.MSizes[0]); err != nil {

@@ -15,10 +15,6 @@ func tinyCustomJob() Job {
 	return Job{Spec: spec, NProcs: 16, Seed: 17}
 }
 
-func tinySync() clocksync.Algorithm {
-	return clocksync.NewH2HCA(clocksync.HCA3{Params: tinyParams()})
-}
-
 func TestRunCustomAllSchemes(t *testing.T) {
 	for _, scheme := range []string{"barrier", "window", "roundtime"} {
 		scheme := scheme
@@ -30,7 +26,7 @@ func TestRunCustomAllSchemes(t *testing.T) {
 				Scheme:    scheme,
 				NRep:      15,
 				TimeSlice: 20e-3,
-				Sync:      tinySync(),
+				Sync:      h2hca(40, 10),
 				Barrier:   mpi.BarrierTree,
 			})
 			if err != nil {
@@ -65,7 +61,7 @@ func TestRunCustomAllOperations(t *testing.T) {
 				Scheme:    "roundtime",
 				NRep:      10,
 				TimeSlice: 20e-3,
-				Sync:      tinySync(),
+				Sync:      h2hca(40, 10),
 				Barrier:   mpi.BarrierDissemination,
 			})
 			if err != nil {
@@ -94,7 +90,7 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := ParseMachine("summit"); err == nil {
 		t.Error("expected error for unknown machine")
 	}
-	p := tinyParams()
+	p := clocksync.Params{NFitpoints: 40, Offset: clocksync.SKaMPIOffset{NExchanges: 10}}
 	for _, name := range []string{"hca", "hca2", "hca3", "jk", "h2hca", "h3hca", "skampi"} {
 		alg, err := ParseSyncAlg(name, p)
 		if err != nil {
@@ -124,7 +120,7 @@ func TestCustomPrintFormat(t *testing.T) {
 		Scheme:    "roundtime",
 		NRep:      8,
 		TimeSlice: 10e-3,
-		Sync:      tinySync(),
+		Sync:      h2hca(40, 10),
 	})
 	if err != nil {
 		t.Fatal(err)

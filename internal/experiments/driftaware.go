@@ -24,18 +24,23 @@ type DriftAwareConfig struct {
 	NFitpoints int
 }
 
-// DefaultDriftAwareConfig probes at 0/2/10 s on a Jupiter slice.
-func DefaultDriftAwareConfig() DriftAwareConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 8, 1
-	return DriftAwareConfig{
-		Job:        Job{Spec: spec, NProcs: 16, Seed: 14},
+// driftAwareConfig probes at 0/2/10 s on a Jupiter slice, 3 runs (small: 2).
+func driftAwareConfig(s Scale) DriftAwareConfig {
+	c := DriftAwareConfig{
+		Job:        Job{Spec: cluster.Jupiter(), Seed: 14}.resized(8, 1),
 		NRuns:      3,
 		Waits:      []float64{2, 10},
 		NExchanges: 25,
 		NFitpoints: 300,
 	}
+	if s.small() {
+		c.NRuns = 2
+	}
+	return c
 }
+
+// DefaultDriftAwareConfig is the driftaware row at default scale.
+func DefaultDriftAwareConfig() DriftAwareConfig { return driftAwareConfig(ScaleDefault) }
 
 // DriftAwareResult compares max offsets of the two schemes per checkpoint.
 type DriftAwareResult struct {

@@ -1,13 +1,17 @@
 // Package experiments contains one harness per table and figure of the
-// paper's evaluation. Each harness has a Default*Config constructor (CLI
-// scale — smaller than the paper's testbeds, see DESIGN.md §1), a Run
-// function returning typed results, and a Print function that emits the
-// same rows/series the paper reports. Suites() (suites.go) lists them all —
-// one row per table, figure, ablation and extension — and is what cmd/runexp
-// ("runexp -suite NAME", plus -outdir for the CSV series and histograms) and
-// the golden-hash test iterate; the repository's benchmark suite and
-// examples/ call the Run* functions directly, which stays the way to run a
-// suite at a size neither its Default* nor its Tiny* constructor gives.
+// paper's evaluation. Each harness has a config, a Run function returning
+// typed results, and a Print function that emits the same rows/series the
+// paper reports. Suites() (suites.go) lists them all — one row per table,
+// figure, ablation and extension — and is what cmd/runexp ("runexp -suite
+// NAME -scale S", plus -outdir for the CSV series and histograms) and the
+// golden-hash test iterate.
+//
+// Each row family has one config builder over its scale table: the default
+// literal (CLI scale — smaller than the paper's testbeds, see DESIGN.md §1)
+// and, next to it, what each smaller Scale changes. The Figs. 3–6 family and
+// the ablations' sync studies share one builder, syncRow. To run a suite at a
+// size no Scale gives, edit the config a Default*/Tiny* wrapper returns and
+// call its Run* function, as the repository's benchmark suite does.
 //
 // Every Run* function takes an *harness.Engine as its first argument and
 // submits each independent simulated mpirun as one engine task, so
@@ -23,6 +27,7 @@ import (
 	"io"
 	"strings"
 
+	"hclocksync/internal/clocksync"
 	"hclocksync/internal/cluster"
 	"hclocksync/internal/mpi"
 )
@@ -54,6 +59,50 @@ func (j Job) config() mpi.Config {
 // run executes main as an MPI job; it converts the config and fails fast.
 func (j Job) run(main func(p *mpi.Proc)) error {
 	return mpi.Run(j.config(), main)
+}
+
+// resized is j on its machine cut to nodes × coresPerSocket, one rank per
+// core (block-mapped: every preset has two sockets per node).
+func (j Job) resized(nodes, coresPerSocket int) Job {
+	j.Spec.Nodes, j.Spec.CoresPerSocket = nodes, coresPerSocket
+	j.NProcs = j.Spec.TotalCores()
+	return j
+}
+
+// h2hca is the paper's two-level H2HCA over HCA3 with nfit fit points of
+// nexch SKaMPI ping-pongs: the global clock of every benchmark-style suite.
+func h2hca(nfit, nexch int) clocksync.Algorithm {
+	return clocksync.NewH2HCA(clocksync.HCA3{Params: clocksync.Params{
+		NFitpoints: nfit, Offset: clocksync.SKaMPIOffset{NExchanges: nexch},
+	}})
+}
+
+// ConfigError is a Run* function's refusal of a config field it cannot run
+// with — a non-positive count or horizon, or an empty sweep axis — returned
+// before any task is submitted.
+type ConfigError struct {
+	Field string // e.g. "FaultsConfig.Horizon"
+	Want  string // "positive" or "non-empty"
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("experiments: %s must be %s", e.Field, e.Want)
+}
+
+// positive is nil when v > 0 (false for NaN) and a *ConfigError otherwise.
+func positive[T int | float64](field string, v T) error {
+	if v > 0 {
+		return nil
+	}
+	return &ConfigError{field, "positive"}
+}
+
+// nonEmpty is nil for a sweep axis with at least one point.
+func nonEmpty[T any](field string, axis []T) error {
+	if len(axis) > 0 {
+		return nil
+	}
+	return &ConfigError{field, "non-empty"}
 }
 
 // us converts seconds to microseconds for printing (the paper's unit).

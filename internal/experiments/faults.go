@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -81,20 +82,13 @@ type faultsTask struct {
 // RunFaults executes the sweep through the engine, one task per
 // (drop rate, crash count, replication).
 func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
-	if cfg.NRuns <= 0 {
-		cfg.NRuns = 3
-	}
-	if cfg.NFitpoints <= 0 {
-		cfg.NFitpoints = 50
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2
-	}
-	if len(cfg.DropRates) == 0 {
-		cfg.DropRates = []float64{0}
-	}
-	if len(cfg.CrashCounts) == 0 {
-		cfg.CrashCounts = []int{0}
+	if err := errors.Join(
+		positive("FaultsConfig.NRuns", cfg.NRuns),
+		positive("FaultsConfig.NFitpoints", cfg.NFitpoints),
+		positive("FaultsConfig.Horizon", cfg.Horizon),
+		nonEmpty("FaultsConfig.DropRates", cfg.DropRates),
+		nonEmpty("FaultsConfig.CrashCounts", cfg.CrashCounts)); err != nil {
+		return nil, err
 	}
 	var tasks []harness.Task[FaultsRun]
 	for _, drop := range cfg.DropRates {
@@ -285,15 +279,14 @@ func (r *FaultsResult) Print(w io.Writer) {
 	}
 }
 
-// DefaultFaultsConfig: 32 ranks on Jupiter, drop rates up to 10%, up to two
+// faultsConfig: 32 ranks on Jupiter, drop rates up to 10%, up to two
 // crashed ranks (the crash window covers the start of the sync, so doomed
 // ranks are excluded from the survivor tree — including rank 0, which
-// exercises reference re-election).
-func DefaultFaultsConfig() FaultsConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 8, 2
-	return FaultsConfig{
-		Job:         Job{Spec: spec, NProcs: 32, Seed: 11},
+// exercises reference re-election). Small scales: 16 ranks, a 2×2 grid, 2
+// runs of 30 fit points.
+func faultsConfig(s Scale) FaultsConfig {
+	c := FaultsConfig{
+		Job:         Job{Spec: cluster.Jupiter(), Seed: 11}.resized(8, 2),
 		DropRates:   []float64{0, 0.01, 0.05, 0.1},
 		CrashCounts: []int{0, 1, 2},
 		NRuns:       3,
@@ -305,20 +298,12 @@ func DefaultFaultsConfig() FaultsConfig {
 		Schedule: faults.PlanConfig{CrashFrom: 0, CrashTo: 0.05},
 		Horizon:  0.5,
 	}
+	if s.small() {
+		c.Job, c.DropRates, c.CrashCounts = c.Job.resized(4, 2), []float64{0, 0.05}, []int{0, 1}
+		c.NRuns, c.NFitpoints = 2, 30
+	}
+	return c
 }
 
-// TinyFaultsConfig: 16 ranks, a 2×2 grid, 2 runs.
-func TinyFaultsConfig() FaultsConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 4, 2
-	return FaultsConfig{
-		Job:         Job{Spec: spec, NProcs: 16, Seed: 11},
-		DropRates:   []float64{0, 0.05},
-		CrashCounts: []int{0, 1},
-		NRuns:       2,
-		NFitpoints:  30,
-		FT:          clocksync.FTOpts{Gap: 5e-4},
-		Schedule:    faults.PlanConfig{CrashFrom: 0, CrashTo: 0.05},
-		Horizon:     0.5,
-	}
-}
+// TinyFaultsConfig is the faults row at tiny scale.
+func TinyFaultsConfig() FaultsConfig { return faultsConfig(ScaleTiny) }

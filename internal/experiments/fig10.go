@@ -39,13 +39,12 @@ type Fig10Config struct {
 	Sync      clocksync.Algorithm
 }
 
-// DefaultFig10Config mirrors the paper: 27 nodes × 8 ranks on Jupiter,
-// AMG2013-like workload, the 10th MPI_Allreduce, all four clock cases.
-func DefaultFig10Config() Fig10Config {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.SocketsPerNode, spec.CoresPerSocket = 27, 2, 4 // 8 cores/node
-	return Fig10Config{
-		Job:       Job{Spec: spec, NProcs: 27 * 8, Seed: 10},
+// fig10Config mirrors the paper: 27 nodes × 8 ranks on Jupiter, AMG2013-like
+// workload, the 10th MPI_Allreduce, all four clock cases. Small scales trace
+// 6 nodes × 4 ranks on a cheaper clock.
+func fig10Config(s Scale) Fig10Config {
+	c := Fig10Config{
+		Job:       Job{Spec: cluster.Jupiter(), Seed: 10}.resized(27, 4), // 8 cores/node
 		Iteration: 10,
 		Cases: []Fig10Case{
 			{Global: true, Source: cluster.Monotonic},
@@ -60,11 +59,16 @@ func DefaultFig10Config() Fig10Config {
 			// A little OS noise so the Gantt chart shows per-rank texture.
 			NoiseSigma: 2e-6,
 		},
-		Sync: clocksync.NewH2HCA(clocksync.HCA3{Params: clocksync.Params{
-			NFitpoints: 120, Offset: clocksync.SKaMPIOffset{NExchanges: 15},
-		}}),
+		Sync: h2hca(120, 15),
 	}
+	if s.small() {
+		c.Job, c.Sync = c.Job.resized(6, 2), h2hca(40, 10)
+	}
+	return c
 }
+
+// TinyFig10Config is the fig10 row at tiny scale.
+func TinyFig10Config() Fig10Config { return fig10Config(ScaleTiny) }
 
 // Fig10Panel is one traced Gantt panel: normalized per-rank spans of the
 // chosen Allreduce iteration.

@@ -25,10 +25,11 @@ type Fig2Config struct {
 	ShortWindow float64 // the "linear" window to validate (paper: 10 s)
 }
 
-// DefaultFig2Config mirrors the paper's setup on Hydra with 10 single-rank
-// nodes, scaled to a 200 s horizon (the nonlinearity is already clear).
-func DefaultFig2Config() Fig2Config {
-	return Fig2Config{
+// fig2Config mirrors the paper's setup on Hydra with 10 single-rank nodes,
+// scaled to a 200 s horizon (the nonlinearity is already clear); small
+// scales watch 6 nodes for 40 s.
+func fig2Config(s Scale) Fig2Config {
+	c := Fig2Config{
 		Job: Job{
 			Spec:    cluster.Hydra(),
 			NProcs:  10,
@@ -40,7 +41,14 @@ func DefaultFig2Config() Fig2Config {
 		Exchanges:   10,
 		ShortWindow: 10,
 	}
+	if s.small() {
+		c.Job.NProcs, c.Duration, c.SampleEvery, c.Exchanges = 6, 40, 1, 5
+	}
+	return c
 }
+
+// TinyFig2Config is the fig2 row at tiny scale.
+func TinyFig2Config() Fig2Config { return fig2Config(ScaleTiny) }
 
 // DriftPoint is one offset sample of one rank against the reference.
 type DriftPoint struct {

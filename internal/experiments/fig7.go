@@ -23,20 +23,27 @@ type Fig7Config struct {
 	NRep     int
 }
 
-// DefaultFig7Config mirrors the paper: IMB, OSU, and ReproMPI measuring
+// fig7Config mirrors the paper: IMB, OSU, and ReproMPI measuring
 // MPI_Allreduce at 4/8/16 B under the bruck, recursive-doubling, and tree
-// barriers on Jupiter (scaled to 16 nodes × 4 ranks).
-func DefaultFig7Config() Fig7Config {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 16, 2
-	return Fig7Config{
-		Job:      Job{Spec: spec, NProcs: 64, Seed: 7},
+// barriers on Jupiter (scaled to 16 nodes × 4 ranks; small: 4 × 4 ranks, 20
+// repetitions).
+func fig7Config(s Scale) Fig7Config {
+	c := Fig7Config{
+		Job:      Job{Spec: cluster.Jupiter(), Seed: 7}.resized(16, 2),
 		Suites:   []bench.Suite{bench.SuiteIMB, bench.SuiteOSU, bench.SuiteReproMPIBarrier},
 		Barriers: []mpi.BarrierAlg{mpi.BarrierDissemination, mpi.BarrierRecursiveDoubling, mpi.BarrierTree},
 		MSizes:   []int{4, 8, 16},
 		NRep:     50,
 	}
+	if s.small() {
+		c.Job, c.NRep = c.Job.resized(4, 2), 20
+	}
+	return c
 }
+
+// The fig7 row at default and tiny scale.
+func DefaultFig7Config() Fig7Config { return fig7Config(ScaleDefault) }
+func TinyFig7Config() Fig7Config    { return fig7Config(ScaleTiny) }
 
 // Fig7Row is one measured cell of the figure.
 type Fig7Row struct {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -29,24 +30,30 @@ type Fig8Config struct {
 	Sync     clocksync.Algorithm
 }
 
-// DefaultFig8Config mirrors the paper on Jupiter (scaled): bruck, double
-// ring, recursive doubling, and tree barriers, 500 calls × 5 runs.
-func DefaultFig8Config() Fig8Config {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 16, 2
-	return Fig8Config{
-		Job: Job{Spec: spec, NProcs: 64, Seed: 8},
+// fig8Config mirrors the paper on Jupiter (scaled): bruck, double ring,
+// recursive doubling, and tree barriers, 500 calls × 5 runs. Small scales
+// keep the 64 ranks (the tree-vs-dissemination ordering needs scale to
+// emerge; see EXPERIMENTS.md) but make fewer calls on a cheaper clock.
+func fig8Config(s Scale) Fig8Config {
+	c := Fig8Config{
+		Job: Job{Spec: cluster.Jupiter(), Seed: 8}.resized(16, 2),
 		Barriers: []mpi.BarrierAlg{
 			mpi.BarrierDissemination, mpi.BarrierDoubleRing,
 			mpi.BarrierRecursiveDoubling, mpi.BarrierTree,
 		},
 		NCalls: 500,
 		NRuns:  5,
-		Sync: clocksync.NewH2HCA(clocksync.HCA3{Params: clocksync.Params{
-			NFitpoints: 150, Offset: clocksync.SKaMPIOffset{NExchanges: 20},
-		}}),
+		Sync:   h2hca(150, 20),
 	}
+	if s.small() {
+		c.NCalls, c.NRuns, c.Sync = 150, 2, h2hca(40, 10)
+	}
+	return c
 }
+
+// The fig8 row at default and tiny scale.
+func DefaultFig8Config() Fig8Config { return fig8Config(ScaleDefault) }
+func TinyFig8Config() Fig8Config    { return fig8Config(ScaleTiny) }
 
 // Fig8Result holds, per barrier algorithm, the pooled imbalance samples of
 // all runs (paper: 2500 data points each).
@@ -67,11 +74,9 @@ type fig8Task struct {
 // RunFig8 executes the experiment: one engine task per replication, each
 // measuring every barrier algorithm inside one mpirun (as the paper does).
 func RunFig8(eng *harness.Engine, cfg Fig8Config) (*Fig8Result, error) {
-	if cfg.NCalls <= 0 {
-		cfg.NCalls = 500
-	}
-	if cfg.NRuns <= 0 {
-		cfg.NRuns = 5
+	if err := errors.Join(positive("Fig8Config.NCalls", cfg.NCalls),
+		positive("Fig8Config.NRuns", cfg.NRuns)); err != nil {
+		return nil, err
 	}
 	var barrierNames []string
 	for _, alg := range cfg.Barriers {

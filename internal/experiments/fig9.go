@@ -27,23 +27,30 @@ type Fig9Config struct {
 	RoundTime bench.RoundTimeConfig
 }
 
-// DefaultFig9Config mirrors the paper on Titan (paper: 64×16 = 1024 procs,
-// 3 runs, 5 s time slices; scaled to 32×4 = 128 procs and 30 ms slices).
-func DefaultFig9Config() Fig9Config {
-	spec := cluster.Titan()
-	spec.Nodes, spec.CoresPerSocket = 32, 2
-	return Fig9Config{
-		Job:     Job{Spec: spec, NProcs: 128, Seed: 9},
-		MSizes:  []int{4, 8, 16, 32, 64, 128, 256, 512, 1024},
-		NRuns:   3,
-		NRep:    40,
-		Barrier: mpi.BarrierDissemination,
-		Sync: clocksync.NewH2HCA(clocksync.HCA3{Params: clocksync.Params{
-			NFitpoints: 150, Offset: clocksync.SKaMPIOffset{NExchanges: 20},
-		}}),
+// fig9Config mirrors the paper on Titan (paper: 64×16 = 1024 procs, 3 runs,
+// 5 s time slices; scaled to 32×4 = 128 procs and 30 ms slices). Small
+// scales: 16 ranks, 4 message sizes, 2 runs of 20 repetitions.
+func fig9Config(s Scale) Fig9Config {
+	c := Fig9Config{
+		Job:       Job{Spec: cluster.Titan(), Seed: 9}.resized(32, 2),
+		MSizes:    []int{4, 8, 16, 32, 64, 128, 256, 512, 1024},
+		NRuns:     3,
+		NRep:      40,
+		Barrier:   mpi.BarrierDissemination,
+		Sync:      h2hca(150, 20),
 		RoundTime: bench.RoundTimeConfig{MaxTimeSlice: 30e-3},
 	}
+	if s.small() {
+		c.Job, c.MSizes = c.Job.resized(4, 2), []int{8, 64, 256, 1024}
+		c.NRuns, c.NRep, c.Sync = 2, 20, h2hca(40, 10)
+		c.RoundTime = bench.RoundTimeConfig{MaxTimeSlice: 10e-3, MaxNRep: 20}
+	}
+	return c
 }
+
+// The fig9 row at default and tiny scale.
+func DefaultFig9Config() Fig9Config { return fig9Config(ScaleDefault) }
+func TinyFig9Config() Fig9Config    { return fig9Config(ScaleTiny) }
 
 // Fig9Point is one (suite, msize) aggregate over the runs.
 type Fig9Point struct {

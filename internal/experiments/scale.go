@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"hclocksync/internal/cluster"
 	"hclocksync/internal/harness"
 	"hclocksync/internal/scale"
 	"hclocksync/internal/sim"
@@ -55,70 +54,46 @@ type ScaleResult struct {
 	BytesPerRank int // kernel-side footprint of one step proc (compile-time constant)
 }
 
-// DefaultScaleConfig: fig6 at the full paper scale (16384 ranks, one run,
-// the two big-fitpoint algorithms) and synthetic sweeps at 100k–1M ranks.
-func DefaultScaleConfig() ScaleConfig {
-	fig6 := DefaultFig6Config()
-	fig6.Job.Spec = cluster.Titan() // full 1024 × 2 × 8 preset
-	fig6.Job.NProcs = fig6.Job.Spec.TotalCores()
-	fig6.NRuns = 1
-	fig6.Algorithms = fig456Algorithms(100, 15)[:2] // flat HCA3 + its half-fitpoint variant
-	return ScaleConfig{
-		RunFig6:      true,
-		Fig6:         fig6,
+// scaleConfig is the scale suite at s. Default: fig6 at the full paper scale
+// (the 1024 × 2 × 8 Titan preset, one run, the two big-fitpoint flat
+// algorithms) and synthetic sweeps at 100k–1M ranks.
+func scaleConfig(s Scale) ScaleConfig {
+	c := ScaleConfig{
 		BarrierRanks: []int{100_000, 250_000, 1_000_000},
 		HierRanks:    []int{100_000, 250_000, 1_000_000},
-		Barrier:      defaultBarrierTemplate(),
-		HierSync:     defaultHierSyncTemplate(),
+		Barrier:      scale.BarrierConfig{Arity: 8, Rounds: 3, Latency: 5e-6, SendGap: 4e-7, Compute: 1e-4},
+		HierSync:     scale.HierSyncConfig{Exchanges: 10, Latency: 2e-6, Jitter: 5e-7},
 		Seed:         11,
 	}
-}
-
-// TinyScaleConfig: the synthetic sweeps only, at test-sized rank counts.
-// Fig6 is omitted — the tiny fig6 already has its own suite entry.
-func TinyScaleConfig() ScaleConfig {
-	return ScaleConfig{
-		BarrierRanks: []int{256, 4096},
-		HierRanks:    []int{256, 4096},
-		Barrier:      defaultBarrierTemplate(),
-		HierSync:     defaultHierSyncTemplate(),
-		Seed:         11,
+	switch s {
+	case ScaleDefault:
+		c.RunFig6, c.Fig6 = true, fullFig6(syncScale{1024, 8, 100, 15, 1, 10, 10, 10}, 2)
+	case ScaleSmoke:
+		// The CI memory gate: fig6 still at 16384 ranks but one run of flat
+		// HCA3 at halved fit points with a sparse accuracy sample, plus one
+		// 100k-rank point per sweep — a CI minute, big enough that a
+		// per-rank memory regression trips scripts/scale_smoke.sh's ceiling.
+		c.RunFig6, c.Fig6 = true, fullFig6(syncScale{1024, 8, 50, 10, 1, 2, 10, 100}, 1)
+		c.BarrierRanks, c.HierRanks = []int{100_000}, []int{100_000}
+	case ScaleTiny:
+		// The sweeps only, at test-sized rank counts: the tiny fig6 has its
+		// own row.
+		c.BarrierRanks, c.HierRanks = []int{256, 4096}, []int{256, 4096}
 	}
+	return c
 }
 
-// SmokeScaleConfig is the CI memory gate: fig6 still at the paper's full
-// 16384 ranks but a single run of a single algorithm with a sparse accuracy
-// sample, plus one 100k-rank point per synthetic sweep — small enough for a
-// CI minute, big enough that a per-rank memory regression trips the RSS
-// ceiling scripts/scale_smoke.sh enforces.
-func SmokeScaleConfig() ScaleConfig {
-	cfg := DefaultScaleConfig()
-	cfg.Fig6.NRuns = 1
-	cfg.Fig6.WaitTime = 2
-	cfg.Fig6.Algorithms = fig456Algorithms(50, 10)[:1] // flat HCA3, halved fit points
-	cfg.Fig6.Check.SampleStride = 100
-	cfg.BarrierRanks = []int{100_000}
-	cfg.HierRanks = []int{100_000}
-	return cfg
+// fullFig6 is fig6's row built at p, keeping the first nalgs of its
+// flat-then-hierarchical line-up.
+func fullFig6(p syncScale, nalgs int) SyncAccuracyConfig {
+	c := fig6Row.build(p)
+	c.Algorithms = c.Algorithms[:nalgs]
+	return c
 }
 
-func defaultBarrierTemplate() scale.BarrierConfig {
-	return scale.BarrierConfig{
-		Arity:   8,
-		Rounds:  3,
-		Latency: 5e-6,
-		SendGap: 4e-7,
-		Compute: 1e-4,
-	}
-}
-
-func defaultHierSyncTemplate() scale.HierSyncConfig {
-	return scale.HierSyncConfig{
-		Exchanges: 10,
-		Latency:   2e-6,
-		Jitter:    5e-7,
-	}
-}
+// The scale suite at the scales the benchmark suite starts from.
+func DefaultScaleConfig() ScaleConfig { return scaleConfig(ScaleDefault) }
+func TinyScaleConfig() ScaleConfig    { return scaleConfig(ScaleTiny) }
 
 // RunScale executes the suite: the optional full-scale fig6 first, then one
 // engine task per synthetic sweep point.

@@ -1,28 +1,53 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
+	"slices"
 
 	"hclocksync/internal/harness"
 )
 
-// Scale selects which of a suite's config constructors a run starts from.
+// Scale selects the row of every suite's scale table a run starts from.
 type Scale string
 
 const (
-	// ScaleDefault is the Default*Config: the scale EXPERIMENTS.md reports.
+	// ScaleDefault is the scale EXPERIMENTS.md reports.
 	ScaleDefault Scale = "default"
-	// ScaleTiny is the Tiny*Config: seconds, what the golden hashes pin.
+	// ScaleTiny is seconds per suite: what the golden hashes pin.
 	ScaleTiny Scale = "tiny"
 	// ScaleSmoke is tiny everywhere except the scale suite, which keeps
 	// fig6 at the full 16384 ranks but trims it to a single run for the CI
-	// memory gate (SmokeScaleConfig).
+	// memory gate (scripts/scale_smoke.sh).
 	ScaleSmoke Scale = "smoke"
 )
 
+// Scales lists every known Scale. Suite.Run refuses any other value.
+func Scales() []Scale { return []Scale{ScaleDefault, ScaleTiny, ScaleSmoke} }
+
+// Validate is nil for a known scale and an *UnknownScaleError otherwise.
+func (s Scale) Validate() error {
+	if slices.Contains(Scales(), s) {
+		return nil
+	}
+	return &UnknownScaleError{s}
+}
+
+// small reports whether s shrinks a row to test size: tiny and smoke differ
+// only in the scale suite.
+func (s Scale) small() bool { return s == ScaleTiny || s == ScaleSmoke }
+
+// UnknownScaleError is what Suite.Run returns, before anything is
+// simulated, for a Scale outside Scales().
+type UnknownScaleError struct{ Scale Scale }
+
+func (e *UnknownScaleError) Error() string {
+	return fmt.Sprintf("unknown scale %q (known: %v)", string(e.Scale), Scales())
+}
+
 // Options are the run-level settings a Suite applies to its config; the
-// zero value of every field but Scale leaves the constructor's config
-// as it is.
+// zero value of every field but Scale leaves the config as its scale table
+// states it.
 type Options struct {
 	Scale Scale
 	// Seed, when non-zero, overrides the suite's base seed(s).
@@ -60,29 +85,22 @@ type Suite struct {
 	Name  string // runexp -suite name and golden-hash key
 	Title string
 	Run   func(eng *harness.Engine, o Options) (Result, error)
+	// config is the row's config at a known scale, before Options apply
+	// (nil for table1, which has none); the config-digest test hashes it.
+	config func(Scale) any
 }
 
-// configs holds a suite's config constructors per Scale; a nil smoke means
-// the tiny one.
-type configs[C any] struct{ def, tiny, smoke func() C }
-
-func (c configs[C]) at(s Scale) C {
-	switch {
-	case s == ScaleSmoke && c.smoke != nil:
-		return c.smoke()
-	case s != ScaleDefault:
-		return c.tiny()
-	}
-	return c.def()
-}
-
-// suite builds one row: pick the config for o.Scale, let apply write the
-// options into it (at least the seed override, wherever that config keeps
-// its base seed), run, and attach the artifacts (nil for none).
-func suite[C any, R Printer](name, title string, cfgs configs[C], apply func(*C, Options),
+// suite builds one row from its family's config builder: check o.Scale,
+// build the config at it, let apply write the options into it (at least the
+// seed override, wherever that config keeps its base seed), run, and attach
+// the artifacts (nil for none).
+func suite[C any, R Printer](name, title string, config func(Scale) C, apply func(*C, Options),
 	run func(*harness.Engine, C) (R, error), artifacts func(R) []Artifact) Suite {
 	return Suite{name, title, func(eng *harness.Engine, o Options) (Result, error) {
-		cfg := cfgs.at(o.Scale)
+		if err := o.Scale.Validate(); err != nil {
+			return Result{}, err
+		}
+		cfg := config(o.Scale)
 		apply(&cfg, o)
 		res, err := run(eng, cfg)
 		if err != nil {
@@ -93,12 +111,12 @@ func suite[C any, R Printer](name, title string, cfgs configs[C], apply func(*C,
 			out.Artifacts = artifacts(res)
 		}
 		return out, nil
-	}}
+	}, func(s Scale) any { return config(s) }}
 }
 
-// syncSuite is a Figs. 3–6 row: one harness, four configs.
-func syncSuite(name, title string, def, tiny func() SyncAccuracyConfig) Suite {
-	return suite(name, title, configs[SyncAccuracyConfig]{def: def, tiny: tiny},
+// syncSuite is a Figs. 3–6 row: one harness, four rows of one table.
+func syncSuite(name, title string, row syncRow) Suite {
+	return suite(name, title, row.config,
 		func(c *SyncAccuracyConfig, o Options) { o.seed(&c.Job.Seed) },
 		RunSyncAccuracy, nil)
 }
@@ -114,73 +132,63 @@ func (f printFunc) Print(w io.Writer) { f(w) }
 // test iterate it, so a row added here is runnable, listed and pinned.
 func Suites() []Suite {
 	return []Suite{
-		{"table1", "Table I — machines", func(*harness.Engine, Options) (Result, error) {
+		{Name: "table1", Title: "Table I — machines", Run: func(_ *harness.Engine, o Options) (Result, error) {
+			if err := o.Scale.Validate(); err != nil {
+				return Result{}, err
+			}
 			return Result{Printer: printFunc(Table1)}, nil
 		}},
-		suite("fig2", "Fig. 2 — clock drift",
-			configs[Fig2Config]{def: DefaultFig2Config, tiny: TinyFig2Config},
+		suite("fig2", "Fig. 2 — clock drift", fig2Config,
 			func(c *Fig2Config, o Options) { o.seed(&c.Job.Seed) },
 			RunFig2, func(r *Fig2Result) []Artifact {
 				return []Artifact{{"fig2_series.csv", func(w io.Writer) error { r.PrintSeries(w); return nil }}}
 			}),
-		syncSuite("fig3", "Fig. 3 — HCA/HCA2/HCA3/JK accuracy vs duration", DefaultFig3Config, TinyFig3Config),
-		syncSuite("fig4", "Fig. 4 — HCA3 vs H2HCA, Jupiter", DefaultFig4Config, TinyFig4Config),
-		syncSuite("fig5", "Fig. 5 — HCA3 vs H2HCA, Hydra", DefaultFig5Config, TinyFig5Config),
-		syncSuite("fig6", "Fig. 6 — HCA3 vs H2HCA, Titan", DefaultFig6Config, TinyFig6Config),
-		suite("fig7", "Fig. 7 — benchmark suite x barrier algorithm",
-			configs[Fig7Config]{def: DefaultFig7Config, tiny: TinyFig7Config},
+		syncSuite("fig3", "Fig. 3 — HCA/HCA2/HCA3/JK accuracy vs duration", fig3Row),
+		syncSuite("fig4", "Fig. 4 — HCA3 vs H2HCA, Jupiter", fig4Row),
+		syncSuite("fig5", "Fig. 5 — HCA3 vs H2HCA, Hydra", fig5Row),
+		syncSuite("fig6", "Fig. 6 — HCA3 vs H2HCA, Titan", fig6Row),
+		suite("fig7", "Fig. 7 — benchmark suite x barrier algorithm", fig7Config,
 			func(c *Fig7Config, o Options) { o.seed(&c.Job.Seed) },
 			RunFig7, nil),
-		suite("fig8", "Fig. 8 — barrier exit imbalance",
-			configs[Fig8Config]{def: DefaultFig8Config, tiny: TinyFig8Config},
+		suite("fig8", "Fig. 8 — barrier exit imbalance", fig8Config,
 			func(c *Fig8Config, o Options) { o.seed(&c.Job.Seed) },
 			RunFig8, func(r *Fig8Result) []Artifact {
 				return []Artifact{{"fig8_hist.txt", func(w io.Writer) error { r.PrintHistograms(w, 12); return nil }}}
 			}),
-		suite("fig9", "Fig. 9 — OSU vs Round-Time across message sizes",
-			configs[Fig9Config]{def: DefaultFig9Config, tiny: TinyFig9Config},
+		suite("fig9", "Fig. 9 — OSU vs Round-Time across message sizes", fig9Config,
 			func(c *Fig9Config, o Options) { o.seed(&c.Job.Seed) },
 			RunFig9, nil),
-		suite("fig10", "Fig. 10 — AMG2013 trace Gantt",
-			configs[Fig10Config]{def: DefaultFig10Config, tiny: TinyFig10Config},
+		suite("fig10", "Fig. 10 — AMG2013 trace Gantt", fig10Config,
 			func(c *Fig10Config, o Options) { o.seed(&c.Job.Seed) },
 			RunFig10, func(r *Fig10Result) []Artifact {
 				return []Artifact{{"fig10_spans.csv", r.WriteCSV}}
 			}),
-		suite("ablations", "Ablations",
-			configs[AblationsConfig]{def: DefaultAblationsConfig, tiny: TinyAblationsConfig},
+		suite("ablations", "Ablations", ablationsConfig,
 			func(c *AblationsConfig, o Options) {
 				o.seed(&c.JKOffset.Job.Seed)
 				o.seed(&c.RecomputeIntercept.Job.Seed)
 				o.seed(&c.Wander.Job.Seed)
 			},
 			RunAblations, nil),
-		suite("driftaware", "Offset-only vs drift-aware global clocks",
-			configs[DriftAwareConfig]{def: DefaultDriftAwareConfig, tiny: TinyDriftAwareConfig},
+		suite("driftaware", "Offset-only vs drift-aware global clocks", driftAwareConfig,
 			func(c *DriftAwareConfig, o Options) { o.seed(&c.Job.Seed) },
 			RunDriftAware, nil),
-		suite("windowloss", "Window cascade vs Round-Time yield",
-			configs[WindowLossConfig]{def: DefaultWindowLossConfig, tiny: TinyWindowLossConfig},
+		suite("windowloss", "Window cascade vs Round-Time yield", windowLossConfig,
 			func(c *WindowLossConfig, o Options) { o.seed(&c.Job.Seed) },
 			RunWindowLoss, nil),
-		suite("tracecorr", "Timestamp correction over a long trace",
-			configs[TraceCorrectionConfig]{def: DefaultTraceCorrectionConfig, tiny: TinyTraceCorrectionConfig},
+		suite("tracecorr", "Timestamp correction over a long trace", traceCorrectionConfig,
 			func(c *TraceCorrectionConfig, o Options) { o.seed(&c.Job.Seed) },
 			RunTraceCorrection, nil),
-		suite("tuning", "PGMPITuneLib-style algorithm selection",
-			configs[TuningConfig]{def: DefaultTuningConfig, tiny: TinyTuningConfig},
+		suite("tuning", "PGMPITuneLib-style algorithm selection", tuningConfig,
 			func(c *TuningConfig, o Options) { o.seed(&c.Job.Seed) },
 			RunTuning, nil),
-		suite("faults", "Faults — FT-HCA3 sync error under drop rate x crash count",
-			configs[FaultsConfig]{def: DefaultFaultsConfig, tiny: TinyFaultsConfig},
+		suite("faults", "Faults — FT-HCA3 sync error under drop rate x crash count", faultsConfig,
 			func(c *FaultsConfig, o Options) { o.seed(&c.Job.Seed) },
 			RunFaults, nil),
-		suite("clockfaults", "Clock faults — LS vs robust sync under step x Byzantine",
-			configs[ClockFaultsConfig]{def: DefaultClockFaultsConfig, tiny: TinyClockFaultsConfig},
+		suite("clockfaults", "Clock faults — LS vs robust sync under step x Byzantine", clockFaultsConfig,
 			func(c *ClockFaultsConfig, o Options) { o.seed(&c.Job.Seed) },
 			RunClockFaults, nil),
-		suite("scale", "Scale — fig6 at the full 16k ranks + 100k-1M-rank step-proc sweeps",
-			configs[ScaleConfig]{def: DefaultScaleConfig, tiny: TinyScaleConfig, smoke: SmokeScaleConfig},
+		suite("scale", "Scale — fig6 at the full 16k ranks + 100k-1M-rank step-proc sweeps", scaleConfig,
 			func(c *ScaleConfig, o Options) {
 				o.seed(&c.Seed)
 				o.seed(&c.Fig6.Job.Seed)

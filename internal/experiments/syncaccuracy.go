@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -58,11 +59,9 @@ type syncTask struct {
 // mpirun). All algorithms of replication r share a seed key, so they face
 // the same machine instantiation — the paper's paired comparison design.
 func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracyResult, error) {
-	if cfg.NRuns <= 0 {
-		cfg.NRuns = 10
-	}
-	if cfg.WaitTime <= 0 {
-		cfg.WaitTime = 10
+	if err := errors.Join(positive("SyncAccuracyConfig.NRuns", cfg.NRuns),
+		positive("SyncAccuracyConfig.WaitTime", cfg.WaitTime)); err != nil {
+		return nil, err
 	}
 	check := cfg.Check
 	check.WaitTime = cfg.WaitTime
@@ -221,37 +220,80 @@ func (r *SyncAccuracyResult) MeanFor(label string) (dur, at0, atW float64) {
 	return stats.Mean(durs), stats.Mean(a0), stats.Mean(aw)
 }
 
-// --- Default configurations for the paper's figures ---
+// --- The Figs. 3–6 scale table ---
 
-// DefaultFig3Config compares HCA, HCA2, HCA3, and JK on Jupiter
-// (paper: 32×16 = 512 procs, 1000 fit points; scaled to 16×4 = 64 procs and
-// 150 fit points so a laptop regenerates it in minutes — see DESIGN.md §1).
-func DefaultFig3Config() SyncAccuracyConfig {
-	hcaParams := clocksync.Params{
-		NFitpoints:         150,
-		Offset:             clocksync.SKaMPIOffset{NExchanges: 20},
-		RecomputeIntercept: true,
+// syncScale is what a scale sets in a sync-accuracy config.
+type syncScale struct {
+	nodes, coresPerSocket int     // the machine slice, one rank per core
+	nfit, nexch           int     // fit points per pair, ping-pongs per fit point
+	runs                  int     // NRuns
+	wait                  float64 // WaitTime, seconds
+	checkExch, stride     int     // the accuracy check's ping-pongs and rank sample stride
+}
+
+// syncRow is one row of the sync family: the machine, base seed and
+// algorithm line-up every scale shares, and the numbers its default and small
+// (tiny, smoke) scales set. build is the one SyncAccuracyConfig builder.
+type syncRow struct {
+	machine    func() cluster.MachineSpec
+	seed       int64
+	algs       func(nfit, nexch int) []clocksync.Algorithm
+	def, small syncScale
+}
+
+func (r syncRow) config(s Scale) SyncAccuracyConfig {
+	if s.small() {
+		return r.build(r.small)
 	}
-	plain := hcaParams
-	plain.RecomputeIntercept = false
-	jkParams := clocksync.Params{
-		NFitpoints: 150,
-		Offset:     clocksync.SKaMPIOffset{NExchanges: 20},
-	}
-	spec := cluster.Jupiter()
-	spec.CoresPerSocket = 2 // 16 nodes x 4 cores = 64 ranks block-mapped
-	spec.Nodes = 16
+	return r.build(r.def)
+}
+
+func (r syncRow) build(p syncScale) SyncAccuracyConfig {
 	return SyncAccuracyConfig{
-		Job:      Job{Spec: spec, NProcs: 64, Seed: 3},
-		NRuns:    10,
-		WaitTime: 10,
-		Algorithms: []clocksync.Algorithm{
-			clocksync.HCA{Params: plain},
-			clocksync.HCA2{Params: hcaParams},
-			clocksync.HCA3{Params: hcaParams},
-			clocksync.JK{Params: jkParams},
+		Job:        Job{Spec: r.machine(), Seed: r.seed}.resized(p.nodes, p.coresPerSocket),
+		NRuns:      p.runs,
+		WaitTime:   p.wait,
+		Algorithms: r.algs(p.nfit, p.nexch),
+		Check: clocksync.CheckConfig{
+			Offset:       clocksync.SKaMPIOffset{NExchanges: p.checkExch},
+			SampleStride: p.stride,
 		},
-		Check: clocksync.CheckConfig{Offset: clocksync.SKaMPIOffset{NExchanges: 10}},
+	}
+}
+
+// The paper's figures, scaled so a laptop regenerates them in minutes (see
+// DESIGN.md §1). Paper testbeds: Fig. 3 32×16 = 512 procs with 1000 fit
+// points, Figs. 4/5 32×16 and 36×32, Fig. 6 1024×16 = 16k procs with 5 runs
+// and a 10 % accuracy sample. Hydra's lower OmniPath latency lets fig5's
+// budget buy more ping-pongs, as the paper notes. The scale suite
+// (scaleConfig) runs fig6 at the full 16384 ranks.
+var (
+	// fig3Row: HCA, HCA2, HCA3 and JK on Jupiter, 64 ranks (small: 16).
+	fig3Row = syncRow{cluster.Jupiter, 3, fig3Algorithms,
+		syncScale{16, 2, 150, 20, 10, 10, 10, 0}, syncScale{8, 1, 40, 10, 3, 2, 8, 0}}
+	// fig4Row: HCA3 vs H2HCA on Jupiter, 64 ranks (small: 16).
+	fig4Row = syncRow{cluster.Jupiter, 4, fig456Algorithms,
+		syncScale{16, 2, 150, 20, 10, 10, 10, 0}, syncScale{4, 2, 40, 10, 3, 2, 8, 0}}
+	// fig5Row: the same comparison on Hydra, 72 ranks (small: 16).
+	fig5Row = syncRow{cluster.Hydra, 5, fig456Algorithms,
+		syncScale{18, 2, 150, 20, 10, 10, 10, 0}, syncScale{4, 2, 40, 10, 3, 2, 8, 0}}
+	// fig6Row: Titan, 256 ranks with the paper's 1-in-10 sample (small: 32
+	// ranks, 1 in 4).
+	fig6Row = syncRow{cluster.Titan, 6, fig456Algorithms,
+		syncScale{64, 2, 100, 15, 5, 10, 10, 10}, syncScale{8, 2, 40, 10, 2, 2, 8, 4}}
+)
+
+// fig3Algorithms is Fig. 3's line-up: HCA, then HCA2 and HCA3 with the
+// intercept recomputed, then JK.
+func fig3Algorithms(nfit, nexch int) []clocksync.Algorithm {
+	plain := clocksync.Params{NFitpoints: nfit, Offset: clocksync.SKaMPIOffset{NExchanges: nexch}}
+	ri := plain
+	ri.RecomputeIntercept = true
+	return []clocksync.Algorithm{
+		clocksync.HCA{Params: plain},
+		clocksync.HCA2{Params: ri},
+		clocksync.HCA3{Params: ri},
+		clocksync.JK{Params: plain},
 	}
 }
 
@@ -266,61 +308,19 @@ func fig456Algorithms(nfit, nexch int) []clocksync.Algorithm {
 	}
 	small := big
 	small.NFitpoints = nfit / 2
-	bigH := clocksync.Params{NFitpoints: nfit, Offset: clocksync.SKaMPIOffset{NExchanges: nexch}}
-	smallH := bigH
-	smallH.NFitpoints = nfit / 2
 	return []clocksync.Algorithm{
 		clocksync.HCA3{Params: big},
 		clocksync.HCA3{Params: small},
-		clocksync.NewH2HCA(clocksync.HCA3{Params: bigH}),
-		clocksync.NewH2HCA(clocksync.HCA3{Params: smallH}),
+		h2hca(nfit, nexch),
+		h2hca(nfit/2, nexch),
 	}
 }
 
-// DefaultFig4Config: HCA3 vs H2HCA on Jupiter (paper: 32×16; scaled 16×4).
-func DefaultFig4Config() SyncAccuracyConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 16, 2
-	return SyncAccuracyConfig{
-		Job:        Job{Spec: spec, NProcs: 64, Seed: 4},
-		NRuns:      10,
-		WaitTime:   10,
-		Algorithms: fig456Algorithms(150, 20),
-		Check:      clocksync.CheckConfig{Offset: clocksync.SKaMPIOffset{NExchanges: 10}},
-	}
-}
-
-// DefaultFig5Config: the same comparison on Hydra (paper: 36×32; scaled
-// 18×4 = 72 ranks). OmniPath's lower latency lets the same wall-clock
-// budget buy more ping-pongs, as the paper notes.
-func DefaultFig5Config() SyncAccuracyConfig {
-	spec := cluster.Hydra()
-	spec.Nodes, spec.CoresPerSocket = 18, 2
-	return SyncAccuracyConfig{
-		Job:        Job{Spec: spec, NProcs: 72, Seed: 5},
-		NRuns:      10,
-		WaitTime:   10,
-		Algorithms: fig456Algorithms(150, 20),
-		Check:      clocksync.CheckConfig{Offset: clocksync.SKaMPIOffset{NExchanges: 10}},
-	}
-}
-
-// DefaultFig6Config: Titan at scale (paper: 1024×16 = 16k procs, 5 runs,
-// 10% accuracy sample; scaled to 64×4 = 256 procs by default). The scale
-// suite (`runexp -suite scale`) runs it at the full 16384 ranks; any other
-// size is this config with Job edited in Go, until ROADMAP's `-scale paper`
-// item gives paper parameters a CLI entry point.
-func DefaultFig6Config() SyncAccuracyConfig {
-	spec := cluster.Titan()
-	spec.Nodes, spec.CoresPerSocket = 64, 2
-	return SyncAccuracyConfig{
-		Job:        Job{Spec: spec, NProcs: 256, Seed: 6},
-		NRuns:      5,
-		WaitTime:   10,
-		Algorithms: fig456Algorithms(100, 15),
-		Check: clocksync.CheckConfig{
-			Offset:       clocksync.SKaMPIOffset{NExchanges: 10},
-			SampleStride: 10, // the paper's 10% sample
-		},
-	}
-}
+// The Figs. 3–6 rows at the scales the benchmark suite and root benchmarks
+// start from.
+func DefaultFig3Config() SyncAccuracyConfig { return fig3Row.config(ScaleDefault) }
+func TinyFig3Config() SyncAccuracyConfig    { return fig3Row.config(ScaleTiny) }
+func TinyFig4Config() SyncAccuracyConfig    { return fig4Row.config(ScaleTiny) }
+func TinyFig5Config() SyncAccuracyConfig    { return fig5Row.config(ScaleTiny) }
+func DefaultFig6Config() SyncAccuracyConfig { return fig6Row.config(ScaleDefault) }
+func TinyFig6Config() SyncAccuracyConfig    { return fig6Row.config(ScaleTiny) }

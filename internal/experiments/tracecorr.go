@@ -38,21 +38,25 @@ type TraceCorrectionConfig struct {
 	Anchors     clocksync.OffsetAlg
 }
 
-// DefaultTraceCorrectionConfig traces ~200 s of an AMG-like run.
-func DefaultTraceCorrectionConfig() TraceCorrectionConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 8, 1
-	return TraceCorrectionConfig{
-		Job:         Job{Spec: spec, NProcs: 16, Seed: 16},
+// traceCorrectionConfig traces ~200 s of an AMG-like run (small: 20
+// iterations of 2 s compute).
+func traceCorrectionConfig(s Scale) TraceCorrectionConfig {
+	c := TraceCorrectionConfig{
+		Job:         Job{Spec: cluster.Jupiter(), Seed: 16}.resized(8, 1),
 		NIter:       40,
 		ComputePer:  5,
 		ResyncEvery: 10,
-		Sync: clocksync.NewH2HCA(clocksync.HCA3{Params: clocksync.Params{
-			NFitpoints: 150, Offset: clocksync.SKaMPIOffset{NExchanges: 20},
-		}}),
-		Anchors: clocksync.SKaMPIOffset{NExchanges: 20},
+		Sync:        h2hca(150, 20),
+		Anchors:     clocksync.SKaMPIOffset{NExchanges: 20},
 	}
+	if s.small() {
+		c.NIter, c.ComputePer = 20, 2
+	}
+	return c
 }
+
+// DefaultTraceCorrectionConfig is the tracecorr row at default scale.
+func DefaultTraceCorrectionConfig() TraceCorrectionConfig { return traceCorrectionConfig(ScaleDefault) }
 
 // CorrectionScheme labels one timestamp-correction strategy.
 type CorrectionScheme string

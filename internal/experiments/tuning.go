@@ -30,22 +30,26 @@ type TuningConfig struct {
 	Barriers []mpi.BarrierAlg
 }
 
-// DefaultTuningConfig tunes MPI_Allreduce on Jupiter under Round-Time and
-// under OSU-style measurement with two different barriers.
-func DefaultTuningConfig() TuningConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 16, 2
-	return TuningConfig{
-		Job:        Job{Spec: spec, NProcs: 64, Seed: 18},
+// tuningConfig tunes MPI_Allreduce on Jupiter under Round-Time and under
+// OSU-style measurement with two different barriers. Small scales take 10
+// repetitions at the two extreme message sizes.
+func tuningConfig(s Scale) TuningConfig {
+	c := TuningConfig{
+		Job:        Job{Spec: cluster.Jupiter(), Seed: 18}.resized(16, 2),
 		Candidates: mpi.AllreduceAlgs(),
 		MSizes:     []int{8, 512, 8192, 65536, 262144},
 		NRep:       30,
-		Sync: clocksync.NewH2HCA(clocksync.HCA3{Params: clocksync.Params{
-			NFitpoints: 150, Offset: clocksync.SKaMPIOffset{NExchanges: 20},
-		}}),
-		Barriers: []mpi.BarrierAlg{mpi.BarrierDissemination, mpi.BarrierTree},
+		Sync:       h2hca(150, 20),
+		Barriers:   []mpi.BarrierAlg{mpi.BarrierDissemination, mpi.BarrierTree},
 	}
+	if s.small() {
+		c.NRep, c.MSizes = 10, []int{8, 8192}
+	}
+	return c
 }
+
+// DefaultTuningConfig is the tuning row at default scale.
+func DefaultTuningConfig() TuningConfig { return tuningConfig(ScaleDefault) }
 
 // TuningMeasurement identifies one measurement configuration.
 type TuningMeasurement struct {

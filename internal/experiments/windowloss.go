@@ -33,17 +33,14 @@ type WindowLossConfig struct {
 	SpikeProb, SpikeScale float64
 }
 
-// DefaultWindowLossConfig injects ~1% outliers of ~20 windows' magnitude.
-func DefaultWindowLossConfig() WindowLossConfig {
-	spec := cluster.Jupiter()
-	spec.Nodes, spec.CoresPerSocket = 8, 2
-	return WindowLossConfig{
-		Job:    Job{Spec: spec, NProcs: 32, Seed: 15},
+// windowLossConfig injects ~1% outliers of ~20 windows' magnitude over 200
+// repetitions (small: 100).
+func windowLossConfig(s Scale) WindowLossConfig {
+	c := WindowLossConfig{
+		Job:    Job{Spec: cluster.Jupiter(), Seed: 15}.resized(8, 2),
 		Window: 1e-4, // ~4x the 8 B Allreduce latency at this scale
 		NRep:   200,
-		Sync: clocksync.NewH2HCA(clocksync.HCA3{Params: clocksync.Params{
-			NFitpoints: 120, Offset: clocksync.SKaMPIOffset{NExchanges: 15},
-		}}),
+		Sync:   h2hca(120, 15),
 		// Rare, large outliers: ~0.015% of messages stall for ~1 ms
 		// (an OS preemption / retransmit burst). Rare enough that the
 		// window scheme can recover between outliers — each one still
@@ -51,7 +48,14 @@ func DefaultWindowLossConfig() WindowLossConfig {
 		SpikeProb:  1.5e-4,
 		SpikeScale: 1e-3,
 	}
+	if s.small() {
+		c.NRep = 100
+	}
+	return c
 }
+
+// DefaultWindowLossConfig is the windowloss row at default scale.
+func DefaultWindowLossConfig() WindowLossConfig { return windowLossConfig(ScaleDefault) }
 
 // WindowLossResult reports the valid-sample yield of both schemes.
 type WindowLossResult struct {

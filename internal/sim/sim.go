@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"hclocksync/internal/detrand"
 )
@@ -73,13 +72,11 @@ type Env struct {
 	// callback is the function callback events run (see OnCallback); one per
 	// kernel, so an event carries no function value.
 	callback func(p *Proc)
-	// failMu guards the first-failure record. Dispatch runs one process at a
-	// time, but the guard makes first-failure-wins explicit.
 	// failure is the first panic value recovered from a process and failed
-	// the process that raised it.
-	failMu  sync.Mutex
-	failure any   //synclint:guardedby failMu
-	failed  *Proc //synclint:guardedby failMu
+	// the process that raised it. Dispatch runs one process at a time, so
+	// the record needs no lock.
+	failure any
+	failed  *Proc
 }
 
 // NewEnv returns a new simulation environment whose random source is seeded
@@ -222,7 +219,6 @@ func (e *Env) schedule(t float64, p *Proc) {
 //
 //synclint:allocfree
 func (e *Env) dispatch() {
-	//synclint:unguarded -- serial dispatch: the failure record is written by the running process's recover path only, and one process runs at a time
 	for e.failure == nil {
 		if e.events.len() == 0 {
 			return
@@ -312,7 +308,7 @@ func (e *DeadlockError) Error() string {
 func (e *Env) Run() error {
 	defer e.stopFibers()
 	e.dispatch()
-	if e.failure != nil { //synclint:unguarded -- read after dispatch returned: no process is running
+	if e.failure != nil {
 		return fmt.Errorf("sim: process %d panicked: %v", e.failed.id, e.failure)
 	}
 	var stuck []int
@@ -353,14 +349,8 @@ func (p *Proc) fiberEnd() {
 	if p.fib.stopped {
 		return
 	}
-	if r != nil && r != (fiberExit{}) {
-		e := p.env
-		e.failMu.Lock()
-		if e.failure == nil {
-			e.failure = r
-			e.failed = p
-		}
-		e.failMu.Unlock()
+	if e := p.env; r != nil && r != (fiberExit{}) && e.failure == nil {
+		e.failure, e.failed = r, p
 	}
 	p.done = true
 }

@@ -113,17 +113,13 @@ func (e *Env) runStep(p *Proc) {
 
 // stepFailed records a panic escaping a step function as the simulation's
 // failure, mirroring fiberEnd, the recover wrapper every fiber runs under.
-// The lock is only taken on the (cold) panic path.
 //
 //synclint:allocfree
 func (e *Env) stepFailed(p *Proc) {
 	if r := recover(); r != nil {
-		e.failMu.Lock()
 		if e.failure == nil {
-			e.failure = r
-			e.failed = p
+			e.failure, e.failed = r, p
 		}
-		e.failMu.Unlock()
 		p.done = true
 	}
 }
