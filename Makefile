@@ -33,8 +33,9 @@ test:
 # them shared state (disturbed hardware clocks, robust summaries), and
 # checkpoint + detrand snapshot that shared state while engine workers run;
 # fabric is the one package with supervisor goroutines, lease timers and a
-# condition-variable queue. All of them go under the race detector. CI runs
-# this target and `fuzz`, so these two lists are the only ones.
+# condition-variable queue; its lock discipline is checked only here. All of
+# them go under the race detector. CI runs this target and `fuzz`, so these
+# two lists are the only ones.
 race:
 	$(GO) test -race ./internal/sim ./internal/scale ./internal/mpi ./internal/harness ./internal/clocksync ./internal/faults ./internal/cluster ./internal/stats ./internal/checkpoint ./internal/detrand ./internal/fabric
 
@@ -50,11 +51,10 @@ fuzz:
 
 # gofmt first (any file it would rewrite fails the target; analyzer
 # fixtures under testdata/ are exempt), then the repository's own
-# multichecker (determinism, seed flow, allocfree hot path, MPI error
-# discards, //synclint: grammar), then the pinned third-party linters when
-# available. CI installs staticcheck and
-# govulncheck at the pinned versions; offline checkouts skip them with a
-# note rather than failing.
+# multichecker (determinism, seed flow, allocfree hot path, //synclint:
+# grammar), then the pinned third-party linters when available. CI installs
+# staticcheck and govulncheck at the pinned versions; offline checkouts skip
+# them with a note rather than failing.
 lint:
 	@unformatted=$$(gofmt -l *.go benchmark cmd examples internal | grep -v '/testdata/' || true); \
 	if [ -n "$$unformatted" ]; then \

@@ -2,11 +2,9 @@
 // analyzers under internal/analysis/... over the given package patterns
 // and exits non-zero on any finding. It guards the invariants the test
 // suite can only falsify after the fact — deterministic, byte-identical
-// outputs (nondeterm, seedflow), the allocation-free sim/MPI hot path
-// (allocfree), silent discards of fallible MPI results (mpierr), the
-// field-coverage family (cachekey for cache-key hygiene, guardedby for lock
-// discipline) — plus the
-// //synclint: annotation grammar itself (synclintdir).
+// outputs (nondeterm, seedflow) and the allocation-free sim/MPI hot path
+// (allocfree) — plus the //synclint: annotation grammar itself
+// (synclintdir).
 //
 // Usage:
 //

@@ -60,7 +60,7 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				continue
 			}
-			if _, ok := analysis.FuncDirective(fn, analysis.DirAllocfree); ok {
+			if analysis.FuncDirective(fn, analysis.DirAllocfree) {
 				annotated[pass.TypesInfo.Defs[fn.Name]] = true
 			}
 		}
@@ -71,7 +71,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if _, ok := analysis.FuncDirective(fn, analysis.DirAllocfree); ok {
+			if analysis.FuncDirective(fn, analysis.DirAllocfree) {
 				check(pass, fn, annotated)
 			}
 		}

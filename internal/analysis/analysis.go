@@ -20,9 +20,8 @@ import (
 	"sort"
 )
 
-// Analyzer describes one analysis: a name, documentation, and either a
-// per-package Run function or a whole-program RunProgram function
-// (exactly one must be set).
+// Analyzer describes one per-package analysis: a name, documentation,
+// and the Run function.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics (synclint prints
 	// "file:line:col: name: message").
@@ -31,13 +30,6 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one type-checked package.
 	Run func(*Pass) error
-	// RunProgram applies the analyzer to the whole loaded package set at
-	// once. The field-coverage analyzers need this shape: the struct
-	// declarations and their //synclint: annotations live in the owning
-	// packages while the call sites that discharge the obligation live
-	// elsewhere, so no single-package view can decide whether a field is
-	// covered.
-	RunProgram func(*ProgramPass) error
 }
 
 // Pass hands an analyzer one type-checked package and a sink for
@@ -82,88 +74,27 @@ func (p *Pass) Allows(pos token.Pos, name string) bool {
 	return p.Dirs.Allows(pp.Filename, pp.Line, name)
 }
 
-// Program is the whole loaded package set handed to program-level
-// analyzers, with the per-package directive indexes built once.
-type Program struct {
-	Pkgs []*Package
-	dirs map[*Package]*DirIndex
-}
-
-// NewProgram indexes the directives of every package.
-func NewProgram(pkgs []*Package) *Program {
-	prog := &Program{Pkgs: pkgs, dirs: make(map[*Package]*DirIndex, len(pkgs))}
-	for _, pkg := range pkgs {
-		prog.dirs[pkg] = IndexDirectives(pkg.Fset, pkg.Files)
-	}
-	return prog
-}
-
-// Dirs returns the directive index of pkg.
-func (prog *Program) Dirs(pkg *Package) *DirIndex { return prog.dirs[pkg] }
-
-// ProgramPass hands a program-level analyzer every loaded package and a
-// sink for diagnostics. Positions are package-relative: each package
-// carries its own FileSet (they differ under parallel loading), so every
-// report and escape lookup names the package it concerns.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos, resolved through pkg's FileSet.
-func (p *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pkg.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Allows reports whether a directive named name covers the line of pos
-// in pkg.
-func (p *ProgramPass) Allows(pkg *Package, pos token.Pos, name string) bool {
-	pp := pkg.Fset.Position(pos)
-	return p.Prog.Dirs(pkg).Allows(pp.Filename, pp.Line, name)
-}
-
-// Find returns the directive named name covering the line of pos in pkg.
-func (p *ProgramPass) Find(pkg *Package, pos token.Pos, name string) (Directive, bool) {
-	pp := pkg.Fset.Position(pos)
-	return p.Prog.Dirs(pkg).Find(pp.Filename, pp.Line, name)
-}
-
 // Run applies each analyzer to the single package pkg and returns the
-// diagnostics sorted by position. Program-level analyzers see a
-// one-package program — the shape the analysistest fixtures use.
+// diagnostics sorted by position.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunAll([]*Package{pkg}, analyzers)
 }
 
-// RunAll applies each analyzer to the loaded package set: per-package
-// analyzers once per package, program-level analyzers once over the
-// whole set. Diagnostics come back sorted by position regardless of
-// package order, so output is deterministic under any load schedule.
+// RunAll applies each analyzer to every package of the loaded set.
+// Diagnostics come back sorted by position regardless of package order,
+// so output is deterministic under any load schedule.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	prog := NewProgram(pkgs)
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			pass := &ProgramPass{Analyzer: a, Prog: prog, diags: &diags}
-			if err := a.RunProgram(pass); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			continue
-		}
-		for _, pkg := range pkgs {
+	for _, pkg := range pkgs {
+		dirs := IndexDirectives(pkg.Fset, pkg.Files)
+		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Dirs:      prog.Dirs(pkg),
+				Dirs:      dirs,
 				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {
@@ -224,12 +155,4 @@ func FuncOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// IsPkgFunc reports whether call statically invokes the package-level
-// function pkgPath.name (methods do not match).
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	f := FuncOf(info, call)
-	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath &&
-		f.Name() == name && f.Type().(*types.Signature).Recv() == nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"sort"
 	"strings"
 )
 
@@ -13,17 +14,12 @@ import (
 //
 //	//synclint:<name>
 //	//synclint:<name> -- <reason>
-//	//synclint:<name> <arg>
-//	//synclint:<name> <arg> -- <reason>
 //
 // with no space before the colon (matching the //go: convention so the
 // directives survive gofmt untouched). <name> is one of the known directive
 // names below; <reason> is free text explaining why the escape hatch is
 // justified. Reasons are mandatory for the escape-hatch directives — an
 // unaudited escape is exactly the silent rot the analyzers exist to stop.
-// <arg> is a single Go identifier and only the argument-taking directives
-// (guardedby) accept one; for those the argument is mandatory and the
-// reason stays optional.
 //
 // Placement: trailing on the guarded line, or alone on the line directly
 // above it. The function-scope directive (allocfree) goes in the function's
@@ -48,18 +44,6 @@ const (
 	// DirSeedok permits an audited RNG construction that does not flow
 	// from harness.DeriveSeed. Requires a reason. Line scope.
 	DirSeedok = "seedok"
-	// DirChecked permits an audited discard of an mpi send/recv result.
-	// Requires a reason. Line scope.
-	DirChecked = "checked"
-	// DirGuardedby declares that a struct field may only be accessed in
-	// functions that lock the named sibling mutex field on the same
-	// receiver. Takes the mutex field name as its argument. Line scope
-	// (the field declaration).
-	DirGuardedby = "guardedby"
-	// DirUnguarded permits an audited access to a guardedby field without
-	// the mutex held (construction before sharing, happens-before via
-	// channel or join). Requires a reason. Line scope.
-	DirUnguarded = "unguarded"
 )
 
 // knownDirectives maps each directive name to whether a reason is
@@ -70,15 +54,6 @@ var knownDirectives = map[string]bool{
 	DirOrdered:   true,
 	DirWallclock: true,
 	DirSeedok:    true,
-	DirChecked:   true,
-	DirGuardedby: false, // takes an argument instead; reason optional
-	DirUnguarded: true,
-}
-
-// argDirectives maps the directive names that take a mandatory identifier
-// argument between the name and the optional reason.
-var argDirectives = map[string]bool{
-	DirGuardedby: true,
 }
 
 const directivePrefix = "//synclint:"
@@ -86,7 +61,6 @@ const directivePrefix = "//synclint:"
 // Directive is one parsed //synclint: annotation.
 type Directive struct {
 	Name   string // e.g. "ordered"
-	Arg    string // identifier argument (guardedby), empty otherwise
 	Reason string // text after " -- ", empty if none
 }
 
@@ -94,9 +68,6 @@ type Directive struct {
 // inverse of ParseDirective for well-formed input.
 func (d Directive) String() string {
 	s := directivePrefix + d.Name
-	if d.Arg != "" {
-		s += " " + d.Arg
-	}
 	if d.Reason != "" {
 		s += " -- " + d.Reason
 	}
@@ -133,21 +104,7 @@ func ParseDirective(raw string) (d Directive, ok bool, err error) {
 		}
 	}
 	if _, known := knownDirectives[name]; !known {
-		return Directive{}, false, fmt.Errorf("unknown synclint directive %q (known: allocfree, alloc, ordered, wallclock, seedok, checked, guardedby, unguarded)", name)
-	}
-	arg := ""
-	if argDirectives[name] {
-		arg = tail
-		tail = ""
-		if i := strings.IndexAny(arg, " \t"); i >= 0 {
-			arg, tail = arg[:i], strings.TrimLeft(arg[i:], " \t")
-		}
-		if arg == "" || strings.HasPrefix(arg, "--") {
-			return Directive{}, false, fmt.Errorf("synclint directive %q requires a field argument: //synclint:%s <mutexField>", name, name)
-		}
-		if !isIdent(arg) {
-			return Directive{}, false, fmt.Errorf("malformed synclint directive %q: argument %q must be a Go identifier", raw, arg)
-		}
+		return Directive{}, false, fmt.Errorf("unknown synclint directive %q (known: %s)", name, strings.Join(knownNames(), ", "))
 	}
 	reason := ""
 	if tail != "" {
@@ -163,24 +120,18 @@ func ParseDirective(raw string) (d Directive, ok bool, err error) {
 	if knownDirectives[name] && reason == "" {
 		return Directive{}, false, fmt.Errorf("synclint directive %q requires a reason: //synclint:%s -- <why this is safe>", name, name)
 	}
-	return Directive{Name: name, Arg: arg, Reason: reason}, true, nil
+	return Directive{Name: name, Reason: reason}, true, nil
 }
 
-// isIdent reports whether s is a plain Go identifier (ASCII letters,
-// digits, underscore; no leading digit).
-func isIdent(s string) bool {
-	for i, r := range s {
-		switch {
-		case r == '_' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
+// knownNames lists the directive names in sorted order, for the
+// unknown-name diagnostic.
+func knownNames() []string {
+	names := make([]string, 0, len(knownDirectives))
+	for name := range knownDirectives {
+		names = append(names, name)
 	}
-	return s != ""
+	sort.Strings(names)
+	return names
 }
 
 // DirIndex indexes the well-formed directives of one package's files by
@@ -242,33 +193,6 @@ func (ix *DirIndex) Allows(file string, line int, name string) bool {
 	return false
 }
 
-// Find returns the directive named name covering line of file (trailing
-// on the line itself or alone on the line above), for callers that need
-// the directive's argument or reason rather than a bare yes/no.
-func (ix *DirIndex) Find(file string, line int, name string) (Directive, bool) {
-	for _, d := range ix.byLine[lineKey{file, line}] {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	for _, d := range ix.byLine[lineKey{file, line - 1}] {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return Directive{}, false
-}
-
-// findOn returns the directive named name sitting exactly on line of file.
-func (ix *DirIndex) findOn(file string, line int, name string) (Directive, bool) {
-	for _, d := range ix.byLine[lineKey{file, line}] {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return Directive{}, false
-}
-
 // Count tallies the well-formed directives of the index by name, for the
 // escape-budget selfcheck.
 func (ix *DirIndex) Count(into map[string]int) {
@@ -281,16 +205,16 @@ func (ix *DirIndex) Count(into map[string]int) {
 
 // FuncDirective reports whether fn's doc comment carries the named
 // directive.
-func FuncDirective(fn *ast.FuncDecl, name string) (Directive, bool) {
+func FuncDirective(fn *ast.FuncDecl, name string) bool {
 	if fn.Doc == nil {
-		return Directive{}, false
+		return false
 	}
 	for _, c := range fn.Doc.List {
 		if d, ok, _ := ParseDirective(c.Text); ok && d.Name == name {
-			return d, true
+			return true
 		}
 	}
-	return Directive{}, false
+	return false
 }
 
 // DirectiveAnalyzer reports malformed or unknown //synclint: comments.

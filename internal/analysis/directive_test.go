@@ -20,12 +20,6 @@ func TestParseDirective(t *testing.T) {
 		{raw: "//synclint:wallclock -- telemetry only", want: Directive{Name: "wallclock", Reason: "telemetry only"}, ok: true},
 		{raw: "//synclint:alloc -- pool warm-up", want: Directive{Name: "alloc", Reason: "pool warm-up"}, ok: true},
 		{raw: "//synclint:seedok -- audited stream", want: Directive{Name: "seedok", Reason: "audited stream"}, ok: true},
-		{raw: "//synclint:checked -- best effort", want: Directive{Name: "checked", Reason: "best effort"}, ok: true},
-		{raw: "//synclint:unguarded -- construction", want: Directive{Name: "unguarded", Reason: "construction"}, ok: true},
-
-		// Argument grammar (guardedby).
-		{raw: "//synclint:guardedby failMu", want: Directive{Name: "guardedby", Arg: "failMu"}, ok: true},
-		{raw: "//synclint:guardedby mu -- lease state", want: Directive{Name: "guardedby", Arg: "mu", Reason: "lease state"}, ok: true},
 
 		// Not directives at all.
 		{raw: "// ordinary comment"},
@@ -43,9 +37,11 @@ func TestParseDirective(t *testing.T) {
 		{raw: "//synclint:ordered -- ", wantErr: "empty reason"},
 		{raw: "//synclint:ordered --", wantErr: "separated by"},
 		{raw: "//synclint:bogus -- x", wantErr: "unknown synclint directive"},
-		// The cache-key rule has no escape hatch any more: its two former
-		// audits are unknown names like any other.
-		{raw: "//synclint:execonly -- parallelism knob", wantErr: "unknown synclint directive"},
+		// Kinds that left the grammar with their analyzers are unknown names
+		// like any other, and the message lists exactly the known ones.
+		{raw: "//synclint:guardedby mu", wantErr: `unknown synclint directive "guardedby" (known: alloc, allocfree, ordered, seedok, wallclock)`},
+		{raw: "//synclint:unguarded -- construction", wantErr: "unknown synclint directive"},
+		{raw: "//synclint:checked -- best effort", wantErr: "unknown synclint directive"},
 		{raw: "//synclint:zerokey -- zero means full run", wantErr: "unknown synclint directive"},
 
 		// Escape hatches without a reason are rejected: the audit trail
@@ -54,15 +50,6 @@ func TestParseDirective(t *testing.T) {
 		{raw: "//synclint:alloc", wantErr: "requires a reason"},
 		{raw: "//synclint:wallclock", wantErr: "requires a reason"},
 		{raw: "//synclint:seedok", wantErr: "requires a reason"},
-		{raw: "//synclint:checked", wantErr: "requires a reason"},
-		{raw: "//synclint:unguarded", wantErr: "requires a reason"},
-
-		// Argument violations.
-		{raw: "//synclint:guardedby", wantErr: "requires a field argument"},
-		{raw: "//synclint:guardedby -- no arg", wantErr: "requires a field argument"},
-		{raw: "//synclint:guardedby 2mu", wantErr: "must be a Go identifier"},
-		{raw: "//synclint:guardedby p.mu", wantErr: "must be a Go identifier"},
-		{raw: "//synclint:guardedby mu extra words", wantErr: "separated by"},
 	}
 	for _, tc := range cases {
 		d, ok, err := ParseDirective(tc.raw)
@@ -89,8 +76,7 @@ func TestDirectiveRoundTrip(t *testing.T) {
 	for _, d := range []Directive{
 		{Name: "allocfree"},
 		{Name: "ordered", Reason: "keys sorted"},
-		{Name: "guardedby", Arg: "failMu"},
-		{Name: "guardedby", Arg: "mu", Reason: "lease state"},
+		{Name: "wallclock", Reason: "telemetry -- printed to stderr"},
 	} {
 		got, ok, err := ParseDirective(d.String())
 		if err != nil || !ok || got != d {
@@ -110,7 +96,6 @@ func body() {
 	y := 2
 	_ = x
 	_ = y
-	_ = x //synclint:guardedby failMu
 }
 
 //synclint:alloc
@@ -153,19 +138,9 @@ func TestIndexDirectives(t *testing.T) {
 	if len(ix.bad) != 2 {
 		t.Errorf("bad directives = %d, want 2", len(ix.bad))
 	}
-	// Find surfaces the full directive, not just presence.
-	if d, ok := ix.Find("p.go", 7, "ordered"); !ok || d.Reason != "trailing form" {
-		t.Errorf("Find(7, ordered) = %+v, %v", d, ok)
-	}
-	if d, ok := ix.Find("p.go", 12, "guardedby"); !ok || d.Arg != "failMu" {
-		t.Errorf("Find(12, guardedby) = %+v, %v", d, ok)
-	}
-	if _, ok := ix.Find("p.go", 7, "wallclock"); ok {
-		t.Error("Find leaked wallclock to line 7")
-	}
 	counts := map[string]int{}
 	ix.Count(counts)
-	want := map[string]int{"allocfree": 1, "ordered": 1, "wallclock": 1, "guardedby": 1}
+	want := map[string]int{"allocfree": 1, "ordered": 1, "wallclock": 1}
 	for name, n := range want {
 		if counts[name] != n {
 			t.Errorf("Count[%s] = %d, want %d", name, counts[name], n)
@@ -192,13 +167,13 @@ func FuzzParseDirective(f *testing.F) {
 		"//go:noinline",
 		"//synclint:ordered\t--\treason with tabs",
 		"//synclint:ordered -- reason -- with -- separators",
-		"//synclint:unguarded -- construction",
-		"//synclint:guardedby failMu",
-		"//synclint:guardedby mu -- lease state",
-		"//synclint:guardedby",
-		"//synclint:guardedby 2mu",
-		"//synclint:execonly -- parallelism knob",
-		"//synclint:zerokey -- zero means full run",
+		"//synclint:wallclock -- telemetry only",
+		"//synclint:seedok -- audited stream",
+		"//synclint:seedok",
+		"//synclint:allocfree -- reason optional",
+		"//synclint:alloc--no space",
+		"//synclint:allocfree trailing words",
+		"//synclint:allocfree -- ",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -220,13 +195,6 @@ func FuzzParseDirective(f *testing.F) {
 		}
 		if needReason && d.Reason == "" {
 			t.Fatalf("ParseDirective(%q) accepted %q without its mandatory reason", raw, d.Name)
-		}
-		if argDirectives[d.Name] {
-			if !isIdent(d.Arg) {
-				t.Fatalf("ParseDirective(%q) accepted %q with non-identifier arg %q", raw, d.Name, d.Arg)
-			}
-		} else if d.Arg != "" {
-			t.Fatalf("ParseDirective(%q) attached arg %q to non-arg directive %q", raw, d.Arg, d.Name)
 		}
 		// Canonical form must re-parse to the same directive.
 		d2, ok2, err2 := ParseDirective(d.String())

@@ -97,12 +97,8 @@ func loadOne(fset *token.FileSet, imp types.Importer, lp listedPkg) (*Package, e
 //
 // Neither token.FileSet nor the source importer is safe for concurrent
 // use, so each worker owns a private FileSet and importer and takes a
-// round-robin share of the package list. The price is that packages no
-// longer share one type-checker universe: analyzers must not compare
-// types.Object identity across packages (the field-coverage analyzers
-// key by FieldRef strings for exactly this reason). Results come back in
-// `go list` order — identical to Load — and workers <= 1 just delegates
-// to Load.
+// round-robin share of the package list. Results come back in `go list`
+// order — identical to Load — and workers <= 1 just delegates to Load.
 func LoadParallel(root string, workers int, patterns ...string) ([]*Package, error) {
 	if workers <= 1 {
 		return Load(root, patterns...)

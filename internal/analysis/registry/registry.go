@@ -6,9 +6,6 @@ package registry
 import (
 	"hclocksync/internal/analysis"
 	"hclocksync/internal/analysis/allocfree"
-	"hclocksync/internal/analysis/cachekey"
-	"hclocksync/internal/analysis/guardedby"
-	"hclocksync/internal/analysis/mpierr"
 	"hclocksync/internal/analysis/nondeterm"
 	"hclocksync/internal/analysis/seedflow"
 )
@@ -20,8 +17,5 @@ func All() []*analysis.Analyzer {
 		nondeterm.Analyzer,
 		seedflow.Analyzer,
 		allocfree.Analyzer,
-		mpierr.Analyzer,
-		cachekey.Analyzer,
-		guardedby.Analyzer,
 	}
 }

@@ -37,11 +37,9 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Fatalf("loaded only %d packages; pattern ./... should cover the whole module", len(pkgs))
 	}
 	analyzers := registry.All()
-	if len(analyzers) != 7 {
-		t.Fatalf("registry has %d analyzers, want 7", len(analyzers))
+	if len(analyzers) != 4 {
+		t.Fatalf("registry has %d analyzers, want 4", len(analyzers))
 	}
-	// The program-level analyzers (cachekey, guardedby) need the whole
-	// package set at once: declarations and uses live in different packages.
 	diags, err := analysis.RunAll(pkgs, analyzers)
 	if err != nil {
 		t.Fatal(err)
@@ -53,61 +51,15 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Logf("%d finding(s); fix them or add an audited //synclint: directive", len(diags))
 	}
 
-	// Escape budget, by directive name. Update deliberately: each bump is
-	// one more audited hole in an invariant.
-	// Counts cover the loaded (non-test) tree; _test.go files and fixture
-	// testdata are outside the load, so seedok/checked — which today only
-	// appear in fixtures and in diagnostic message text — sit at zero.
-	// Review, rank-local lazy time (mpi): allocfree 99 -> 103 is four new
-	// helpers on the messaging hot path, each reached from an allocfree
-	// caller (Proc.now, settle, crashAt, recvDone) — more functions under
-	// the check, no new //synclint:alloc hole. execonly 3 -> 4 is
-	// mpi.Proc.lt, which no snapshot carries because every rank has
-	// settled at a quiescent cut.
-	// Review, one suite table: execonly 4 -> 3 is experiments.Job.Workers
-	// gone with the fiber-side -workers plumbing; wallclock 22 -> 17 is
-	// the five timing sites of the deleted all-figures binary; ordered
-	// 14 -> 13 is runexp's sorted map walk over suite names, now a walk of
-	// the table.
-	// Review, sends on the wire in the kernel: allocfree 103 -> 108 is
-	// sim.Env.CallAt and runCallback (the callback event's schedule and
-	// delivery, both inside dispatch's hot loop) plus, in mpi, newSend, post,
-	// wireNext, wire and clampArrival replacing sendCommon and deliver (the
-	// send path split into its rank-local and wire halves, the callback that
-	// joins them, and the clamp both message copies share) — more functions
-	// under the check, no new //synclint:alloc hole. execonly 3 -> 5:
-	// sim.Env.switches is a diagnostic counter like processed, restarted by
-	// a resumed kernel; mpi.Proc.outTail is the
-	// pending-send FIFO, empty at every quiescent cut because spawn's
-	// deferred settle returns only after the rank's last callback.
-	// Review, parallel dispatch deleted: allocfree 108 -> 85, alloc 30 -> 23,
-	// execonly 5 -> 3, zerokey 27 -> 25, guardedby 6 -> 5, unguarded 6 -> 3 —
-	// each a directive in sim/parallel.go, sim/msg.go or internal/scale's
-	// shard plumbing that went with the code; none added.
-	// Review, joined mode deleted: zerokey 25 -> 23 is syncTask.Cut and
-	// fig7Task.Cut, the two omitempty cache-key fields that selected the
-	// split schedule; the fields went, so nothing is left to escape.
-	// Review, reflective checkpoint codec: the snapshot (8) and nosnap (0)
-	// kinds went with the analyzer that read them; ordered 13 -> 12 is that
-	// analyzer's own map walk; every other budget holds.
-	// Review, one Alg. 1 tree: the execonly (3) and zerokey (23) kinds left
-	// the grammar — the cache-key rule is absolute, and the three execonly
-	// comments on sim/mpi fields had had no reader since the snapshot
-	// analyzer went. allocfree 85 -> 86 is clocksync.TreeStages/TreePair and
-	// mpi's bcastBinomial (now under barrierTree) in, scale.hcaPartner and
-	// mpi's binomialRelease out.
-	// Review, scales as table rows: guardedby 5 -> 3 and unguarded 3 -> 1 are
-	// sim.Env's failMu, deleted — dispatch runs one process at a time, so the
-	// first-failure record needs no lock.
+	// Escape budget, by directive name, over the loaded (non-test) tree.
+	// Change a count only in a commit whose message says which directives
+	// it adds or removes and why.
 	wantEscapes := map[string]int{
 		analysis.DirAllocfree: 86,
 		analysis.DirAlloc:     23,
-		analysis.DirOrdered:   12,
+		analysis.DirOrdered:   9,
 		analysis.DirWallclock: 17,
 		analysis.DirSeedok:    0,
-		analysis.DirChecked:   0,
-		analysis.DirGuardedby: 3,
-		analysis.DirUnguarded: 1,
 	}
 	got := analysis.CountDirectives(pkgs)
 	for name, want := range wantEscapes {

@@ -184,8 +184,8 @@ type Pool struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
-	mu    sync.Mutex
-	stats Stats //synclint:guardedby mu
+	mu    sync.Mutex // guards stats
+	stats Stats
 }
 
 // NewPool starts cfg.Workers supervisors, each spawning its worker process
@@ -211,7 +211,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		start = processStarter(cfg.Command)
 	}
 	p := &Pool{cfg: cfg, start: start, q: newJobQueue()}
-	p.stats.Workers = cfg.Workers //synclint:unguarded -- construction: the pool has not been shared with any goroutine yet
+	p.stats.Workers = cfg.Workers // not yet shared: no lock needed
 	p.alive.Store(int64(cfg.Workers))
 	for slot := 0; slot < cfg.Workers; slot++ {
 		p.wg.Add(1)
@@ -445,10 +445,10 @@ func (p *Pool) retry(j *job, cause error, takeover bool) {
 // shutdown, queued and future jobs resolve immediately with the shutdown
 // error instead of waiting for workers that will never come.
 type jobQueue struct {
-	mu    sync.Mutex
+	mu    sync.Mutex // guards items and err
 	cond  *sync.Cond
-	items []*job //synclint:guardedby mu
-	err   error  //synclint:guardedby mu
+	items []*job
+	err   error
 }
 
 func newJobQueue() *jobQueue {

@@ -7,6 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
 )
 
 // Cache is a content-addressed on-disk result store. Keys are SHA-256 over
@@ -44,8 +48,12 @@ type entry struct {
 
 // CacheKey computes the content address of one task: SHA-256 over the code
 // version, suite, task name, seed, and the canonical JSON of the config.
-// A nil config is allowed (it hashes as JSON null).
+// A nil config is allowed (it hashes as JSON null). A config with a field
+// that cannot enter the key (see keyable) is an error.
 func CacheKey(version, suite, task string, seed int64, config any) (string, error) {
+	if err := keyable(reflect.TypeOf(config)); err != nil {
+		return "", fmt.Errorf("harness: config of %s/%s cannot key the cache: %w", suite, task, err)
+	}
 	cfg, err := json.Marshal(config)
 	if err != nil {
 		return "", fmt.Errorf("harness: config of %s/%s is not serializable: %w", suite, task, err)
@@ -54,6 +62,55 @@ func CacheKey(version, suite, task string, seed int64, config any) (string, erro
 	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d\x00", version, suite, task, seed)
 	h.Write(cfg)
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// keyableTypes memoizes keyable per config type (reflect.Type -> error).
+var keyableTypes sync.Map
+
+// keyable reports the first struct field reachable from t — through
+// pointers, slices, arrays, maps and nested structs — whose value the JSON
+// encoder leaves out of the key: unexported, tagged json:"-", or omitempty
+// (the zero value drops out, so a zero field and an absent one share cached
+// results). Two experiments differing only in such a field would share one
+// cached result. Interface-typed fields are not walked.
+func keyable(t reflect.Type) error {
+	if t == nil {
+		return nil
+	}
+	if v, ok := keyableTypes.Load(t); ok {
+		err, _ := v.(error)
+		return err
+	}
+	err := walkKeyable(t, map[reflect.Type]bool{})
+	keyableTypes.Store(t, err)
+	return err
+}
+
+func walkKeyable(t reflect.Type, seen map[reflect.Type]bool) error {
+	for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Array || t.Kind() == reflect.Map {
+		t = t.Elem()
+	}
+	if t.Kind() != reflect.Struct || seen[t] {
+		return nil
+	}
+	seen[t] = true
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag := f.Tag.Get("json")
+		_, opts, _ := strings.Cut(tag, ",")
+		switch {
+		case !f.IsExported():
+			return fmt.Errorf("%s.%s is unexported", t, f.Name)
+		case tag == "-":
+			return fmt.Errorf("%s.%s is tagged json:\"-\"", t, f.Name)
+		case slices.Contains(strings.Split(opts, ","), "omitempty"):
+			return fmt.Errorf("%s.%s is omitempty", t, f.Name)
+		}
+		if err := walkKeyable(f.Type, seen); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (c *Cache) path(key string) string {

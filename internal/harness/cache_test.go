@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // countingTasks counts actual executions so tests can tell hits from
@@ -83,6 +84,93 @@ func TestCacheKeyedByConfigSeedAndVersion(t *testing.T) {
 		if k == base {
 			t.Errorf("changing the %s did not change the key", name)
 		}
+	}
+}
+
+// Config shapes for TestCacheKeyRejectsUnkeyableConfigs.
+type (
+	omitCfg struct {
+		N    int
+		Note string `json:",omitempty"`
+	}
+	dashCfg struct {
+		N       int
+		Workers int `json:"-"`
+	}
+	hiddenCfg struct {
+		N    int
+		note string
+	}
+	// nodeCfg refers to itself through a pointer, a slice and a map.
+	nodeCfg struct {
+		Name string
+		Next *nodeCfg
+		Kids []nodeCfg
+		ByID map[string]*nodeCfg
+	}
+	// badNodeCfg is self-referential and hides its defect below the cycle.
+	badNodeCfg struct {
+		Next *badNodeCfg
+		Leaf *omitCfg
+	}
+	// taskCfg mirrors the experiment task configs: nested structs, slices,
+	// maps, named scalars and an interface-typed field (not walked).
+	taskCfg struct {
+		Job     struct{ NProcs, Seed int }
+		Algs    []struct{ Name string }
+		Params  map[string][2]float64
+		Wait    time.Duration
+		Extra   any
+		Label   string `json:"label"`
+		Pointer *struct{ X float64 }
+	}
+)
+
+// TestCacheKeyRejectsUnkeyableConfigs: a config field the JSON encoder
+// drops cannot tell two experiments apart, so CacheKey refuses it however
+// deep it sits, and accepts every fully keyed shape.
+func TestCacheKeyRejectsUnkeyableConfigs(t *testing.T) {
+	bad := map[string]any{
+		"omitempty":        omitCfg{},
+		"dash":             dashCfg{},
+		"unexported":       hiddenCfg{},
+		"ptr omitempty":    &omitCfg{},
+		"ptr dash":         &dashCfg{},
+		"ptr unexported":   &hiddenCfg{},
+		"slice omitempty":  []omitCfg{},
+		"slice dash":       []dashCfg{},
+		"slice unexported": []hiddenCfg{},
+		"array omitempty":  [2]omitCfg{},
+		"array dash":       [2]dashCfg{},
+		"array unexported": [2]hiddenCfg{},
+		"map omitempty":    map[string]omitCfg{},
+		"map dash":         map[string]dashCfg{},
+		"map unexported":   map[string]hiddenCfg{},
+		"nested":           struct{ Inner []*omitCfg }{},
+		"behind a cycle":   badNodeCfg{},
+	}
+	for name, cfg := range bad {
+		if _, err := CacheKey("v1", "s", "t", 1, cfg); err == nil {
+			t.Errorf("%s: CacheKey accepted %T", name, cfg)
+		}
+	}
+	good := map[string]any{
+		"nil":            nil,
+		"string":         "cfg",
+		"map of ints":    map[string]int{"i": 1},
+		"map of bools":   map[string]bool{"wander": true},
+		"self-reference": nodeCfg{Next: &nodeCfg{Name: "x"}},
+		"task config":    taskCfg{Extra: hiddenCfg{}},
+		"ptr to task":    &taskCfg{},
+	}
+	for name, cfg := range good {
+		if _, err := CacheKey("v1", "s", "t", 1, cfg); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	_, err := CacheKey("v1", "s", "t", 1, omitCfg{})
+	if want := "harness.omitCfg.Note is omitempty"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("error %v does not name %q", err, want)
 	}
 }
 
