@@ -56,7 +56,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	// it adds or removes and why.
 	wantEscapes := map[string]int{
 		analysis.DirAllocfree: 86,
-		analysis.DirAlloc:     23,
+		analysis.DirAlloc:     22,
 		analysis.DirOrdered:   9,
 		analysis.DirWallclock: 17,
 		analysis.DirSeedok:    0,

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"reflect"
 	"testing"
@@ -9,19 +11,21 @@ import (
 	"hclocksync/internal/mpi"
 )
 
-// The format is pinned by bytes: testdata/*_v1.bin were written by the
-// hand-written per-field codec this package had before the reflective
-// walker (a 16-rank session with in-flight messages of all three payload
-// kinds, a split communicator, a stepped-clock fork and a three-blob App;
-// a sweep with a finished result, an empty result and that session as its
-// in-flight task). Decoding and re-encoding them must give the bytes back,
-// so FormatVersion stays 1 and a ledger written before the change restores
-// after it. Regenerating these files is a format change: bump FormatVersion.
-func TestFormatV1BytesUnchanged(t *testing.T) {
-	if FormatVersion != 1 {
-		t.Fatalf("FormatVersion = %d; the v1 fixtures no longer apply", FormatVersion)
+// The format is pinned by bytes: testdata/*_v2.bin hold a 16-rank session
+// with in-flight messages of all three payload kinds, a split communicator,
+// a stepped-clock fork and a three-blob App, and a sweep with a finished
+// result, an empty result and that session as its in-flight task. They are
+// the version-1 fixtures of the hand-written per-field codec this package
+// had before the reflective walker, with the one field version 2 dropped
+// (the fork's zero rate change) cut out and the frames re-sealed. Decoding
+// and re-encoding them must give the bytes back, so a ledger written before
+// a change restores after it. Regenerating these files is a format change:
+// bump FormatVersion.
+func TestFormatV2BytesUnchanged(t *testing.T) {
+	if FormatVersion != 2 {
+		t.Fatalf("FormatVersion = %d; the v2 fixtures no longer apply", FormatVersion)
 	}
-	session, err := os.ReadFile("testdata/session_v1.bin")
+	session, err := os.ReadFile("testdata/session_v2.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +45,19 @@ func TestFormatV1BytesUnchanged(t *testing.T) {
 			len(s.State.World.Comms), len(s.State.World.FaultyClocks), len(s.App))
 	}
 	if got := EncodeSession(s); !bytes.Equal(got, session) {
-		t.Errorf("session_v1.bin re-encoded to different bytes (%d B, fixture %d B)", len(got), len(session))
+		t.Errorf("session_v2.bin re-encoded to different bytes (%d B, fixture %d B)", len(got), len(session))
 	}
 
-	sweep, err := os.ReadFile("testdata/sweep_v1.bin")
+	// A container of the previous version is refused by its version alone,
+	// before the checksum or the payload is looked at.
+	v1 := append([]byte(nil), session...)
+	binary.LittleEndian.PutUint32(v1[len(magic):], 1)
+	var ve *UnsupportedVersionError
+	if _, err := DecodeSession(v1); !errors.As(err, &ve) || ve.Version != 1 {
+		t.Errorf("version-1 container: err = %v, want *UnsupportedVersionError{Version: 1}", err)
+	}
+
+	sweep, err := os.ReadFile("testdata/sweep_v2.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +69,7 @@ func TestFormatV1BytesUnchanged(t *testing.T) {
 		t.Fatalf("sweep fixture lost coverage: %d results, %d tasks", len(w.Results), len(w.Tasks))
 	}
 	if got := EncodeSweep(w); !bytes.Equal(got, sweep) {
-		t.Errorf("sweep_v1.bin re-encoded to different bytes (%d B, fixture %d B)", len(got), len(sweep))
+		t.Errorf("sweep_v2.bin re-encoded to different bytes (%d B, fixture %d B)", len(got), len(sweep))
 	}
 }
 

@@ -23,9 +23,10 @@ import (
 //     communicator — reference re-election falls out of the shrink.
 //
 //  2. Timeouts. Every exchange is a sequence-numbered ping/pong bounded by
-//     RecvTimeout on both sides, so dropped or duplicated messages cost a
-//     timeout window instead of a deadlock. Stale or duplicate packets are
-//     identified by their sequence number and discarded.
+//     RecvTimeout on both sides, so a dropped message costs a timeout window
+//     instead of a deadlock. Stale packets — late replies to an exchange
+//     already given up on — are identified by their sequence number and
+//     discarded.
 //
 //  3. Quality reporting. Each rank returns a RankSync describing how well
 //     its model was learned (samples kept, exchanges lost, degraded
@@ -266,7 +267,7 @@ func ftServe(comm *mpi.Comm, clk clock.Clock, client int, se session) {
 			return
 		}
 		if seq <= last {
-			continue // duplicate, or stale traffic from an earlier session
+			continue // stale traffic from an earlier session
 		}
 		last = seq
 		comm.Send(client, ftTagPong, mpi.EncodeF64s([]float64{float64(seq), serveReading(comm, clk)}))
@@ -308,8 +309,8 @@ func ftSample(comm *mpi.Comm, clk clock.Clock, ref, n int, se session) (samples 
 			}
 			v := mpi.DecodeF64s(b)
 			if int(v[0]) != want {
-				// A stale pong (lost exchange's late reply or an injected
-				// duplicate): discard and keep waiting out the deadline.
+				// A stale pong (a lost exchange's late reply): discard and
+				// keep waiting out the deadline.
 				continue
 			}
 			sNow := clk.Time()

@@ -43,25 +43,25 @@ func FuzzLinkSpecSample(f *testing.F) {
 }
 
 // FuzzHWClockDisturbed checks the disturbed clock's contract: for any
-// schedule of steps and frequency jumps, ReadAt never returns NaN/Inf for
-// finite times, and TrueWhen is the first-crossing pseudo-inverse —
-// TrueWhen(ReadAt(t)) <= t, with the reading at the returned instant at or
-// past the queried one (exactly equal wherever the reading is attained at
-// the first crossing; a large backward step can make early readings exceed
-// a later query, in which case the crossing was already in the past).
+// schedule of two steps, ReadAt never returns NaN/Inf for finite times, and
+// TrueWhen is the first-crossing pseudo-inverse — TrueWhen(ReadAt(t)) <= t,
+// with the reading at the returned instant at or past the queried one
+// (exactly equal wherever the reading is attained at the first crossing; a
+// large backward step can make early readings exceed a later query, in
+// which case the crossing was already in the past).
 func FuzzHWClockDisturbed(f *testing.F) {
-	f.Add(5.0, 1e-3, 10.0, 100e-6, 0.37, int64(1))   // forward step + excursion
-	f.Add(5.0, -1e-3, 10.0, -100e-6, 0.37, int64(2)) // backward step + slow-down
-	f.Add(0.0, 2e-3, 0.0, 5e-4, 0.0, int64(3))       // both faults at t=0
-	f.Add(7.25, 5e-3, 7.25, 2e-4, 7.2500001, int64(4))
-	f.Fuzz(func(t *testing.T, stepAt, stepMag, freqAt, dppm, query float64, seed int64) {
-		for _, v := range []float64{stepAt, stepMag, freqAt, dppm, query} {
+	f.Add(5.0, 1e-3, 10.0, 1e-4, 0.37, int64(1))   // two forward steps
+	f.Add(5.0, -1e-3, 10.0, -1e-4, 0.37, int64(2)) // two backward steps
+	f.Add(0.0, 2e-3, 0.0, 5e-4, 0.0, int64(3))     // both steps at t=0
+	f.Add(7.25, 5e-3, 7.25, -2e-4, 7.2500001, int64(4))
+	f.Fuzz(func(t *testing.T, stepAt, stepMag, step2At, step2Mag, query float64, seed int64) {
+		for _, v := range []float64{stepAt, stepMag, step2At, step2Mag, query} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Skip("non-finite schedule")
 			}
 		}
-		if math.Abs(stepMag) > 1e6 || math.Abs(dppm) > 1 || stepAt < 0 || freqAt < 0 ||
-			stepAt > 1e6 || freqAt > 1e6 || query < 0 || query > 1e6 {
+		if math.Abs(stepMag) > 1e6 || math.Abs(step2Mag) > 1e6 || stepAt < 0 || step2At < 0 ||
+			stepAt > 1e6 || step2At > 1e6 || query < 0 || query > 1e6 {
 			t.Skip("not a physically meaningful schedule")
 		}
 		c := NewHWClock(ClockSpec{
@@ -69,7 +69,7 @@ func FuzzHWClockDisturbed(f *testing.F) {
 			WanderSigma: 1e-7, WanderRho: 0.99, WanderInterval: 1,
 		}, seed)
 		c.AddStep(stepAt, stepMag)
-		c.AddFreqJump(freqAt, dppm)
+		c.AddStep(step2At, step2Mag)
 		l := c.ReadAt(query)
 		if math.IsNaN(l) || math.IsInf(l, 0) {
 			t.Fatalf("ReadAt(%v) = %v", query, l)

@@ -38,10 +38,9 @@ type ClockSpec struct {
 // skew depends only on the clock's seed, never on query order.
 //
 // On top of the smooth wander model the clock can carry scheduled
-// *disturbances* — one-shot step offsets (NTP-style jumps) and persistent
-// frequency excursions — injected with AddStep/AddFreqJump. A clock with no
-// disturbances takes exactly the pre-disturbance code paths, so healthy
-// clocks stay byte-identical to earlier builds.
+// *disturbances* — one-shot step offsets (NTP-style jumps) injected with
+// AddStep. A clock with no disturbances takes exactly the pre-disturbance
+// code paths, so healthy clocks stay byte-identical to earlier builds.
 type HWClock struct {
 	Spec ClockSpec
 	seed int64
@@ -56,10 +55,9 @@ type HWClock struct {
 }
 
 // disturbance is one scheduled clock fault: at true time at, the reading
-// jumps by step, and the clock's rate changes by dppm (fractional, e.g.
-// 100e-6) from at onward.
+// jumps by step.
 type disturbance struct {
-	at, step, dppm float64
+	at, step float64
 }
 
 // NewHWClock creates a clock from spec with its own deterministic random
@@ -93,42 +91,23 @@ func (c *HWClock) Fork() *HWClock { return NewHWClock(c.Spec, c.seed) }
 
 // AddStep schedules a one-shot reading jump of delta seconds at true time
 // at (an NTP step: positive jumps the clock forward, negative backward).
-func (c *HWClock) AddStep(at, delta float64) { c.addDist(disturbance{at: at, step: delta}) }
-
-// AddFreqJump schedules a persistent fractional rate change of dppm (e.g.
-// 500e-6 runs the clock 500 ppm fast) starting at true time at. The
-// cumulative rate change is clamped so the clock stays strictly increasing.
-func (c *HWClock) AddFreqJump(at, dppm float64) { c.addDist(disturbance{at: at, dppm: dppm}) }
-
-func (c *HWClock) addDist(d disturbance) {
-	if math.IsNaN(d.at) || d.at < 0 {
-		d.at = 0
+func (c *HWClock) AddStep(at, delta float64) {
+	if math.IsNaN(at) || at < 0 {
+		at = 0
 	}
-	// Keep the total rate perturbation small enough that every segment's
-	// effective slope stays positive (base skew is clamped at -0.5).
-	var sum float64
-	for _, e := range c.dists {
-		sum += e.dppm
-	}
-	if sum+d.dppm > 0.4 {
-		d.dppm = 0.4 - sum
-	} else if sum+d.dppm < -0.4 {
-		d.dppm = -0.4 - sum
-	}
-	c.dists = append(c.dists, d)
+	c.dists = append(c.dists, disturbance{at: at, step: delta})
 	sort.Slice(c.dists, func(i, j int) bool { return c.dists[i].at < c.dists[j].at })
 }
 
 // distAt returns the total disturbance contribution to the reading at true
-// time t: all steps at or before t plus the accumulated excess of every
-// frequency jump in effect.
+// time t: the sum of all steps at or before t.
 func (c *HWClock) distAt(t float64) float64 {
 	var d float64
 	for _, e := range c.dists {
 		if t < e.at {
 			break
 		}
-		d += e.step + e.dppm*(t-e.at)
+		d += e.step
 	}
 	return d
 }
@@ -216,18 +195,17 @@ func (c *HWClock) TrueWhen(local float64) float64 {
 	if len(c.dists) == 0 {
 		return c.trueWhenBase(local)
 	}
-	// Walk the disturbance intervals in order. Within interval i the
-	// disturbance contribution is affine: off + m·(t − start), so the
-	// reading is readBase(t) plus an affine term and strictly increasing.
-	var off, m, start float64
+	// Walk the intervals between steps in order. Within one the steps add a
+	// constant off, so the reading is readBase(t) + off and strictly
+	// increasing: the base inverse of local − off solves it exactly.
+	var off, start float64
 	for i := 0; i <= len(c.dists); i++ {
 		end := math.Inf(1)
 		if i < len(c.dists) {
 			end = c.dists[i].at
 		}
 		if end > start || i == len(c.dists) {
-			loVal := c.readBase(start) + off
-			if local < loVal {
+			if local < c.readBase(start)+off {
 				// The reading falls in a forward-step gap at start (or
 				// before t=0): the step instant is the first time the
 				// clock is at or past local.
@@ -235,95 +213,25 @@ func (c *HWClock) TrueWhen(local float64) float64 {
 			}
 			hiVal := math.Inf(1)
 			if !math.IsInf(end, 1) {
-				hiVal = c.readBase(end) + off + m*(end-start)
+				hiVal = c.readBase(end) + off
 			}
 			if local < hiVal {
-				return c.solveInterval(local, start, end, off, m)
+				t := c.trueWhenBase(local - off)
+				if t < start {
+					t = start
+				}
+				if t >= end {
+					// Guard against rounding placing the solution on the boundary.
+					t = math.Nextafter(end, start)
+				}
+				return t
 			}
 		}
 		if i < len(c.dists) {
-			d := c.dists[i]
-			off += m*(d.at-start) + d.step
-			m += d.dppm
-			start = d.at
+			off += c.dists[i].step
+			start = c.dists[i].at
 		}
 	}
 	// Unreachable: the last interval extends to +Inf.
 	return c.trueWhenBase(local - off)
-}
-
-// solveInterval finds t in [start, end) with readBase(t) + off + m·(t−start)
-// = local. The reading is strictly increasing on the interval (addDist
-// keeps the effective rate positive), so the root is unique. For realistic
-// ppm-scale perturbations the fixed-point iteration through the exact base
-// inverse contracts by ~|m| per round and converges almost immediately; if
-// it has not converged (|m| near the ±0.4 clamp), fall back to bisection,
-// which is unconditionally correct.
-func (c *HWClock) solveInterval(local, start, end, off, m float64) float64 {
-	t := c.trueWhenBase(local - off)
-	converged := m == 0
-	for k := 0; k < 8 && !converged; k++ {
-		next := c.trueWhenBase(local - off - m*(t-start))
-		converged = math.Abs(next-t) <= 1e-15*(1+math.Abs(t))
-		t = next
-	}
-	if !converged {
-		t = c.bisectInterval(local, start, end, off, m)
-	}
-	if t < start {
-		t = start
-	}
-	if t >= end {
-		// Guard against rounding placing the solution on the boundary.
-		t = math.Nextafter(end, start)
-	}
-	return t
-}
-
-// bisectInterval solves the same equation as solveInterval by bisection.
-// The caller guarantees the reading at start is <= local and the reading at
-// end (possibly +Inf) is > local; an infinite right edge is first replaced
-// by a finite bracket found by doubling.
-func (c *HWClock) bisectInterval(local, start, end, off, m float64) float64 {
-	f := func(t float64) float64 { return c.readBase(t) + off + m*(t-start) - local }
-	lo, hi := start, end
-	if math.IsInf(hi, 1) {
-		hi = math.Max(start, c.trueWhenBase(local-off))
-		for step := 1.0; f(hi) < 0; step *= 2 {
-			hi += step
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := 0.5 * (lo + hi)
-		if mid <= lo || mid >= hi {
-			break // bracket is at floating-point resolution
-		}
-		if f(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	// hi is the first representable time with the reading at or past local.
-	return hi
-}
-
-// SkewAt returns the instantaneous fractional rate error in effect at true
-// time t, including any frequency-jump disturbances. Useful in tests and
-// experiments that need the ground truth.
-func (c *HWClock) SkewAt(t float64) float64 {
-	s := c.Spec.BaseSkew
-	if c.Spec.WanderInterval > 0 {
-		i := int(t / c.Spec.WanderInterval)
-		for i >= len(c.skews) {
-			c.extend()
-		}
-		s = c.skews[i]
-	}
-	for _, d := range c.dists {
-		if t >= d.at {
-			s += d.dppm
-		}
-	}
-	return s
 }

@@ -132,17 +132,17 @@ func rsquared(xs, ys []float64) float64 {
 	return cov * cov / (vx * vy)
 }
 
-func TestSkewAtMatchesReadSlope(t *testing.T) {
+func TestReadSlopeMatchesSegmentSkew(t *testing.T) {
 	c := NewHWClock(ClockSpec{
 		Offset: 0, BaseSkew: 1e-6,
 		WanderSigma: 1e-7, WanderRho: 0.9, WanderInterval: 1,
 	}, 11)
-	// Numerical slope in the middle of a segment matches SkewAt.
+	// Numerical slope in the middle of a segment matches the segment's skew.
 	tt := 5.5
 	h := 1e-4
 	slope := (c.ReadAt(tt+h)-c.ReadAt(tt-h))/(2*h) - 1
-	if math.Abs(slope-c.SkewAt(tt)) > 1e-9 {
-		t.Errorf("numeric skew %v != SkewAt %v", slope, c.SkewAt(tt))
+	if skew := c.skews[int(tt)]; math.Abs(slope-skew) > 1e-9 {
+		t.Errorf("numeric skew %v != segment skew %v", slope, skew)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestTrueWhenBeforeOriginClamps(t *testing.T) {
 	}
 }
 
-// --- Disturbances: steps and frequency jumps (clock-fault model) ---
+// --- Disturbances: steps (clock-fault model) ---
 
 func TestForkReproducesReadings(t *testing.T) {
 	spec := ClockSpec{
@@ -199,36 +199,33 @@ func TestForkReproducesReadings(t *testing.T) {
 	}
 }
 
-func TestStepAndFreqJumpReadings(t *testing.T) {
+func TestStepReadings(t *testing.T) {
 	c := NewHWClock(ClockSpec{Offset: 0, BaseSkew: 0}, 1)
-	c.AddStep(5, 2e-3)
-	c.AddFreqJump(10, 100e-6)
+	c.AddStep(10, 1e-4)
+	c.AddStep(5, 2e-3) // added out of order: steps are kept sorted by time
 	if got := c.ReadAt(4); math.Abs(got-4) > 1e-12 {
 		t.Errorf("pre-step reading = %v, want 4", got)
 	}
 	if got, want := c.ReadAt(6), 6+2e-3; math.Abs(got-want) > 1e-12 {
 		t.Errorf("post-step reading = %v, want %v", got, want)
 	}
-	if got, want := c.ReadAt(20), 20+2e-3+100e-6*10; math.Abs(got-want) > 1e-12 {
-		t.Errorf("post-freq-jump reading = %v, want %v", got, want)
-	}
-	if got, want := c.SkewAt(20), 100e-6; math.Abs(got-want) > 1e-15 {
-		t.Errorf("SkewAt(20) = %v, want %v", got, want)
+	if got, want := c.ReadAt(20), 20+2e-3+1e-4; math.Abs(got-want) > 1e-12 {
+		t.Errorf("post-second-step reading = %v, want %v", got, want)
 	}
 }
 
 // TestDisturbedRoundTripProperty is the satellite property test: for a
-// wandering clock with injected steps and frequency jumps,
-// TrueWhen(ReadAt(t)) == t (to float tolerance) at every t where the
-// reading is unique, across wander segments and disturbance boundaries.
+// wandering clock with injected steps, TrueWhen(ReadAt(t)) == t (to float
+// tolerance) at every t where the reading is unique, across wander segments
+// and step boundaries.
 func TestDisturbedRoundTripProperty(t *testing.T) {
 	c := NewHWClock(ClockSpec{
 		Offset: -2.5, BaseSkew: 3e-6,
 		WanderSigma: 5e-8, WanderRho: 0.999, WanderInterval: 1,
 	}, 21)
-	c.AddStep(7.25, 5e-3)     // forward step mid-segment
-	c.AddFreqJump(13.5, 2e-4) // persistent excursion
-	c.AddStep(31, 1e-4)       // second, smaller step
+	c.AddStep(7.25, 5e-3) // forward step mid-segment
+	c.AddStep(13.5, 2e-4) // small forward step
+	c.AddStep(31, 1e-4)   // third, smaller step
 	f := func(raw uint32) bool {
 		tt := float64(raw%60000) / 1000 // 0..60 s
 		l := c.ReadAt(tt)

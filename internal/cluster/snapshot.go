@@ -12,14 +12,11 @@ package cluster
 import "fmt"
 
 // Disturbance is the exported form of one scheduled clock fault: at true
-// time At the reading jumps by Step seconds and the rate changes by DPPM
-// (fractional) from At onward. Values are stored post-clamp, exactly as the
-// clock holds them, so restoring them bypasses AddStep/AddFreqJump's
-// re-clamping.
+// time At the reading jumps by Step seconds. Values are stored exactly as
+// the clock holds them, so restoring them bypasses AddStep.
 type Disturbance struct {
 	At   float64
 	Step float64
-	DPPM float64
 }
 
 // ClockState is the accumulated (non-derivable) state of one HWClock.
@@ -36,7 +33,7 @@ type ClockState struct {
 func (c *HWClock) State() ClockState {
 	st := ClockState{Segments: len(c.skews)}
 	for _, d := range c.dists {
-		st.Dists = append(st.Dists, Disturbance{At: d.at, Step: d.step, DPPM: d.dppm})
+		st.Dists = append(st.Dists, Disturbance{At: d.at, Step: d.step})
 	}
 	return st
 }
@@ -55,9 +52,8 @@ func (c *HWClock) RestoreState(st ClockState) error {
 	}
 	c.dists = nil
 	for _, d := range st.Dists {
-		// Reinstate verbatim: values were clamped and sorted when first
-		// injected, so re-clamping against an empty list would distort them.
-		c.dists = append(c.dists, disturbance{at: d.At, step: d.Step, dppm: d.DPPM})
+		// Reinstate verbatim: the list was sorted when first injected.
+		c.dists = append(c.dists, disturbance{at: d.At, step: d.Step})
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ func TestClockStateRoundTrip(t *testing.T) {
 	orig := NewHWClock(snapTestSpec, 42)
 	orig.ReadAt(137) // extend well past the first segment
 	orig.AddStep(50, 3e-3)
-	orig.AddFreqJump(90, 200e-6)
+	orig.AddStep(90, -2e-4)
 
 	st := orig.State()
 	restored := NewHWClock(snapTestSpec, 42)
@@ -31,8 +31,8 @@ func TestClockStateRoundTrip(t *testing.T) {
 		if a, b := orig.ReadAt(at), restored.ReadAt(at); a != b {
 			t.Errorf("ReadAt(%g): orig %v != restored %v", at, a, b)
 		}
-		if a, b := orig.SkewAt(at), restored.SkewAt(at); a != b {
-			t.Errorf("SkewAt(%g): orig %v != restored %v", at, a, b)
+		if l := orig.ReadAt(at); orig.TrueWhen(l) != restored.TrueWhen(l) {
+			t.Errorf("TrueWhen(ReadAt(%g)): orig and restored disagree", at)
 		}
 	}
 	// Post-restore lazy extension must also agree draw for draw.
@@ -41,19 +41,27 @@ func TestClockStateRoundTrip(t *testing.T) {
 	}
 }
 
-// Clamped disturbances must restore verbatim, not get re-clamped against an
-// empty list (which would change the stored values).
-func TestClockStateRestoresClampedDisturbances(t *testing.T) {
+// Steps restore verbatim, in the clock's time-sorted order, whatever order
+// they were added in.
+func TestClockStateRestoresStepsVerbatim(t *testing.T) {
 	orig := NewHWClock(snapTestSpec, 7)
-	orig.AddFreqJump(10, 0.3)
-	orig.AddFreqJump(20, 0.3) // clamped to 0.1 so the sum stays at 0.4
+	orig.AddStep(20, 1e-3)
+	orig.AddStep(10, -3e-3)
 
+	st := orig.State()
+	if len(st.Dists) != 2 || st.Dists[0] != (Disturbance{At: 10, Step: -3e-3}) ||
+		st.Dists[1] != (Disturbance{At: 20, Step: 1e-3}) {
+		t.Fatalf("State().Dists = %+v, want the two steps sorted by time", st.Dists)
+	}
 	restored := NewHWClock(snapTestSpec, 7)
-	if err := restored.RestoreState(orig.State()); err != nil {
+	if err := restored.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
+	if got := restored.State(); len(got.Dists) != 2 || got.Dists[0] != st.Dists[0] || got.Dists[1] != st.Dists[1] {
+		t.Errorf("restored Dists = %+v, want %+v", got.Dists, st.Dists)
+	}
 	if a, b := orig.ReadAt(100), restored.ReadAt(100); a != b {
-		t.Errorf("clamped disturbance diverged: %v != %v", a, b)
+		t.Errorf("restored steps diverged: %v != %v", a, b)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"hclocksync/internal/clock"
 	"hclocksync/internal/clocksync"
@@ -109,7 +108,9 @@ func RunClockFaults(eng *harness.Engine, cfg ClockFaultsConfig) (*ClockFaultsRes
 		positive("ClockFaultsConfig.NFitpoints", cfg.NFitpoints),
 		positive("ClockFaultsConfig.F", cfg.F),
 		positive("ClockFaultsConfig.Horizon", cfg.Horizon),
+		within("ClockFaultsConfig.Horizon", math.Inf(-1), math.Inf(1), cfg.Horizon),
 		nonEmpty("ClockFaultsConfig.StepMags", cfg.StepMags),
+		within("ClockFaultsConfig.StepMags", math.Inf(-1), math.Inf(1), cfg.StepMags...),
 		nonEmpty("ClockFaultsConfig.ByzCounts", cfg.ByzCounts),
 		nonEmpty("ClockFaultsConfig.Estimators", cfg.Estimators)); err != nil {
 		return nil, err
@@ -120,7 +121,7 @@ func RunClockFaults(eng *harness.Engine, cfg ClockFaultsConfig) (*ClockFaultsRes
 			for _, byz := range cfg.ByzCounts {
 				for run := 0; run < cfg.NRuns; run++ {
 					est, mag, byz, run := est, mag, byz, run
-					tasks = append(tasks, harness.Task[ClockFaultsRun]{
+					t := harness.Task[ClockFaultsRun]{
 						Name:    fmt.Sprintf("%s/step%g/byz%d/run%d", est, mag, byz, run),
 						SeedKey: seedKeyRun(run),
 						Config: clockFaultsTask{
@@ -128,10 +129,11 @@ func RunClockFaults(eng *harness.Engine, cfg ClockFaultsConfig) (*ClockFaultsRes
 							NFit: cfg.NFitpoints, F: cfg.F, FT: cfg.FT, Watch: cfg.Watch,
 							Schedule: cfg.Schedule, Horizon: cfg.Horizon, Run: run,
 						},
-						Run: func(seed int64) (ClockFaultsRun, error) {
-							return clockFaultsRun(cfg, est, mag, byz, run, seed)
-						},
-					})
+					}
+					t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (ClockFaultsRun, error) {
+						return clockFaultsRun(cfg, est, mag, byz, run, seed, ckpt)
+					}
+					tasks = append(tasks, t)
 				}
 			}
 		}
@@ -143,13 +145,10 @@ func RunClockFaults(eng *harness.Engine, cfg ClockFaultsConfig) (*ClockFaultsRes
 	return &ClockFaultsResult{Config: cfg, Runs: runs}, nil
 }
 
-// clockFaultsRun executes one cell replication: derive the fault plan from
-// the task seed, synchronize with the selected estimator, and evaluate
-// every rank's global clock against ground truth at the horizon.
+// clockFaultsRun executes one cell replication with the given derived seed:
+// the fault cell of ftCell, synchronized with the selected estimator.
 func clockFaultsRun(cfg ClockFaultsConfig, est string, mag float64, byz, run int,
-	seed int64) (ClockFaultsRun, error) {
-	job := cfg.Job
-	job.Seed = seed
+	seed int64, ckpt harness.TaskCheckpoint) (ClockFaultsRun, error) {
 	sched := cfg.Schedule
 	sched.NSteps = 0
 	if mag != 0 {
@@ -157,7 +156,6 @@ func clockFaultsRun(cfg ClockFaultsConfig, est string, mag float64, byz, run int
 		sched.StepMin, sched.StepMax = mag, mag
 	}
 	sched.NByzantine = byz
-	plan := sched.Derive(job.NProcs, seed)
 
 	var syncFT func(*mpi.Comm, clock.Clock) (clock.Clock, clocksync.RankSync)
 	switch est {
@@ -173,61 +171,25 @@ func clockFaultsRun(cfg ClockFaultsConfig, est string, mag float64, byz, run int
 		return ClockFaultsRun{}, fmt.Errorf("unknown estimator %q (want ls or robust)", est)
 	}
 
-	row := ClockFaultsRun{
-		Estimator: est, StepMag: mag, Byz: byz, Run: run,
-		PerRank: make([]clocksync.RankSync, job.NProcs),
-	}
-	var mu sync.Mutex
-	var readings []float64
-	var lastEnd float64
-	mcfg := job.config()
-	mcfg.Faults = faults.NewInjector(plan)
-	err := mpi.Run(mcfg, func(p *mpi.Proc) {
-		g, rep := syncFT(p.World(), clock.NewLocal(p))
-		end := p.TrueNow()
-		_, m := clock.Collapse(g)
-		// p.HWClock() is the rank's disturbed fork when the plan steps its
-		// clock, so the ground truth includes the fault.
-		l := p.HWClock().ReadAt(cfg.Horizon)
-		mu.Lock()
-		defer mu.Unlock()
-		row.PerRank[p.Rank()] = rep
-		if !rep.Alive {
-			return
-		}
-		if end > lastEnd {
-			lastEnd = end
-		}
-		readings = append(readings, l-m.Predict(l))
-	})
+	c, err := ftCell(cfg.Job, seed, sched, syncFT, cfg.Horizon, ckpt)
 	if err != nil {
 		return ClockFaultsRun{}, fmt.Errorf("%s step %g byz %d run %d: %w", est, mag, byz, run, err)
 	}
-	if lastEnd > cfg.Horizon {
-		return ClockFaultsRun{}, fmt.Errorf("%s step %g byz %d run %d: sync ended at %.3f s, past the %.3f s horizon",
-			est, mag, byz, run, lastEnd, cfg.Horizon)
+	row := ClockFaultsRun{
+		Estimator: est, StepMag: mag, Byz: byz, Run: run,
+		Survivors: c.survivors, Degraded: c.degraded,
+		TrueSpread: c.spread, MaxAbsErr: c.maxErr, PerRank: c.reps,
 	}
-	row.Survivors = len(readings)
-	for _, rep := range row.PerRank {
-		if rep.Alive && rep.Degraded {
-			row.Degraded++
-		}
+	for _, rep := range c.reps {
 		row.Resyncs += rep.Resyncs
 	}
-	for _, s := range plan.Steps {
-		rep := row.PerRank[s.Rank]
+	for _, s := range c.plan.Steps {
+		rep := c.reps[s.Rank]
 		if rep.DetectedAt > 0 {
 			row.Detected++
 			if lat := rep.DetectedAt - s.At; lat > 0 && (row.DetectLat == 0 || lat < row.DetectLat) {
 				row.DetectLat = lat
 			}
-		}
-	}
-	if len(readings) > 0 {
-		row.TrueSpread = spread(readings)
-		mean := stats.Mean(readings)
-		for _, v := range readings {
-			row.MaxAbsErr = math.Max(row.MaxAbsErr, math.Abs(v-mean))
 		}
 	}
 	return row, nil

@@ -25,6 +25,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"hclocksync/internal/clocksync"
@@ -78,11 +79,11 @@ func h2hca(nfit, nexch int) clocksync.Algorithm {
 }
 
 // ConfigError is a Run* function's refusal of a config field it cannot run
-// with — a non-positive count or horizon, or an empty sweep axis — returned
-// before any task is submitted.
+// with — a non-positive count or horizon, an empty sweep axis, a non-finite
+// or out-of-range sweep point — returned before any task is submitted.
 type ConfigError struct {
 	Field string // e.g. "FaultsConfig.Horizon"
-	Want  string // "positive" or "non-empty"
+	Want  string // "positive", "non-empty", "finite" or "in [lo, hi]"
 }
 
 func (e *ConfigError) Error() string {
@@ -103,6 +104,20 @@ func nonEmpty[T any](field string, axis []T) error {
 		return nil
 	}
 	return &ConfigError{field, "non-empty"}
+}
+
+// within is nil when every v is finite and in [lo, hi] (false for NaN and
+// ±Inf whatever the bounds) and a *ConfigError otherwise.
+func within(field string, lo, hi float64, vs ...float64) error {
+	for _, v := range vs {
+		if math.IsInf(v, 0) || !(v >= lo && v <= hi) {
+			if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
+				return &ConfigError{field, "finite"}
+			}
+			return &ConfigError{field, fmt.Sprintf("in [%g, %g]", lo, hi)}
+		}
+	}
+	return nil
 }
 
 // us converts seconds to microseconds for printing (the paper's unit).

@@ -29,8 +29,8 @@ type FaultsConfig struct {
 	// NFitpoints per (ref, client) pair of the FT sync.
 	NFitpoints int
 	FT         clocksync.FTOpts
-	// Schedule provides the remaining fault-intensity knobs (crash window,
-	// degraded episodes); DropProb and NCrashes are overridden per cell.
+	// Schedule provides the remaining fault-intensity knobs (the crash
+	// window); DropProb and NCrashes are overridden per cell.
 	Schedule faults.PlanConfig
 	// Horizon is the true time at which every survivor's global clock is
 	// evaluated for the ground-truth error (must exceed the sync end;
@@ -86,7 +86,9 @@ func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
 		positive("FaultsConfig.NRuns", cfg.NRuns),
 		positive("FaultsConfig.NFitpoints", cfg.NFitpoints),
 		positive("FaultsConfig.Horizon", cfg.Horizon),
+		within("FaultsConfig.Horizon", math.Inf(-1), math.Inf(1), cfg.Horizon),
 		nonEmpty("FaultsConfig.DropRates", cfg.DropRates),
+		within("FaultsConfig.DropRates", 0, 1, cfg.DropRates...),
 		nonEmpty("FaultsConfig.CrashCounts", cfg.CrashCounts)); err != nil {
 		return nil, err
 	}
@@ -118,37 +120,76 @@ func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
 	return &FaultsResult{Config: cfg, Runs: runs}, nil
 }
 
-// faultsCut is what the FT sync hands the ground-truth sampling.
-type faultsCut struct {
+// faultsRun executes one cell replication with the given derived seed.
+func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
+	ckpt harness.TaskCheckpoint) (FaultsRun, error) {
+	sched := cfg.Schedule
+	sched.DropProb = drop
+	sched.NCrashes = crashes
+	alg := clocksync.HCA3FT{NFitpoints: cfg.NFitpoints, Opts: cfg.FT}
+	c, err := ftCell(cfg.Job, seed, sched, alg.SyncFT, cfg.Horizon, ckpt)
+	if err != nil {
+		return FaultsRun{}, fmt.Errorf("drop %g crashes %d run %d: %w", drop, crashes, run, err)
+	}
+	row := FaultsRun{
+		DropProb: drop, Crashes: crashes, Run: run,
+		Survivors: c.survivors, Degraded: c.degraded, Duration: c.lastEnd,
+		TrueSpread: c.spread, MaxAbsErr: c.maxErr, PerRank: c.reps,
+	}
+	var kept, lost int
+	for _, rep := range c.reps {
+		kept += rep.Samples
+		lost += rep.Lost
+	}
+	if kept+lost > 0 {
+		row.LostFrac = float64(lost) / float64(kept+lost)
+	}
+	return row, nil
+}
+
+// ftCut is what the FT sync hands the ground-truth sampling.
+type ftCut struct {
 	Reps    []clocksync.RankSync  `json:"reps"`   // every rank's sync-quality report
 	States  []clocksync.SyncState `json:"states"` // every rank's synchronized clock
 	Done    []bool                `json:"done"`   // ranks that returned from the sync (crashed ones never do)
 	LastEnd float64               `json:"last_end"`
 }
 
-// faultsRun executes one cell replication with the given derived seed. The
-// fault plan is a pure function of (schedule, nprocs, seed), which is what
-// makes a run replayable from its manifest seed alone.
-//
-// The run is cut (see runPhases) at the end of the fault-tolerant sync; the
-// second body does no communication and reads each hardware clock at a fixed
-// true time. With a checkpoint handle the whole job (kernel, clocks, injector
-// state, plus faultsCut) snapshots between the bodies, so a killed sweep
-// resumes there instead of re-synchronizing.
-func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
-	ckpt harness.TaskCheckpoint) (FaultsRun, error) {
-	job := cfg.Job
-	job.Seed = seed
-	sched := cfg.Schedule
-	sched.DropProb = drop
-	sched.NCrashes = crashes
-	mcfg := job.config()
-	mcfg.Faults = faults.NewInjector(sched.Derive(job.NProcs, seed))
-	alg := clocksync.HCA3FT{NFitpoints: cfg.NFitpoints, Opts: cfg.FT}
+// ftOutcome is what one fault-tolerant sync cell measures.
+type ftOutcome struct {
+	reps      []clocksync.RankSync // every rank's sync-quality report, in world-rank order
+	survivors int                  // ranks that completed sync
+	degraded  int                  // survivors whose model kept fewer than three samples
+	lastEnd   float64              // last survivor's sync end, seconds
+	// spread is the ground-truth disagreement (max−min) of the survivors'
+	// global clocks at the horizon; maxErr the largest survivor deviation
+	// from the survivor mean.
+	spread, maxErr float64
+	plan           faults.Plan
+}
 
+// ftCell is the one schedule of both fault suites: derive the fault plan
+// from (sched, nprocs, seed) — which is what makes a run replayable from its
+// manifest seed alone — synchronize every rank with syncFT, and evaluate
+// every survivor's global clock against ground truth at the horizon.
+//
+// The run is cut (see runPhases) at the end of the sync; the second body
+// does no communication and reads each hardware clock at a fixed true time
+// — the rank's stepped fork when the plan steps it, so the ground truth
+// includes the fault. With a checkpoint handle the whole job (kernel,
+// clocks, injector state, plus ftCut) snapshots between the bodies, so a
+// killed sweep resumes there instead of re-synchronizing.
+func ftCell(job Job, seed int64, sched faults.PlanConfig,
+	syncFT func(*mpi.Comm, clock.Clock) (clock.Clock, clocksync.RankSync),
+	horizon float64, ckpt harness.TaskCheckpoint) (ftOutcome, error) {
+	job.Seed = seed
 	n := job.NProcs
+	out := ftOutcome{plan: sched.Derive(n, seed)}
+	mcfg := job.config()
+	mcfg.Faults = faults.NewInjector(out.plan)
+
 	var mu sync.Mutex
-	cut := faultsCut{
+	cut := ftCut{
 		Reps:   make([]clocksync.RankSync, n),
 		States: make([]clocksync.SyncState, n),
 		Done:   make([]bool, n),
@@ -165,7 +206,7 @@ func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
 		},
 		[]func(*mpi.Proc){
 			func(p *mpi.Proc) {
-				g, rep := alg.SyncFT(p.World(), clock.NewLocal(p))
+				g, rep := syncFT(p.World(), clock.NewLocal(p))
 				end := p.TrueNow()
 				mu.Lock()
 				defer mu.Unlock()
@@ -190,16 +231,24 @@ func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
 					return
 				}
 				_, m := clock.Collapse(st.Rebuild(clock.NewLocal(p)))
-				l := p.HWClock().ReadAt(cfg.Horizon)
+				l := p.HWClock().ReadAt(horizon)
 				mu.Lock()
 				readings[r], has[r] = l-m.Predict(l), true
 				mu.Unlock()
 			},
 		})
 	if err != nil {
-		return FaultsRun{}, fmt.Errorf("drop %g crashes %d run %d: %w", drop, crashes, run, err)
+		return ftOutcome{}, err
 	}
-	row := FaultsRun{DropProb: drop, Crashes: crashes, Run: run, PerRank: cut.Reps}
+	if cut.LastEnd > horizon {
+		return ftOutcome{}, fmt.Errorf("sync ended at %.3f s, past the %.3f s horizon", cut.LastEnd, horizon)
+	}
+	out.reps, out.lastEnd = cut.Reps, cut.LastEnd
+	for _, rep := range cut.Reps {
+		if rep.Alive && rep.Degraded {
+			out.degraded++
+		}
+	}
 	// Survivors' readings in rank order: the order is part of the output
 	// (the mean below sums in it), so it must not depend on which rank
 	// happened to finish first.
@@ -209,41 +258,15 @@ func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
 			alive = append(alive, readings[r])
 		}
 	}
-	if err := faultsFinish(cfg, &row, alive, cut.LastEnd); err != nil {
-		return FaultsRun{}, err
-	}
-	return row, nil
-}
-
-// faultsFinish assembles the survivor statistics: horizon sanity,
-// survivor/degraded counts, loss fraction, and the ground-truth spread of
-// the readings.
-func faultsFinish(cfg FaultsConfig, row *FaultsRun, readings []float64, lastEnd float64) error {
-	if lastEnd > cfg.Horizon {
-		return fmt.Errorf("drop %g crashes %d run %d: sync ended at %.3f s, past the %.3f s horizon",
-			row.DropProb, row.Crashes, row.Run, lastEnd, cfg.Horizon)
-	}
-	row.Survivors = len(readings)
-	row.Duration = lastEnd
-	var kept, lost int
-	for _, rep := range row.PerRank {
-		if rep.Alive && rep.Degraded {
-			row.Degraded++
-		}
-		kept += rep.Samples
-		lost += rep.Lost
-	}
-	if kept+lost > 0 {
-		row.LostFrac = float64(lost) / float64(kept+lost)
-	}
-	if len(readings) > 0 {
-		row.TrueSpread = spread(readings)
-		mean := stats.Mean(readings)
-		for _, v := range readings {
-			row.MaxAbsErr = math.Max(row.MaxAbsErr, math.Abs(v-mean))
+	out.survivors = len(alive)
+	if len(alive) > 0 {
+		out.spread = spread(alive)
+		mean := stats.Mean(alive)
+		for _, v := range alive {
+			out.maxErr = math.Max(out.maxErr, math.Abs(v-mean))
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // Print emits one row per run plus per-cell means — the sync-error

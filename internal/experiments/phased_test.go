@@ -36,7 +36,7 @@ func (m *memCkpt) Save(cut int, snap []byte) {
 // phasedCase is one simulated mpirun of a checkpointable suite: run executes
 // it against the given checkpoint handle (nil for none).
 type phasedCase struct {
-	suite string // fig3, fig7, faults
+	suite string // fig3, fig7, faults, clockfaults
 	name  string // subtest name
 	ncuts int    // cuts an uninterrupted checkpointing run saves
 	run   func(ckpt harness.TaskCheckpoint) (any, error)
@@ -77,6 +77,30 @@ func phasedCases() []phasedCase {
 			row, err := faultsRun(fc, cell.drop, cell.crashes, 0, seed, ckpt)
 			if err == nil && cell.crashes > 0 && row.Survivors >= fc.Job.NProcs {
 				err = fmt.Errorf("crash cell lost no ranks (%d/%d survivors) — fault path not exercised", row.Survivors, fc.Job.NProcs)
+			}
+			return row, err
+		}})
+	}
+
+	// Clock faults: a least-squares cell, and a robust cell with a stepped
+	// rank and a Byzantine server whose watchdog rounds run before the cut.
+	// The stepped clock fork and the Byzantine jitter stream ride the
+	// snapshot.
+	cf := TinyClockFaultsConfig()
+	step := cf.StepMags[len(cf.StepMags)-1]
+	for _, cell := range []struct {
+		est     string
+		step    float64
+		byz     int
+		resyncs bool
+	}{{"ls", 0, 0, false}, {"robust", step, 1, true}} {
+		cell := cell
+		name := fmt.Sprintf("%s/step%g/byz%d/run0", cell.est, cell.step, cell.byz)
+		cases = append(cases, phasedCase{"clockfaults", strings.ReplaceAll(name, "/", "_"), 1, func(ckpt harness.TaskCheckpoint) (any, error) {
+			seed := harness.DeriveSeed("clockfaults", name, cf.Job.Seed)
+			row, err := clockFaultsRun(cf, cell.est, cell.step, cell.byz, 0, seed, ckpt)
+			if err == nil && cell.resyncs && row.Resyncs == 0 {
+				err = fmt.Errorf("robust cell resynced nothing — watchdog path not exercised")
 			}
 			return row, err
 		}})
@@ -145,6 +169,9 @@ func TestFig7PhasedResumeMatchesUninterrupted(t *testing.T) {
 }
 func TestFaultsPhasedResumeMatchesUninterrupted(t *testing.T) {
 	checkResumeMatchesUninterrupted(t, "faults")
+}
+func TestClockFaultsPhasedResumeMatchesUninterrupted(t *testing.T) {
+	checkResumeMatchesUninterrupted(t, "clockfaults")
 }
 
 // Whatever a ledger hands runPhases as the latest cut — a file from another

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"testing"
 
@@ -136,15 +137,26 @@ func TestRunRejectsDegenerateConfigs(t *testing.T) {
 		{"ClockFaultsConfig.StepMags", clk(func(c *ClockFaultsConfig) { c.StepMags = nil })},
 		{"ClockFaultsConfig.ByzCounts", clk(func(c *ClockFaultsConfig) { c.ByzCounts = nil })},
 		{"ClockFaultsConfig.Estimators", clk(func(c *ClockFaultsConfig) { c.Estimators = nil })},
+		// Sweep points and horizons that are non-finite or out of range.
+		{"FaultsConfig.DropRates", flt(func(c *FaultsConfig) { c.DropRates = []float64{0, math.NaN()} })},
+		{"FaultsConfig.DropRates", flt(func(c *FaultsConfig) { c.DropRates = []float64{1.5} })},
+		{"FaultsConfig.DropRates", flt(func(c *FaultsConfig) { c.DropRates = []float64{-0.1, 0} })},
+		{"FaultsConfig.DropRates", flt(func(c *FaultsConfig) { c.DropRates = []float64{math.Inf(1)} })},
+		{"FaultsConfig.Horizon", flt(func(c *FaultsConfig) { c.Horizon = math.Inf(1) })},
+		{"FaultsConfig.Horizon", flt(func(c *FaultsConfig) { c.Horizon = math.NaN() })},
+		{"ClockFaultsConfig.StepMags", clk(func(c *ClockFaultsConfig) { c.StepMags = []float64{0, math.Inf(1)} })},
+		{"ClockFaultsConfig.StepMags", clk(func(c *ClockFaultsConfig) { c.StepMags = []float64{math.Inf(-1)} })},
+		{"ClockFaultsConfig.StepMags", clk(func(c *ClockFaultsConfig) { c.StepMags = []float64{math.NaN()} })},
+		{"ClockFaultsConfig.Horizon", clk(func(c *ClockFaultsConfig) { c.Horizon = math.Inf(1) })},
 	} {
 		eng := harness.New(harness.Options{Jobs: 1})
 		err := tc.run(eng)
 		var ce *ConfigError
 		if !errors.As(err, &ce) || ce.Field != tc.field {
-			t.Errorf("%s zeroed: err = %v, want a *ConfigError naming it", tc.field, err)
+			t.Errorf("%s degenerate: err = %v, want a *ConfigError naming it", tc.field, err)
 		}
 		if n := len(eng.Manifests()); n != 0 {
-			t.Errorf("%s zeroed: %d suites ran before the refusal", tc.field, n)
+			t.Errorf("%s degenerate: %d suites ran before the refusal", tc.field, n)
 		}
 	}
 }

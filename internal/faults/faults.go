@@ -1,20 +1,20 @@
 // Package faults provides deterministic fault injection for the simulated
-// cluster: message drops and duplicates, degraded-link episodes, transient
-// stragglers, and rank crash-stops.
+// cluster: message drops, rank crash-stops, clock steps and Byzantine
+// timestamp servers.
 //
 // The design splits "what goes wrong" from "when the dice are rolled":
 //
 //   - A Plan is the complete, JSON-serializable fault schedule of one
-//     simulated job — crash times, degraded episodes, and the probabilities
-//     of the per-message faults. Plans are pure data: they can be recorded
-//     in a run manifest and replayed byte-identically.
+//     simulated job — crash times, clock steps, Byzantine ranks, and the
+//     probability of the per-message drop. Plans are pure data: they can be
+//     recorded in a run manifest and replayed byte-identically.
 //
-//   - An Injector executes a Plan. Per-message coin flips (drop, duplicate)
-//     and fault-related delay draws come from the injector's own random
-//     stream, seeded from the plan — never from the simulation kernel's
-//     stream. A plan with zero probabilities and no crashes therefore
-//     leaves the simulation byte-identical to a run with no injector at
-//     all, which is the regression guarantee the experiment suites rely on.
+//   - An Injector executes a Plan. Per-message drop coins come from the
+//     injector's own random stream, seeded from the plan — never from the
+//     simulation kernel's stream. A plan with zero probabilities and no
+//     crashes therefore leaves the simulation byte-identical to a run with
+//     no injector at all, which is the regression guarantee the experiment
+//     suites rely on.
 //
 // Schedules are derived from a PlanConfig and a run seed (see
 // PlanConfig.Derive), so the harness's manifest seed is sufficient to
@@ -35,18 +35,6 @@ type Crash struct {
 	At   float64 `json:"at"`
 }
 
-// Episode is a degraded-link window: between From and To (true time), every
-// message sent by Rank (or by any rank if Rank is -1) has its network delay
-// multiplied by Factor and increased by Extra seconds. Factor 0 is treated
-// as 1. Episodes model transient stragglers and congested links.
-type Episode struct {
-	From   float64 `json:"from"`
-	To     float64 `json:"to"`
-	Rank   int     `json:"rank"` // -1 = all ranks
-	Factor float64 `json:"factor,omitempty"`
-	Extra  float64 `json:"extra,omitempty"`
-}
-
 // ClockStep is a one-shot clock fault: at true time At, world rank Rank's
 // hardware clock reading jumps by Delta seconds (an NTP-style step;
 // negative deltas step the clock backward).
@@ -54,15 +42,6 @@ type ClockStep struct {
 	Rank  int     `json:"rank"`
 	At    float64 `json:"at"`
 	Delta float64 `json:"delta"`
-}
-
-// FreqJump is a persistent clock-rate fault: from true time At onward,
-// world rank Rank's hardware clock runs PPM fractional units fast (e.g.
-// 500e-6 = 500 ppm; negative slows the clock).
-type FreqJump struct {
-	Rank int     `json:"rank"`
-	At   float64 `json:"at"`
-	PPM  float64 `json:"ppm"`
 }
 
 // ByzRank marks a Byzantine rank: every timestamp it *serves* to a sync
@@ -80,33 +59,17 @@ type ByzRank struct {
 type Plan struct {
 	// DropProb is the probability that any one message is silently lost.
 	DropProb float64 `json:"drop_prob,omitempty"`
-	// DupProb is the probability that any one message is delivered twice
-	// (the duplicate takes an independently sampled, later delay).
-	DupProb float64 `json:"dup_prob,omitempty"`
 	// Crashes are the scheduled crash-stops, at most one per rank.
 	Crashes []Crash `json:"crashes,omitempty"`
-	// Episodes are the degraded-link windows.
-	Episodes []Episode `json:"episodes,omitempty"`
 	// Steps are the scheduled one-shot clock jumps.
 	Steps []ClockStep `json:"steps,omitempty"`
-	// FreqJumps are the scheduled persistent clock-rate excursions.
-	FreqJumps []FreqJump `json:"freq_jumps,omitempty"`
 	// Byz are the Byzantine ranks and their timestamp biases.
 	Byz []ByzRank `json:"byzantine,omitempty"`
 	// ByzJitter is the amplitude of the uniform jitter added on top of each
 	// Byzantine rank's bias per served timestamp.
 	ByzJitter float64 `json:"byz_jitter,omitempty"`
-	// Seed seeds the injector's private random stream for per-message
-	// coin flips and duplicate-delay draws.
+	// Seed seeds the injector's private random streams.
 	Seed int64 `json:"seed,omitempty"`
-}
-
-// Zero reports whether the plan injects nothing at all. ByzJitter without
-// Byzantine ranks perturbs nothing, so it alone does not make a plan
-// non-zero.
-func (p Plan) Zero() bool {
-	return p.DropProb <= 0 && p.DupProb <= 0 && len(p.Crashes) == 0 && len(p.Episodes) == 0 &&
-		len(p.Steps) == 0 && len(p.FreqJumps) == 0 && len(p.Byz) == 0
 }
 
 // PlanConfig describes fault *intensity*; Derive expands it into a concrete
@@ -115,22 +78,12 @@ func (p Plan) Zero() bool {
 // disables it) included.
 type PlanConfig struct {
 	DropProb float64 `json:"drop_prob"`
-	DupProb  float64 `json:"dup_prob"`
 	// NCrashes ranks are chosen uniformly (without replacement) among all
 	// ranks — including rank 0, so reference re-election is exercised —
 	// each with a crash time uniform in [CrashFrom, CrashTo).
 	NCrashes  int     `json:"n_crashes"`
 	CrashFrom float64 `json:"crash_from"`
 	CrashTo   float64 `json:"crash_to"`
-	// NEpisodes degraded windows are placed uniformly in [EpisodeFrom,
-	// EpisodeTo), each EpisodeLen long, hitting one random rank with the
-	// given Factor/Extra.
-	NEpisodes     int     `json:"n_episodes"`
-	EpisodeFrom   float64 `json:"episode_from"`
-	EpisodeTo     float64 `json:"episode_to"`
-	EpisodeLen    float64 `json:"episode_len"`
-	EpisodeFactor float64 `json:"episode_factor"`
-	EpisodeExtra  float64 `json:"episode_extra"`
 	// NSteps one-shot clock jumps hit distinct non-root ranks (rank 0
 	// anchors global time, so stepping it would redefine truth rather than
 	// fault a clock), each at a time uniform in [StepFrom, StepTo) with a
@@ -141,12 +94,6 @@ type PlanConfig struct {
 	StepTo   float64 `json:"step_to"`
 	StepMin  float64 `json:"step_min"`
 	StepMax  float64 `json:"step_max"`
-	// NFreqJumps persistent rate excursions of FreqPPM hit distinct
-	// non-root ranks at times uniform in [FreqFrom, FreqTo).
-	NFreqJumps int     `json:"n_freq_jumps"`
-	FreqFrom   float64 `json:"freq_from"`
-	FreqTo     float64 `json:"freq_to"`
-	FreqPPM    float64 `json:"freq_ppm"`
 	// NByzantine non-root ranks serve adversarially perturbed timestamps:
 	// a per-rank bias of magnitude ByzBias with a seed-derived sign, plus
 	// uniform jitter of amplitude ByzJitter per served timestamp.
@@ -163,7 +110,7 @@ func (c PlanConfig) Derive(nprocs int, seed int64) Plan {
 	// Offset the stream so the injector's per-message flips (seeded below
 	// with the raw seed) are decorrelated from the schedule draws.
 	rng := rand.New(rand.NewSource(seed ^ 0x5FAE1755))
-	plan := Plan{DropProb: c.DropProb, DupProb: c.DupProb, Seed: seed}
+	plan := Plan{DropProb: c.DropProb, Seed: seed}
 	if n := c.NCrashes; n > 0 && nprocs > 0 {
 		if n > nprocs {
 			n = nprocs
@@ -176,24 +123,11 @@ func (c PlanConfig) Derive(nprocs int, seed int64) Plan {
 			plan.Crashes = append(plan.Crashes, Crash{Rank: r, At: at})
 		}
 	}
-	for i := 0; i < c.NEpisodes && nprocs > 0; i++ {
-		from := c.EpisodeFrom
-		if c.EpisodeTo > c.EpisodeFrom {
-			from += rng.Float64() * (c.EpisodeTo - c.EpisodeFrom)
-		}
-		plan.Episodes = append(plan.Episodes, Episode{
-			From:   from,
-			To:     from + c.EpisodeLen,
-			Rank:   rng.Intn(nprocs),
-			Factor: c.EpisodeFactor,
-			Extra:  c.EpisodeExtra,
-		})
-	}
-	// Clock faults and Byzantine sets draw after the message-fault schedule,
-	// so configs that predate them derive byte-identical plans. All three
-	// target only non-root ranks: rank 0 is the tree root and the anchor of
-	// global time in every sync algorithm here, so faulting it would change
-	// the reference frame instead of testing robustness against it.
+	// Clock steps and Byzantine sets draw after the crash schedule, so
+	// adding them leaves a config's crashes where they were. Both target
+	// only non-root ranks: rank 0 is the tree root and the anchor of global
+	// time in every sync algorithm here, so faulting it would change the
+	// reference frame instead of testing robustness against it.
 	if n := c.NSteps; n > 0 && nprocs > 1 {
 		for _, r := range nonRootPerm(rng, nprocs, n) {
 			at := c.StepFrom
@@ -205,15 +139,6 @@ func (c PlanConfig) Derive(nprocs int, seed int64) Plan {
 				delta += rng.Float64() * (c.StepMax - c.StepMin)
 			}
 			plan.Steps = append(plan.Steps, ClockStep{Rank: r, At: at, Delta: delta})
-		}
-	}
-	if n := c.NFreqJumps; n > 0 && nprocs > 1 {
-		for _, r := range nonRootPerm(rng, nprocs, n) {
-			at := c.FreqFrom
-			if c.FreqTo > c.FreqFrom {
-				at += rng.Float64() * (c.FreqTo - c.FreqFrom)
-			}
-			plan.FreqJumps = append(plan.FreqJumps, FreqJump{Rank: r, At: at, PPM: c.FreqPPM})
 		}
 	}
 	if n := c.NByzantine; n > 0 && nprocs > 1 {
@@ -249,15 +174,15 @@ func nonRootPerm(rng *rand.Rand, nprocs, n int) []int {
 // locking.
 type Injector struct {
 	plan Plan
-	// msgSrc/rng is the per-message fault stream; the counting source is
+	// msgSrc/rng is the per-message drop stream; the counting source is
 	// what lets a checkpoint capture its position (see InjectorState).
 	msgSrc  *detrand.Source
 	rng     *rand.Rand
 	crashAt map[int]float64
 	byzBias map[int]float64
 	// byzSrc/byzRng drives per-timestamp Byzantine jitter. It is separate
-	// from the message-fault stream so adding Byzantine ranks to a plan does
-	// not shift the drop/duplicate coin sequence, and vice versa.
+	// from the drop stream so adding Byzantine ranks to a plan does not
+	// shift the drop coin sequence, and vice versa.
 	byzSrc *detrand.Source
 	byzRng *rand.Rand
 }
@@ -286,14 +211,6 @@ func NewInjector(plan Plan) *Injector {
 	return in
 }
 
-// Plan returns the schedule the injector executes (zero Plan for nil).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
 // Drop rolls the per-message drop coin. It draws from the injector's stream
 // only when DropProb is positive, so a zero-probability plan perturbs
 // nothing.
@@ -302,42 +219,6 @@ func (in *Injector) Drop() bool {
 		return false
 	}
 	return in.rng.Float64() < in.plan.DropProb
-}
-
-// Duplicate rolls the per-message duplication coin.
-func (in *Injector) Duplicate() bool {
-	if in == nil || in.plan.DupProb <= 0 {
-		return false
-	}
-	return in.rng.Float64() < in.plan.DupProb
-}
-
-// Rng returns the injector's private random stream, used by the MPI layer
-// to sample the duplicate copy's delay without touching the simulation
-// kernel's stream. It must not be called on a nil injector (the MPI layer
-// only samples duplicate delays after Duplicate() returned true).
-func (in *Injector) Rng() *rand.Rand { return in.rng }
-
-// Degrade returns the latency multiplier and additive extra delay in effect
-// for a message sent by rank src at true time now. Overlapping episodes
-// compose.
-func (in *Injector) Degrade(src int, now float64) (factor, extra float64) {
-	factor = 1
-	if in == nil || len(in.plan.Episodes) == 0 {
-		return factor, 0
-	}
-	for _, ep := range in.plan.Episodes {
-		if now < ep.From || now >= ep.To || (ep.Rank != -1 && ep.Rank != src) {
-			continue
-		}
-		f := ep.Factor
-		if f <= 0 {
-			f = 1
-		}
-		factor *= f
-		extra += ep.Extra
-	}
-	return factor, extra
 }
 
 // CrashTime returns the scheduled crash time of rank, or +Inf if the rank
@@ -410,22 +291,8 @@ func (in *Injector) ClockSteps(rank int) []ClockStep {
 	return out
 }
 
-// ClockFreqJumps returns the scheduled rate excursions for world rank.
-func (in *Injector) ClockFreqJumps(rank int) []FreqJump {
-	if in == nil {
-		return nil
-	}
-	var out []FreqJump
-	for _, j := range in.plan.FreqJumps {
-		if j.Rank == rank {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// HasClockFaults reports whether any rank has a scheduled step or rate
-// excursion — the MPI layer's cheap gate before building per-rank clocks.
+// HasClockFaults reports whether any rank has a scheduled step — the MPI
+// layer's cheap gate before building per-rank clocks.
 func (in *Injector) HasClockFaults() bool {
-	return in != nil && (len(in.plan.Steps) > 0 || len(in.plan.FreqJumps) > 0)
+	return in != nil && len(in.plan.Steps) > 0
 }

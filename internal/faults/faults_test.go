@@ -9,10 +9,9 @@ import (
 
 func TestDeriveIsDeterministic(t *testing.T) {
 	cfg := PlanConfig{
-		DropProb: 0.1, DupProb: 0.05,
+		DropProb: 0.1,
 		NCrashes: 3, CrashFrom: 0.5, CrashTo: 2.5,
-		NEpisodes: 2, EpisodeFrom: 0, EpisodeTo: 1, EpisodeLen: 0.2,
-		EpisodeFactor: 10, EpisodeExtra: 1e-5,
+		NSteps: 2, StepFrom: 0, StepTo: 1, StepMin: 1e-3, StepMax: 2e-3,
 	}
 	a := cfg.Derive(16, 42)
 	b := cfg.Derive(16, 42)
@@ -26,7 +25,7 @@ func TestDeriveIsDeterministic(t *testing.T) {
 }
 
 func TestDeriveRoundTripsThroughJSON(t *testing.T) {
-	cfg := PlanConfig{DropProb: 0.2, NCrashes: 2, CrashFrom: 1, CrashTo: 3, NEpisodes: 1, EpisodeLen: 0.5}
+	cfg := PlanConfig{DropProb: 0.2, NCrashes: 2, CrashFrom: 1, CrashTo: 3, NSteps: 1, StepMin: 5e-4}
 	plan := cfg.Derive(8, 7)
 	buf, err := json.Marshal(plan)
 	if err != nil {
@@ -68,20 +67,14 @@ func TestDeriveCrashBounds(t *testing.T) {
 
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var in *Injector
-	if in.Drop() || in.Duplicate() {
+	if in.Drop() {
 		t.Error("nil injector flipped a coin")
-	}
-	if f, e := in.Degrade(0, 1); f != 1 || e != 0 {
-		t.Errorf("nil injector degrades: factor=%v extra=%v", f, e)
 	}
 	if !math.IsInf(in.CrashTime(3), 1) {
 		t.Error("nil injector schedules crashes")
 	}
 	if in.CrashScheduled(0) || in.CrashedAt(0, 100) {
 		t.Error("nil injector reports crashes")
-	}
-	if !in.Plan().Zero() {
-		t.Error("nil injector has a non-zero plan")
 	}
 }
 
@@ -100,9 +93,12 @@ func TestInjectorDropRate(t *testing.T) {
 	// Zero probability never draws, hence never drops.
 	zero := NewInjector(Plan{Seed: 5})
 	for i := 0; i < 100; i++ {
-		if zero.Drop() || zero.Duplicate() {
+		if zero.Drop() {
 			t.Fatal("zero plan injected a fault")
 		}
+	}
+	if st := zero.State(); st.MsgDraws != 0 {
+		t.Errorf("zero plan drew %d times from its stream", st.MsgDraws)
 	}
 }
 
@@ -120,21 +116,17 @@ func TestInjectorCrashViews(t *testing.T) {
 }
 
 func TestDeriveClockFaultsAppendAfterMessageFaults(t *testing.T) {
-	// Adding clock-fault knobs must not shift the message-fault draws:
-	// configs (and manifest seeds) that predate them stay byte-identical.
-	base := PlanConfig{
-		DropProb: 0.1, NCrashes: 2, CrashFrom: 0.5, CrashTo: 2.5,
-		NEpisodes: 1, EpisodeFrom: 0, EpisodeTo: 1, EpisodeLen: 0.2,
-	}
+	// Adding clock-fault knobs must not shift the crash draws: configs (and
+	// manifest seeds) without them keep the crash schedule they had.
+	base := PlanConfig{DropProb: 0.1, NCrashes: 2, CrashFrom: 0.5, CrashTo: 2.5}
 	ext := base
 	ext.NSteps, ext.StepFrom, ext.StepTo, ext.StepMin, ext.StepMax = 2, 0.2, 0.4, 1e-3, 2e-3
-	ext.NFreqJumps, ext.FreqFrom, ext.FreqTo, ext.FreqPPM = 1, 0.1, 0.3, 200e-6
 	ext.NByzantine, ext.ByzBias, ext.ByzJitter = 2, 1e-3, 1e-4
 	a, b := base.Derive(16, 42), ext.Derive(16, 42)
-	if !reflect.DeepEqual(a.Crashes, b.Crashes) || !reflect.DeepEqual(a.Episodes, b.Episodes) {
+	if !reflect.DeepEqual(a.Crashes, b.Crashes) || a.DropProb != b.DropProb {
 		t.Fatalf("clock-fault knobs shifted message-fault draws:\n%+v\n%+v", a, b)
 	}
-	if len(b.Steps) != 2 || len(b.FreqJumps) != 1 || len(b.Byz) != 2 {
+	if len(b.Steps) != 2 || len(b.Byz) != 2 {
 		t.Fatalf("wrong clock-fault counts: %+v", b)
 	}
 	for _, s := range b.Steps {
@@ -145,11 +137,6 @@ func TestDeriveClockFaultsAppendAfterMessageFaults(t *testing.T) {
 			t.Errorf("step outside configured ranges: %+v", s)
 		}
 	}
-	for _, j := range b.FreqJumps {
-		if j.Rank < 1 || j.Rank >= 16 || j.PPM != 200e-6 {
-			t.Errorf("bad freq jump: %+v", j)
-		}
-	}
 	for _, bz := range b.Byz {
 		if bz.Rank < 1 || bz.Rank >= 16 || math.Abs(bz.Bias) != 1e-3 {
 			t.Errorf("bad Byzantine entry: %+v", bz)
@@ -158,11 +145,8 @@ func TestDeriveClockFaultsAppendAfterMessageFaults(t *testing.T) {
 	if b.ByzJitter != 1e-4 {
 		t.Errorf("ByzJitter = %v, want 1e-4", b.ByzJitter)
 	}
-	if b.Zero() {
-		t.Error("plan with clock faults reports Zero")
-	}
 	// Single-rank worlds have no non-root ranks to fault.
-	if got := ext.Derive(1, 42); len(got.Steps)+len(got.FreqJumps)+len(got.Byz) != 0 {
+	if got := ext.Derive(1, 42); len(got.Steps)+len(got.Byz) != 0 {
 		t.Errorf("clock faults derived for a 1-rank world: %+v", got)
 	}
 }
@@ -193,15 +177,17 @@ func TestInjectorByzantine(t *testing.T) {
 	if nilIn.IsByzantine(0) || nilIn.PerturbTimestamp(0, 1) != 1 {
 		t.Error("nil injector perturbs timestamps")
 	}
-	if nilIn.HasClockFaults() || len(nilIn.ClockSteps(1)) != 0 || len(nilIn.ClockFreqJumps(1)) != 0 {
+	if nilIn.HasClockFaults() || len(nilIn.ClockSteps(1)) != 0 {
 		t.Error("nil injector reports clock faults")
 	}
 }
 
 func TestInjectorClockFaultViews(t *testing.T) {
+	if NewInjector(Plan{DropProb: 0.5, Byz: []ByzRank{{Rank: 1}}}).HasClockFaults() {
+		t.Error("HasClockFaults true for a plan without steps")
+	}
 	in := NewInjector(Plan{
-		Steps:     []ClockStep{{Rank: 2, At: 1.5, Delta: 1e-3}, {Rank: 2, At: 0.5, Delta: -1e-3}},
-		FreqJumps: []FreqJump{{Rank: 5, At: 0.25, PPM: 100e-6}},
+		Steps: []ClockStep{{Rank: 2, At: 1.5, Delta: 1e-3}, {Rank: 2, At: 0.5, Delta: -1e-3}},
 	})
 	if !in.HasClockFaults() {
 		t.Error("HasClockFaults false with scheduled faults")
@@ -211,24 +197,5 @@ func TestInjectorClockFaultViews(t *testing.T) {
 	}
 	if got := in.ClockSteps(5); len(got) != 0 {
 		t.Errorf("ClockSteps(5) = %+v, want none", got)
-	}
-	if got := in.ClockFreqJumps(5); len(got) != 1 || got[0].PPM != 100e-6 {
-		t.Errorf("ClockFreqJumps(5) = %+v", got)
-	}
-}
-
-func TestDegradeComposesEpisodes(t *testing.T) {
-	in := NewInjector(Plan{Episodes: []Episode{
-		{From: 1, To: 2, Rank: -1, Factor: 2},
-		{From: 1.5, To: 3, Rank: 4, Factor: 3, Extra: 1e-6},
-	}})
-	if f, e := in.Degrade(4, 1.6); f != 6 || e != 1e-6 {
-		t.Errorf("overlap: factor=%v extra=%v, want 6, 1e-6", f, e)
-	}
-	if f, _ := in.Degrade(3, 1.6); f != 2 {
-		t.Errorf("rank filter: factor=%v, want 2", f)
-	}
-	if f, e := in.Degrade(4, 5); f != 1 || e != 0 {
-		t.Errorf("outside windows: factor=%v extra=%v", f, e)
 	}
 }

@@ -7,7 +7,6 @@ import "testing"
 func TestInjectorStateRoundTrip(t *testing.T) {
 	plan := Plan{
 		DropProb:  0.3,
-		DupProb:   0.2,
 		Byz:       []ByzRank{{Rank: 2, Bias: 1e-3}},
 		ByzJitter: 5e-4,
 		Seed:      77,
@@ -15,7 +14,6 @@ func TestInjectorStateRoundTrip(t *testing.T) {
 	orig := NewInjector(plan)
 	for i := 0; i < 100; i++ {
 		orig.Drop()
-		orig.Duplicate()
 		orig.PerturbTimestamp(2, float64(i))
 	}
 
@@ -26,9 +24,6 @@ func TestInjectorStateRoundTrip(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		if a, b := orig.Drop(), restored.Drop(); a != b {
 			t.Fatalf("drop %d diverged: %v != %v", i, a, b)
-		}
-		if a, b := orig.Duplicate(), restored.Duplicate(); a != b {
-			t.Fatalf("dup %d diverged: %v != %v", i, a, b)
 		}
 		if a, b := orig.PerturbTimestamp(2, 1.5), restored.PerturbTimestamp(2, 1.5); a != b {
 			t.Fatalf("perturb %d diverged: %v != %v", i, a, b)

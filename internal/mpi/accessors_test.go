@@ -15,8 +15,8 @@ func TestAccessors(t *testing.T) {
 		if w.Proc() != p {
 			t.Error("Comm.Proc mismatch")
 		}
-		if got := p.HWClockOf(cluster.GTOD); got == nil {
-			t.Error("HWClockOf returned nil")
+		if p.HWClock() != p.Machine().Clock(p.Rank(), cluster.Monotonic) {
+			t.Error("healthy rank's HWClock is not its domain clock")
 		}
 		if p.Rand() == nil {
 			t.Error("Rand returned nil")

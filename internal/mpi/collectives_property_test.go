@@ -9,27 +9,26 @@ import (
 	"testing/quick"
 
 	"hclocksync/internal/cluster"
-	"hclocksync/internal/faults"
 )
 
-// linkPlans returns the fault environments the collective properties run
-// under: healthy links, and a lossy profile of transient straggler episodes
-// (a slow rank early on, then a machine-wide slowdown window). Episodes
-// delay delivery but never lose or reorder it, which is exactly the fault
-// class blocking collectives must stay correct under; drops and duplicates
-// violate their reliable-link assumption and are exercised against the
+// linkSpecs returns the machines the collective properties run on: healthy
+// TestBox links, and a straggling profile where a third of all messages
+// take a latency spike averaging 100 µs, dozens of times a base latency.
+// Spikes delay delivery but never lose or reorder it, which is exactly the
+// fault class blocking collectives must stay correct under; drops violate
+// their reliable-link assumption and are exercised against the
 // timeout-aware receivers in faults_test.go instead.
-func linkPlans() []*faults.Injector {
-	straggler := faults.Plan{Episodes: []faults.Episode{
-		{From: 0, To: 0.002, Rank: 1, Factor: 4, Extra: 2e-4},
-		{From: 0.001, To: 0.01, Rank: -1, Factor: 2, Extra: 5e-5},
-	}}
-	return []*faults.Injector{nil, faults.NewInjector(straggler)}
+func linkSpecs() []cluster.MachineSpec {
+	straggler := cluster.TestBox()
+	for _, l := range []*cluster.LinkSpec{&straggler.InterNode, &straggler.IntraNode, &straggler.IntraSocket} {
+		l.SpikeProb, l.SpikeScale = 0.3, 1e-4
+	}
+	return []cluster.MachineSpec{cluster.TestBox(), straggler}
 }
 
-func runColl(t *testing.T, n int, seed int64, inj *faults.Injector, main func(p *Proc)) bool {
+func runColl(t *testing.T, n int, seed int64, spec cluster.MachineSpec, main func(p *Proc)) bool {
 	t.Helper()
-	err := Run(Config{Spec: cluster.TestBox(), NProcs: n, Seed: seed, Faults: inj}, main)
+	err := Run(Config{Spec: spec, NProcs: n, Seed: seed}, main)
 	if err != nil {
 		t.Logf("n=%d seed=%d: %v", n, seed, err)
 	}
@@ -47,10 +46,10 @@ func TestBcastVariantsDeliverExactPayloadProperty(t *testing.T) {
 		}
 		ok := true
 		var mu sync.Mutex
-		for _, inj := range linkPlans() {
+		for _, spec := range linkSpecs() {
 			for _, alg := range []BcastAlg{BcastBinomial, BcastLinear} {
 				alg := alg
-				if !runColl(t, n, seed, inj, func(p *Proc) {
+				if !runColl(t, n, seed, spec, func(p *Proc) {
 					var data []byte
 					if p.Rank() == root {
 						data = payload
@@ -102,9 +101,9 @@ func TestReduceMatchesSequentialFoldProperty(t *testing.T) {
 					want[i] = o.op(want[i], inputs[r][i])
 				}
 			}
-			for _, inj := range linkPlans() {
+			for _, spec := range linkSpecs() {
 				op := o.op
-				if !runColl(t, n, seed, inj, func(p *Proc) {
+				if !runColl(t, n, seed, spec, func(p *Proc) {
 					got := p.World().Reduce(append([]float64(nil), inputs[p.Rank()]...), op, root)
 					if p.Rank() != root {
 						return
@@ -153,7 +152,7 @@ func TestAllreduceVariantsUnderStragglersProperty(t *testing.T) {
 		var mu sync.Mutex
 		for _, alg := range AllreduceAlgs() {
 			alg := alg
-			if !runColl(t, n, seed, linkPlans()[1], func(p *Proc) {
+			if !runColl(t, n, seed, linkSpecs()[1], func(p *Proc) {
 				got := p.World().AllreduceWith(inputs[p.Rank()], OpSum, alg)
 				for i := range want {
 					if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -191,10 +190,10 @@ func TestAlltoallVariantsMatchTransposeProperty(t *testing.T) {
 		}
 		ok := true
 		var mu sync.Mutex
-		for _, inj := range linkPlans() {
+		for _, spec := range linkSpecs() {
 			for _, alg := range AlltoallAlgs() {
 				alg := alg
-				if !runColl(t, n, seed, inj, func(p *Proc) {
+				if !runColl(t, n, seed, spec, func(p *Proc) {
 					r := p.Rank()
 					got := p.World().Alltoall(inputs[r], alg)
 					for src := 0; src < n; src++ {
@@ -217,17 +216,17 @@ func TestAlltoallVariantsMatchTransposeProperty(t *testing.T) {
 }
 
 // Property: every barrier algorithm is a real barrier — no rank leaves
-// before the last rank has entered — even when a straggler episode slows
+// before the last rank has entered — even when latency spikes slow
 // part of the exchange down.
 func TestBarrierVariantsEnforceEntryBeforeExitProperty(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
 		n := int(n8%12) + 2
-		for _, inj := range linkPlans() {
+		for _, spec := range linkSpecs() {
 			for _, alg := range BarrierAlgs() {
 				alg := alg
 				enter := make([]float64, n)
 				exit := make([]float64, n)
-				if !runColl(t, n, seed, inj, func(p *Proc) {
+				if !runColl(t, n, seed, spec, func(p *Proc) {
 					r := p.Rank()
 					// Stagger the arrivals so the property has teeth.
 					p.Advance(float64(r%5) * 1e-4)

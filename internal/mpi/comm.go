@@ -194,17 +194,11 @@ func (c *Comm) DeadNow(r int) bool {
 	return c.p.world.cfg.Faults.CrashedAt(c.ranks[r], c.p.now())
 }
 
-// Doomed reports whether comm rank r crashes at any point in the fault
-// schedule.
-func (c *Comm) Doomed(r int) bool {
-	return c.p.world.cfg.Faults.CrashScheduled(c.ranks[r])
-}
-
-// Survivors returns the comm ranks with no scheduled crash, in rank order.
-func (c *Comm) Survivors() []int {
+// survivors returns the comm ranks with no scheduled crash, in rank order.
+func (c *Comm) survivors() []int {
 	var s []int
-	for r := range c.ranks {
-		if !c.Doomed(r) {
+	for r, world := range c.ranks {
+		if !c.p.world.cfg.Faults.CrashScheduled(world) {
 			s = append(s, r)
 		}
 	}
@@ -219,7 +213,7 @@ func (c *Comm) Survivors() []int {
 func (c *Comm) ShrinkSurvivors() *Comm {
 	seq := c.collSeq
 	c.collSeq++ // consume a collective slot so later tags stay aligned
-	s := c.Survivors()
+	s := c.survivors()
 	newRanks := make([]int, len(s))
 	myNew := -1
 	for i, r := range s {

@@ -357,19 +357,14 @@ func (p *Proc) wire(m *message) {
 	w := p.world
 	dst, nbytes := int(m.dst), int(m.nbytes)
 	delay := w.machine.Delay(p.rank, dst, nbytes, w.env.Rand())
-	f := w.cfg.Faults
-	if f != nil {
-		factor, extra := f.Degrade(p.rank, p.sp.Now())
-		delay = delay*factor + extra
-		if f.Drop() {
-			// The message vanishes in the network after the sender paid
-			// its overhead.
-			if m.kind == msgF64s {
-				w.putF64s(m.fv)
-			}
-			w.freeMsg(m)
-			return
+	if f := w.cfg.Faults; f != nil && f.Drop() {
+		// The message vanishes in the network after the sender paid its
+		// overhead.
+		if m.kind == msgF64s {
+			w.putF64s(m.fv)
 		}
+		w.freeMsg(m)
+		return
 	}
 	m.arrival = p.clampArrival(dst, p.sp.Now()+delay)
 	mb := p.sendMB(mbKey{int(m.comm), dst, p.rank, int(m.tag)})
@@ -378,25 +373,6 @@ func (p *Proc) wire(m *message) {
 		q := mb.waiter
 		mb.waiter = nil
 		w.env.Wake(q.sp, m.arrival)
-	}
-	if f != nil && f.Duplicate() {
-		// Deliver a second copy with an independently sampled delay. The
-		// draw comes from the injector's private stream so the kernel's
-		// stream is untouched, and the copy is clamped behind the original
-		// to keep delivery non-overtaking. The copy is never synchronous:
-		// only the first match may release an Ssend. Pooled payloads are
-		// re-materialized so the two copies never share a pooled slice.
-		dup := w.newMsg()
-		dup.arrival = p.clampArrival(dst, p.sp.Now()+w.machine.Delay(p.rank, dst, nbytes, f.Rng()))
-		dup.kind = m.kind
-		dup.v = m.v
-		switch m.kind {
-		case msgBytes:
-			dup.data = m.data
-		case msgF64s:
-			dup.fv = append(w.getF64s(0)[:0], m.fv...) //synclint:alloc -- pooled vector copy for the duplicate delivery
-		}
-		mb.push(dup)
 	}
 }
 

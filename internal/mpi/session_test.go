@@ -12,8 +12,10 @@ import (
 
 // sessionCfg returns a fresh config for the phased-session tests. Each call
 // builds a fresh injector so original and resumed sessions never share one.
+// The drop probability loses none of the tests' messages but draws once per
+// message, so the injector's stream position is state the cut must carry.
 func sessionCfg() Config {
-	plan := faults.Plan{DupProb: 0.1, Seed: 21}
+	plan := faults.Plan{DropProb: 1e-12, Seed: 21}
 	return Config{Spec: cluster.TestBox(), NProcs: 4, Seed: 9, Faults: faults.NewInjector(plan)}
 }
 
@@ -62,6 +64,9 @@ func TestSessionSnapshotResumeByteIdentical(t *testing.T) {
 	st, err := orig.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.World.Faults.MsgDraws == 0 {
+		t.Fatal("the injector drew nothing before the cut: its stream position is untested")
 	}
 
 	want := make([]float64, 4)

@@ -80,7 +80,7 @@ type World struct {
 	nextComm  int
 
 	// faultyClocks maps rank → its private disturbed clock when the fault
-	// plan schedules clock steps or rate excursions for it. Domain clocks
+	// plan schedules clock steps for it. Domain clocks
 	// are shared between co-located ranks, so the faulted rank gets a
 	// deterministic fork of its clock (same wander stream) with the
 	// disturbances applied — the fault stays scoped to that rank. Empty for
@@ -211,16 +211,13 @@ func newWorld(env *sim.Env, machine *cluster.Machine, cfg Config) (*World, error
 	if cfg.Faults.HasClockFaults() {
 		w.faultyClocks = make(map[int]*cluster.HWClock)
 		for r := 0; r < cfg.NProcs; r++ {
-			steps, jumps := cfg.Faults.ClockSteps(r), cfg.Faults.ClockFreqJumps(r)
-			if len(steps) == 0 && len(jumps) == 0 {
+			steps := cfg.Faults.ClockSteps(r)
+			if len(steps) == 0 {
 				continue
 			}
 			c := machine.Clock(r, cfg.ClockSource).Fork()
 			for _, s := range steps {
 				c.AddStep(s.At, s.Delta)
-			}
-			for _, j := range jumps {
-				c.AddFreqJump(j.At, j.PPM)
 			}
 			w.faultyClocks[r] = c
 		}
@@ -362,9 +359,6 @@ func (p *Proc) maybeCrash() {
 	}
 }
 
-// Faults returns the job's fault injector (nil when faults are disabled).
-func (p *Proc) Faults() *faults.Injector { return p.world.cfg.Faults }
-
 // PerturbTimestamp returns reading as this rank serves it to a sync client:
 // unchanged for an honest rank, with the rank's Byzantine bias and jitter
 // for an adversarial one (see faults.Injector.PerturbTimestamp). The
@@ -386,18 +380,6 @@ func (p *Proc) HWClock() *cluster.HWClock {
 		return c
 	}
 	return p.world.machine.Clock(p.rank, p.world.cfg.ClockSource)
-}
-
-// HWClockOf returns this rank's hardware clock for an explicit source.
-// Clock-fault forks apply only to the job's configured source — the one the
-// sync algorithms under test actually read.
-func (p *Proc) HWClockOf(src cluster.ClockSource) *cluster.HWClock {
-	if src == p.world.cfg.ClockSource {
-		if c, ok := p.world.faultyClocks[p.rank]; ok {
-			return c
-		}
-	}
-	return p.world.machine.Clock(p.rank, src)
 }
 
 // ReadHWClock reads the rank's hardware clock, charging the clock's read
