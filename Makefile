@@ -48,6 +48,8 @@ fuzz:
 	$(GO) test ./internal/clocksync -run '^$$' -fuzz FuzzFitOffsetSamplesRobust -fuzztime 10s
 	$(GO) test ./internal/analysis -run '^$$' -fuzz FuzzParseDirective -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
+	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzServeWorker -fuzztime 10s
+	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzCacheGet -fuzztime 10s
 
 # gofmt first (any file it would rewrite fails the target; analyzer
 # fixtures under testdata/ are exempt), then the repository's own

@@ -54,30 +54,9 @@ func main() {
 			fmt.Printf("MPI_Allreduce, 8 B, %d ranks\n\n", comm.Size())
 			fmt.Printf("OSU-style barrier scheme:   %8.3f us (mean of local durations)\n", osu*1e6)
 
-			valid, invalid := 0, 0
-			var durs []float64
-			for i := range gathered[0] {
-				ok := true
-				var maxEnd, start float64
-				for r := range gathered {
-					s := gathered[r][i]
-					ok = ok && s.Valid
-					if r == 0 || s.Start < start {
-						start = s.Start
-					}
-					if r == 0 || s.End > maxEnd {
-						maxEnd = s.End
-					}
-				}
-				if ok {
-					valid++
-					durs = append(durs, maxEnd-start)
-				} else {
-					invalid++
-				}
-			}
+			durs := bench.WindowLatencies(gathered)
 			fmt.Printf("window scheme:              %8.3f us (median; %d valid, %d invalid reps)\n",
-				stats.Median(durs)*1e6, valid, invalid)
+				stats.Median(durs)*1e6, len(durs), len(gathered[0])-len(durs))
 
 			lat := bench.GlobalLatencies(rt)
 			fmt.Printf("Round-Time scheme:          %8.3f us (median of %d reps in a 20 ms slice)\n",

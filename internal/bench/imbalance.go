@@ -32,18 +32,14 @@ func BarrierImbalance(comm *mpi.Comm, g clock.Clock, alg mpi.BarrierAlg, ncalls 
 		exits = append(exits, g.Time())
 	}
 	// Collect everyone's exit stamps and compute per-call skew at root.
-	per := comm.Gather(mpi.EncodeF64s(exits), 0)
+	per := comm.Gather(exits, 0)
 	if per == nil {
 		return nil
-	}
-	decoded := make([][]float64, len(per))
-	for r, raw := range per {
-		decoded[r] = mpi.DecodeF64s(raw)
 	}
 	out := make([]float64, ncalls)
 	for i := 0; i < ncalls; i++ {
 		var lo, hi float64
-		for r, vals := range decoded {
+		for r, vals := range per {
 			v := vals[i]
 			if r == 0 || v < lo {
 				lo = v

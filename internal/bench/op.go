@@ -36,11 +36,7 @@ func BcastOp(bytes int, alg mpi.BcastAlg) Op {
 		Name:  fmt.Sprintf("MPI_Bcast/%dB", bytes),
 		Bytes: bytes,
 		Run: func(c *mpi.Comm) {
-			var buf []byte
-			if c.Rank() == 0 {
-				buf = make([]byte, bytes)
-			}
-			c.BcastWith(buf, 0, alg)
+			c.BcastSized(nil, 0, bytes, alg)
 		},
 	}
 }

@@ -109,13 +109,12 @@ func GatherRoundTime(comm *mpi.Comm, mine []RoundTimeSample) [][]RoundTimeSample
 	for _, s := range mine {
 		vals = append(vals, s.Start, s.End)
 	}
-	per := comm.Gather(mpi.EncodeF64s(vals), 0)
+	per := comm.Gather(vals, 0)
 	if per == nil {
 		return nil
 	}
 	out := make([][]RoundTimeSample, comm.Size())
-	for r, raw := range per {
-		fs := mpi.DecodeF64s(raw)
+	for r, fs := range per {
 		samples := make([]RoundTimeSample, 0, len(fs)/2)
 		for i := 0; i+1 < len(fs); i += 2 {
 			samples = append(samples, RoundTimeSample{Start: fs[i], End: fs[i+1]})

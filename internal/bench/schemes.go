@@ -88,13 +88,12 @@ func GatherSamples(comm *mpi.Comm, mine []LocalSample) [][]LocalSample {
 		}
 		vals = append(vals, s.Start, s.End, v)
 	}
-	per := comm.Gather(mpi.EncodeF64s(vals), 0)
+	per := comm.Gather(vals, 0)
 	if per == nil {
 		return nil
 	}
 	out := make([][]LocalSample, comm.Size())
-	for r, raw := range per {
-		fs := mpi.DecodeF64s(raw)
+	for r, fs := range per {
 		samples := make([]LocalSample, 0, len(fs)/3)
 		for i := 0; i+2 < len(fs); i += 3 {
 			samples = append(samples, LocalSample{
@@ -102,6 +101,45 @@ func GatherSamples(comm *mpi.Comm, mine []LocalSample) [][]LocalSample {
 			})
 		}
 		out[r] = samples
+	}
+	return out
+}
+
+// BarrierMaxima reduces gathered barrier-scheme samples to one latency per
+// repetition: the maximum local duration across ranks (ReproMPI's
+// barrier-synchronized mode).
+func BarrierMaxima(gathered [][]LocalSample) []float64 {
+	if len(gathered) == 0 {
+		return nil
+	}
+	out := make([]float64, len(gathered[0]))
+	for i := range out {
+		for _, ranks := range gathered {
+			out[i] = max(out[i], ranks[i].Duration())
+		}
+	}
+	return out
+}
+
+// WindowLatencies reduces gathered window-scheme samples to the latencies
+// of the repetitions valid on every rank: the latest end minus the earliest
+// start across ranks, on the global clock.
+func WindowLatencies(gathered [][]LocalSample) []float64 {
+	if len(gathered) == 0 {
+		return nil
+	}
+	var out []float64
+	for i := range gathered[0] {
+		valid := true
+		start, end := gathered[0][i].Start, gathered[0][i].End
+		for _, ranks := range gathered {
+			s := ranks[i]
+			valid = valid && s.Valid
+			start, end = min(start, s.Start), max(end, s.End)
+		}
+		if valid {
+			out = append(out, end-start)
+		}
 	}
 	return out
 }

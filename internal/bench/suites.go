@@ -92,15 +92,7 @@ func runReproBarrier(comm *mpi.Comm, op Op, cfg SuiteConfig) float64 {
 		return nan()
 	}
 	// Median over repetitions of the per-repetition maximum duration.
-	maxima := make([]float64, cfg.NRep)
-	for i := 0; i < cfg.NRep; i++ {
-		for _, ranks := range gathered {
-			if d := ranks[i].Duration(); d > maxima[i] {
-				maxima[i] = d
-			}
-		}
-	}
-	return stats.Median(maxima)
+	return stats.Median(BarrierMaxima(gathered))
 }
 
 func runReproRoundTime(comm *mpi.Comm, op Op, cfg SuiteConfig) float64 {

@@ -159,44 +159,55 @@ func TestCollapseEqualsNested(t *testing.T) {
 	})
 }
 
-func TestFlattenUnflattenRoundtrip(t *testing.T) {
+// A clock stack crosses a communicator as ClockPropSync ships it: Models
+// flattened to (slope, intercept) pairs in one float broadcast, rebuilt by
+// Stack over the receiver's own base clock.
+func TestModelsStackRoundtripOverBcast(t *testing.T) {
 	run(t, cluster.TestBox(), 4, func(p *mpi.Proc) {
 		w := p.World()
-		switch p.Rank() {
-		case 0:
+		var flat []float64
+		if p.Rank() == 0 {
 			c := New(New(NewLocal(p), LinearModel{1e-6, -0.25}), LinearModel{-3e-7, 0.5})
-			w.Send(1, 1, Flatten(c))
-		case 1:
-			buf := w.Recv(0, 1)
-			// Ranks 0 and 1 share a node clock on TestBox.
-			got := Unflatten(buf, NewLocal(p))
-			g, ok := got.(*GlobalClockLM)
-			if !ok {
-				t.Fatalf("unflattened type %T", got)
+			for _, m := range Models(c) {
+				flat = append(flat, m.ModelF64s()...)
 			}
-			if g.Model != (LinearModel{-3e-7, 0.5}) {
-				t.Errorf("outer model = %+v", g.Model)
-			}
-			inner, ok := g.Base.(*GlobalClockLM)
-			if !ok || inner.Model != (LinearModel{1e-6, -0.25}) {
-				t.Errorf("inner model = %+v", inner)
-			}
+		}
+		flat = w.Bcast(flat, 0)
+		if p.Rank() == 0 {
+			return
+		}
+		models := make([]LinearModel, len(flat)/2)
+		for i := range models {
+			models[i] = ModelFromF64s(flat[2*i:])
+		}
+		// The four ranks share a node clock on TestBox.
+		got := Stack(NewLocal(p), models)
+		g, ok := got.(*GlobalClockLM)
+		if !ok {
+			t.Fatalf("rank %d: restacked type %T", p.Rank(), got)
+		}
+		if g.Model != (LinearModel{-3e-7, 0.5}) {
+			t.Errorf("outer model = %+v", g.Model)
+		}
+		inner, ok := g.Base.(*GlobalClockLM)
+		if !ok || inner.Model != (LinearModel{1e-6, -0.25}) {
+			t.Errorf("inner model = %+v", inner)
 		}
 	})
 }
 
-func TestFlattenLocalIsEmpty(t *testing.T) {
+func TestModelsOfLocalIsEmpty(t *testing.T) {
 	run(t, cluster.TestBox(), 2, func(p *mpi.Proc) {
 		if p.Rank() != 0 {
 			return
 		}
-		b := Flatten(NewLocal(p))
-		if len(b) != 0 {
-			t.Errorf("flattened local clock = %d bytes", len(b))
+		models := Models(NewLocal(p))
+		if len(models) != 0 {
+			t.Errorf("local clock has %d models", len(models))
 		}
-		c := Unflatten(b, NewLocal(p))
+		c := Stack(NewLocal(p), models)
 		if _, ok := c.(*Local); !ok {
-			t.Errorf("unflattened empty buffer = %T", c)
+			t.Errorf("empty stack over a local clock = %T", c)
 		}
 	})
 }

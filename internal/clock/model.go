@@ -1,7 +1,5 @@
 package clock
 
-import "hclocksync/internal/mpi"
-
 // LinearModel is a clock drift model: the predicted offset of a clock
 // relative to its reference is Slope·t + Intercept at local reading t.
 // The zero value predicts zero drift (the identity adjustment).
@@ -23,7 +21,7 @@ func Merge(outer, inner LinearModel) LinearModel {
 	}
 }
 
-// --- Wire encoding (flatten_clock / unflatten_clock of Alg. 3) ---
+// --- Model stacks (flatten_clock / unflatten_clock of Alg. 3) ---
 
 // Models returns the drift models stacked on c, from innermost (closest to
 // the hardware clock) to outermost; nil for a bare base clock.
@@ -45,31 +43,8 @@ func Stack(base Clock, models []LinearModel) Clock {
 	return c
 }
 
-// Flatten serializes a nested clock into a buffer: the drift models from
-// innermost to outermost. The receiving rank re-instantiates the stack over
-// its own local clock — valid exactly when sender and receiver share a
-// hardware time source (ClockPropSync's precondition).
-func Flatten(c Clock) []byte {
-	models := Models(c)
-	vals := make([]float64, 0, 2*len(models))
-	for _, m := range models {
-		vals = append(vals, m.Slope, m.Intercept)
-	}
-	return mpi.EncodeF64s(vals)
-}
-
-// Unflatten rebuilds a clock stack from a Flatten buffer on top of base.
-func Unflatten(buf []byte, base Clock) Clock {
-	vals := mpi.DecodeF64s(buf)
-	models := make([]LinearModel, len(vals)/2)
-	for i := range models {
-		models[i] = ModelFromF64s(vals[2*i:])
-	}
-	return Stack(base, models)
-}
-
-// ModelF64s encodes a single model as two float64s for point-to-point
-// exchange (HCA2's upward model merging).
+// ModelF64s encodes a single model as two float64s, the layout of every
+// model on the wire (HCA2's model shipping, ClockPropSync's flat stack).
 func (m LinearModel) ModelF64s() []float64 { return []float64{m.Slope, m.Intercept} }
 
 // ModelFromF64s decodes a model encoded by ModelF64s.

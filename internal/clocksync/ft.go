@@ -23,7 +23,8 @@ import (
 //     communicator — reference re-election falls out of the shrink.
 //
 //  2. Timeouts. Every exchange is a sequence-numbered ping/pong bounded by
-//     RecvTimeout on both sides, so a dropped message costs a timeout window
+//     a timed receive on both sides (RecvF64Timeout for the ping,
+//     RecvF64sTimeout for the pong), so a dropped message costs a timeout window
 //     instead of a deadlock. Stale packets — late replies to an exchange
 //     already given up on — are identified by their sequence number and
 //     discarded.
@@ -43,8 +44,8 @@ import (
 // mailboxes are keyed by (src, dst, tag), so the fixed pair is
 // unambiguous.
 const (
-	ftTagPing = 1001 // client → ref: [seq] (seq −1 = session done)
-	ftTagPong = 1002 // ref → client: [seq, refClockReading]
+	ftTagPing = 1001 // client → ref: seq, one float64 (−(seqBase+1) = session done)
+	ftTagPong = 1002 // ref → client: the vector [seq, refClockReading]
 )
 
 // FTOpts is what a caller configures of the fault-tolerant exchanges.
@@ -248,7 +249,7 @@ func ftServe(comm *mpi.Comm, clk clock.Clock, client int, se session) {
 		if comm.DeadNow(client) {
 			return
 		}
-		b, ok := comm.RecvTimeout(client, ftTagPing, ftTimeout+se.gap)
+		v, ok := comm.RecvF64Timeout(client, ftTagPing, ftTimeout+se.gap)
 		if !ok {
 			misses++
 			budget := se.attempts
@@ -262,7 +263,7 @@ func ftServe(comm *mpi.Comm, clk clock.Clock, client int, se session) {
 		}
 		misses = 0
 		served = true
-		seq := int(mpi.DecodeF64s(b)[0])
+		seq := int(v)
 		if seq == -(se.seqBase + 1) {
 			return
 		}
@@ -270,7 +271,7 @@ func ftServe(comm *mpi.Comm, clk clock.Clock, client int, se session) {
 			continue // stale traffic from an earlier session
 		}
 		last = seq
-		comm.Send(client, ftTagPong, mpi.EncodeF64s([]float64{float64(seq), serveReading(comm, clk)}))
+		comm.SendF64s(client, ftTagPong, []float64{float64(seq), serveReading(comm, clk)})
 	}
 }
 
@@ -294,7 +295,7 @@ func ftSample(comm *mpi.Comm, clk clock.Clock, ref, n int, se session) (samples 
 	seq := se.seqBase
 	attempt := func() (r ftRaw, ok bool) {
 		sLast := clk.Time()
-		comm.Send(ref, ftTagPing, mpi.EncodeF64s([]float64{float64(seq)}))
+		comm.SendF64(ref, ftTagPing, float64(seq))
 		want := seq
 		seq++
 		deadline := p.TrueNow() + ftTimeout
@@ -303,11 +304,10 @@ func ftSample(comm *mpi.Comm, clk clock.Clock, ref, n int, se session) (samples 
 			if rem <= 0 {
 				return ftRaw{}, false
 			}
-			b, ok := comm.RecvTimeout(ref, ftTagPong, rem)
-			if !ok {
+			var v [2]float64 // (seq, reference reading)
+			if !comm.RecvF64sTimeout(ref, ftTagPong, rem, v[:]) {
 				return ftRaw{}, false
 			}
-			v := mpi.DecodeF64s(b)
 			if int(v[0]) != want {
 				// A stale pong (a lost exchange's late reply): discard and
 				// keep waiting out the deadline.
@@ -325,7 +325,7 @@ func ftSample(comm *mpi.Comm, clk clock.Clock, ref, n int, se session) (samples 
 	}
 	done := func() {
 		if !comm.DeadNow(ref) {
-			comm.Send(ref, ftTagPing, mpi.EncodeF64s([]float64{float64(-(se.seqBase + 1))}))
+			comm.SendF64(ref, ftTagPing, float64(-(se.seqBase + 1)))
 		}
 	}
 

@@ -61,15 +61,15 @@ func hca2Body(comm *mpi.Comm, p Params, clk clock.Clock, adjustOffsets bool) clo
 			// Client: fit the model and ship it (plus my subtree
 			// table) to the reference; my part of the tree is done.
 			lm := LearnClockModel(comm, p, other, r, clk)
-			comm.Send(other, tagModel, mpi.EncodeF64s(lm.ModelF64s()))
-			comm.Send(other, tagModel, mpi.EncodeF64s(modelTable(models)))
+			comm.SendF64s(other, tagModel, lm.ModelF64s())
+			comm.SendF64s(other, tagModel, modelTable(models))
 		default:
 			// Reference: learn model to partner, then absorb the
 			// partner's subtree table, re-based through the new model.
 			LearnClockModel(comm, p, r, other, clk)
-			cmRefOther := clock.ModelFromF64s(mpi.DecodeF64s(comm.Recv(other, tagModel)))
+			cmRefOther := clock.ModelFromF64s(comm.RecvF64s(other, tagModel))
 			models[other] = cmRefOther
-			table := mpi.DecodeF64s(comm.Recv(other, tagModel))
+			table := comm.RecvF64s(other, tagModel)
 			for k := 0; k+2 < len(table); k += 3 {
 				sub := int(table[k])
 				cmOtherSub := clock.ModelFromF64s(table[k+1 : k+3])
@@ -84,29 +84,28 @@ func hca2Body(comm *mpi.Comm, p Params, clk clock.Clock, adjustOffsets bool) clo
 	if other, client, ok := TreePair(r, last, nprocs); ok {
 		if client {
 			lm := LearnClockModel(comm, p, other, r, clk)
-			comm.Send(0, tagModel, mpi.EncodeF64s(lm.ModelF64s()))
+			comm.SendF64s(0, tagModel, lm.ModelF64s())
 		} else {
 			LearnClockModel(comm, p, r, other, clk)
 		}
 	}
 	if r == 0 {
 		for q := 1 << last; q < nprocs; q++ {
-			lm := clock.ModelFromF64s(mpi.DecodeF64s(comm.Recv(q, tagModel)))
+			lm := clock.ModelFromF64s(comm.RecvF64s(q, tagModel))
 			ref, _, _ := TreePair(q, last, nprocs)
 			models[q] = clock.Merge(models[ref], lm)
 		}
 	}
 
 	// Distribute cm(0, i) to every rank i with MPI_Scatter.
-	var chunks [][]byte
+	var chunks [][]float64
 	if r == 0 {
-		chunks = make([][]byte, nprocs)
+		chunks = make([][]float64, nprocs)
 		for q := 0; q < nprocs; q++ {
-			chunks[q] = mpi.EncodeF64s(models[q].ModelF64s())
+			chunks[q] = models[q].ModelF64s()
 		}
 	}
-	mine := comm.Scatter(chunks, 0)
-	lm := clock.ModelFromF64s(mpi.DecodeF64s(mine))
+	lm := clock.ModelFromF64s(comm.Scatter(chunks, 0))
 	g := clock.Clock(clk)
 	if r != 0 {
 		g = clock.New(clk, lm)

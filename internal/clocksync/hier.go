@@ -1,7 +1,6 @@
 package clocksync
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"hclocksync/internal/clock"
@@ -9,31 +8,40 @@ import (
 )
 
 // ClockPropSync implements Alg. 3: rank 0 of the communicator (which must
-// already hold the synchronized clock) broadcasts its flattened clock-model
-// stack; the other ranks re-instantiate it over their own base clock. This
-// is only correct when all ranks of the communicator share a hardware time
-// source (the paper's clock_getcpuclockid check) — NewMachine's clock
-// domain decides that, and Sync panics if the precondition is violated.
+// already hold the synchronized clock) broadcasts its clock-model stack
+// (clock.Models); the other ranks re-instantiate it over their own base
+// clock (clock.Stack). This is only correct when all ranks of the
+// communicator share a hardware time source (the paper's
+// clock_getcpuclockid check) — NewMachine's clock domain decides that, and
+// Sync panics if the precondition is violated.
 type ClockPropSync struct{}
 
 // Name returns the paper's label for the scheme.
 func (ClockPropSync) Name() string { return "ClockPropagation" }
 
-// Sync implements Alg. 3 (two broadcasts: size, then the flat buffer).
+// Sync implements Alg. 3: two broadcasts, the 4-byte size of the flat
+// buffer, then the buffer — (slope, intercept) per model, innermost first.
 func (ClockPropSync) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
 	checkSharedTimeSource(comm)
 	const pRef = 0
+	var flat []float64
 	if comm.Rank() == pRef {
-		buf := clock.Flatten(clk)
-		var size [4]byte
-		binary.LittleEndian.PutUint32(size[:], uint32(len(buf)))
-		comm.Bcast(size[:], pRef)
-		comm.Bcast(buf, pRef)
+		for _, m := range clock.Models(clk) {
+			flat = append(flat, m.Slope, m.Intercept)
+		}
+	}
+	// The size message costs its 4 B; the vector below carries its own
+	// length, so the message itself is empty.
+	comm.BcastSized(nil, pRef, 4, mpi.BcastBinomial)
+	flat = comm.Bcast(flat, pRef)
+	if comm.Rank() == pRef {
 		return clk
 	}
-	comm.Bcast(nil, pRef) // size message (the payload length is implicit here)
-	buf := comm.Bcast(nil, pRef)
-	return clock.Unflatten(buf, clk)
+	models := make([]clock.LinearModel, len(flat)/2)
+	for i := range models {
+		models[i] = clock.ModelFromF64s(flat[2*i:])
+	}
+	return clock.Stack(clk, models)
 }
 
 func checkSharedTimeSource(comm *mpi.Comm) {

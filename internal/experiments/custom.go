@@ -145,44 +145,14 @@ func RunCustom(cfg CustomConfig) (*CustomResult, error) {
 			switch scheme {
 			case "barrier":
 				samples := bench.MeasureBarrierScheme(comm, op, cfg.NRep, cfg.Barrier)
-				gathered := bench.GatherSamples(comm, samples)
-				if gathered != nil {
-					for i := 0; i < cfg.NRep; i++ {
-						var max float64
-						for _, ranks := range gathered {
-							if d := ranks[i].Duration(); d > max {
-								max = d
-							}
-						}
-						lats = append(lats, max)
-					}
-				}
+				lats = bench.BarrierMaxima(bench.GatherSamples(comm, samples))
 			case "window":
 				win := cfg.Window
 				if win <= 0 {
 					win = 4 * bench.EstimateLatency(comm, op, 5)
 				}
 				samples := bench.MeasureWindowScheme(comm, op, g, cfg.NRep, win)
-				gathered := bench.GatherSamples(comm, samples)
-				if gathered != nil {
-					for i := 0; i < cfg.NRep; i++ {
-						ok := true
-						var start, end float64
-						for r, ranks := range gathered {
-							s := ranks[i]
-							ok = ok && s.Valid
-							if r == 0 || s.Start < start {
-								start = s.Start
-							}
-							if r == 0 || s.End > end {
-								end = s.End
-							}
-						}
-						if ok {
-							lats = append(lats, end-start)
-						}
-					}
-				}
+				lats = bench.WindowLatencies(bench.GatherSamples(comm, samples))
 			case "roundtime":
 				samples := bench.MeasureRoundTime(comm, op, g, bench.RoundTimeConfig{
 					MaxTimeSlice: cfg.TimeSlice,

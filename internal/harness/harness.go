@@ -196,7 +196,7 @@ func (e *Engine) record(m *Manifest) {
 
 // schemaVersion is bumped whenever the simulator's semantics change in a way
 // that invalidates previously cached results.
-const schemaVersion = "hclocksync-v2"
+const schemaVersion = "hclocksync-v3"
 
 // CodeVersion returns the string mixed into every cache key to tie entries
 // to the code that produced them: the package schema version plus, when the

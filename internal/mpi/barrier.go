@@ -109,7 +109,15 @@ func (c *Comm) barrierTree(tag int) {
 		}
 	}
 	// Fan-out: mirror image, a binomial broadcast of the zero-byte release.
-	c.bcastBinomial(empty, 0, tag, 0)
+	mask := binomialMask(r, n)
+	if r != 0 {
+		c.Recv(r-mask, tag)
+	}
+	for m := mask >> 1; m >= 1; m >>= 1 {
+		if r+m < n {
+			c.Send(r+m, tag, empty)
+		}
+	}
 }
 
 //synclint:allocfree

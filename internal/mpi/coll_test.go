@@ -64,9 +64,9 @@ func TestBcastAllAlgorithms(t *testing.T) {
 			for root := 0; root < n; root += max(1, n/3) {
 				t.Run(fmt.Sprintf("%v/p%d/root%d", alg, n, root), func(t *testing.T) {
 					runBox(t, n, 7, func(p *Proc) {
-						var data []byte
+						var data []float64
 						if p.World().Rank() == root {
-							data = []byte{1, 2, 3}
+							data = []float64{1, 2, 3}
 						}
 						got := p.World().BcastWith(data, root, alg)
 						if len(got) != 3 || got[0] != 1 || got[2] != 3 {
@@ -169,20 +169,20 @@ func TestScatterGather(t *testing.T) {
 	const n = 6
 	runBox(t, n, 12, func(p *Proc) {
 		w := p.World()
-		var chunks [][]byte
+		var chunks [][]float64
 		if w.Rank() == 2 {
 			for i := 0; i < n; i++ {
-				chunks = append(chunks, []byte{byte(i * 10)})
+				chunks = append(chunks, []float64{float64(i * 10)})
 			}
 		}
 		mine := w.Scatter(chunks, 2)
-		if mine[0] != byte(w.Rank()*10) {
+		if mine[0] != float64(w.Rank()*10) {
 			t.Errorf("rank %d scattered %v", w.Rank(), mine)
 		}
-		all := w.Gather([]byte{byte(w.Rank() + 1)}, 2)
+		all := w.Gather([]float64{float64(w.Rank() + 1)}, 2)
 		if w.Rank() == 2 {
 			for i := 0; i < n; i++ {
-				if all[i][0] != byte(i+1) {
+				if all[i][0] != float64(i+1) {
 					t.Errorf("gather[%d] = %v", i, all[i])
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -38,7 +39,7 @@ func runColl(t *testing.T, n int, seed int64, spec cluster.MachineSpec, main fun
 // Property: both bcast algorithms deliver the root's exact payload to every
 // rank, for any root and payload, on healthy and straggling links alike.
 func TestBcastVariantsDeliverExactPayloadProperty(t *testing.T) {
-	f := func(seed int64, n8, root8 uint8, payload []byte) bool {
+	f := func(seed int64, n8, root8 uint8, payload []float64) bool {
 		n := int(n8%12) + 1
 		root := int(root8) % n
 		if len(payload) > 64 {
@@ -50,12 +51,12 @@ func TestBcastVariantsDeliverExactPayloadProperty(t *testing.T) {
 			for _, alg := range []BcastAlg{BcastBinomial, BcastLinear} {
 				alg := alg
 				if !runColl(t, n, seed, spec, func(p *Proc) {
-					var data []byte
+					var data []float64
 					if p.Rank() == root {
 						data = payload
 					}
 					got := p.World().BcastWith(data, root, alg)
-					if !bytes.Equal(got, payload) && len(got)+len(payload) > 0 {
+					if !slices.Equal(got, payload) && len(got)+len(payload) > 0 {
 						mu.Lock()
 						ok = false
 						mu.Unlock()

@@ -186,8 +186,9 @@ func (c *Comm) checkRoot(root int) {
 // every rank evaluates the same static crash schedule locally, so all
 // members agree on the survivor set without exchanging a byte — the
 // idealized equivalent of a perfect failure detector plus ULFM's
-// MPI_Comm_shrink. Timeouts (RecvTimeout, RecvF64Timeout) still matter: the
-// oracle says who will die eventually, but a peer can die mid-exchange.
+// MPI_Comm_shrink. Timeouts (RecvF64Timeout, RecvF64sTimeout) still
+// matter: the oracle says who will die eventually, but a peer can die
+// mid-exchange.
 
 // DeadNow reports whether comm rank r is crashed at the current true time.
 func (c *Comm) DeadNow(r int) bool {

@@ -30,8 +30,8 @@ func traceWorkload(rec *[][3]float64) func(p *Proc) {
 		w := p.World()
 		n, r := p.Size(), p.Rank()
 		right, left := (r+1)%n, (r-1+n)%n
-		w.Send(right, 1, EncodeF64s([]float64{float64(r)}))
-		got := DecodeF64s(w.Recv(left, 1))[0]
+		w.SendF64(right, 1, float64(r))
+		got := w.RecvF64(left, 1)
 		*rec = append(*rec, [3]float64{float64(r), p.TrueNow(), got})
 		w.Barrier()
 		sum := w.AllreduceF64(float64(r), OpSum)

@@ -269,8 +269,8 @@ func TestNaNTimesPanic(t *testing.T) {
 	}{
 		{"Advance", func(p *Proc) { p.Advance(nan) }},
 		{"WaitUntilTrue", func(p *Proc) { p.WaitUntilTrue(nan) }},
-		{"RecvTimeout", func(p *Proc) { p.World().RecvTimeout(1, 1, nan) }},
-		{"RecvTimeout", func(p *Proc) { p.World().RecvF64Timeout(1, 1, nan) }},
+		{"timed receive", func(p *Proc) { p.World().RecvF64Timeout(1, 1, nan) }},
+		{"timed receive", func(p *Proc) { p.World().RecvF64sTimeout(1, 1, nan, nil) }},
 	} {
 		_, err := runOnEnv(t, Config{NProcs: 2, Seed: 7}, func(p *Proc) {
 			if p.Rank() == 0 {

@@ -73,8 +73,8 @@ func TestMailboxRingGrowthPreservesOrder(t *testing.T) {
 // TestSteadyStateMessagingAllocFree measures allocations per ping-pong
 // exchange by differencing two job sizes, which cancels the fixed setup
 // cost (machine build, goroutines, communicators). The steady state —
-// message structs, mailbox queues, event heap, f64 payloads — must not
-// allocate at all.
+// message structs, mailbox queues, event heap, f64 payloads, the pooled
+// vector of a BcastF64 — must not allocate at all.
 func TestSteadyStateMessagingAllocFree(t *testing.T) {
 	mallocsFor := func(iters int) uint64 {
 		main := func(p *Proc) {
@@ -84,12 +84,12 @@ func TestSteadyStateMessagingAllocFree(t *testing.T) {
 				if p.Rank() == 0 {
 					w.SendF64(1, tag, float64(i))
 					w.RecvF64(1, tag)
-					w.BarrierWith(BarrierTree)
 				} else {
 					v := w.RecvF64(0, tag)
 					w.SendF64(0, tag, v)
-					w.BarrierWith(BarrierTree)
 				}
+				w.BarrierWith(BarrierTree)
+				w.BcastF64(float64(i), 0)
 			}
 		}
 		var before, after runtime.MemStats

@@ -60,7 +60,7 @@ func TestAllreduceMatchesSequentialFoldProperty(t *testing.T) {
 // Property: Bcast delivers the root's exact payload to every rank for any
 // root and payload.
 func TestBcastDeliversExactPayloadProperty(t *testing.T) {
-	f := func(seed int64, n8, root8 uint8, payload []byte) bool {
+	f := func(seed int64, n8, root8 uint8, payload []float64) bool {
 		n := int(n8%12) + 1
 		root := int(root8) % n
 		if len(payload) > 64 {
@@ -70,7 +70,7 @@ func TestBcastDeliversExactPayloadProperty(t *testing.T) {
 		var mu sync.Mutex
 		cfg := Config{Spec: cluster.TestBox(), NProcs: n, Seed: seed}
 		err := Run(cfg, func(p *Proc) {
-			var data []byte
+			var data []float64
 			if p.World().Rank() == root {
 				data = payload
 			}
@@ -148,12 +148,11 @@ func TestLatencyLowerBoundProperty(t *testing.T) {
 		ok := true
 		cfg := Config{Spec: cluster.TestBox(), NProcs: 8, Seed: seed}
 		err := Run(cfg, func(p *Proc) {
-			w := p.World()
 			switch p.Rank() {
 			case 0:
-				w.SendN(4, 1, nbytes, nil)
+				p.sendF64s(0, 4, 1, nbytes, nil)
 			case 4:
-				w.Recv(0, 1)
+				p.world.putF64s(p.world.f64sOf(p.recvMsg(0, 0, 1)))
 				min := p.Machine().MinDelay(0, 4, nbytes)
 				if p.TrueNow() < min {
 					ok = false
@@ -215,15 +214,15 @@ func TestCollectivesAcrossSubcommsConcurrently(t *testing.T) {
 func TestGatherPreservesDistinctSizes(t *testing.T) {
 	runBox(t, 5, 67, func(p *Proc) {
 		w := p.World()
-		data := make([]byte, w.Rank()+1)
+		data := make([]float64, w.Rank()+1)
 		for i := range data {
-			data[i] = byte(w.Rank())
+			data[i] = float64(w.Rank())
 		}
 		all := w.Gather(data, 0)
 		if w.Rank() == 0 {
 			for r := 0; r < 5; r++ {
 				if len(all[r]) != r+1 {
-					t.Errorf("gather[%d] has %d bytes", r, len(all[r]))
+					t.Errorf("gather[%d] has %d values", r, len(all[r]))
 				}
 			}
 		}
@@ -318,6 +317,35 @@ func TestAllreduceSizedChargesWireBytes(t *testing.T) {
 	small, big := dur(8), dur(1<<20)
 	if big <= small {
 		t.Errorf("1 MiB allreduce (%v) not slower than 8 B (%v)", big, small)
+	}
+}
+
+// A sized send puts exactly the requested bytes on the wire: on two ranks
+// joined by a link where a byte costs a second, a 4 B allreduce returns 4 s
+// before an 8 B one. The ring keeps its floor of one 8 B element per step,
+// so at two ranks both sizes cost it the same.
+func TestAllreduceSizedSendsExactBytes(t *testing.T) {
+	spec := cluster.Ideal(2, 1, 1)
+	spec.InterNode.Beta = 1
+	for alg, want := range map[AllreduceAlg]float64{
+		AllreduceRecursiveDoubling: 4,
+		AllreduceReduceBcast:       4,
+		AllreduceRing:              0,
+	} {
+		dur := func(nbytes int) (d float64) {
+			if err := Run(Config{Spec: spec, NProcs: 2, Seed: 1}, func(p *Proc) {
+				p.World().AllreduceSized([]float64{1}, OpSum, nbytes, alg)
+				if p.Rank() == 0 {
+					d = p.TrueNow()
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		if got := dur(8) - dur(4); math.Abs(got-want) > 1e-9 {
+			t.Errorf("%v: the 8 B allreduce took %v s longer than the 4 B one, want %v", alg, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -19,9 +18,14 @@ import (
 // recycled through a per-World free list, mailbox queues are ring buffers
 // whose popped slots are nilled (so the backing array pins no message),
 // repeated exchanges on one (comm, peer, tag) triple hit a per-rank
-// single-entry mailbox cache instead of the map, and single-float64
-// payloads — the workhorse of the clock-offset algorithms — travel inside
-// the message struct with no byte-slice encode at all.
+// single-entry mailbox cache instead of the map, single-float64 payloads —
+// the workhorse of the clock-offset algorithms — travel inside the message
+// struct, and float64 vectors in pooled slices.
+//
+// A payload is bytes (Send/Recv: alltoall blocks, barrier signals), one
+// float64 (SendF64/SsendF64, RecvF64/RecvF64Timeout) or a float64 vector
+// (SendF64s and the collectives, RecvF64s/RecvF64sTimeout); each receive
+// takes one kind and panics, naming both, when it meets another.
 
 type mbKey struct {
 	comm, dst, src, tag int
@@ -41,6 +45,11 @@ const (
 	// and released when the receiver decodes it.
 	msgF64s
 )
+
+func (k msgKind) String() string { return [...]string{"byte", "float64", "float64-vector"}[k] }
+
+// unsized asks sendF64s for the default wire size of 8 B per value.
+const unsized = -1
 
 type message struct {
 	data    []byte
@@ -83,46 +92,35 @@ func (w *World) freeMsg(m *message) {
 	w.msgFree = append(w.msgFree, m) //synclint:alloc -- pool free list: amortized growth to the high-water mark
 }
 
-// getF64s returns a pooled []float64 of length n.
+// getF64s returns an empty pooled vector to append a payload to, nil when
+// the pool is empty.
 //
 //synclint:allocfree
-func (w *World) getF64s(n int) []float64 {
-	if k := len(w.f64Free); k > 0 {
-		s := w.f64Free[k-1]
-		w.f64Free[k-1] = nil
-		w.f64Free = w.f64Free[:k-1]
-		if cap(s) >= n {
-			return s[:n]
-		}
+func (w *World) getF64s() []float64 {
+	k := len(w.f64Free)
+	if k == 0 {
+		return nil
 	}
-	return make([]float64, n) //synclint:alloc -- pool miss: fresh vector, recycled via putF64s
+	s := w.f64Free[k-1]
+	w.f64Free[k-1] = nil
+	w.f64Free = w.f64Free[:k-1]
+	return s[:0]
 }
 
-// putF64s returns a slice obtained from getF64s to the pool.
+// putF64s returns a received vector to the pool.
 //
 //synclint:allocfree
 func (w *World) putF64s(s []float64) {
 	w.f64Free = append(w.f64Free, s) //synclint:alloc -- pool free list: amortized growth to the high-water mark
 }
 
-// bytes materializes a message's payload as a byte slice (allocating for
-// the non-bytes kinds, which only happens when a typed send meets an
-// untyped Recv) and releases any pooled payload.
+// expect panics when a receive of payload kind k meets a message of another
+// kind: a program error, like a type mismatch between MPI_Send and MPI_Recv.
 //
 //synclint:allocfree
-func (w *World) bytes(m *message) []byte {
-	switch m.kind {
-	case msgF64:
-		b := make([]byte, 8) //synclint:alloc -- cold: typed send met an untyped Recv
-		binary.LittleEndian.PutUint64(b, math.Float64bits(m.v))
-		return b
-	case msgF64s:
-		b := EncodeF64s(m.fv) //synclint:alloc -- cold: typed send met an untyped Recv
-		w.putF64s(m.fv)
-		m.fv = nil
-		return b
-	default:
-		return m.data
+func (m *message) expect(k msgKind) {
+	if m.kind != k {
+		panic(fmt.Sprintf("mpi: a %v receive met a %v message", k, m.kind)) //synclint:alloc -- cold: mismatched-receive panic
 	}
 }
 
@@ -237,21 +235,6 @@ func (p *Proc) arrClamp(dst int) *float64 {
 // callback at its local time, then keeps running; a rank that is not ahead
 // runs the wire half on the spot.
 
-// send implements standard (eager) and synchronous sends of a byte
-// payload. nbytes is the wire size; data is the payload content (may be
-// shorter than nbytes — benchmarking messages are mostly padding).
-//
-//synclint:allocfree
-func (p *Proc) send(comm, dst, tag, nbytes int, data []byte, ssend bool) {
-	if nbytes < len(data) {
-		nbytes = len(data)
-	}
-	m := p.newSend(comm, dst, tag, nbytes)
-	m.kind = msgBytes
-	m.data = data
-	p.post(m, ssend)
-}
-
 // sendF64 sends one float64 carried inside the message struct: no encode,
 // no allocation.
 //
@@ -264,17 +247,18 @@ func (p *Proc) sendF64(comm, dst, tag int, v float64, ssend bool) {
 }
 
 // sendF64s sends a float64 vector in a pooled slice; the receive side
-// (recvF64sInto) releases it. Collectives use this pair to keep their
-// per-step exchanges off the heap.
+// releases it. The wire size is exactly nbytes — a benchmark's message size
+// need not be a multiple of 8, and its content is irrelevant — or 8 B per
+// value when nbytes is unsized.
 //
 //synclint:allocfree
 func (p *Proc) sendF64s(comm, dst, tag, nbytes int, vals []float64) {
-	if nbytes < 8*len(vals) {
+	if nbytes == unsized {
 		nbytes = 8 * len(vals)
 	}
 	m := p.newSend(comm, dst, tag, nbytes)
 	m.kind = msgF64s
-	m.fv = append(p.world.getF64s(0)[:0], vals...) //synclint:alloc -- pooled vector copy: amortized to the widest payload
+	m.fv = append(p.world.getF64s(), vals...) //synclint:alloc -- pooled vector copy: amortized to the widest payload
 	p.post(m, false)
 }
 
@@ -291,8 +275,8 @@ func (p *Proc) newSend(comm, dst, tag, nbytes int) *message {
 	if dst == p.rank {
 		panic("mpi: send-to-self is not supported; collectives avoid it")
 	}
-	if nbytes > math.MaxInt32 || tag > math.MaxInt32 || tag < math.MinInt32 {
-		panic("mpi: message tag or wire size does not fit in 32 bits")
+	if nbytes < 0 || nbytes > math.MaxInt32 || tag > math.MaxInt32 || tag < math.MinInt32 {
+		panic("mpi: negative wire size, or a message tag or wire size that does not fit in 32 bits")
 	}
 	p.maybeCrash()
 	// Sender-side CPU overhead (crash-clamped: a rank whose crash time
@@ -438,82 +422,53 @@ func (p *Proc) recvDone(msg *message, src int) {
 	}
 }
 
-// recv is the untyped blocking receive: it returns the payload as bytes.
+// f64Of takes the value out of a sendF64 message and frees the message.
 //
 //synclint:allocfree
-func (p *Proc) recv(comm, src, tag int) []byte {
-	m := p.recvMsg(comm, src, tag)
-	data := p.world.bytes(m)
-	p.world.freeMsg(m)
-	return data
-}
-
-// recvF64 receives a message sent by sendF64 without touching the heap.
-//
-//synclint:allocfree
-func (p *Proc) recvF64(comm, src, tag int) float64 {
-	m := p.recvMsg(comm, src, tag)
-	v, ok := p.world.f64Of(m)
-	p.world.freeMsg(m)
-	if !ok {
-		panic("mpi: RecvF64 on a non-8-byte message")
-	}
+func (w *World) f64Of(m *message) float64 {
+	m.expect(msgF64)
+	v := m.v
+	w.freeMsg(m)
 	return v
 }
 
-// f64Of extracts a single-float64 payload of any kind, releasing pooled
-// storage. ok is false when the payload is not exactly one float64.
+// f64sOf takes the pooled vector out of a sendF64s message, frees the
+// message and hands the vector to the caller, who releases it (putF64s) or
+// keeps it.
 //
 //synclint:allocfree
-func (w *World) f64Of(m *message) (v float64, ok bool) {
-	switch m.kind {
-	case msgF64:
-		return m.v, true
-	case msgF64s:
-		fv := m.fv
-		m.fv = nil
-		w.putF64s(fv)
-		if len(fv) != 1 {
-			return 0, false
-		}
-		return fv[0], true
-	default:
-		if len(m.data) != 8 {
-			return 0, false
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(m.data)), true
-	}
+func (w *World) f64sOf(m *message) []float64 {
+	m.expect(msgF64s)
+	fv := m.fv
+	w.freeMsg(m)
+	return fv
 }
 
-// recvF64sInto receives a float64 vector into dst (which must have the
-// sender's length), releasing the pooled payload. It is the receive half
-// of sendF64s.
+// recvF64sInto receives a float64 vector into dst, which must have the
+// sender's length.
 //
 //synclint:allocfree
 func (p *Proc) recvF64sInto(dst []float64, comm, src, tag int) {
-	m := p.recvMsg(comm, src, tag)
-	switch m.kind {
-	case msgF64s:
-		if len(m.fv) != len(dst) {
-			panic(fmt.Sprintf("mpi: recvF64sInto got %d values, want %d", len(m.fv), len(dst))) //synclint:alloc -- cold: payload-shape panic
-		}
-		copy(dst, m.fv)
-		p.world.putF64s(m.fv)
-		m.fv = nil
-	case msgF64:
-		if len(dst) != 1 {
-			panic(fmt.Sprintf("mpi: recvF64sInto got 1 value, want %d", len(dst))) //synclint:alloc -- cold: payload-shape panic
-		}
-		dst[0] = m.v
-	default:
-		if len(m.data) != 8*len(dst) {
-			panic(fmt.Sprintf("mpi: recvF64sInto got %d bytes, want %d", len(m.data), 8*len(dst))) //synclint:alloc -- cold: payload-shape panic
-		}
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(m.data[8*i:]))
-		}
+	p.world.copyF64s(dst, p.world.f64sOf(p.recvMsg(comm, src, tag)))
+}
+
+// copyF64s copies a received pooled vector into dst and releases it.
+//
+//synclint:allocfree
+func (w *World) copyF64s(dst, fv []float64) {
+	if len(fv) != len(dst) {
+		panic(fmt.Sprintf("mpi: received %d values, want %d", len(fv), len(dst))) //synclint:alloc -- cold: payload-shape panic
 	}
-	p.world.freeMsg(m)
+	copy(dst, fv)
+	w.putF64s(fv)
+}
+
+// keepF64s copies a received pooled vector into a fresh slice the caller
+// owns (nil when empty) and releases it.
+func (w *World) keepF64s(fv []float64) []float64 {
+	out := append([]float64(nil), fv...)
+	w.putF64s(fv)
+	return out
 }
 
 // recvMsgTimeout waits at most timeout seconds of true time for a matching
@@ -528,7 +483,7 @@ func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 		panic(fmt.Sprintf("mpi: recv from invalid world rank %d", src)) //synclint:alloc -- cold: invalid-rank panic
 	}
 	if timeout != timeout {
-		panic("mpi: RecvTimeout with a NaN timeout")
+		panic("mpi: timed receive with a NaN timeout")
 	}
 	p.maybeCrash()
 	// Unlike recvMsg this settles: whether the deadline beats a message is
@@ -576,76 +531,28 @@ func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 	}
 }
 
-// recvTimeout is the untyped timed receive.
-//
-//synclint:allocfree
-func (p *Proc) recvTimeout(comm, src, tag int, timeout float64) ([]byte, bool) {
-	m := p.recvMsgTimeout(comm, src, tag, timeout)
-	if m == nil {
-		return nil, false
-	}
-	data := p.world.bytes(m)
-	p.world.freeMsg(m)
-	return data, true
-}
-
 // --- Comm-level typed helpers ---
 
 // Send performs a standard-mode (eager) send of payload to comm rank dst.
 //
 //synclint:allocfree
 func (c *Comm) Send(dst, tag int, payload []byte) {
-	c.p.send(c.id, c.ranks[dst], tag, len(payload), payload, false)
+	m := c.p.newSend(c.id, c.ranks[dst], tag, len(payload))
+	m.kind = msgBytes
+	m.data = payload
+	c.p.post(m, false)
 }
 
-// SendN sends a message whose wire size is nbytes regardless of payload
-// length; benchmarking messages are mostly padding.
-//
-//synclint:allocfree
-func (c *Comm) SendN(dst, tag, nbytes int, payload []byte) {
-	c.p.send(c.id, c.ranks[dst], tag, nbytes, payload, false)
-}
-
-// Ssend performs a synchronous send: it returns only after the matching
-// receive has been posted and matched (MPI_Ssend), which the JK offset
-// measurement relies on.
-//
-//synclint:allocfree
-func (c *Comm) Ssend(dst, tag int, payload []byte) {
-	c.p.send(c.id, c.ranks[dst], tag, len(payload), payload, true)
-}
-
-// Recv blocks until the message from comm rank src with the given tag
+// Recv blocks until the byte message from comm rank src with the given tag
 // arrives and returns its payload.
 //
 //synclint:allocfree
 func (c *Comm) Recv(src, tag int) []byte {
-	return c.p.recv(c.id, c.ranks[src], tag)
-}
-
-// RecvTimeout waits at most timeout seconds for the message from comm rank
-// src with the given tag. ok=false means the deadline passed; a copy still
-// in flight stays queued for a later receive on the same (src, tag).
-//
-//synclint:allocfree
-func (c *Comm) RecvTimeout(src, tag int, timeout float64) (data []byte, ok bool) {
-	return c.p.recvTimeout(c.id, c.ranks[src], tag, timeout)
-}
-
-// RecvF64Timeout is the timed variant of RecvF64.
-//
-//synclint:allocfree
-func (c *Comm) RecvF64Timeout(src, tag int, timeout float64) (v float64, ok bool) {
-	m := c.p.recvMsgTimeout(c.id, c.ranks[src], tag, timeout)
-	if m == nil {
-		return 0, false
-	}
-	v, fok := c.p.world.f64Of(m)
+	m := c.p.recvMsg(c.id, c.ranks[src], tag)
+	m.expect(msgBytes)
+	data := m.data
 	c.p.world.freeMsg(m)
-	if !fok {
-		panic("mpi: RecvF64Timeout on a non-8-byte message")
-	}
-	return v, true
+	return data
 }
 
 // SendF64 sends one float64 (8 B on the wire), the workhorse of the clock
@@ -657,37 +564,59 @@ func (c *Comm) SendF64(dst, tag int, v float64) {
 	c.p.sendF64(c.id, c.ranks[dst], tag, v, false)
 }
 
-// RecvF64 receives one float64 from src.
-//
-//synclint:allocfree
-func (c *Comm) RecvF64(src, tag int) float64 {
-	return c.p.recvF64(c.id, c.ranks[src], tag)
-}
-
-// SsendF64 is the synchronous variant of SendF64.
+// SsendF64 is the synchronous variant of SendF64: it returns only after the
+// matching receive has been posted and matched (MPI_Ssend), which the JK
+// offset measurement relies on.
 //
 //synclint:allocfree
 func (c *Comm) SsendF64(dst, tag int, v float64) {
 	c.p.sendF64(c.id, c.ranks[dst], tag, v, true)
 }
 
-// EncodeF64s packs vals little-endian; the inverse of DecodeF64s.
-func EncodeF64s(vals []float64) []byte {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
-	return b
+// RecvF64 receives one float64 from src.
+//
+//synclint:allocfree
+func (c *Comm) RecvF64(src, tag int) float64 {
+	return c.p.world.f64Of(c.p.recvMsg(c.id, c.ranks[src], tag))
 }
 
-// DecodeF64s unpacks a buffer produced by EncodeF64s.
-func DecodeF64s(b []byte) []float64 {
-	if len(b)%8 != 0 {
-		panic(fmt.Sprintf("mpi: DecodeF64s got %d bytes", len(b)))
+// RecvF64Timeout waits at most timeout seconds for the float64 from comm
+// rank src with the given tag. ok=false means the deadline passed; a
+// message still in flight stays queued for a later receive on the same
+// (src, tag).
+//
+//synclint:allocfree
+func (c *Comm) RecvF64Timeout(src, tag int, timeout float64) (v float64, ok bool) {
+	m := c.p.recvMsgTimeout(c.id, c.ranks[src], tag, timeout)
+	if m == nil {
+		return 0, false
 	}
-	vals := make([]float64, len(b)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	return c.p.world.f64Of(m), true
+}
+
+// SendF64s sends a float64 vector, 8 B per value on the wire.
+//
+//synclint:allocfree
+func (c *Comm) SendF64s(dst, tag int, vals []float64) {
+	c.p.sendF64s(c.id, c.ranks[dst], tag, unsized, vals)
+}
+
+// RecvF64s receives a float64 vector, of whatever length its sender chose,
+// from src.
+func (c *Comm) RecvF64s(src, tag int) []float64 {
+	w := c.p.world
+	return w.keepF64s(w.f64sOf(c.p.recvMsg(c.id, c.ranks[src], tag)))
+}
+
+// RecvF64sTimeout is the timed receive of a float64 vector into dst, which
+// must have the sender's length; ok as for RecvF64Timeout.
+//
+//synclint:allocfree
+func (c *Comm) RecvF64sTimeout(src, tag int, timeout float64, dst []float64) (ok bool) {
+	m := c.p.recvMsgTimeout(c.id, c.ranks[src], tag, timeout)
+	if m == nil {
+		return false
 	}
-	return vals
+	c.p.world.copyF64s(dst, c.p.world.f64sOf(m))
+	return true
 }

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"hclocksync/internal/cluster"
@@ -179,14 +181,60 @@ func TestDeadlockSurfacesAsError(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeF64s(t *testing.T) {
-	in := []float64{0, -1.5, math.Pi, math.Inf(1), 1e-300}
-	out := DecodeF64s(EncodeF64s(in))
-	for i := range in {
-		if in[i] != out[i] {
-			t.Errorf("roundtrip[%d] = %v, want %v", i, out[i], in[i])
+// A receive takes exactly one payload kind: a float message met by a byte
+// receive, or a byte message met by a float receive, fails the job with a
+// panic naming both kinds.
+func TestMismatchedReceivePanicsByName(t *testing.T) {
+	sendF64 := func(w *Comm) { w.SendF64(1, 1, 1) }
+	sendF64s := func(w *Comm) { w.SendF64s(1, 1, []float64{1}) }
+	sendBytes := func(w *Comm) { w.Send(1, 1, make([]byte, 8)) }
+	for _, c := range []struct {
+		send, recv func(w *Comm)
+		want       string
+	}{
+		{sendF64, func(w *Comm) { w.Recv(0, 1) }, "a byte receive met a float64 message"},
+		{sendF64s, func(w *Comm) { w.Recv(0, 1) }, "a byte receive met a float64-vector message"},
+		{sendBytes, func(w *Comm) { w.RecvF64(0, 1) }, "a float64 receive met a byte message"},
+		{sendF64s, func(w *Comm) { w.RecvF64Timeout(0, 1, 1) }, "a float64 receive met a float64-vector message"},
+		{sendBytes, func(w *Comm) { w.RecvF64s(0, 1) }, "a float64-vector receive met a byte message"},
+		{sendF64, func(w *Comm) { w.RecvF64sTimeout(0, 1, 1, make([]float64, 1)) }, "a float64-vector receive met a float64 message"},
+	} {
+		err := Run(Config{Spec: cluster.Ideal(2, 1, 1), NProcs: 2, Seed: 1}, func(p *Proc) {
+			if p.Rank() == 0 {
+				c.send(p.World())
+			} else {
+				c.recv(p.World())
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("err = %v, want a panic containing %q", err, c.want)
 		}
 	}
+}
+
+// The public vector calls carry a vector of the sender's length, 8 B per
+// value on the wire.
+func TestSendRecvF64s(t *testing.T) {
+	want := []float64{0, -1.5, math.Pi, math.Inf(1), 1e-300}
+	runIdeal(t, 5, func(p *Proc) {
+		w := p.World()
+		switch p.Rank() {
+		case 0:
+			w.SendF64s(4, 1, want)
+			w.SendF64s(4, 2, want[:2])
+		case 4:
+			if got := w.RecvF64s(0, 1); !slices.Equal(got, want) {
+				t.Errorf("RecvF64s = %v, want %v", got, want)
+			}
+			if at, wire := p.TrueNow(), p.Machine().MinDelay(0, 4, 8*len(want)); at != wire {
+				t.Errorf("vector arrived at %v, want the %d B delay %v", at, 8*len(want), wire)
+			}
+			var two [2]float64
+			if !w.RecvF64sTimeout(0, 2, 1, two[:]) || two != [2]float64{want[0], want[1]} {
+				t.Errorf("RecvF64sTimeout = %v, want %v", two, want[:2])
+			}
+		}
+	})
 }
 
 func TestReadHWClockChargesReadCost(t *testing.T) {

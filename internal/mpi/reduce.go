@@ -111,7 +111,8 @@ func (c *Comm) AllreduceWith(vals []float64, op Op, alg AllreduceAlg) []float64 
 // AllreduceSized is Allreduce with an explicit wire size in bytes — the
 // benchmark harness measures 4 B…1024 B messages whose content is
 // irrelevant, so the logical payload stays a single float64 while nbytes
-// models the wire cost.
+// models the wire cost: every message of the recursive-doubling and
+// reduce-bcast algorithms puts exactly nbytes on the wire.
 func (c *Comm) AllreduceSized(vals []float64, op Op, nbytes int, alg AllreduceAlg) []float64 {
 	tag := c.nextTag(kindAllreduce)
 	if c.Size() == 1 {
@@ -122,13 +123,12 @@ func (c *Comm) AllreduceSized(vals []float64, op Op, nbytes int, alg AllreduceAl
 		return c.allreduceRecDoubling(vals, op, tag, nbytes)
 	case AllreduceReduceBcast:
 		acc := c.reduceBinomial(vals, op, 0, tag, nbytes)
-		var buf []byte
-		if c.rank == 0 {
-			buf = EncodeF64s(acc)
-		}
 		// Reuse the same tag for the broadcast half; distinct pairs or
 		// ordered channels keep matching unambiguous.
-		return DecodeF64s(c.bcastBinomial(buf, 0, tag, nbytes))
+		if got := c.bcast(acc, 0, tag, nbytes, BcastBinomial); c.rank != 0 {
+			return c.p.world.keepF64s(got)
+		}
+		return acc
 	case AllreduceRing:
 		return c.allreduceRing(vals, op, tag, nbytes)
 	default:
@@ -191,16 +191,15 @@ func (c *Comm) allreduceRing(vals []float64, op Op, tag, nbytes int) []float64 {
 	// Block b covers indices [start(b), start(b+1)).
 	start := func(b int) int { return (b%n + n) % n * len(vals) / n }
 	end := func(b int) int { return ((b%n+n)%n + 1) * len(vals) / n }
-	chunkBytes := nbytes / n
-	if chunkBytes < 1 {
-		chunkBytes = 1
-	}
+	// A step carries its 1/n share of nbytes, but never less than its
+	// block's 8 B per element.
+	share := nbytes / n
 	// Reduce-scatter: after step s, rank r holds the partial for block
 	// r-s-1 fully reduced at s = n-2.
 	for s := 0; s < n-1; s++ {
 		sb := start(r - s)
 		eb := end(r - s)
-		c.p.sendF64s(c.id, c.ranks[right], tag, chunkBytes, acc[sb:eb])
+		c.p.sendF64s(c.id, c.ranks[right], tag, max(share, 8*(eb-sb)), acc[sb:eb])
 		gb, ge := start(r-s-1), end(r-s-1)
 		got := c.p.scratchF64s(ge - gb)
 		c.p.recvF64sInto(got, c.id, c.ranks[left], tag)
@@ -212,7 +211,7 @@ func (c *Comm) allreduceRing(vals []float64, op Op, tag, nbytes int) []float64 {
 	for s := 0; s < n-1; s++ {
 		sb := start(r + 1 - s)
 		eb := end(r + 1 - s)
-		c.p.sendF64s(c.id, c.ranks[right], tag, chunkBytes, acc[sb:eb])
+		c.p.sendF64s(c.id, c.ranks[right], tag, max(share, 8*(eb-sb)), acc[sb:eb])
 		gb, ge := start(r-s), end(r-s)
 		c.p.recvF64sInto(acc[gb:ge], c.id, c.ranks[left], tag)
 	}

@@ -229,7 +229,7 @@ func ResumeSession(cfg Config, st SessionState) (*Session, error) {
 			case msgBytes:
 				m.data = msg.Data
 			case msgF64s:
-				m.fv = append(w.getF64s(0)[:0], msg.FV...)
+				m.fv = append(w.getF64s(), msg.FV...)
 			case msgF64:
 			default:
 				return nil, fmt.Errorf("mpi: resume: unknown message kind %d", msg.Kind)

@@ -3,16 +3,17 @@
 // (internal/cluster).
 //
 // It supplies exactly the MPI surface the paper's algorithms and benchmarks
-// need: blocking standard and synchronous sends (Send, SendN, Ssend and their
-// F64 forms), blocking receives with (source, tag) matching and
-// non-overtaking delivery (Recv, RecvF64) plus their timed forms for the
-// fault-tolerant paths (RecvTimeout, RecvF64Timeout), communicators with
-// Split (including the MPI_COMM_TYPE_SHARED split used by the hierarchical
-// synchronization) and ShrinkSurvivors, and the collectives MPI_Barrier,
-// MPI_Bcast, MPI_Scatter, MPI_Gather, MPI_Reduce, MPI_Allreduce and
-// MPI_Alltoall — Barrier, Bcast, Allreduce and Alltoall each with a choice of
-// algorithms mirroring Open MPI's tuned collective module (linear, binomial
-// tree, recursive doubling, dissemination/"bruck", double ring, …).
+// need: blocking sends and receives of bytes, one float64 or a float64
+// vector (Send/Recv, SendF64/SsendF64/RecvF64, SendF64s/RecvF64s) with
+// (source, tag) matching and non-overtaking delivery, timed float receives
+// for the fault-tolerant paths (RecvF64Timeout, RecvF64sTimeout),
+// communicators with Split (including the MPI_COMM_TYPE_SHARED split used
+// by the hierarchical synchronization) and ShrinkSurvivors, and the
+// collectives MPI_Barrier, MPI_Bcast, MPI_Scatter, MPI_Gather, MPI_Reduce,
+// MPI_Allreduce and MPI_Alltoall — Barrier, Bcast, Allreduce and Alltoall
+// each with a choice of algorithms mirroring Open MPI's tuned collective
+// module (linear, binomial tree, recursive doubling, dissemination/"bruck",
+// double ring, …). Floats cross the layer as float64s, never as bytes.
 //
 // One rank is one sim process. A program is a function executed by every
 // rank, exactly like an MPI main:

@@ -77,13 +77,12 @@ func Gather(comm *mpi.Comm, name string, mine []Span) []Span {
 	for _, s := range mine {
 		vals = append(vals, float64(s.Iter), s.Start, s.End, s.TrueStart, s.TrueEnd)
 	}
-	per := comm.Gather(mpi.EncodeF64s(vals), 0)
+	per := comm.Gather(vals, 0)
 	if per == nil {
 		return nil
 	}
 	var out []Span
-	for r, raw := range per {
-		fs := mpi.DecodeF64s(raw)
+	for r, fs := range per {
 		for i := 0; i+4 < len(fs); i += 5 {
 			out = append(out, Span{
 				Rank: r, Name: name,
