@@ -6,7 +6,8 @@ GO ?= go
 # BenchmarkSim prefix takes in the barrier/allreduce/alltoall sweeps and
 # BenchmarkSimPingPong; that one and BenchmarkHCA3Sync also report events/op,
 # the deterministic kernel-event count next to the noisy ns/op.
-SUBSTRATE_BENCH = BenchmarkSim|BenchmarkHCA3Sync|BenchmarkLinearFit|BenchmarkSnapshot|BenchmarkDispatch|BenchmarkKernelMemoryPerRank
+# BenchmarkEventQueue prices the kernel's event queue at four heap depths.
+SUBSTRATE_BENCH = BenchmarkSim|BenchmarkHCA3Sync|BenchmarkLinearFit|BenchmarkSnapshot|BenchmarkDispatch|BenchmarkEventQueue|BenchmarkKernelMemoryPerRank
 
 # Pinned third-party linter versions. CI installs exactly these; locally
 # they run only when already on PATH (this repo must build offline).
@@ -42,6 +43,7 @@ race:
 # Short smoke run of the native fuzz targets (seed corpora always run as
 # part of `make test`; this explores beyond them).
 fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzLinkSpecSample -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzHWClockDisturbed -fuzztime 10s
 	$(GO) test ./internal/clocksync -run '^$$' -fuzz 'FuzzFitOffsetSamples$$' -fuzztime 10s

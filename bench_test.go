@@ -7,7 +7,10 @@ package hclocksync_test
 // the paper's numbers in one sweep.
 
 import (
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -362,6 +365,40 @@ func BenchmarkDispatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 	})
+}
+
+func BenchmarkEventQueue(b *testing.B) {
+	// The kernel's event queue at a fixed depth: depth step procs each
+	// reschedule themselves a log-uniform step of [1e-7, 1e-4] s after now,
+	// the spread of the recorded sync, collective and scale traces, so one
+	// op is one pop and one push on a heap holding depth events, plus the
+	// inline step call BenchmarkDispatch/step prices alone.
+	steps := make([]float64, 4096)
+	rng := rand.New(rand.NewSource(1))
+	for i := range steps {
+		steps[i] = 1e-7 * math.Pow(1e3, rng.Float64())
+	}
+	for _, depth := range []int{64, 256, 16384, 262144} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			env := sim.NewEnv(1)
+			remaining, k := b.N, 0
+			env.SpawnSteps(depth, func(p *sim.Proc) sim.Control {
+				if remaining--; remaining < 0 {
+					if remaining == -1 {
+						b.StopTimer() // the drain of the last depth events is not an op
+					}
+					return sim.Stop()
+				}
+				k++
+				return p.After(steps[k&(len(steps)-1)])
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := env.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }
 
 func BenchmarkKernelMemoryPerRank(b *testing.B) {

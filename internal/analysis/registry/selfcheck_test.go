@@ -55,7 +55,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	// Change a count only in a commit whose message says which directives
 	// it adds or removes and why.
 	wantEscapes := map[string]int{
-		analysis.DirAllocfree: 84,
+		analysis.DirAllocfree: 85,
 		analysis.DirAlloc:     18,
 		analysis.DirOrdered:   9,
 		analysis.DirWallclock: 17,

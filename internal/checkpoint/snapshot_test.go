@@ -1,8 +1,10 @@
 package checkpoint
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hclocksync/internal/cluster"
@@ -195,6 +197,68 @@ func TestSessionCheckpointResumeEndToEnd(t *testing.T) {
 	b := EncodeSession(&Session{Cut: 2, State: stB})
 	if Digest(a) != Digest(b) {
 		t.Fatal("final snapshots of original and resumed sessions differ")
+	}
+}
+
+// A checkpoint that decodes but carries a time or counter no kernel could
+// have reached — crafted, or written by a broken build — is refused by
+// ResumeSession with an error, before any phase can run on it.
+func TestResumeRejectsHostileDecodedState(t *testing.T) {
+	cfg := func() mpi.Config { return mpi.Config{Spec: cluster.TestBox(), NProcs: 4, Seed: 5} }
+	s, err := mpi.NewSession(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.RunPhase(func(p *mpi.Proc) {
+		if p.Rank() == 0 {
+			p.World().SendF64(1, 1, 0.5) // in flight across the cut
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.World.Mail) == 0 || len(st.World.Clamps) == 0 {
+		t.Fatalf("cut holds %d mailboxes and %d clamps: the hostile arrivals are untested", len(st.World.Mail), len(st.World.Clamps))
+	}
+	raw := EncodeSession(&Session{Cut: 1, State: st})
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		edit func(st *mpi.SessionState)
+	}{
+		{"NaN time", func(st *mpi.SessionState) { st.Env.Now = nan }},
+		{"+Inf time", func(st *mpi.SessionState) { st.Env.Now = inf }},
+		{"negative time", func(st *mpi.SessionState) { st.Env.Now = -1 }},
+		{"negative seq", func(st *mpi.SessionState) { st.Env.Seq = -1 }},
+		{"negative spawned", func(st *mpi.SessionState) { st.Env.Spawned = -1 }},
+		{"NaN message arrival", func(st *mpi.SessionState) { st.World.Mail[0].Msgs[0].Arrival = nan }},
+		{"+Inf message arrival", func(st *mpi.SessionState) { st.World.Mail[0].Msgs[0].Arrival = inf }},
+		{"NaN clamp arrival", func(st *mpi.SessionState) { st.World.Clamps[0].Arrival = nan }},
+		{"-Inf clamp arrival", func(st *mpi.SessionState) { st.World.Clamps[0].Arrival = -inf }},
+	} {
+		dec, err := DecodeSession(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.edit(&dec.State)
+		hostile, err := DecodeSession(EncodeSession(dec))
+		if err != nil {
+			t.Fatalf("%s: the hostile state does not decode: %v", c.name, err)
+		}
+		if r, err := mpi.ResumeSession(cfg(), hostile.State); err == nil || !strings.HasPrefix(err.Error(), "mpi: resume: ") {
+			t.Errorf("%s: ResumeSession = (%v, %v), want a resume error", c.name, r, err)
+		}
+	}
+	dec, err := DecodeSession(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mpi.ResumeSession(cfg(), dec.State); err != nil {
+		t.Fatalf("the untouched state is refused: %v", err)
 	}
 }
 

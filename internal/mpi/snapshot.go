@@ -12,6 +12,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hclocksync/internal/cluster"
@@ -193,7 +194,10 @@ func ResumeSession(cfg Config, st SessionState) (*Session, error) {
 	if err := m.RestoreClockStates(st.Clocks); err != nil {
 		return nil, fmt.Errorf("mpi: resume: %w", err)
 	}
-	env := sim.ResumeEnv(st.Env)
+	env, err := sim.ResumeEnv(st.Env)
+	if err != nil {
+		return nil, fmt.Errorf("mpi: resume: %w", err)
+	}
 	w, err := newWorld(env, m, cfg)
 	if err != nil {
 		return nil, err
@@ -211,6 +215,9 @@ func ResumeSession(cfg Config, st SessionState) (*Session, error) {
 		w.commIDs[splitKey{parent: cs.Parent, seq: cs.Seq, color: cs.Color}] = cs.ID
 	}
 	for _, cl := range ws.Clamps {
+		if math.IsNaN(cl.Arrival) || math.IsInf(cl.Arrival, 0) {
+			return nil, fmt.Errorf("mpi: resume: clamp %d->%d arrival %v is not finite", cl.Src, cl.Dst, cl.Arrival)
+		}
 		cell := new(float64)
 		*cell = cl.Arrival
 		w.lastArr[pairKey{cl.Src, cl.Dst}] = cell
@@ -220,6 +227,9 @@ func ResumeSession(cfg Config, st SessionState) (*Session, error) {
 		for _, msg := range mbs.Msgs {
 			if msg.Sender < 0 || msg.Sender >= len(w.procs) {
 				return nil, fmt.Errorf("mpi: resume: message sender rank %d out of range", msg.Sender)
+			}
+			if math.IsNaN(msg.Arrival) || math.IsInf(msg.Arrival, 0) {
+				return nil, fmt.Errorf("mpi: resume: message %d->%d arrival %v is not finite", msg.Sender, mbs.Dst, msg.Arrival)
 			}
 			m := w.newMsg()
 			m.arrival = msg.Arrival

@@ -57,10 +57,10 @@ func TestCallbackRunsInEventOrderWithoutResumingItsProc(t *testing.T) {
 	if got := env.Switches(); got != 4 {
 		t.Errorf("Switches() = %d, want 4", got)
 	}
-	// The callback mark rides in the generation field: the event is no
+	// The callback mark rides in the low bit of seq: the event is no
 	// bigger for carrying one.
-	if got := unsafe.Sizeof(event{}); got != 32 {
-		t.Errorf("event is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Errorf("event is %d bytes, want 24", got)
 	}
 }
 

@@ -438,7 +438,7 @@ func TestSnapshotResumeAtScaleProperty(t *testing.T) {
 			t.Fatalf("seed %d: snapshot: %v", seed, err)
 		}
 		want := phaseB(orig)
-		got := phaseB(ResumeEnv(st))
+		got := phaseB(mustResume(t, st))
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: resumed phase B observed %d events, original %d", seed, len(got), len(want))
 		}
@@ -450,7 +450,7 @@ func TestSnapshotResumeAtScaleProperty(t *testing.T) {
 		stW, err1 := orig.Snapshot()
 		stG, err2 := func() (EnvState, error) {
 			// Re-snapshot the resumed env for a full kernel-state compare.
-			r := ResumeEnv(st)
+			r := mustResume(t, st)
 			_ = phaseB(r)
 			return r.Snapshot()
 		}()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -209,20 +211,73 @@ func TestExitDiscardsPendingEvents(t *testing.T) {
 	}
 }
 
-func BenchmarkEventQueue(b *testing.B) {
-	b.ReportAllocs()
-	var q eventQueue
-	rng := rand.New(rand.NewSource(1))
-	times := make([]float64, 256)
-	for i := range times {
-		times[i] = rng.Float64()
+// FuzzEventQueue runs a byte string as a push/pop program and checks every
+// pop against a sorted reference. The queue's branchless order reads times
+// as their bit patterns, so the program reaches the corners where that
+// could go wrong: exact 0, subnormals, ties, MaxFloat64 and +Inf, arbitrary
+// non-negative bit patterns, and sequence numbers near 2^62 and 2^63.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{0, 4, 8, 3, 12, 3, 3})
+	f.Add([]byte{1, 0, 0, 4, 4, 40, 36, 3, 3, 3, 3})
+	f.Add([]byte{2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f, 3, 3})
+	f.Add([]byte{1, 44, 40, 32, 28, 24, 20, 16, 12, 8, 4, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	times := []float64{
+		0, 0, math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+		0x1p-1022 - math.SmallestNonzeroFloat64, 0x1p-1022, 1e-9, 1e-9, 1, 1,
+		2.5, math.MaxFloat64, math.Inf(1), math.Inf(1),
 	}
-	for i := 0; i < 64; i++ {
-		q.push(event{t: times[i], seq: int64(i)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.push(event{t: times[i%256], seq: int64(i)})
-		q.pop()
-	}
+	bases := []int64{0, 1<<62 - 256, 1 << 62, math.MaxInt64 - 1<<16}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		base := bases[int(prog[0])%len(bases)]
+		prog = prog[1:]
+		var q eventQueue
+		var ref []event
+		seq := base
+		for len(prog) > 0 {
+			op := prog[0]
+			prog = prog[1:]
+			switch op % 4 {
+			case 3:
+				if len(ref) == 0 {
+					continue
+				}
+				sort.Slice(ref, func(i, j int) bool {
+					if ref[i].t != ref[j].t {
+						return ref[i].t < ref[j].t
+					}
+					return ref[i].seq < ref[j].seq
+				})
+				want, got := ref[0], q.pop()
+				ref = ref[1:]
+				if math.Float64bits(got.t) != math.Float64bits(want.t) || got.seq != want.seq {
+					t.Fatalf("pop = (t=%v seq=%d), want (t=%v seq=%d)", got.t, got.seq, want.t, want.seq)
+				}
+			case 2: // an arbitrary time ≥ +0, and a seq that may tie another
+				if len(prog) < 9 {
+					return
+				}
+				tm := math.Float64frombits(binary.LittleEndian.Uint64(prog) &^ (1 << 63))
+				if tm != tm {
+					tm = math.Inf(1)
+				}
+				ev := event{t: tm, seq: base + int64(prog[8])}
+				prog = prog[9:]
+				q.push(ev)
+				ref = append(ref, ev)
+			default: // a tabled time and the next seq
+				ev := event{t: times[int(op>>2)%len(times)], seq: seq}
+				if seq < math.MaxInt64 {
+					seq++
+				}
+				q.push(ev)
+				ref = append(ref, ev)
+			}
+			if q.len() != len(ref) {
+				t.Fatalf("len %d != reference %d", q.len(), len(ref))
+			}
+		}
+	})
 }

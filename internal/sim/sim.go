@@ -32,10 +32,14 @@
 // puts sends on the wire this way, so a rank is resumed for the messages it
 // waits for and not for the ones it sends.
 //
-// The hot path is allocation-free: events are stored by value in an inline
-// 4-ary min-heap (no interface boxing, no per-event pointers), step procs
-// and callbacks are run by a plain function call, and a fiber's coroutine
-// is set up once at Spawn. See DESIGN.md §8 and §12 for the measured effect.
+// The hot path is allocation-free: events are 24-byte values in an inline
+// 4-ary min-heap (no interface boxing, no per-event pointers) whose (t, seq)
+// order is one branchless 128-bit compare — kernel times are never NaN and
+// never below +0 — step procs and callbacks are run by a plain function
+// call, and a fiber's coroutine is set up once at Spawn. An event records
+// no process generation: a wake-up is stale when its sequence number is at
+// most the kernel's counter at its process's last resume. See DESIGN.md §8
+// and §12 for the measured effect.
 //
 // The package knows nothing about networks or clocks; higher layers
 // (internal/cluster, internal/mpi, internal/scale) build those on top of
@@ -116,27 +120,16 @@ func (e *Env) Switches() uint64 { return e.switches }
 // fn finds the work through it (the MPI layer keeps a FIFO on the rank).
 func (e *Env) OnCallback(fn func(p *Proc)) { e.callback = fn }
 
-// callbackGen marks an event as a callback. Process generations count up
-// from zero, so no wake-up event carries it, and no resume of p makes a
-// callback stale.
-const callbackGen = -1
-
 // CallAt schedules the kernel's callback function to run for p at time t
-// (clamped to now), ordered by (t, seq) with every other event. The
-// callback runs inline in the dispatch loop, like a step function, so it
-// must not block; unlike a wake-up it is not cancelled when p resumes, and
-// p keeps running. It is how a fiber that has run ahead of the kernel clock
-// hands the kernel work that must happen at a later virtual time without
-// waiting for it.
+// (clamped to now; a NaN t panics), ordered by (t, seq) with every other
+// event. The callback runs inline in the dispatch loop, like a step
+// function, so it must not block; unlike a wake-up it is not cancelled
+// when p resumes, and p keeps running. It is how a fiber that has run
+// ahead of the kernel clock hands the kernel work that must happen at a
+// later virtual time without waiting for it.
 //
 //synclint:allocfree
-func (e *Env) CallAt(t float64, p *Proc) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.events.push(event{t: t, seq: e.seq, p: p, gen: callbackGen})
-}
+func (e *Env) CallAt(t float64, p *Proc) { e.events.push(e.next(t, p, 1)) }
 
 // Proc is a simulated process — a fiber (Spawn) or a step proc (SpawnStep).
 // The blocking methods (WaitUntil, Sleep, Suspend) must only be called from
@@ -156,12 +149,14 @@ type Proc struct {
 	// suspended reports that the process is parked with no scheduled wake
 	// event; some other process must Wake it.
 	suspended bool
-	// gen counts resumes. Events capture the value at scheduling time; an
-	// event whose generation is stale (the process was resumed by a
-	// different event in the meantime) is discarded instead of delivered.
-	// This is what lets a process wait on "a message arrival OR a timeout"
-	// without the losing event firing spuriously later.
-	gen int64
+	// resumed is the kernel's sequence counter at the process's last
+	// resume. The counter is global and monotone, so a wake-up scheduled
+	// before that resume has a sequence number ≤ resumed: it is stale (the
+	// process was resumed by a different event in the meantime) and is
+	// discarded instead of delivered. This is what lets a process wait on
+	// "a message arrival OR a timeout" without the losing event firing
+	// spuriously later.
+	resumed int64
 	// Ctx is an arbitrary per-process value for higher layers (e.g. the
 	// MPI rank state). The sim kernel never touches it. Large step-proc
 	// populations should prefer state arrays indexed by ID to avoid the
@@ -203,12 +198,23 @@ func (e *Env) Spawn(fn func(p *Proc)) *Proc {
 // schedule enqueues a wake-up for p at time t (clamped to now).
 //
 //synclint:allocfree
-func (e *Env) schedule(t float64, p *Proc) {
-	if t < e.now {
+func (e *Env) schedule(t float64, p *Proc) { e.events.push(e.next(t, p, 0)) }
+
+// next returns the next event for p at time t, clamped to now: t ≤ now, −0
+// included, becomes now, which is ≥ +0, as the queue's order requires. A
+// NaN time panics. The event's seq is the next sequence number shifted
+// left once, its low bit set for a callback.
+//
+//synclint:allocfree
+func (e *Env) next(t float64, p *Proc, callback int64) event {
+	if t != t {
+		panic("sim: NaN event time")
+	}
+	if t <= e.now {
 		t = e.now
 	}
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, p: p, gen: p.gen})
+	return event{t: t, seq: e.seq<<1 | callback, p: p}
 }
 
 // dispatch is the kernel's event loop, run on Run's goroutine: it pops
@@ -224,15 +230,15 @@ func (e *Env) dispatch() {
 			return
 		}
 		ev := e.events.pop()
-		if ev.gen == callbackGen {
+		if ev.seq&1 != 0 { // a callback (CallAt)
 			e.runCallback(ev)
 			continue
 		}
-		if ev.p.done || ev.gen != ev.p.gen {
+		if ev.p.done || ev.seq>>1 <= ev.p.resumed { // stale: p ended or was resumed since
 			continue
 		}
 		e.now = ev.t
-		ev.p.gen++ // invalidate any other pending wake-ups for this process
+		ev.p.resumed = e.seq // invalidate any other pending wake-ups for this process
 		e.processed++
 		if ev.p.step != nil {
 			e.runStep(ev.p)
@@ -267,11 +273,11 @@ func (e *Env) resumeSelf(p *Proc) bool {
 			return false
 		}
 		ev := &e.events.ev[0]
-		if ev.gen == callbackGen {
+		if ev.seq&1 != 0 {
 			e.runCallback(e.events.pop()) // popped first: it may schedule events
 			continue
 		}
-		if ev.p.done || ev.gen != ev.p.gen {
+		if ev.p.done || ev.seq>>1 <= ev.p.resumed {
 			e.events.pop()
 			continue
 		}
@@ -280,7 +286,7 @@ func (e *Env) resumeSelf(p *Proc) bool {
 		}
 		e.now = ev.t
 		e.events.pop()
-		p.gen++
+		p.resumed = e.seq
 		e.processed++
 		return true
 	}
@@ -385,10 +391,10 @@ func (p *Proc) block() {
 }
 
 // WaitUntil blocks the calling process until virtual time t. Times in the
-// past resume immediately (at the current time). If another process Wakes
-// this one first, WaitUntil returns early at the wake time and the original
-// wake-up at t is cancelled — the "sleep until t or until poked" primitive
-// the MPI layer's timed receive is built on.
+// past resume immediately (at the current time); a NaN t panics. If
+// another process Wakes this one first, WaitUntil returns early at the
+// wake time and the original wake-up at t is cancelled — the "sleep until
+// t or until poked" primitive the MPI layer's timed receive is built on.
 //
 //synclint:allocfree
 func (p *Proc) WaitUntil(t float64) {
@@ -423,7 +429,8 @@ func (p *Proc) Suspend() {
 	p.suspended = false
 }
 
-// Wake schedules process q to resume at time t (clamped to now). It is the
+// Wake schedules process q to resume at time t (clamped to now; a NaN t
+// panics). It is the
 // counterpart of Suspend (fibers) and Park (step procs) and must be called
 // from the running process.
 //

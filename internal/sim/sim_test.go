@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -330,5 +331,66 @@ func TestExitTerminatesProcess(t *testing.T) {
 	}
 	if otherDone != 3 {
 		t.Errorf("other process ended at %v, want 3", otherDone)
+	}
+}
+
+// A NaN event time is refused by name wherever it enters the kernel, and
+// fails the run as the proc's panic. Unchecked, a NaN compares false with
+// everything: it would be delivered before earlier events, and the clock
+// would read NaN and then run backwards.
+func TestNaNTimesPanic(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		call  string
+		spawn func(env *Env)
+	}{
+		{"WaitUntil", func(env *Env) { env.Spawn(func(p *Proc) { p.WaitUntil(nan) }) }},
+		{"Wake", func(env *Env) {
+			q := env.Spawn(func(p *Proc) { p.Suspend() })
+			env.Spawn(func(p *Proc) { p.Env().Wake(q, nan) })
+		}},
+		{"CallAt", func(env *Env) {
+			env.OnCallback(func(*Proc) {})
+			env.Spawn(func(p *Proc) { p.Env().CallAt(nan, p) })
+		}},
+		{"Until", func(env *Env) { env.SpawnStep(func(*Proc) Control { return Until(nan) }) }},
+		{"After", func(env *Env) { env.SpawnStep(func(p *Proc) Control { return p.After(nan) }) }},
+	} {
+		env := NewEnv(1)
+		var times []float64
+		env.SpawnStep(func(p *Proc) Control { // a t=1 event the NaN must not overtake
+			times = append(times, p.Now())
+			if p.Now() == 0 {
+				return Until(1)
+			}
+			return Stop()
+		})
+		c.spawn(env)
+		err := env.Run()
+		if err == nil || !strings.Contains(err.Error(), "sim: NaN event time") {
+			t.Errorf("%s(NaN): err = %v, want the kernel's NaN panic", c.call, err)
+		}
+		for _, tm := range times {
+			if tm != tm {
+				t.Errorf("%s(NaN): a process ran at t=NaN (times %v)", c.call, times)
+			}
+		}
+	}
+}
+
+// −0 is clamped to +0 like any time at or before now, so the clock never
+// reads −0 and every queued time is ≥ +0.
+func TestNegativeZeroTimeClampsToPositiveZero(t *testing.T) {
+	env := NewEnv(1)
+	var at float64
+	env.Spawn(func(p *Proc) {
+		p.WaitUntil(math.Copysign(0, -1))
+		at = p.Now()
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at != 0 || math.Signbit(at) || math.Signbit(env.Now()) {
+		t.Errorf("Now() after WaitUntil(-0) = %v (sign bit %v), want +0", at, math.Signbit(at))
 	}
 }

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hclocksync/internal/detrand"
@@ -73,7 +74,22 @@ func (e *Env) Snapshot() (EnvState, error) {
 // stopped, and the RNG stream is fast-forwarded to its captured position.
 // Processes spawned afterwards behave exactly as if they had been spawned
 // on the original environment at the cut.
-func ResumeEnv(st EnvState) *Env {
+//
+// A state no kernel could have reached is an error: the event queue orders
+// only finite times ≥ +0 (−0 is taken as +0) and sequence numbers that fit
+// in 62 bits, and process IDs count up from zero.
+func ResumeEnv(st EnvState) (*Env, error) {
+	switch {
+	case math.IsNaN(st.Now) || math.IsInf(st.Now, 0) || st.Now < 0:
+		return nil, fmt.Errorf("sim: resume: virtual time %v is not a finite time ≥ 0", st.Now)
+	case st.Seq < 0 || st.Seq >= 1<<62:
+		return nil, fmt.Errorf("sim: resume: sequence counter %d outside [0, 2^62)", st.Seq)
+	case st.Spawned < 0:
+		return nil, fmt.Errorf("sim: resume: negative spawned-process count %d", st.Spawned)
+	}
+	if st.Now == 0 {
+		st.Now = 0 // −0 becomes +0
+	}
 	src := detrand.Restore(st.Seed, st.RngDraws)
 	return &Env{
 		now:     st.Now,
@@ -81,5 +97,5 @@ func ResumeEnv(st EnvState) *Env {
 		src:     src,
 		rng:     rand.New(src),
 		spawned: st.Spawned,
-	}
+	}, nil
 }

@@ -2,8 +2,19 @@ package sim
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 )
+
+func mustResume(t testing.TB, st EnvState) *Env {
+	t.Helper()
+	e, err := ResumeEnv(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 // A phase run on a resumed env must produce the same event interleaving
 // and the same RNG draws as the same phase run on the original env.
@@ -49,7 +60,7 @@ func TestSnapshotResumeContinuesIdentically(t *testing.T) {
 	}
 	want := phaseB(orig)
 
-	resumed := ResumeEnv(st)
+	resumed := mustResume(t, st)
 	got := phaseB(resumed)
 
 	if len(got) != len(want) {
@@ -82,7 +93,7 @@ func TestSnapshotStateFields(t *testing.T) {
 	if st.Spawned != 2 {
 		t.Errorf("Spawned = %d, want 2", st.Spawned)
 	}
-	r := ResumeEnv(st)
+	r := mustResume(t, st)
 	if r.Now() != 2.5 {
 		t.Errorf("resumed Now = %g", r.Now())
 	}
@@ -115,5 +126,36 @@ func TestSnapshotRejectsNonQuiescent(t *testing.T) {
 	}
 	if _, err := e.Snapshot(); err != nil {
 		t.Fatalf("quiescent snapshot failed: %v", err)
+	}
+}
+
+// A state no kernel could have reached is refused before anything runs:
+// the event queue's order holds only for finite times ≥ +0 and
+// non-negative sequence numbers. −0 is accepted as +0.
+func TestResumeEnvRejectsHostileState(t *testing.T) {
+	good := EnvState{Now: 2.5, Seq: 9, Seed: 3, Spawned: 2}
+	for _, c := range []struct {
+		name string
+		edit func(st *EnvState)
+		want string
+	}{
+		{"NaN time", func(st *EnvState) { st.Now = math.NaN() }, "virtual time"},
+		{"+Inf time", func(st *EnvState) { st.Now = math.Inf(1) }, "virtual time"},
+		{"-Inf time", func(st *EnvState) { st.Now = math.Inf(-1) }, "virtual time"},
+		{"negative time", func(st *EnvState) { st.Now = -1e-9 }, "virtual time"},
+		{"negative seq", func(st *EnvState) { st.Seq = -1 }, "sequence counter"},
+		{"seq past 2^62", func(st *EnvState) { st.Seq = 1 << 62 }, "sequence counter"},
+		{"negative spawned", func(st *EnvState) { st.Spawned = -1 }, "spawned"},
+	} {
+		st := good
+		c.edit(&st)
+		if e, err := ResumeEnv(st); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ResumeEnv = (%v, %v), want an error naming the %s", c.name, e, err, c.want)
+		}
+	}
+	st := good
+	st.Now = math.Copysign(0, -1)
+	if r := mustResume(t, st); math.Signbit(r.Now()) {
+		t.Errorf("resumed at -0: Now() keeps the sign bit, want +0")
 	}
 }

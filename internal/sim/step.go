@@ -51,8 +51,9 @@ func Stop() Control { return Control{} }
 func Park() Control { return Control{op: ctlPark} }
 
 // Until resumes the step proc at absolute virtual time t, like a fiber's
-// WaitUntil. Times in the past resume immediately. A Wake delivered first
-// cancels the pending resumption, exactly as for fibers.
+// WaitUntil. Times in the past resume immediately; a NaN t fails the
+// proc. A Wake delivered first cancels the pending resumption, exactly as
+// for fibers.
 func Until(t float64) Control { return Control{t: t, op: ctlWait} }
 
 // After resumes the step proc d seconds from now, like a fiber's Sleep.

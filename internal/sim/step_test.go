@@ -217,10 +217,10 @@ func TestProcessedCountsDeliveredEvents(t *testing.T) {
 func TestKernelBytesPerProcIsSmall(t *testing.T) {
 	// The whole point of the step representation: a proc record plus its
 	// table pointer and heap slot is on the order of 100 bytes, not a
-	// goroutine stack. The scale suite prints the figure ("104 B/rank
+	// goroutine stack. The scale suite prints the figure ("96 B/rank
 	// kernel footprint") into golden-hashed output, so a field added to
 	// Proc — say a second word for the fiber — has to show up here first.
-	if b := KernelBytesPerProc(); b != 104 {
-		t.Fatalf("KernelBytesPerProc() = %d, want 104", b)
+	if b := KernelBytesPerProc(); b != 96 {
+		t.Fatalf("KernelBytesPerProc() = %d, want 96", b)
 	}
 }
