@@ -255,11 +255,10 @@ func run() (err error) {
 			return fmt.Errorf("locating own executable for -fabric workers: %w", err)
 		}
 		pcfg := fabric.Config{
-			Workers:    *fabricN,
-			Command:    []string{exe, "-worker"},
-			Scale:      *scale,
-			Seed:       *seed,
-			JitterSeed: *seed,
+			Workers: *fabricN,
+			Command: []string{exe, "-worker"},
+			Scale:   *scale,
+			Seed:    *seed,
 		}
 		if ckpt != nil {
 			// Mirror worker cut snapshots into the coordinator's own sweep

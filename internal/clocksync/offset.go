@@ -107,9 +107,9 @@ type MeanRTTOffset struct {
 func (m *MeanRTTOffset) Name() string { return fmt.Sprintf("Mean-RTT-Offset/%d", m.NExchanges) }
 
 // GoString renders the parameters instead of the pointer %#v would print:
-// an algorithm's %#v is cache-key material (experiments.desc), and a key
-// holding an address differs in every process — no cache hit, and a fabric
-// worker that can never reproduce the coordinator's key.
+// a config's %#v is cache-key material (harness.CacheKey), which refuses an
+// address — it differs in every process, so it would never hit the cache
+// and no fabric worker could reproduce the coordinator's key.
 func (m *MeanRTTOffset) GoString() string {
 	return fmt.Sprintf("&clocksync.MeanRTTOffset{NExchanges:%d, NRTT:%d}", m.NExchanges, m.NRTT)
 }

@@ -78,19 +78,20 @@ func TestAblationRecomputeInterceptRuns(t *testing.T) {
 	}
 }
 
-// The JK ablation's *MeanRTTOffset must describe itself by value: desc feeds
-// the cache key, and a pointer's address there would differ between two
-// constructions of one config — and between a fabric coordinator and its
-// worker processes.
+// The JK ablation's *MeanRTTOffset must describe itself by value: the
+// config's %#v is the cache key's material, and a pointer's address there
+// would differ between two constructions of one config — and between a
+// fabric coordinator and its worker processes. harness.CacheKey refuses an
+// address, so a key at all plus two equal keys is the proof.
 func TestAblationCacheKeyMaterialHasNoAddresses(t *testing.T) {
-	a, b := TinyAblationsConfig(), TinyAblationsConfig()
-	for i := range a.JKOffset.Algorithms {
-		da, db := desc(a.JKOffset.Algorithms[i]), desc(b.JKOffset.Algorithms[i])
-		if da != db {
-			t.Errorf("algorithm %d describes itself differently per construction:\n%s\n%s", i, da, db)
+	key := func() string {
+		k, err := harness.CacheKey("v", "syncaccuracy", "JK/run0", 1, TinyAblationsConfig().JKOffset)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.Contains(da, "0x") {
-			t.Errorf("algorithm %d: description holds an address: %s", i, da)
-		}
+		return k
+	}
+	if a, b := key(), key(); a != b {
+		t.Errorf("two constructions of the JK ablation key differently: %s vs %s", a, b)
 	}
 }

@@ -85,21 +85,6 @@ type ClockFaultsResult struct {
 	Runs   []ClockFaultsRun
 }
 
-// clockFaultsTask is the cache-key material of one cell replication.
-type clockFaultsTask struct {
-	Job       Job
-	Estimator string
-	StepMag   float64
-	Byz       int
-	NFit      int
-	F         int
-	FT        clocksync.FTOpts
-	Watch     clocksync.WatchOpts
-	Schedule  faults.PlanConfig
-	Horizon   float64
-	Run       int
-}
-
 // RunClockFaults executes the sweep through the engine, one task per
 // (estimator, step magnitude, Byzantine count, replication).
 func RunClockFaults(eng *harness.Engine, cfg ClockFaultsConfig) (*ClockFaultsResult, error) {
@@ -124,11 +109,7 @@ func RunClockFaults(eng *harness.Engine, cfg ClockFaultsConfig) (*ClockFaultsRes
 					t := harness.Task[ClockFaultsRun]{
 						Name:    fmt.Sprintf("%s/step%g/byz%d/run%d", est, mag, byz, run),
 						SeedKey: seedKeyRun(run),
-						Config: clockFaultsTask{
-							Job: cfg.Job, Estimator: est, StepMag: mag, Byz: byz,
-							NFit: cfg.NFitpoints, F: cfg.F, FT: cfg.FT, Watch: cfg.Watch,
-							Schedule: cfg.Schedule, Horizon: cfg.Horizon, Run: run,
-						},
+						Config:  cfg,
 					}
 					t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (ClockFaultsRun, error) {
 						return clockFaultsRun(cfg, est, mag, byz, run, seed, ckpt)

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"hclocksync/internal/clocksync"
 	"hclocksync/internal/cluster"
@@ -122,25 +121,6 @@ func within(field string, lo, hi float64, vs ...float64) error {
 
 // us converts seconds to microseconds for printing (the paper's unit).
 func us(sec float64) float64 { return sec * 1e6 }
-
-// desc renders any value — typically a clocksync.Algorithm or a check
-// configuration, which contain interfaces and therefore don't marshal to
-// JSON — as a deterministic Go-syntax string for use in engine task
-// configs, i.e. cache-key material. %#v spells out the concrete types and
-// every parameter field, so two differently-parameterized algorithms never
-// collide on a cache entry.
-//
-// A pointer below the top level prints as its address, which differs in
-// every process: a key that never hits the cache and that no fabric worker
-// can reproduce. That is a bug in the described type — it needs a GoString
-// printing its parameters, as clocksync.MeanRTTOffset has — so desc panics.
-func desc(v any) string {
-	s := fmt.Sprintf("%#v", v)
-	if strings.Contains(s, ")(0x") {
-		panic(fmt.Sprintf("experiments: cache-key material holds an address: %s", s))
-	}
-	return s
-}
 
 // seedKeyRun is the shared seed key of replication run: tasks that pass the
 // same key receive the same derived seed, which is how the paired designs

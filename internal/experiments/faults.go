@@ -67,18 +67,6 @@ type FaultsResult struct {
 	Runs   []FaultsRun
 }
 
-// faultsTask is the cache-key material of one cell replication.
-type faultsTask struct {
-	Job      Job
-	Drop     float64
-	Crashes  int
-	NFit     int
-	FT       clocksync.FTOpts
-	Schedule faults.PlanConfig
-	Horizon  float64
-	Run      int
-}
-
 // RunFaults executes the sweep through the engine, one task per
 // (drop rate, crash count, replication).
 func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
@@ -100,11 +88,7 @@ func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
 				t := harness.Task[FaultsRun]{
 					Name:    fmt.Sprintf("drop%g/crash%d/run%d", drop, crashes, run),
 					SeedKey: seedKeyRun(run),
-					Config: faultsTask{
-						Job: cfg.Job, Drop: drop, Crashes: crashes,
-						NFit: cfg.NFitpoints, FT: cfg.FT,
-						Schedule: cfg.Schedule, Horizon: cfg.Horizon, Run: run,
-					},
+					Config:  cfg,
 				}
 				t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (FaultsRun, error) {
 					return faultsRun(cfg, drop, crashes, run, seed, ckpt)

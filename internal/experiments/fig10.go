@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"hclocksync/internal/amg"
@@ -94,31 +96,23 @@ type Fig10Result struct {
 	Panels []Fig10Panel
 }
 
-// fig10Task is the cache-key material of one traced panel.
-type fig10Task struct {
-	Job       Job // ClockSource already set to the case's source
-	Global    bool
-	Iteration int
-	App       amg.Config
-	Sync      string
-}
-
 // RunFig10 traces the proxy app once per case; each case is one engine
 // task. All cases share a seed key so every panel sees the same machine —
 // the figure compares clocks, not machine draws.
 func RunFig10(eng *harness.Engine, cfg Fig10Config) (*Fig10Result, error) {
+	if err := errors.Join(
+		within("Fig10Config.App.Compute", math.Inf(-1), math.Inf(1), cfg.App.Compute),
+		within("Fig10Config.App.Imbalance", math.Inf(-1), math.Inf(1), cfg.App.Imbalance),
+		within("Fig10Config.App.NoiseSigma", math.Inf(-1), math.Inf(1), cfg.App.NoiseSigma)); err != nil {
+		return nil, err
+	}
 	var tasks []harness.Task[[]trace.Span]
 	for _, c := range cfg.Cases {
 		c := c
-		job := cfg.Job
-		job.ClockSource = c.Source
 		tasks = append(tasks, harness.Task[[]trace.Span]{
 			Name:    c.String(),
 			SeedKey: seedKeyRun(0),
-			Config: fig10Task{
-				Job: job, Global: c.Global, Iteration: cfg.Iteration,
-				App: cfg.App, Sync: desc(cfg.Sync),
-			},
+			Config:  cfg,
 			Run: func(seed int64) ([]trace.Span, error) {
 				return fig10Panel(cfg, c, seed)
 			},

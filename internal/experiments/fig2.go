@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"hclocksync/internal/clock"
@@ -74,10 +76,19 @@ type Fig2Result struct {
 // mpirun, so it submits as a single engine task — parallelism comes from
 // running it alongside other suites, caching from the task's config key.
 func RunFig2(eng *harness.Engine, cfg Fig2Config) (*Fig2Result, error) {
+	if err := errors.Join(
+		positive("Fig2Config.Duration", cfg.Duration),
+		within("Fig2Config.Duration", math.Inf(-1), math.Inf(1), cfg.Duration),
+		positive("Fig2Config.SampleEvery", cfg.SampleEvery),
+		within("Fig2Config.SampleEvery", math.Inf(-1), math.Inf(1), cfg.SampleEvery),
+		positive("Fig2Config.ShortWindow", cfg.ShortWindow),
+		within("Fig2Config.ShortWindow", math.Inf(-1), math.Inf(1), cfg.ShortWindow)); err != nil {
+		return nil, err
+	}
 	tasks := []harness.Task[[]Fig2Series]{{
 		Name:    "drift",
 		SeedKey: seedKeyRun(0),
-		Config:  cfg, // fully serializable: Job plus four scalars
+		Config:  cfg,
 		Run:     func(seed int64) ([]Fig2Series, error) { return fig2Run(cfg, seed) },
 	}}
 	series, err := harness.Run(eng, "fig2", cfg.Job.Seed, tasks)

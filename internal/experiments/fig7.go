@@ -59,15 +59,6 @@ type Fig7Result struct {
 	Rows   []Fig7Row
 }
 
-// fig7Task is the cache-key material of one (suite, barrier) cell group.
-type fig7Task struct {
-	Job     Job
-	Suite   string
-	Barrier string
-	MSizes  []int
-	NRep    int
-}
-
 // RunFig7 executes one mpirun per (suite, barrier) pair, measuring every
 // message size inside it (as the real tools do). Each pair is one engine
 // task.
@@ -80,10 +71,7 @@ func RunFig7(eng *harness.Engine, cfg Fig7Config) (*Fig7Result, error) {
 			t := harness.Task[[]Fig7Row]{
 				Name:    name,
 				SeedKey: name,
-				Config: fig7Task{
-					Job: cfg.Job, Suite: string(suite), Barrier: barrier.String(),
-					MSizes: cfg.MSizes, NRep: cfg.NRep,
-				},
+				Config:  cfg,
 			}
 			t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
 				return fig7Cell(cfg, suite, barrier, seed, ckpt)

@@ -62,15 +62,6 @@ type Fig8Result struct {
 	Imbalances map[mpi.BarrierAlg][]float64
 }
 
-// fig8Task is the cache-key material of one replication mpirun.
-type fig8Task struct {
-	Job      Job
-	Barriers []string
-	NCalls   int
-	Sync     string
-	Run      int
-}
-
 // RunFig8 executes the experiment: one engine task per replication, each
 // measuring every barrier algorithm inside one mpirun (as the paper does).
 func RunFig8(eng *harness.Engine, cfg Fig8Config) (*Fig8Result, error) {
@@ -78,20 +69,13 @@ func RunFig8(eng *harness.Engine, cfg Fig8Config) (*Fig8Result, error) {
 		positive("Fig8Config.NRuns", cfg.NRuns)); err != nil {
 		return nil, err
 	}
-	var barrierNames []string
-	for _, alg := range cfg.Barriers {
-		barrierNames = append(barrierNames, alg.String())
-	}
 	var tasks []harness.Task[map[mpi.BarrierAlg][]float64]
 	for run := 0; run < cfg.NRuns; run++ {
 		run := run
 		tasks = append(tasks, harness.Task[map[mpi.BarrierAlg][]float64]{
 			Name:    seedKeyRun(run),
 			SeedKey: seedKeyRun(run),
-			Config: fig8Task{
-				Job: cfg.Job, Barriers: barrierNames, NCalls: cfg.NCalls,
-				Sync: desc(cfg.Sync), Run: run,
-			},
+			Config:  cfg,
 			Run: func(seed int64) (map[mpi.BarrierAlg][]float64, error) {
 				return fig8Run(cfg, seed)
 			},

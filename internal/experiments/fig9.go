@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"hclocksync/internal/bench"
@@ -67,17 +68,6 @@ type Fig9Result struct {
 	Points []Fig9Point
 }
 
-// fig9Task is the cache-key material of one replication mpirun.
-type fig9Task struct {
-	Job       Job
-	MSizes    []int
-	NRep      int
-	Barrier   string
-	Sync      string
-	RoundTime bench.RoundTimeConfig
-	Run       int
-}
-
 // fig9Run is one replication's per-scheme averages keyed by message size.
 type fig9Run struct {
 	OSU map[int]float64
@@ -88,18 +78,17 @@ type fig9Run struct {
 // size with both schemes (clocks are synchronized once per run, as ReproMPI
 // does). Each run is one engine task.
 func RunFig9(eng *harness.Engine, cfg Fig9Config) (*Fig9Result, error) {
+	if err := within("Fig9Config.RoundTime.MaxTimeSlice", math.Inf(-1), math.Inf(1), cfg.RoundTime.MaxTimeSlice); err != nil {
+		return nil, err
+	}
 	var tasks []harness.Task[fig9Run]
 	for run := 0; run < cfg.NRuns; run++ {
 		run := run
 		tasks = append(tasks, harness.Task[fig9Run]{
 			Name:    seedKeyRun(run),
 			SeedKey: seedKeyRun(run),
-			Config: fig9Task{
-				Job: cfg.Job, MSizes: cfg.MSizes, NRep: cfg.NRep,
-				Barrier: cfg.Barrier.String(), Sync: desc(cfg.Sync),
-				RoundTime: cfg.RoundTime, Run: run,
-			},
-			Run: func(seed int64) (fig9Run, error) { return fig9RunOnce(cfg, seed) },
+			Config:  cfg,
+			Run:     func(seed int64) (fig9Run, error) { return fig9RunOnce(cfg, seed) },
 		})
 	}
 	runs, err := harness.Run(eng, "fig9", cfg.Job.Seed, tasks)

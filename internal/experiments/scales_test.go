@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -13,9 +14,10 @@ import (
 )
 
 // The config digests pin what every Suites() row runs at every known scale,
-// not only at tiny (whose output the golden hashes pin): the sha256 of
-// desc(config) before any Options apply. A refactor of the scale tables must
-// leave every digest alone, and a new Scale adds keys without moving any.
+// not only at tiny (whose output the golden hashes pin): the sha256 of the
+// config's %#v — the cache key's material — before any Options apply. A
+// refactor of the scale tables must leave every digest alone, and a new
+// Scale adds keys without moving any.
 // Re-record a deliberate config change with:
 //
 //	go test ./internal/experiments -run TestConfigDigests -update-golden
@@ -28,7 +30,7 @@ func TestConfigDigests(t *testing.T) {
 			continue // table1 has no config
 		}
 		for _, sc := range Scales() {
-			sum := sha256.Sum256([]byte(desc(s.config(sc))))
+			sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", s.config(sc))))
 			got[s.Name+"/"+string(sc)] = hex.EncodeToString(sum[:])
 		}
 	}
@@ -81,42 +83,42 @@ func TestSuitesRejectUnknownScale(t *testing.T) {
 	}
 }
 
-// A Run* function refuses a non-positive count or horizon, or an empty
-// sweep axis, with a *ConfigError before any task is submitted — it never
-// substitutes a default of its own.
+// degenerate runs run on the tiny-scale config of build after edit.
+func degenerate[C, R any](build func(Scale) C, run func(*harness.Engine, C) (R, error), edit func(*C)) func(*harness.Engine) error {
+	return func(eng *harness.Engine) error {
+		c := build(ScaleTiny)
+		edit(&c)
+		_, err := run(eng, c)
+		return err
+	}
+}
+
+// A Run* function refuses a non-positive count or horizon, an empty sweep
+// axis, or a non-finite float, with a *ConfigError before any task is
+// submitted — it never substitutes a default of its own.
 func TestRunRejectsDegenerateConfigs(t *testing.T) {
 	sync := func(edit func(*SyncAccuracyConfig)) func(*harness.Engine) error {
-		return func(eng *harness.Engine) error {
-			c := TinyFig3Config()
-			edit(&c)
-			_, err := RunSyncAccuracy(eng, c)
-			return err
-		}
+		return degenerate(fig3Row.config, RunSyncAccuracy, edit)
 	}
 	fig8 := func(edit func(*Fig8Config)) func(*harness.Engine) error {
-		return func(eng *harness.Engine) error {
-			c := TinyFig8Config()
-			edit(&c)
-			_, err := RunFig8(eng, c)
-			return err
-		}
+		return degenerate(fig8Config, RunFig8, edit)
 	}
 	flt := func(edit func(*FaultsConfig)) func(*harness.Engine) error {
-		return func(eng *harness.Engine) error {
-			c := TinyFaultsConfig()
-			edit(&c)
-			_, err := RunFaults(eng, c)
-			return err
-		}
+		return degenerate(faultsConfig, RunFaults, edit)
 	}
 	clk := func(edit func(*ClockFaultsConfig)) func(*harness.Engine) error {
-		return func(eng *harness.Engine) error {
-			c := TinyClockFaultsConfig()
-			edit(&c)
-			_, err := RunClockFaults(eng, c)
-			return err
-		}
+		return degenerate(clockFaultsConfig, RunClockFaults, edit)
 	}
+	fig2 := func(edit func(*Fig2Config)) func(*harness.Engine) error {
+		return degenerate(fig2Config, RunFig2, edit)
+	}
+	fig10 := func(edit func(*Fig10Config)) func(*harness.Engine) error {
+		return degenerate(fig10Config, RunFig10, edit)
+	}
+	wl := func(edit func(*WindowLossConfig)) func(*harness.Engine) error {
+		return degenerate(windowLossConfig, RunWindowLoss, edit)
+	}
+	nan := math.NaN()
 	for _, tc := range []struct {
 		field string
 		run   func(*harness.Engine) error
@@ -148,6 +150,17 @@ func TestRunRejectsDegenerateConfigs(t *testing.T) {
 		{"ClockFaultsConfig.StepMags", clk(func(c *ClockFaultsConfig) { c.StepMags = []float64{math.Inf(-1)} })},
 		{"ClockFaultsConfig.StepMags", clk(func(c *ClockFaultsConfig) { c.StepMags = []float64{math.NaN()} })},
 		{"ClockFaultsConfig.Horizon", clk(func(c *ClockFaultsConfig) { c.Horizon = math.Inf(1) })},
+		{"Fig2Config.Duration", fig2(func(c *Fig2Config) { c.Duration = nan })},
+		{"Fig2Config.SampleEvery", fig2(func(c *Fig2Config) { c.SampleEvery = nan })},
+		{"Fig2Config.ShortWindow", fig2(func(c *Fig2Config) { c.ShortWindow = nan })},
+		{"Fig9Config.RoundTime.MaxTimeSlice", degenerate(fig9Config, RunFig9, func(c *Fig9Config) { c.RoundTime.MaxTimeSlice = nan })},
+		{"Fig10Config.App.Compute", fig10(func(c *Fig10Config) { c.App.Compute = nan })},
+		{"Fig10Config.App.Imbalance", fig10(func(c *Fig10Config) { c.App.Imbalance = nan })},
+		{"Fig10Config.App.NoiseSigma", fig10(func(c *Fig10Config) { c.App.NoiseSigma = nan })},
+		{"WindowLossConfig.Window", wl(func(c *WindowLossConfig) { c.Window = nan })},
+		{"WindowLossConfig.SpikeProb", wl(func(c *WindowLossConfig) { c.SpikeProb = nan })},
+		{"WindowLossConfig.SpikeScale", wl(func(c *WindowLossConfig) { c.SpikeScale = nan })},
+		{"TraceCorrectionConfig.ComputePer", degenerate(traceCorrectionConfig, RunTraceCorrection, func(c *TraceCorrectionConfig) { c.ComputePer = nan })},
 	} {
 		eng := harness.New(harness.Options{Jobs: 1})
 		err := tc.run(eng)

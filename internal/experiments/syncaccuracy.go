@@ -45,16 +45,6 @@ type SyncAccuracyResult struct {
 	Runs   []SyncRun
 }
 
-// syncTask is the cache-key material of one (algorithm, replication)
-// mpirun: everything besides the derived seed that determines its SyncRun.
-type syncTask struct {
-	Job      Job
-	Alg      string
-	WaitTime float64
-	Check    string
-	Run      int
-}
-
 // RunSyncAccuracy executes the harness: one engine task per (algorithm,
 // mpirun). All algorithms of replication r share a seed key, so they face
 // the same machine instantiation — the paper's paired comparison design.
@@ -72,10 +62,7 @@ func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracy
 			t := harness.Task[SyncRun]{
 				Name:    fmt.Sprintf("%s/run%d", alg.Name(), run),
 				SeedKey: seedKeyRun(run),
-				Config: syncTask{
-					Job: cfg.Job, Alg: desc(alg),
-					WaitTime: cfg.WaitTime, Check: desc(check), Run: run,
-				},
+				Config:  cfg,
 			}
 			t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (SyncRun, error) {
 				return syncAccuracyRun(cfg.Job, alg, run, seed, cfg.WaitTime, check, ckpt)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -86,26 +88,18 @@ type rankModels struct {
 	interp trace.Interpolation
 }
 
-// traceCorrTask is the cache-key material of the single traced mpirun.
-type traceCorrTask struct {
-	Job         Job
-	NIter       int
-	ComputePer  float64
-	ResyncEvery int
-	Sync        string
-	Anchors     string
-}
-
 // RunTraceCorrection executes the study as a single engine task whose
 // payload is the per-scheme spread series.
 func RunTraceCorrection(eng *harness.Engine, cfg TraceCorrectionConfig) (*TraceCorrectionResult, error) {
+	if err := errors.Join(
+		positive("TraceCorrectionConfig.ComputePer", cfg.ComputePer),
+		within("TraceCorrectionConfig.ComputePer", math.Inf(-1), math.Inf(1), cfg.ComputePer)); err != nil {
+		return nil, err
+	}
 	tasks := []harness.Task[map[CorrectionScheme][]float64]{{
 		Name:    "tracecorr",
 		SeedKey: seedKeyRun(0),
-		Config: traceCorrTask{
-			Job: cfg.Job, NIter: cfg.NIter, ComputePer: cfg.ComputePer,
-			ResyncEvery: cfg.ResyncEvery, Sync: desc(cfg.Sync), Anchors: desc(cfg.Anchors),
-		},
+		Config:  cfg,
 		Run: func(seed int64) (map[CorrectionScheme][]float64, error) {
 			return traceCorrRun(cfg, seed)
 		},

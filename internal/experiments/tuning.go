@@ -117,18 +117,6 @@ func (r *TuningResult) Disagreements() int {
 	return n
 }
 
-// tuningTask is the cache-key material of one measurement-configuration
-// mpirun.
-type tuningTask struct {
-	Job        Job
-	Scheme     string
-	Barrier    string
-	Candidates []string
-	MSizes     []int
-	NRep       int
-	Sync       string
-}
-
 // RunTuning measures every candidate under every measurement configuration
 // (one mpirun per measurement configuration, as a real tuner would run).
 // Each configuration is one engine task.
@@ -138,21 +126,13 @@ func RunTuning(eng *harness.Engine, cfg TuningConfig) (*TuningResult, error) {
 	for _, b := range cfg.Barriers {
 		res.Measurements = append(res.Measurements, TuningMeasurement{Scheme: "osu", Barrier: b})
 	}
-	var candNames []string
-	for _, c := range cfg.Candidates {
-		candNames = append(candNames, c.String())
-	}
 	var tasks []harness.Task[map[int]map[mpi.AllreduceAlg]float64]
 	for _, m := range res.Measurements {
 		m := m
 		tasks = append(tasks, harness.Task[map[int]map[mpi.AllreduceAlg]float64]{
 			Name:    m.String(),
 			SeedKey: m.String(),
-			Config: tuningTask{
-				Job: cfg.Job, Scheme: m.Scheme, Barrier: m.Barrier.String(),
-				Candidates: candNames, MSizes: cfg.MSizes, NRep: cfg.NRep,
-				Sync: desc(cfg.Sync),
-			},
+			Config:  cfg,
 			Run: func(seed int64) (map[int]map[mpi.AllreduceAlg]float64, error) {
 				return tuningMeasure(cfg, m, seed)
 			},

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"hclocksync/internal/bench"
@@ -80,15 +82,6 @@ func (r *WindowLossResult) RoundYield() float64 {
 	return float64(r.RoundValid) / float64(r.RoundAttempts)
 }
 
-// windowLossTask is the cache-key material of the single mpirun.
-type windowLossTask struct {
-	Job                   Job
-	Window                float64
-	NRep                  int
-	Sync                  string
-	SpikeProb, SpikeScale float64
-}
-
 // windowLossCounts is the serializable result payload of the mpirun.
 type windowLossCounts struct {
 	WindowValid   int
@@ -100,14 +93,18 @@ type windowLossCounts struct {
 // RunWindowLoss executes both schemes on the same outlier-heavy machine as
 // a single engine task.
 func RunWindowLoss(eng *harness.Engine, cfg WindowLossConfig) (*WindowLossResult, error) {
+	if err := errors.Join(
+		positive("WindowLossConfig.Window", cfg.Window),
+		within("WindowLossConfig.Window", math.Inf(-1), math.Inf(1), cfg.Window),
+		within("WindowLossConfig.SpikeProb", 0, 1, cfg.SpikeProb),
+		within("WindowLossConfig.SpikeScale", math.Inf(-1), math.Inf(1), cfg.SpikeScale)); err != nil {
+		return nil, err
+	}
 	tasks := []harness.Task[windowLossCounts]{{
 		Name:    "windowloss",
 		SeedKey: seedKeyRun(0),
-		Config: windowLossTask{
-			Job: cfg.Job, Window: cfg.Window, NRep: cfg.NRep, Sync: desc(cfg.Sync),
-			SpikeProb: cfg.SpikeProb, SpikeScale: cfg.SpikeScale,
-		},
-		Run: func(seed int64) (windowLossCounts, error) { return windowLossRun(cfg, seed) },
+		Config:  cfg,
+		Run:     func(seed int64) (windowLossCounts, error) { return windowLossRun(cfg, seed) },
 	}}
 	counts, err := harness.Run(eng, "windowloss", cfg.Job.Seed, tasks)
 	if err != nil {

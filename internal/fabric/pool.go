@@ -36,10 +36,9 @@ type Config struct {
 	// progress is never poisoned.
 	maxAttempts int
 	// backoffBase and backoffMax bound the exponential retry backoff;
-	// zero means 50ms and 2s. JitterSeed seeds the deterministic jitter.
+	// zero means 50ms and 2s. Seed also seeds the deterministic jitter.
 	backoffBase time.Duration
 	backoffMax  time.Duration
-	JitterSeed  int64
 	// maxRespawns caps process (re)spawns per worker slot. Zero means 8.
 	// A slot that exhausts it goes dark; the sweep continues on the rest.
 	maxRespawns int
@@ -436,7 +435,7 @@ func (p *Pool) retry(j *job, cause error, takeover bool) {
 		return
 	}
 	p.bump(func(s *Stats) { s.Retries++ })
-	d := backoffDelay(p.cfg.backoffBase, p.cfg.backoffMax, p.cfg.JitterSeed, j.suite+"/"+j.task, j.attempts)
+	d := backoffDelay(p.cfg.backoffBase, p.cfg.backoffMax, p.cfg.Seed, j.suite+"/"+j.task, j.attempts)
 	p.logf("fabric: retrying %s/%s (attempt %d/%d) in %v", j.suite, j.task, j.attempts+1, p.cfg.maxAttempts, d)
 	time.AfterFunc(d, func() { p.q.push(j) }) //synclint:wallclock -- retry backoff pacing: the delay is deterministic, the firing time only schedules work and never reaches results
 }

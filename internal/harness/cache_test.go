@@ -9,7 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"hclocksync/internal/clocksync"
 )
 
 // countingTasks counts actual executions so tests can tell hits from
@@ -87,13 +88,16 @@ func TestCacheKeyedByConfigSeedAndVersion(t *testing.T) {
 	}
 }
 
-// Config shapes for TestCacheKeyRejectsUnkeyableConfigs.
+// Config shapes for TestCacheKeySeesEveryField: fields a JSON key would
+// drop or could not see into.
 type (
 	omitCfg struct {
 		N    int
 		Note string `json:",omitempty"`
 	}
-	dashCfg struct {
+	// plainCfg is omitCfg without Note: JSON renders omitCfg{N: 1} like it.
+	plainCfg struct{ N int }
+	dashCfg  struct {
 		N       int
 		Workers int `json:"-"`
 	}
@@ -101,76 +105,58 @@ type (
 		N    int
 		note string
 	}
-	// nodeCfg refers to itself through a pointer, a slice and a map.
-	nodeCfg struct {
-		Name string
-		Next *nodeCfg
-		Kids []nodeCfg
-		ByID map[string]*nodeCfg
-	}
-	// badNodeCfg is self-referential and hides its defect below the cycle.
-	badNodeCfg struct {
-		Next *badNodeCfg
-		Leaf *omitCfg
-	}
-	// taskCfg mirrors the experiment task configs: nested structs, slices,
-	// maps, named scalars and an interface-typed field (not walked).
-	taskCfg struct {
-		Job     struct{ NProcs, Seed int }
-		Algs    []struct{ Name string }
-		Params  map[string][2]float64
-		Wait    time.Duration
-		Extra   any
-		Label   string `json:"label"`
-		Pointer *struct{ X float64 }
-	}
+	algCfg struct{ Alg clocksync.Algorithm }
 )
 
-// TestCacheKeyRejectsUnkeyableConfigs: a config field the JSON encoder
-// drops cannot tell two experiments apart, so CacheKey refuses it however
-// deep it sits, and accepts every fully keyed shape.
-func TestCacheKeyRejectsUnkeyableConfigs(t *testing.T) {
-	bad := map[string]any{
-		"omitempty":        omitCfg{},
-		"dash":             dashCfg{},
-		"unexported":       hiddenCfg{},
-		"ptr omitempty":    &omitCfg{},
-		"ptr dash":         &dashCfg{},
-		"ptr unexported":   &hiddenCfg{},
-		"slice omitempty":  []omitCfg{},
-		"slice dash":       []dashCfg{},
-		"slice unexported": []hiddenCfg{},
-		"array omitempty":  [2]omitCfg{},
-		"array dash":       [2]dashCfg{},
-		"array unexported": [2]hiddenCfg{},
-		"map omitempty":    map[string]omitCfg{},
-		"map dash":         map[string]dashCfg{},
-		"map unexported":   map[string]hiddenCfg{},
-		"nested":           struct{ Inner []*omitCfg }{},
-		"behind a cycle":   badNodeCfg{},
-	}
-	for name, cfg := range bad {
-		if _, err := CacheKey("v1", "s", "t", 1, cfg); err == nil {
-			t.Errorf("%s: CacheKey accepted %T", name, cfg)
+// TestCacheKeySeesEveryField: every field of a config enters its key, the
+// concrete type and parameters behind an interface field included, so two
+// configs that run differently never share a cached result.
+func TestCacheKeySeesEveryField(t *testing.T) {
+	p := clocksync.Params{NFitpoints: 10, Offset: clocksync.SKaMPIOffset{NExchanges: 5}}
+	for name, pair := range map[string][2]any{
+		"HCA2 vs HCA3 behind an interface": {algCfg{clocksync.HCA2{Params: p}}, algCfg{clocksync.HCA3{Params: p}}},
+		"unexported field":                 {hiddenCfg{N: 1, note: "a"}, hiddenCfg{N: 1, note: "b"}},
+		`json:"-" field`:                   {dashCfg{N: 1, Workers: 1}, dashCfg{N: 1, Workers: 2}},
+		"omitempty zero vs absent":         {omitCfg{N: 1}, plainCfg{N: 1}},
+	} {
+		a, err := CacheKey("v1", "s", "t", 1, pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := CacheKey("v1", "s", "t", 1, pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a == b {
+			t.Errorf("%s: %#v and %#v share a key", name, pair[0], pair[1])
 		}
 	}
-	good := map[string]any{
-		"nil":            nil,
-		"string":         "cfg",
-		"map of ints":    map[string]int{"i": 1},
-		"map of bools":   map[string]bool{"wander": true},
-		"self-reference": nodeCfg{Next: &nodeCfg{Name: "x"}},
-		"task config":    taskCfg{Extra: hiddenCfg{}},
-		"ptr to task":    &taskCfg{},
+}
+
+// TestCacheKeyRejectsAddresses: an address differs per process, so a config
+// whose %#v holds one — a nested non-nil pointer, a func or a chan — is an
+// error naming the task. A top-level pointer, a nil one and a pointer type
+// with a GoString (clocksync.MeanRTTOffset) are keyable.
+func TestCacheKeyRejectsAddresses(t *testing.T) {
+	for name, cfg := range map[string]any{
+		"nested pointer": struct{ P *int }{new(int)},
+		"func":           struct{ F func() }{func() {}},
+		"chan":           struct{ C chan int }{make(chan int)},
+	} {
+		_, err := CacheKey("v1", "s", "t", 1, cfg)
+		if err == nil || !strings.Contains(err.Error(), "s/t") {
+			t.Errorf("%s: err = %v, want an error naming s/t", name, err)
+		}
 	}
-	for name, cfg := range good {
+	for name, cfg := range map[string]any{
+		"nil":            nil,
+		"top-level ptr":  &omitCfg{N: 1},
+		"nil nested ptr": struct{ P *int }{},
+		"GoString ptr":   algCfg{clocksync.JK{Params: clocksync.Params{Offset: &clocksync.MeanRTTOffset{NExchanges: 3}}}},
+	} {
 		if _, err := CacheKey("v1", "s", "t", 1, cfg); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-	_, err := CacheKey("v1", "s", "t", 1, omitCfg{})
-	if want := "harness.omitCfg.Note is omitempty"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("error %v does not name %q", err, want)
 	}
 }
 
@@ -332,6 +318,29 @@ func TestVersionChangeInvalidates(t *testing.T) {
 	}
 	if ran.Load() != 4 {
 		t.Errorf("executed %d tasks; a version bump must invalidate the cache", ran.Load())
+	}
+}
+
+// The key is the config's %#v, not its JSON: a config JSON cannot hold
+// still keys the cache, and its entry echoes it as null.
+func TestConfigWithoutJSONStillCaches(t *testing.T) {
+	dir := t.TempDir()
+	var ran atomic.Int64
+	tasks := []Task[int]{{
+		Name:   "t",
+		Config: map[string]float64{"x": math.NaN()},
+		Run: func(int64) (int, error) {
+			ran.Add(1)
+			return 7, nil
+		},
+	}}
+	for i := 0; i < 2; i++ {
+		if got, err := Run(cachedEngine(t, dir), "s", 1, tasks); err != nil || got[0] != 7 {
+			t.Fatalf("run %d: %v, %v", i, got, err)
+		}
+	}
+	if ran.Load() != 1 {
+		t.Errorf("ran %d times, want once and then a cache hit", ran.Load())
 	}
 }
 

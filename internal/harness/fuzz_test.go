@@ -5,10 +5,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"hclocksync/internal/clocksync"
 )
 
 // FuzzCacheGet reads arbitrary bytes as the entry file of a key. Get must
@@ -56,6 +62,65 @@ func FuzzCacheGet(f *testing.F) {
 		}
 		if _, err := os.Stat(path + ".corrupt"); trusted == (err == nil) {
 			t.Fatalf("trusted entry %v, quarantined %v", trusted, err == nil)
+		}
+	})
+}
+
+// fuzzCfg is FuzzCacheKey's config: one field of each kind an experiment
+// config holds, an interface among them.
+type fuzzCfg struct {
+	F    float64
+	S    string
+	Ints []int
+	M    map[string]float64
+	Alg  clocksync.Algorithm
+}
+
+// newFuzzCfg builds a config from fuzz inputs: b feeds Ints and M (whose
+// values f/(x%8) reach ±Inf and NaN), alg's low bit picks HCA2 or HCA3 and its
+// other bits the fit-point count.
+func newFuzzCfg(f float64, s string, b []byte, alg uint8) fuzzCfg {
+	c := fuzzCfg{F: f, S: s, Ints: []int{}, M: map[string]float64{}}
+	for _, x := range b {
+		c.Ints = append(c.Ints, int(x)-128)
+		c.M[string(rune('a'+x%4))] = f / float64(x%8)
+	}
+	p := clocksync.Params{NFitpoints: int(alg >> 1), Offset: clocksync.SKaMPIOffset{NExchanges: 5}}
+	c.Alg = clocksync.HCA2{Params: p}
+	if alg&1 == 1 {
+		c.Alg = clocksync.HCA3{Params: p}
+	}
+	return c
+}
+
+// sameFloat compares by bits, with every NaN one value.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// FuzzCacheKey: two configs share a key exactly when they are equal —
+// floats compared by bits, every NaN one value.
+func FuzzCacheKey(f *testing.F) {
+	f.Add(1.5, 1.5, "x", "x", []byte{1, 2}, []byte{1, 2}, uint8(20), uint8(20))
+	f.Add(1.5, 1.5, "x", "x", []byte{1, 2}, []byte{1, 2}, uint8(20), uint8(21))
+	f.Add(0.0, math.Copysign(0, -1), "", "", []byte{}, []byte{}, uint8(0), uint8(0))
+	f.Add(math.NaN(), math.NaN(), "a", "a", []byte{0, 8}, []byte{0, 8}, uint8(3), uint8(3))
+	f.Add(1.0, 1.0, "a\"b", "a\\b", []byte{4}, []byte{5}, uint8(7), uint8(7))
+	f.Add(1.0, 1.0, "\xff", "\ufffd", []byte{1, 9}, []byte{9, 1}, uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, f1, f2 float64, s1, s2 string, b1, b2 []byte, alg1, alg2 uint8) {
+		c1, c2 := newFuzzCfg(f1, s1, b1, alg1), newFuzzCfg(f2, s2, b2, alg2)
+		equal := sameFloat(c1.F, c2.F) && c1.S == c2.S && slices.Equal(c1.Ints, c2.Ints) &&
+			maps.EqualFunc(c1.M, c2.M, sameFloat) && reflect.DeepEqual(c1.Alg, c2.Alg)
+		k1, err := CacheKey("v", "suite", "task", 1, c1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2, err := CacheKey("v", "suite", "task", 1, c2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (k1 == k2) != equal {
+			t.Fatalf("configs equal %v but keys equal %v:\n%#v\n%#v", equal, k1 == k2, c1, c2)
 		}
 	})
 }

@@ -15,11 +15,11 @@
 //     worker finished first.
 //
 //   - Caching. With a cache directory configured, each task's result is
-//     stored content-addressed under the SHA-256 of its canonical-JSON
-//     config plus the code version; a later run with the same config is
-//     served from disk without re-simulating. Entries carry a payload
-//     checksum, so truncated or corrupted files are detected and
-//     transparently recomputed.
+//     stored content-addressed under the SHA-256 of the code version, its
+//     name, seed and the Go-syntax (%#v) rendering of its config; a later
+//     run with the same config is served from disk without re-simulating.
+//     Entries carry a payload checksum, so truncated or corrupted files are
+//     detected and transparently recomputed.
 //
 //   - Accounting. Every suite run produces a Manifest recording configs,
 //     seeds, per-task wall time, and cache hits, and an optional Reporter

@@ -228,19 +228,25 @@ func TestProgressReporterEmits(t *testing.T) {
 func TestOnlyRunsTheTaskItsKeyNames(t *testing.T) {
 	const suite, name, base = "fig2", "drift", int64(7)
 	var ran [2]atomic.Int64
-	tasks := func() []Task[simResult] {
-		var ts []Task[simResult]
-		for i, wander := range []bool{true, false} {
-			i := i
-			ts = append(ts, Task[simResult]{
-				Name: name, SeedKey: "run0", Config: map[string]bool{"wander": wander},
-				Run: func(seed int64) (simResult, error) {
-					ran[i].Add(1)
-					return simResult{Index: i, Seed: seed}, nil
-				},
-			})
+	// One Run call per wander setting, as the ablations row submits them:
+	// task i has wander on for i == 0.
+	tasks := func(i int) []Task[simResult] {
+		return append([]Task[simResult]{{
+			Name: name, SeedKey: "run0", Config: map[string]bool{"wander": i == 0},
+			Run: func(seed int64) (simResult, error) {
+				ran[i].Add(1)
+				return simResult{Index: i, Seed: seed}, nil
+			},
+		}}, makeTasks(3)...)
+	}
+	runRow := func(e *Engine, suites ...string) {
+		for _, s := range suites {
+			for i := range ran {
+				if _, err := Run(e, s, base, tasks(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		return append(ts, makeTasks(3)...)
 	}
 	seed := DeriveSeed(suite, "run0", base)
 	for want, wander := range []bool{true, false} {
@@ -253,11 +259,7 @@ func TestOnlyRunsTheTaskItsKeyNames(t *testing.T) {
 		e := New(Options{Jobs: 2, Version: "v", Only: TaskRef{Suite: suite, Name: name, Key: key}})
 		// The row replays every harness suite it is made of; only the
 		// named one may match, and a second submission of it runs nothing.
-		for _, s := range []string{"other", suite, suite} {
-			if _, err := Run(e, s, base, tasks()); err != nil {
-				t.Fatal(err)
-			}
-		}
+		runRow(e, "other", suite, suite)
 		if got := [2]int64{ran[0].Load(), ran[1].Load()}; got[want] != 1 || got[1-want] != 0 {
 			t.Errorf("wander=%v: Run calls %v, want exactly one of task %d", wander, got, want)
 		}
@@ -282,14 +284,39 @@ func TestOnlyRunsTheTaskItsKeyNames(t *testing.T) {
 	ran[1].Store(0)
 	ref := TaskRef{Suite: suite, Name: name, Key: "0000"}
 	e := New(Options{Jobs: 1, Version: "v", Only: ref})
-	if _, err := Run(e, suite, base, tasks()); err != nil {
-		t.Fatal(err)
-	}
+	runRow(e, suite)
 	var nte *NoTaskError
 	if _, err := e.Selected(); !errors.As(err, &nte) || nte.TaskRef != ref {
 		t.Errorf("unknown key: Selected() error = %v, want *NoTaskError naming %+v", err, ref)
 	}
 	if ran[0].Load()+ran[1].Load() != 0 {
 		t.Errorf("unknown key still simulated: %v %v", ran[0].Load(), ran[1].Load())
+	}
+}
+
+// A task is identified by its (Name, Config), so one Run call may not
+// submit two tasks under one name — an empty Name included, which defaults
+// to "job<index>". Nothing runs.
+func TestRunRejectsDuplicateNames(t *testing.T) {
+	for name, names := range map[string][]string{
+		"explicit":  {"a", "b", "a"},
+		"defaulted": {"job1", ""},
+	} {
+		var ran atomic.Int64
+		tasks := make([]Task[simResult], len(names))
+		for i, n := range names {
+			tasks[i] = Task[simResult]{Name: n, Run: func(seed int64) (simResult, error) {
+				ran.Add(1)
+				return simResult{}, nil
+			}}
+		}
+		e := New(Options{Jobs: 1})
+		_, err := Run(e, "s", 1, tasks)
+		if err == nil || !strings.Contains(err.Error(), "two tasks named") {
+			t.Errorf("%s: err = %v, want a duplicate-name error", name, err)
+		}
+		if ran.Load() != 0 || len(e.Manifests()) != 0 {
+			t.Errorf("%s: %d tasks ran, %d manifests recorded before the refusal", name, ran.Load(), len(e.Manifests()))
+		}
 	}
 }

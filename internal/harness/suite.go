@@ -14,18 +14,19 @@ import (
 // concurrently and their results are cached, so hidden inputs would break
 // both determinism and cache correctness.
 type Task[R any] struct {
-	// Name identifies the task inside the suite's manifest; it must be
-	// unique within the suite. Empty defaults to "job<index>".
+	// Name identifies the task inside the suite's manifest; Run refuses
+	// two tasks with one name. Empty defaults to "job<index>".
 	Name string
 	// SeedKey feeds DeriveSeed together with the suite name and base seed.
 	// Empty defaults to "job<index>". Tasks sharing a SeedKey receive the
 	// same seed — the paired-replication design of Figs. 3–6, where every
 	// algorithm of run r must meet the same machine instantiation.
 	SeedKey string
-	// Config is the JSON-serializable description of everything that
-	// determines the result besides the seed; it is the cache-key material
-	// and is echoed into the manifest. An unserializable config is an
-	// error; an unserializable *result* merely skips the cache.
+	// Config is everything that determines the result besides the seed and
+	// the name — typically the whole config Run reads. Its %#v is the
+	// cache-key material (see CacheKey); its JSON, when it has one, is only
+	// echoed into the manifest and the cache entry. A config holding an
+	// address is an error; an unserializable *result* merely skips the cache.
 	Config any
 	// Run executes the task with the derived seed. The result must be a
 	// JSON-round-trippable value for caching to engage.
@@ -39,13 +40,22 @@ type Task[R any] struct {
 
 // Run executes tasks through e's worker pool and returns their results in
 // task order — never in completion order. Each task's seed derives from
-// (suite, SeedKey, baseSeed) via DeriveSeed. On error, the first failing
-// task (by index, not by completion time) is reported: the engine skips
-// tasks above the lowest failed index that have not begun, and still runs
-// every task below it.
+// (suite, SeedKey, baseSeed) via DeriveSeed. A task is identified by its
+// (Name, Config), so two tasks with one name are an error before anything
+// runs. On error, the first failing task (by index, not by completion time)
+// is reported: the engine skips tasks above the lowest failed index that
+// have not begun, and still runs every task below it.
 func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, error) {
 	e = e.get()
 	n := len(tasks)
+	names := make(map[string]bool, n)
+	for i, t := range tasks {
+		name := taskName(t.Name, i)
+		if names[name] {
+			return nil, fmt.Errorf("harness: suite %s submits two tasks named %q", suite, name)
+		}
+		names[name] = true
+	}
 	results := make([]R, n)
 	errs := make([]error, n)
 	recs := make([]TaskRecord, n)
@@ -69,14 +79,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 	var done atomic.Int64
 	runOne := func(i int) {
 		t := tasks[i]
-		name := t.Name
-		if name == "" {
-			name = fmt.Sprintf("job%d", i)
-		}
-		seedKey := t.SeedKey
-		if seedKey == "" {
-			seedKey = fmt.Sprintf("job%d", i)
-		}
+		name, seedKey := taskName(t.Name, i), taskName(t.SeedKey, i)
 		seed := DeriveSeed(suite, seedKey, baseSeed)
 		rec := TaskRecord{Name: name, SeedKey: seedKey, Seed: seed}
 		var key string
@@ -237,4 +240,12 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 		}
 	}
 	return results, nil
+}
+
+// taskName is a task's Name or SeedKey, "job<index>" when empty.
+func taskName(s string, i int) string {
+	if s == "" {
+		return fmt.Sprintf("job%d", i)
+	}
+	return s
 }
