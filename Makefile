@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzServeWorker -fuzztime 10s
 	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzCacheGet -fuzztime 10s
 	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzCacheKey -fuzztime 10s
+	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzLedgerLoad -fuzztime 10s
 
 # gofmt first (any file it would rewrite fails the target; analyzer
 # fixtures under testdata/ are exempt), then the repository's own

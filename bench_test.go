@@ -261,7 +261,7 @@ func BenchmarkSimAllreduceAlgorithms(b *testing.B) {
 			b.ReportAllocs()
 			runBench(b, 16, func(p *mpi.Proc) {
 				for i := 0; i < b.N; i++ {
-					p.World().AllreduceWith([]float64{1}, mpi.OpSum, alg)
+					p.World().AllreduceSized([]float64{1}, mpi.OpSum, 8, alg)
 				}
 			})
 		})

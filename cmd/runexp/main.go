@@ -22,17 +22,14 @@
 //
 // With -checkpoint, the run additionally maintains a single-file sweep
 // ledger (internal/checkpoint's sealed binary format, atomic
-// write-then-rename): every finished task's result and, for the
-// sync-accuracy, fig7, and faults simulations — which run as session phases
-// (cut at the end-of-sync allreduce, between message sizes, and at the end
-// of the FT sync, respectively) — the latest mid-run cut snapshot of each
-// in-flight simulation. After a SIGKILL, rerunning the same command line
-// with -restore FILE serves finished tasks from the ledger and resumes
-// in-flight simulations from their last quiescent cut (see DESIGN.md §11).
-// The flag never changes output: a simulation takes the same phased schedule
-// with or without a ledger, so stdout, -outdir files and cache keys are
-// byte-identical with -checkpoint, with -restore after a kill, and with
-// neither. -checkpoint refuses (exit 2) to start on a ledger file that
+// write-then-rename) holding every finished task's result, flushed as each
+// task finishes. After a SIGKILL, rerunning the same command line with
+// -restore FILE serves finished tasks from the ledger and reruns the ones
+// that were in flight from their start: every simulation's work is nearly
+// all before its last quiescent cut, so mid-task snapshots would save next
+// to nothing (see DESIGN.md §11). The flag never changes output: stdout,
+// -outdir files and cache keys are byte-identical with -checkpoint, with
+// -restore after a kill, and with neither. -checkpoint refuses (exit 2) to start on a ledger file that
 // already holds data: resuming it is -restore's job, and starting over means
 // removing it first.
 //
@@ -40,10 +37,9 @@
 // instead of in-process goroutines: runexp re-executes itself with -worker
 // N times and farms each task out over internal/fabric's leased, heartbeat-
 // monitored job protocol. The sweep survives arbitrary worker failure —
-// crashed or hung workers are detected, their jobs retried with
-// deterministic backoff on respawned processes, and phased tasks resume
-// from the dead worker's last checkpoint cut, which migrates to the
-// adopting worker. Output stays byte-identical to the same run with
+// crashed or hung workers are detected and their jobs rerun from the start,
+// with deterministic backoff, on respawned processes. Output stays
+// byte-identical to the same run with
 // -jobs N (scripts/fabric_chaos.sh proves this under a SIGKILL schedule);
 // the pool's robustness counters land in manifest.json under "fabric".
 // -worker is the internal worker mode: it serves fabric jobs on
@@ -238,8 +234,8 @@ func run() (err error) {
 	}
 	var ckpt *harness.Checkpointer
 	if *ckptPath != "" {
-		// Flush on every finished task and saved cut: a wider cadence only
-		// widens what a SIGKILL loses.
+		// Flush on every finished task: a wider cadence only widens what a
+		// SIGKILL loses.
 		ckpt = harness.NewCheckpointer(*ckptPath, 1, "")
 		if *restore != "" {
 			if err := ckpt.Load(); err != nil {
@@ -259,11 +255,6 @@ func run() (err error) {
 			Command: []string{exe, "-worker"},
 			Scale:   *scale,
 			Seed:    *seed,
-		}
-		if ckpt != nil {
-			// Mirror worker cut snapshots into the coordinator's own sweep
-			// ledger, and ship -restore'd cuts out to workers.
-			pcfg.Cuts = ckpt.Task
 		}
 		if !*quiet {
 			pcfg.Logf = func(format string, args ...any) {
@@ -342,20 +333,17 @@ func run() (err error) {
 // seed are rebuilt from the same first principles as in the coordinator, and
 // of several tasks a row submits under one name (ablations runs fig2/drift
 // with skew wander on and off) only the one with the request's cache key
-// simulates. The streaming ledger handed in by ServeWorker replays any
-// migrated resume snapshot into the task and relays its cut saves back over
-// the wire.
+// simulates. The engine has no ledger: the coordinator records the result.
 func runWorker() error {
 	table := experiments.Suites()
-	return fabric.ServeWorker(os.Stdin, os.Stdout, fabric.WorkerOptions{}, func(req fabric.JobRequest, ledger harness.Ledger) (string, json.RawMessage, error) {
+	return fabric.ServeWorker(os.Stdin, os.Stdout, fabric.WorkerOptions{}, func(req fabric.JobRequest, _ harness.Ledger) (string, json.RawMessage, error) {
 		row, ok := suiteByName(table, req.Entry)
 		if !ok {
 			return "", nil, fmt.Errorf("unknown suite-table row %q", req.Entry)
 		}
 		eng := harness.New(harness.Options{
-			Jobs:       1,
-			Checkpoint: ledger,
-			Only:       harness.TaskRef{Suite: req.Suite, Name: req.Task, Key: req.Key},
+			Jobs: 1,
+			Only: harness.TaskRef{Suite: req.Suite, Name: req.Task, Key: req.Key},
 		})
 		// Run refuses a scale outside experiments.Scales() before simulating.
 		if _, err := row.Run(eng, experiments.Options{Scale: experiments.Scale(req.Scale), Seed: req.Seed}); err != nil {

@@ -57,7 +57,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	wantEscapes := map[string]int{
 		analysis.DirAllocfree: 85,
 		analysis.DirAlloc:     18,
-		analysis.DirOrdered:   9,
+		analysis.DirOrdered:   8,
 		analysis.DirWallclock: 17,
 		analysis.DirSeedok:    0,
 	}

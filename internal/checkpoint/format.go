@@ -41,7 +41,7 @@ var magic = [8]byte{0x89, 'H', 'C', 'K', 'P', 'T', 0x0D, 0x0A}
 // versions with UnsupportedVersionError; the policy is strict equality —
 // checkpoints are short-lived crash-recovery artifacts, not archives, so
 // there is no cross-version migration path (see DESIGN.md §11).
-const FormatVersion uint32 = 2
+const FormatVersion uint32 = 3
 
 // Payload kinds.
 const (

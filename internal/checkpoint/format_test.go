@@ -101,19 +101,16 @@ func TestSweepRoundTrip(t *testing.T) {
 			{Key: "aa11", Result: []byte(`{"x":1}`)},
 			{Key: "bb22", Result: []byte(`{"y":[2,3]}`)},
 		},
-		Tasks: []SweepTask{
-			{Suite: "fig3", Name: "job7", Cut: 1, Snap: seal(KindSession, []byte("snap"))},
-		},
 	}
 	b := EncodeSweep(s)
 	got, err := DecodeSweep(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != s.Version || len(got.Results) != 2 || len(got.Tasks) != 1 {
+	if got.Version != s.Version || len(got.Results) != 2 {
 		t.Fatalf("round trip mangled sweep: %+v", got)
 	}
-	if string(got.Results[1].Result) != `{"y":[2,3]}` || got.Tasks[0].Cut != 1 {
+	if string(got.Results[1].Result) != `{"y":[2,3]}` {
 		t.Fatalf("round trip mangled fields: %+v", got)
 	}
 	if _, err := DecodeSession(b); err == nil {

@@ -16,11 +16,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// corruptions of each — truncations, wrong version, flipped payload and
 	// CRC bits, wrong kind, and a count field inflated past the payload.
 	rng := rand.New(rand.NewSource(99))
-	session := EncodeSession(&Session{Cut: 1, State: randSessionState(rng), App: [][]byte{{1, 2, 3}}})
+	session := EncodeSession(&Session{Cut: 1, State: randSessionState(rng)})
 	sweep := EncodeSweep(&Sweep{
 		Version: "fuzz-v1",
-		Results: []SweepResult{{Key: "k1", Result: []byte(`{"a":1}`)}},
-		Tasks:   []SweepTask{{Suite: "s", Name: "n", Cut: 2, Snap: []byte{0xde, 0xad}}},
+		Results: []SweepResult{{Key: "k1", Result: []byte(`{"a":1}`)}, {Key: "k2"}},
 	})
 	for _, valid := range [][]byte{session, sweep} {
 		f.Add(valid)

@@ -13,15 +13,14 @@ import (
 )
 
 // Session is one checkpointed MPI job: the full mid-run state captured at a
-// quiescent cut, plus the application's own cross-phase payload (for the
-// experiment harnesses: per-rank synchronized-clock models and phase
-// timings, serialized by the experiment that owns them).
+// quiescent cut. No experiment saves one — the sweep ledger checkpoints
+// whole tasks (DESIGN.md §11) — but the format stays pinned and round-trips
+// through mpi.ResumeSession, which the benchmark's checkpoint probe prices.
 type Session struct {
 	// Cut numbers the quiescent cut this snapshot was taken at (1 after the
 	// first phase, and so on) so a resumer knows which phases are done.
 	Cut   int
 	State mpi.SessionState
-	App   [][]byte
 }
 
 // EncodeSession serializes s into a sealed container.

@@ -94,12 +94,6 @@ func TestSessionCodecRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		s := &Session{Cut: rng.Intn(5), State: randSessionState(rng)}
-		for i := rng.Intn(3); i > 0; i-- {
-			// Length >= 1: the codec canonicalizes empty slices to nil.
-			blob := make([]byte, 1+rng.Intn(40))
-			rng.Read(blob)
-			s.App = append(s.App, blob)
-		}
 		b1 := EncodeSession(s)
 		b2 := EncodeSession(s)
 		if Digest(b1) != Digest(b2) {
@@ -157,7 +151,7 @@ func TestSessionCheckpointResumeEndToEnd(t *testing.T) {
 	if st.World.Faults.MsgDraws == 0 {
 		t.Fatal("the injector drew nothing before the cut: its stream position is untested")
 	}
-	raw := EncodeSession(&Session{Cut: 1, State: st, App: [][]byte{[]byte("app-state")}})
+	raw := EncodeSession(&Session{Cut: 1, State: st})
 
 	want := make([]float64, 8)
 	if err := orig.RunPhase(phaseB(want)); err != nil {
@@ -168,8 +162,8 @@ func TestSessionCheckpointResumeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Cut != 1 || string(decoded.App[0]) != "app-state" {
-		t.Fatalf("decoded header mangled: cut=%d app=%q", decoded.Cut, decoded.App)
+	if decoded.Cut != 1 {
+		t.Fatalf("decoded header mangled: cut=%d", decoded.Cut)
 	}
 	resumed, err := mpi.ResumeSession(cfg(), decoded.State)
 	if err != nil {

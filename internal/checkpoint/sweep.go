@@ -1,20 +1,18 @@
 package checkpoint
 
-// Sweep payload: a harness sweep's resumable progress. Completed
-// tasks carry their canonical-JSON results keyed by harness cache key;
-// tasks interrupted mid-job carry their latest sealed session snapshot.
-// The harness sorts both lists before encoding, so a sweep file is as
+// Sweep payload: a harness sweep's resumable progress — its completed
+// tasks, with their canonical-JSON results keyed by harness cache key. The
+// harness sorts the list before encoding, so a sweep file is as
 // deterministic as a session one.
 
 // Sweep is a sweep checkpoint's content.
 type Sweep struct {
-	// Version is the engine's code-version string. A resumer built from
-	// different code ignores the file rather than mix incompatible results.
+	// Version is the engine's code-version string, for the record: the
+	// cache keys already embed it, so a resumer built from different code
+	// never matches an entry.
 	Version string
 	// Results are the completed tasks, sorted by Key.
 	Results []SweepResult
-	// Tasks are in-flight task snapshots, sorted by (Suite, Name).
-	Tasks []SweepTask
 }
 
 // SweepResult is one completed task: its harness cache key and its
@@ -22,13 +20,6 @@ type Sweep struct {
 type SweepResult struct {
 	Key    string
 	Result []byte
-}
-
-// SweepTask is the latest mid-run snapshot of one unfinished task.
-type SweepTask struct {
-	Suite, Name string
-	Cut         int
-	Snap        []byte // a sealed KindSession container
 }
 
 // EncodeSweep serializes s into a sealed container.

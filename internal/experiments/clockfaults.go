@@ -106,15 +106,14 @@ func RunClockFaults(eng *harness.Engine, cfg ClockFaultsConfig) (*ClockFaultsRes
 			for _, byz := range cfg.ByzCounts {
 				for run := 0; run < cfg.NRuns; run++ {
 					est, mag, byz, run := est, mag, byz, run
-					t := harness.Task[ClockFaultsRun]{
+					tasks = append(tasks, harness.Task[ClockFaultsRun]{
 						Name:    fmt.Sprintf("%s/step%g/byz%d/run%d", est, mag, byz, run),
 						SeedKey: seedKeyRun(run),
 						Config:  cfg,
-					}
-					t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (ClockFaultsRun, error) {
-						return clockFaultsRun(cfg, est, mag, byz, run, seed, ckpt)
-					}
-					tasks = append(tasks, t)
+						Run: func(seed int64) (ClockFaultsRun, error) {
+							return clockFaultsRun(cfg, est, mag, byz, run, seed)
+						},
+					})
 				}
 			}
 		}
@@ -129,7 +128,7 @@ func RunClockFaults(eng *harness.Engine, cfg ClockFaultsConfig) (*ClockFaultsRes
 // clockFaultsRun executes one cell replication with the given derived seed:
 // the fault cell of ftCell, synchronized with the selected estimator.
 func clockFaultsRun(cfg ClockFaultsConfig, est string, mag float64, byz, run int,
-	seed int64, ckpt harness.TaskCheckpoint) (ClockFaultsRun, error) {
+	seed int64) (ClockFaultsRun, error) {
 	sched := cfg.Schedule
 	sched.NSteps = 0
 	if mag != 0 {
@@ -152,7 +151,7 @@ func clockFaultsRun(cfg ClockFaultsConfig, est string, mag float64, byz, run int
 		return ClockFaultsRun{}, fmt.Errorf("unknown estimator %q (want ls or robust)", est)
 	}
 
-	c, err := ftCell(cfg.Job, seed, sched, syncFT, cfg.Horizon, ckpt)
+	c, err := ftCell(cfg.Job, seed, sched, syncFT, cfg.Horizon)
 	if err != nil {
 		return ClockFaultsRun{}, fmt.Errorf("%s step %g byz %d run %d: %w", est, mag, byz, run, err)
 	}

@@ -85,15 +85,14 @@ func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
 		for _, crashes := range cfg.CrashCounts {
 			for run := 0; run < cfg.NRuns; run++ {
 				drop, crashes, run := drop, crashes, run
-				t := harness.Task[FaultsRun]{
+				tasks = append(tasks, harness.Task[FaultsRun]{
 					Name:    fmt.Sprintf("drop%g/crash%d/run%d", drop, crashes, run),
 					SeedKey: seedKeyRun(run),
 					Config:  cfg,
-				}
-				t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (FaultsRun, error) {
-					return faultsRun(cfg, drop, crashes, run, seed, ckpt)
-				}
-				tasks = append(tasks, t)
+					Run: func(seed int64) (FaultsRun, error) {
+						return faultsRun(cfg, drop, crashes, run, seed)
+					},
+				})
 			}
 		}
 	}
@@ -105,13 +104,12 @@ func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
 }
 
 // faultsRun executes one cell replication with the given derived seed.
-func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
-	ckpt harness.TaskCheckpoint) (FaultsRun, error) {
+func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64) (FaultsRun, error) {
 	sched := cfg.Schedule
 	sched.DropProb = drop
 	sched.NCrashes = crashes
 	alg := clocksync.HCA3FT{NFitpoints: cfg.NFitpoints, Opts: cfg.FT}
-	c, err := ftCell(cfg.Job, seed, sched, alg.SyncFT, cfg.Horizon, ckpt)
+	c, err := ftCell(cfg.Job, seed, sched, alg.SyncFT, cfg.Horizon)
 	if err != nil {
 		return FaultsRun{}, fmt.Errorf("drop %g crashes %d run %d: %w", drop, crashes, run, err)
 	}
@@ -129,14 +127,6 @@ func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64,
 		row.LostFrac = float64(lost) / float64(kept+lost)
 	}
 	return row, nil
-}
-
-// ftCut is what the FT sync hands the ground-truth sampling.
-type ftCut struct {
-	Reps    []clocksync.RankSync  `json:"reps"`   // every rank's sync-quality report
-	States  []clocksync.SyncState `json:"states"` // every rank's synchronized clock
-	Done    []bool                `json:"done"`   // ranks that returned from the sync (crashed ones never do)
-	LastEnd float64               `json:"last_end"`
 }
 
 // ftOutcome is what one fault-tolerant sync cell measures.
@@ -160,75 +150,62 @@ type ftOutcome struct {
 // The run is cut (see runPhases) at the end of the sync; the second body
 // does no communication and reads each hardware clock at a fixed true time
 // — the rank's stepped fork when the plan steps it, so the ground truth
-// includes the fault. With a checkpoint handle the whole job (kernel,
-// clocks, injector state, plus ftCut) snapshots between the bodies, so a
-// killed sweep resumes there instead of re-synchronizing.
+// includes the fault.
 func ftCell(job Job, seed int64, sched faults.PlanConfig,
 	syncFT func(*mpi.Comm, clock.Clock) (clock.Clock, clocksync.RankSync),
-	horizon float64, ckpt harness.TaskCheckpoint) (ftOutcome, error) {
+	horizon float64) (ftOutcome, error) {
 	job.Seed = seed
 	n := job.NProcs
-	out := ftOutcome{plan: sched.Derive(n, seed)}
+	out := ftOutcome{plan: sched.Derive(n, seed), reps: make([]clocksync.RankSync, n)}
 	mcfg := job.config()
 	mcfg.Faults = faults.NewInjector(out.plan)
 
 	var mu sync.Mutex
-	cut := ftCut{
-		Reps:   make([]clocksync.RankSync, n),
-		States: make([]clocksync.SyncState, n),
-		Done:   make([]bool, n),
-	}
+	// What the FT sync hands the ground-truth sampling besides the reports:
+	// every rank's synchronized clock. A crashed rank never returns from the
+	// sync, so its report stays the zero value, Alive false.
+	states := make([]clocksync.SyncState, n)
 	readings := make([]float64, n)
 	has := make([]bool, n)
-	err := runPhases(mcfg, ckpt, &cut,
-		func(int) error {
-			if len(cut.Reps) != n || len(cut.States) != n || len(cut.Done) != n {
-				return fmt.Errorf("shaped for %d/%d/%d ranks, want %d",
-					len(cut.Reps), len(cut.States), len(cut.Done), n)
+	err := runPhases(mcfg, []func(*mpi.Proc){
+		func(p *mpi.Proc) {
+			g, rep := syncFT(p.World(), clock.NewLocal(p))
+			end := p.TrueNow()
+			mu.Lock()
+			defer mu.Unlock()
+			r := p.Rank()
+			out.reps[r] = rep
+			states[r] = clocksync.CaptureClock(g)
+			if rep.Alive && end > out.lastEnd {
+				out.lastEnd = end
 			}
-			return nil
 		},
-		[]func(*mpi.Proc){
-			func(p *mpi.Proc) {
-				g, rep := syncFT(p.World(), clock.NewLocal(p))
-				end := p.TrueNow()
-				mu.Lock()
-				defer mu.Unlock()
-				r := p.Rank()
-				cut.Reps[r] = rep
-				cut.States[r] = clocksync.CaptureClock(g)
-				cut.Done[r] = true
-				if rep.Alive && end > cut.LastEnd {
-					cut.LastEnd = end
-				}
-			},
-			// Evaluate every survivor's global clock at the horizon. The
-			// kernel only respawns ranks whose scheduled crash has not yet
-			// struck; the Done/Alive guard additionally skips doomed
-			// stragglers whose crash time falls after the sync's end.
-			func(p *mpi.Proc) {
-				r := p.Rank()
-				mu.Lock()
-				st, survived := cut.States[r], cut.Done[r] && cut.Reps[r].Alive
-				mu.Unlock()
-				if !survived {
-					return
-				}
-				_, m := clock.Collapse(st.Rebuild(clock.NewLocal(p)))
-				l := p.HWClock().ReadAt(horizon)
-				mu.Lock()
-				readings[r], has[r] = l-m.Predict(l), true
-				mu.Unlock()
-			},
-		})
+		// Evaluate every survivor's global clock at the horizon. The
+		// kernel only respawns ranks whose scheduled crash has not yet
+		// struck; the Alive guard additionally skips doomed stragglers
+		// whose crash time falls after the sync's end.
+		func(p *mpi.Proc) {
+			r := p.Rank()
+			mu.Lock()
+			st, survived := states[r], out.reps[r].Alive
+			mu.Unlock()
+			if !survived {
+				return
+			}
+			_, m := clock.Collapse(st.Rebuild(clock.NewLocal(p)))
+			l := p.HWClock().ReadAt(horizon)
+			mu.Lock()
+			readings[r], has[r] = l-m.Predict(l), true
+			mu.Unlock()
+		},
+	})
 	if err != nil {
 		return ftOutcome{}, err
 	}
-	if cut.LastEnd > horizon {
-		return ftOutcome{}, fmt.Errorf("sync ended at %.3f s, past the %.3f s horizon", cut.LastEnd, horizon)
+	if out.lastEnd > horizon {
+		return ftOutcome{}, fmt.Errorf("sync ended at %.3f s, past the %.3f s horizon", out.lastEnd, horizon)
 	}
-	out.reps, out.lastEnd = cut.Reps, cut.LastEnd
-	for _, rep := range cut.Reps {
+	for _, rep := range out.reps {
 		if rep.Alive && rep.Degraded {
 			out.degraded++
 		}

@@ -68,15 +68,14 @@ func RunFig7(eng *harness.Engine, cfg Fig7Config) (*Fig7Result, error) {
 		for _, barrier := range cfg.Barriers {
 			suite, barrier := suite, barrier
 			name := fmt.Sprintf("%s/%s", suite, barrier)
-			t := harness.Task[[]Fig7Row]{
+			tasks = append(tasks, harness.Task[[]Fig7Row]{
 				Name:    name,
 				SeedKey: name,
 				Config:  cfg,
-			}
-			t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
-				return fig7Cell(cfg, suite, barrier, seed, ckpt)
-			}
-			tasks = append(tasks, t)
+				Run: func(seed int64) ([]Fig7Row, error) {
+					return fig7Cell(cfg, suite, barrier, seed)
+				},
+			})
 		}
 	}
 	cells, err := harness.Run(eng, "fig7", cfg.Job.Seed, tasks)
@@ -90,22 +89,13 @@ func RunFig7(eng *harness.Engine, cfg Fig7Config) (*Fig7Result, error) {
 	return res, nil
 }
 
-// fig7Cut is the cell's cross-phase state: rank 0's latencies so far, one
-// per finished message size.
-type fig7Cut struct {
-	Lats []float64 `json:"lats"`
-}
-
 // fig7Cell measures one (suite, barrier) pair across all message sizes, one
-// phase body per size: every size boundary is a session cut (see runPhases),
-// so with a checkpoint handle a killed cell resumes after the last finished
-// size instead of re-measuring from scratch.
-func fig7Cell(cfg Fig7Config, suite bench.Suite, barrier mpi.BarrierAlg,
-	seed int64, ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
+// phase body per size: every size boundary is a session cut (see runPhases).
+func fig7Cell(cfg Fig7Config, suite bench.Suite, barrier mpi.BarrierAlg, seed int64) ([]Fig7Row, error) {
 	job := cfg.Job
 	job.Seed = seed
 	var mu sync.Mutex
-	var cut fig7Cut
+	var lats []float64 // rank 0's latencies, one per finished size
 	bodies := make([]func(*mpi.Proc), len(cfg.MSizes))
 	for k, msize := range cfg.MSizes {
 		msize := msize
@@ -117,25 +107,18 @@ func fig7Cell(cfg Fig7Config, suite bench.Suite, barrier mpi.BarrierAlg,
 			})
 			if p.Rank() == 0 {
 				mu.Lock()
-				cut.Lats = append(cut.Lats, lat)
+				lats = append(lats, lat)
 				mu.Unlock()
 			}
 		}
 	}
-	err := runPhases(job.config(), ckpt, &cut,
-		func(c int) error {
-			if len(cut.Lats) != c {
-				return fmt.Errorf("%d latencies, want one per finished size (%d)", len(cut.Lats), c)
-			}
-			return nil
-		}, bodies)
-	if err != nil {
+	if err := runPhases(job.config(), bodies); err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", suite, barrier, err)
 	}
 	rows := make([]Fig7Row, 0, len(cfg.MSizes))
 	for i, msize := range cfg.MSizes {
 		rows = append(rows, Fig7Row{
-			Suite: suite, Barrier: barrier, MSize: msize, Latency: cut.Lats[i],
+			Suite: suite, Barrier: barrier, MSize: msize, Latency: lats[i],
 		})
 	}
 	return rows, nil

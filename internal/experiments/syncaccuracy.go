@@ -59,15 +59,14 @@ func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracy
 	for _, alg := range cfg.Algorithms {
 		for run := 0; run < cfg.NRuns; run++ {
 			alg, run := alg, run
-			t := harness.Task[SyncRun]{
+			tasks = append(tasks, harness.Task[SyncRun]{
 				Name:    fmt.Sprintf("%s/run%d", alg.Name(), run),
 				SeedKey: seedKeyRun(run),
 				Config:  cfg,
-			}
-			t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (SyncRun, error) {
-				return syncAccuracyRun(cfg.Job, alg, run, seed, cfg.WaitTime, check, ckpt)
-			}
-			tasks = append(tasks, t)
+				Run: func(seed int64) (SyncRun, error) {
+					return syncAccuracyRun(cfg.Job, alg, run, seed, cfg.WaitTime, check)
+				},
+			})
 		}
 	}
 	runs, err := harness.Run(eng, "syncaccuracy", cfg.Job.Seed, tasks)
@@ -77,72 +76,60 @@ func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracy
 	return &SyncAccuracyResult{Config: cfg, Runs: runs}, nil
 }
 
-// syncCut is what the sync phase of one mpirun hands the check phase.
-type syncCut struct {
-	States []clocksync.SyncState `json:"states"` // per rank: the synchronized clock's model stack
-	T0     float64               `json:"t0"`     // rank 0's true time at the start of the sync
-	End    float64               `json:"end"`    // all-reduced true time at which the last rank finished
-}
-
 // syncAccuracyRun executes one (algorithm, replication) mpirun with the
 // given derived seed: the synchronization, then — past the end-of-sync
 // allreduce, where the job is quiescent — the accuracy check and the
-// ground-truth sampling. That boundary is a session cut (see runPhases): with
-// a checkpoint handle the whole job is snapshotted there, and a killed sweep
-// resumes from the cut instead of re-synchronizing.
+// ground-truth sampling. That boundary is a session cut (see runPhases).
 func syncAccuracyRun(base Job, alg clocksync.Algorithm, run int, seed int64,
-	wait float64, check clocksync.CheckConfig, ckpt harness.TaskCheckpoint) (SyncRun, error) {
+	wait float64, check clocksync.CheckConfig) (SyncRun, error) {
 	job := base
 	job.Seed = seed
 	row := SyncRun{Label: alg.Name(), Run: run}
 	var mu sync.Mutex
-	cut := syncCut{States: make([]clocksync.SyncState, job.NProcs)}
+	// What the sync phase hands the check phase: every rank's synchronized
+	// clock, rank 0's true time at the start of the sync and the all-reduced
+	// true time at which the last rank finished.
+	states := make([]clocksync.SyncState, job.NProcs)
+	var t0, end float64
 	readings0 := make([]float64, job.NProcs)
 	readingsW := make([]float64, job.NProcs)
-	err := runPhases(job.config(), ckpt, &cut,
-		func(int) error {
-			if len(cut.States) != job.NProcs {
-				return fmt.Errorf("shaped for %d ranks, want %d", len(cut.States), job.NProcs)
+	err := runPhases(job.config(), []func(*mpi.Proc){
+		func(p *mpi.Proc) {
+			comm := p.World()
+			comm.Barrier()
+			start := p.TrueNow()
+			g := alg.Sync(comm, clock.NewLocal(p))
+			last := comm.AllreduceF64(p.TrueNow(), mpi.OpMax)
+			mu.Lock()
+			states[comm.Rank()] = clocksync.CaptureClock(g)
+			end = last // the allreduce hands every rank the same value
+			if comm.Rank() == 0 {
+				t0 = start
 			}
-			return nil
+			mu.Unlock()
 		},
-		[]func(*mpi.Proc){
-			func(p *mpi.Proc) {
-				comm := p.World()
-				comm.Barrier()
-				t0 := p.TrueNow()
-				g := alg.Sync(comm, clock.NewLocal(p))
-				end := comm.AllreduceF64(p.TrueNow(), mpi.OpMax)
-				mu.Lock()
-				cut.States[comm.Rank()] = clocksync.CaptureClock(g)
-				cut.End = end // the allreduce hands every rank the same value
-				if comm.Rank() == 0 {
-					cut.T0 = t0
-				}
-				mu.Unlock()
-			},
-			func(p *mpi.Proc) {
-				comm := p.World()
-				mu.Lock()
-				st, end := cut.States[comm.Rank()], cut.End
-				mu.Unlock()
-				g := st.Rebuild(clock.NewLocal(p))
-				samples := clocksync.CheckAccuracy(comm, g, check)
-				// Ground truth: evaluate every rank's global clock at the
-				// common instants end and end+wait.
-				_, m := clock.Collapse(g)
-				hw := p.HWClock()
-				l0, lw := hw.ReadAt(end), hw.ReadAt(end+wait)
-				mu.Lock()
-				defer mu.Unlock()
-				readings0[comm.Rank()] = l0 - m.Predict(l0)
-				readingsW[comm.Rank()] = lw - m.Predict(lw)
-				if comm.Rank() == 0 {
-					row.Duration = end - cut.T0
-					row.MaxAbs0, row.MaxAbsW = clocksync.MaxAbsOffsets(samples)
-				}
-			},
-		})
+		func(p *mpi.Proc) {
+			comm := p.World()
+			mu.Lock()
+			st, at := states[comm.Rank()], end
+			mu.Unlock()
+			g := st.Rebuild(clock.NewLocal(p))
+			samples := clocksync.CheckAccuracy(comm, g, check)
+			// Ground truth: evaluate every rank's global clock at the
+			// common instants end and end+wait.
+			_, m := clock.Collapse(g)
+			hw := p.HWClock()
+			l0, lw := hw.ReadAt(at), hw.ReadAt(at+wait)
+			mu.Lock()
+			defer mu.Unlock()
+			readings0[comm.Rank()] = l0 - m.Predict(l0)
+			readingsW[comm.Rank()] = lw - m.Predict(lw)
+			if comm.Rank() == 0 {
+				row.Duration = end - t0
+				row.MaxAbs0, row.MaxAbsW = clocksync.MaxAbsOffsets(samples)
+			}
+		},
+	})
 	if err != nil {
 		return SyncRun{}, fmt.Errorf("%s run %d: %w", alg.Name(), run, err)
 	}

@@ -9,7 +9,7 @@
 // keys, manifests) and this package owns *where* and *how reliably*. The
 // engine hands each task it would have computed locally to a Pool through
 // the harness.Remote interface; the pool owns every robustness decision —
-// dispatch, failure detection, retry, and migration — and hands back the
+// dispatch, failure detection, retry, and requeue — and hands back the
 // worker's canonical-JSON result, the same representation a cache hit is
 // served from, which is why fabric execution cannot perturb output bytes.
 //
@@ -20,8 +20,8 @@
 // stateless job servers speaking a line-delimited JSON protocol on
 // stdin/stdout (proto.go): the coordinator writes one JobRequest per line;
 // the worker answers with a stream of Frames — hello on boot, hb
-// heartbeats while a job runs, cut for every checkpoint snapshot a phased
-// task saves, and finally exactly one result or error frame per job.
+// heartbeats while a job runs, and finally exactly one result or error
+// frame per job.
 // A worker executes a job by re-running the suite's own decomposition with
 // a task filter, so the task's config and derived seed are reconstructed
 // from first principles in the child; the coordinator's cache key travels
@@ -43,19 +43,11 @@
 // deterministic, seed-derived jitter (backoff.go) and are capped at five
 // attempts, after which the job is quarantined as poisoned — a typed
 // error naming the task and its last failure — rather than livelocking the
-// sweep. Saving a *new* cut resets a job's attempt budget: a task that
-// makes forward progress between crashes is being murdered, not poisoned,
-// and must not be quarantined no matter how often the chaos schedule kills
-// its host.
-//
-// Phased tasks get one more guarantee: their cut snapshots flow back to
-// the coordinator as they are saved, are mirrored into the coordinator's
-// own sweep ledger (runexp -checkpoint), and — when the job is redispatched
-// after a failure — travel to the adopting worker in the JobRequest, so
-// the task resumes mid-run from its last quiescent cut exactly as a
-// -restore'd in-process run would. The pool also consults the ledger
-// mirror on first dispatch, so a coordinator restarted with -restore ships
-// inherited cuts to its new workers.
+// sweep. A redispatched job reruns its task from the start: the task is
+// the unit of recovery here as in the coordinator's sweep ledger
+// (runexp -checkpoint), which records only finished results — a task's
+// last quiescent cut comes after nearly all of its work, so shipping
+// mid-task snapshots would save next to nothing (DESIGN.md §11).
 //
 // The pool degrades gracefully: any number of worker slots may exhaust
 // their respawn budgets and the sweep still completes on the survivors.
@@ -66,8 +58,7 @@
 //
 // Nothing in this package touches result bytes. Task seeds derive from
 // (suite, seed key, base seed) identically in coordinator and worker;
-// retries re-run a pure function; resumed phased tasks follow the same
-// phased schedule the checkpointing code already pins with golden hashes.
+// retries re-run a pure function from its start.
 // scripts/fabric_chaos.sh exercises exactly this claim: a sweep under
 // -fabric with workers SIGKILLed on a schedule must byte-match an
 // undisturbed run. Wall-clock time appears only in robustness policy

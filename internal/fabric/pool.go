@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hclocksync/internal/harness"
 )
 
 // Config parameterizes a Pool.
@@ -32,8 +30,7 @@ type Config struct {
 	// has one production value; only the in-package tests shorten it.
 	leaseTTL time.Duration
 	// maxAttempts caps executions of one job before it is quarantined as
-	// poisoned. Zero means 5. Saving a new cut resets the count — forward
-	// progress is never poisoned.
+	// poisoned. Zero means 5.
 	maxAttempts int
 	// backoffBase and backoffMax bound the exponential retry backoff;
 	// zero means 50ms and 2s. Seed also seeds the deterministic jitter.
@@ -42,11 +39,6 @@ type Config struct {
 	// maxRespawns caps process (re)spawns per worker slot. Zero means 8.
 	// A slot that exhausts it goes dark; the sweep continues on the rest.
 	maxRespawns int
-	// Cuts, when non-nil, is the coordinator-side mirror of workers' cut
-	// snapshots — typically the -checkpoint ledger's Task method — so the
-	// coordinator's own crash ledger stays current, and the source of
-	// inherited resume snapshots on first dispatch after -restore.
-	Cuts func(suite, name string) harness.TaskCheckpoint
 	// Logf receives supervision events (spawns, takeovers, retries). Nil
 	// discards them.
 	Logf func(format string, args ...any)
@@ -78,9 +70,6 @@ type Stats struct {
 	// LeaseTakeovers counts leases revoked because the owning worker died
 	// or went silent past its lease.
 	LeaseTakeovers int `json:"lease_takeovers"`
-	// LedgerMigrations counts dispatches that shipped a resume snapshot —
-	// a phased job adopted mid-run by a new worker.
-	LedgerMigrations int `json:"ledger_migrations"`
 	// Poisoned counts jobs quarantined after exhausting maxAttempts.
 	Poisoned int `json:"poisoned"`
 	// LostWorkers counts worker processes lost to death or lease expiry.
@@ -149,10 +138,7 @@ type job struct {
 
 	// Owned by whichever supervisor holds the job; a job is never held by
 	// two supervisors at once (requeue happens-before redispatch).
-	attempts int // failures since the last new cut
-	maxCut   int // highest cut ever saved, for the progress reset
-	cut      int // latest snapshot, shipped to the adopting worker
-	snap     []byte
+	attempts int // failed executions so far
 
 	once   sync.Once
 	done   chan struct{}
@@ -241,16 +227,6 @@ func (p *Pool) RunTask(suite, name, key string) (json.RawMessage, error) {
 		task:  name,
 		key:   key,
 		done:  make(chan struct{}),
-	}
-	// A coordinator restarted with -restore may already hold a cut for
-	// this task; inherit it so the first dispatch resumes mid-run.
-	if p.cfg.Cuts != nil {
-		if tc := p.cfg.Cuts(suite, name); tc != nil {
-			if cut, snap, ok := tc.Latest(); ok {
-				j.cut, j.maxCut = cut, cut
-				j.snap = append([]byte(nil), snap...)
-			}
-		}
 	}
 	p.bump(func(s *Stats) { s.Jobs++ })
 	p.q.push(j)
@@ -358,15 +334,8 @@ func (p *Pool) runJob(c conn, j *job) error {
 		Seed:  p.cfg.Seed,
 		Key:   j.key,
 	}
-	if len(j.snap) > 0 {
-		req.ResumeCut, req.ResumeSnap = j.cut, j.snap
-	}
 	if err := c.send(req); err != nil {
 		return &dispatchError{err}
-	}
-	if len(j.snap) > 0 {
-		p.bump(func(s *Stats) { s.LedgerMigrations++ })
-		p.logf("fabric: migrating %s/%s ledger (cut %d) to a new worker", j.suite, j.task, j.cut)
 	}
 
 	lease := time.NewTimer(p.cfg.leaseTTL) //synclint:wallclock -- lease liveness timer: ownership timing affects which worker computes a job, never the job bytes (pinned by the chaos golden)
@@ -393,20 +362,6 @@ func (p *Pool) runJob(c conn, j *job) error {
 			}
 			switch f.Type {
 			case FrameHeartbeat:
-			case FrameCut:
-				j.cut = f.Cut
-				j.snap = append([]byte(nil), f.Snap...)
-				if f.Cut > j.maxCut {
-					// New ground: the task is making forward progress
-					// between failures, so it can never be poisoned.
-					j.maxCut = f.Cut
-					j.attempts = 0
-				}
-				if p.cfg.Cuts != nil {
-					if tc := p.cfg.Cuts(j.suite, j.task); tc != nil {
-						tc.Save(f.Cut, f.Snap)
-					}
-				}
 			case FrameResult:
 				if f.Key != "" && f.Key != j.key {
 					return &remoteError{fmt.Sprintf("worker returned key %s for job keyed %s", f.Key, j.key)}

@@ -32,7 +32,7 @@ func TestMain(m *testing.M) {
 }
 
 // The other pool tests run real ServeWorker loops in-process over pipes, so the
-// whole protocol stack is exercised — framing, heartbeats, cuts — with
+// whole protocol stack is exercised — framing, heartbeats, results — with
 // only process creation faked. killing a testConn severs both pipes at
 // once, which is what SIGKILL looks like from the coordinator's seat.
 
@@ -308,142 +308,6 @@ func TestPoisonedJobQuarantined(t *testing.T) {
 	st := p.Stats()
 	if st.Poisoned != 1 || st.Retries != 2 {
 		t.Errorf("stats = %+v; want 1 poisoned after 2 retries", st)
-	}
-}
-
-func TestLedgerMigratesToAdoptingWorker(t *testing.T) {
-	started := make(chan struct{}, 1)
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	exec := func(req JobRequest, led harness.Ledger) (string, json.RawMessage, error) {
-		tc := led.Task(req.Suite, req.Task)
-		if _, _, ok := tc.Latest(); !ok {
-			// First life: save a cut, then die with the job in flight.
-			tc.Save(1, []byte("phase-1-state"))
-			started <- struct{}{}
-			<-release
-			return "", nil, fmt.Errorf("unreachable")
-		}
-		cut, snap, _ := tc.Latest()
-		return req.Key, json.RawMessage(fmt.Sprintf(`{"resumed_cut":%d,"snap":%q}`, cut, snap)), nil
-	}
-
-	// Mirror the coordinator ledger so the test can also prove cut frames
-	// reach the -checkpoint file path.
-	var mu sync.Mutex
-	mirrored := map[string][]byte{}
-	cuts := func(suite, name string) harness.TaskCheckpoint {
-		return mirrorCut{save: func(cut int, snap []byte) {
-			mu.Lock()
-			mirrored[fmt.Sprintf("%s/%s@%d", suite, name, cut)] = append([]byte(nil), snap...)
-			mu.Unlock()
-		}}
-	}
-
-	p, tf := newTestPool(t, Config{Workers: 1, Cuts: cuts}, WorkerOptions{Heartbeat: 10 * time.Millisecond}, exec)
-	first := awaitConn(t, tf)
-	resCh := make(chan json.RawMessage, 1)
-	go func() {
-		res, err := p.RunTask("faults", "run0", "k")
-		if err != nil {
-			t.Errorf("phased job failed: %v", err)
-		}
-		resCh <- res
-	}()
-	<-started
-	first.kill()
-
-	res := <-resCh
-	if want := `{"resumed_cut":1,"snap":"phase-1-state"}`; string(res) != want {
-		t.Errorf("result = %s, want %s — the adopting worker must resume from the dead worker's cut", res, want)
-	}
-	st := p.Stats()
-	if st.LedgerMigrations < 1 || st.LeaseTakeovers < 1 {
-		t.Errorf("stats = %+v; want a migration and a takeover", st)
-	}
-	mu.Lock()
-	if _, ok := mirrored["faults/run0@1"]; !ok {
-		t.Errorf("cut never mirrored to the coordinator ledger; mirror = %v", mirrored)
-	}
-	mu.Unlock()
-}
-
-type mirrorCut struct {
-	save func(cut int, snap []byte)
-}
-
-func (m mirrorCut) Latest() (int, []byte, bool) { return 0, nil, false }
-func (m mirrorCut) Save(cut int, snap []byte)   { m.save(cut, snap) }
-
-func TestInheritedCutShipsOnFirstDispatch(t *testing.T) {
-	// A coordinator restarted with -restore holds cuts from its previous
-	// life; the pool must hand them to the very first worker that runs the
-	// task, not only after a crash.
-	exec := func(req JobRequest, led harness.Ledger) (string, json.RawMessage, error) {
-		cut, snap, ok := led.Task(req.Suite, req.Task).Latest()
-		return req.Key, json.RawMessage(fmt.Sprintf(`{"cut":%d,"snap":%q,"ok":%v}`, cut, snap, ok)), nil
-	}
-	cuts := func(suite, name string) harness.TaskCheckpoint {
-		return restoredCut{cut: 2, snap: []byte("inherited")}
-	}
-	p, _ := newTestPool(t, Config{Workers: 1, Cuts: cuts}, WorkerOptions{Heartbeat: -1}, exec)
-	res, err := p.RunTask("faults", "run1", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"cut":2,"snap":"inherited","ok":true}`; string(res) != want {
-		t.Errorf("result = %s, want %s", res, want)
-	}
-	if st := p.Stats(); st.LedgerMigrations < 1 {
-		t.Errorf("stats = %+v; an inherited cut is a ledger migration", st)
-	}
-}
-
-type restoredCut struct {
-	cut  int
-	snap []byte
-}
-
-func (r restoredCut) Latest() (int, []byte, bool) { return r.cut, r.snap, true }
-func (r restoredCut) Save(int, []byte)            {}
-
-func TestCutProgressResetsAttemptBudget(t *testing.T) {
-	// A phased job killed over and over — but saving a new cut each life —
-	// must never be poisoned: progress distinguishes a murdered job from a
-	// poisonous one. Three kills exceed maxAttempts=2 unless the reset
-	// works.
-	started := make(chan struct{}, 4)
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	exec := func(req JobRequest, led harness.Ledger) (string, json.RawMessage, error) {
-		tc := led.Task(req.Suite, req.Task)
-		cut, _, _ := tc.Latest()
-		if cut < 3 {
-			tc.Save(cut+1, []byte("state"))
-			started <- struct{}{}
-			<-release
-			return "", nil, fmt.Errorf("unreachable")
-		}
-		return req.Key, json.RawMessage(fmt.Sprintf(`{"finished_after_cut":%d}`, cut)), nil
-	}
-	p, tf := newTestPool(t, Config{Workers: 1, maxAttempts: 2}, WorkerOptions{Heartbeat: 10 * time.Millisecond}, exec)
-
-	resCh := make(chan error, 1)
-	go func() {
-		_, err := p.RunTask("s", "murdered", "k")
-		resCh <- err
-	}()
-	for i := 0; i < 3; i++ {
-		c := awaitConn(t, tf)
-		<-started
-		c.kill()
-	}
-	awaitConn(t, tf) // fourth life completes
-	if err := <-resCh; err != nil {
-		t.Fatalf("job was poisoned despite making progress every life: %v", err)
-	}
-	if st := p.Stats(); st.Poisoned != 0 || st.LedgerMigrations < 3 {
-		t.Errorf("stats = %+v; want 0 poisoned and >=3 migrations", st)
 	}
 }
 

@@ -16,9 +16,6 @@ const (
 	// FrameHeartbeat is sent on a timer while a job executes, so the
 	// coordinator can tell a slow job from a hung worker.
 	FrameHeartbeat = "hb"
-	// FrameCut carries a phased task's checkpoint snapshot at a cut
-	// boundary; the coordinator records it for crash migration.
-	FrameCut = "cut"
 	// FrameResult terminates a job successfully with its canonical-JSON
 	// result.
 	FrameResult = "result"
@@ -53,11 +50,6 @@ type JobRequest struct {
 	// disagree about the task's identity (code-version or config skew) and
 	// fails the job loudly instead of returning a silently wrong result.
 	Key string `json:"key"`
-	// ResumeCut and ResumeSnap, when set, are the last quiescent cut of a
-	// previous attempt (or of a -restore'd coordinator ledger); the worker's
-	// task resumes from them instead of starting over.
-	ResumeCut  int    `json:"resume_cut,omitempty"`
-	ResumeSnap []byte `json:"resume_snap,omitempty"`
 }
 
 // Frame is one worker → coordinator message. Every frame from the owning
@@ -69,9 +61,6 @@ type Frame struct {
 	ID int64 `json:"id,omitempty"`
 	// PID identifies the worker process in a hello frame.
 	PID int `json:"pid,omitempty"`
-	// Cut and Snap carry a checkpoint snapshot in a cut frame.
-	Cut  int    `json:"cut,omitempty"`
-	Snap []byte `json:"snap,omitempty"`
 	// Key is the worker's recomputed cache key in a result frame.
 	Key string `json:"key,omitempty"`
 	// Result is the task's canonical-JSON result in a result frame.

@@ -116,38 +116,6 @@ func TestWorkerExecErrorFrame(t *testing.T) {
 	}
 }
 
-func TestWorkerCutFramesAndResume(t *testing.T) {
-	exec := func(req JobRequest, led harness.Ledger) (string, json.RawMessage, error) {
-		tc := led.Task(req.Suite, req.Task)
-		if tc == nil {
-			return "", nil, fmt.Errorf("no checkpoint handle for the job's own task")
-		}
-		if led.Task("other", "task") != nil {
-			return "", nil, fmt.Errorf("checkpoint handle leaked to a foreign task")
-		}
-		cut, snap, ok := tc.Latest()
-		if !ok || cut != 3 || string(snap) != "resume-state" {
-			return "", nil, fmt.Errorf("Latest() = (%d, %q, %v), want the request's snapshot", cut, snap, ok)
-		}
-		tc.Save(4, []byte("next-state"))
-		return req.Key, json.RawMessage(fmt.Sprintf(`{"resumed_from":%d}`, cut)), nil
-	}
-	w, frames := startWorker(t, WorkerOptions{Heartbeat: -1}, exec)
-	nextFrame(t, frames) // hello
-	sendJob(t, w, JobRequest{
-		Type: "job", ID: 9, Suite: "s", Task: "t", Key: "k",
-		ResumeCut: 3, ResumeSnap: []byte("resume-state"),
-	})
-	f := nextFrame(t, frames)
-	if f.Type != FrameCut || f.ID != 9 || f.Cut != 4 || string(f.Snap) != "next-state" {
-		t.Fatalf("cut frame = %+v", f)
-	}
-	f = nextFrame(t, frames)
-	if f.Type != FrameResult || string(f.Result) != `{"resumed_from":3}` {
-		t.Fatalf("result frame = %+v", f)
-	}
-}
-
 func TestWorkerHeartbeatsWhileJobRuns(t *testing.T) {
 	exec := func(req JobRequest, _ harness.Ledger) (string, json.RawMessage, error) {
 		time.Sleep(200 * time.Millisecond)

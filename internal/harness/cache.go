@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 )
 
@@ -78,6 +79,7 @@ func (c *Cache) path(key string) string {
 // available for a post-mortem instead of being retried — or worse, trusted
 // — on every subsequent run. A payload that merely fails to unmarshal into
 // out's type is left in place: the entry is intact, the caller's type moved.
+// On any miss, out is untouched.
 func (c *Cache) Get(key string, out any) bool {
 	if c == nil {
 		return false
@@ -101,7 +103,24 @@ func (c *Cache) Get(key string, out any) bool {
 		c.quarantine(path)
 		return false
 	}
-	return json.Unmarshal(e.Result, out) == nil
+	return decodeInto(e.Result, out)
+}
+
+// decodeInto unmarshals raw into a fresh zero value of out's pointee type
+// and stores it through out only on success: a decode that fails part-way
+// must not leave the fields it reached set in the caller's value, where a
+// later decode (a fabric worker's result) would merge over them.
+func decodeInto(raw []byte, out any) bool {
+	dst := reflect.ValueOf(out)
+	if dst.Kind() != reflect.Pointer || dst.IsNil() {
+		return false
+	}
+	fresh := reflect.New(dst.Elem().Type())
+	if json.Unmarshal(raw, fresh.Interface()) != nil {
+		return false
+	}
+	dst.Elem().Set(fresh.Elem())
+	return true
 }
 
 // quarantine moves a corrupted entry aside so it reads as a miss from now

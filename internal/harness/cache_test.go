@@ -367,3 +367,61 @@ func TestUnserializableResultSkipsCacheButStillRuns(t *testing.T) {
 		t.Errorf("NaN result must recompute every run, ran %d", ran.Load())
 	}
 }
+
+// remoteFunc adapts a function to the Remote interface.
+type remoteFunc func(suite, name, key string) (json.RawMessage, error)
+
+func (f remoteFunc) RunTask(suite, name, key string) (json.RawMessage, error) {
+	return f(suite, name, key)
+}
+
+// A stored result that no longer decodes into the task's result type (a
+// cache or ledger written by an older build under the same code version)
+// is a miss that leaves nothing behind: the fields the failed decode
+// reached must not survive into the fabric worker's result, which omits
+// them.
+func TestFailedDecodeLeavesNoStaleFields(t *testing.T) {
+	type result struct {
+		A int    `json:"a,omitempty"`
+		B string `json:"b"`
+	}
+	const version, suite, name = "stale-v", "stale", "t"
+	seed := DeriveSeed(suite, name, 1)
+	key, err := CacheKey(version, suite, name, seed, "cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := map[string]int{"a": 5, "b": 7}
+	remote := remoteFunc(func(string, string, string) (json.RawMessage, error) {
+		return json.RawMessage(`{"b":"x"}`), nil
+	})
+	tasks := []Task[result]{{Name: name, SeedKey: name, Config: "cfg"}}
+
+	for _, tc := range []struct {
+		name string
+		opts func(t *testing.T) Options
+	}{
+		{"cache", func(t *testing.T) Options {
+			dir := t.TempDir()
+			OpenCache(dir).Put(key, version, suite, name, seed, "cfg", old)
+			return Options{CacheDir: dir}
+		}},
+		{"ledger", func(t *testing.T) Options {
+			ck := NewCheckpointer(filepath.Join(t.TempDir(), "sweep.ckpt"), 1, version)
+			ck.Record(suite, name, key, old)
+			return Options{Checkpoint: ck}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts(t)
+			opts.Jobs, opts.Version, opts.Remote = 1, version, remote
+			got, err := Run(New(opts), suite, 1, tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (result{B: "x"}); got[0] != want {
+				t.Errorf("result = %+v, want %+v", got[0], want)
+			}
+		})
+	}
+}

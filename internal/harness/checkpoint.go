@@ -3,11 +3,12 @@ package harness
 // Sweep checkpointing: crash-safe resume for long suite runs. Where the
 // result cache (cache.go) is a per-task content-addressed store that
 // happens to survive restarts, a Checkpointer is a single-file ledger of
-// one sweep's progress: every finished task's result plus, for phased
-// tasks, the latest mid-run cut snapshot. A SIGKILLed sweep restarted with
-// the same command line and -restore picks up finished tasks from the
-// ledger and resumes in-flight phased tasks from their last quiescent cut
-// instead of recomputing them.
+// one sweep's finished tasks. A SIGKILLed sweep restarted with the same
+// command line and -restore serves finished tasks from the ledger and
+// reruns in-flight ones from their start: the task is the unit of
+// checkpointing, because every task's work is nearly all before its last
+// quiescent cut (DESIGN.md §11), so a mid-task snapshot would save next to
+// nothing.
 //
 // The ledger is written with internal/checkpoint's sealed binary container
 // (versioned, CRC-guarded, atomic write-then-rename), so a crash mid-flush
@@ -25,42 +26,22 @@ import (
 )
 
 // Ledger is the engine's sweep-checkpoint surface: finished results keyed
-// by cache key plus per-task cut snapshots for phased tasks. *Checkpointer
-// is the file-backed implementation behind runexp -checkpoint; the sweep
-// fabric's worker substitutes a streaming ledger that relays cuts and
-// resume snapshots to its coordinator over the worker protocol.
-// Implementations must be safe for concurrent use by the worker pool.
+// by cache key. *Checkpointer is the file-backed implementation behind
+// runexp -checkpoint. Implementations must be safe for concurrent use by
+// the worker pool.
 type Ledger interface {
 	// Lookup loads the finished result recorded under key into out,
-	// reporting whether one was found.
+	// reporting whether one was found. On false, out is untouched.
 	Lookup(key string, out any) bool
-	// Record stores a finished task's result under its cache key and
-	// clears any in-flight snapshot for the task.
+	// Record stores a finished task's result under its cache key.
 	Record(suite, name, key string, result any)
-	// Task returns the per-task checkpoint handle for (suite, name), or
-	// nil when the ledger does not checkpoint this task mid-run.
-	Task(suite, name string) TaskCheckpoint
 }
 
-// nopLedger is the engine's ledger when Options.Checkpoint is unset: it
-// holds nothing and hands phased tasks a nil handle.
+// nopLedger is the engine's ledger when Options.Checkpoint is unset.
 type nopLedger struct{}
 
 func (nopLedger) Lookup(string, any) bool            { return false }
 func (nopLedger) Record(string, string, string, any) {}
-func (nopLedger) Task(string, string) TaskCheckpoint { return nil }
-
-// TaskCheckpoint is the per-task checkpoint surface handed to a phased
-// task's RunPhased function. Implementations are safe for use from the
-// single worker goroutine running the task.
-type TaskCheckpoint interface {
-	// Latest returns the most recently saved cut snapshot for this task,
-	// if any — the resume point after a crash.
-	Latest() (cut int, snap []byte, ok bool)
-	// Save records a new cut snapshot, superseding any previous one. The
-	// snapshot is flushed to disk on the checkpointer's cadence.
-	Save(cut int, snap []byte)
-}
 
 // Checkpointer accumulates a sweep ledger in memory and flushes it to one
 // file. It is safe for concurrent use by the engine's worker pool.
@@ -69,16 +50,14 @@ type Checkpointer struct {
 	every   int
 	version string
 
-	mu       sync.Mutex
-	results  map[string]json.RawMessage // cache key → result JSON
-	inflight map[string]checkpoint.SweepTask
-	pending  int // state changes since the last flush
+	mu      sync.Mutex
+	results map[string]json.RawMessage // cache key → result JSON
+	pending int                        // finished tasks since the last flush
 }
 
 // NewCheckpointer roots a sweep ledger at path, flushing after every
-// `every` state changes (completed task or saved cut; <= 1 means every
-// change). version is the engine's code-version string; it is recorded in
-// the ledger and gates in-flight snapshots on restore.
+// `every` finished tasks (<= 1 means every one). version is the engine's
+// code-version string, recorded in the ledger; empty means CodeVersion().
 func NewCheckpointer(path string, every int, version string) *Checkpointer {
 	if every < 1 {
 		every = 1
@@ -87,11 +66,10 @@ func NewCheckpointer(path string, every int, version string) *Checkpointer {
 		version = CodeVersion()
 	}
 	return &Checkpointer{
-		path:     path,
-		every:    every,
-		version:  version,
-		results:  map[string]json.RawMessage{},
-		inflight: map[string]checkpoint.SweepTask{},
+		path:    path,
+		every:   every,
+		version: version,
+		results: map[string]json.RawMessage{},
 	}
 }
 
@@ -103,8 +81,7 @@ func NewCheckpointer(path string, every int, version string) *Checkpointer {
 //
 // Finished results are keyed by cache key, which already embeds the code
 // version, so entries from an older build can never be served — they just
-// never match. In-flight cut snapshots have no such self-invalidation, so
-// they are dropped when the ledger's version differs from ours.
+// never match.
 func (c *Checkpointer) Load() error {
 	raw, err := checkpoint.ReadFile(c.path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -122,16 +99,11 @@ func (c *Checkpointer) Load() error {
 	for _, r := range sweep.Results {
 		c.results[r.Key] = json.RawMessage(r.Result)
 	}
-	if sweep.Version == c.version {
-		for _, t := range sweep.Tasks {
-			c.inflight[t.Suite+"\x00"+t.Name] = t
-		}
-	}
 	return nil
 }
 
 // Lookup loads the finished result recorded under key into out, reporting
-// whether one was found and unmarshalled.
+// whether one was found and unmarshalled; on false, out is untouched.
 func (c *Checkpointer) Lookup(key string, out any) bool {
 	if c == nil {
 		return false
@@ -142,11 +114,10 @@ func (c *Checkpointer) Lookup(key string, out any) bool {
 	if !ok {
 		return false
 	}
-	return json.Unmarshal(raw, out) == nil
+	return decodeInto(raw, out)
 }
 
-// Record stores a finished task's result under its cache key and clears
-// any in-flight snapshot for the task. Results that don't marshal to JSON
+// Record stores a finished task's result under its cache key. Results that don't marshal to JSON
 // are skipped, exactly like the result cache.
 func (c *Checkpointer) Record(suite, name, key string, result any) {
 	if c == nil {
@@ -158,19 +129,8 @@ func (c *Checkpointer) Record(suite, name, key string, result any) {
 	}
 	c.mu.Lock()
 	c.results[key] = raw
-	delete(c.inflight, suite+"\x00"+name)
 	c.bumpLocked()
 	c.mu.Unlock()
-}
-
-// Task returns the per-task checkpoint handle for (suite, name). A nil
-// checkpointer returns nil — phased tasks must tolerate running without
-// checkpointing.
-func (c *Checkpointer) Task(suite, name string) TaskCheckpoint {
-	if c == nil {
-		return nil
-	}
-	return &taskCheckpoint{c: c, suite: suite, name: name}
 }
 
 // Flush writes the current ledger to its file atomically. Entries are
@@ -192,19 +152,10 @@ func (c *Checkpointer) sweepLocked() *checkpoint.Sweep {
 		sweep.Results = append(sweep.Results, checkpoint.SweepResult{Key: k, Result: v})
 	}
 	sort.Slice(sweep.Results, func(i, j int) bool { return sweep.Results[i].Key < sweep.Results[j].Key })
-	for _, t := range c.inflight { //synclint:ordered -- entries collected then sorted below
-		sweep.Tasks = append(sweep.Tasks, t)
-	}
-	sort.Slice(sweep.Tasks, func(i, j int) bool {
-		if sweep.Tasks[i].Suite != sweep.Tasks[j].Suite {
-			return sweep.Tasks[i].Suite < sweep.Tasks[j].Suite
-		}
-		return sweep.Tasks[i].Name < sweep.Tasks[j].Name
-	})
 	return sweep
 }
 
-// bumpLocked counts a state change and flushes on cadence. The write
+// bumpLocked counts a finished task and flushes on cadence. The write
 // happens under the lock — slower, but it guarantees ledger versions reach
 // the file in order (an async write could rename an older sweep over a
 // newer one). Flush errors here are swallowed by design: checkpointing is
@@ -217,30 +168,4 @@ func (c *Checkpointer) bumpLocked() {
 		c.pending = 0
 		_ = checkpoint.WriteFile(c.path, checkpoint.EncodeSweep(c.sweepLocked()))
 	}
-}
-
-type taskCheckpoint struct {
-	c     *Checkpointer
-	suite string
-	name  string
-}
-
-func (t *taskCheckpoint) Latest() (int, []byte, bool) {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	st, ok := t.c.inflight[t.suite+"\x00"+t.name]
-	if !ok {
-		return 0, nil, false
-	}
-	return st.Cut, st.Snap, true
-}
-
-func (t *taskCheckpoint) Save(cut int, snap []byte) {
-	t.c.mu.Lock()
-	t.c.inflight[t.suite+"\x00"+t.name] = checkpoint.SweepTask{
-		Suite: t.suite, Name: t.name, Cut: cut,
-		Snap: append([]byte(nil), snap...),
-	}
-	t.c.bumpLocked()
-	t.c.mu.Unlock()
 }

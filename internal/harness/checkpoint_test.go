@@ -109,85 +109,6 @@ func TestCheckpointerPartialLedger(t *testing.T) {
 	}
 }
 
-func TestCheckpointerPhasedTasks(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	ck := NewCheckpointer(path, 1, "test-v")
-
-	// Phase 1 of 2 completes, then the "process dies" (we just stop).
-	var resumedFrom []int
-	task := func(label string) Task[string] {
-		return Task[string]{
-			Name:   "t",
-			Config: "cfg",
-			RunPhased: func(seed int64, tc TaskCheckpoint) (string, error) {
-				cut := 0
-				if c, snap, ok := tc.Latest(); ok {
-					cut = c
-					resumedFrom = append(resumedFrom, c)
-					if string(snap) != "after-phase-1" {
-						t.Fatalf("resumed with snapshot %q", snap)
-					}
-				}
-				if cut < 1 {
-					tc.Save(1, []byte("after-phase-1"))
-					if label == "first" {
-						return "", errSimulatedKill
-					}
-				}
-				return "done", nil
-			},
-		}
-	}
-	eng := New(Options{Jobs: 1, Version: "test-v", Checkpoint: ck})
-	if _, err := Run(eng, "ph", 1, []Task[string]{task("first")}); err == nil {
-		t.Fatal("simulated kill did not propagate")
-	}
-
-	// Restart: the ledger carries the cut snapshot, the task resumes from
-	// cut 1 and finishes.
-	ck2 := NewCheckpointer(path, 1, "test-v")
-	if err := ck2.Load(); err != nil {
-		t.Fatal(err)
-	}
-	eng2 := New(Options{Jobs: 1, Version: "test-v", Checkpoint: ck2})
-	got, err := Run(eng2, "ph", 1, []Task[string]{task("second")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != "done" || len(resumedFrom) != 1 || resumedFrom[0] != 1 {
-		t.Fatalf("resume path not taken: got=%q resumedFrom=%v", got[0], resumedFrom)
-	}
-
-	// Finishing the task must clear its in-flight snapshot from the ledger.
-	if err := ck2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ck3 := NewCheckpointer(path, 1, "test-v")
-	if err := ck3.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := ck3.Task("ph", "t").Latest(); ok {
-		t.Fatal("finished task still has an in-flight snapshot")
-	}
-}
-
-func TestCheckpointerVersionGate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	ck := NewCheckpointer(path, 1, "old-v")
-	ck.Task("s", "n").Save(2, []byte("snap"))
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// A new code version must not resume from an old build's mid-run cut.
-	ck2 := NewCheckpointer(path, 1, "new-v")
-	if err := ck2.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := ck2.Task("s", "n").Latest(); ok {
-		t.Fatal("in-flight snapshot survived a version change")
-	}
-}
-
 func TestCheckpointerLoadMissingAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	ck := NewCheckpointer(filepath.Join(dir, "absent.ckpt"), 1, "v")
@@ -209,10 +130,3 @@ func TestCheckpointerLoadMissingAndCorrupt(t *testing.T) {
 		t.Fatal("unreadable ledger must error, not silently restart the sweep")
 	}
 }
-
-// errSimulatedKill stands in for the process dying mid-sweep.
-var errSimulatedKill = errSentinel("simulated kill")
-
-type errSentinel string
-
-func (e errSentinel) Error() string { return string(e) }

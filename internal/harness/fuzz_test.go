@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"maps"
 	"math"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"hclocksync/internal/checkpoint"
 	"hclocksync/internal/clocksync"
 )
 
@@ -62,6 +64,85 @@ func FuzzCacheGet(f *testing.F) {
 		}
 		if _, err := os.Stat(path + ".corrupt"); trusted == (err == nil) {
 			t.Fatalf("trusted entry %v, quarantined %v", trusted, err == nil)
+		}
+	})
+}
+
+// ledgerResult is FuzzLedgerLoad's typed result: an omitempty field a
+// partial decode could leave set, a string and a slice.
+type ledgerResult struct {
+	A    int       `json:"a,omitempty"`
+	B    string    `json:"b"`
+	Rows []float64 `json:"rows"`
+}
+
+// FuzzLedgerLoad seals a sweep ledger holding one fuzzed result under a
+// fuzzed key, optionally flips one byte of the container or cuts bytes off
+// its end, and restores it. Load must not panic and must refuse a damaged
+// container with one of internal/checkpoint's typed errors; Lookup into a
+// typed result must either decode the stored JSON whole or leave its
+// destination untouched.
+func FuzzLedgerLoad(f *testing.F) {
+	f.Add("k", []byte(`{"a":1,"b":"x","rows":[1.5]}`), uint16(0), byte(0), uint16(0))
+	f.Add("k", []byte(`{"a":5,"b":7}`), uint16(0), byte(0), uint16(0))
+	f.Add("k", []byte(`{"b":"x"`), uint16(0), byte(0), uint16(0))
+	f.Add("", []byte(nil), uint16(0), byte(0), uint16(0))
+	f.Add("k", []byte(`null`), uint16(0), byte(0), uint16(0))
+	f.Add("k", []byte(`{"a":1}`), uint16(0), byte(0x40), uint16(0))  // magic
+	f.Add("k", []byte(`{"a":1}`), uint16(8), byte(0x01), uint16(0))  // version
+	f.Add("k", []byte(`{"a":1}`), uint16(12), byte(0x03), uint16(0)) // kind
+	f.Add("k", []byte(`{"a":1}`), uint16(13), byte(0x01), uint16(0)) // length
+	f.Add("k", []byte(`{"a":1}`), uint16(30), byte(0x20), uint16(0)) // payload
+	f.Add("k", []byte(`{"a":1}`), uint16(0), byte(0), uint16(1))
+	f.Add("k", []byte(`{"a":1}`), uint16(0), byte(0), uint16(40))
+
+	path := filepath.Join(f.TempDir(), "sweep.ckpt")
+	f.Fuzz(func(t *testing.T, key string, result []byte, pos uint16, flip byte, cut uint16) {
+		raw := checkpoint.EncodeSweep(&checkpoint.Sweep{
+			Version: "fuzz-v",
+			Results: []checkpoint.SweepResult{{Key: key, Result: result}},
+		})
+		damaged := flip != 0 || cut != 0
+		if flip != 0 {
+			raw[int(pos)%len(raw)] ^= flip
+		}
+		if cut != 0 {
+			raw = raw[:len(raw)-1-int(cut)%len(raw)]
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck := NewCheckpointer(path, 1, "fuzz-v")
+		err := ck.Load()
+		if damaged {
+			var ve *checkpoint.UnsupportedVersionError
+			var ce *checkpoint.ChecksumError
+			var co *checkpoint.CorruptError
+			if err == nil || !errors.Is(err, checkpoint.ErrBadMagic) && !errors.Is(err, checkpoint.ErrTruncated) &&
+				!errors.As(err, &ve) && !errors.As(err, &ce) && !errors.As(err, &co) {
+				t.Fatalf("damaged ledger: Load err = %v, want a typed checkpoint error", err)
+			}
+		} else if err != nil {
+			t.Fatalf("intact ledger: Load err = %v", err)
+		}
+
+		sentinel := ledgerResult{A: -1, B: "untouched", Rows: []float64{-1}}
+		out := ledgerResult{A: -1, B: "untouched", Rows: []float64{-1}}
+		if ck.Lookup(key, &out) {
+			var want ledgerResult
+			if damaged || json.Unmarshal(result, &want) != nil {
+				t.Fatalf("Lookup hit on %q (damaged %v)", result, damaged)
+			}
+			if !reflect.DeepEqual(out, want) {
+				t.Fatalf("Lookup = %+v, want %+v", out, want)
+			}
+		} else {
+			if !damaged && json.Unmarshal(result, new(ledgerResult)) == nil {
+				t.Fatalf("Lookup missed a stored, decodable result %q", result)
+			}
+			if !reflect.DeepEqual(out, sentinel) {
+				t.Fatalf("a missed Lookup changed its destination to %+v", out)
+			}
 		}
 	})
 }

@@ -38,7 +38,7 @@ import (
 // implements it: the engine hands over every task it would otherwise
 // compute locally (cache and ledger hits are still served in-process) and
 // receives the canonical-JSON result the remote worker produced. All
-// retry, failure-detection, and job-migration policy lives behind this
+// retry, failure-detection, and requeue policy lives behind this
 // interface; an error returned from RunTask is terminal for the task.
 type Remote interface {
 	// RunTask executes the named task of the suite. key is the
@@ -78,11 +78,10 @@ type Options struct {
 	Version string
 	// Reporter receives progress events. Nil disables reporting.
 	Reporter Reporter
-	// Checkpoint enables the sweep ledger: finished results and in-flight
-	// cut snapshots are persisted so a killed run can resume. Nil disables
-	// checkpointing (phased tasks then run the same schedule, saving nothing).
-	// *Checkpointer is the file-backed implementation; the fabric worker
-	// substitutes a streaming ledger that relays cuts to its coordinator.
+	// Checkpoint enables the sweep ledger: finished results are persisted
+	// so a killed run can resume, rerunning only the tasks it had not
+	// finished. Nil disables checkpointing. *Checkpointer is the file-backed
+	// implementation.
 	Checkpoint Ledger
 	// Only, when non-zero, restricts the engine to the one task it names:
 	// every other submitted task is skipped outright — no run, no cache or

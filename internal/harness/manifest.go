@@ -68,7 +68,7 @@ type RunManifest struct {
 	Sims      int       `json:"sims"`
 	CacheHits int       `json:"cache_hits"`
 	// Fabric carries the sweep-fabric pool's robustness accounting
-	// (spawns, retries, lease takeovers, ledger migrations) when the run
+	// (spawns, retries, lease takeovers) when the run
 	// executed under runexp -fabric; absent otherwise.
 	Fabric any         `json:"fabric,omitempty"`
 	Suites []*Manifest `json:"suites"`

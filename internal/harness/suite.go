@@ -31,11 +31,6 @@ type Task[R any] struct {
 	// Run executes the task with the derived seed. The result must be a
 	// JSON-round-trippable value for caching to engage.
 	Run func(seed int64) (R, error)
-	// RunPhased, when non-nil, is used instead of Run. It receives the
-	// engine's per-task checkpoint handle (nil when the engine has no
-	// checkpointer) and is expected to save a cut snapshot at each phase
-	// boundary and resume from Latest after a crash.
-	RunPhased func(seed int64, ckpt TaskCheckpoint) (R, error)
 }
 
 // Run executes tasks through e's worker pool and returns their results in
@@ -118,10 +113,10 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				rec.CheckpointHit = true
 				e.cache.Put(key, e.version, suite, name, seed, t.Config, results[i])
 			case e.remote != nil:
-				// Fabric execution: the pool owns retries, failure
-				// detection, and cut migration; what comes back is the
-				// worker's canonical-JSON result — the same representation
-				// a cache hit would be served from.
+				// Fabric execution: the pool owns retries and failure
+				// detection; what comes back is the worker's canonical-JSON
+				// result — the same representation a cache hit would be
+				// served from.
 				raw, rerr := e.remote.RunTask(suite, name, key)
 				if rerr == nil {
 					rerr = json.Unmarshal(raw, &results[i])
@@ -136,13 +131,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 					e.ckpt.Record(suite, name, key, results[i])
 				}
 			default:
-				var res R
-				var err error
-				if t.RunPhased != nil {
-					res, err = t.RunPhased(seed, e.ckpt.Task(suite, name))
-				} else {
-					res, err = t.Run(seed)
-				}
+				res, err := t.Run(seed)
 				if err != nil {
 					errs[i] = fmt.Errorf("%s/%s: %w", suite, name, err)
 					rec.Error = errs[i].Error()

@@ -26,16 +26,11 @@ func (a BcastAlg) String() string {
 // the root's vector on every rank (the root gets its own slice back, the
 // others a fresh one). Non-roots pass nil.
 func (c *Comm) Bcast(vals []float64, root int) []float64 {
-	return c.BcastWith(vals, root, BcastBinomial)
+	return c.BcastSized(vals, root, unsized, BcastBinomial)
 }
 
-// BcastWith broadcasts with an explicit algorithm.
-func (c *Comm) BcastWith(vals []float64, root int, alg BcastAlg) []float64 {
-	return c.BcastSized(vals, root, unsized, alg)
-}
-
-// BcastSized is BcastWith with an explicit wire size in bytes for every
-// message — the benchmark harness measures messages whose content is
+// BcastSized is Bcast with an explicit algorithm and wire size in bytes for
+// every message — the benchmark harness measures messages whose content is
 // irrelevant, and ClockPropSync's size message is an empty vector standing
 // for a 4-byte count.
 func (c *Comm) BcastSized(vals []float64, root, nbytes int, alg BcastAlg) []float64 {

@@ -68,7 +68,7 @@ func TestBcastAllAlgorithms(t *testing.T) {
 						if p.World().Rank() == root {
 							data = []float64{1, 2, 3}
 						}
-						got := p.World().BcastWith(data, root, alg)
+						got := p.World().BcastSized(data, root, unsized, alg)
 						if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 							t.Errorf("rank %d got %v", p.Rank(), got)
 						}
@@ -85,7 +85,7 @@ func TestReduceSum(t *testing.T) {
 		t.Run(fmt.Sprintf("p%d", n), func(t *testing.T) {
 			want := float64(n * (n - 1) / 2)
 			runBox(t, n, 8, func(p *Proc) {
-				res := p.World().Reduce([]float64{float64(p.Rank()), 1}, OpSum, 0)
+				res := p.World().reduce([]float64{float64(p.Rank()), 1}, OpSum, 0)
 				if p.Rank() == 0 {
 					if res[0] != want || res[1] != float64(n) {
 						t.Errorf("reduce = %v, want [%v %v]", res, want, n)
@@ -100,7 +100,7 @@ func TestReduceSum(t *testing.T) {
 
 func TestReduceNonZeroRoot(t *testing.T) {
 	runBox(t, 7, 8, func(p *Proc) {
-		res := p.World().Reduce([]float64{1}, OpSum, 3)
+		res := p.World().reduce([]float64{1}, OpSum, 3)
 		if p.Rank() == 3 && res[0] != 7 {
 			t.Errorf("reduce at root 3 = %v", res)
 		}
@@ -115,11 +115,11 @@ func TestAllreduceAllAlgorithms(t *testing.T) {
 				runBox(t, n, 9, func(p *Proc) {
 					w := p.World()
 					// MAX over ranks of rank -> n-1; SUM of 1 -> n.
-					got := w.AllreduceWith([]float64{float64(p.Rank()), 1}, OpMax, alg)
+					got := w.AllreduceSized([]float64{float64(p.Rank()), 1}, OpMax, 16, alg)
 					if got[0] != float64(n-1) || got[1] != 1 {
 						t.Errorf("rank %d: max = %v", p.Rank(), got)
 					}
-					got = w.AllreduceWith([]float64{1}, OpSum, alg)
+					got = w.AllreduceSized([]float64{1}, OpSum, 8, alg)
 					if got[0] != float64(n) {
 						t.Errorf("rank %d: sum = %v", p.Rank(), got[0])
 					}
@@ -138,7 +138,7 @@ func TestAllreduceRingLargeVector(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(p.Rank()*100 + i)
 		}
-		got := p.World().AllreduceWith(vals, OpSum, AllreduceRing)
+		got := p.World().AllreduceSized(vals, OpSum, 8*len(vals), AllreduceRing)
 		for i := range got {
 			want := float64(n*i + 100*(n*(n-1)/2))
 			if math.Abs(got[i]-want) > 1e-9 {
@@ -260,7 +260,7 @@ func TestSplitSharedGroupsByNode(t *testing.T) {
 	// TestBox has 4 cores/node; 8 ranks block-mapped = 2 nodes.
 	runBox(t, 8, 16, func(p *Proc) {
 		w := p.World()
-		node := w.Split(p.Location().Node, w.Rank()) // reference grouping
+		node := w.Split(p.Machine().Location(p.Rank()).Node, w.Rank()) // reference grouping
 		shared := p.World().SplitShared()
 		_ = node
 		if shared.Size() != 4 {

@@ -55,7 +55,7 @@ func TestBcastVariantsDeliverExactPayloadProperty(t *testing.T) {
 					if p.Rank() == root {
 						data = payload
 					}
-					got := p.World().BcastWith(data, root, alg)
+					got := p.World().BcastSized(data, root, unsized, alg)
 					if !slices.Equal(got, payload) && len(got)+len(payload) > 0 {
 						mu.Lock()
 						ok = false
@@ -105,7 +105,7 @@ func TestReduceMatchesSequentialFoldProperty(t *testing.T) {
 			for _, spec := range linkSpecs() {
 				op := o.op
 				if !runColl(t, n, seed, spec, func(p *Proc) {
-					got := p.World().Reduce(append([]float64(nil), inputs[p.Rank()]...), op, root)
+					got := p.World().reduce(append([]float64(nil), inputs[p.Rank()]...), op, root)
 					if p.Rank() != root {
 						return
 					}
@@ -154,7 +154,7 @@ func TestAllreduceVariantsUnderStragglersProperty(t *testing.T) {
 		for _, alg := range AllreduceAlgs() {
 			alg := alg
 			if !runColl(t, n, seed, linkSpecs()[1], func(p *Proc) {
-				got := p.World().AllreduceWith(inputs[p.Rank()], OpSum, alg)
+				got := p.World().AllreduceSized(inputs[p.Rank()], OpSum, 8*len(inputs[p.Rank()]), alg)
 				for i := range want {
 					if math.Abs(got[i]-want[i]) > 1e-9 {
 						mu.Lock()

@@ -37,7 +37,7 @@ func TestAllreduceMatchesSequentialFoldProperty(t *testing.T) {
 		for _, alg := range AllreduceAlgs() {
 			cfg := Config{Spec: cluster.TestBox(), NProcs: n, Seed: seed}
 			err := Run(cfg, func(p *Proc) {
-				got := p.World().AllreduceWith(inputs[p.Rank()], OpSum, alg)
+				got := p.World().AllreduceSized(inputs[p.Rank()], OpSum, 8*len(inputs[p.Rank()]), alg)
 				for i := range want {
 					if math.Abs(got[i]-want[i]) > 1e-9 {
 						mu.Lock()

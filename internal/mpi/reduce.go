@@ -68,9 +68,10 @@ func AllreduceAlgs() []AllreduceAlg {
 	return []AllreduceAlg{AllreduceRecursiveDoubling, AllreduceReduceBcast, AllreduceRing}
 }
 
-// Reduce combines vals from all ranks at root with op (binomial tree) and
-// returns the result on root (nil elsewhere).
-func (c *Comm) Reduce(vals []float64, op Op, root int) []float64 {
+// reduce combines vals from all ranks at root with op (binomial tree) and
+// returns the result on root (nil elsewhere). No suite reduces to a root;
+// the tests check the tree that AllreduceReduceBcast builds on.
+func (c *Comm) reduce(vals []float64, op Op, root int) []float64 {
 	c.checkRoot(root)
 	tag := c.nextTag(kindReduce)
 	return c.reduceBinomial(vals, op, root, tag, 8*len(vals))
@@ -103,13 +104,8 @@ func (c *Comm) Allreduce(vals []float64, op Op) []float64 {
 	return c.AllreduceSized(vals, op, 8*len(vals), c.p.world.cfg.Allreduce)
 }
 
-// AllreduceWith is Allreduce with an explicit algorithm.
-func (c *Comm) AllreduceWith(vals []float64, op Op, alg AllreduceAlg) []float64 {
-	return c.AllreduceSized(vals, op, 8*len(vals), alg)
-}
-
-// AllreduceSized is Allreduce with an explicit wire size in bytes — the
-// benchmark harness measures 4 B…1024 B messages whose content is
+// AllreduceSized is Allreduce with an explicit algorithm and wire size in
+// bytes — the benchmark harness measures 4 B…1024 B messages whose content is
 // irrelevant, so the logical payload stays a single float64 while nbytes
 // models the wire cost: every message of the recursive-doubling and
 // reduce-bcast algorithms puts exactly nbytes on the wire.

@@ -16,11 +16,12 @@ import (
 // ResumeSession; the phase structure is what makes that possible, because
 // goroutine stacks cannot be serialized.
 //
-// A phased program must split its work so that all cross-phase state is
-// either re-derivable from the config or carried explicitly through the
-// snapshot's application payload (see internal/checkpoint). Messages sent
-// in one phase and not yet received travel in the snapshot and are
-// delivered normally in a later phase.
+// The experiments run their jobs as phases for the global-time fence
+// between them and keep cross-phase state in memory; no production code
+// snapshots a session (the sweep ledger checkpoints whole tasks); Snapshot /
+// ResumeSession stay for the benchmark's checkpoint probe. Messages sent in
+// one phase and not yet received travel in a snapshot and are delivered
+// normally in a later phase.
 type Session struct {
 	env     *sim.Env
 	machine *cluster.Machine

@@ -294,9 +294,6 @@ func (p *Proc) World() *Comm { return p.comm }
 // Machine returns the underlying machine model.
 func (p *Proc) Machine() *cluster.Machine { return p.world.machine }
 
-// Location returns this rank's placement.
-func (p *Proc) Location() cluster.Location { return p.world.machine.Location(p.rank) }
-
 // TrueNow returns the current true simulation time — the ground truth no
 // real MPI process could observe. Experiments use it for validation only.
 func (p *Proc) TrueNow() float64 { return p.now() }

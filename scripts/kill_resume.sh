@@ -20,15 +20,14 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/runexp" ./cmd/runexp
 args=(-suite "$suite" -scale tiny -jobs 1 -cache "" -seed 424242)
 
-# Uninterrupted reference run, without a ledger: a phased simulation takes
-# the same schedule whether or not its cuts are saved.
+# Uninterrupted reference run, without a ledger.
 "$tmp/runexp" "${args[@]}" -quiet -outdir "$tmp/clean" >/dev/null
 
-# Checkpointed run, SIGKILLed once a task has finished. A non-empty ledger
-# is too early a signal: the first flush can be a mid-task cut, and a resume
-# from cuts alone has no finished task to serve. The run is not -quiet so
-# that its first task-done progress line on stderr, printed after the
-# finished task's ledger flush, marks the moment.
+# Checkpointed run, SIGKILLed once a task has finished; the resume then
+# serves the finished tasks from the ledger and reruns the one in flight
+# from its start. The ledger is flushed after every finished task, so the
+# run's first task-done progress line on stderr (it is not -quiet), printed
+# after that flush, marks the moment.
 "$tmp/runexp" "${args[@]}" -checkpoint "$tmp/run.ckpt" -outdir "$tmp/killed" >/dev/null 2>"$tmp/killed.err" &
 pid=$!
 for _ in $(seq 1 400); do
