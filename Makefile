@@ -32,13 +32,13 @@ test:
 # time on its own goroutine, and the MPI and fault-tolerant sync layers (and
 # internal/scale's fiber cross-checks) run on them; cluster and stats feed
 # them shared state (disturbed hardware clocks, robust summaries), and
-# checkpoint + detrand snapshot that shared state while engine workers run;
+# checkpoint snapshots that shared state while engine workers run;
 # fabric is the one package with supervisor goroutines, lease timers and a
 # condition-variable queue; its lock discipline is checked only here. All of
 # them go under the race detector. CI runs this target and `fuzz`, so these
 # two lists are the only ones.
 race:
-	$(GO) test -race ./internal/sim ./internal/scale ./internal/mpi ./internal/harness ./internal/clocksync ./internal/faults ./internal/cluster ./internal/stats ./internal/checkpoint ./internal/detrand ./internal/fabric
+	$(GO) test -race ./internal/sim ./internal/scale ./internal/mpi ./internal/harness ./internal/clocksync ./internal/faults ./internal/cluster ./internal/stats ./internal/checkpoint ./internal/fabric
 
 # Short smoke run of the native fuzz targets (seed corpora always run as
 # part of `make test`; this explores beyond them).
@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzCacheGet -fuzztime 10s
 	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzCacheKey -fuzztime 10s
 	$(GO) test ./internal/harness -run '^$$' -fuzz FuzzLedgerLoad -fuzztime 10s
+	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzRankSum -fuzztime 10s
 
 # gofmt first (any file it would rewrite fails the target; analyzer
 # fixtures under testdata/ are exempt), then the repository's own

@@ -36,7 +36,6 @@ var DefaultGuarded = []string{
 	"hclocksync/internal/experiments",
 	"hclocksync/internal/harness",
 	"hclocksync/internal/scale",
-	"hclocksync/internal/detrand",
 	"hclocksync/internal/checkpoint",
 	"hclocksync/internal/fabric",
 	"hclocksync/internal/stats",

@@ -18,8 +18,6 @@ func randSessionState(rng *rand.Rand) mpi.SessionState {
 	var st mpi.SessionState
 	st.Env.Now = rng.Float64() * 100
 	st.Env.Seq = rng.Int63n(1 << 30)
-	st.Env.Seed = rng.Int63()
-	st.Env.RngDraws = rng.Uint64() % (1 << 40)
 	st.Env.Spawned = rng.Intn(64)
 
 	randClock := func() cluster.ClockState {
@@ -79,7 +77,9 @@ func randSessionState(rng *rand.Rand) mpi.SessionState {
 		}
 		st.World.Mail = append(st.World.Mail, mb)
 	}
-	st.World.Faults = faults.InjectorState{MsgDraws: rng.Uint64() % (1 << 30), ByzDraws: rng.Uint64() % (1 << 30)}
+	for i := rng.Intn(8); i > 0; i-- {
+		st.World.Draws = append(st.World.Draws, rng.Uint64()%(1<<40))
+	}
 	for i := rng.Intn(2); i > 0; i-- {
 		st.World.FaultyClocks = append(st.World.FaultyClocks, mpi.FaultyClockState{
 			Rank: rng.Intn(8), Clock: randClock(),
@@ -114,9 +114,9 @@ func TestSessionCodecRoundTripProperty(t *testing.T) {
 // its remaining phase identically to the uninterrupted original.
 func TestSessionCheckpointResumeEndToEnd(t *testing.T) {
 	cfg := func() mpi.Config {
-		// Drops none of the messages but draws once per message, so the
-		// injector's stream position rides the snapshot.
-		plan := faults.Plan{DropProb: 1e-12, Seed: 31}
+		// Drops none of the messages but draws once per message from the
+		// sender's stream, whose position rides the snapshot.
+		plan := faults.Plan{DropProb: 1e-12}
 		return mpi.Config{Spec: cluster.TestBox(), NProcs: 8, Seed: 17, Faults: faults.NewInjector(plan)}
 	}
 	phaseA := func(p *mpi.Proc) {
@@ -148,8 +148,8 @@ func TestSessionCheckpointResumeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.World.Faults.MsgDraws == 0 {
-		t.Fatal("the injector drew nothing before the cut: its stream position is untested")
+	if st.World.Draws[0] == 0 {
+		t.Fatal("rank 0 drew nothing before the cut: its stream position is untested")
 	}
 	raw := EncodeSession(&Session{Cut: 1, State: st})
 
@@ -233,6 +233,7 @@ func TestResumeRejectsHostileDecodedState(t *testing.T) {
 		{"+Inf message arrival", func(st *mpi.SessionState) { st.World.Mail[0].Msgs[0].Arrival = inf }},
 		{"NaN clamp arrival", func(st *mpi.SessionState) { st.World.Clamps[0].Arrival = nan }},
 		{"-Inf clamp arrival", func(st *mpi.SessionState) { st.World.Clamps[0].Arrival = -inf }},
+		{"stream positions for 3 of 4 ranks", func(st *mpi.SessionState) { st.World.Draws = st.World.Draws[:3] }},
 	} {
 		dec, err := DecodeSession(raw)
 		if err != nil {

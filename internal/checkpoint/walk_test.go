@@ -11,21 +11,24 @@ import (
 	"hclocksync/internal/mpi"
 )
 
-// The format is pinned by bytes: testdata/*_v3.bin hold a 16-rank session
-// with in-flight messages of all three payload kinds, a split communicator
-// and a stepped-clock fork, and a sweep with a finished result and an empty
-// one. They descend from the version-1 fixtures of the hand-written
-// per-field codec this package had before the reflective walker: version 2
-// dropped the fork's zero rate change, version 3 the session's application
-// payload (App) and the sweep's in-flight task list, and each time the
-// frames were re-sealed. Decoding and re-encoding them must give the bytes
-// back, so a ledger written before a change restores after it.
-// Regenerating these files is a format change: bump FormatVersion.
-func TestFormatV3BytesUnchanged(t *testing.T) {
-	if FormatVersion != 3 {
-		t.Fatalf("FormatVersion = %d; the v3 fixtures no longer apply", FormatVersion)
+// The format is pinned by bytes: testdata/*_v4.bin hold a 16-rank session
+// with in-flight messages of all three payload kinds, a split communicator,
+// a stepped-clock fork and every rank's random-stream position, and a sweep
+// with a finished result and an empty one. They descend from the version-1
+// fixtures of the hand-written per-field codec this package had before the
+// reflective walker: version 2 dropped the fork's zero rate change, version
+// 3 the session's application payload (App) and the sweep's in-flight task
+// list, version 4 the kernel's random-stream seed and position and the fault
+// injector's draw counts, adding per-rank stream positions (synthetic
+// counts in the fixture), and each time the frames were re-sealed. Decoding
+// and re-encoding them must give the bytes back, so a ledger written before
+// a change restores after it. Regenerating these files is a format change:
+// bump FormatVersion.
+func TestFormatV4BytesUnchanged(t *testing.T) {
+	if FormatVersion != 4 {
+		t.Fatalf("FormatVersion = %d; the v4 fixtures no longer apply", FormatVersion)
 	}
-	session, err := os.ReadFile("testdata/session_v3.bin")
+	session, err := os.ReadFile("testdata/session_v4.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,17 +42,18 @@ func TestFormatV3BytesUnchanged(t *testing.T) {
 			kinds[m.Kind] = true
 		}
 	}
-	if s.Cut != 2 || len(kinds) != 3 || len(s.State.World.Comms) == 0 || len(s.State.World.FaultyClocks) == 0 {
-		t.Fatalf("session fixture lost coverage: cut=%d kinds=%v comms=%d forks=%d", s.Cut, kinds,
-			len(s.State.World.Comms), len(s.State.World.FaultyClocks))
+	if s.Cut != 2 || len(kinds) != 3 || len(s.State.World.Comms) == 0 || len(s.State.World.FaultyClocks) == 0 ||
+		len(s.State.World.Draws) != 16 {
+		t.Fatalf("session fixture lost coverage: cut=%d kinds=%v comms=%d forks=%d stream positions=%d", s.Cut, kinds,
+			len(s.State.World.Comms), len(s.State.World.FaultyClocks), len(s.State.World.Draws))
 	}
 	if got := EncodeSession(s); !bytes.Equal(got, session) {
-		t.Errorf("session_v3.bin re-encoded to different bytes (%d B, fixture %d B)", len(got), len(session))
+		t.Errorf("session_v4.bin re-encoded to different bytes (%d B, fixture %d B)", len(got), len(session))
 	}
 
 	// A container of an earlier version is refused by its version alone,
 	// before the checksum or the payload is looked at.
-	for _, v := range []uint32{1, 2} {
+	for _, v := range []uint32{1, 2, 3} {
 		old := append([]byte(nil), session...)
 		binary.LittleEndian.PutUint32(old[len(magic):], v)
 		var ve *UnsupportedVersionError
@@ -58,7 +62,7 @@ func TestFormatV3BytesUnchanged(t *testing.T) {
 		}
 	}
 
-	sweep, err := os.ReadFile("testdata/sweep_v3.bin")
+	sweep, err := os.ReadFile("testdata/sweep_v4.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func TestFormatV3BytesUnchanged(t *testing.T) {
 		t.Fatalf("sweep fixture lost coverage: %d results", len(w.Results))
 	}
 	if got := EncodeSweep(w); !bytes.Equal(got, sweep) {
-		t.Errorf("sweep_v3.bin re-encoded to different bytes (%d B, fixture %d B)", len(got), len(sweep))
+		t.Errorf("sweep_v4.bin re-encoded to different bytes (%d B, fixture %d B)", len(got), len(sweep))
 	}
 }
 

@@ -10,12 +10,17 @@ import "hclocksync/internal/mpi"
 // Clock is a time source as seen by one rank.
 //
 // Time returns the current reading and charges the underlying hardware
-// clock's read cost to the rank, like a real clock_gettime call. TrueWhen
-// maps a hypothetical reading back to true simulation time; the simulator
-// uses it to sleep until a clock reading is reached without modelling
-// millions of polling iterations (see WaitUntil).
+// clock's read cost to the rank, like a real clock_gettime call. ReadAt is
+// the reading Time would return at true time t, with no cost charged and no
+// time passing: a pure function of t, which lets an exchange computed in
+// place (see clocksync.SKaMPIOffset) read a clock at the instants the
+// message-by-message exchange would. TrueWhen maps a hypothetical reading
+// back to true simulation time; the simulator uses it to sleep until a
+// clock reading is reached without modelling millions of polling iterations
+// (see WaitUntil).
 type Clock interface {
 	Time() float64
+	ReadAt(t float64) float64
 	TrueWhen(reading float64) float64
 }
 
@@ -30,6 +35,9 @@ func NewLocal(p *mpi.Proc) *Local { return &Local{p: p} }
 
 // Time reads the hardware clock (charging its read cost).
 func (l *Local) Time() float64 { return l.p.ReadHWClock() }
+
+// ReadAt is the hardware clock's reading at true time t.
+func (l *Local) ReadAt(t float64) float64 { return l.p.HWClock().ReadAt(t) }
 
 // TrueWhen inverts the hardware clock.
 func (l *Local) TrueWhen(reading float64) float64 {
@@ -56,6 +64,13 @@ func New(base Clock, m LinearModel) *GlobalClockLM {
 func (g *GlobalClockLM) Time() float64 {
 	t := g.Base.Time()
 	return t - g.Model.Predict(t)
+}
+
+// ReadAt is the base clock's reading at true time t with the modelled drift
+// removed, the same arithmetic as Time.
+func (g *GlobalClockLM) ReadAt(t float64) float64 {
+	b := g.Base.ReadAt(t)
+	return b - g.Model.Predict(b)
 }
 
 // TrueWhen inverts the drift adjustment, then the base clock.

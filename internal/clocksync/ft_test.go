@@ -91,13 +91,20 @@ func TestHCA3FTExactOnOffsetOnlyClocks(t *testing.T) {
 }
 
 // ftReports runs HCA3FT under the given plan and returns the per-rank
-// reports plus every survivor's global-clock reading at a common instant.
+// reports plus every survivor's global-clock reading at a common instant:
+// the true time the last survivor finished, evaluated after the job, so the
+// measurement sends no message a lossy plan could drop.
 func ftReports(t *testing.T, nprocs int, seed int64, plan faults.Plan,
 	alg HCA3FT) ([]RankSync, []float64) {
 	t.Helper()
 	var mu sync.Mutex
 	reps := make([]RankSync, nprocs)
-	var readings []float64
+	type survivor struct {
+		g  clock.Clock
+		hw *cluster.HWClock
+	}
+	var survivors []survivor
+	var end float64
 	cfg := mpi.Config{
 		Spec:   cluster.TestBox(),
 		NProcs: nprocs,
@@ -107,19 +114,19 @@ func ftReports(t *testing.T, nprocs int, seed int64, plan faults.Plan,
 	err := mpi.Run(cfg, func(p *mpi.Proc) {
 		g, rep := alg.SyncFT(p.World(), clock.NewLocal(p))
 		mu.Lock()
+		defer mu.Unlock()
 		reps[p.Rank()] = rep
-		mu.Unlock()
-		if !rep.Alive {
-			return
+		if rep.Alive {
+			survivors = append(survivors, survivor{g, p.HWClock()})
+			end = math.Max(end, p.TrueNow())
 		}
-		s := p.World().ShrinkSurvivors()
-		end := s.AllreduceF64(p.TrueNow(), mpi.OpMax)
-		mu.Lock()
-		readings = append(readings, globalReading(g, p.HWClock(), end))
-		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var readings []float64
+	for _, s := range survivors {
+		readings = append(readings, globalReading(s.g, s.hw, end))
 	}
 	return reps, readings
 }
@@ -129,7 +136,7 @@ func ftReports(t *testing.T, nprocs int, seed int64, plan faults.Plan,
 // every survivor reports a finite sync error.
 func TestHCA3FTSurvivesCrashedRoot(t *testing.T) {
 	const n = 8
-	plan := faults.Plan{Crashes: []faults.Crash{{Rank: 0, At: 0}}, Seed: 1}
+	plan := faults.Plan{Crashes: []faults.Crash{{Rank: 0, At: 0}}}
 	alg := HCA3FT{NFitpoints: 20}
 	reps, readings := ftReports(t, n, 77, plan, alg)
 	if reps[0].Alive {
@@ -172,7 +179,7 @@ func TestHCA3FTSurvivesCrashedRoot(t *testing.T) {
 // for, and the models stay finite.
 func TestHCA3FTCompletesUnderDrops(t *testing.T) {
 	const n = 8
-	plan := faults.Plan{DropProb: 0.05, Seed: 9}
+	plan := faults.Plan{DropProb: 0.05}
 	alg := HCA3FT{NFitpoints: 20}
 	reps, readings := ftReports(t, n, 78, plan, alg)
 	for r, rep := range reps {

@@ -54,7 +54,9 @@ func ftDigest(t *testing.T, n int, seed int64, plan faults.Plan,
 // never written into them, and what a session needs beyond FTOpts.Gap and
 // WatchOpts{Rounds, Threshold, Servers} are constants: each scenario's
 // digest was recorded while those were still option fields left at their
-// defaults, so a constant that drifts from its old default fails here.
+// defaults, so a constant that drifts from its old default fails here. The
+// digests were re-recorded once, when every draw became keyed to the rank
+// that makes it (other delays, drop coins and jitter; same constants).
 func TestFTFamilyDigestsAndCallerOptionsUntouched(t *testing.T) {
 	ft := HCA3FT{NFitpoints: 20, Opts: FTOpts{Gap: 5e-4}}
 	robust := HCA3Robust{NFitpoints: 20, Opts: FTOpts{Gap: 5e-4}}
@@ -69,12 +71,12 @@ func TestFTFamilyDigestsAndCallerOptionsUntouched(t *testing.T) {
 		syncFT func(*mpi.Comm, clock.Clock) (clock.Clock, RankSync)
 		want   string
 	}{
-		{"ft/drops", 8, 78, faults.Plan{DropProb: 0.05, Seed: 9}, ft.SyncFT, "5cdc63ee5e3e74e2"},
-		{"robust/drops", 8, 78, faults.Plan{DropProb: 0.05, Seed: 9}, robust.SyncFT, "8c66923b41efcea7"},
-		{"ft/crashed-root", 8, 77, faults.Plan{Crashes: []faults.Crash{{Rank: 0, At: 0}}, Seed: 1}, ft.SyncFT, "3cfeaf5446388604"},
-		{"robust/crashed-root", 13, 77, faults.Plan{Crashes: []faults.Crash{{Rank: 0, At: 0}}, Seed: 1}, robust.SyncFT, "5f2f644f94b0a405"},
-		{"robust/byzantine", 16, 81, faults.Plan{Byz: []faults.ByzRank{{Rank: 2, Bias: 2e-3}}, ByzJitter: 1e-5, Seed: 7}, robust.SyncFT, "93b13b9c6b1453ca"},
-		{"watched/step", 8, 83, faults.Plan{Steps: []faults.ClockStep{{Rank: 3, At: 0.25, Delta: 1e-3}}, Seed: 11}, watched.SyncFT, "e55b692ee23f9dbf"},
+		{"ft/drops", 8, 78, faults.Plan{DropProb: 0.05}, ft.SyncFT, "450c6b0670d37401"},
+		{"robust/drops", 8, 78, faults.Plan{DropProb: 0.05}, robust.SyncFT, "401723102fcd09e7"},
+		{"ft/crashed-root", 8, 77, faults.Plan{Crashes: []faults.Crash{{Rank: 0, At: 0}}}, ft.SyncFT, "f15a36ae4250def3"},
+		{"robust/crashed-root", 13, 77, faults.Plan{Crashes: []faults.Crash{{Rank: 0, At: 0}}}, robust.SyncFT, "e8c9cf3a33c68723"},
+		{"robust/byzantine", 16, 81, faults.Plan{Byz: []faults.ByzRank{{Rank: 2, Bias: 2e-3}}, ByzJitter: 1e-5}, robust.SyncFT, "09c99da0d80df3bc"},
+		{"watched/step", 8, 83, faults.Plan{Steps: []faults.ClockStep{{Rank: 3, At: 0.25, Delta: 1e-3}}}, watched.SyncFT, "a6f635a1518cea21"},
 	} {
 		if got := ftDigest(t, tc.n, tc.seed, tc.plan, tc.syncFT); got != tc.want {
 			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)

@@ -50,38 +50,39 @@ func (p Params) label(alg string) string {
 // collect NFitpoints offset samples; the client fits a linear drift model
 // by least squares and — if RecomputeIntercept is set — re-anchors the
 // intercept with one fresh offset measurement. The client returns the
-// fitted model; the reference returns the zero model.
+// fitted model; the reference returns the zero model. With SKaMPI-Offset
+// every measurement, the intercept's included, is one series (a single
+// rendezvous when fused); any other OffsetAlg measures one at a time.
 func LearnClockModel(comm *mpi.Comm, p Params, ref, client int, clk clock.Clock) clock.LinearModel {
 	p = p.withDefaults()
 	me := comm.Rank()
-	switch me {
-	case ref:
-		for i := 0; i < p.NFitpoints; i++ {
-			p.Offset.MeasureOffset(comm, clk, ref, client)
-		}
-		if p.RecomputeIntercept {
-			p.Offset.MeasureOffset(comm, clk, ref, client)
-		}
-		return clock.LinearModel{}
-	case client:
-		buf := getSampleBuf(p.NFitpoints)
-		defer putSampleBuf(buf)
-		xfit, yfit := buf.x, buf.y
-		for i := 0; i < p.NFitpoints; i++ {
-			o := p.Offset.MeasureOffset(comm, clk, ref, client)
-			xfit[i] = o.Timestamp
-			yfit[i] = o.Offset
-		}
-		fit := stats.FitLinear(xfit, yfit)
-		lm := clock.LinearModel{Slope: fit.Slope, Intercept: fit.Intercept}
-		if p.RecomputeIntercept {
-			o := p.Offset.MeasureOffset(comm, clk, ref, client)
-			// Anchor the line exactly through the fresh sample
-			// (Alg. 2 line 21).
-			lm.Intercept = lm.Slope*(-o.Timestamp) + o.Offset
-		}
-		return lm
-	default:
+	if me != ref && me != client {
 		panic(fmt.Sprintf("clocksync: rank %d in LearnClockModel(%d,%d)", me, ref, client))
 	}
+	n := p.NFitpoints
+	k := n
+	if p.RecomputeIntercept {
+		k++
+	}
+	buf := getSampleBuf(k)
+	defer putSampleBuf(buf)
+	if s, ok := p.Offset.(SKaMPIOffset); ok {
+		s.series(comm, clk, ref, client, buf, s.fusable(comm, ref, client))
+	} else {
+		for i := 0; i < k; i++ {
+			o := p.Offset.MeasureOffset(comm, clk, ref, client)
+			buf.x[i], buf.y[i] = o.Timestamp, o.Offset
+		}
+	}
+	if me == ref {
+		return clock.LinearModel{}
+	}
+	fit := stats.FitLinear(buf.x[:n], buf.y[:n])
+	lm := clock.LinearModel{Slope: fit.Slope, Intercept: fit.Intercept}
+	if p.RecomputeIntercept {
+		// Anchor the line exactly through the fresh sample
+		// (Alg. 2 line 21).
+		lm.Intercept = lm.Slope*(-buf.x[n]) + buf.y[n]
+	}
+	return lm
 }

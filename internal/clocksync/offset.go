@@ -57,39 +57,124 @@ type SKaMPIOffset struct {
 // Name returns the paper's label fragment.
 func (s SKaMPIOffset) Name() string { return fmt.Sprintf("SKaMPI-Offset/%d", s.NExchanges) }
 
-// MeasureOffset implements Alg. 7.
+// MeasureOffset implements Alg. 7: one measurement, a series of one.
 func (s SKaMPIOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, client int) ClockOffset {
+	b := getSampleBuf(1)
+	defer putSampleBuf(b)
+	s.series(comm, clk, ref, client, b, s.fusable(comm, ref, client))
+	if comm.Rank() == ref {
+		return ClockOffset{}
+	}
+	return ClockOffset{Timestamp: b.x[0], Offset: b.y[0]}
+}
+
+// fusable reports whether a series between ref and client runs fused: the
+// pair's fault plan allows it (mpi.Comm.Fusable), in a build that fuses.
+func (s SKaMPIOffset) fusable(comm *mpi.Comm, ref, client int) bool {
+	me := comm.Rank()
+	return fuseExchanges && (me == ref || me == client) && comm.Fusable(ref+client-me)
+}
+
+// series is len(b.x) consecutive measurements between ref and client: the
+// client records the i-th one's timestamp and offset in b.x[i] and b.y[i],
+// the reference passes a buffer of the same length and gets nothing back.
+// Fused, the whole series is one rendezvous (fusedSeries); otherwise it is
+// n ping-pongs message by message per measurement (pingPongs). Both give
+// the same bits.
+func (s SKaMPIOffset) series(comm *mpi.Comm, clk clock.Clock, ref, client int, b *sampleBuf, fused bool) {
 	n := s.NExchanges
 	if n <= 0 {
 		n = 10
 	}
-	switch comm.Rank() {
-	case ref:
+	me := comm.Rank()
+	if me != ref && me != client {
+		panic(fmt.Sprintf("clocksync: rank %d called MeasureOffset for pair (%d,%d)", me, ref, client))
+	}
+	if fused {
+		fusedSeries(comm, clk, ref, client, n, b)
+		return
+	}
+	for i := range b.x {
+		tdMin, tdMax := pingPongs(comm, clk, ref, client, n)
+		if me == client {
+			refMinusClient := (tdMin + tdMax) / 2
+			b.x[i], b.y[i] = clk.Time(), -refMinusClient
+		}
+	}
+}
+
+// pingPongs is one measurement's n ping-pongs message by message: the
+// client returns the bounds (tdMin, tdMax) it established on ref − client,
+// the reference zeros.
+func pingPongs(comm *mpi.Comm, clk clock.Clock, ref, client, n int) (tdMin, tdMax float64) {
+	if comm.Rank() == ref {
 		for i := 0; i < n; i++ {
 			comm.RecvF64(client, tagPing)
 			tLast := serveReading(comm, clk)
 			comm.SendF64(client, tagPong, tLast)
 		}
-		return ClockOffset{}
-	case client:
-		tdMin := math.Inf(-1)
-		tdMax := math.Inf(1)
+		return 0, 0
+	}
+	tdMin, tdMax = math.Inf(-1), math.Inf(1)
+	for i := 0; i < n; i++ {
+		sLast := clk.Time()
+		comm.SendF64(ref, tagPing, sLast)
+		tLast := comm.RecvF64(ref, tagPong)
+		sNow := clk.Time()
+		// tLast was taken between sLast and sNow on the client's axis, so
+		// (ref − client) ∈ [tLast − sNow, tLast − sLast].
+		tdMin = math.Max(tdMin, tLast-sNow)
+		tdMax = math.Min(tdMax, tLast-sLast)
+	}
+	return tdMin, tdMax
+}
+
+// fusedSeries is a series as one rendezvous: the second rank of the pair
+// to arrive computes both sides of every measurement at explicit times —
+// each clock read is the clock's pure ReadAt at the reader's time after its
+// read cost, each message an mpi.Side.Send/Recv — fills the client's
+// buffer, and resumes the parked rank at its end time. Every step is the
+// message-level loop's, in the same order per rank, so the readings, the
+// samples, both ranks' end times, clamp cells and stream positions come out
+// bit-identical. Between two measurements neither rank does anything
+// another could see: the reference only loops, the client only reads its
+// clock. A rank's clock is read at its own rank's hardware read cost, as
+// Local.Time charges it: every caller passes a clock over its own rank's
+// Local clock, in b.clk while it is parked.
+func fusedSeries(comm *mpi.Comm, clk clock.Clock, ref, client, n int, b *sampleBuf) {
+	b.clk = clk
+	mine, other, arg := comm.Meet(ref+client-comm.Rank(), b)
+	b.clk = nil
+	if other == nil { // parked: the other rank computed both sides
+		return
+	}
+	theirs := arg.(*sampleBuf)
+	r, c, rClk, cClk, out := mine, other, clk, theirs.clk, theirs
+	if comm.Rank() == client {
+		r, c, rClk, cClk, out = other, mine, theirs.clk, clk, b
+	}
+	theirs.clk = nil
+	rCost := r.Proc().HWClock().Spec.ReadCost
+	cCost := c.Proc().HWClock().Spec.ReadCost
+	for j := range out.x {
+		tdMin, tdMax := math.Inf(-1), math.Inf(1)
 		for i := 0; i < n; i++ {
-			sLast := clk.Time()
-			comm.SendF64(ref, tagPing, sLast)
-			tLast := comm.RecvF64(ref, tagPong)
-			sNow := clk.Time()
-			// tLast was taken between sLast and sNow on the client's
-			// axis, so (ref − client) ∈ [tLast − sNow, tLast − sLast].
+			c.Advance(cCost)
+			sLast := cClk.ReadAt(c.T)
+			r.Recv(c.Send(r, 8))
+			r.Advance(rCost)
+			tLast := r.Proc().PerturbTimestamp(rClk.ReadAt(r.T))
+			c.Recv(r.Send(c, 8))
+			c.Advance(cCost)
+			sNow := cClk.ReadAt(c.T)
 			tdMin = math.Max(tdMin, tLast-sNow)
 			tdMax = math.Min(tdMax, tLast-sLast)
 		}
 		refMinusClient := (tdMin + tdMax) / 2
-		return ClockOffset{Timestamp: clk.Time(), Offset: -refMinusClient}
-	default:
-		panic(fmt.Sprintf("clocksync: rank %d called MeasureOffset for pair (%d,%d)",
-			comm.Rank(), ref, client))
+		c.Advance(cCost)
+		out.x[j], out.y[j] = cClk.ReadAt(c.T), -refMinusClient
 	}
+	comm.Finish(mine, other)
 }
 
 // MeanRTTOffset is the clock offset algorithm of Jones & Koenig (paper

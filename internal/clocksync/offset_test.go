@@ -6,6 +6,7 @@ import (
 
 	"hclocksync/internal/clock"
 	"hclocksync/internal/cluster"
+	"hclocksync/internal/faults"
 	"hclocksync/internal/mpi"
 	"hclocksync/internal/sim"
 )
@@ -57,35 +58,56 @@ func TestSKaMPIOffsetMeasuresTrueOffset(t *testing.T) {
 	})
 }
 
-// One SKaMPI exchange is four kernel events: each side's send goes on the
-// wire in one kernel callback (at the local time the client's clock read and
-// send overhead, or the reference's receive overhead, clock read and send
-// overhead, have reached) and each side wakes once at a message arrival. It
-// was nine while every clock read and messaging overhead was an event of its
-// own.
-func TestSKaMPIExchangeIsFourEvents(t *testing.T) {
-	events := func(n int) uint64 {
-		cfg := mpi.Config{Spec: cluster.TestBox(), NProcs: 2, Seed: 21}
-		m, err := cluster.NewMachine(cfg.Spec, cfg.NProcs, cfg.Mapping, cfg.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := sim.NewEnv(cfg.Seed + 1)
-		if err := mpi.RunOn(env, m, cfg, func(p *mpi.Proc) {
-			SKaMPIOffset{NExchanges: n}.MeasureOffset(p.World(), clock.NewLocal(p), 0, 1)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return env.Processed()
+// skampiEvents runs one SKaMPI measurement of n ping-pongs between two
+// ranks under plan and returns the job's kernel events.
+func skampiEvents(t *testing.T, n int, plan faults.Plan) uint64 {
+	t.Helper()
+	cfg := mpi.Config{Spec: cluster.TestBox(), NProcs: 2, Seed: 21, Faults: faults.NewInjector(plan)}
+	m, err := cluster.NewMachine(cfg.Spec, cfg.NProcs, cfg.Mapping, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
 	}
+	env := sim.NewEnv(cfg.Seed + 1)
+	if err := mpi.RunOn(env, m, cfg, func(p *mpi.Proc) {
+		SKaMPIOffset{NExchanges: n}.MeasureOffset(p.World(), clock.NewLocal(p), 0, 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return env.Processed()
+}
+
+// One SKaMPI exchange message by message — the reference path, taken here
+// because the plan schedules a crash for the pair, one that never comes —
+// is four kernel events: each side's send goes on the wire in one kernel
+// callback (at the local time the client's clock read and send overhead,
+// or the reference's receive overhead, clock read and send overhead, have
+// reached) and each side wakes once at a message arrival. It was nine while
+// every clock read and messaging overhead was an event of its own.
+func TestSKaMPIExchangeIsFourEvents(t *testing.T) {
+	late := faults.Plan{Crashes: []faults.Crash{{Rank: 1, At: 1e9}}}
 	// Two spawn events, the client settling the reads that follow its last
 	// receive when it returns, and — since sends stopped blocking — the
 	// reference's end-of-main settle: its last send is a callback the rank
 	// does not wait for, so the settle that used to be that send's own event
 	// now follows it.
 	for _, n := range []int{1, 10, 100} {
-		if got, want := events(n), uint64(4*n+4); got != want {
+		if got, want := skampiEvents(t, n, late), uint64(4*n+4); got != want {
 			t.Errorf("%d exchanges: %d kernel events, want %d", n, got, want)
+		}
+	}
+}
+
+// A fused SKaMPI measurement costs four kernel events whatever its number
+// of ping-pongs: the two spawns, the reference parked and woken at its end
+// time by the client that computed both sides, and the client's end-of-main
+// settle.
+func TestFusedSKaMPIMeasurementEventCount(t *testing.T) {
+	if !fuseExchanges {
+		t.Skip("built with -tags simnofuse")
+	}
+	for _, n := range []int{1, 10, 100} {
+		if got := skampiEvents(t, n, faults.Plan{}); got != 4 {
+			t.Errorf("%d exchanges: %d kernel events, want 4", n, got)
 		}
 	}
 }

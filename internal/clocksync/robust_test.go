@@ -133,7 +133,6 @@ func TestHCA3RobustToleratesByzantineServer(t *testing.T) {
 	plan := faults.Plan{
 		Byz:       []faults.ByzRank{{Rank: 2, Bias: 2e-3}},
 		ByzJitter: 1e-5,
-		Seed:      7,
 	}
 	robust := HCA3Robust{NFitpoints: 20}
 	_, robustReadings := robustReports(t, n, seed, plan,
@@ -169,7 +168,6 @@ func TestWatchdogDetectsStepAndResyncs(t *testing.T) {
 	)
 	plan := faults.Plan{
 		Steps: []faults.ClockStep{{Rank: 3, At: stepAt, Delta: delta}},
-		Seed:  11,
 	}
 	// The Gap widens the fit span: with back-to-back exchanges the span is
 	// ~20 RTTs and link jitter turns into thousands of ppm of slope noise,

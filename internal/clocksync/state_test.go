@@ -10,6 +10,7 @@ import (
 type fixedClock float64
 
 func (f fixedClock) Time() float64              { return float64(f) }
+func (f fixedClock) ReadAt(float64) float64     { return float64(f) }
 func (f fixedClock) TrueWhen(r float64) float64 { return r - float64(f) }
 
 // Capture/Rebuild must preserve the nesting exactly: readings of the

@@ -227,12 +227,15 @@ func TestCheckAccuracyReportsDrift(t *testing.T) {
 			if len(samples) != 7 {
 				t.Fatalf("got %d samples, want 7", len(samples))
 			}
+			// A 15-point fit over a few milliseconds, extrapolated 1 s: the
+			// check must see the error grow, within the 2e-4 that bounds it
+			// over seeds 1–60 (median about 5e-5).
 			at0, at1 := MaxAbsOffsets(samples)
 			if at0 > 2e-6 {
 				t.Errorf("max offset at 0 s = %v", at0)
 			}
-			if at1 > 3e-5 {
-				t.Errorf("max offset after 1 s = %v", at1)
+			if at1 <= at0 || at1 > 2e-4 {
+				t.Errorf("max offset after 1 s = %v, want in (%v, 2e-4]", at1, at0)
 			}
 		} else if samples != nil {
 			t.Error("non-root must return nil samples")

@@ -9,9 +9,10 @@
 //     probability of the per-message drop. Plans are pure data: they can be
 //     recorded in a run manifest and replayed byte-identically.
 //
-//   - An Injector executes a Plan. Per-message drop coins come from the
-//     injector's own random stream, seeded from the plan — never from the
-//     simulation kernel's stream. A plan with zero probabilities and no
+//   - An Injector executes a Plan. It holds no random state: a drop coin or
+//     a Byzantine jitter is drawn from the stream the caller passes — the
+//     MPI layer passes the stream of the rank that sends or serves — and
+//     only when the plan can fire. A plan with zero probabilities and no
 //     crashes therefore leaves the simulation byte-identical to a run with
 //     no injector at all, which is the regression guarantee the experiment
 //     suites rely on.
@@ -24,8 +25,6 @@ package faults
 import (
 	"math"
 	"math/rand"
-
-	"hclocksync/internal/detrand"
 )
 
 // Crash is a crash-stop fault: world rank Rank halts permanently at true
@@ -68,8 +67,6 @@ type Plan struct {
 	// ByzJitter is the amplitude of the uniform jitter added on top of each
 	// Byzantine rank's bias per served timestamp.
 	ByzJitter float64 `json:"byz_jitter,omitempty"`
-	// Seed seeds the injector's private random streams.
-	Seed int64 `json:"seed,omitempty"`
 }
 
 // PlanConfig describes fault *intensity*; Derive expands it into a concrete
@@ -107,10 +104,8 @@ type PlanConfig struct {
 // always yield the same schedule, which is what makes fault experiments
 // replayable from a manifest seed alone.
 func (c PlanConfig) Derive(nprocs int, seed int64) Plan {
-	// Offset the stream so the injector's per-message flips (seeded below
-	// with the raw seed) are decorrelated from the schedule draws.
 	rng := rand.New(rand.NewSource(seed ^ 0x5FAE1755))
-	plan := Plan{DropProb: c.DropProb, Seed: seed}
+	plan := Plan{DropProb: c.DropProb}
 	if n := c.NCrashes; n > 0 && nprocs > 0 {
 		if n > nprocs {
 			n = nprocs
@@ -169,29 +164,17 @@ func nonRootPerm(rng *rand.Rand, nprocs, n int) []int {
 
 // Injector executes one Plan inside one simulated job. All methods are safe
 // on a nil receiver (a nil injector injects nothing), so the MPI layer can
-// consult it unconditionally. The injector is used only from the currently
-// running simulation process (the simulation is sequential), so it needs no
-// locking.
+// consult it unconditionally. It is read-only once built: the random draws
+// come from the caller's stream, so it needs no locking and no snapshot.
 type Injector struct {
-	plan Plan
-	// msgSrc/rng is the per-message drop stream; the counting source is
-	// what lets a checkpoint capture its position (see InjectorState).
-	msgSrc  *detrand.Source
-	rng     *rand.Rand
+	plan    Plan
 	crashAt map[int]float64
 	byzBias map[int]float64
-	// byzSrc/byzRng drives per-timestamp Byzantine jitter. It is separate
-	// from the drop stream so adding Byzantine ranks to a plan does not
-	// shift the drop coin sequence, and vice versa.
-	byzSrc *detrand.Source
-	byzRng *rand.Rand
 }
 
-// NewInjector builds an injector for plan. The per-message stream is seeded
-// from plan.Seed.
+// NewInjector builds an injector for plan.
 func NewInjector(plan Plan) *Injector {
-	in := &Injector{plan: plan, msgSrc: detrand.New(plan.Seed)}
-	in.rng = rand.New(in.msgSrc)
+	in := &Injector{plan: plan}
 	if len(plan.Crashes) > 0 {
 		in.crashAt = make(map[int]float64, len(plan.Crashes))
 		for _, c := range plan.Crashes {
@@ -205,20 +188,20 @@ func NewInjector(plan Plan) *Injector {
 		for _, b := range plan.Byz {
 			in.byzBias[b.Rank] = b.Bias
 		}
-		in.byzSrc = detrand.New(plan.Seed ^ 0x2B7A11CE)
-		in.byzRng = rand.New(in.byzSrc)
 	}
 	return in
 }
 
-// Drop rolls the per-message drop coin. It draws from the injector's stream
-// only when DropProb is positive, so a zero-probability plan perturbs
-// nothing.
-func (in *Injector) Drop() bool {
-	if in == nil || in.plan.DropProb <= 0 {
+// Drops reports whether the plan drops messages at all.
+func (in *Injector) Drops() bool { return in != nil && in.plan.DropProb > 0 }
+
+// Drop rolls the per-message drop coin from rng. It draws only when
+// DropProb is positive, so a zero-probability plan perturbs nothing.
+func (in *Injector) Drop(rng *rand.Rand) bool {
+	if !in.Drops() {
 		return false
 	}
-	return in.rng.Float64() < in.plan.DropProb
+	return rng.Float64() < in.plan.DropProb
 }
 
 // CrashTime returns the scheduled crash time of rank, or +Inf if the rank
@@ -259,10 +242,10 @@ func (in *Injector) IsByzantine(rank int) bool {
 
 // PerturbTimestamp applies rank's Byzantine perturbation to a clock reading
 // the rank is about to serve to a sync client: the rank's bias plus uniform
-// jitter in [-ByzJitter, ByzJitter]. Honest ranks (and nil injectors) get
-// the reading back untouched with no random draw, preserving the zero-plan
-// byte-identity guarantee.
-func (in *Injector) PerturbTimestamp(rank int, reading float64) float64 {
+// jitter in [-ByzJitter, ByzJitter], drawn from rng. Honest ranks (and nil
+// injectors) get the reading back untouched with no random draw, preserving
+// the zero-plan byte-identity guarantee.
+func (in *Injector) PerturbTimestamp(rank int, reading float64, rng *rand.Rand) float64 {
 	if in == nil || in.byzBias == nil {
 		return reading
 	}
@@ -272,7 +255,7 @@ func (in *Injector) PerturbTimestamp(rank int, reading float64) float64 {
 	}
 	p := bias
 	if j := in.plan.ByzJitter; j > 0 {
-		p += j * (2*in.byzRng.Float64() - 1)
+		p += j * (2*rng.Float64() - 1)
 	}
 	return reading + p
 }

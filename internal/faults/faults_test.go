@@ -3,6 +3,7 @@ package faults
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -67,7 +68,7 @@ func TestDeriveCrashBounds(t *testing.T) {
 
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var in *Injector
-	if in.Drop() {
+	if in.Drops() || in.Drop(nil) {
 		t.Error("nil injector flipped a coin")
 	}
 	if !math.IsInf(in.CrashTime(3), 1) {
@@ -79,26 +80,25 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 }
 
 func TestInjectorDropRate(t *testing.T) {
-	in := NewInjector(Plan{DropProb: 0.3, Seed: 5})
+	in := NewInjector(Plan{DropProb: 0.3})
+	rng := rand.New(rand.NewSource(5))
 	drops := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
-		if in.Drop() {
+		if in.Drop(rng) {
 			drops++
 		}
 	}
 	if rate := float64(drops) / n; rate < 0.25 || rate > 0.35 {
 		t.Errorf("drop rate %v, want ~0.3", rate)
 	}
-	// Zero probability never draws, hence never drops.
-	zero := NewInjector(Plan{Seed: 5})
+	// Zero probability never draws (a nil stream would panic), hence never
+	// drops.
+	zero := NewInjector(Plan{})
 	for i := 0; i < 100; i++ {
-		if zero.Drop() {
+		if zero.Drops() || zero.Drop(nil) {
 			t.Fatal("zero plan injected a fault")
 		}
-	}
-	if st := zero.State(); st.MsgDraws != 0 {
-		t.Errorf("zero plan drew %d times from its stream", st.MsgDraws)
 	}
 }
 
@@ -152,18 +152,20 @@ func TestDeriveClockFaultsAppendAfterMessageFaults(t *testing.T) {
 }
 
 func TestInjectorByzantine(t *testing.T) {
-	in := NewInjector(Plan{Byz: []ByzRank{{Rank: 3, Bias: 1e-3}}, ByzJitter: 1e-4, Seed: 7})
+	in := NewInjector(Plan{Byz: []ByzRank{{Rank: 3, Bias: 1e-3}}, ByzJitter: 1e-4})
+	rng := rand.New(rand.NewSource(7))
 	if in.IsByzantine(2) || !in.IsByzantine(3) {
 		t.Error("wrong IsByzantine view")
 	}
-	// Honest ranks get readings back untouched.
-	if got := in.PerturbTimestamp(2, 5.5); got != 5.5 {
+	// Honest ranks get readings back untouched, with no draw (a nil stream
+	// would panic).
+	if got := in.PerturbTimestamp(2, 5.5, nil); got != 5.5 {
 		t.Errorf("honest rank perturbed: %v", got)
 	}
 	// Byzantine readings stay within bias ± jitter and are not all equal.
 	seen := map[float64]bool{}
 	for i := 0; i < 64; i++ {
-		got := in.PerturbTimestamp(3, 5.5)
+		got := in.PerturbTimestamp(3, 5.5, rng)
 		if d := got - 5.5; d < 1e-3-1e-4 || d > 1e-3+1e-4 {
 			t.Fatalf("perturbation %v outside bias±jitter", d)
 		}
@@ -174,7 +176,7 @@ func TestInjectorByzantine(t *testing.T) {
 	}
 	// Nil injector and nil-safe clock-fault accessors.
 	var nilIn *Injector
-	if nilIn.IsByzantine(0) || nilIn.PerturbTimestamp(0, 1) != 1 {
+	if nilIn.IsByzantine(0) || nilIn.PerturbTimestamp(0, 1, nil) != 1 {
 		t.Error("nil injector perturbs timestamps")
 	}
 	if nilIn.HasClockFaults() || len(nilIn.ClockSteps(1)) != 0 {

@@ -49,7 +49,7 @@ func TestZeroPlanInjectorIsByteIdentical(t *testing.T) {
 	if err := Run(cfg, traceWorkload(&bare)); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFaulty(6, 31, faults.Plan{Seed: 31}, traceWorkload(&zero)); err != nil {
+	if err := runFaulty(6, 31, faults.Plan{}, traceWorkload(&zero)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bare, zero) {
@@ -193,7 +193,7 @@ func TestRecvTimeoutSkipsInFlightMessagePastDeadline(t *testing.T) {
 }
 
 func TestDropLosesMessage(t *testing.T) {
-	err := runFaulty(2, 7, faults.Plan{DropProb: 1, Seed: 9}, func(p *Proc) {
+	err := runFaulty(2, 7, faults.Plan{DropProb: 1}, func(p *Proc) {
 		w := p.World()
 		if p.Rank() == 0 {
 			w.SendF64(1, 3, 42)

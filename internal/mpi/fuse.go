@@ -1,0 +1,114 @@
+package mpi
+
+// Fused two-party exchanges.
+//
+// A ping-pong between two ranks is 4 kernel events per round trip when
+// simulated message by message, but nothing a third rank can observe
+// happens during it: the pair's messages touch only the pair's own
+// mailboxes and non-overtaking clamps, and every delay is a draw from the
+// sending rank's own stream. So once both ranks have reached the exchange,
+// one of them can compute both sides in place, at explicit times, with the
+// same arithmetic the message-level exchange performs: the send overhead,
+// the sender's delay draw, the clamp, max(arrival, time) plus the receive
+// overhead. Meet is the rendezvous that brings the pair together; a Side is
+// one rank's time as the computing rank advances it; Finish hands both ranks
+// their end times.
+
+// fusion is a rank's rendezvous slot: waiting while the rank is parked in
+// Meet for world rank peer on communicator comm, handing over arg.
+type fusion struct {
+	waiting    bool
+	comm, peer int
+	arg        any
+	side       Side
+}
+
+// Side is one rank of a fused exchange as the rank computing it sees it:
+// the rank and its time, which Advance, Send and Recv move exactly as the
+// rank's own calls would in the message-level exchange.
+type Side struct {
+	p *Proc
+	T float64
+}
+
+// Proc returns the side's rank.
+func (s *Side) Proc() *Proc { return s.p }
+
+// Advance charges d seconds of the side's CPU time, as Proc.Advance does.
+//
+//synclint:allocfree
+func (s *Side) Advance(d float64) {
+	if d > 0 {
+		s.T += d
+	}
+}
+
+// Send is a send of nbytes from s to dst at the side's time: it charges the
+// send overhead, draws the delay from s's stream and returns the arrival at
+// dst after the non-overtaking clamp, which it advances.
+//
+//synclint:allocfree
+func (s *Side) Send(dst *Side, nbytes int) float64 {
+	m := s.p.world.machine
+	s.Advance(m.Spec.SendOverhead)
+	return s.p.clampArrival(dst.p.rank, s.T+m.Delay(s.p.rank, dst.p.rank, nbytes, &s.p.rng))
+}
+
+// Recv is a blocking receive of a message arriving at arrival: the side
+// waits for it if it is not there yet, then pays the receive overhead.
+//
+//synclint:allocfree
+func (s *Side) Recv(arrival float64) {
+	if arrival > s.T {
+		s.T = arrival
+	}
+	s.Advance(s.p.world.machine.Spec.RecvOverhead)
+}
+
+// Fusable reports whether an exchange between this rank and comm rank peer
+// may be computed in place. It may not when the job's fault plan drops
+// messages or schedules a crash for either rank: a message-level exchange
+// then decides what is lost and who dies when. Both ranks get the same
+// answer.
+func (c *Comm) Fusable(peer int) bool {
+	f := c.p.world.cfg.Faults
+	return !f.Drops() && !f.CrashScheduled(c.p.rank) && !f.CrashScheduled(c.ranks[peer])
+}
+
+// Meet is the rendezvous of a fused exchange with comm rank peer. A rank
+// with sends still in its outbox settles first, so every send it made
+// before is on the wire and its clamp cells are current; one with none has
+// nothing the kernel must catch up on, and meets ahead of the kernel clock
+// at its own time. The first of the pair to arrive then parks with arg,
+// through which the other rank hands back what the exchange gives it; once
+// the other has computed the exchange for both and Finish has resumed it at
+// its end time, Meet returns a nil other. The second gets its own Side, the
+// parked rank's Side and arg, computes both sides and calls Finish.
+//
+//synclint:allocfree
+func (c *Comm) Meet(peer int, arg any) (me, other *Side, theirs any) {
+	p := c.p
+	q := p.world.procs[c.ranks[peer]]
+	if p.outTail != nil {
+		p.settle()
+	}
+	p.fuse.side = Side{p: p, T: p.now()}
+	if f := &q.fuse; f.waiting && f.comm == c.id && f.peer == p.rank {
+		f.waiting = false
+		theirs, f.arg = f.arg, nil
+		return &p.fuse.side, &f.side, theirs
+	}
+	p.fuse.waiting, p.fuse.comm, p.fuse.peer, p.fuse.arg = true, c.id, q.rank, arg
+	p.sp.Suspend()
+	return &p.fuse.side, nil, nil
+}
+
+// Finish ends a fused exchange computed by the rank of me: it continues at
+// me.T, and the parked rank of other resumes at other.T.
+//
+//synclint:allocfree
+func (c *Comm) Finish(me, other *Side) {
+	me.p.lt = me.T
+	other.p.lt = other.T
+	c.p.world.env.Wake(other.p.sp, other.T)
+}

@@ -55,7 +55,7 @@ type message struct {
 	data    []byte
 	fv      []float64
 	v       float64
-	arrival float64 // set by the wire half
+	arrival float64 // drawn by post, clamped by the wire half
 	// next links the sender's outbox, the messages whose wire half is a
 	// pending kernel callback; nil once the message is on the wire.
 	next *message
@@ -224,16 +224,16 @@ func (p *Proc) arrClamp(dst int) *float64 {
 	return cell
 }
 
-// A send has two halves. The rank-local half (newSend) is everything only
-// the sender can see: validation, the crash check, the sender overhead, and
-// filling a pooled message with its payload and envelope. The wire half
-// (wire) is everything other ranks can see — the kernel-RNG delay draw, the
-// fault draws, the non-overtaking clamp, the mailbox push, the receiver's
-// wake-up — and must happen inside a kernel event at the send's virtual
-// time. post joins them: a rank that has run ahead of the kernel clock
-// queues the message on its outbox and schedules the wire half as a kernel
-// callback at its local time, then keeps running; a rank that is not ahead
-// runs the wire half on the spot.
+// A send has two halves. The rank-local half (newSend, post) is everything
+// only the sender can see: validation, the crash check, the sender
+// overhead, filling a pooled message with its payload and envelope, and the
+// delay and drop draws from the sender's stream, in send order. The wire
+// half (wire) is everything other ranks can see — the non-overtaking clamp,
+// the mailbox push, the receiver's wake-up — and must happen inside a
+// kernel event at the send's virtual time. post joins them: a rank that has
+// run ahead of the kernel clock queues the message on its outbox and
+// schedules the wire half as a kernel callback at its local time, then
+// keeps running; a rank that is not ahead runs the wire half on the spot.
 
 // sendF64 sends one float64 carried inside the message struct: no encode,
 // no allocation.
@@ -287,19 +287,32 @@ func (p *Proc) newSend(comm, dst, tag, nbytes int) *message {
 	return m
 }
 
-// post puts m on the wire at the rank's time. Ahead of the kernel clock
-// that is a kernel callback at lt — the event the rank used to block on,
-// with the (t, seq) it had, so the wire halves of all ranks still run in
-// virtual-time order — behind the rank's earlier pending sends (lt never
-// decreases, so the outbox is in callback order). A synchronous send then
-// suspends until the receiver matches it; a dropped one can never complete,
-// just as a real MPI_Ssend cannot, so fault-tolerant code must not Ssend on
-// lossy links.
+// post puts m on the wire at the rank's time. First it draws the message's
+// delay, then its drop coin, from the rank's stream: a dropped message
+// vanishes in the network after the sender paid its overhead, and the
+// arrival of a kept one is the send time plus the delay, clamped by the
+// wire half. Ahead of the kernel clock the wire half is a kernel callback
+// at lt — the event the rank used to block on, with the (t, seq) it had, so
+// the wire halves of all ranks still run in virtual-time order — behind the
+// rank's earlier pending sends (lt never decreases, so the outbox is in
+// callback order). A synchronous send then suspends until the receiver
+// matches it; a dropped one can never complete, just as a real MPI_Ssend
+// cannot, so fault-tolerant code must not Ssend on lossy links.
 //
 //synclint:allocfree
 func (p *Proc) post(m *message, ssend bool) {
 	m.ssend = ssend
-	if p.lt > p.sp.Now() {
+	w := p.world
+	m.arrival = p.now() + w.machine.Delay(p.rank, int(m.dst), int(m.nbytes), &p.rng)
+	if w.cfg.Faults.Drop(&p.rng) {
+		if m.kind == msgF64s {
+			w.putF64s(m.fv)
+		}
+		w.freeMsg(m)
+		if ssend {
+			p.settle() // the sender stalls at its own time, not the kernel's
+		}
+	} else if p.lt > p.sp.Now() {
 		if p.outTail == nil {
 			m.next = m
 		} else {
@@ -333,30 +346,19 @@ func wireNext(sp *sim.Proc) {
 
 // wire is the half of a send other ranks can see. It runs inside a kernel
 // event at the send's virtual time — on the sender's fiber when the sender
-// was not ahead, in the dispatch loop otherwise — and never blocks. The RNG
-// draw order here is an observable determinism contract.
+// was not ahead, in the dispatch loop otherwise — and never blocks. m
+// arrives with its unclamped arrival time, drawn by post.
 //
 //synclint:allocfree
 func (p *Proc) wire(m *message) {
-	w := p.world
-	dst, nbytes := int(m.dst), int(m.nbytes)
-	delay := w.machine.Delay(p.rank, dst, nbytes, w.env.Rand())
-	if f := w.cfg.Faults; f != nil && f.Drop() {
-		// The message vanishes in the network after the sender paid its
-		// overhead.
-		if m.kind == msgF64s {
-			w.putF64s(m.fv)
-		}
-		w.freeMsg(m)
-		return
-	}
-	m.arrival = p.clampArrival(dst, p.sp.Now()+delay)
+	dst := int(m.dst)
+	m.arrival = p.clampArrival(dst, m.arrival)
 	mb := p.sendMB(mbKey{int(m.comm), dst, p.rank, int(m.tag)})
 	mb.push(m)
 	if mb.waiter != nil {
 		q := mb.waiter
 		mb.waiter = nil
-		w.env.Wake(q.sp, m.arrival)
+		p.world.env.Wake(q.sp, m.arrival)
 	}
 }
 

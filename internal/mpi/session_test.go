@@ -13,9 +13,10 @@ import (
 // sessionCfg returns a fresh config for the phased-session tests. Each call
 // builds a fresh injector so original and resumed sessions never share one.
 // The drop probability loses none of the tests' messages but draws once per
-// message, so the injector's stream position is state the cut must carry.
+// message from the sender's stream, whose position is state the cut must
+// carry.
 func sessionCfg() Config {
-	plan := faults.Plan{DropProb: 1e-12, Seed: 21}
+	plan := faults.Plan{DropProb: 1e-12}
 	return Config{Spec: cluster.TestBox(), NProcs: 4, Seed: 9, Faults: faults.NewInjector(plan)}
 }
 
@@ -52,7 +53,7 @@ func phaseTwo(p *Proc, out []float64) {
 
 // A session resumed from a snapshot must replay phase two with exactly the
 // trace of the uninterrupted session — including in-flight mailboxes,
-// non-overtaking clamps, and the injector's stream position.
+// non-overtaking clamps, and every rank's stream position.
 func TestSessionSnapshotResumeByteIdentical(t *testing.T) {
 	orig, err := NewSession(sessionCfg())
 	if err != nil {
@@ -65,8 +66,8 @@ func TestSessionSnapshotResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.World.Faults.MsgDraws == 0 {
-		t.Fatal("the injector drew nothing before the cut: its stream position is untested")
+	if st.World.Draws[0] == 0 {
+		t.Fatal("rank 0 drew nothing before the cut: its stream position is untested")
 	}
 
 	want := make([]float64, 4)
@@ -156,7 +157,7 @@ func TestSessionSnapshotRequiresQuiescence(t *testing.T) {
 // Crash-stopped ranks must stay dead in later phases.
 func TestSessionCrashedRankStaysDead(t *testing.T) {
 	cfg := func() Config {
-		plan := faults.Plan{Crashes: []faults.Crash{{Rank: 3, At: 0.5}}, Seed: 4}
+		plan := faults.Plan{Crashes: []faults.Crash{{Rank: 3, At: 0.5}}}
 		return Config{Spec: cluster.TestBox(), NProcs: 4, Seed: 2, Faults: faults.NewInjector(plan)}
 	}
 	s, err := NewSession(cfg())

@@ -5,8 +5,8 @@ package mpi
 // Everything a job accumulates outside the rank program functions is plain
 // data: the kernel state (sim.EnvState), the machine's clock wander and
 // disturbances (cluster.MachineClockState), and the World — in-flight
-// mailboxes, non-overtaking clamps, the communicator-id table, the fault
-// injector's stream positions, and per-rank disturbed clock forks. All of
+// mailboxes, non-overtaking clamps, the communicator-id table, each rank's
+// random-stream position, and per-rank disturbed clock forks. All of
 // it is captured in sorted order so the same state always serializes to the
 // same bytes, which is what the checkpoint format's golden hashes rely on.
 
@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"hclocksync/internal/cluster"
-	"hclocksync/internal/faults"
 	"hclocksync/internal/sim"
 )
 
@@ -38,12 +37,14 @@ type WorldState struct {
 	// CollSeq is each rank's world-communicator collective sequence number
 	// (sub-communicator handles live on rank stacks and die with the phase).
 	CollSeq []int
+	// Draws is each rank's random-stream position: the draws it has taken.
+	// The stream's key is a function of the config, so the count is all a
+	// resumed rank needs to continue it.
+	Draws []uint64
 	// Clamps are the per-(src,dst) non-overtaking arrival floors.
 	Clamps []ClampState
 	// Mail are the non-empty mailboxes with their queued in-flight messages.
 	Mail []MailboxState
-	// Faults is the injector's private stream positions.
-	Faults faults.InjectorState
 	// FaultyClocks is the accumulated state of per-rank disturbed clock
 	// forks, sorted by rank.
 	FaultyClocks []FaultyClockState
@@ -104,10 +105,12 @@ func (s *Session) Snapshot() (SessionState, error) {
 	w := s.world
 	ws := WorldState{
 		NextComm: w.nextComm,
-		Faults:   w.cfg.Faults.State(),
+		CollSeq:  make([]int, len(w.procs)),
+		Draws:    make([]uint64, len(w.procs)),
 	}
-	for _, p := range w.procs {
-		ws.CollSeq = append(ws.CollSeq, p.comm.collSeq)
+	for r, p := range w.procs {
+		ws.CollSeq[r] = p.comm.collSeq
+		ws.Draws[r] = p.draws.draws
 	}
 	for k, id := range w.commIDs { //synclint:ordered -- entries collected then sorted below
 		ws.Comms = append(ws.Comms, CommState{Parent: k.parent, Seq: k.seq, Color: k.color, ID: id})
@@ -203,12 +206,13 @@ func ResumeSession(cfg Config, st SessionState) (*Session, error) {
 		return nil, err
 	}
 	ws := st.World
-	if len(ws.CollSeq) != len(w.procs) {
-		return nil, fmt.Errorf("mpi: resume: state has %d ranks, config has %d",
-			len(ws.CollSeq), len(w.procs))
+	if len(ws.CollSeq) != len(w.procs) || len(ws.Draws) != len(w.procs) {
+		return nil, fmt.Errorf("mpi: resume: state has %d ranks (%d stream positions), config has %d",
+			len(ws.CollSeq), len(ws.Draws), len(w.procs))
 	}
 	for i, p := range w.procs {
 		p.comm.collSeq = ws.CollSeq[i]
+		p.draws.draws = ws.Draws[i]
 	}
 	w.nextComm = ws.NextComm
 	for _, cs := range ws.Comms {
@@ -247,7 +251,6 @@ func ResumeSession(cfg Config, st SessionState) (*Session, error) {
 			mb.push(m)
 		}
 	}
-	cfg.Faults.RestoreState(ws.Faults)
 	for _, fc := range ws.FaultyClocks {
 		c, ok := w.faultyClocks[fc.Rank]
 		if !ok {

@@ -11,13 +11,14 @@ import (
 	"hclocksync/internal/sim"
 )
 
-// A send's wire half — delay draw, mailbox push, receiver wake — runs as a
-// kernel callback at the sender's local time when the sender is ahead of the
-// kernel clock, and a blocking receive entered ahead no longer settles first.
-// These tests pin what that must not change. Every literal time was recorded
-// on the implementation it replaced, where the sender blocked until its local
-// time before touching the wire and a receive settled on entry: they pass on
-// both (TestDroppedSendReturnsPooledStorage aside, which says why).
+// A send's wire half — non-overtaking clamp, mailbox push, receiver wake —
+// runs as a kernel callback at the sender's local time when the sender is
+// ahead of the kernel clock, and a blocking receive entered ahead no longer
+// settles first. These tests pin what that must not change. Every literal
+// time was recorded on the implementation it replaced, where the sender
+// blocked until its local time before touching the wire and a receive
+// settled on entry, and re-recorded once when each delay became a draw from
+// the sender's own keyed stream.
 
 // A rank that sends three times without blocking in between — to two
 // destinations, with local work between the sends — delivers at the times
@@ -45,17 +46,17 @@ func TestSendBurstArrivalTimes(t *testing.T) {
 			got2 = p.TrueNow()
 		}
 	})
-	want1 := [2]struct{ v, at float64 }{{10, 0.001000691887517707}, {30, 0.0010010785926096587}}
+	want1 := [2]struct{ v, at float64 }{{10, 0.0010006701419603965}, {30, 0.001001076020551846}}
 	if got1 != want1 {
 		t.Errorf("rank 1 received %v, want %v", got1, want1)
 	}
-	if want := 0.001001181481798491; got2 != want {
+	if want := 0.0010011653715967922; got2 != want {
 		t.Errorf("rank 2 received at %v, want %v", got2, want)
 	}
 	if want := 0.0010006249999999998; sent != want {
 		t.Errorf("sender finished its burst at %v, want %v", sent, want)
 	}
-	if want := 0.001001181481798491; env.Now() != want {
+	if want := 0.0010011653715967922; env.Now() != want {
 		t.Errorf("job ended at %v, want %v", env.Now(), want)
 	}
 }
@@ -70,8 +71,8 @@ func TestRecvEnteredAheadReturnTime(t *testing.T) {
 	}{
 		{"pushed inside the lead, arrives inside it", 5e-3, 0.0050002},
 		{"pushed inside the lead, arrives just inside it", 1.0005e-3, 0.0010007},
-		{"pushed inside the lead, arrives after it", 1.0003e-3, 0.001000691887517707},
-		{"pushed after the lead", 1e-4, 0.001000691887517707},
+		{"pushed inside the lead, arrives after it", 1.0003e-3, 0.0010006701419603965},
+		{"pushed after the lead", 1e-4, 0.0010006701419603965},
 	} {
 		var got float64
 		mustRunOnEnv(t, Config{NProcs: 2, Seed: 7}, func(p *Proc) {
@@ -96,7 +97,7 @@ func TestRecvEnteredAheadReturnTime(t *testing.T) {
 // ahead of the kernel clock when it sent.
 func TestDroppedSsendDeadlocks(t *testing.T) {
 	for _, lead := range []float64{0, 1e-3} {
-		plan := faults.Plan{DropProb: 1, Seed: 3}
+		plan := faults.Plan{DropProb: 1}
 		env, err := runOnEnv(t, Config{NProcs: 3, Seed: 7, Faults: faults.NewInjector(plan)}, func(p *Proc) {
 			if p.Rank() == 2 {
 				p.Advance(lead)
@@ -114,23 +115,19 @@ func TestDroppedSsendDeadlocks(t *testing.T) {
 	}
 }
 
-// A dropped message goes back to the pool with its pooled payload, from the
-// callback as from the inline path. (New with the split: the drop used to be
-// drawn before the send took anything from the pools.)
+// A dropped message goes back to the pool with its pooled payload, before
+// the next send starts: the drop coin is drawn in the send's rank-local
+// half, so a dropped send never reaches the outbox, and the second send
+// reuses the first's message whether or not the sender is ahead.
 func TestDroppedSendReturnsPooledStorage(t *testing.T) {
 	for _, c := range []struct {
-		name     string
-		spec     cluster.MachineSpec
-		wantMsgs int
+		name string
+		spec cluster.MachineSpec
 	}{
-		// A send overhead puts the rank ahead: both sends are pending, each
-		// with its own message, when the first callback drops one.
-		{"callback", cluster.TestBox(), 2},
-		// No overhead, no lead: each send is dropped before the next starts,
-		// and the second reuses the first's message.
-		{"inline", cluster.Ideal(2, 1, 1), 1},
+		{"ahead", cluster.TestBox()},       // a send overhead puts the rank ahead
+		{"inline", cluster.Ideal(2, 1, 1)}, // no overhead, no lead
 	} {
-		cfg := Config{Spec: c.spec, NProcs: 2, Seed: 7, Faults: faults.NewInjector(faults.Plan{DropProb: 1, Seed: 3})}
+		cfg := Config{Spec: c.spec, NProcs: 2, Seed: 7, Faults: faults.NewInjector(faults.Plan{DropProb: 1})}
 		var w *World
 		if err := Run(cfg, func(p *Proc) {
 			if p.Rank() == 0 {
@@ -141,9 +138,9 @@ func TestDroppedSendReturnsPooledStorage(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if len(w.msgFree) != c.wantMsgs || len(w.f64Free) != 1 {
-			t.Errorf("%s: %d pooled messages and %d pooled vectors after two dropped sends, want %d and 1",
-				c.name, len(w.msgFree), len(w.f64Free), c.wantMsgs)
+		if len(w.msgFree) != 1 || len(w.f64Free) != 1 {
+			t.Errorf("%s: %d pooled messages and %d pooled vectors after two dropped sends, want 1 and 1",
+				c.name, len(w.msgFree), len(w.f64Free))
 		}
 		if w.procs[0].outTail != nil {
 			t.Errorf("%s: the sender ended with a message in its outbox", c.name)
@@ -188,7 +185,7 @@ func TestSendPendingWhenRankEnds(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 		}
-		if want := 1.5000006918875175; got != 42 || at != want || env.Now() != want {
+		if want := 1.5000006701419601; got != 42 || at != want || env.Now() != want {
 			t.Errorf("%s: receiver got %v at %v and the job ended at %v, want 42 at %v", c.name, got, at, env.Now(), want)
 		}
 	}
@@ -241,7 +238,7 @@ func TestSessionPhaseEndingOnSend(t *testing.T) {
 	if err := resumed.RunPhase(two(&got)); err != nil {
 		t.Fatal(err)
 	}
-	if rec := [2]float64{3.25, 0.0010007017706062465}; want != rec || got != rec {
+	if rec := [2]float64{3.25, 0.0010006924329434017}; want != rec || got != rec {
 		t.Errorf("phase two received %v uninterrupted and %v resumed, want both %v", want, got, rec)
 	}
 }

@@ -27,14 +27,20 @@
 // A rank's local CPU charges — Advance, a clock read's cost, the send and
 // receive overheads — move only its rank-local time. What other ranks can
 // observe still happens inside a kernel event at the virtual time it always
-// had: a send's wire half (delay draw, mailbox push, receiver wake) runs as a
-// kernel callback at the rank's local time while the rank keeps going, and
-// the rank settles — blocks until the kernel clock reaches its own — before
-// the few things that must see the kernel at that time (a timed receive,
-// WaitUntilTrue, Rand, a communicator split, the end of the program). A
+// had: a send's wire half (non-overtaking clamp, mailbox push, receiver wake)
+// runs as a kernel callback at the rank's local time while the rank keeps
+// going, and the rank settles — blocks until the kernel clock reaches its
+// own — before the few things that must see the kernel at that time (a timed
+// receive, WaitUntilTrue, a communicator split, the end of the program). A
 // blocking receive does neither: it takes what is queued or suspends. Rank
 // code must not order memory it shares with other ranks by how far each has
 // advanced: see DESIGN.md §8, "Kernel time vs rank-local time".
+//
+// Every random draw is keyed to the rank that makes it: each rank has its
+// own stream (Rand), keyed by the job seed and its world rank, and draws
+// from it in program order — its sends' delays and drop coins in send
+// order, its Byzantine jitter, the noise of the layers above. No draw
+// depends on how the kernel interleaves the ranks.
 package mpi
 
 import (
@@ -134,6 +140,13 @@ type Proc struct {
 	lastArrP  *float64 // cached clamp cell for (rank, lastDst)
 	scratch   []float64
 	local     map[any]any // rank-scoped state of layers above mpi, see Local
+
+	// draws is the rank's keyed random stream and rng the rand.Rand over
+	// it: only this rank draws from it, in program order (see Rand).
+	draws rankStream
+	rng   rand.Rand
+
+	fuse fusion // the rank's rendezvous slot, see Meet
 }
 
 // scratchF64s returns the rank's scratch vector resized to n, for
@@ -227,10 +240,15 @@ func newWorld(env *sim.Env, machine *cluster.Machine, cfg Config) (*World, error
 	for i := range ranks {
 		ranks[i] = i
 	}
-	for r := 0; r < cfg.NProcs; r++ {
-		p := &Proc{world: w, rank: r, lastDst: -1}
-		p.comm = &Comm{p: p, id: 0, ranks: ranks, rank: r}
-		w.procs = append(w.procs, p)
+	// One allocation each for the rank records and their world handles.
+	procs, comms := make([]Proc, cfg.NProcs), make([]Comm, cfg.NProcs)
+	w.procs = make([]*Proc, cfg.NProcs)
+	for r := range procs {
+		p := &procs[r]
+		*p = Proc{world: w, rank: r, lastDst: -1, draws: newRankStream(cfg.Seed, r), comm: &comms[r]}
+		p.rng = *rand.New(&p.draws)
+		comms[r] = Comm{p: p, id: 0, ranks: ranks, rank: r}
+		w.procs[r] = p
 	}
 	return w, nil
 }
@@ -359,15 +377,10 @@ func (p *Proc) maybeCrash() {
 
 // PerturbTimestamp returns reading as this rank serves it to a sync client:
 // unchanged for an honest rank, with the rank's Byzantine bias and jitter
-// for an adversarial one (see faults.Injector.PerturbTimestamp). The
-// adversarial ranks draw their jitter from one stream, so one that draws
-// settles first, keeping the draws in virtual-time order.
+// for an adversarial one (see faults.Injector.PerturbTimestamp), the jitter
+// drawn from the rank's own stream.
 func (p *Proc) PerturbTimestamp(reading float64) float64 {
-	f := p.world.cfg.Faults
-	if f.IsByzantine(p.rank) {
-		p.settle()
-	}
-	return f.PerturbTimestamp(p.rank, reading)
+	return p.world.cfg.Faults.PerturbTimestamp(p.rank, reading, &p.rng)
 }
 
 // HWClock returns the hardware clock this rank reads under the job's
@@ -389,13 +402,9 @@ func (p *Proc) ReadHWClock() float64 {
 	return c.ReadAt(p.now())
 }
 
-// Rand returns the job's seeded random source. Only the currently running
-// rank may use it (the natural pattern in a sequential simulation); draws
-// model nondeterministic local effects like OS noise. The stream is shared
-// by all ranks, so the rank settles first and draws keep their virtual-time
-// order across ranks: draw from the result at once, do not hold it across
-// an Advance or a clock read.
-func (p *Proc) Rand() *rand.Rand {
-	p.settle()
-	return p.world.env.Rand()
-}
+// Rand returns the rank's random stream, keyed by the job seed and the
+// rank's world rank. Only this rank draws from it, in its program order, so
+// its values do not depend on what other ranks do or when; draws model
+// nondeterministic local effects like OS noise. The rank's sends draw their
+// delays and drop coins from the same stream.
+func (p *Proc) Rand() *rand.Rand { return &p.rng }

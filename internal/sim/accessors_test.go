@@ -8,9 +8,6 @@ func TestProcAccessors(t *testing.T) {
 		if p.ID() != 0 || p.Env() != env {
 			t.Error("proc identity accessors broken")
 		}
-		if p.Env().Rand() == nil {
-			t.Error("Rand nil")
-		}
 		p.Sleep(1)
 	})
 	if len(env.Procs()) != 1 || env.Procs()[0] != p {

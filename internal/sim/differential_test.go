@@ -6,7 +6,7 @@ package sim
 //
 // A schedule is a seed-derived random mix of Sleep / WaitUntil / Suspend /
 // Wake / Exit actions for each of 2–512 procs, generated independently of
-// the kernel (its own rand.Rand, never env.Rand), so the action lists are
+// the kernel (its own rand.Rand), so the action lists are
 // identical no matter how the kernel schedules them. Running a schedule
 // produces a trace: one canonical line per executed action with the virtual
 // time it ran at, plus the final time, the completion count, and the exact
@@ -387,8 +387,8 @@ func genQuiescentSchedule(seed int64, nprocs int) [][]action {
 }
 
 // TestSnapshotResumeAtScaleProperty runs a 1k-proc phase to quiescence,
-// snapshots, and requires a second phase — which mixes kernel-RNG draws
-// into its trace — to be deeply equal whether it continues on the original
+// snapshots, and requires a second phase — whose delays are keyed by
+// process ID — to be deeply equal whether it continues on the original
 // env or on a fresh ResumeEnv in effect "another process".
 func TestSnapshotResumeAtScaleProperty(t *testing.T) {
 	const nprocs = 1024
@@ -420,7 +420,7 @@ func TestSnapshotResumeAtScaleProperty(t *testing.T) {
 					return Stop()
 				}
 				counts[i]++
-				d := p.Env().Rand().Float64()
+				d := draw(p.ID(), counts[i])
 				out = append(out, obs{i, p.Now(), d})
 				return p.After(d)
 			})

@@ -1,11 +1,13 @@
 // Package sim implements a sequential, deterministic, event-driven
 // discrete-event simulation kernel.
 //
-// A simulation consists of an Env (the kernel: virtual time, an event heap,
-// and a seeded random source) and a set of processes. The kernel is a
-// single dispatch loop over the event heap; only one process ever executes
-// at a time, and ties in event time are broken by insertion order, so a run
-// is fully deterministic given the seed.
+// A simulation consists of an Env (the kernel: virtual time and an event
+// heap) and a set of processes. The kernel is a single dispatch loop over
+// the event heap; only one process ever executes at a time, and ties in
+// event time are broken by insertion order, so a run is fully deterministic.
+// The kernel holds no random source: randomness belongs to the processes
+// that draw it (the MPI layer keys one stream per rank), so no draw depends
+// on how the kernel interleaves them.
 //
 // Processes come in two representations with identical scheduling
 // semantics (proven equivalent by the differential test battery):
@@ -48,22 +50,15 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-
-	"hclocksync/internal/detrand"
 )
 
 // Env is the simulation kernel. Create one with NewEnv, add processes with
 // Spawn / SpawnStep / SpawnSteps, then call Run.
 type Env struct {
-	now    float64
-	events eventQueue
-	seq    int64
-	// src is the kernel RNG's draw-counting source; rng draws through it.
-	// The counter is what lets Snapshot capture the stream position.
-	src     *detrand.Source
-	rng     *rand.Rand
+	now     float64
+	events  eventQueue
+	seq     int64
 	procs   []*Proc
 	spawned int // processes ever spawned, including before a Snapshot cut
 	// processed counts events delivered to a live process — a deterministic
@@ -83,23 +78,13 @@ type Env struct {
 	failed  *Proc
 }
 
-// NewEnv returns a new simulation environment whose random source is seeded
-// with seed. Virtual time starts at 0 and is measured in seconds.
-func NewEnv(seed int64) *Env {
-	src := detrand.New(seed)
-	return &Env{
-		src: src,
-		rng: rand.New(src),
-	}
-}
+// NewEnv returns a new simulation environment. Virtual time starts at 0 and
+// is measured in seconds. The kernel draws no random numbers, so the seed
+// is unused; it stays in the signature for the callers that pass one.
+func NewEnv(seed int64) *Env { return &Env{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
-
-// Rand returns the environment's seeded random source. It must only be used
-// from the currently running process (or before Run), which is the natural
-// call pattern in a sequential simulation.
-func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // Procs returns all processes spawned so far.
 func (e *Env) Procs() []*Proc { return e.procs }

@@ -9,28 +9,23 @@ package sim
 // spawned process has finished and the event heap has drained. A
 // checkpointable workload therefore runs as a sequence of *phases* — each
 // phase's processes run to completion, Run returns, and the boundary is a
-// quiescent cut where the whole kernel state is four plain numbers. The
+// quiescent cut where the whole kernel state is three plain numbers. The
 // MPI layer (mpi.Session) structures jobs this way and carries the
 // higher-level state (mailboxes, clocks) in its own snapshot.
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
-
-	"hclocksync/internal/detrand"
 )
 
 // EnvState is the complete kernel state at a quiescent cut: the virtual
-// time, the event sequence counter (the determinism tie-break), the RNG
-// stream position, and the number of processes ever spawned (so process
-// IDs keep incrementing identically after a resume).
+// time, the event sequence counter (the determinism tie-break), and the
+// number of processes ever spawned (so process IDs keep incrementing
+// identically after a resume).
 type EnvState struct {
-	Now      float64
-	Seq      int64
-	Seed     int64
-	RngDraws uint64
-	Spawned  int
+	Now     float64
+	Seq     int64
+	Spawned int
 }
 
 // NotQuiescentError is returned by Snapshot when the kernel still holds
@@ -60,19 +55,12 @@ func (e *Env) Snapshot() (EnvState, error) {
 	if pending > 0 || len(running) > 0 {
 		return EnvState{}, &NotQuiescentError{Pending: pending, Running: running}
 	}
-	return EnvState{
-		Now:      e.now,
-		Seq:      e.seq,
-		Seed:     e.src.SeedValue(),
-		RngDraws: e.src.Draws(),
-		Spawned:  e.spawned,
-	}, nil
+	return EnvState{Now: e.now, Seq: e.seq, Spawned: e.spawned}, nil
 }
 
 // ResumeEnv rebuilds a kernel from a quiescent-cut state in a fresh
 // process: virtual time and the sequence counter continue where they
-// stopped, and the RNG stream is fast-forwarded to its captured position.
-// Processes spawned afterwards behave exactly as if they had been spawned
+// stopped. Processes spawned afterwards behave exactly as if they had been spawned
 // on the original environment at the cut.
 //
 // A state no kernel could have reached is an error: the event queue orders
@@ -90,12 +78,5 @@ func ResumeEnv(st EnvState) (*Env, error) {
 	if st.Now == 0 {
 		st.Now = 0 // −0 becomes +0
 	}
-	src := detrand.Restore(st.Seed, st.RngDraws)
-	return &Env{
-		now:     st.Now,
-		seq:     st.Seq,
-		src:     src,
-		rng:     rand.New(src),
-		spawned: st.Spawned,
-	}, nil
+	return &Env{now: st.Now, seq: st.Seq, spawned: st.Spawned}, nil
 }
