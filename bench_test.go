@@ -282,6 +282,36 @@ func BenchmarkHCA3Sync(b *testing.B) {
 	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 }
 
+// BenchmarkSimSplit is the communicator split H2HCA pays at every level:
+// one op is a fresh n-rank job on one machine (4 ranks per node) whose
+// ranks split the world by node. events/op — the split's messages and the
+// job's n spawns — repeats exactly and grows as n⌈log₂ n⌉ under Bruck's
+// allgather; a return to a ring's n(n−1) messages would show at once.
+func BenchmarkSimSplit(b *testing.B) {
+	for _, n := range []int{256, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			spec := cluster.TestBox()
+			spec.Nodes = n / 4
+			cfg := mpi.Config{Spec: spec, NProcs: n, Seed: 99}
+			m, err := cluster.NewMachine(cfg.Spec, cfg.NProcs, cfg.Mapping, cfg.Seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				env := sim.NewEnv(cfg.Seed + 1)
+				if err := mpi.RunOn(env, m, cfg, func(p *mpi.Proc) { p.World().SplitShared() }); err != nil {
+					b.Fatal(err)
+				}
+				events += env.Processed()
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		})
+	}
+}
+
 func BenchmarkSnapshot(b *testing.B) {
 	// Cost of one checkpoint at a quiescent cut: capture the session state
 	// and serialize it, with in-flight messages and drifted clocks in the

@@ -55,8 +55,8 @@ func TestRepositoryIsClean(t *testing.T) {
 	// Change a count only in a commit whose message says which directives
 	// it adds or removes and why.
 	wantEscapes := map[string]int{
-		analysis.DirAllocfree: 90,
-		analysis.DirAlloc:     18,
+		analysis.DirAllocfree: 92,
+		analysis.DirAlloc:     17,
 		analysis.DirOrdered:   8,
 		analysis.DirWallclock: 17,
 		analysis.DirSeedok:    0,

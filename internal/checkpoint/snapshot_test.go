@@ -234,6 +234,11 @@ func TestResumeRejectsHostileDecodedState(t *testing.T) {
 		{"NaN clamp arrival", func(st *mpi.SessionState) { st.World.Clamps[0].Arrival = nan }},
 		{"-Inf clamp arrival", func(st *mpi.SessionState) { st.World.Clamps[0].Arrival = -inf }},
 		{"stream positions for 3 of 4 ranks", func(st *mpi.SessionState) { st.World.Draws = st.World.Draws[:3] }},
+		{"mailbox for rank 99 of 4", func(st *mpi.SessionState) { st.World.Mail[0].Dst = 99 }},
+		{"mailbox from rank -7", func(st *mpi.SessionState) { st.World.Mail[0].Src = -7 }},
+		{"message sender not its mailbox's source", func(st *mpi.SessionState) { st.World.Mail[0].Msgs[0].Sender = 3 }},
+		{"clamp for rank 1<<40", func(st *mpi.SessionState) { st.World.Clamps[0].Dst = 1 << 40 }},
+		{"mailbox on communicator 1<<33", func(st *mpi.SessionState) { st.World.Mail[0].Comm = 1 << 33 }},
 	} {
 		dec, err := DecodeSession(raw)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"hclocksync/internal/clocksync"
 	"hclocksync/internal/harness"
 )
 
@@ -53,6 +54,25 @@ func TestDefaultScaleConfigIsFullTitan(t *testing.T) {
 	for _, n := range cfg.BarrierRanks {
 		if n < 100_000 {
 			t.Errorf("barrier sweep point %d below the 100k floor", n)
+		}
+	}
+}
+
+// The full-scale fig6 is paper Fig. 6's comparison: flat HCA3 against
+// H2HCA, whose internode HCA3 fits as many points.
+func TestFullScaleFig6ComparesFlatWithH2HCA(t *testing.T) {
+	for _, s := range []Scale{ScaleDefault, ScaleSmoke} {
+		algs := scaleConfig(s).Fig6.Algorithms
+		if len(algs) != 2 {
+			t.Fatalf("%s: fig6 runs %d algorithms, want flat HCA3 and H2HCA", s, len(algs))
+		}
+		flat, ok1 := algs[0].(clocksync.HCA3)
+		h2, ok2 := algs[1].(clocksync.Hier)
+		if !ok1 || !ok2 {
+			t.Fatalf("%s: fig6 runs %s and %s, want flat HCA3 and H2HCA", s, algs[0].Name(), algs[1].Name())
+		}
+		if top, ok := h2.Top.(clocksync.HCA3); !ok || top.Params.NFitpoints != flat.Params.NFitpoints || h2.Group != clocksync.ByNode {
+			t.Errorf("%s: H2HCA %s does not match flat %s's fit points", s, h2.Name(), flat.Name())
 		}
 	}
 }

@@ -336,3 +336,50 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Errorf("replay diverged: %v vs %v", a, b)
 	}
 }
+
+// Split allgathers its (colour, key) pairs by Bruck's algorithm: ⌈log₂ n⌉
+// steps, each rank sending one message per step, so n⌈log₂ n⌉ messages
+// and the 24(n−1) B per rank of n−1 (source, colour, key) triples. On a
+// jitter-free machine with one link class every rank's step k costs the
+// send overhead, α + β·24·min(2ᵏ, n−2ᵏ) and the receive overhead.
+func TestSplitCostsBruckSchedule(t *testing.T) {
+	spec := cluster.Ideal(1, 1, 8)
+	spec.IntraSocket = cluster.LinkSpec{Alpha: 3e-6, Beta: 1e-9}
+	spec.SendOverhead, spec.RecvOverhead = 2e-7, 5e-7
+	for _, n := range []int{8, 6} {
+		steps := 0
+		want := 0.0
+		for d := 1; d < n; d <<= 1 {
+			steps++
+			want += spec.SendOverhead + spec.IntraSocket.Min(24*min(d, n-d)) + spec.RecvOverhead
+		}
+		var w *World
+		took := make([]float64, n)
+		err := Run(Config{Spec: spec, NProcs: n, Seed: 3}, func(p *Proc) {
+			w = p.world
+			color := p.Rank() % 2
+			if p.Rank() == n-1 {
+				color = ColorUndefined
+			}
+			p.World().Split(color, -p.Rank())
+			took[p.Rank()] = p.TrueNow()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.sent != n*steps {
+			t.Errorf("n=%d: Split sent %d messages, want n⌈log₂ n⌉ = %d", n, w.sent, n*steps)
+		}
+		if w.sentBytes != n*24*(n-1) {
+			t.Errorf("n=%d: Split put %d B on the wire, want 24(n−1) = %d per rank", n, w.sentBytes, 24*(n-1))
+		}
+		for r, got := range took {
+			if math.Abs(got-want) > 1e-15 {
+				t.Errorf("n=%d: rank %d left Split at %.15g s, want the Bruck α-β time %.15g s", n, r, got, want)
+			}
+		}
+		if len(w.splits) != 0 {
+			t.Errorf("n=%d: %d split tables outlive the split", n, len(w.splits))
+		}
+	}
+}

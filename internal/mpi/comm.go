@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -89,6 +90,9 @@ func (p *Proc) commID(parent, seq, color int) int {
 		return id
 	}
 	id := w.nextComm
+	if id == math.MaxInt32 {
+		panic("mpi: communicator ids exhausted: mailbox keys hold 32-bit ids")
+	}
 	w.nextComm++
 	w.commIDs[k] = id
 	return id
@@ -96,34 +100,40 @@ func (p *Proc) commID(parent, seq, color int) int {
 
 // Split partitions the communicator by color, ordering each group by
 // (key, old rank), like MPI_Comm_split. Ranks passing ColorUndefined get a
-// nil communicator. The exchange is implemented as a ring allgather of
-// (color, key) pairs, so it costs simulated time — the paper deliberately
-// includes communicator creation in the hierarchical sync duration.
+// nil communicator. The (color, key) pairs are allgathered by Bruck's
+// algorithm, MPICH's short-message allgather: ⌈log₂ n⌉ steps, at step k a
+// message to rank r−2ᵏ and one from r+2ᵏ, so a split costs simulated time —
+// the paper deliberately includes communicator creation in the hierarchical
+// sync duration. The messages are sized and payload-free: each costs the
+// 24 B per (source, color, key) triple of the blocks it stands for, while
+// the pairs themselves travel through the split's shared table (see
+// splitTable).
 func (c *Comm) Split(color, key int) *Comm {
-	seq := c.collSeq // nextTag increments; remember for commID
+	seq := c.collSeq // nextTag increments; remember for the table and commID
 	tag := c.nextTag(kindSplit)
 	n := c.Size()
-	keep := color != ColorUndefined
+	t := c.p.world.splitTable(c.id, seq, n)
+	t.entries[c.rank] = splitEntry{color, key}
+	for d := 1; d < n; d <<= 1 {
+		c.p.sendSized(c.id, c.ranks[(c.rank-d+n)%n], tag, 24*min(d, n-d))
+		c.Recv((c.rank+d)%n, tag)
+	}
+	// Every member's entry is in the table now. A rank keeps only the
+	// members of its own colour, so a split costs memory in its group's
+	// size, not in n.
 	type member struct{ rank, key int }
 	var group []member
-	if keep {
-		group = append(group, member{c.rank, key})
-	}
-	// Ring allgather: each of the n(n-1) messages is a 24-byte (source,
-	// color, key) triple in a pooled vector, and every step forwards the
-	// triple it just received. A rank keeps only the members of its own
-	// colour, so a split costs memory in its group's size, not in n.
-	right := (c.rank + 1) % n
-	left := (c.rank - 1 + n) % n
-	buf := [3]float64{float64(c.rank), float64(color), float64(key)}
-	for step := 0; step < n-1; step++ {
-		c.p.sendF64s(c.id, c.ranks[right], tag, 8*len(buf), buf[:])
-		c.p.recvF64sInto(buf[:], c.id, c.ranks[left], tag)
-		if keep && int(buf[1]) == color {
-			group = append(group, member{int(buf[0]), int(buf[2])})
+	if color != ColorUndefined {
+		for r, e := range t.entries {
+			if e.color == color {
+				group = append(group, member{r, e.key})
+			}
 		}
 	}
-	if !keep {
+	if t.unread--; t.unread == 0 {
+		delete(c.p.world.splits, splitAt{c.id, seq})
+	}
+	if color == ColorUndefined {
 		return nil
 	}
 	sort.Slice(group, func(i, j int) bool {
@@ -146,6 +156,39 @@ func (c *Comm) Split(color, key int) *Comm {
 		ranks: newRanks,
 		rank:  myNew,
 	}
+}
+
+// splitAt names one Split: the parent communicator and the collective
+// sequence number the split took on it.
+type splitAt struct{ comm, seq int }
+
+type splitEntry struct{ color, key int }
+
+// splitTable is one Split's (color, key) pairs, indexed by comm rank and
+// shared by its members through the World. Each member writes its entry
+// before its first send and reads the table after its last receive; by then
+// the allgather has carried every other member's first send to it, so
+// every entry was written before it looks. The last reader deletes the
+// table: it is O(n) memory for the length of one split, never a per-rank
+// copy.
+type splitTable struct {
+	entries []splitEntry
+	unread  int // members that have not read the table yet
+}
+
+// splitTable returns the table of split seq on comm, creating it for n
+// members on first use.
+func (w *World) splitTable(comm, seq, n int) *splitTable {
+	k := splitAt{comm, seq}
+	t := w.splits[k]
+	if t == nil {
+		if w.splits == nil {
+			w.splits = make(map[splitAt]*splitTable)
+		}
+		t = &splitTable{entries: make([]splitEntry, n), unread: n}
+		w.splits[k] = t
+	}
+	return t
 }
 
 // SplitShared splits the communicator into per-node subcommunicators,

@@ -27,11 +27,16 @@ import (
 // (SendF64s and the collectives, RecvF64s/RecvF64sTimeout); each receive
 // takes one kind and panics, naming both, when it meets another.
 
+// mbKey names a mailbox by the envelope a message carries, packed as in
+// message: 16 B, so the World's interning map hashes it in one 128-bit
+// step. Every entry point that builds one refuses a tag that does not fit
+// in 32 bits, which would alias another mailbox.
 type mbKey struct {
-	comm, dst, src, tag int
+	comm, dst, src, tag int32
 }
 
-type pairKey struct{ src, dst int }
+// pairKey names a (source, destination) non-overtaking clamp.
+type pairKey struct{ src, dst int32 }
 
 // msgKind says where a message's payload lives.
 type msgKind uint8
@@ -214,7 +219,7 @@ func (p *Proc) arrClamp(dst int) *float64 {
 	if p.lastDst == dst && p.lastArrP != nil {
 		return p.lastArrP
 	}
-	pk := pairKey{p.rank, dst}
+	pk := pairKey{int32(p.rank), int32(dst)}
 	cell := p.world.lastArr[pk]
 	if cell == nil {
 		cell = new(float64)        //synclint:alloc -- cold: one clamp cell per (src, dst) pair, first use only
@@ -259,6 +264,17 @@ func (p *Proc) sendF64s(comm, dst, tag, nbytes int, vals []float64) {
 	m := p.newSend(comm, dst, tag, nbytes)
 	m.kind = msgF64s
 	m.fv = append(p.world.getF64s(), vals...) //synclint:alloc -- pooled vector copy: amortized to the widest payload
+	p.post(m, false)
+}
+
+// sendSized sends a payload-free message that costs nbytes on the wire,
+// received with Recv: a collective whose content travels another way (see
+// splitTable) still pays for its bytes.
+//
+//synclint:allocfree
+func (p *Proc) sendSized(comm, dst, tag, nbytes int) {
+	m := p.newSend(comm, dst, tag, nbytes)
+	m.kind = msgBytes
 	p.post(m, false)
 }
 
@@ -352,8 +368,10 @@ func wireNext(sp *sim.Proc) {
 //synclint:allocfree
 func (p *Proc) wire(m *message) {
 	dst := int(m.dst)
+	p.world.sent++
+	p.world.sentBytes += int(m.nbytes)
 	m.arrival = p.clampArrival(dst, m.arrival)
-	mb := p.sendMB(mbKey{int(m.comm), dst, p.rank, int(m.tag)})
+	mb := p.sendMB(mbKey{m.comm, m.dst, int32(p.rank), m.tag})
 	mb.push(m)
 	if mb.waiter != nil {
 		q := mb.waiter
@@ -383,15 +401,13 @@ func (p *Proc) clampArrival(dst int, arrival float64) float64 {
 //synclint:allocfree
 func (p *Proc) recvMsg(comm, src, tag int) *message {
 	w := p.world
-	if src < 0 || src >= len(w.procs) {
-		panic(fmt.Sprintf("mpi: recv from invalid world rank %d", src)) //synclint:alloc -- cold: invalid-rank panic
-	}
+	checkRecv(w, src, tag)
 	p.maybeCrash()
 	// No settle. The queue is FIFO and arrivals are compared with the rank's
 	// own time, so a rank that looks while ahead of the kernel clock matches
 	// the message it would have matched after waiting, at the same time: one
 	// pushed before the kernel reaches lt merely wakes it early.
-	mb := p.recvMB(mbKey{comm, p.rank, src, tag})
+	mb := p.recvMB(mbKey{int32(comm), int32(p.rank), int32(src), int32(tag)})
 	for mb.n == 0 {
 		if mb.waiter != nil {
 			panic("mpi: two concurrent receives on one rank")
@@ -409,6 +425,19 @@ func (p *Proc) recvMsg(comm, src, tag int) *message {
 	}
 	p.recvDone(msg, src)
 	return msg
+}
+
+// checkRecv panics on a receive from a rank the job does not have or with
+// a tag that does not fit a mailbox key.
+//
+//synclint:allocfree
+func checkRecv(w *World, src, tag int) {
+	if src < 0 || src >= len(w.procs) {
+		panic(fmt.Sprintf("mpi: recv from invalid world rank %d", src)) //synclint:alloc -- cold: invalid-rank panic
+	}
+	if tag > math.MaxInt32 || tag < math.MinInt32 {
+		panic("mpi: a message tag that does not fit in 32 bits")
+	}
 }
 
 // recvDone charges the receive overhead for a message matched from world
@@ -481,9 +510,7 @@ func (w *World) keepF64s(fv []float64) []float64 {
 //synclint:allocfree
 func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 	w := p.world
-	if src < 0 || src >= len(w.procs) {
-		panic(fmt.Sprintf("mpi: recv from invalid world rank %d", src)) //synclint:alloc -- cold: invalid-rank panic
-	}
+	checkRecv(w, src, tag)
 	if timeout != timeout {
 		panic("mpi: timed receive with a NaN timeout")
 	}
@@ -494,7 +521,7 @@ func (p *Proc) recvMsgTimeout(comm, src, tag int, timeout float64) *message {
 	// up — and the deadline is a kernel event counted from that time.
 	p.settle()
 	deadline := p.sp.Now() + timeout
-	mb := p.recvMB(mbKey{comm, p.rank, src, tag})
+	mb := p.recvMB(mbKey{int32(comm), int32(p.rank), int32(src), int32(tag)})
 	for {
 		if mb.n > 0 {
 			if mb.front().arrival > deadline {

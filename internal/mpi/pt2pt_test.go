@@ -212,6 +212,27 @@ func TestMismatchedReceivePanicsByName(t *testing.T) {
 	}
 }
 
+// Mailboxes are keyed by 32-bit envelopes, so a receive refuses a tag that
+// does not fit, as a send does: truncated, tag 1<<32 would match the tag-0
+// message rank 0 sent.
+func TestReceiveRefusesTagWiderThan32Bits(t *testing.T) {
+	for name, recv := range map[string]func(w *Comm){
+		"RecvF64":        func(w *Comm) { w.RecvF64(0, 1<<32) },
+		"RecvF64Timeout": func(w *Comm) { w.RecvF64Timeout(0, 1<<32, 1) },
+	} {
+		err := Run(Config{Spec: cluster.Ideal(2, 1, 1), NProcs: 2, Seed: 1}, func(p *Proc) {
+			if p.Rank() == 0 {
+				p.World().SendF64(1, 0, 1)
+			} else {
+				recv(p.World())
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "does not fit in 32 bits") {
+			t.Errorf("%s: err = %v, want a panic refusing the tag", name, err)
+		}
+	}
+}
+
 // The public vector calls carry a vector of the sender's length, 8 B per
 // value on the wire.
 func TestSendRecvF64s(t *testing.T) {

@@ -181,3 +181,23 @@ func TestSessionCrashedRankStaysDead(t *testing.T) {
 		t.Errorf("surviving ranks did not all run: %v", ran)
 	}
 }
+
+// A member that crashes between its last send and its last receive of a
+// Split never reads the split's table, so it outlives a phase that ends
+// quiescent; Snapshot refuses the cut rather than drop it.
+func TestSessionSnapshotRefusesLiveSplit(t *testing.T) {
+	spec := cluster.TestBox()
+	plan := faults.Plan{Crashes: []faults.Crash{{Rank: 1, At: 1.5 * spec.SendOverhead}}}
+	s, err := NewSession(Config{Spec: spec, NProcs: 2, Seed: 4, Faults: faults.NewInjector(plan)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunPhase(func(p *Proc) { p.World().Split(0, p.Rank()) }); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Snapshot()
+	var live *PendingSplitError
+	if !errors.As(err, &live) || live.Splits != 1 {
+		t.Fatalf("snapshot error = %v, want one split in progress", err)
+	}
+}

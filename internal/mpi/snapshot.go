@@ -94,6 +94,18 @@ func (e *PendingSsendError) Error() string {
 		e.Src, e.Dst, e.Tag)
 }
 
+// PendingSplitError is returned by Snapshot when Splits' shared tables are
+// still live at the cut: a member crashed between its last send and its
+// last receive of a split, so it never read the table. A snapshot does not
+// carry the tables, and the splits could not complete after a resume.
+type PendingSplitError struct {
+	Splits int // live tables
+}
+
+func (e *PendingSplitError) Error() string {
+	return fmt.Sprintf("mpi: %d split(s) still in progress at snapshot cut", e.Splits)
+}
+
 // Snapshot captures the session at a quiescent cut. It fails if the kernel
 // is not quiescent (a phase is still running or was never run to
 // completion).
@@ -103,6 +115,9 @@ func (s *Session) Snapshot() (SessionState, error) {
 		return SessionState{}, err
 	}
 	w := s.world
+	if len(w.splits) > 0 {
+		return SessionState{}, &PendingSplitError{Splits: len(w.splits)}
+	}
 	ws := WorldState{
 		NextComm: w.nextComm,
 		CollSeq:  make([]int, len(w.procs)),
@@ -117,7 +132,7 @@ func (s *Session) Snapshot() (SessionState, error) {
 	}
 	sort.Slice(ws.Comms, func(i, j int) bool { return ws.Comms[i].ID < ws.Comms[j].ID })
 	for k, cell := range w.lastArr { //synclint:ordered -- entries collected then sorted below
-		ws.Clamps = append(ws.Clamps, ClampState{Src: k.src, Dst: k.dst, Arrival: *cell})
+		ws.Clamps = append(ws.Clamps, ClampState{Src: int(k.src), Dst: int(k.dst), Arrival: *cell})
 	}
 	sort.Slice(ws.Clamps, func(i, j int) bool {
 		a, b := ws.Clamps[i], ws.Clamps[j]
@@ -130,11 +145,11 @@ func (s *Session) Snapshot() (SessionState, error) {
 		if mb.n == 0 {
 			continue // empty queues are pure interning, not state
 		}
-		ms := MailboxState{Comm: k.comm, Dst: k.dst, Src: k.src, Tag: k.tag}
+		ms := MailboxState{Comm: int(k.comm), Dst: int(k.dst), Src: int(k.src), Tag: int(k.tag)}
 		for i := 0; i < mb.n; i++ {
 			m := mb.buf[(mb.head+i)%len(mb.buf)]
 			if m.ssend {
-				return SessionState{}, &PendingSsendError{Src: k.src, Dst: k.dst, Tag: k.tag}
+				return SessionState{}, &PendingSsendError{Src: ms.Src, Dst: ms.Dst, Tag: ms.Tag}
 			}
 			// Payloads are copied: fv aliases the World's recycled float
 			// pool and data the sender's buffer, and a snapshot must stay
@@ -143,7 +158,7 @@ func (s *Session) Snapshot() (SessionState, error) {
 				Arrival: m.arrival,
 				Kind:    uint8(m.kind),
 				V:       m.v,
-				Sender:  k.src,
+				Sender:  ms.Src,
 			}
 			if m.data != nil {
 				msg.Data = append([]byte(nil), m.data...)
@@ -214,23 +229,52 @@ func ResumeSession(cfg Config, st SessionState) (*Session, error) {
 		p.comm.collSeq = ws.CollSeq[i]
 		p.draws.draws = ws.Draws[i]
 	}
+	if ws.NextComm < 1 || ws.NextComm > math.MaxInt32 {
+		return nil, fmt.Errorf("mpi: resume: next communicator id %d out of range", ws.NextComm)
+	}
 	w.nextComm = ws.NextComm
+	// Every rank, communicator id and tag the state names must be one the
+	// job has and a mailbox or clamp key can hold: 32-bit keys would alias
+	// anything wider, and a message for a rank the job lacks would vanish.
+	pair := func(what string, src, dst int) error {
+		for _, r := range [2]int{src, dst} {
+			if r < 0 || r >= len(w.procs) {
+				return fmt.Errorf("mpi: resume: %s %d->%d names rank %d, outside [0, %d)", what, src, dst, r, len(w.procs))
+			}
+		}
+		return nil
+	}
 	for _, cs := range ws.Comms {
+		if cs.ID < 0 || cs.ID >= ws.NextComm {
+			return nil, fmt.Errorf("mpi: resume: communicator id %d out of range [0, %d)", cs.ID, ws.NextComm)
+		}
 		w.commIDs[splitKey{parent: cs.Parent, seq: cs.Seq, color: cs.Color}] = cs.ID
 	}
 	for _, cl := range ws.Clamps {
+		if err := pair("clamp", cl.Src, cl.Dst); err != nil {
+			return nil, err
+		}
 		if math.IsNaN(cl.Arrival) || math.IsInf(cl.Arrival, 0) {
 			return nil, fmt.Errorf("mpi: resume: clamp %d->%d arrival %v is not finite", cl.Src, cl.Dst, cl.Arrival)
 		}
 		cell := new(float64)
 		*cell = cl.Arrival
-		w.lastArr[pairKey{cl.Src, cl.Dst}] = cell
+		w.lastArr[pairKey{int32(cl.Src), int32(cl.Dst)}] = cell
 	}
 	for _, mbs := range ws.Mail {
-		mb := w.mailbox(mbKey{mbs.Comm, mbs.Dst, mbs.Src, mbs.Tag})
+		if err := pair("mailbox", mbs.Src, mbs.Dst); err != nil {
+			return nil, err
+		}
+		if mbs.Comm < 0 || mbs.Comm >= ws.NextComm {
+			return nil, fmt.Errorf("mpi: resume: mailbox communicator id %d out of range [0, %d)", mbs.Comm, ws.NextComm)
+		}
+		if mbs.Tag < math.MinInt32 || mbs.Tag > math.MaxInt32 {
+			return nil, fmt.Errorf("mpi: resume: mailbox tag %d does not fit in 32 bits", mbs.Tag)
+		}
+		mb := w.mailbox(mbKey{int32(mbs.Comm), int32(mbs.Dst), int32(mbs.Src), int32(mbs.Tag)})
 		for _, msg := range mbs.Msgs {
-			if msg.Sender < 0 || msg.Sender >= len(w.procs) {
-				return nil, fmt.Errorf("mpi: resume: message sender rank %d out of range", msg.Sender)
+			if msg.Sender != mbs.Src {
+				return nil, fmt.Errorf("mpi: resume: message from rank %d in the mailbox of source %d", msg.Sender, mbs.Src)
 			}
 			if math.IsNaN(msg.Arrival) || math.IsInf(msg.Arrival, 0) {
 				return nil, fmt.Errorf("mpi: resume: message %d->%d arrival %v is not finite", msg.Sender, mbs.Dst, msg.Arrival)

@@ -85,6 +85,11 @@ type World struct {
 	lastArr   map[pairKey]*float64 // non-overtaking clamp per (src,dst)
 	commIDs   map[splitKey]int
 	nextComm  int
+	splits    map[splitAt]*splitTable // splits in progress; made by the first Split
+
+	// sent and sentBytes count the messages the job put on the wire and
+	// their wire sizes.
+	sent, sentBytes int
 
 	// faultyClocks maps rank → its private disturbed clock when the fault
 	// plan schedules clock steps for it. Domain clocks
