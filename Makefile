@@ -7,7 +7,8 @@ GO ?= go
 # BenchmarkSimPingPong; that one and BenchmarkHCA3Sync also report events/op,
 # the deterministic kernel-event count next to the noisy ns/op.
 # BenchmarkEventQueue prices the kernel's event queue at four heap depths.
-SUBSTRATE_BENCH = BenchmarkSim|BenchmarkHCA3Sync|BenchmarkLinearFit|BenchmarkSnapshot|BenchmarkDispatch|BenchmarkEventQueue|BenchmarkKernelMemoryPerRank
+# BenchmarkFusedSeries prices a fused SKaMPI-Offset/100 series per ping-pong.
+SUBSTRATE_BENCH = BenchmarkSim|BenchmarkHCA3Sync|BenchmarkFusedSeries|BenchmarkLinearFit|BenchmarkSnapshot|BenchmarkDispatch|BenchmarkEventQueue|BenchmarkKernelMemoryPerRank
 
 # Pinned third-party linter versions. CI installs exactly these; locally
 # they run only when already on PATH (this repo must build offline).
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzLinkSpecSample -fuzztime 10s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzHWClockDisturbed -fuzztime 10s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzHWClockSegment -fuzztime 10s
 	$(GO) test ./internal/clocksync -run '^$$' -fuzz 'FuzzFitOffsetSamples$$' -fuzztime 10s
 	$(GO) test ./internal/clocksync -run '^$$' -fuzz FuzzFitOffsetSamplesRobust -fuzztime 10s
 	$(GO) test ./internal/analysis -run '^$$' -fuzz FuzzParseDirective -fuzztime 10s

@@ -312,6 +312,43 @@ func BenchmarkSimSplit(b *testing.B) {
 	}
 }
 
+// BenchmarkFusedSeries is the paper's unit of clock-model learning, one
+// SKaMPI-Offset/100 measurement (Alg. 7) between a Jupiter rank pair on two
+// nodes, the reference timing through a one-model GlobalClockLM as HCA3's
+// references do: one op is one fused series of 100 ping-pongs, one
+// rendezvous. ns/pingpong is the per-exchange arithmetic the series costs;
+// one job runs every op, so allocs/op is the job's set-up amortised over
+// b.N and 0 in steady state.
+func BenchmarkFusedSeries(b *testing.B) {
+	const nexch = 100
+	cfg := mpi.Config{Spec: cluster.Jupiter(), NProcs: 2, Mapping: cluster.MapSpread, Seed: 7}
+	m, err := cluster.NewMachine(cfg.Spec, cfg.NProcs, cfg.Mapping, cfg.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if m.LevelOf(0, 1) != cluster.LevelCluster {
+		b.Fatal("the pair is not inter-node")
+	}
+	off := clocksync.SKaMPIOffset{NExchanges: nexch}
+	b.ReportAllocs()
+	b.ResetTimer()
+	env := sim.NewEnv(cfg.Seed + 1)
+	err = mpi.RunOn(env, m, cfg, func(p *mpi.Proc) {
+		var clk clock.Clock = clock.NewLocal(p)
+		if p.Rank() == 0 {
+			clk = clock.New(clk, clock.LinearModel{Slope: 2e-6, Intercept: 1e-3})
+		}
+		for i := 0; i < b.N; i++ {
+			off.MeasureOffset(p.World(), clk, 0, 1)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nexch), "ns/pingpong")
+	b.ReportMetric(float64(env.Processed())/float64(b.N), "events/op")
+}
+
 func BenchmarkSnapshot(b *testing.B) {
 	// Cost of one checkpoint at a quiescent cut: capture the session state
 	// and serialize it, with in-flight messages and drifted clocks in the

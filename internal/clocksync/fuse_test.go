@@ -209,3 +209,39 @@ func TestFusedExchangeMatchesMessageLevelProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedSeriesAllocatesNothing: once its clock segments are warm, a
+// fused series between two ranks — the clock reads, the sends, the
+// rendezvous — allocates no object. The sample buffer is the caller's (the
+// pool behind getSampleBuf drops entries at random under -race).
+func TestFusedSeriesAllocatesNothing(t *testing.T) {
+	if !fuseExchanges {
+		t.Skip("series run message by message in this build")
+	}
+	const runs = 50
+	var allocs float64
+	cfg := mpi.Config{Spec: cluster.Jupiter(), NProcs: 2, Mapping: cluster.MapSpread, Seed: 3}
+	err := mpi.Run(cfg, func(p *mpi.Proc) {
+		var clk clock.Clock = clock.NewLocal(p)
+		if p.Rank() == 0 {
+			clk = clock.New(clk, clock.LinearModel{Slope: 1e-6, Intercept: 2e-3})
+		}
+		s := SKaMPIOffset{NExchanges: 20}
+		b := &sampleBuf{x: make([]float64, 5), y: make([]float64, 5)}
+		measure := func() { s.series(p.World(), clk, 0, 1, b, true) }
+		measure()
+		if p.Rank() == 0 {
+			allocs = testing.AllocsPerRun(runs, measure)
+			return
+		}
+		for i := 0; i < runs+1; i++ { // AllocsPerRun's warm-up call and its runs
+			measure()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a warm fused series allocates %v objects, want 0", allocs)
+	}
+}

@@ -45,13 +45,32 @@ type HWClock struct {
 	Spec ClockSpec
 	seed int64
 	rng  *rand.Rand
-	// localStart[i] is the local reading at true time i*WanderInterval;
-	// skews[i] applies on [i*W, (i+1)*W).
-	localStart []float64
-	skews      []float64
-	wander     float64
+	// spans[i] is the wander segment on true times [i*W, (i+1)*W).
+	spans  []span
+	wander float64
+	// seg is the wander segment of the last read, as readBase applies it.
+	// It is derived from spans, so it is no part of the clock's state: a
+	// fresh or forked clock reads the same bits.
+	seg segment
 	// dists are the scheduled disturbances, sorted by time.
 	dists []disturbance
+}
+
+// span is one constant-skew wander segment: the local reading at its first
+// true time, and its skew.
+type span struct {
+	start, skew float64
+}
+
+// segment is wander segment i as readBase applies it: on the true times
+// [lo, hi), exactly those with int(t/WanderInterval) == i, the smooth
+// reading is start + rate·(t − base), with start = spans[i].start, rate =
+// 1+spans[i].skew and base = float64(i)·WanderInterval — readBase's own
+// operands, so a read through it has readBase's bits. The zero segment is
+// empty.
+type segment struct {
+	lo, hi            float64
+	start, rate, base float64
 }
 
 // disturbance is one scheduled clock fault: at true time at, the reading
@@ -67,14 +86,12 @@ type disturbance struct {
 // population of a job that only times with mono clocks — costs no rand
 // state at all, and lazily-built clocks read identically to eager ones.
 func NewHWClock(spec ClockSpec, seed int64) *HWClock {
-	c := &HWClock{Spec: spec, seed: seed}
-	if spec.WanderInterval > 0 {
-		c.localStart = []float64{spec.Offset}
-	}
-	return c
+	return &HWClock{Spec: spec, seed: seed}
 }
 
 // rand returns the clock's wander stream, creating it on first use.
+//
+//synclint:allocfree
 func (c *HWClock) rand() *rand.Rand {
 	if c.rng == nil {
 		c.rng = rand.New(rand.NewSource(c.seed))
@@ -101,6 +118,8 @@ func (c *HWClock) AddStep(at, delta float64) {
 
 // distAt returns the total disturbance contribution to the reading at true
 // time t: the sum of all steps at or before t.
+//
+//synclint:allocfree
 func (c *HWClock) distAt(t float64) float64 {
 	var d float64
 	for _, e := range c.dists {
@@ -113,6 +132,8 @@ func (c *HWClock) distAt(t float64) float64 {
 }
 
 // extend appends one more constant-skew segment.
+//
+//synclint:allocfree
 func (c *HWClock) extend() {
 	rho := c.Spec.WanderRho
 	if rho == 0 {
@@ -123,26 +144,78 @@ func (c *HWClock) extend() {
 	if skew <= -0.5 {
 		skew = -0.5 // keep the clock strictly monotonic
 	}
-	c.skews = append(c.skews, skew)
-	last := len(c.skews) - 1
-	c.localStart = append(c.localStart,
-		c.localStart[last]+(1+skew)*c.Spec.WanderInterval)
+	c.spans = append(c.spans, span{start: c.nextStart(), skew: skew}) //synclint:alloc -- segment growth: amortized, one per wander interval reached
 }
 
-// readBase returns the smooth (wander-only, unquantized) reading at t.
-func (c *HWClock) readBase(t float64) float64 {
-	if c.Spec.WanderInterval <= 0 {
-		return c.Spec.Offset + (1+c.Spec.BaseSkew)*t
+// nextStart returns the local reading at the first true time of the first
+// segment not yet extended.
+//
+//synclint:allocfree
+func (c *HWClock) nextStart() float64 {
+	n := len(c.spans)
+	if n == 0 {
+		return c.Spec.Offset
 	}
+	last := c.spans[n-1]
+	return last.start + (1+last.skew)*c.Spec.WanderInterval
+}
+
+// readBase returns the smooth (wander-only, unquantized) reading at t. A
+// clock is read at slowly increasing times, nearly all inside the segment
+// of its last read, where a read is two compares and the segment's affine
+// map: no division by the wander interval, no extend check, no slice index.
+//
+//synclint:allocfree
+func (c *HWClock) readBase(t float64) float64 {
+	s := &c.seg
+	if !(t >= s.lo && t < s.hi) {
+		if c.Spec.WanderInterval <= 0 {
+			return c.Spec.Offset + (1+c.Spec.BaseSkew)*t
+		}
+		c.seek(t)
+	}
+	return s.start + s.rate*(t-s.base)
+}
+
+// seek makes t's wander segment the clock's current one, extending the
+// clock to it.
+//
+//synclint:allocfree
+func (c *HWClock) seek(t float64) {
 	w := c.Spec.WanderInterval
 	i := int(t / w)
-	for i >= len(c.skews) {
+	for i >= len(c.spans) {
 		c.extend()
 	}
-	return c.localStart[i] + (1+c.skews[i])*(t-float64(i)*w)
+	sp := c.spans[i]
+	c.seg = segment{
+		lo: segmentStart(i, w), hi: segmentStart(i+1, w),
+		start: sp.start, rate: 1 + sp.skew, base: float64(i) * w,
+	}
+}
+
+// segmentStart returns the least t ≥ 0 with t/w ≥ i in floating point: the
+// first true time readBase places in segment i or later. Division by w > 0
+// is monotone in t, so the times readBase places in segment i are exactly
+// [segmentStart(i, w), segmentStart(i+1, w)). float64(i)·w is within an ulp
+// or two of the answer; Nextafter walks the rest.
+//
+//synclint:allocfree
+func segmentStart(i int, w float64) float64 {
+	fi := float64(i)
+	t := fi * w
+	for t > 0 && math.Nextafter(t, 0)/w >= fi {
+		t = math.Nextafter(t, 0)
+	}
+	for t/w < fi {
+		t = math.Nextafter(t, math.Inf(1))
+	}
+	return t
 }
 
 // ReadAt returns the clock's reading at true time t >= 0.
+//
+//synclint:allocfree
 func (c *HWClock) ReadAt(t float64) float64 {
 	l := c.readBase(t)
 	if len(c.dists) > 0 {
@@ -161,21 +234,21 @@ func (c *HWClock) trueWhenBase(local float64) float64 {
 	}
 	// Extend segments until the reading is covered (at least one, so the
 	// search below always has a segment to land in).
-	for len(c.skews) == 0 || c.localStart[len(c.localStart)-1] < local {
+	for len(c.spans) == 0 || c.nextStart() < local {
 		c.extend()
 	}
 	// Binary search for the segment containing the reading.
-	lo, hi := 0, len(c.skews)-1
+	lo, hi := 0, len(c.spans)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if c.localStart[mid] <= local {
+		if c.spans[mid].start <= local {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
 	w := c.Spec.WanderInterval
-	t := float64(lo)*w + (local-c.localStart[lo])/(1+c.skews[lo])
+	t := float64(lo)*w + (local-c.spans[lo].start)/(1+c.spans[lo].skew)
 	if t < 0 {
 		t = 0
 	}

@@ -141,7 +141,7 @@ func TestReadSlopeMatchesSegmentSkew(t *testing.T) {
 	tt := 5.5
 	h := 1e-4
 	slope := (c.ReadAt(tt+h)-c.ReadAt(tt-h))/(2*h) - 1
-	if skew := c.skews[int(tt)]; math.Abs(slope-skew) > 1e-9 {
+	if skew := c.spans[int(tt)].skew; math.Abs(slope-skew) > 1e-9 {
 		t.Errorf("numeric skew %v != segment skew %v", slope, skew)
 	}
 }

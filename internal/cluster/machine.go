@@ -240,21 +240,23 @@ func (m *Machine) LevelOf(a, b int) Level {
 
 // Delay samples the one-way network delay for nbytes from rank src to dst.
 func (m *Machine) Delay(src, dst, nbytes int, rng *rand.Rand) float64 {
-	return m.link(src, dst).Sample(nbytes, rng)
+	return m.Link(src, dst).Sample(nbytes, rng)
 }
 
 // MinDelay returns the jitter-free delay between src and dst for nbytes.
 func (m *Machine) MinDelay(src, dst, nbytes int) float64 {
-	return m.link(src, dst).Min(nbytes)
+	return m.Link(src, dst).Min(nbytes)
 }
 
-func (m *Machine) link(src, dst int) LinkSpec {
+// Link returns the latency model of messages from rank src to dst: the
+// spec of their communication level, in the machine's Spec.
+func (m *Machine) Link(src, dst int) *LinkSpec {
 	switch m.LevelOf(src, dst) {
 	case LevelCluster:
-		return m.Spec.InterNode
+		return &m.Spec.InterNode
 	case LevelNode:
-		return m.Spec.IntraNode
+		return &m.Spec.IntraNode
 	default:
-		return m.Spec.IntraSocket
+		return &m.Spec.IntraSocket
 	}
 }

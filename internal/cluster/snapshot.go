@@ -31,7 +31,7 @@ type ClockState struct {
 
 // State captures the clock's accumulated state for a checkpoint.
 func (c *HWClock) State() ClockState {
-	st := ClockState{Segments: len(c.skews)}
+	st := ClockState{Segments: len(c.spans)}
 	for _, d := range c.dists {
 		st.Dists = append(st.Dists, Disturbance{At: d.at, Step: d.step})
 	}
@@ -43,11 +43,11 @@ func (c *HWClock) State() ClockState {
 // has already extended past the captured segment count — state can only be
 // replayed onto a pristine clock, not rolled back.
 func (c *HWClock) RestoreState(st ClockState) error {
-	if len(c.skews) > st.Segments {
+	if len(c.spans) > st.Segments {
 		return fmt.Errorf("cluster: clock already extended to %d segments, cannot restore to %d",
-			len(c.skews), st.Segments)
+			len(c.spans), st.Segments)
 	}
-	for len(c.skews) < st.Segments {
+	for len(c.spans) < st.Segments {
 		c.extend()
 	}
 	c.dists = nil

@@ -273,9 +273,3 @@ func (in *Injector) ClockSteps(rank int) []ClockStep {
 	}
 	return out
 }
-
-// HasClockFaults reports whether any rank has a scheduled step — the MPI
-// layer's cheap gate before building per-rank clocks.
-func (in *Injector) HasClockFaults() bool {
-	return in != nil && len(in.plan.Steps) > 0
-}

@@ -179,21 +179,18 @@ func TestInjectorByzantine(t *testing.T) {
 	if nilIn.IsByzantine(0) || nilIn.PerturbTimestamp(0, 1, nil) != 1 {
 		t.Error("nil injector perturbs timestamps")
 	}
-	if nilIn.HasClockFaults() || len(nilIn.ClockSteps(1)) != 0 {
+	if len(nilIn.ClockSteps(1)) != 0 {
 		t.Error("nil injector reports clock faults")
 	}
 }
 
 func TestInjectorClockFaultViews(t *testing.T) {
-	if NewInjector(Plan{DropProb: 0.5, Byz: []ByzRank{{Rank: 1}}}).HasClockFaults() {
-		t.Error("HasClockFaults true for a plan without steps")
+	if got := NewInjector(Plan{DropProb: 0.5, Byz: []ByzRank{{Rank: 1}}}).ClockSteps(1); len(got) != 0 {
+		t.Errorf("ClockSteps(1) = %+v for a plan without steps", got)
 	}
 	in := NewInjector(Plan{
 		Steps: []ClockStep{{Rank: 2, At: 1.5, Delta: 1e-3}, {Rank: 2, At: 0.5, Delta: -1e-3}},
 	})
-	if !in.HasClockFaults() {
-		t.Error("HasClockFaults false with scheduled faults")
-	}
 	if got := in.ClockSteps(2); len(got) != 2 {
 		t.Errorf("ClockSteps(2) = %+v, want both steps", got)
 	}

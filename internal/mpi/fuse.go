@@ -1,5 +1,7 @@
 package mpi
 
+import "hclocksync/internal/cluster"
+
 // Fused two-party exchanges.
 //
 // A ping-pong between two ranks is 4 kernel events per round trip when
@@ -25,10 +27,12 @@ type fusion struct {
 
 // Side is one rank of a fused exchange as the rank computing it sees it:
 // the rank and its time, which Advance, Send and Recv move exactly as the
-// rank's own calls would in the message-level exchange.
+// rank's own calls would in the message-level exchange, and the latency
+// model of its sends to the other side, resolved once when the pair meets.
 type Side struct {
-	p *Proc
-	T float64
+	p    *Proc
+	T    float64
+	link *cluster.LinkSpec
 }
 
 // Proc returns the side's rank.
@@ -43,15 +47,15 @@ func (s *Side) Advance(d float64) {
 	}
 }
 
-// Send is a send of nbytes from s to dst at the side's time: it charges the
-// send overhead, draws the delay from s's stream and returns the arrival at
-// dst after the non-overtaking clamp, which it advances.
+// Send is a send of nbytes from s to dst, the other side of its exchange,
+// at the side's time: it charges the send overhead, draws the delay from
+// s's stream and returns the arrival at dst after the non-overtaking clamp,
+// which it advances.
 //
 //synclint:allocfree
 func (s *Side) Send(dst *Side, nbytes int) float64 {
-	m := s.p.world.machine
-	s.Advance(m.Spec.SendOverhead)
-	return s.p.clampArrival(dst.p.rank, s.T+m.Delay(s.p.rank, dst.p.rank, nbytes, &s.p.rng))
+	s.Advance(s.p.world.machine.Spec.SendOverhead)
+	return s.p.clampArrival(dst.p.rank, s.T+s.link.Sample(nbytes, &s.p.rng))
 }
 
 // Recv is a blocking receive of a message arriving at arrival: the side
@@ -83,7 +87,9 @@ func (c *Comm) Fusable(peer int) bool {
 // through which the other rank hands back what the exchange gives it; once
 // the other has computed the exchange for both and Finish has resumed it at
 // its end time, Meet returns a nil other. The second gets its own Side, the
-// parked rank's Side and arg, computes both sides and calls Finish.
+// parked rank's Side and arg, computes both sides and calls Finish. It
+// resolves each side's link to the other here, so no send of the exchange
+// looks up the pair's communication level again.
 //
 //synclint:allocfree
 func (c *Comm) Meet(peer int, arg any) (me, other *Side, theirs any) {
@@ -96,6 +102,8 @@ func (c *Comm) Meet(peer int, arg any) (me, other *Side, theirs any) {
 	if f := &q.fuse; f.waiting && f.comm == c.id && f.peer == p.rank {
 		f.waiting = false
 		theirs, f.arg = f.arg, nil
+		m := p.world.machine
+		p.fuse.side.link, f.side.link = m.Link(p.rank, q.rank), m.Link(q.rank, p.rank)
 		return &p.fuse.side, &f.side, theirs
 	}
 	p.fuse.waiting, p.fuse.comm, p.fuse.peer, p.fuse.arg = true, c.id, q.rank, arg

@@ -183,12 +183,11 @@ func (s *Session) Snapshot() (SessionState, error) {
 		}
 		return a.Tag < b.Tag
 	})
-	for r, c := range w.faultyClocks { //synclint:ordered -- entries collected then sorted below
-		ws.FaultyClocks = append(ws.FaultyClocks, FaultyClockState{Rank: r, Clock: c.State()})
+	for _, p := range w.procs {
+		if p.faultyClock() {
+			ws.FaultyClocks = append(ws.FaultyClocks, FaultyClockState{Rank: p.rank, Clock: p.hw.State()})
+		}
 	}
-	sort.Slice(ws.FaultyClocks, func(i, j int) bool {
-		return ws.FaultyClocks[i].Rank < ws.FaultyClocks[j].Rank
-	})
 	return SessionState{Env: envSt, Clocks: s.machine.ClockStates(), World: ws}, nil
 }
 
@@ -296,11 +295,11 @@ func ResumeSession(cfg Config, st SessionState) (*Session, error) {
 		}
 	}
 	for _, fc := range ws.FaultyClocks {
-		c, ok := w.faultyClocks[fc.Rank]
-		if !ok {
+		if fc.Rank < 0 || fc.Rank >= len(w.procs) || !w.procs[fc.Rank].faultyClock() {
 			return nil, fmt.Errorf("mpi: resume: rank %d has a faulty-clock state but no scheduled clock fault", fc.Rank)
 		}
-		if err := c.RestoreState(fc.Clock); err != nil {
+		// The rank's fork, fixed by newWorld: the clock it reads from here on.
+		if err := w.procs[fc.Rank].hw.RestoreState(fc.Clock); err != nil {
 			return nil, fmt.Errorf("mpi: resume: rank %d clock: %w", fc.Rank, err)
 		}
 	}

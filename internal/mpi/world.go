@@ -91,15 +91,6 @@ type World struct {
 	// their wire sizes.
 	sent, sentBytes int
 
-	// faultyClocks maps rank → its private disturbed clock when the fault
-	// plan schedules clock steps for it. Domain clocks
-	// are shared between co-located ranks, so the faulted rank gets a
-	// deterministic fork of its clock (same wander stream) with the
-	// disturbances applied — the fault stays scoped to that rank. Empty for
-	// plans without clock faults, so healthy jobs take the shared-clock
-	// path unchanged.
-	faultyClocks map[int]*cluster.HWClock
-
 	// Free lists keep the steady-state messaging path allocation-free:
 	// message structs and pooled float64 payload slices are recycled for
 	// the lifetime of the job.
@@ -120,6 +111,13 @@ type Proc struct {
 	world *World
 	rank  int
 	comm  *Comm // world communicator handle
+
+	// hw is the hardware clock the rank reads under the job's clock source:
+	// its domain clock, shared with co-located ranks, or — when the fault
+	// plan schedules clock steps for the rank — a deterministic fork of it
+	// (same wander stream) carrying the disturbances, so the fault stays
+	// scoped to that rank. Fixed when the world is built.
+	hw *cluster.HWClock
 
 	// lt is the rank-local time: the true time this rank has reached by
 	// consuming CPU (Advance) without telling the kernel. The rank's time
@@ -227,20 +225,6 @@ func newWorld(env *sim.Env, machine *cluster.Machine, cfg Config) (*World, error
 		nextComm:  1,
 	}
 	env.OnCallback(wireNext)
-	if cfg.Faults.HasClockFaults() {
-		w.faultyClocks = make(map[int]*cluster.HWClock)
-		for r := 0; r < cfg.NProcs; r++ {
-			steps := cfg.Faults.ClockSteps(r)
-			if len(steps) == 0 {
-				continue
-			}
-			c := machine.Clock(r, cfg.ClockSource).Fork()
-			for _, s := range steps {
-				c.AddStep(s.At, s.Delta)
-			}
-			w.faultyClocks[r] = c
-		}
-	}
 	ranks := make([]int, cfg.NProcs)
 	for i := range ranks {
 		ranks[i] = i
@@ -252,10 +236,23 @@ func newWorld(env *sim.Env, machine *cluster.Machine, cfg Config) (*World, error
 		p := &procs[r]
 		*p = Proc{world: w, rank: r, lastDst: -1, draws: newRankStream(cfg.Seed, r), comm: &comms[r]}
 		p.rng = *rand.New(&p.draws)
+		p.hw = machine.Clock(r, cfg.ClockSource)
+		if steps := cfg.Faults.ClockSteps(r); len(steps) > 0 {
+			p.hw = p.hw.Fork()
+			for _, s := range steps {
+				p.hw.AddStep(s.At, s.Delta)
+			}
+		}
 		comms[r] = Comm{p: p, id: 0, ranks: ranks, rank: r}
 		w.procs[r] = p
 	}
 	return w, nil
+}
+
+// faultyClock reports whether the rank reads a disturbed fork of its domain
+// clock rather than the shared one.
+func (p *Proc) faultyClock() bool {
+	return p.hw != p.world.machine.Clock(p.rank, p.world.cfg.ClockSource)
 }
 
 // spawnMain spawns one sim process per rank, all running main (in rank
@@ -391,18 +388,13 @@ func (p *Proc) PerturbTimestamp(reading float64) float64 {
 // HWClock returns the hardware clock this rank reads under the job's
 // configured clock source. A rank with scheduled clock faults reads its
 // private disturbed fork instead of the shared domain clock.
-func (p *Proc) HWClock() *cluster.HWClock {
-	if c, ok := p.world.faultyClocks[p.rank]; ok {
-		return c
-	}
-	return p.world.machine.Clock(p.rank, p.world.cfg.ClockSource)
-}
+func (p *Proc) HWClock() *cluster.HWClock { return p.hw }
 
 // ReadHWClock reads the rank's hardware clock, charging the clock's read
 // cost to the rank before taking the reading (as a real clock_gettime call
 // would).
 func (p *Proc) ReadHWClock() float64 {
-	c := p.HWClock()
+	c := p.hw
 	p.Advance(c.Spec.ReadCost)
 	return c.ReadAt(p.now())
 }
