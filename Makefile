@@ -33,7 +33,9 @@ test:
 # time on its own goroutine, and the MPI and fault-tolerant sync layers (and
 # internal/scale's fiber cross-checks) run on them; cluster and stats feed
 # them shared state (disturbed hardware clocks, robust summaries), and
-# checkpoint snapshots that shared state while engine workers run;
+# checkpoint's tests snapshot that state at a session cut, after the fibers
+# that wrote it have stopped (no run snapshots one: the sweep ledger keeps
+# finished results only);
 # fabric is the one package with supervisor goroutines, lease timers and a
 # condition-variable queue; its lock discipline is checked only here. All of
 # them go under the race detector. CI runs this target and `fuzz`, so these
@@ -84,9 +86,14 @@ lint:
 check: build vet lint test race
 
 # Full substrate bench sweep with allocation stats; writes BENCH_sim.json.
-# Compare two runs with scripts/benchdiff.sh.
+# Compare two runs with scripts/benchdiff.sh. BenchmarkDispatch/serial (a
+# 1M-rank simulation, ~2 s an iteration) would run once at 1s, and one
+# iteration's allocs/op is runtime noise (83 to 89 across runs); it runs in
+# a second pass at a fixed count, where three runs read the same value.
+DISPATCH_SERIAL_N = 10
 bench:
-	$(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCH)' -benchmem -benchtime 1s . \
+	{ $(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCH)' -skip 'BenchmarkDispatch/serial' -benchmem -benchtime 1s . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch/serial' -benchmem -benchtime $(DISPATCH_SERIAL_N)x . ; } \
 		| tee /dev/stderr | $(GO) run ./cmd/bench2json -o BENCH_sim.json
 
 # One-iteration smoke variant for CI: exercises every substrate bench and

@@ -8,7 +8,7 @@
 //
 //	runexp -suite NAME[,NAME...]|all [-scale default|tiny|smoke] [-jobs N]
 //	       [-fabric N] [-cache DIR] [-outdir DIR] [-seed S] [-quiet]
-//	       [-checkpoint FILE] [-restore FILE]
+//	       [-checkpoint DIR] [-restore DIR]
 //	       [-cpuprofile FILE] [-memprofile FILE]
 //	runexp -list
 //	runexp -worker
@@ -20,18 +20,16 @@
 // that is the resume story: kill runexp at any point and run the same
 // command line again, and completed work is served from disk.
 //
-// With -checkpoint, the run additionally maintains a single-file sweep
-// ledger (internal/checkpoint's sealed binary format, atomic
-// write-then-rename) holding every finished task's result, flushed as each
-// task finishes. After a SIGKILL, rerunning the same command line with
-// -restore FILE serves finished tasks from the ledger and reruns the ones
-// that were in flight from their start: every simulation's work is nearly
-// all before its last quiescent cut, so mid-task snapshots would save next
-// to nothing (see DESIGN.md §11). The flag never changes output: stdout,
-// -outdir files and cache keys are byte-identical with -checkpoint, with
-// -restore after a kill, and with neither. -checkpoint refuses (exit 2) to start on a ledger file that
-// already holds data: resuming it is -restore's job, and starting over means
-// removing it first.
+// With -checkpoint DIR, the run additionally keeps a sweep ledger in DIR:
+// a result cache of its own, one checksummed entry per finished task,
+// written as the task finishes. After a SIGKILL, rerunning the same command
+// line serves finished tasks from the ledger and reruns the ones that were
+// in flight from their start: every simulation's work is nearly all before
+// its last quiescent cut, so mid-task snapshots would save next to nothing
+// (see DESIGN.md §11). A corrupt entry is set aside as <entry>.corrupt and
+// its task recomputed. -restore DIR opens the same ledger as -checkpoint
+// DIR. The flag never changes output: stdout, -outdir files and cache keys
+// are byte-identical with a ledger, after a kill and resume, and without.
 //
 // With -fabric N, simulations run in N supervised child *processes*
 // instead of in-process goroutines: runexp re-executes itself with -worker
@@ -152,8 +150,8 @@ func run() (err error) {
 	cache := flag.String("cache", ".expcache", "result-cache directory (empty disables caching)")
 	outdir := flag.String("outdir", "", "write per-suite .txt outputs and manifest.json here")
 	seed := flag.Int64("seed", 0, "override every suite's base seed")
-	ckptPath := flag.String("checkpoint", "", "write a crash-resumable sweep ledger to this file (never changes output)")
-	restore := flag.String("restore", "", "resume from this sweep ledger (implies -checkpoint to the same file)")
+	ckptPath := flag.String("checkpoint", "", "keep a crash-resumable sweep ledger in this directory, resuming what it holds (never changes output)")
+	restore := flag.String("restore", "", "the same as -checkpoint")
 	list := flag.Bool("list", false, "list available suites and exit")
 	quiet := flag.Bool("quiet", false, "suppress progress lines on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -196,14 +194,7 @@ func run() (err error) {
 		return usagef("-scale: %v", err)
 	}
 	if *restore != "" && *ckptPath != "" && *restore != *ckptPath {
-		return usagef("-restore and -checkpoint must name the same ledger file")
-	}
-	if *ckptPath != "" && *restore == "" {
-		// Without -restore the ledger starts empty and the first flush
-		// replaces the file: never do that to one holding a sweep's progress.
-		if fi, err := os.Stat(*ckptPath); err == nil && fi.Size() > 0 {
-			return usagef("-checkpoint %s: ledger already exists; resume it with -restore %s, or remove it to start over", *ckptPath, *ckptPath)
-		}
+		return usagef("-restore and -checkpoint must name the same ledger directory")
 	}
 	if *ckptPath == "" {
 		*ckptPath = *restore
@@ -232,17 +223,13 @@ func run() (err error) {
 	if !*quiet {
 		opts.Reporter = harness.NewProgressReporter(os.Stderr)
 	}
-	var ckpt *harness.Checkpointer
 	if *ckptPath != "" {
-		// Flush on every finished task: a wider cadence only widens what a
-		// SIGKILL loses.
-		ckpt = harness.NewCheckpointer(*ckptPath, 1, "")
-		if *restore != "" {
-			if err := ckpt.Load(); err != nil {
-				return fmt.Errorf("restoring %s: %w", *restore, err)
-			}
+		// Up front, so a ledger path that cannot be a directory (a file, say
+		// an old single-file ledger) fails the run instead of every write.
+		if err := os.MkdirAll(*ckptPath, 0o755); err != nil {
+			return fmt.Errorf("ledger: %w", err)
 		}
-		opts.Checkpoint = ckpt
+		opts.Checkpoint = harness.NewCheckpointer(*ckptPath, 1, "")
 	}
 	var pool *fabric.Pool
 	if *fabricN > 0 {
@@ -298,12 +285,6 @@ func run() (err error) {
 					return err
 				}
 			}
-		}
-	}
-
-	if ckpt != nil {
-		if err := ckpt.Flush(); err != nil {
-			return fmt.Errorf("flushing checkpoint: %w", err)
 		}
 	}
 

@@ -145,9 +145,13 @@ func TestBadSuiteListsExitTwo(t *testing.T) {
 func TestFailingRunKeepsItsProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	// A ledger path that is a directory cannot be read: -restore fails.
+	// A ledger is a directory; a file in its place fails the run.
+	ledger := filepath.Join(dir, "ledger")
+	if err := os.WriteFile(ledger, []byte("not a ledger directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, exit := runexp(t, "-suite", "fig3", "-scale", "tiny", "-cache", "", "-quiet",
-		"-cpuprofile", cpu, "-memprofile", mem, "-restore", dir); exit != 1 {
+		"-cpuprofile", cpu, "-memprofile", mem, "-restore", ledger); exit != 1 {
 		t.Fatalf("exit %d, want 1", exit)
 	}
 	for _, path := range []string{cpu, mem} {

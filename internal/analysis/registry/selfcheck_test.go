@@ -57,7 +57,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	wantEscapes := map[string]int{
 		analysis.DirAllocfree: 100,
 		analysis.DirAlloc:     18,
-		analysis.DirOrdered:   7,
+		analysis.DirOrdered:   6,
 		analysis.DirWallclock: 17,
 		analysis.DirSeedok:    0,
 	}

@@ -3,15 +3,12 @@
 // deterministic binary format, and restores it byte-identically in a fresh
 // process.
 //
-// Two payload kinds share one container format:
-//
-//   - KindSession: one mpi.Session captured mid-job (kernel state, clock
-//     wander, in-flight mailboxes, injector stream positions) plus an
-//     opaque application payload carried across the cut.
-//
-//   - KindSweep: a harness sweep's progress — completed task results and
-//     the latest session snapshot of in-flight tasks — so a killed
-//     experiment run resumes without recomputing finished work.
+// It has one payload kind, KindSession: one mpi.Session captured at a cut
+// (kernel state, clock wander, in-flight mailboxes, per-rank random-stream
+// positions). No experiment writes one: a sweep checkpoints whole tasks, as
+// entries of a result-cache directory (internal/harness). The codec stays,
+// pinned by testdata/session_v4.bin, for mpi.ResumeSession and the
+// repository benchmark's checkpoint probe.
 //
 // The container is magic(8) | version(u32) | kind(u8) | length(u64) |
 // payload | crc32(u32), everything little-endian, the CRC covering all
@@ -43,11 +40,10 @@ var magic = [8]byte{0x89, 'H', 'C', 'K', 'P', 'T', 0x0D, 0x0A}
 // there is no cross-version migration path (see DESIGN.md §11).
 const FormatVersion uint32 = 4
 
-// Payload kinds.
-const (
-	KindSession byte = 1
-	KindSweep   byte = 2
-)
+// KindSession is the container's payload kind. Kind 2 was the sweep ledger
+// before it became a result-cache directory; it now decodes as a
+// CorruptError.
+const KindSession byte = 1
 
 // Typed decode failures.
 var (

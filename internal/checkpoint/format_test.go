@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestContainerRoundTrip(t *testing.T) {
 }
 
 func TestContainerRejections(t *testing.T) {
-	sealed := seal(KindSweep, []byte("payload"))
+	sealed := seal(KindSession, []byte("payload"))
 
 	t.Run("bad magic", func(t *testing.T) {
 		b := append([]byte(nil), sealed...)
@@ -52,6 +53,17 @@ func TestContainerRejections(t *testing.T) {
 		var ce *ChecksumError
 		if _, _, err := open(b); !errors.As(err, &ce) {
 			t.Errorf("err = %v, want *ChecksumError", err)
+		}
+	})
+	t.Run("wrong kind", func(t *testing.T) {
+		// Kind 2 was the single-file sweep ledger.
+		_, payload, err := open(EncodeSession(&Session{Cut: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var co *CorruptError
+		if _, err := DecodeSession(seal(2, payload)); !errors.As(err, &co) {
+			t.Errorf("err = %v, want *CorruptError", err)
 		}
 	})
 	t.Run("flipped crc bit", func(t *testing.T) {
@@ -94,34 +106,10 @@ func TestDecoderTrailingBytes(t *testing.T) {
 	}
 }
 
-func TestSweepRoundTrip(t *testing.T) {
-	s := &Sweep{
-		Version: "hclocksync-v1+abc",
-		Results: []SweepResult{
-			{Key: "aa11", Result: []byte(`{"x":1}`)},
-			{Key: "bb22", Result: []byte(`{"y":[2,3]}`)},
-		},
-	}
-	b := EncodeSweep(s)
-	got, err := DecodeSweep(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != s.Version || len(got.Results) != 2 {
-		t.Fatalf("round trip mangled sweep: %+v", got)
-	}
-	if string(got.Results[1].Result) != `{"y":[2,3]}` {
-		t.Fatalf("round trip mangled fields: %+v", got)
-	}
-	if _, err := DecodeSession(b); err == nil {
-		t.Error("DecodeSession accepted a sweep container")
-	}
-}
-
 func TestDeterministicEncoding(t *testing.T) {
-	s := &Sweep{Version: "v", Results: []SweepResult{{Key: "k", Result: []byte("r")}}}
-	a, b := EncodeSweep(s), EncodeSweep(s)
+	st := randSessionState(rand.New(rand.NewSource(7)))
+	a, b := EncodeSession(&Session{Cut: 1, State: st}), EncodeSession(&Session{Cut: 1, State: st})
 	if Digest(a) != Digest(b) {
-		t.Error("equal sweeps encoded to different bytes")
+		t.Error("equal sessions encoded to different bytes")
 	}
 }

@@ -6,22 +6,19 @@ import (
 	"testing"
 )
 
-// FuzzSnapshotDecode drives both decoders with arbitrary bytes. The
+// FuzzSnapshotDecode drives the session decoder with arbitrary bytes. The
 // contract under test: every input either decodes cleanly or is rejected
 // with one of the format's typed errors — no input may panic, hang, or
 // come back with an untyped failure. Valid encodings must additionally
 // survive a re-encode with identical bytes (the determinism contract).
 func FuzzSnapshotDecode(f *testing.F) {
-	// Seed corpus: a valid session, a valid sweep, and systematic
+	// Seed corpus: a full and an empty valid session, and systematic
 	// corruptions of each — truncations, wrong version, flipped payload and
 	// CRC bits, wrong kind, and a count field inflated past the payload.
 	rng := rand.New(rand.NewSource(99))
 	session := EncodeSession(&Session{Cut: 1, State: randSessionState(rng)})
-	sweep := EncodeSweep(&Sweep{
-		Version: "fuzz-v1",
-		Results: []SweepResult{{Key: "k1", Result: []byte(`{"a":1}`)}, {Key: "k2"}},
-	})
-	for _, valid := range [][]byte{session, sweep} {
+	empty := EncodeSession(&Session{})
+	for _, valid := range [][]byte{session, empty} {
 		f.Add(valid)
 		for _, cut := range []int{0, 7, len(valid) / 2, len(valid) - 1} {
 			f.Add(valid[:cut])
@@ -39,14 +36,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, decode := range []func([]byte) error{
-			func(b []byte) error { _, err := DecodeSession(b); return err },
-			func(b []byte) error { _, err := DecodeSweep(b); return err },
-		} {
-			err := decode(data)
-			if err == nil {
-				continue
-			}
+		if _, err := DecodeSession(data); err != nil {
 			var ve *UnsupportedVersionError
 			var ce *ChecksumError
 			var co *CorruptError
@@ -59,11 +49,6 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if s, err := DecodeSession(data); err == nil {
 			if Digest(EncodeSession(s)) != Digest(data) {
 				t.Fatal("valid session did not re-encode to identical bytes")
-			}
-		}
-		if s, err := DecodeSweep(data); err == nil {
-			if Digest(EncodeSweep(s)) != Digest(data) {
-				t.Fatal("valid sweep did not re-encode to identical bytes")
 			}
 		}
 	})

@@ -261,30 +261,3 @@ func TestResumeRejectsHostileDecodedState(t *testing.T) {
 		t.Fatalf("the untouched state is refused: %v", err)
 	}
 }
-
-func TestWriteReadFile(t *testing.T) {
-	path := t.TempDir() + "/sub/dir/run.ckpt"
-	data := EncodeSweep(&Sweep{Version: "v"})
-	if err := WriteFile(path, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Digest(got) != Digest(data) {
-		t.Fatal("file round trip changed bytes")
-	}
-	// Overwrite must be atomic-replace, not append.
-	data2 := EncodeSweep(&Sweep{Version: "v2"})
-	if err := WriteFile(path, data2); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Digest(got2) != Digest(data2) {
-		t.Fatal("overwrite did not replace contents")
-	}
-}

@@ -5,8 +5,8 @@ package checkpoint
 // uint8 as themselves, float64 as its IEEE-754 bits, strings, []byte and
 // every other slice behind a u64 count, structs field by field. Map-backed
 // state arrives pre-sorted from its Snapshot method, so one state always
-// encodes to one byte sequence. The kinds come from the static types of
-// Session and Sweep, never from the input: an unsupported kind is a
+// encodes to one byte sequence. The kinds come from the static type of
+// Session, never from the input: an unsupported kind is a
 // programmer error (TestStateTypesWalkable names the field), not a decode
 // failure.
 
@@ -15,28 +15,6 @@ import (
 	"math"
 	"reflect"
 )
-
-// sealValue encodes the state struct ptr points to into a sealed container.
-func sealValue(kind byte, ptr any) []byte {
-	var e enc
-	encodeValue(&e, reflect.ValueOf(ptr).Elem())
-	return seal(kind, e.b)
-}
-
-// openValue decodes a sealed container of the given kind into the state
-// struct ptr points to; wrongKind words the CorruptError for any other kind.
-func openValue(b []byte, kind byte, wrongKind string, ptr any) error {
-	got, payload, err := open(b)
-	if err != nil {
-		return err
-	}
-	if got != kind {
-		return &CorruptError{Field: "kind", Msg: wrongKind}
-	}
-	d := &dec{b: payload}
-	decodeValue(d, reflect.ValueOf(ptr).Elem())
-	return d.finish()
-}
 
 func encodeValue(e *enc, v reflect.Value) {
 	switch v.Kind() {

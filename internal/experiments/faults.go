@@ -147,10 +147,10 @@ type ftOutcome struct {
 // manifest seed alone — synchronize every rank with syncFT, and evaluate
 // every survivor's global clock against ground truth at the horizon.
 //
-// The run is cut (see runPhases) at the end of the sync; the second body
-// does no communication and reads each hardware clock at a fixed true time
-// — the rank's stepped fork when the plan steps it, so the ground truth
-// includes the fault.
+// The evaluation follows the sync in the same body: it sends nothing and
+// reads the hardware clock at a fixed true time through the pure
+// HWClock.ReadAt — the rank's stepped fork when the plan steps it, so the
+// ground truth includes the fault — so it needs no fence before it.
 func ftCell(job Job, seed int64, sched faults.PlanConfig,
 	syncFT func(*mpi.Comm, clock.Clock) (clock.Clock, clocksync.RankSync),
 	horizon float64) (ftOutcome, error) {
@@ -161,43 +161,26 @@ func ftCell(job Job, seed int64, sched faults.PlanConfig,
 	mcfg.Faults = faults.NewInjector(out.plan)
 
 	var mu sync.Mutex
-	// What the FT sync hands the ground-truth sampling besides the reports:
-	// every rank's synchronized clock. A crashed rank never returns from the
-	// sync, so its report stays the zero value, Alive false.
-	states := make([]clocksync.SyncState, n)
+	// A crashed rank never returns from the sync, so its report stays the
+	// zero value, Alive false. A rank with a crash scheduled at any time is
+	// not Alive either: every reading comes from a rank that never crashes.
 	readings := make([]float64, n)
-	has := make([]bool, n)
-	err := runPhases(mcfg, []func(*mpi.Proc){
-		func(p *mpi.Proc) {
-			g, rep := syncFT(p.World(), clock.NewLocal(p))
-			end := p.TrueNow()
-			mu.Lock()
-			defer mu.Unlock()
-			r := p.Rank()
-			out.reps[r] = rep
-			states[r] = clocksync.CaptureClock(g)
-			if rep.Alive && end > out.lastEnd {
-				out.lastEnd = end
-			}
-		},
-		// Evaluate every survivor's global clock at the horizon. The
-		// kernel only respawns ranks whose scheduled crash has not yet
-		// struck; the Alive guard additionally skips doomed stragglers
-		// whose crash time falls after the sync's end.
-		func(p *mpi.Proc) {
-			r := p.Rank()
-			mu.Lock()
-			st, survived := states[r], out.reps[r].Alive
-			mu.Unlock()
-			if !survived {
-				return
-			}
-			_, m := clock.Collapse(st.Rebuild(clock.NewLocal(p)))
-			l := p.HWClock().ReadAt(horizon)
-			mu.Lock()
-			readings[r], has[r] = l-m.Predict(l), true
-			mu.Unlock()
-		},
+	err := mpi.Run(mcfg, func(p *mpi.Proc) {
+		g, rep := syncFT(p.World(), clock.NewLocal(p))
+		end := p.TrueNow()
+		mu.Lock()
+		defer mu.Unlock()
+		r := p.Rank()
+		out.reps[r] = rep
+		if !rep.Alive {
+			return
+		}
+		_, m := clock.Collapse(g)
+		l := p.HWClock().ReadAt(horizon)
+		readings[r] = l - m.Predict(l)
+		if end > out.lastEnd {
+			out.lastEnd = end
+		}
 	})
 	if err != nil {
 		return ftOutcome{}, err
@@ -205,18 +188,16 @@ func ftCell(job Job, seed int64, sched faults.PlanConfig,
 	if out.lastEnd > horizon {
 		return ftOutcome{}, fmt.Errorf("sync ended at %.3f s, past the %.3f s horizon", out.lastEnd, horizon)
 	}
-	for _, rep := range out.reps {
-		if rep.Alive && rep.Degraded {
-			out.degraded++
-		}
-	}
 	// Survivors' readings in rank order: the order is part of the output
 	// (the mean below sums in it), so it must not depend on which rank
 	// happened to finish first.
 	var alive []float64
-	for r, ok := range has {
-		if ok {
+	for r, rep := range out.reps {
+		if rep.Alive {
 			alive = append(alive, readings[r])
+			if rep.Degraded {
+				out.degraded++
+			}
 		}
 	}
 	out.survivors = len(alive)

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"path/filepath"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
-	"hclocksync/internal/checkpoint"
 	"hclocksync/internal/harness"
 )
 
@@ -15,7 +14,7 @@ import (
 func TestSyncAccuracySuiteResumesFromLedger(t *testing.T) {
 	cfg := TinyFig3Config()
 	cfg.NRuns = 1
-	path := t.TempDir() + "/fig3.ckpt"
+	dir := t.TempDir()
 
 	render := func(eng *harness.Engine) string {
 		res, err := RunSyncAccuracy(eng, cfg)
@@ -27,20 +26,9 @@ func TestSyncAccuracySuiteResumesFromLedger(t *testing.T) {
 		return b.String()
 	}
 
-	ck := harness.NewCheckpointer(path, 1, "ledger-test")
-	if err := ck.Load(); err != nil {
-		t.Fatal(err)
-	}
-	first := render(harness.New(harness.Options{Jobs: 4, Version: "ledger-test", Checkpoint: ck}))
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	first := render(harness.New(harness.Options{Jobs: 4, Version: "ledger-test", Checkpoint: harness.NewCheckpointer(dir, 1, "ledger-test")}))
 
-	ck2 := harness.NewCheckpointer(path, 1, "ledger-test")
-	if err := ck2.Load(); err != nil {
-		t.Fatal(err)
-	}
-	eng2 := harness.New(harness.Options{Jobs: 4, Version: "ledger-test", Checkpoint: ck2})
+	eng2 := harness.New(harness.Options{Jobs: 4, Version: "ledger-test", Checkpoint: harness.NewCheckpointer(dir, 1, "ledger-test")})
 	second := render(eng2)
 	if second != first {
 		t.Fatal("ledger-resumed suite output differs from the original run")
@@ -58,7 +46,7 @@ func TestLedgerChangesNeitherOutputNorCacheKeys(t *testing.T) {
 	fig3 := TinyFig3Config()
 	fig3.NRuns = 1
 	fig7 := TinyFig7Config()
-	run := func(ledger harness.Ledger) (string, []string) {
+	run := func(ledger *harness.Checkpointer) (string, []string) {
 		eng := harness.New(harness.Options{Jobs: 4, Version: "ledger-test", Checkpoint: ledger})
 		var b strings.Builder
 		sync3, err := RunSyncAccuracy(eng, fig3)
@@ -81,19 +69,17 @@ func TestLedgerChangesNeitherOutputNorCacheKeys(t *testing.T) {
 	}
 
 	plainOut, plainKeys := run(nil)
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	ck := harness.NewCheckpointer(path, 1, "ledger-test")
-	ledgerOut, ledgerKeys := run(ck)
-	raw, err := checkpoint.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	ledgerOut, ledgerKeys := run(harness.NewCheckpointer(dir, 1, "ledger-test"))
+	ledger := harness.OpenCache(dir)
+	for _, k := range ledgerKeys {
+		var result json.RawMessage
+		if !ledger.Get(k[strings.LastIndexByte(k, ' ')+1:], &result) {
+			t.Fatalf("the ledger holds no result for %s", k)
+		}
 	}
-	sweep, err := checkpoint.DecodeSweep(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sweep.Results) != len(plainKeys) || len(plainKeys) == 0 {
-		t.Fatalf("the ledger holds %d results, want one per task (%d)", len(sweep.Results), len(plainKeys))
+	if len(plainKeys) == 0 {
+		t.Fatal("no tasks ran")
 	}
 	if ledgerOut != plainOut {
 		t.Errorf("output with a ledger attached differs from the plain run:\n%s\nvs\n%s", ledgerOut, plainOut)

@@ -5,8 +5,11 @@ package experiments
 // Every boundary is a quiescent virtual-time cut — the fence the golden
 // hashes pin — but nothing is saved there: the sweep ledger checkpoints
 // whole tasks, and each of these tasks' last cut comes after nearly all of
-// its work (DESIGN.md §11). A body hands later bodies data only through
-// state the suite captures in its closures.
+// its work (DESIGN.md §11). Two suites use it: syncAccuracyRun (figs. 3–6)
+// fences the accuracy check off the sync, and fig7Cell puts one fence
+// between message sizes. A body hands later bodies data only through state
+// the suite captures in its closures; a rank's *mpi.Proc, and with it any
+// clock over it, persists from phase to phase.
 
 import "hclocksync/internal/mpi"
 

@@ -88,8 +88,9 @@ func syncAccuracyRun(base Job, alg clocksync.Algorithm, run int, seed int64,
 	var mu sync.Mutex
 	// What the sync phase hands the check phase: every rank's synchronized
 	// clock, rank 0's true time at the start of the sync and the all-reduced
-	// true time at which the last rank finished.
-	states := make([]clocksync.SyncState, job.NProcs)
+	// true time at which the last rank finished. A clock stays valid across
+	// the cut, because each rank's *mpi.Proc persists from phase to phase.
+	clocks := make([]clock.Clock, job.NProcs)
 	var t0, end float64
 	readings0 := make([]float64, job.NProcs)
 	readingsW := make([]float64, job.NProcs)
@@ -101,7 +102,7 @@ func syncAccuracyRun(base Job, alg clocksync.Algorithm, run int, seed int64,
 			g := alg.Sync(comm, clock.NewLocal(p))
 			last := comm.AllreduceF64(p.TrueNow(), mpi.OpMax)
 			mu.Lock()
-			states[comm.Rank()] = clocksync.CaptureClock(g)
+			clocks[comm.Rank()] = g
 			end = last // the allreduce hands every rank the same value
 			if comm.Rank() == 0 {
 				t0 = start
@@ -111,9 +112,8 @@ func syncAccuracyRun(base Job, alg clocksync.Algorithm, run int, seed int64,
 		func(p *mpi.Proc) {
 			comm := p.World()
 			mu.Lock()
-			st, at := states[comm.Rank()], end
+			g, at := clocks[comm.Rank()], end
 			mu.Unlock()
-			g := st.Rebuild(clock.NewLocal(p))
 			samples := clocksync.CheckAccuracy(comm, g, check)
 			// Ground truth: evaluate every rank's global clock at the
 			// common instants end and end+wait.

@@ -407,7 +407,7 @@ func TestFailedDecodeLeavesNoStaleFields(t *testing.T) {
 			return Options{CacheDir: dir}
 		}},
 		{"ledger", func(t *testing.T) Options {
-			ck := NewCheckpointer(filepath.Join(t.TempDir(), "sweep.ckpt"), 1, version)
+			ck := NewCheckpointer(t.TempDir(), 1, version)
 			ck.Record(suite, name, key, old)
 			return Options{Checkpoint: ck}
 		}},

@@ -24,16 +24,26 @@ func ckptTasks(ran *[]int) []Task[int] {
 	return tasks
 }
 
-func TestCheckpointerResumesFinishedTasks(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-
-	// First invocation: run the full sweep with a ledger.
-	ck := NewCheckpointer(path, 1, "test-v")
-	if err := ck.Load(); err != nil {
+// ckptKey is the cache key the engine gives ckptTasks' task i in suite "sq"
+// at base seed 7.
+func ckptKey(t *testing.T, tasks []Task[int], i int) string {
+	t.Helper()
+	name := taskName("", i)
+	key, err := CacheKey("test-v", "sq", name, DeriveSeed("sq", name, 7), tasks[i].Config)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return key
+}
+
+// With the cache gone, a rerun on the same ledger directory serves every
+// task from it, as checkpoint hits.
+func TestCheckpointerResumesFinishedTasks(t *testing.T) {
+	dir := t.TempDir()
+	ledger, cache := filepath.Join(dir, "ledger"), filepath.Join(dir, "cache")
+
 	var ran1 []int
-	eng := New(Options{Jobs: 1, Version: "test-v", Checkpoint: ck})
+	eng := New(Options{Jobs: 1, Version: "test-v", CacheDir: cache, Checkpoint: NewCheckpointer(ledger, 1, "test-v")})
 	want, err := Run(eng, "sq", 7, ckptTasks(&ran1))
 	if err != nil {
 		t.Fatal(err)
@@ -41,18 +51,14 @@ func TestCheckpointerResumesFinishedTasks(t *testing.T) {
 	if len(ran1) != 6 {
 		t.Fatalf("first run executed %d tasks, want 6", len(ran1))
 	}
-	if err := ck.Flush(); err != nil {
+	if err := os.RemoveAll(cache); err != nil {
 		t.Fatal(err)
 	}
 
-	// Second invocation, as after a kill+restart: a fresh checkpointer
-	// loads the ledger and no task runs again.
-	ck2 := NewCheckpointer(path, 1, "test-v")
-	if err := ck2.Load(); err != nil {
-		t.Fatal(err)
-	}
+	// Second invocation, as after a kill+restart: a fresh checkpointer on
+	// the same directory, and no task runs again.
 	var ran2 []int
-	eng2 := New(Options{Jobs: 1, Version: "test-v", Checkpoint: ck2})
+	eng2 := New(Options{Jobs: 1, Version: "test-v", CacheDir: cache, Checkpoint: NewCheckpointer(ledger, 1, "test-v")})
 	got, err := Run(eng2, "sq", 7, ckptTasks(&ran2))
 	if err != nil {
 		t.Fatal(err)
@@ -65,36 +71,29 @@ func TestCheckpointerResumesFinishedTasks(t *testing.T) {
 			t.Fatalf("resumed result[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	m := eng2.Manifests()[0]
-	if m.CheckpointHits != 6 {
-		t.Fatalf("manifest checkpoint hits = %d, want 6", m.CheckpointHits)
+	if m := eng2.Manifests()[0]; m.CheckpointHits != 6 || m.CacheHits != 0 {
+		t.Fatalf("manifest: %d checkpoint hits, %d cache hits; want 6 and 0", m.CheckpointHits, m.CacheHits)
 	}
 }
 
+// A ledger holding only half the sweep (the killed-mid-flight shape):
+// recorded tasks are served, the rest recompute. What Record writes is a
+// result-cache entry.
 func TestCheckpointerPartialLedger(t *testing.T) {
-	// A ledger holding only half the sweep (the killed-mid-flight shape):
-	// recorded tasks are served, the rest recompute.
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	ck := NewCheckpointer(path, 1, "test-v")
+	dir := t.TempDir()
+	ck := NewCheckpointer(dir, 1, "test-v")
 	var ran []int
 	tasks := ckptTasks(&ran)
 	for i := 0; i < 3; i++ {
-		seed := DeriveSeed("sq", "job"+string(rune('0'+i)), 7)
-		key, err := CacheKey("test-v", "sq", "job"+string(rune('0'+i)), seed, tasks[i].Config)
-		if err != nil {
-			t.Fatal(err)
+		key := ckptKey(t, tasks, i)
+		ck.Record("sq", taskName("", i), key, i*i)
+		var got int
+		if !OpenCache(dir).Get(key, &got) || got != i*i {
+			t.Fatalf("recorded result %d reads back through the cache as %d", i*i, got)
 		}
-		ck.Record("sq", "job"+string(rune('0'+i)), key, i*i)
-	}
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
 	}
 
-	ck2 := NewCheckpointer(path, 1, "test-v")
-	if err := ck2.Load(); err != nil {
-		t.Fatal(err)
-	}
-	eng := New(Options{Jobs: 1, Version: "test-v", Checkpoint: ck2})
+	eng := New(Options{Jobs: 1, Version: "test-v", Checkpoint: NewCheckpointer(dir, 1, "test-v")})
 	got, err := Run(eng, "sq", 7, tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -109,24 +108,40 @@ func TestCheckpointerPartialLedger(t *testing.T) {
 	}
 }
 
+// A ledger directory that does not exist yet is an empty ledger; a truncated
+// entry is quarantined beside itself and its task recomputed.
 func TestCheckpointerLoadMissingAndCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	ck := NewCheckpointer(filepath.Join(dir, "absent.ckpt"), 1, "v")
-	if err := ck.Load(); err != nil {
-		t.Fatalf("missing ledger must not error: %v", err)
-	}
-	bad := filepath.Join(dir, "bad.ckpt")
-	if err := os.WriteFile(bad, []byte("not a checkpoint"), 0o644); err != nil {
+	dir := filepath.Join(t.TempDir(), "absent")
+	var ran []int
+	tasks := ckptTasks(&ran)
+	if _, err := Run(New(Options{Jobs: 1, Version: "test-v", Checkpoint: NewCheckpointer(dir, 1, "test-v")}), "sq", 7, tasks); err != nil {
 		t.Fatal(err)
 	}
-	ck2 := NewCheckpointer(bad, 1, "v")
-	if err := ck2.Load(); err == nil {
-		t.Fatal("corrupt ledger must error, not silently restart the sweep")
+	if len(ran) != 6 {
+		t.Fatalf("a run on a missing ledger executed %d tasks, want 6", len(ran))
 	}
-	// A ledger that exists but cannot be read (here: a directory) is not a
-	// missing one.
-	ck3 := NewCheckpointer(dir, 1, "v")
-	if err := ck3.Load(); err == nil {
-		t.Fatal("unreadable ledger must error, not silently restart the sweep")
+
+	entry := OpenCache(dir).path(ckptKey(t, tasks, 2))
+	raw, err := os.ReadFile(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entry, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ran = nil
+	eng := New(Options{Jobs: 1, Version: "test-v", Checkpoint: NewCheckpointer(dir, 1, "test-v")})
+	got, err := Run(eng, "sq", 7, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 1 || ran[0] != 2 || got[2] != 4 {
+		t.Fatalf("resume over a truncated entry executed %v (result %d), want only task 2", ran, got[2])
+	}
+	if m := eng.Manifests()[0]; m.CheckpointHits != 5 {
+		t.Fatalf("manifest checkpoint hits = %d, want 5", m.CheckpointHits)
+	}
+	if _, err := os.Stat(entry + ".corrupt"); err != nil {
+		t.Fatalf("the truncated entry was not quarantined: %v", err)
 	}
 }

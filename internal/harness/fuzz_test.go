@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"maps"
 	"math"
 	"os"
@@ -15,14 +14,34 @@ import (
 	"strings"
 	"testing"
 
-	"hclocksync/internal/checkpoint"
 	"hclocksync/internal/clocksync"
 )
 
+// fuzzResult is the typed result FuzzCacheGet and FuzzLedgerLoad decode
+// into: an omitempty field a partial decode could leave set, a string and a
+// slice.
+type fuzzResult struct {
+	A    int       `json:"a,omitempty"`
+	B    string    `json:"b"`
+	Rows []float64 `json:"rows"`
+}
+
+// trustedResult is what Get trusts in the entry file raw of key: its result,
+// if the envelope decodes, names key and its checksum covers the result.
+func trustedResult(raw []byte, key string) (json.RawMessage, bool) {
+	var e entry
+	if json.Unmarshal(raw, &e) != nil || e.Key != key {
+		return nil, false
+	}
+	sum := sha256.Sum256(e.Result)
+	return e.Result, hex.EncodeToString(sum[:]) == e.Checksum
+}
+
 // FuzzCacheGet reads arbitrary bytes as the entry file of a key. Get must
 // not panic; it reports a hit only for an entry that carries the key and
-// whose checksum covers the result it decoded, and it quarantines an entry
-// it cannot trust.
+// whose checksum covers the result, and then decodes that result whole; on
+// a miss it leaves its destination untouched; and it quarantines exactly
+// the entries it cannot trust.
 func FuzzCacheGet(f *testing.F) {
 	key := strings.Repeat("ab", 32)
 	seed := OpenCache(f.TempDir())
@@ -50,17 +69,22 @@ func FuzzCacheGet(f *testing.F) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var out any
+		sentinel := fuzzResult{A: -1, B: "untouched", Rows: []float64{-1}}
+		out := fuzzResult{A: -1, B: "untouched", Rows: []float64{-1}}
 		hit := c.Get(key, &out)
 
-		var e entry
-		trusted := json.Unmarshal(raw, &e) == nil && e.Key == key
-		if trusted {
-			sum := sha256.Sum256(e.Result)
-			trusted = hex.EncodeToString(sum[:]) == e.Checksum
-		}
-		if hit && !trusted {
-			t.Fatalf("hit on an entry whose key or checksum does not hold: %q", raw)
+		result, trusted := trustedResult(raw, key)
+		var want fuzzResult
+		decodes := trusted && json.Unmarshal(result, &want) == nil
+		switch {
+		case hit && !decodes:
+			t.Fatalf("hit on an entry whose key, checksum or result does not hold: %q", raw)
+		case hit && !reflect.DeepEqual(out, want):
+			t.Fatalf("Get = %+v, want %+v", out, want)
+		case !hit && decodes:
+			t.Fatalf("Get missed a trusted, decodable entry %q", raw)
+		case !hit && !reflect.DeepEqual(out, sentinel):
+			t.Fatalf("a missed Get changed its destination to %+v", out)
 		}
 		if _, err := os.Stat(path + ".corrupt"); trusted == (err == nil) {
 			t.Fatalf("trusted entry %v, quarantined %v", trusted, err == nil)
@@ -68,81 +92,100 @@ func FuzzCacheGet(f *testing.F) {
 	})
 }
 
-// ledgerResult is FuzzLedgerLoad's typed result: an omitempty field a
-// partial decode could leave set, a string and a slice.
-type ledgerResult struct {
-	A    int       `json:"a,omitempty"`
-	B    string    `json:"b"`
-	Rows []float64 `json:"rows"`
-}
-
-// FuzzLedgerLoad seals a sweep ledger holding one fuzzed result under a
-// fuzzed key, optionally flips one byte of the container or cuts bytes off
-// its end, and restores it. Load must not panic and must refuse a damaged
-// container with one of internal/checkpoint's typed errors; Lookup into a
-// typed result must either decode the stored JSON whole or leave its
-// destination untouched.
+// FuzzLedgerLoad records a fuzzed result for a one-task sweep under a fuzzed
+// task name in a sweep ledger, optionally flips one byte of the ledger entry
+// or cuts bytes off its end, and resumes the sweep from that ledger. The
+// resume must not fail. It serves the stored result whole, without running
+// the task, exactly when the entry is trusted and its result decodes into
+// the task's result type; otherwise it reruns the task, quarantines an
+// untrusted entry and records the fresh result, which a second resume then
+// serves.
 func FuzzLedgerLoad(f *testing.F) {
+	const version, suite = "fuzz-v", "fuzz"
+	seed := DeriveSeed(suite, taskName("", 0), 1)
+	// record writes result under name into the ledger at dir and returns the
+	// entry's path and key; an invalid JSON result writes no entry.
+	record := func(tb testing.TB, dir, name string, result []byte) (string, string) {
+		name = taskName(name, 0)
+		key, err := CacheKey(version, suite, name, seed, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ck := NewCheckpointer(dir, 1, version)
+		ck.Record(suite, name, key, json.RawMessage(result))
+		return ck.cache.path(key), key
+	}
+	// The damage seeds' byte positions, found in the entry they damage:
+	// the opening brace, the key, the version (which no checksum covers),
+	// the checksum and the result.
+	path, _ := record(f, f.TempDir(), "k", []byte(`{"a":1}`))
+	small, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	at := func(field string) uint16 { return uint16(bytes.Index(small, []byte(field)) + len(field) + 1) }
+
 	f.Add("k", []byte(`{"a":1,"b":"x","rows":[1.5]}`), uint16(0), byte(0), uint16(0))
 	f.Add("k", []byte(`{"a":5,"b":7}`), uint16(0), byte(0), uint16(0))
 	f.Add("k", []byte(`{"b":"x"`), uint16(0), byte(0), uint16(0))
 	f.Add("", []byte(nil), uint16(0), byte(0), uint16(0))
 	f.Add("k", []byte(`null`), uint16(0), byte(0), uint16(0))
-	f.Add("k", []byte(`{"a":1}`), uint16(0), byte(0x40), uint16(0))  // magic
-	f.Add("k", []byte(`{"a":1}`), uint16(8), byte(0x01), uint16(0))  // version
-	f.Add("k", []byte(`{"a":1}`), uint16(12), byte(0x03), uint16(0)) // kind
-	f.Add("k", []byte(`{"a":1}`), uint16(13), byte(0x01), uint16(0)) // length
-	f.Add("k", []byte(`{"a":1}`), uint16(30), byte(0x20), uint16(0)) // payload
+	f.Add("k", []byte(`{"a":1}`), uint16(0), byte(0x40), uint16(0))
+	f.Add("k", []byte(`{"a":1}`), at(`"key":`), byte(0x01), uint16(0))
+	f.Add("k", []byte(`{"a":1}`), at(`"version":`), byte(0x20), uint16(0))
+	f.Add("k", []byte(`{"a":1}`), at(`"checksum":`), byte(0x01), uint16(0))
+	f.Add("k", []byte(`{"a":1}`), at(`"result":`), byte(0x01), uint16(0))
 	f.Add("k", []byte(`{"a":1}`), uint16(0), byte(0), uint16(1))
 	f.Add("k", []byte(`{"a":1}`), uint16(0), byte(0), uint16(40))
 
-	path := filepath.Join(f.TempDir(), "sweep.ckpt")
-	f.Fuzz(func(t *testing.T, key string, result []byte, pos uint16, flip byte, cut uint16) {
-		raw := checkpoint.EncodeSweep(&checkpoint.Sweep{
-			Version: "fuzz-v",
-			Results: []checkpoint.SweepResult{{Key: key, Result: result}},
-		})
-		damaged := flip != 0 || cut != 0
-		if flip != 0 {
-			raw[int(pos)%len(raw)] ^= flip
-		}
-		if cut != 0 {
-			raw = raw[:len(raw)-1-int(cut)%len(raw)]
-		}
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ck := NewCheckpointer(path, 1, "fuzz-v")
-		err := ck.Load()
-		if damaged {
-			var ve *checkpoint.UnsupportedVersionError
-			var ce *checkpoint.ChecksumError
-			var co *checkpoint.CorruptError
-			if err == nil || !errors.Is(err, checkpoint.ErrBadMagic) && !errors.Is(err, checkpoint.ErrTruncated) &&
-				!errors.As(err, &ve) && !errors.As(err, &ce) && !errors.As(err, &co) {
-				t.Fatalf("damaged ledger: Load err = %v, want a typed checkpoint error", err)
+	f.Fuzz(func(t *testing.T, name string, result []byte, pos uint16, flip byte, cut uint16) {
+		dir := t.TempDir()
+		path, key := record(t, dir, name, result)
+		raw, err := os.ReadFile(path)
+		stored := err == nil
+		if stored && (flip != 0 || cut != 0) {
+			if flip != 0 {
+				raw[int(pos)%len(raw)] ^= flip
 			}
-		} else if err != nil {
-			t.Fatalf("intact ledger: Load err = %v", err)
+			if cut != 0 {
+				raw = raw[:len(raw)-1-int(cut)%len(raw)]
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
+		res, trusted := trustedResult(raw, key)
+		trusted = stored && trusted
+		var want fuzzResult
+		served := trusted && json.Unmarshal(res, &want) == nil
 
-		sentinel := ledgerResult{A: -1, B: "untouched", Rows: []float64{-1}}
-		out := ledgerResult{A: -1, B: "untouched", Rows: []float64{-1}}
-		if ck.Lookup(key, &out) {
-			var want ledgerResult
-			if damaged || json.Unmarshal(result, &want) != nil {
-				t.Fatalf("Lookup hit on %q (damaged %v)", result, damaged)
+		computed := fuzzResult{A: 7, B: "computed", Rows: []float64{7}}
+		resume := func() (fuzzResult, int, *Manifest) {
+			ran := 0
+			tasks := []Task[fuzzResult]{{Name: name, Run: func(int64) (fuzzResult, error) {
+				ran++
+				return computed, nil
+			}}}
+			eng := New(Options{Jobs: 1, Version: version, Checkpoint: NewCheckpointer(dir, 1, version)})
+			got, err := Run(eng, suite, 1, tasks)
+			if err != nil {
+				t.Fatalf("resume from the ledger failed: %v", err)
 			}
-			if !reflect.DeepEqual(out, want) {
-				t.Fatalf("Lookup = %+v, want %+v", out, want)
-			}
-		} else {
-			if !damaged && json.Unmarshal(result, new(ledgerResult)) == nil {
-				t.Fatalf("Lookup missed a stored, decodable result %q", result)
-			}
-			if !reflect.DeepEqual(out, sentinel) {
-				t.Fatalf("a missed Lookup changed its destination to %+v", out)
-			}
+			return got[0], ran, eng.Manifests()[0]
+		}
+		got, ran, m := resume()
+		switch {
+		case served && (ran != 0 || m.CheckpointHits != 1 || !reflect.DeepEqual(got, want)):
+			t.Fatalf("trusted, decodable entry %q: ran %d, %d checkpoint hits, result %+v; want 0, 1, %+v", raw, ran, m.CheckpointHits, got, want)
+		case !served && (ran != 1 || m.CheckpointHits != 0 || !reflect.DeepEqual(got, computed)):
+			t.Fatalf("entry %q (stored %v, trusted %v): ran %d, %d checkpoint hits, result %+v; want 1, 0, %+v", raw, stored, trusted, ran, m.CheckpointHits, got, computed)
+		}
+		if _, err := os.Stat(path + ".corrupt"); (stored && !trusted) != (err == nil) {
+			t.Fatalf("entry stored %v, trusted %v, quarantined %v", stored, trusted, err == nil)
+		}
+		again, ran, m := resume()
+		if ran != 0 || m.CheckpointHits != 1 || !reflect.DeepEqual(again, got) {
+			t.Fatalf("second resume: ran %d, %d checkpoint hits, result %+v; want 0, 1, %+v", ran, m.CheckpointHits, again, got)
 		}
 	})
 }

@@ -80,9 +80,8 @@ type Options struct {
 	Reporter Reporter
 	// Checkpoint enables the sweep ledger: finished results are persisted
 	// so a killed run can resume, rerunning only the tasks it had not
-	// finished. Nil disables checkpointing. *Checkpointer is the file-backed
-	// implementation.
-	Checkpoint Ledger
+	// finished. Nil disables checkpointing.
+	Checkpoint *Checkpointer
 	// Only, when non-zero, restricts the engine to the one task it names:
 	// every other submitted task is skipped outright — no run, no cache or
 	// ledger traffic, a zero-value result and a skipped manifest record —
@@ -104,7 +103,7 @@ type Engine struct {
 	cache    *Cache
 	version  string
 	reporter Reporter
-	ckpt     Ledger
+	ledger   *Cache // the sweep ledger's entries; nil without one
 	only     TaskRef
 	remote   Remote
 
@@ -119,7 +118,6 @@ func New(opts Options) *Engine {
 		jobs:     opts.Jobs,
 		version:  opts.Version,
 		reporter: opts.Reporter,
-		ckpt:     opts.Checkpoint,
 		only:     opts.Only,
 		remote:   opts.Remote,
 	}
@@ -132,8 +130,8 @@ func New(opts Options) *Engine {
 	if e.reporter == nil {
 		e.reporter = nopReporter{}
 	}
-	if e.ckpt == nil {
-		e.ckpt = nopLedger{}
+	if opts.Checkpoint != nil {
+		e.ledger = opts.Checkpoint.cache
 	}
 	if opts.CacheDir != "" {
 		e.cache = OpenCache(opts.CacheDir)

@@ -106,7 +106,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 			switch {
 			case e.cache.Get(key, &results[i]):
 				rec.CacheHit = true
-			case e.ckpt.Lookup(key, &results[i]):
+			case e.ledger.Get(key, &results[i]):
 				// A finished result from a previous (killed) run of this
 				// sweep; the ledger key embeds version+config+seed exactly
 				// like the cache, so serving it is as safe as a cache hit.
@@ -128,7 +128,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				} else {
 					rec.Remote = true
 					e.cache.Put(key, e.version, suite, name, seed, t.Config, results[i])
-					e.ckpt.Record(suite, name, key, results[i])
+					e.ledger.Put(key, e.version, suite, name, seed, t.Config, results[i])
 				}
 			default:
 				res, err := t.Run(seed)
@@ -139,7 +139,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				} else {
 					results[i] = res
 					e.cache.Put(key, e.version, suite, name, seed, t.Config, res)
-					e.ckpt.Record(suite, name, key, res)
+					e.ledger.Put(key, e.version, suite, name, seed, t.Config, res)
 				}
 			}
 			if errs[i] == nil && e.only != (TaskRef{}) {
