@@ -86,14 +86,20 @@ lint:
 check: build vet lint test race
 
 # Full substrate bench sweep with allocation stats; writes BENCH_sim.json.
-# Compare two runs with scripts/benchdiff.sh. BenchmarkDispatch/serial (a
-# 1M-rank simulation, ~2 s an iteration) would run once at 1s, and one
-# iteration's allocs/op is runtime noise (83 to 89 across runs); it runs in
-# a second pass at a fixed count, where three runs read the same value.
-DISPATCH_SERIAL_N = 10
+# Compare two runs with scripts/benchdiff.sh, which gates allocs/op on any
+# increase. Two rows would run only a few iterations at 1s, where allocs/op
+# is runtime noise: BenchmarkDispatch/serial (a 1M-rank simulation, ~2 s an
+# iteration; 83 to 89 across runs) and BenchmarkSimSplit/4096 (~0.3 s;
+# 197237 to 197241). They run in a second pass at one fixed count and one
+# CPU; the first pass skips them. The count alone does not make
+# SimSplit/4096 repeat: at 10x on two CPUs three runs read 197243, 197244,
+# 197243, at 10x on one CPU every run reads 197237 (how many goroutines
+# the runtime allocates afresh rather than reuses depends on which P runs
+# them).
+FIXED_COUNT_N = 10
 bench:
-	{ $(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCH)' -skip 'BenchmarkDispatch/serial' -benchmem -benchtime 1s . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch/serial' -benchmem -benchtime $(DISPATCH_SERIAL_N)x . ; } \
+	{ $(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCH)' -skip '^(BenchmarkDispatch|BenchmarkSimSplit)$$/^(serial|4096)$$' -benchmem -benchtime 1s . && \
+	  $(GO) test -run '^$$' -bench '^(BenchmarkDispatch|BenchmarkSimSplit)$$/^(serial|4096)$$' -benchmem -benchtime $(FIXED_COUNT_N)x -cpu 1 . ; } \
 		| tee /dev/stderr | $(GO) run ./cmd/bench2json -o BENCH_sim.json
 
 # One-iteration smoke variant for CI: exercises every substrate bench and

@@ -56,7 +56,8 @@
 // spans), whenever that suite ran — and the run's manifest — every task's
 // config, derived seed, wall time, and whether it was served from cache, with
 // per-suite wall time and sims/s — to DIR/manifest.json. A summary line with
-// the cache-hit rate is always printed at the end.
+// the cache-hit rate and the number of tasks served from the -checkpoint
+// ledger is always printed at the end.
 package main
 
 import (
@@ -302,8 +303,8 @@ func run() (err error) {
 	}
 	// On stderr, like every timing line: stdout must stay byte-comparable
 	// across runs and job counts.
-	fmt.Fprintf(os.Stderr, "\nrunexp: %d sims in %v, %d served from cache (%.0f%% hit rate)\n",
-		m.Sims, time.Since(start).Round(time.Millisecond), m.CacheHits, 100*m.HitRate()) //synclint:wallclock -- progress message on stderr only
+	fmt.Fprintf(os.Stderr, "\nrunexp: %d sims in %v, %d served from cache (%.0f%% hit rate), %d from the sweep ledger\n",
+		m.Sims, time.Since(start).Round(time.Millisecond), m.CacheHits, 100*m.HitRate(), m.CheckpointHits) //synclint:wallclock -- progress message on stderr only
 	return nil
 }
 

@@ -85,6 +85,13 @@ func TestMain(m *testing.M) {
 // runexp runs the built binary and returns its stdout and exit code.
 func runexp(t *testing.T, args ...string) (stdout string, exit int) {
 	t.Helper()
+	stdout, _, exit = runexpStderr(t, args...)
+	return stdout, exit
+}
+
+// runexpStderr is runexp that also returns the run's stderr.
+func runexpStderr(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
 	bin, err := runexpBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +105,35 @@ func runexp(t *testing.T, args ...string) (stdout string, exit int) {
 			t.Fatalf("runexp %v: %v", args, err)
 		}
 		t.Logf("runexp %v: exit %d: %s", args, ee.ExitCode(), errb.String())
-		return out.String(), ee.ExitCode()
+		return out.String(), errb.String(), ee.ExitCode()
 	}
-	return out.String(), 0
+	return out.String(), errb.String(), 0
+}
+
+// A resume served entirely from the -checkpoint ledger, with no result
+// cache, says so on its closing line: every task a ledger hit, none a cache
+// hit.
+func TestClosingLineCountsLedgerHits(t *testing.T) {
+	args := []string{"-suite", "fig3", "-scale", "tiny", "-cache", "", "-quiet",
+		"-checkpoint", filepath.Join(t.TempDir(), "ledger")}
+	if _, _, exit := runexpStderr(t, args...); exit != 0 {
+		t.Fatalf("first run: exit %d", exit)
+	}
+	_, stderr, exit := runexpStderr(t, args...)
+	if exit != 0 {
+		t.Fatalf("resume: exit %d", exit)
+	}
+	lines := strings.Split(strings.TrimSpace(stderr), "\n")
+	last := lines[len(lines)-1]
+	var sims, cached, ledger int
+	var took string
+	if _, err := fmt.Sscanf(last, "runexp: %d sims in %s %d served from cache (0%% hit rate), %d from the sweep ledger",
+		&sims, &took, &cached, &ledger); err != nil {
+		t.Fatalf("closing line %q: %v", last, err)
+	}
+	if sims == 0 || cached != 0 || ledger != sims {
+		t.Errorf("closing line %q: %d sims, %d cache hits, %d ledger hits; want every sim a ledger hit", last, sims, cached, ledger)
+	}
 }
 
 func TestListIsTheSuiteTable(t *testing.T) {

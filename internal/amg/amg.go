@@ -22,10 +22,6 @@ type Config struct {
 	Imbalance float64
 	// NoiseSigma adds half-normal per-iteration OS noise (seconds).
 	NoiseSigma float64
-	// PayloadBytes is the Allreduce wire size (AMG2013: 8 B).
-	PayloadBytes int
-	// Allreduce selects the collective algorithm.
-	Allreduce mpi.AllreduceAlg
 }
 
 func (c Config) withDefaults() Config {
@@ -34,9 +30,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Compute <= 0 {
 		c.Compute = 30e-6
-	}
-	if c.PayloadBytes <= 0 {
-		c.PayloadBytes = 8
 	}
 	return c
 }
@@ -69,11 +62,11 @@ func Iteration(p *mpi.Proc, cfg Config, tr *trace.Tracer, it int) float64 {
 	}
 	d += noise(p, cfg.NoiseSigma)
 	p.Advance(d)
-	// Global residual reduction: the traced 8 B Allreduce.
+	// Global residual reduction: the traced 8 B Allreduce, by recursive
+	// doubling.
 	var res float64
 	tr.Trace(AllreduceRegion, it, func() {
-		res = comm.AllreduceSized([]float64{float64(it)}, mpi.OpMax,
-			cfg.PayloadBytes, cfg.Allreduce)[0]
+		res = comm.AllreduceF64(float64(it), mpi.OpMax)
 	})
 	return res
 }

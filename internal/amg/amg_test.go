@@ -87,7 +87,7 @@ func TestTracedWithGlobalClockAlignsStarts(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Iters != 20 || c.PayloadBytes != 8 || c.Compute <= 0 {
+	if c.Iters != 20 || c.Compute <= 0 {
 		t.Errorf("defaults = %+v", c)
 	}
 }

@@ -28,7 +28,7 @@ func syncClock(p *mpi.Proc) clock.Clock {
 
 func TestEstimateLatencyPlausible(t *testing.T) {
 	runBox(t, 8, 51, func(p *mpi.Proc) {
-		est := EstimateLatency(p.World(), AllreduceOp(8, mpi.AllreduceRecursiveDoubling), 5)
+		est := EstimateLatency(p.World(), AllreduceOp(8, mpi.AllreduceRecursiveDoubling))
 		// 8 ranks over 2 nodes: latency should be a few µs, far below 1 ms.
 		if est < 1e-6 || est > 1e-3 {
 			t.Errorf("latency estimate = %v s", est)
@@ -103,7 +103,7 @@ func TestGatherSamplesRoundtrip(t *testing.T) {
 func TestRoundTimeProducesSamplesWithinSlice(t *testing.T) {
 	runBox(t, 8, 55, func(p *mpi.Proc) {
 		g := syncClock(p)
-		cfg := RoundTimeConfig{MaxTimeSlice: 20e-3, NWarm: 3}
+		cfg := RoundTimeConfig{MaxTimeSlice: 20e-3}
 		samples := MeasureRoundTime(p.World(), AllreduceOp(8, mpi.AllreduceRecursiveDoubling), g, cfg)
 		if len(samples) < 5 {
 			t.Fatalf("only %d samples in a 20 ms slice", len(samples))
@@ -122,7 +122,7 @@ func TestRoundTimeProducesSamplesWithinSlice(t *testing.T) {
 func TestRoundTimeRespectsMaxNRep(t *testing.T) {
 	runBox(t, 4, 56, func(p *mpi.Proc) {
 		g := syncClock(p)
-		cfg := RoundTimeConfig{MaxTimeSlice: 0.5, MaxNRep: 7, NWarm: 2}
+		cfg := RoundTimeConfig{MaxTimeSlice: 0.5, MaxNRep: 7}
 		samples := MeasureRoundTime(p.World(), AllreduceOp(8, mpi.AllreduceRecursiveDoubling), g, cfg)
 		if len(samples) != 7 {
 			t.Errorf("%d samples, want 7", len(samples))
@@ -135,7 +135,7 @@ func TestRoundTimeSampleCountAgreesAcrossRanks(t *testing.T) {
 	counts := map[int]int{}
 	runBox(t, 8, 57, func(p *mpi.Proc) {
 		g := syncClock(p)
-		cfg := RoundTimeConfig{MaxTimeSlice: 5e-3, NWarm: 2}
+		cfg := RoundTimeConfig{MaxTimeSlice: 5e-3}
 		samples := MeasureRoundTime(p.World(), AllreduceOp(8, mpi.AllreduceRecursiveDoubling), g, cfg)
 		mu.Lock()
 		counts[len(samples)]++
@@ -185,7 +185,7 @@ func TestRoundTimeSuite(t *testing.T) {
 		lat := RunSuite(p.World(), SuiteReproMPIRoundTime,
 			AllreduceOp(8, mpi.AllreduceRecursiveDoubling),
 			SuiteConfig{NRep: 20, Clock: g,
-				RoundTime: RoundTimeConfig{MaxTimeSlice: 50e-3, NWarm: 3}})
+				RoundTime: RoundTimeConfig{MaxTimeSlice: 50e-3}})
 		if p.Rank() == 0 && (lat < 1e-6 || lat > 1e-3) {
 			t.Errorf("Round-Time latency = %v s", lat)
 		}
@@ -204,7 +204,7 @@ func TestOSUInflatedVsRoundTime(t *testing.T) {
 			SuiteConfig{NRep: 40, Barrier: mpi.BarrierDissemination})
 		r := RunSuite(p.World(), SuiteReproMPIRoundTime, op,
 			SuiteConfig{NRep: 40, Clock: g,
-				RoundTime: RoundTimeConfig{MaxTimeSlice: 0.2, NWarm: 3}})
+				RoundTime: RoundTimeConfig{MaxTimeSlice: 0.2}})
 		if p.Rank() == 0 {
 			osu, rt = o, r
 		}
@@ -264,7 +264,7 @@ func TestOpNames(t *testing.T) {
 	if got := BarrierOp(mpi.BarrierTree).Name; got != "MPI_Barrier/tree" {
 		t.Errorf("name = %q", got)
 	}
-	if got := BcastOp(8, mpi.BcastBinomial).Name; got != "MPI_Bcast/8B" {
+	if got := BcastOp(8).Name; got != "MPI_Bcast/8B" {
 		t.Errorf("name = %q", got)
 	}
 }
@@ -294,7 +294,7 @@ func TestRoundTimeCountedReportsAttempts(t *testing.T) {
 		g := syncClock(p)
 		samples, attempts := MeasureRoundTimeCounted(p.World(),
 			AllreduceOp(8, mpi.AllreduceRecursiveDoubling), g,
-			RoundTimeConfig{MaxTimeSlice: 5e-3, NWarm: 2})
+			RoundTimeConfig{MaxTimeSlice: 5e-3})
 		if attempts < len(samples) {
 			t.Errorf("attempts %d < valid %d", attempts, len(samples))
 		}
@@ -330,7 +330,7 @@ func TestAlltoallOpRuns(t *testing.T) {
 		if op.Name != "MPI_Alltoall/8B" {
 			t.Errorf("name = %q", op.Name)
 		}
-		est := EstimateLatency(p.World(), op, 3)
+		est := EstimateLatency(p.World(), op)
 		if est < 1e-6 || est > 1e-3 {
 			t.Errorf("alltoall estimate = %v", est)
 		}

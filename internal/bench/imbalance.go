@@ -15,7 +15,7 @@ import (
 // one imbalance value per call, others nil.
 func BarrierImbalance(comm *mpi.Comm, g clock.Clock, alg mpi.BarrierAlg, ncalls int) []float64 {
 	const pRef = 0
-	latBarrier := EstimateLatency(comm, BarrierOp(alg), 5)
+	latBarrier := EstimateLatency(comm, BarrierOp(alg))
 	slack := 5 * latBarrier
 	exits := make([]float64, 0, ncalls)
 	for i := 0; i < ncalls; i++ {

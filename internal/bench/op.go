@@ -30,13 +30,13 @@ func AllreduceOp(bytes int, alg mpi.AllreduceAlg) Op {
 	}
 }
 
-// BcastOp measures MPI_Bcast with the given wire size.
-func BcastOp(bytes int, alg mpi.BcastAlg) Op {
+// BcastOp measures the binomial MPI_Bcast with the given wire size.
+func BcastOp(bytes int) Op {
 	return Op{
 		Name:  fmt.Sprintf("MPI_Bcast/%dB", bytes),
 		Bytes: bytes,
 		Run: func(c *mpi.Comm) {
-			c.BcastSized(nil, 0, bytes, alg)
+			c.BcastSized(nil, 0, bytes)
 		},
 	}
 }

@@ -6,33 +6,25 @@ import (
 	"hclocksync/internal/stats"
 )
 
+// slackB is Alg. 5's constant B (line 7): the reference picks each start
+// time B broadcast latencies ahead. The slack must absorb broadcast
+// propagation AND the residual disagreement of the global clocks; 10
+// latencies is safe for freshly synchronized clocks.
+const slackB = 10
+
 // RoundTimeConfig parameterizes the Round-Time scheme (paper Alg. 5).
 type RoundTimeConfig struct {
-	// B is the slack multiplier on the broadcast latency used when the
-	// reference picks the next start time (B ≥ 1; Alg. 5 line 7).
-	B float64
 	// MaxTimeSlice is the fixed time budget for the whole measurement
 	// (the paper used 5 s per message size on Titan).
 	MaxTimeSlice float64
 	// MaxNRep optionally caps the number of repetitions (0 = unlimited:
 	// the time slice alone decides).
 	MaxNRep int
-	// NWarm is the number of warm-up runs for the latency estimate.
-	NWarm int
 }
 
 func (c RoundTimeConfig) withDefaults() RoundTimeConfig {
-	if c.B <= 0 {
-		// The slack must absorb broadcast propagation AND the residual
-		// disagreement of the global clocks; 10 bcast latencies is a
-		// safe default for freshly synchronized clocks.
-		c.B = 10
-	}
 	if c.MaxTimeSlice <= 0 {
 		c.MaxTimeSlice = 1
-	}
-	if c.NWarm <= 0 {
-		c.NWarm = 5
 	}
 	return c
 }
@@ -49,8 +41,10 @@ func (s RoundTimeSample) Duration() float64 { return s.End - s.Start }
 // MeasureRoundTime implements Alg. 5. It must be called collectively with
 // each rank's synchronized global clock g. Instead of a repetition count,
 // the operation gets a fixed time slice: the scheme performs as many valid
-// measurements as fit. Late starts invalidate only the affected repetition
-// (no window cascade), and no MPI_Barrier perturbs the measurement.
+// measurements as fit, each starting slackB broadcast latencies (from an
+// nwarm-run estimate) after the reference announces it. Late starts
+// invalidate only the affected repetition (no window cascade), and no
+// MPI_Barrier perturbs the measurement.
 //
 // It returns this rank's valid samples; invalid repetitions are dropped on
 // every rank consistently thanks to the all-reduced invalid flag.
@@ -65,7 +59,7 @@ func MeasureRoundTime(comm *mpi.Comm, op Op, g clock.Clock, cfg RoundTimeConfig)
 func MeasureRoundTimeCounted(comm *mpi.Comm, op Op, g clock.Clock, cfg RoundTimeConfig) ([]RoundTimeSample, int) {
 	cfg = cfg.withDefaults()
 	const pRef = 0
-	latBcast := EstimateLatency(comm, BcastOp(8, mpi.BcastBinomial), cfg.NWarm)
+	latBcast := EstimateLatency(comm, BcastOp(8))
 	var out []RoundTimeSample
 	attempts := 0
 	tSliceStart := g.Time()
@@ -73,7 +67,7 @@ func MeasureRoundTimeCounted(comm *mpi.Comm, op Op, g clock.Clock, cfg RoundTime
 		attempts++
 		var start float64
 		if comm.Rank() == pRef {
-			start = g.Time() + cfg.B*latBcast
+			start = g.Time() + slackB*latBcast
 			start = comm.BcastF64(start, pRef)
 		} else {
 			start = comm.BcastF64(0, pRef)

@@ -14,13 +14,13 @@ type LocalSample struct {
 // Duration returns End − Start.
 func (s LocalSample) Duration() float64 { return s.End - s.Start }
 
+// nwarm is the number of warm-up runs EstimateLatency averages.
+const nwarm = 5
+
 // EstimateLatency runs op nwarm times behind barriers and returns the mean
 // local duration on this rank — the coarse estimate Round-Time and the
 // window scheme need for sizing (Alg. 5 line 1).
-func EstimateLatency(comm *mpi.Comm, op Op, nwarm int) float64 {
-	if nwarm <= 0 {
-		nwarm = 5
-	}
+func EstimateLatency(comm *mpi.Comm, op Op) float64 {
 	lc := clock.NewLocal(comm.Proc())
 	var sum float64
 	for i := 0; i < nwarm; i++ {

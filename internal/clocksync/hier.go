@@ -32,7 +32,7 @@ func (ClockPropSync) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
 	}
 	// The size message costs its 4 B; the vector below carries its own
 	// length, so the message itself is empty.
-	comm.BcastSized(nil, pRef, 4, mpi.BcastBinomial)
+	comm.BcastSized(nil, pRef, 4)
 	flat = comm.Bcast(flat, pRef)
 	if comm.Rank() == pRef {
 		return clk

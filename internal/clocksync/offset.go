@@ -181,11 +181,9 @@ func fusedSeries(comm *mpi.Comm, clk clock.Clock, ref, client, n int, b *sampleB
 // Alg. 8): it first estimates the round-trip time between the pair, then
 // derives offsets as local − ref − RTT/2 and keeps the median sample.
 type MeanRTTOffset struct {
-	// NExchanges is the number of ping-pongs per measurement.
+	// NExchanges is the number of ping-pongs per measurement, and of
+	// ping-pongs in the one-time RTT estimate per pair.
 	NExchanges int
-	// NRTT is the number of ping-pongs used for the one-time RTT
-	// estimate per pair (defaults to NExchanges).
-	NRTT int
 }
 
 // Name returns the paper's label fragment.
@@ -196,7 +194,7 @@ func (m *MeanRTTOffset) Name() string { return fmt.Sprintf("Mean-RTT-Offset/%d",
 // address — it differs in every process, so it would never hit the cache
 // and no fabric worker could reproduce the coordinator's key.
 func (m *MeanRTTOffset) GoString() string {
-	return fmt.Sprintf("&clocksync.MeanRTTOffset{NExchanges:%d, NRTT:%d}", m.NExchanges, m.NRTT)
+	return fmt.Sprintf("&clocksync.MeanRTTOffset{NExchanges:%d}", m.NExchanges)
 }
 
 // MeasureOffset implements Alg. 8.
@@ -221,7 +219,7 @@ func (m *MeanRTTOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, clie
 	key := [2]int{comm.WorldRank(ref), comm.WorldRank(client)}
 	rtt, haveRTT := cache[key]
 	if !haveRTT {
-		rtt = m.measureRTT(comm, clk, ref, client)
+		rtt = measureRTT(comm, clk, ref, client, n)
 		cache[key] = rtt
 	}
 	if me == ref {
@@ -245,22 +243,16 @@ func (m *MeanRTTOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, clie
 	return ClockOffset{Timestamp: locals[mi], Offset: offs[mi]}
 }
 
-// measureRTT runs the one-time RTT estimation for the pair; the client
-// measures, the reference echoes. Returns the mean round-trip time on the
-// client (0 on the reference, which does not use it).
+// measureRTT runs the one-time RTT estimation for the pair over k
+// ping-pongs; the client measures, the reference echoes. Returns the mean
+// round-trip time on the client (0 on the reference, which does not use
+// it).
 //
 // The first exchange is a discarded warm-up: when the reference serves
 // clients sequentially (JK), a client's first ping can sit in the
 // reference's queue for a long time, and a mean — unlike the median the
 // offset sampling uses — would be destroyed by that single outlier.
-func (m *MeanRTTOffset) measureRTT(comm *mpi.Comm, clk clock.Clock, ref, client int) float64 {
-	k := m.NRTT
-	if k <= 0 {
-		k = m.NExchanges
-	}
-	if k <= 0 {
-		k = 10
-	}
+func measureRTT(comm *mpi.Comm, clk clock.Clock, ref, client, k int) float64 {
 	if comm.Rank() == ref {
 		for i := 0; i < k+1; i++ {
 			comm.RecvF64(client, tagRTT)

@@ -97,7 +97,7 @@ func (c CustomConfig) op(msize int) (bench.Op, error) {
 	case "alltoall":
 		return bench.AlltoallOp(msize, mpi.AlltoallBruck), nil
 	case "bcast":
-		return bench.BcastOp(msize, mpi.BcastBinomial), nil
+		return bench.BcastOp(msize), nil
 	case "barrier":
 		return bench.BarrierOp(c.Barrier), nil
 	default:
@@ -149,7 +149,7 @@ func RunCustom(cfg CustomConfig) (*CustomResult, error) {
 			case "window":
 				win := cfg.Window
 				if win <= 0 {
-					win = 4 * bench.EstimateLatency(comm, op, 5)
+					win = 4 * bench.EstimateLatency(comm, op)
 				}
 				samples := bench.MeasureWindowScheme(comm, op, g, cfg.NRep, win)
 				lats = bench.WindowLatencies(bench.GatherSamples(comm, samples))

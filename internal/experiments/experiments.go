@@ -39,8 +39,6 @@ type Job struct {
 	Mapping     cluster.Mapping
 	Seed        int64
 	ClockSource cluster.ClockSource
-	Barrier     mpi.BarrierAlg
-	Allreduce   mpi.AllreduceAlg
 }
 
 // config converts the job to the MPI layer's configuration.
@@ -51,8 +49,6 @@ func (j Job) config() mpi.Config {
 		Mapping:     j.Mapping,
 		Seed:        j.Seed,
 		ClockSource: j.ClockSource,
-		Barrier:     j.Barrier,
-		Allreduce:   j.Allreduce,
 	}
 }
 

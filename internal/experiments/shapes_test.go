@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
+	"hclocksync/internal/bench"
 	"hclocksync/internal/harness"
+	"hclocksync/internal/mpi"
 	"hclocksync/internal/stats"
 )
 
@@ -87,4 +90,56 @@ func TestShapeFig3HCA3VersusHCA2Error(t *testing.T) {
 	_, p := stats.RankSum(errs[2], errs[1])
 	t.Logf("fig3 HCA3 max|offset| < HCA2 max|offset|: one-sided rank-sum p = %.3g over %d vs %d launches (reported, not asserted)",
 		p, len(errs[2]), len(errs[1]))
+}
+
+// Fig. 9: at the smallest message size the barrier-based OSU loop reports a
+// larger Allreduce latency than Round-Time on the global clock, because the
+// barrier's exit imbalance leaks into every OSU sample. One value per
+// launch: each run's average latency.
+func TestShapeFig9OSUAboveRoundTime(t *testing.T) {
+	cfg := TinyFig9Config()
+	smallest := cfg.MSizes[0]
+	var osu, rt []float64
+	eng := harness.New(harness.Options{Jobs: 2})
+	for seed := int64(1); seed <= shapeSeeds; seed++ {
+		cfg.Job.Seed = seed
+		res, err := RunFig9(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range res.Points {
+			if pt.MSize != smallest {
+				continue
+			}
+			if pt.Suite == bench.SuiteOSU {
+				osu = append(osu, pt.PerRun...)
+			} else {
+				rt = append(rt, pt.PerRun...)
+			}
+		}
+	}
+	shorter(t, fmt.Sprintf("fig9 Round-Time latency < OSU latency at %d B", smallest), rt, osu)
+}
+
+// Fig. 8: the tree barrier leaves the ranks less imbalanced than the
+// dissemination ("bruck") and recursive-doubling barriers. One value per
+// base seed: the mean exit imbalance over that seed's runs and calls.
+func TestShapeFig8TreeLeastImbalanced(t *testing.T) {
+	cfg := TinyFig8Config()
+	means := map[mpi.BarrierAlg][]float64{}
+	eng := harness.New(harness.Options{Jobs: 2})
+	for seed := int64(1); seed <= shapeSeeds; seed++ {
+		cfg.Job.Seed = seed
+		res, err := RunFig8(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range cfg.Barriers {
+			means[alg] = append(means[alg], res.MeanFor(alg))
+		}
+	}
+	tree := means[mpi.BarrierTree]
+	for _, other := range []mpi.BarrierAlg{mpi.BarrierDissemination, mpi.BarrierRecursiveDoubling} {
+		shorter(t, fmt.Sprintf("fig8 tree mean imbalance < %v mean imbalance", other), tree, means[other])
+	}
 }

@@ -139,7 +139,6 @@ func windowLossRun(cfg WindowLossConfig, seed int64) (windowLossCounts, error) {
 		rtSamples, attempts := bench.MeasureRoundTimeCounted(comm, op, g, bench.RoundTimeConfig{
 			MaxTimeSlice: 10, // effectively unbounded; MaxNRep decides
 			MaxNRep:      cfg.NRep,
-			NWarm:        5,
 		})
 		if comm.Rank() == 0 {
 			mu.Lock()

@@ -67,6 +67,9 @@ type RunManifest struct {
 	WallSec   float64   `json:"wall_s"`
 	Sims      int       `json:"sims"`
 	CacheHits int       `json:"cache_hits"`
+	// CheckpointHits counts tasks served from the sweep ledger, summed
+	// over the suites like CacheHits.
+	CheckpointHits int `json:"checkpoint_hits,omitempty"`
 	// Fabric carries the sweep-fabric pool's robustness accounting
 	// (spawns, retries, lease takeovers) when the run
 	// executed under runexp -fabric; absent otherwise.
@@ -91,6 +94,7 @@ func NewRunManifest(tool string, e *Engine, started time.Time, suites []*Manifes
 	for _, m := range suites {
 		rm.Sims += m.Sims
 		rm.CacheHits += m.CacheHits
+		rm.CheckpointHits += m.CheckpointHits
 	}
 	return rm
 }

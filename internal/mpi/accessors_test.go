@@ -67,10 +67,7 @@ func TestProcLocalIsPerRankPerJob(t *testing.T) {
 
 func TestAlgStringNames(t *testing.T) {
 	if BarrierAlg(99).String() == "" || AllreduceAlg(99).String() == "" ||
-		BcastAlg(99).String() == "" || AlltoallAlg(99).String() == "" {
+		AlltoallAlg(99).String() == "" {
 		t.Error("unknown algorithm String() must be non-empty")
-	}
-	if BcastBinomial.String() != "binomial" || BcastLinear.String() != "linear" {
-		t.Error("bcast names")
 	}
 }

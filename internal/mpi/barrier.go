@@ -9,7 +9,7 @@ type BarrierAlg int
 const (
 	// BarrierTree is a binomial-tree fan-in followed by a binomial-tree
 	// fan-out (Open MPI "tree"); the paper found it has the smallest exit
-	// imbalance.
+	// imbalance. Barrier uses it.
 	BarrierTree BarrierAlg = iota
 	// BarrierLinear gathers at rank 0 and releases everyone directly.
 	BarrierLinear
@@ -45,10 +45,10 @@ func BarrierAlgs() []BarrierAlg {
 }
 
 // Barrier blocks until all ranks of the communicator have entered it, using
-// the job's configured default algorithm.
+// the tree barrier.
 //
 //synclint:allocfree
-func (c *Comm) Barrier() { c.BarrierWith(c.p.world.cfg.Barrier) }
+func (c *Comm) Barrier() { c.BarrierWith(BarrierTree) }
 
 // BarrierWith runs a barrier with an explicit algorithm.
 //

@@ -2,79 +2,44 @@ package mpi
 
 import "fmt"
 
-// BcastAlg selects the MPI_Bcast implementation.
-type BcastAlg int
-
-const (
-	// BcastBinomial relays the message along a binomial tree (default).
-	BcastBinomial BcastAlg = iota
-	// BcastLinear sends from the root to every rank directly.
-	BcastLinear
-)
-
-func (a BcastAlg) String() string {
-	switch a {
-	case BcastBinomial:
-		return "binomial"
-	case BcastLinear:
-		return "linear"
-	}
-	return fmt.Sprintf("BcastAlg(%d)", int(a))
-}
-
-// Bcast broadcasts vals from root, 8 B per value on the wire, and returns
-// the root's vector on every rank (the root gets its own slice back, the
-// others a fresh one). Non-roots pass nil.
+// Bcast broadcasts vals from root along a binomial tree, 8 B per value on
+// the wire, and returns the root's vector on every rank (the root gets its
+// own slice back, the others a fresh one). Non-roots pass nil.
 func (c *Comm) Bcast(vals []float64, root int) []float64 {
-	return c.BcastSized(vals, root, unsized, BcastBinomial)
+	return c.BcastSized(vals, root, unsized)
 }
 
-// BcastSized is Bcast with an explicit algorithm and wire size in bytes for
-// every message — the benchmark harness measures messages whose content is
-// irrelevant, and ClockPropSync's size message is an empty vector standing
-// for a 4-byte count.
-func (c *Comm) BcastSized(vals []float64, root, nbytes int, alg BcastAlg) []float64 {
+// BcastSized is Bcast with an explicit wire size in bytes for every message
+// — the benchmark harness measures messages whose content is irrelevant, and
+// ClockPropSync's size message is an empty vector standing for a 4-byte
+// count.
+func (c *Comm) BcastSized(vals []float64, root, nbytes int) []float64 {
 	c.checkRoot(root)
-	got := c.bcast(vals, root, c.nextTag(kindBcast), nbytes, alg)
+	got := c.bcast(vals, root, c.nextTag(kindBcast), nbytes)
 	if c.rank == root {
 		return vals
 	}
 	return c.p.world.keepF64s(got)
 }
 
-// bcast relays vals from root along alg's tree. A non-root returns the
-// pooled vector it received, now its own; the root returns nil.
+// bcast relays vals from root along the binomial tree. A non-root returns
+// the pooled vector it received, now its own; the root returns nil.
 //
 //synclint:allocfree
-func (c *Comm) bcast(vals []float64, root, tag, nbytes int, alg BcastAlg) (got []float64) {
+func (c *Comm) bcast(vals []float64, root, tag, nbytes int) (got []float64) {
 	n := c.Size()
 	vr := (c.rank - root + n) % n
-	switch alg {
-	case BcastLinear:
-		if vr != 0 {
-			return c.p.world.f64sOf(c.p.recvMsg(c.id, c.ranks[root], tag))
-		}
-		for r := 0; r < n; r++ {
-			if r != root {
-				c.p.sendF64s(c.id, c.ranks[r], tag, nbytes, vals)
-			}
-		}
-		return nil
-	case BcastBinomial:
-		mask := binomialMask(vr, n)
-		if vr != 0 {
-			got = c.p.world.f64sOf(c.p.recvMsg(c.id, c.ranks[(vr-mask+root)%n], tag))
-			vals = got
-		}
-		for m := mask >> 1; m >= 1; m >>= 1 {
-			if vr+m < n {
-				c.p.sendF64s(c.id, c.ranks[(vr+m+root)%n], tag, nbytes, vals)
-			}
-		}
-		return got
-	default:
-		panic("mpi: unknown bcast algorithm")
+	mask := binomialMask(vr, n)
+	if vr != 0 {
+		got = c.p.world.f64sOf(c.p.recvMsg(c.id, c.ranks[(vr-mask+root)%n], tag))
+		vals = got
 	}
+	for m := mask >> 1; m >= 1; m >>= 1 {
+		if vr+m < n {
+			c.p.sendF64s(c.id, c.ranks[(vr+m+root)%n], tag, nbytes, vals)
+		}
+	}
+	return got
 }
 
 // binomialMask returns the span of virtual rank vr's subtree in the
@@ -96,7 +61,7 @@ func binomialMask(vr, n int) int {
 func (c *Comm) BcastF64(v float64, root int) float64 {
 	c.checkRoot(root)
 	one := [1]float64{v}
-	if got := c.bcast(one[:], root, c.nextTag(kindBcast), unsized, BcastBinomial); c.rank != root {
+	if got := c.bcast(one[:], root, c.nextTag(kindBcast), unsized); c.rank != root {
 		v = got[0]
 		c.p.world.putF64s(got)
 	}

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -58,21 +59,51 @@ func TestBarrierRepeatable(t *testing.T) {
 	}
 }
 
+// TestBcastAllAlgorithms runs the binomial broadcast for every size and a
+// spread of roots. "binomial" checks the delivered vector and the tree's
+// wire count: every rank but the root receives exactly once, so n−1
+// messages of the requested size. "linear" follows it in the same job with
+// a linear reference broadcast (the root sends to every rank directly over
+// point-to-point) and requires both to deliver the same vector on every
+// rank.
 func TestBcastAllAlgorithms(t *testing.T) {
-	for _, alg := range []BcastAlg{BcastBinomial, BcastLinear} {
+	const nbytes = 40
+	for _, scheme := range []string{"binomial", "linear"} {
 		for _, n := range collSizes {
 			for root := 0; root < n; root += max(1, n/3) {
-				t.Run(fmt.Sprintf("%v/p%d/root%d", alg, n, root), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/p%d/root%d", scheme, n, root), func(t *testing.T) {
+					var w *World
 					runBox(t, n, 7, func(p *Proc) {
+						w = p.world
+						c := p.World()
 						var data []float64
-						if p.World().Rank() == root {
+						if c.Rank() == root {
 							data = []float64{1, 2, 3}
 						}
-						got := p.World().BcastSized(data, root, unsized, alg)
+						got := c.BcastSized(data, root, nbytes)
 						if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 							t.Errorf("rank %d got %v", p.Rank(), got)
 						}
+						if scheme != "linear" {
+							return
+						}
+						ref := data
+						if c.Rank() == root {
+							for r := 0; r < n; r++ {
+								if r != root {
+									c.SendF64s(r, 99, data)
+								}
+							}
+						} else {
+							ref = c.RecvF64s(root, 99)
+						}
+						if !slices.Equal(got, ref) {
+							t.Errorf("rank %d: binomial %v, linear reference %v", p.Rank(), got, ref)
+						}
 					})
+					if scheme == "binomial" && (w.sent != n-1 || w.sentBytes != nbytes*(n-1)) {
+						t.Errorf("%d messages, %d B on the wire, want %d and %d", w.sent, w.sentBytes, n-1, nbytes*(n-1))
+					}
 				})
 			}
 		}

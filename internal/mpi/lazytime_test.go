@@ -127,9 +127,9 @@ func TestBarrierEventCounts(t *testing.T) {
 		{BarrierDissemination, 1296, 1911},
 		{BarrierDoubleRing, 672, 976},
 	} {
-		env := mustRunOnEnv(t, Config{NProcs: 16, Seed: 5, Barrier: c.alg}, func(p *Proc) {
+		env := mustRunOnEnv(t, Config{NProcs: 16, Seed: 5}, func(p *Proc) {
 			for i := 0; i < 10; i++ {
-				p.World().Barrier()
+				p.World().BarrierWith(c.alg)
 			}
 		})
 		if got := env.Processed(); got != c.want {

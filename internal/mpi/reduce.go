@@ -41,7 +41,7 @@ type AllreduceAlg int
 
 const (
 	// AllreduceRecursiveDoubling exchanges and combines at doubling
-	// distances (Open MPI's choice for small messages; default).
+	// distances (Open MPI's choice for small messages; Allreduce's).
 	AllreduceRecursiveDoubling AllreduceAlg = iota
 	// AllreduceReduceBcast reduces to rank 0 along a binomial tree and
 	// broadcasts the result back.
@@ -98,10 +98,10 @@ func (c *Comm) reduceBinomial(vals []float64, op Op, root, tag, nbytes int) []fl
 	return acc
 }
 
-// Allreduce combines vals across all ranks with op using the job's default
-// algorithm; every rank gets the result. The wire size is 8 bytes per value.
+// Allreduce combines vals across all ranks with op by recursive doubling;
+// every rank gets the result. The wire size is 8 bytes per value.
 func (c *Comm) Allreduce(vals []float64, op Op) []float64 {
-	return c.AllreduceSized(vals, op, 8*len(vals), c.p.world.cfg.Allreduce)
+	return c.AllreduceSized(vals, op, 8*len(vals), AllreduceRecursiveDoubling)
 }
 
 // AllreduceSized is Allreduce with an explicit algorithm and wire size in
@@ -121,7 +121,7 @@ func (c *Comm) AllreduceSized(vals []float64, op Op, nbytes int, alg AllreduceAl
 		acc := c.reduceBinomial(vals, op, 0, tag, nbytes)
 		// Reuse the same tag for the broadcast half; distinct pairs or
 		// ordered channels keep matching unambiguous.
-		if got := c.bcast(acc, 0, tag, nbytes, BcastBinomial); c.rank != 0 {
+		if got := c.bcast(acc, 0, tag, nbytes); c.rank != 0 {
 			return c.p.world.keepF64s(got)
 		}
 		return acc

@@ -10,10 +10,13 @@
 // communicators with Split (including the MPI_COMM_TYPE_SHARED split used
 // by the hierarchical synchronization) and ShrinkSurvivors, and the
 // collectives MPI_Barrier, MPI_Bcast, MPI_Scatter, MPI_Gather, MPI_Reduce,
-// MPI_Allreduce and MPI_Alltoall — Barrier, Bcast, Allreduce and Alltoall
-// each with a choice of algorithms mirroring Open MPI's tuned collective
-// module (linear, binomial tree, recursive doubling, dissemination/"bruck",
-// double ring, …). Floats cross the layer as float64s, never as bytes.
+// MPI_Allreduce and MPI_Alltoall — Barrier, Allreduce and Alltoall each with
+// a choice of algorithms mirroring Open MPI's tuned collective module
+// (linear, binomial tree, recursive doubling, dissemination/"bruck", double
+// ring, …) that the caller names (BarrierWith, AllreduceSized, Alltoall);
+// Barrier and Allreduce run the tree barrier and recursive doubling, and
+// Bcast relays along a binomial tree. Floats cross the layer as float64s,
+// never as bytes.
 //
 // One rank is one sim process. A program is a function executed by every
 // rank, exactly like an MPI main:
@@ -64,9 +67,6 @@ type Config struct {
 	// ClockSource is the OS clock ranks read (default Monotonic,
 	// i.e. clock_gettime).
 	ClockSource cluster.ClockSource
-	// Default collective algorithms (zero values pick sensible defaults).
-	Barrier   BarrierAlg
-	Allreduce AllreduceAlg
 	// Faults optionally injects message and rank faults into the job. A
 	// nil injector (the default) leaves the job byte-identical to a build
 	// without fault support: the fault hooks draw no random numbers and
