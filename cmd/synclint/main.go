@@ -11,11 +11,12 @@
 //	go run ./cmd/synclint ./...          # whole repository (what make lint runs)
 //	go run ./cmd/synclint ./internal/sim # one package
 //	go run ./cmd/synclint -json ./...    # one JSON diagnostic per line
-//	go run ./cmd/synclint -jobs 4 ./...  # parallel load/typecheck
 //	go run ./cmd/synclint -list          # describe the analyzers
 //
-// Output is position-sorted and deterministic at any -jobs setting; the
-// per-run wall-clock summary goes to stderr so stdout stays diffable.
+// Packages are type-checked against their imports' compiled export data,
+// which `go list -export` builds into the go build cache. Output is
+// position-sorted and deterministic; the per-run wall-clock summary goes
+// to stderr so stdout stays diffable.
 package main
 
 import (
@@ -23,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"hclocksync/internal/analysis"
@@ -43,9 +43,8 @@ type jsonDiag struct {
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit one JSON diagnostic object per line instead of text")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel package load/typecheck workers")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: synclint [-list] [-json] [-jobs N] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: synclint [-list] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -63,7 +62,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 	loadStart := time.Now() //synclint:wallclock -- lint-run telemetry printed to stderr; never reaches results
-	pkgs, err := analysis.LoadParallel(".", *jobs, patterns...)
+	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "synclint: %v\n", err)
 		os.Exit(2)
@@ -71,8 +70,8 @@ func main() {
 	loadDur := time.Since(loadStart) //synclint:wallclock -- lint-run telemetry printed to stderr; never reaches results
 
 	// Analyzers run over the full set at once: the framework position-sorts
-	// the combined diagnostics, so output order is independent of both the
-	// load schedule and the per-package completion order.
+	// the combined diagnostics, so output order is independent of package
+	// order.
 	diags, err := analysis.RunAll(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "synclint: %v\n", err)
@@ -95,8 +94,8 @@ func main() {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "synclint: %d package(s), %d analyzer(s), %d finding(s); load %s, analyze %s (jobs=%d)\n",
-		len(pkgs), len(analyzers), len(diags), loadDur.Round(time.Millisecond), runDur.Round(time.Millisecond), *jobs)
+	fmt.Fprintf(os.Stderr, "synclint: %d package(s), %d analyzer(s), %d finding(s); load %s, analyze %s\n",
+		len(pkgs), len(analyzers), len(diags), loadDur.Round(time.Millisecond), runDur.Round(time.Millisecond))
 	if len(diags) > 0 {
 		os.Exit(1)
 	}

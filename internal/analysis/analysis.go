@@ -5,9 +5,10 @@
 // allocation-free sim/MPI hot path — so cmd/synclint enforces them at the
 // source level with the analyzers under internal/analysis/... instead.
 //
-// The framework is stdlib-only (go/ast + go/types with the source
-// importer): the build environment is hermetic and cannot fetch x/tools,
-// and the subset needed here — load, type-check, walk, report — is small.
+// The framework is stdlib-only (go/ast + go/types, with imports read
+// from the compiler's export data that `go list -export` names): the
+// build environment is hermetic and cannot fetch x/tools, and the subset
+// needed here — load, type-check, walk, report — is small.
 // The API mirrors x/tools so the analyzers could migrate to a vet-tool
 // build with mechanical changes only.
 package analysis

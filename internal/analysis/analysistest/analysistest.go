@@ -77,6 +77,8 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 
 // LoadFixture parses and type-checks testdata/src/<pkg> relative to the
 // calling test's directory, for tests that drive an analyzer directly.
+// The fixture's stdlib imports are read from their compiled export data,
+// which the gc importer finds by itself.
 func LoadFixture(t *testing.T, pkg string) *analysis.Package {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", pkg)
@@ -99,7 +101,7 @@ func LoadFixture(t *testing.T, pkg string) *analysis.Package {
 	if len(files) == 0 {
 		t.Fatalf("no fixture files in %s", dir)
 	}
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := importer.ForCompiler(fset, "gc", nil)
 	typesPkg, info, err := analysis.Check(fset, imp, pkg, files)
 	if err != nil {
 		t.Fatalf("typecheck fixture %s: %v", pkg, err)

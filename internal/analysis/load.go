@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sync"
 )
 
 // Package is one loaded, parsed, and type-checked package.
@@ -26,12 +25,15 @@ type Package struct {
 	Info    *types.Info
 }
 
-// listedPkg is the subset of `go list -json` output the loader needs.
+// listedPkg is the subset of `go list -export -deps -json` output the
+// loader needs.
 type listedPkg struct {
 	ImportPath string
 	Dir        string
 	Name       string
 	GoFiles    []string
+	Export     string // compiled export data, in the build cache
+	DepOnly    bool   // a dependency only, not matched by the patterns
 }
 
 // Load enumerates the packages matching patterns (relative to root, e.g.
@@ -39,9 +41,12 @@ type listedPkg struct {
 // files are excluded — the analyzers guard shipped behavior, and tests
 // legitimately use literal seeds and wall clocks.
 //
-// Type checking resolves imports with the stdlib source importer, so the
-// loader works in a hermetic build environment with no module proxy: every
-// import (stdlib and module-internal alike) is re-checked from source.
+// `go list -export -deps` compiles every package the patterns reach (the
+// build cache makes that cheap after the first build) and names each
+// one's export data. Each matched package is type-checked from source;
+// its imports, stdlib and module-internal alike, are read from their
+// export data rather than re-checked from source. A package that does
+// not compile fails the `go list` step, whose error names file:line:col.
 func Load(root string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -50,102 +55,44 @@ func Load(root string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	exports := map[string]string{}
+	for _, lp := range listed {
+		exports[lp.ImportPath] = lp.Export
+	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	})
 	var pkgs []*Package
 	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
+		if lp.DepOnly || len(lp.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := loadOne(fset, imp, lp)
-		if err != nil {
-			return nil, err
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, fmt.Errorf("parse %s: %w", name, err)
+			}
+			files = append(files, f)
 		}
-		pkgs = append(pkgs, pkg)
+		pkg, info, err := Check(fset, imp, lp.ImportPath, files)
+		if err != nil {
+			return nil, fmt.Errorf("typecheck %s: %w", lp.ImportPath, err)
+		}
+		pkgs = append(pkgs, &Package{
+			PkgPath: lp.ImportPath,
+			Dir:     lp.Dir,
+			Fset:    fset,
+			Files:   files,
+			Types:   pkg,
+			Info:    info,
+		})
 	}
 	return pkgs, nil
-}
-
-// loadOne parses and type-checks one listed package under the given
-// FileSet and importer.
-func loadOne(fset *token.FileSet, imp types.Importer, lp listedPkg) (*Package, error) {
-	var files []*ast.File
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", name, err)
-		}
-		files = append(files, f)
-	}
-	pkg, info, err := Check(fset, imp, lp.ImportPath, files)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", lp.ImportPath, err)
-	}
-	return &Package{
-		PkgPath: lp.ImportPath,
-		Dir:     lp.Dir,
-		Fset:    fset,
-		Files:   files,
-		Types:   pkg,
-		Info:    info,
-	}, nil
-}
-
-// LoadParallel is Load with the parse+typecheck work fanned out over
-// workers goroutines. Loading dominates synclint wall-clock (every
-// import is re-checked from source), so this is where parallelism pays.
-//
-// Neither token.FileSet nor the source importer is safe for concurrent
-// use, so each worker owns a private FileSet and importer and takes a
-// round-robin share of the package list. Results come back in `go list`
-// order — identical to Load — and workers <= 1 just delegates to Load.
-func LoadParallel(root string, workers int, patterns ...string) ([]*Package, error) {
-	if workers <= 1 {
-		return Load(root, patterns...)
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	listed, err := goList(root, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var work []listedPkg
-	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
-			continue
-		}
-		work = append(work, lp)
-	}
-	if workers > len(work) {
-		workers = len(work)
-	}
-	results := make([]*Package, len(work))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fset := token.NewFileSet()
-			imp := importer.ForCompiler(fset, "source", nil)
-			for i := w; i < len(work); i += workers {
-				pkg, err := loadOne(fset, imp, work[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				results[i] = pkg
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // Check type-checks one package's parsed files under the given importer,
@@ -167,11 +114,11 @@ func Check(fset *token.FileSet, imp types.Importer, pkgPath string, files []*ast
 	return pkg, info, nil
 }
 
-// goList shells out to `go list -json` in root. The go command is the one
-// piece of toolchain the loader depends on; it is always present where the
-// code it analyzes builds.
+// goList shells out to `go list -export -deps -json` in root. The go
+// command is the one piece of toolchain the loader depends on; it is
+// always present where the code it analyzes builds.
 func goList(root string, patterns []string) ([]listedPkg, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles"}, patterns...)
+	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,Name,GoFiles,Export,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = root
 	var stderr bytes.Buffer

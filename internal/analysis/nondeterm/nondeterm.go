@@ -1,6 +1,6 @@
 // Package nondeterm rejects the three stdlib-level sources of
 // nondeterminism that can silently break the repository's byte-identity
-// contract (same seed + config => same bytes, at any -jobs):
+// contract (same seed + config => same bytes, at any worker count):
 //
 //  1. wall-clock reads (time.Now, time.Since, time.Sleep, timers) —
 //     virtual time comes from the sim kernel, never the host;

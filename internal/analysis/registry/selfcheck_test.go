@@ -18,9 +18,6 @@ import (
 // name in the tree. Growing an escape count is sometimes right, but it
 // must show up as a reviewed diff here, never as silent drift.
 func TestRepositoryIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-repo type check is slow; skipped in -short mode")
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
