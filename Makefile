@@ -4,8 +4,9 @@ GO ?= go
 # blocks every experiment bottoms out in. `make bench` tracks them in
 # BENCH_sim.json, the perf trajectory future PRs regress against. The
 # BenchmarkSim prefix takes in the barrier/allreduce/alltoall sweeps and
-# BenchmarkSimPingPong; that one and BenchmarkHCA3Sync also report events/op,
-# the deterministic kernel-event count next to the noisy ns/op.
+# BenchmarkSimPingPong; that one, the barrier and allreduce sweeps and
+# BenchmarkHCA3Sync also report events/op, the deterministic kernel-event
+# count next to the noisy ns/op.
 # BenchmarkEventQueue prices the kernel's event queue at four heap depths.
 # BenchmarkFusedSeries prices a fused SKaMPI-Offset/100 series per ping-pong.
 SUBSTRATE_BENCH = BenchmarkSim|BenchmarkHCA3Sync|BenchmarkFusedSeries|BenchmarkLinearFit|BenchmarkSnapshot|BenchmarkDispatch|BenchmarkEventQueue|BenchmarkKernelMemoryPerRank

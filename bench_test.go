@@ -240,30 +240,45 @@ func BenchmarkSimPingPongPairs(b *testing.B) {
 	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 }
 
+// BenchmarkSimBarrierAlgorithms is one 16-rank barrier per op, per
+// algorithm. events/op and switches/op repeat exactly: a fused barrier (the
+// default build) is one rendezvous, 15 parked ranks woken, whatever the
+// algorithm; under -tags simnofuse each runs message by message.
 func BenchmarkSimBarrierAlgorithms(b *testing.B) {
 	for _, alg := range mpi.BarrierAlgs() {
 		alg := alg
 		b.Run(alg.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			runBench(b, 16, func(p *mpi.Proc) {
+			events, switches := runBenchEvents(b, 16, 99, func(p *mpi.Proc) {
 				for i := 0; i < b.N; i++ {
 					p.World().BarrierWith(alg)
 				}
 			})
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 		})
 	}
 }
 
+// BenchmarkSimAllreduceAlgorithms is one 16-rank Allreduce of one value per
+// op, per algorithm; recursive doubling is fused like a barrier, the other
+// two run message by message. The ring reports no events/op: its count
+// varies from op to op with the order its messages arrive in, so the mean
+// moves with b.N and would not repeat exactly.
 func BenchmarkSimAllreduceAlgorithms(b *testing.B) {
 	for _, alg := range mpi.AllreduceAlgs() {
 		alg := alg
 		b.Run(alg.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			runBench(b, 16, func(p *mpi.Proc) {
+			events, switches := runBenchEvents(b, 16, 99, func(p *mpi.Proc) {
 				for i := 0; i < b.N; i++ {
 					p.World().AllreduceSized([]float64{1}, mpi.OpSum, 8, alg)
 				}
 			})
+			if alg != mpi.AllreduceRing {
+				b.ReportMetric(float64(events)/float64(b.N), "events/op")
+				b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
+			}
 		})
 	}
 }

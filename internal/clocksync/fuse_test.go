@@ -215,7 +215,7 @@ func TestFusedExchangeMatchesMessageLevelProperty(t *testing.T) {
 // rendezvous — allocates no object. The sample buffer is the caller's (the
 // pool behind getSampleBuf drops entries at random under -race).
 func TestFusedSeriesAllocatesNothing(t *testing.T) {
-	if !fuseExchanges {
+	if !mpi.FusionBuilt() {
 		t.Skip("series run message by message in this build")
 	}
 	const runs = 50

@@ -69,10 +69,10 @@ func (s SKaMPIOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, client
 }
 
 // fusable reports whether a series between ref and client runs fused: the
-// pair's fault plan allows it (mpi.Comm.Fusable), in a build that fuses.
+// build fuses and the pair's fault plan allows it (mpi.Comm.Fusable).
 func (s SKaMPIOffset) fusable(comm *mpi.Comm, ref, client int) bool {
 	me := comm.Rank()
-	return fuseExchanges && (me == ref || me == client) && comm.Fusable(ref+client-me)
+	return (me == ref || me == client) && comm.Fusable(ref+client-me)
 }
 
 // series is len(b.x) consecutive measurements between ref and client: the

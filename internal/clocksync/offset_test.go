@@ -102,7 +102,7 @@ func TestSKaMPIExchangeIsFourEvents(t *testing.T) {
 // time by the client that computed both sides, and the client's end-of-main
 // settle.
 func TestFusedSKaMPIMeasurementEventCount(t *testing.T) {
-	if !fuseExchanges {
+	if !mpi.FusionBuilt() {
 		t.Skip("built with -tags simnofuse")
 	}
 	for _, n := range []int{1, 10, 100} {

@@ -216,6 +216,9 @@ func (in *Injector) CrashTime(rank int) float64 {
 	return math.Inf(1)
 }
 
+// Crashes reports whether the plan schedules a crash for any rank.
+func (in *Injector) Crashes() bool { return in != nil && len(in.crashAt) > 0 }
+
 // CrashScheduled reports whether rank has a crash anywhere in the plan —
 // the "oracle failure detector" view used to form survivor communicators.
 func (in *Injector) CrashScheduled(rank int) bool {

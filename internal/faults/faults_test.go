@@ -74,7 +74,7 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if !math.IsInf(in.CrashTime(3), 1) {
 		t.Error("nil injector schedules crashes")
 	}
-	if in.CrashScheduled(0) || in.CrashedAt(0, 100) {
+	if in.Crashes() || in.CrashScheduled(0) || in.CrashedAt(0, 100) {
 		t.Error("nil injector reports crashes")
 	}
 }
@@ -106,6 +106,9 @@ func TestInjectorCrashViews(t *testing.T) {
 	in := NewInjector(Plan{Crashes: []Crash{{Rank: 2, At: 1.5}, {Rank: 0, At: 3}}})
 	if !in.CrashScheduled(2) || !in.CrashScheduled(0) || in.CrashScheduled(1) {
 		t.Error("wrong CrashScheduled view")
+	}
+	if !in.Crashes() || NewInjector(Plan{DropProb: 0.5}).Crashes() {
+		t.Error("wrong Crashes view")
 	}
 	if in.CrashedAt(2, 1.4) || !in.CrashedAt(2, 1.5) {
 		t.Error("wrong CrashedAt threshold")

@@ -58,6 +58,10 @@ func (c *Comm) BarrierWith(alg BarrierAlg) {
 	if c.Size() == 1 {
 		return
 	}
+	if c.p.world.fuseColl && uint(alg) < uint(len(fusedBarriers)) {
+		c.fusedBarrier(alg)
+		return
+	}
 	switch alg {
 	case BarrierLinear:
 		c.barrierLinear(tag)
@@ -124,11 +128,7 @@ func (c *Comm) barrierTree(tag int) {
 func (c *Comm) barrierRecDoubling(tag int) {
 	n := c.Size()
 	r := c.rank
-	// Largest power of two <= n.
-	pof2 := 1
-	for pof2*2 <= n {
-		pof2 *= 2
-	}
+	pof2 := floorPow2(n)
 	rem := n - pof2
 	// Extra ranks (>= pof2) first notify their partner and wait for the
 	// final release.

@@ -19,6 +19,9 @@ type Comm struct {
 	// the counter agrees across members; Split and ShrinkSurvivors key the
 	// derived communicator's identity on it.
 	collSeq int
+	// coll is the communicator's fused-collective slot, resolved from the
+	// World on this member's first fused collective.
+	coll *collSlot
 }
 
 // Rank returns the calling process's rank within the communicator.

@@ -25,10 +25,11 @@ type fusion struct {
 	side       Side
 }
 
-// Side is one rank of a fused exchange as the rank computing it sees it:
-// the rank and its time, which Advance, Send and Recv move exactly as the
-// rank's own calls would in the message-level exchange, and the latency
-// model of its sends to the other side, resolved once when the pair meets.
+// Side is one rank of a fused exchange or collective as the rank computing
+// it sees it: the rank and its time, which Advance, Send and Recv move
+// exactly as the rank's own calls would in the message-level exchange, and,
+// in a pair exchange, the latency model of its sends to the other side,
+// resolved once when the pair meets.
 type Side struct {
 	p    *Proc
 	T    float64
@@ -69,14 +70,18 @@ func (s *Side) Recv(arrival float64) {
 	s.Advance(s.p.world.machine.Spec.RecvOverhead)
 }
 
+// FusionBuilt reports whether this build fuses exchanges and collectives
+// where the fault plan allows it: false under -tags simnofuse.
+func FusionBuilt() bool { return fuseBuilt }
+
 // Fusable reports whether an exchange between this rank and comm rank peer
-// may be computed in place. It may not when the job's fault plan drops
-// messages or schedules a crash for either rank: a message-level exchange
-// then decides what is lost and who dies when. Both ranks get the same
-// answer.
+// may be computed in place. It may not in a simnofuse build, or when the
+// job's fault plan drops messages or schedules a crash for either rank: a
+// message-level exchange then decides what is lost and who dies when. Both
+// ranks get the same answer.
 func (c *Comm) Fusable(peer int) bool {
 	f := c.p.world.cfg.Faults
-	return !f.Drops() && !f.CrashScheduled(c.p.rank) && !f.CrashScheduled(c.ranks[peer])
+	return fuseBuilt && !f.Drops() && !f.CrashScheduled(c.p.rank) && !f.CrashScheduled(c.ranks[peer])
 }
 
 // Meet is the rendezvous of a fused exchange with comm rank peer. A rank

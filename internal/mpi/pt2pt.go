@@ -386,11 +386,17 @@ func (p *Proc) wire(m *message) {
 //
 //synclint:allocfree
 func (p *Proc) clampArrival(dst int, arrival float64) float64 {
-	clamp := p.arrClamp(dst)
-	if arrival < *clamp {
-		arrival = *clamp
+	return clamp(p.arrClamp(dst), arrival)
+}
+
+// clamp applies the non-overtaking rule of one clamp cell to arrival.
+//
+//synclint:allocfree
+func clamp(cell *float64, arrival float64) float64 {
+	if arrival < *cell {
+		arrival = *cell
 	}
-	*clamp = arrival
+	*cell = arrival
 	return arrival
 }
 

@@ -30,6 +30,9 @@ var (
 	}
 )
 
+// combine folds src into dst element-wise: dst[i] = op(dst[i], src[i]).
+//
+//synclint:allocfree
 func combine(op Op, dst, src []float64) {
 	for i := range dst {
 		dst[i] = op(dst[i], src[i])
@@ -116,6 +119,9 @@ func (c *Comm) AllreduceSized(vals []float64, op Op, nbytes int, alg AllreduceAl
 	}
 	switch alg {
 	case AllreduceRecursiveDoubling:
+		if c.p.world.fuseColl {
+			return c.fusedAllreduce(vals, op, nbytes)
+		}
 		return c.allreduceRecDoubling(vals, op, tag, nbytes)
 	case AllreduceReduceBcast:
 		acc := c.reduceBinomial(vals, op, 0, tag, nbytes)
@@ -136,10 +142,7 @@ func (c *Comm) allreduceRecDoubling(vals []float64, op Op, tag, nbytes int) []fl
 	n := c.Size()
 	r := c.rank
 	acc := append([]float64(nil), vals...)
-	pof2 := 1
-	for pof2*2 <= n {
-		pof2 *= 2
-	}
+	pof2 := floorPow2(n)
 	rem := n - pof2
 	// Fold the extra ranks into the power-of-two set.
 	if r >= pof2 {

@@ -44,6 +44,18 @@
 // from it in program order — its sends' delays and drop coins in send
 // order, its Byzantine jitter, the noise of the layers above. No draw
 // depends on how the kernel interleaves the ranks.
+//
+// That makes some communication a pure function of what its ranks bring to
+// it, which the layer computes in one place instead of message by message,
+// bit for bit as the messages would have gone: a two-party exchange series
+// (Meet, Side, Finish; the SKaMPI series of internal/clocksync), and every
+// Barrier and the recursive-doubling Allreduce, each one n-party
+// rendezvous on its communicator (fusecoll.go). An exchange is fused only
+// when the job's fault plan drops no messages and crashes neither rank, a
+// collective only when it drops none and crashes no rank at all; a
+// -tags simnofuse build runs both message by message.
+// Bcast, Gather and Split do not synchronise their members and always go
+// message by message.
 package mpi
 
 import (
@@ -90,6 +102,13 @@ type World struct {
 	// sent and sentBytes count the messages the job put on the wire and
 	// their wire sizes.
 	sent, sentBytes int
+
+	// fuseColl is whether Barrier and the recursive-doubling Allreduce run
+	// as one rendezvous (fusecoll.go): in a build that fuses, when the
+	// fault plan neither drops messages nor crashes a rank. colls holds
+	// each communicator's rendezvous slot, by comm id.
+	fuseColl bool
+	colls    map[int]*collSlot
 
 	// Free lists keep the steady-state messaging path allocation-free:
 	// message structs and pooled float64 payload slices are recycled for
@@ -223,6 +242,7 @@ func newWorld(env *sim.Env, machine *cluster.Machine, cfg Config) (*World, error
 		lastArr:   make(map[pairKey]*float64),
 		commIDs:   make(map[splitKey]int),
 		nextComm:  1,
+		fuseColl:  fuseBuilt && !cfg.Faults.Drops() && !cfg.Faults.Crashes(),
 	}
 	env.OnCallback(wireNext)
 	ranks := make([]int, cfg.NProcs)
