@@ -261,10 +261,9 @@ func BenchmarkSimBarrierAlgorithms(b *testing.B) {
 }
 
 // BenchmarkSimAllreduceAlgorithms is one 16-rank Allreduce of one value per
-// op, per algorithm; recursive doubling is fused like a barrier, the other
-// two run message by message. The ring reports no events/op: its count
-// varies from op to op with the order its messages arrive in, so the mean
-// moves with b.N and would not repeat exactly.
+// op, per algorithm. Every algorithm is fused like a barrier (the default
+// build), one rendezvous per op, so events/op and switches/op repeat
+// exactly; under -tags simnofuse each runs message by message.
 func BenchmarkSimAllreduceAlgorithms(b *testing.B) {
 	for _, alg := range mpi.AllreduceAlgs() {
 		alg := alg
@@ -275,10 +274,8 @@ func BenchmarkSimAllreduceAlgorithms(b *testing.B) {
 					p.World().AllreduceSized([]float64{1}, mpi.OpSum, 8, alg)
 				}
 			})
-			if alg != mpi.AllreduceRing {
-				b.ReportMetric(float64(events)/float64(b.N), "events/op")
-				b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
-			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
 		})
 	}
 }
@@ -580,21 +577,18 @@ func BenchmarkExtTraceCorrection(b *testing.B) {
 }
 
 func BenchmarkSimAlltoallAlgorithms(b *testing.B) {
-	for _, alg := range mpi.AlltoallAlgs() {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			runBench(b, 16, func(p *mpi.Proc) {
-				chunks := make([][]byte, 16)
-				for i := range chunks {
-					chunks[i] = make([]byte, 8)
-				}
-				for i := 0; i < b.N; i++ {
-					p.World().Alltoall(chunks, alg)
-				}
-			})
+	b.Run(mpi.AlltoallBruck.String(), func(b *testing.B) {
+		b.ReportAllocs()
+		runBench(b, 16, func(p *mpi.Proc) {
+			chunks := make([][]byte, 16)
+			for i := range chunks {
+				chunks[i] = make([]byte, 8)
+			}
+			for i := 0; i < b.N; i++ {
+				p.World().Alltoall(chunks, mpi.AlltoallBruck)
+			}
 		})
-	}
+	})
 }
 
 func BenchmarkExtTuning(b *testing.B) {

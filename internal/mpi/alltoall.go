@@ -10,25 +10,16 @@ type AlltoallAlg int
 
 const (
 	// AlltoallBruck aggregates blocks over log p rounds — the
-	// small-message algorithm (Bruck et al.), default.
+	// small-message algorithm (Bruck et al.), the only one.
 	AlltoallBruck AlltoallAlg = iota
-	// AlltoallPairwise exchanges directly with each peer over p−1
-	// rounds — the large-message algorithm.
-	AlltoallPairwise
 )
 
 func (a AlltoallAlg) String() string {
-	switch a {
-	case AlltoallBruck:
+	if a == AlltoallBruck {
 		return "bruck"
-	case AlltoallPairwise:
-		return "pairwise"
 	}
 	return fmt.Sprintf("AlltoallAlg(%d)", int(a))
 }
-
-// AlltoallAlgs lists all implemented alltoall algorithms.
-func AlltoallAlgs() []AlltoallAlg { return []AlltoallAlg{AlltoallBruck, AlltoallPairwise} }
 
 // Alltoall performs a personalized all-to-all exchange: chunks[i] goes to
 // rank i; the result's element j is the chunk received from rank j.
@@ -41,28 +32,10 @@ func (c *Comm) Alltoall(chunks [][]byte, alg AlltoallAlg) [][]byte {
 	if n == 1 {
 		return [][]byte{chunks[0]}
 	}
-	switch alg {
-	case AlltoallPairwise:
-		return c.alltoallPairwise(chunks, tag)
-	case AlltoallBruck:
-		return c.alltoallBruck(chunks, tag)
-	default:
+	if alg != AlltoallBruck {
 		panic(fmt.Sprintf("mpi: unknown alltoall algorithm %d", int(alg)))
 	}
-}
-
-func (c *Comm) alltoallPairwise(chunks [][]byte, tag int) [][]byte {
-	n := c.Size()
-	r := c.rank
-	out := make([][]byte, n)
-	out[r] = chunks[r]
-	for step := 1; step < n; step++ {
-		dst := (r + step) % n
-		src := (r - step + n) % n
-		c.Send(dst, tag, chunks[dst])
-		out[src] = c.Recv(src, tag)
-	}
-	return out
+	return c.alltoallBruck(chunks, tag)
 }
 
 // alltoallBruck: local rotation, log p block-aggregated exchange rounds,

@@ -110,32 +110,21 @@ func TestBcastAllAlgorithms(t *testing.T) {
 	}
 }
 
+// The reduce-bcast Allreduce's fan-in is the binomial reduce to rank 0:
+// every rank gets the sum, rank 0 first.
 func TestReduceSum(t *testing.T) {
 	for _, n := range collSizes {
 		n := n
 		t.Run(fmt.Sprintf("p%d", n), func(t *testing.T) {
 			want := float64(n * (n - 1) / 2)
 			runBox(t, n, 8, func(p *Proc) {
-				res := p.World().reduce([]float64{float64(p.Rank()), 1}, OpSum, 0)
-				if p.Rank() == 0 {
-					if res[0] != want || res[1] != float64(n) {
-						t.Errorf("reduce = %v, want [%v %v]", res, want, n)
-					}
-				} else if res != nil {
-					t.Errorf("non-root got %v", res)
+				res := p.World().AllreduceSized([]float64{float64(p.Rank()), 1}, OpSum, 16, AllreduceReduceBcast)
+				if res[0] != want || res[1] != float64(n) {
+					t.Errorf("rank %d: reduce-bcast = %v, want [%v %v]", p.Rank(), res, want, n)
 				}
 			})
 		})
 	}
-}
-
-func TestReduceNonZeroRoot(t *testing.T) {
-	runBox(t, 7, 8, func(p *Proc) {
-		res := p.World().reduce([]float64{1}, OpSum, 3)
-		if p.Rank() == 3 && res[0] != 7 {
-			t.Errorf("reduce at root 3 = %v", res)
-		}
-	})
 }
 
 func TestAllreduceAllAlgorithms(t *testing.T) {

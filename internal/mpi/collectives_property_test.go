@@ -70,17 +70,17 @@ func TestBcastVariantsDeliverExactPayloadProperty(t *testing.T) {
 	}
 }
 
-// Property: rooted Reduce equals the sequential fold of the per-rank
-// vectors for every op, any root, healthy or straggling links. Inputs are
+// Property: the reduce-bcast Allreduce — a binomial reduce to rank 0 and
+// its broadcast back — equals the sequential fold of the per-rank vectors
+// on every rank for every op, healthy or straggling links. Inputs are
 // exact quarters so tree-order reassociation costs no precision.
 func TestReduceMatchesSequentialFoldProperty(t *testing.T) {
 	ops := []struct {
 		name string
 		op   Op
 	}{{"sum", OpSum}, {"max", OpMax}, {"min", OpMin}}
-	f := func(seed int64, n8, root8, len8 uint8) bool {
+	f := func(seed int64, n8, len8 uint8) bool {
 		n := int(n8%12) + 2
-		root := int(root8) % n
 		vlen := int(len8%6) + 1
 		rng := rand.New(rand.NewSource(seed))
 		inputs := make([][]float64, n)
@@ -102,10 +102,7 @@ func TestReduceMatchesSequentialFoldProperty(t *testing.T) {
 			for _, spec := range linkSpecs() {
 				op := o.op
 				if !runColl(t, n, seed, spec, func(p *Proc) {
-					got := p.World().reduce(append([]float64(nil), inputs[p.Rank()]...), op, root)
-					if p.Rank() != root {
-						return
-					}
+					got := p.World().AllreduceSized(inputs[p.Rank()], op, 8*vlen, AllreduceReduceBcast)
 					for i := range want {
 						if math.Abs(got[i]-want[i]) > 1e-9 {
 							mu.Lock()
@@ -170,9 +167,9 @@ func TestAllreduceVariantsUnderStragglersProperty(t *testing.T) {
 	}
 }
 
-// Property: both alltoall algorithms realize the transpose — rank r's
-// output slot s is exactly the chunk rank s addressed to r — for random
-// chunk sizes (including empty) and either link profile.
+// Property: the Bruck alltoall realizes the transpose — rank r's output
+// slot s is exactly the chunk rank s addressed to r — for random chunk
+// sizes (including empty) and either link profile.
 func TestAlltoallVariantsMatchTransposeProperty(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
 		n := int(n8%8) + 2
@@ -189,21 +186,18 @@ func TestAlltoallVariantsMatchTransposeProperty(t *testing.T) {
 		ok := true
 		var mu sync.Mutex
 		for _, spec := range linkSpecs() {
-			for _, alg := range AlltoallAlgs() {
-				alg := alg
-				if !runColl(t, n, seed, spec, func(p *Proc) {
-					r := p.Rank()
-					got := p.World().Alltoall(inputs[r], alg)
-					for src := 0; src < n; src++ {
-						if !bytes.Equal(got[src], inputs[src][r]) && len(got[src])+len(inputs[src][r]) > 0 {
-							mu.Lock()
-							ok = false
-							mu.Unlock()
-						}
+			if !runColl(t, n, seed, spec, func(p *Proc) {
+				r := p.Rank()
+				got := p.World().Alltoall(inputs[r], AlltoallBruck)
+				for src := 0; src < n; src++ {
+					if !bytes.Equal(got[src], inputs[src][r]) && len(got[src])+len(inputs[src][r]) > 0 {
+						mu.Lock()
+						ok = false
+						mu.Unlock()
 					}
-				}) {
-					return false
 				}
+			}) {
+				return false
 			}
 		}
 		return ok

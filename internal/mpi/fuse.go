@@ -28,11 +28,12 @@ type fusion struct {
 // Side is one rank of a fused exchange or collective as the rank computing
 // it sees it: the rank and its time, which Advance, Send and Recv move
 // exactly as the rank's own calls would in the message-level exchange, and,
-// in a pair exchange, the latency model of its sends to the other side,
-// resolved once when the pair meets.
+// in a pair exchange, the clamp cell and latency model of its sends to the
+// other side, resolved once when the pair meets.
 type Side struct {
 	p    *Proc
 	T    float64
+	cell *float64
 	link *cluster.LinkSpec
 }
 
@@ -49,14 +50,23 @@ func (s *Side) Advance(d float64) {
 }
 
 // Send is a send of nbytes from s to dst, the other side of its exchange,
-// at the side's time: it charges the send overhead, draws the delay from
-// s's stream and returns the arrival at dst after the non-overtaking clamp,
-// which it advances.
+// at the side's time; it returns the arrival at dst.
 //
 //synclint:allocfree
-func (s *Side) Send(dst *Side, nbytes int) float64 {
-	s.Advance(s.p.world.machine.Spec.SendOverhead)
-	return s.p.clampArrival(dst.p.rank, s.T+s.link.Sample(nbytes, &s.p.rng))
+func (s *Side) Send(dst *Side, nbytes int) float64 { return s.send(s.cell, s.link, nbytes) }
+
+// send is every fused message, of a pair exchange or a collective: the
+// sender's overhead, then the delay drawn from its stream over link and the
+// clamp of cell, as newSend, post and wire do it, counted in the World's
+// sent and sentBytes. It returns the clamped arrival.
+//
+//synclint:allocfree
+func (s *Side) send(cell *float64, link *cluster.LinkSpec, nbytes int) float64 {
+	w := s.p.world
+	s.Advance(w.machine.Spec.SendOverhead)
+	w.sent++
+	w.sentBytes += nbytes
+	return clamp(cell, s.T+link.Sample(nbytes, &s.p.rng))
 }
 
 // Recv is a blocking receive of a message arriving at arrival: the side
@@ -93,8 +103,8 @@ func (c *Comm) Fusable(peer int) bool {
 // the other has computed the exchange for both and Finish has resumed it at
 // its end time, Meet returns a nil other. The second gets its own Side, the
 // parked rank's Side and arg, computes both sides and calls Finish. It
-// resolves each side's link to the other here, so no send of the exchange
-// looks up the pair's communication level again.
+// resolves each side's clamp cell and link to the other here, so no send of
+// the exchange looks either up again.
 //
 //synclint:allocfree
 func (c *Comm) Meet(peer int, arg any) (me, other *Side, theirs any) {
@@ -108,6 +118,7 @@ func (c *Comm) Meet(peer int, arg any) (me, other *Side, theirs any) {
 		f.waiting = false
 		theirs, f.arg = f.arg, nil
 		m := p.world.machine
+		p.fuse.side.cell, f.side.cell = p.arrClamp(q.rank), q.arrClamp(p.rank)
 		p.fuse.side.link, f.side.link = m.Link(p.rank, q.rank), m.Link(q.rank, p.rank)
 		return &p.fuse.side, &f.side, theirs
 	}

@@ -22,7 +22,7 @@ import (
 // the workhorse of the clock-offset algorithms — travel inside the message
 // struct, and float64 vectors in pooled slices.
 //
-// A payload is bytes (Send/Recv: alltoall blocks, barrier signals), one
+// A payload is bytes (Send/Recv: alltoall blocks, split steps), one
 // float64 (SendF64/SsendF64, RecvF64/RecvF64Timeout) or a float64 vector
 // (SendF64s and the collectives, RecvF64s/RecvF64sTimeout); each receive
 // takes one kind and panics, naming both, when it meets another.
@@ -112,11 +112,14 @@ func (w *World) getF64s() []float64 {
 	return s[:0]
 }
 
-// putF64s returns a received vector to the pool.
+// putF64s returns a received vector's storage to the pool; an empty one
+// sent while the pool was empty (a barrier's) has none.
 //
 //synclint:allocfree
 func (w *World) putF64s(s []float64) {
-	w.f64Free = append(w.f64Free, s) //synclint:alloc -- pool free list: amortized growth to the high-water mark
+	if cap(s) > 0 {
+		w.f64Free = append(w.f64Free, s) //synclint:alloc -- pool free list: amortized growth to the high-water mark
+	}
 }
 
 // expect panics when a receive of payload kind k meets a message of another

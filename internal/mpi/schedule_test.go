@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hclocksync/internal/cluster"
@@ -18,10 +19,12 @@ type collCase struct {
 	spec cluster.MachineSpec
 	seed int64
 	n    int
-	// alg is the barrier algorithm; allreduce runs the recursive-doubling
-	// Allreduce instead, of each rank's vals under op with wire size nbytes.
+	// alg is the barrier algorithm; allreduce runs the Allreduce of
+	// algorithm aralg instead, of each rank's vals under op with wire size
+	// nbytes.
 	alg       BarrierAlg
 	allreduce bool
+	aralg     AllreduceAlg
 	op        Op
 	nbytes    int
 	vals      [][]float64
@@ -33,7 +36,7 @@ type collCase struct {
 func (c collCase) String() string {
 	what := c.alg.String() + " barrier"
 	if c.allreduce {
-		what = fmt.Sprintf("allreduce of %d values, %d B", len(c.vals[0]), c.nbytes)
+		what = fmt.Sprintf("%v allreduce of %d values, %d B", c.aralg, len(c.vals[0]), c.nbytes)
 	}
 	return fmt.Sprintf("%s n=%d seed=%d", what, c.n, c.seed)
 }
@@ -71,12 +74,13 @@ func randCollCase(rng *rand.Rand, n int) collCase {
 	return c
 }
 
-// withAllreduce makes c an Allreduce of random vectors under a random op.
-func (c collCase) withAllreduce(rng *rand.Rand) collCase {
-	c.allreduce = true
+// withAllreduce makes c an Allreduce of algorithm alg over random vectors,
+// shorter or longer than the rank count, under a random op.
+func (c collCase) withAllreduce(rng *rand.Rand, alg AllreduceAlg) collCase {
+	c.allreduce, c.aralg = true, alg
 	c.op = []Op{OpSum, OpMax, OpMin}[rng.Intn(3)]
 	c.nbytes = []int{unsized, 0, 4, 1024}[rng.Intn(4)]
-	k := 1 + rng.Intn(4)
+	k := 1 + rng.Intn(c.n+4)
 	c.vals = make([][]float64, c.n)
 	for r := range c.vals {
 		for i := 0; i < k; i++ {
@@ -86,40 +90,12 @@ func (c collCase) withAllreduce(rng *rand.Rand) collCase {
 	return c
 }
 
-// collective runs c's collective on comm, fused or through the
-// message-level algorithm methods, and returns the Allreduce result.
-func (c collCase) collective(comm *Comm, fused bool) []float64 {
-	vals := c.vals[comm.p.rank]
-	if fused {
-		if c.allreduce {
-			return comm.AllreduceSized(vals, c.op, c.nbytes, AllreduceRecursiveDoubling)
-		}
-		comm.BarrierWith(c.alg)
-		return nil
-	}
+// collective runs c's collective on comm and returns the Allreduce result.
+func (c collCase) collective(comm *Comm) []float64 {
 	if c.allreduce {
-		tag := comm.nextTag(kindAllreduce)
-		if comm.Size() == 1 {
-			return append([]float64(nil), vals...)
-		}
-		return comm.allreduceRecDoubling(vals, c.op, tag, c.nbytes)
+		return comm.AllreduceSized(c.vals[comm.p.rank], c.op, c.nbytes, c.aralg)
 	}
-	tag := comm.nextTag(kindBarrier)
-	if comm.Size() == 1 {
-		return nil
-	}
-	switch c.alg {
-	case BarrierLinear:
-		comm.barrierLinear(tag)
-	case BarrierTree:
-		comm.barrierTree(tag)
-	case BarrierRecursiveDoubling:
-		comm.barrierRecDoubling(tag)
-	case BarrierDissemination:
-		comm.barrierDissemination(tag)
-	case BarrierDoubleRing:
-		comm.barrierDoubleRing(tag)
-	}
+	comm.BarrierWith(c.alg)
 	return nil
 }
 
@@ -149,6 +125,7 @@ func runCollCase(t *testing.T, c collCase, fused bool) collRun {
 		if r == 0 {
 			w = p.world
 		}
+		p.world.fuseColl = p.world.fuseColl && fused
 		rec := func(v float64) { run.trace[r] = append(run.trace[r], math.Float64bits(v)) }
 		left, right := (r-1+n)%n, (r+1)%n
 		p.Advance(c.skew[r])
@@ -156,7 +133,7 @@ func runCollCase(t *testing.T, c collCase, fused bool) collRun {
 			world.SendF64(right, 7, 0)
 		}
 		coll := func(comm *Comm) {
-			for _, v := range c.collective(comm, fused) {
+			for _, v := range c.collective(comm) {
 				rec(v)
 			}
 			rec(p.TrueNow())
@@ -187,10 +164,10 @@ func runCollCase(t *testing.T, c collCase, fused bool) collRun {
 	return run
 }
 
-// Property: every barrier algorithm and the recursive-doubling Allreduce,
-// fused, match their message-level runs bit for bit at every size from 1 to
-// 17 ranks and at 31, 33 and 64, over random machines, entry skews, pending
-// sends and concurrent collectives on split sub-communicators.
+// Property: every barrier and Allreduce algorithm, fused, matches its
+// message-level run bit for bit at every size from 1 to 17 ranks and at 31,
+// 33 and 64, over random machines, entry skews, pending sends and
+// concurrent collectives on split sub-communicators.
 func TestFusedCollectivesMatchMessageLevelProperty(t *testing.T) {
 	sizes := []int{31, 33, 64}
 	for n := 1; n <= 17; n++ {
@@ -206,7 +183,9 @@ func TestFusedCollectivesMatchMessageLevelProperty(t *testing.T) {
 				c.vals = make([][]float64, n)
 				cases = append(cases, c)
 			}
-			cases = append(cases, randCollCase(rng, n).withAllreduce(rng))
+			for _, alg := range AllreduceAlgs() {
+				cases = append(cases, randCollCase(rng, n).withAllreduce(rng, alg))
+			}
 			for _, c := range cases {
 				got, want := runCollCase(t, c, true), runCollCase(t, c, false)
 				if got.rendezvous != (FusionBuilt() && n > 1) {
@@ -261,5 +240,126 @@ func TestFusedCollectivesAllocate(t *testing.T) {
 	})
 	if barrier != 0 || allreduce != 16 {
 		t.Errorf("warm fused barrier: %v allocations, want 0; Allreduce: %v, want 16", barrier, allreduce)
+	}
+}
+
+// Every schedule's plan, in both orders and at every size from 1 to 130
+// members, is the members' own steps: replayed member by member it gives
+// back each member's schedule in program order, and every message is
+// received exactly once, after its send, by the member it was sent to.
+func TestPlansCompleteEverySchedule(t *testing.T) {
+	for _, sc := range schedules {
+		for n := 1; n <= 130; n++ {
+			for _, up := range []bool{true, false} {
+				if err := checkPlan(makePlan(sc.name, sc.steps, n, up), sc.steps, n); err != "" {
+					t.Fatalf("%s over %d members, up=%v: %s", sc.name, n, up, err)
+				}
+			}
+		}
+	}
+}
+
+// checkPlan replays pl member by member against sched over n members and
+// says what is wrong with it, if anything.
+func checkPlan(pl *plan, sched schedule, n int) string {
+	got := make([][]step, n)
+	var sent, received []bool
+	for _, ps := range pl.steps {
+		if ps.op&opSend != 0 {
+			if int(ps.msg) != len(sent) {
+				return fmt.Sprintf("message %d sent as number %d", len(sent), ps.msg)
+			}
+			sent, received = append(sent, true), append(received, false)
+			got[ps.src] = append(got[ps.src], step{peer: ps.dst, block: ps.block, send: true})
+		}
+		if ps.op&opRecv != 0 {
+			if int(ps.msg) >= len(sent) || received[ps.msg] {
+				return fmt.Sprintf("message %d received before its send or twice", ps.msg)
+			}
+			received[ps.msg] = true
+			got[ps.dst] = append(got[ps.dst], step{peer: ps.src, block: ps.block, copy: ps.op&opCopy != 0})
+		}
+	}
+	if len(sent) != pl.msgs {
+		return fmt.Sprintf("%d messages sent, the plan counts %d", len(sent), pl.msgs)
+	}
+	for m := range received {
+		if !received[m] {
+			return fmt.Sprintf("message %d never received", m)
+		}
+	}
+	for r := 0; r < n; r++ {
+		if want := sched(r, n, nil); !slices.Equal(got[r], want) {
+			return fmt.Sprintf("member %d's steps in the plan are %v, its schedule %v", r, got[r], want)
+		}
+	}
+	return ""
+}
+
+// The planner refuses a schedule whose steps cannot all complete, or that
+// leaves a message unreceived, naming the schedule and the size. (A receive
+// of another block than its message carries shows in
+// TestPlansCompleteEverySchedule and in the differential property.)
+func TestMakePlanPanicsNamingSchedule(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		sched schedule
+		want  string
+	}{
+		{"deadlock", func(r, n int, s []step) []step {
+			return sendTo(recvFrom(s, (r+1)%n, whole, false), (r-1+n)%n, whole)
+		}, "mpi: schedule deadlock over 5 members: member 0 never completes step 0 of 2"},
+		{"unreceived", func(r, n int, s []step) []step {
+			if r == 0 {
+				return sendTo(s, 1, whole)
+			}
+			return s
+		}, "mpi: schedule unreceived over 5 members: 1 messages never received"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s: panic %v, want %q", c.name, got, c.want)
+				}
+			}()
+			makePlan(c.name, c.sched, 5, true)
+		}()
+	}
+}
+
+// A fused pair exchange counts its messages and bytes in the World as the
+// same exchange sent message by message does.
+func TestFusedPairSendsCounted(t *testing.T) {
+	count := func(fused bool) (sent, bytes int) {
+		runBox(t, 2, 5, func(p *Proc) {
+			world := p.World()
+			peer := 1 - p.Rank()
+			if !fused {
+				for i := 0; i < 10; i++ {
+					if p.Rank() == 0 {
+						world.SendF64(peer, 3, 0)
+						world.RecvF64(peer, 3)
+					} else {
+						world.RecvF64(peer, 3)
+						world.SendF64(peer, 3, 0)
+					}
+				}
+			} else if me, other, _ := world.Meet(peer, nil); other != nil {
+				for i := 0; i < 10; i++ {
+					other.Recv(me.Send(other, 8))
+					me.Recv(other.Send(me, 8))
+				}
+				world.Finish(me, other)
+			}
+			if p.Rank() == 0 {
+				sent, bytes = p.world.sent, p.world.sentBytes
+			}
+		})
+		return sent, bytes
+	}
+	fs, fb := count(true)
+	ms, mb := count(false)
+	if fs != ms || fb != mb || ms != 20 || mb != 160 {
+		t.Errorf("fused pair: %d messages, %d B; message by message: %d, %d B; want 20, 160 B", fs, fb, ms, mb)
 	}
 }

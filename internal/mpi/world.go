@@ -9,14 +9,14 @@
 // for the fault-tolerant paths (RecvF64Timeout, RecvF64sTimeout),
 // communicators with Split (including the MPI_COMM_TYPE_SHARED split used
 // by the hierarchical synchronization) and ShrinkSurvivors, and the
-// collectives MPI_Barrier, MPI_Bcast, MPI_Scatter, MPI_Gather, MPI_Reduce,
-// MPI_Allreduce and MPI_Alltoall — Barrier, Allreduce and Alltoall each with
-// a choice of algorithms mirroring Open MPI's tuned collective module
-// (linear, binomial tree, recursive doubling, dissemination/"bruck", double
-// ring, …) that the caller names (BarrierWith, AllreduceSized, Alltoall);
-// Barrier and Allreduce run the tree barrier and recursive doubling, and
-// Bcast relays along a binomial tree. Floats cross the layer as float64s,
-// never as bytes.
+// collectives MPI_Barrier, MPI_Bcast, MPI_Scatter, MPI_Gather,
+// MPI_Allreduce and MPI_Alltoall — Barrier and Allreduce each with a choice
+// of algorithms mirroring Open MPI's tuned collective module (linear,
+// binomial tree, recursive doubling, dissemination/"bruck", double ring,
+// reduce-bcast, ring) that the caller names (BarrierWith, AllreduceSized);
+// Barrier and Allreduce run the tree barrier and recursive doubling, Bcast
+// relays along a binomial tree and Alltoall is Bruck's. Floats cross the
+// layer as float64s, never as bytes.
 //
 // One rank is one sim process. A program is a function executed by every
 // rank, exactly like an MPI main:
@@ -49,10 +49,10 @@
 // it, which the layer computes in one place instead of message by message,
 // bit for bit as the messages would have gone: a two-party exchange series
 // (Meet, Side, Finish; the SKaMPI series of internal/clocksync), and every
-// Barrier and the recursive-doubling Allreduce, each one n-party
-// rendezvous on its communicator (fusecoll.go). An exchange is fused only
-// when the job's fault plan drops no messages and crashes neither rank, a
-// collective only when it drops none and crashes no rank at all; a
+// Barrier and Allreduce, each one n-party rendezvous on its communicator
+// that replays the algorithm's schedule (schedule.go). An exchange is fused
+// only when the job's fault plan drops no messages and crashes neither
+// rank, a collective only when it drops none and crashes no rank at all; a
 // -tags simnofuse build runs both message by message.
 // Bcast, Gather and Split do not synchronise their members and always go
 // message by message.
@@ -103,10 +103,10 @@ type World struct {
 	// their wire sizes.
 	sent, sentBytes int
 
-	// fuseColl is whether Barrier and the recursive-doubling Allreduce run
-	// as one rendezvous (fusecoll.go): in a build that fuses, when the
-	// fault plan neither drops messages nor crashes a rank. colls holds
-	// each communicator's rendezvous slot, by comm id.
+	// fuseColl is whether Barrier and Allreduce run as one rendezvous
+	// (schedule.go): in a build that fuses, when the fault plan neither
+	// drops messages nor crashes a rank. colls holds each communicator's
+	// rendezvous slot, by comm id.
 	fuseColl bool
 	colls    map[int]*collSlot
 
@@ -161,6 +161,7 @@ type Proc struct {
 	lastDst   int      // peer of the cached non-overtaking clamp cell
 	lastArrP  *float64 // cached clamp cell for (rank, lastDst)
 	scratch   []float64
+	steps     []step      // the rank's schedule in a message-level collective
 	local     map[any]any // rank-scoped state of layers above mpi, see Local
 
 	// draws is the rank's keyed random stream and rng the rand.Rand over
