@@ -52,7 +52,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	// Change a count only in a commit whose message says which directives
 	// it adds or removes and why.
 	wantEscapes := map[string]int{
-		analysis.DirAllocfree: 102,
+		analysis.DirAllocfree: 99,
 		analysis.DirAlloc:     22,
 		analysis.DirOrdered:   6,
 		analysis.DirWallclock: 17,

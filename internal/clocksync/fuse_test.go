@@ -139,9 +139,9 @@ func runFusedCase(t *testing.T, c fusedCase, fused bool) [][]float64 {
 		local := clock.NewLocal(p)
 		s := SKaMPIOffset{NExchanges: c.nexch}
 		for _, pr := range c.pairs(r) {
-			// The client's send before the exchange is still a pending
-			// kernel callback when the exchange starts, and its arrival is
-			// the floor the first ping's arrival is clamped to.
+			// The client's send before the exchange is on the wire when the
+			// exchange starts, and its arrival is the floor the first
+			// ping's arrival is clamped to.
 			var clk clock.Clock = local
 			if r == pr[0] {
 				clk = clock.New(local, c.model)

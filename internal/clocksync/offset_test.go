@@ -78,20 +78,20 @@ func skampiEvents(t *testing.T, n int, plan faults.Plan) uint64 {
 
 // One SKaMPI exchange message by message — the reference path, taken here
 // because the plan schedules a crash for the pair, one that never comes —
-// is four kernel events: each side's send goes on the wire in one kernel
-// callback (at the local time the client's clock read and send overhead,
-// or the reference's receive overhead, clock read and send overhead, have
-// reached) and each side wakes once at a message arrival. It was nine while
-// every clock read and messaging overhead was an event of its own.
+// is four kernel events: each side settles once before its send (carrying
+// the client's clock read and send overhead, or the reference's receive
+// overhead, clock read and send overhead) and wakes once at a message
+// arrival. It was nine while every clock read and messaging overhead was an
+// event of its own.
 func TestSKaMPIExchangeIsFourEvents(t *testing.T) {
 	late := faults.Plan{Crashes: []faults.Crash{{Rank: 1, At: 1e9}}}
-	// Two spawn events, the client settling the reads that follow its last
-	// receive when it returns, and — since sends stopped blocking — the
-	// reference's end-of-main settle: its last send is a callback the rank
-	// does not wait for, so the settle that used to be that send's own event
-	// now follows it.
+	// Two spawn events, and the client settling the reads that follow its
+	// last receive when it returns. The reference's program ends on a send,
+	// whose settle leaves its end-of-main settle nothing to do. (4n+4 while a
+	// send made ahead was a kernel callback: the reference's end-of-main
+	// settle then followed it as one more event.)
 	for _, n := range []int{1, 10, 100} {
-		if got, want := skampiEvents(t, n, late), uint64(4*n+4); got != want {
+		if got, want := skampiEvents(t, n, late), uint64(4*n+3); got != want {
 			t.Errorf("%d exchanges: %d kernel events, want %d", n, got, want)
 		}
 	}

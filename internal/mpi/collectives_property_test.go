@@ -36,8 +36,9 @@ func runColl(t *testing.T, n int, seed int64, spec cluster.MachineSpec, main fun
 	return err == nil
 }
 
-// Property: the binomial bcast delivers the root's exact payload to every
-// rank, for any root and payload, on healthy and straggling links alike.
+// Property: Bcast delivers the root's exact payload — its length and every
+// value — to every rank, for any root and payload, on healthy and
+// straggling links alike.
 func TestBcastVariantsDeliverExactPayloadProperty(t *testing.T) {
 	f := func(seed int64, n8, root8 uint8, payload []float64) bool {
 		n := int(n8%12) + 1
@@ -53,8 +54,8 @@ func TestBcastVariantsDeliverExactPayloadProperty(t *testing.T) {
 				if p.Rank() == root {
 					data = payload
 				}
-				got := p.World().BcastSized(data, root, unsized)
-				if !slices.Equal(got, payload) && len(got)+len(payload) > 0 {
+				got := p.World().Bcast(data, root)
+				if !slices.Equal(got, payload) {
 					mu.Lock()
 					ok = false
 					mu.Unlock()
@@ -70,15 +71,12 @@ func TestBcastVariantsDeliverExactPayloadProperty(t *testing.T) {
 	}
 }
 
-// Property: the reduce-bcast Allreduce — a binomial reduce to rank 0 and
-// its broadcast back — equals the sequential fold of the per-rank vectors
-// on every rank for every op, healthy or straggling links. Inputs are
-// exact quarters so tree-order reassociation costs no precision.
-func TestReduceMatchesSequentialFoldProperty(t *testing.T) {
-	ops := []struct {
-		name string
-		op   Op
-	}{{"sum", OpSum}, {"max", OpMax}, {"min", OpMin}}
+// Property: every Allreduce algorithm equals the sequential fold of the
+// per-rank vectors on every rank, for every op, random vectors and rank
+// counts, on healthy and straggling links alike. Inputs are exact quarters
+// so the algorithms' reassociation of the fold costs no precision.
+func TestAllreduceMatchesSequentialFoldProperty(t *testing.T) {
+	ops := []Op{OpSum, OpMax, OpMin}
 	f := func(seed int64, n8, len8 uint8) bool {
 		n := int(n8%12) + 2
 		vlen := int(len8%6) + 1
@@ -92,77 +90,33 @@ func TestReduceMatchesSequentialFoldProperty(t *testing.T) {
 		}
 		ok := true
 		var mu sync.Mutex
-		for _, o := range ops {
+		for _, op := range ops {
 			want := append([]float64(nil), inputs[0]...)
 			for r := 1; r < n; r++ {
 				for i := range want {
-					want[i] = o.op(want[i], inputs[r][i])
+					want[i] = op(want[i], inputs[r][i])
 				}
 			}
-			for _, spec := range linkSpecs() {
-				op := o.op
-				if !runColl(t, n, seed, spec, func(p *Proc) {
-					got := p.World().AllreduceSized(inputs[p.Rank()], op, 8*vlen, AllreduceReduceBcast)
-					for i := range want {
-						if math.Abs(got[i]-want[i]) > 1e-9 {
-							mu.Lock()
-							ok = false
-							mu.Unlock()
+			for _, alg := range AllreduceAlgs() {
+				for _, spec := range linkSpecs() {
+					if !runColl(t, n, seed, spec, func(p *Proc) {
+						got := p.World().AllreduceSized(inputs[p.Rank()], op, 8*vlen, alg)
+						for i := range want {
+							if math.Abs(got[i]-want[i]) > 1e-9 {
+								mu.Lock()
+								ok = false
+								mu.Unlock()
+							}
 						}
+					}) {
+						return false
 					}
-				}) {
-					return false
 				}
 			}
 		}
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: every allreduce algorithm equals the sequential fold under
-// straggling links too (the healthy-link case already has its own
-// property above).
-func TestAllreduceVariantsUnderStragglersProperty(t *testing.T) {
-	f := func(seed int64, n8, len8 uint8) bool {
-		n := int(n8%12) + 2
-		vlen := int(len8%6) + 1
-		rng := rand.New(rand.NewSource(seed))
-		inputs := make([][]float64, n)
-		for r := range inputs {
-			inputs[r] = make([]float64, vlen)
-			for i := range inputs[r] {
-				inputs[r][i] = math.Round(rng.Float64()*100) / 4
-			}
-		}
-		want := append([]float64(nil), inputs[0]...)
-		for r := 1; r < n; r++ {
-			for i := range want {
-				want[i] += inputs[r][i]
-			}
-		}
-		ok := true
-		var mu sync.Mutex
-		for _, alg := range AllreduceAlgs() {
-			alg := alg
-			if !runColl(t, n, seed, linkSpecs()[1], func(p *Proc) {
-				got := p.World().AllreduceSized(inputs[p.Rank()], OpSum, 8*len(inputs[p.Rank()]), alg)
-				for i := range want {
-					if math.Abs(got[i]-want[i]) > 1e-9 {
-						mu.Lock()
-						ok = false
-						mu.Unlock()
-					}
-				}
-			}) {
-				return false
-			}
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
 	}
 }

@@ -94,25 +94,21 @@ func (c *Comm) Fusable(peer int) bool {
 	return fuseBuilt && !f.Drops() && !f.CrashScheduled(c.p.rank) && !f.CrashScheduled(c.ranks[peer])
 }
 
-// Meet is the rendezvous of a fused exchange with comm rank peer. A rank
-// with sends still in its outbox settles first, so every send it made
-// before is on the wire and its clamp cells are current; one with none has
-// nothing the kernel must catch up on, and meets ahead of the kernel clock
-// at its own time. The first of the pair to arrive then parks with arg,
-// through which the other rank hands back what the exchange gives it; once
-// the other has computed the exchange for both and Finish has resumed it at
-// its end time, Meet returns a nil other. The second gets its own Side, the
-// parked rank's Side and arg, computes both sides and calls Finish. It
-// resolves each side's clamp cell and link to the other here, so no send of
-// the exchange looks either up again.
+// Meet is the rendezvous of a fused exchange with comm rank peer. Every
+// send the rank made before is on the wire, so its clamp cells are current
+// and it meets at its own time, ahead of the kernel clock or not, without
+// settling. The first of the pair to arrive parks with arg, through which
+// the other rank hands back what the exchange gives it; once the other has
+// computed the exchange for both and Finish has resumed it at its end time,
+// Meet returns a nil other. The second gets its own Side, the parked rank's
+// Side and arg, computes both sides and calls Finish. It resolves each
+// side's clamp cell and link to the other here, so no send of the exchange
+// looks either up again.
 //
 //synclint:allocfree
 func (c *Comm) Meet(peer int, arg any) (me, other *Side, theirs any) {
 	p := c.p
 	q := p.world.procs[c.ranks[peer]]
-	if p.outTail != nil {
-		p.settle()
-	}
 	p.fuse.side = Side{p: p, T: p.now()}
 	if f := &q.fuse; f.waiting && f.comm == c.id && f.peer == p.rank {
 		f.waiting = false

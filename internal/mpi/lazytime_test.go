@@ -58,29 +58,32 @@ func pingPong(n int) func(p *Proc) {
 	}
 }
 
-// One round trip is four kernel events: per rank, the callback that puts
-// its send on the wire (at the local time the receive overhead of the
-// previous message plus the send overhead have reached), and the wake at the
-// message's arrival. (It was six: both overheads were events of their own.)
+// One round trip is four kernel events: per rank, the settle before its
+// send that carries the receive overhead of the previous message plus the
+// send overhead, and the wake at the message's arrival. (It was six: both
+// overheads were events of their own.)
 func TestPingPongIsFourEventsPerRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 10, 1000} {
 		env := mustRunOnEnv(t, Config{NProcs: 2}, pingPong(n))
-		// Two spawn events, rank 0's settle of its last receive overhead
-		// when main returns, and rank 1's end-of-main settle: its last send
-		// is a callback the rank does not wait for, so the settle that was
-		// that send's own event (4n+3) now follows the callback.
-		if got, want := env.Processed(), uint64(4*n+4); got != want {
+		// Two spawn events, and rank 0's settle of its last receive overhead
+		// when main returns. Rank 1's program ends on a send, whose settle
+		// leaves the rank's end-of-main settle nothing to do. (4n+4 while a
+		// send made ahead was a kernel callback the rank did not wait for:
+		// the end-of-main settle then followed it as one more event.)
+		if got, want := env.Processed(), uint64(4*n+3); got != want {
 			t.Errorf("%d round trips: %d kernel events, want %d", n, got, want)
 		}
 	}
 }
 
-// With other pairs running, every event of a ping-pong used to resume a
-// fiber: the rank woke at its local time only to draw a link delay and push
-// a mailbox. That work now runs in the dispatch loop, so a round trip is
-// still four events but two resumes, the two message arrivals. (Alone, as
-// above, a pair's events mostly run in place and resume nothing either way.)
-func TestConcurrentPingPongIsTwoResumesPerRoundTrip(t *testing.T) {
+// With other pairs running, every event of a message-level ping-pong
+// resumes a fiber: the settle before each send as well as each message
+// arrival, four resumes per round trip. (Alone, as above, a pair's events
+// mostly run in place and resume nothing.) A send made ahead of the kernel
+// clock was once a kernel callback run in the dispatch loop, which made it
+// two resumes; the fused SKaMPI exchange and fused collectives now carry the
+// ping-pongs that paid for that, so the send settles instead.
+func TestConcurrentPingPongIsFourResumesPerRoundTrip(t *testing.T) {
 	const pairs = 8
 	run := func(n int) (events, switches uint64) {
 		env := mustRunOnEnv(t, Config{NProcs: 2 * pairs}, pingPong(n))
@@ -91,46 +94,44 @@ func TestConcurrentPingPongIsTwoResumesPerRoundTrip(t *testing.T) {
 	// resume is saved whenever an arrival is the very next event as its
 	// receiver blocks (the receiver consumes it in place), which with eight
 	// pairs in flight happens once in these 8000 round trips: the counts
-	// repeat exactly, so the test pins 2 per round trip less that one.
+	// repeat exactly, so the test pins 4 per round trip less that one.
 	e1, s1 := run(100)
 	e2, s2 := run(1100)
 	const trips = pairs * 1000
 	if got := e2 - e1; got != 4*trips {
 		t.Errorf("%d more round trips cost %d kernel events, want %d (4 each)", trips, got, 4*trips)
 	}
-	if got := s2 - s1; got != 2*trips-1 {
-		t.Errorf("%d more round trips cost %d fiber resumes, want %d (2 each less one taken in place; 4 each before sends became kernel callbacks)", trips, got, 2*trips-1)
+	if got := s2 - s1; got != 4*trips-1 {
+		t.Errorf("%d more round trips cost %d fiber resumes, want %d (4 each less one taken in place)", trips, got, 4*trips-1)
 	}
 }
 
 // Ten barriers at 16 ranks, per algorithm: the whole job's event count, next
-// to what the eager implementation needed for the same job. The counts moved
-// (from 694/649/1252/1287/657) when sends became kernel callbacks and
-// blocking receives stopped settling. A receive entered ahead of the kernel
-// clock no longer costs an event of its own, so the fan-in algorithms (tree,
-// linear) lose many. Against that, a send-then-receive whose reply is pushed
-// before the kernel reaches the sender's local time is now a callback plus a
-// wake-up where the send's settle had carried the rank past the arrival, and
-// a rank whose program ends on a send settles once more after its last
-// callback, so the exchange algorithms gain a few. The linear, recursive
-// doubling and dissemination counts moved again (from 529/1272/1289) when
-// each delay became a draw from the sender's own stream: other delays, other
-// blocking patterns. These are the message-level counts, pinned in a
-// -tags simnofuse build. A build that fuses runs each barrier as one
-// rendezvous, whatever the algorithm: 167 events, the 16 spawns, 15 parked
-// ranks woken per barrier and the end-of-main settle of the rank that
-// computed the last one.
+// to what the eager implementation needed for the same job. Blocking
+// receives do not settle, so a receive entered ahead of the kernel clock
+// costs no event of its own and the fan-in algorithms (tree, linear) need
+// far fewer events than eagerly. The counts last moved (from
+// 632/535/1286/1296/672, all five down) when a send made ahead of the kernel
+// clock went back to settling instead of leaving a kernel callback behind:
+// a send-then-receive whose reply was pushed before the kernel reached the
+// sender's local time had cost a callback plus a wake-up where one settle
+// now carries the rank past the arrival, and a rank whose program ended on a
+// send had settled once more after its last callback. These are the
+// message-level counts, pinned in a -tags simnofuse build. A build that
+// fuses runs each barrier as one rendezvous, whatever the algorithm: 167
+// events, the 16 spawns, 15 parked ranks woken per barrier and the
+// end-of-main settle of the rank that computed the last one.
 func TestBarrierEventCounts(t *testing.T) {
 	const fused = 16 + 10*15 + 1
 	for _, c := range []struct {
 		alg       BarrierAlg
 		want, was uint64
 	}{
-		{BarrierTree, 632, 916},
-		{BarrierLinear, 535, 794},
-		{BarrierRecursiveDoubling, 1286, 1876},
-		{BarrierDissemination, 1296, 1911},
-		{BarrierDoubleRing, 672, 976},
+		{BarrierTree, 624, 916},
+		{BarrierLinear, 516, 794},
+		{BarrierRecursiveDoubling, 1272, 1876},
+		{BarrierDissemination, 1293, 1911},
+		{BarrierDoubleRing, 657, 976},
 	} {
 		env := mustRunOnEnv(t, Config{NProcs: 16, Seed: 5}, func(p *Proc) {
 			for i := 0; i < 10; i++ {

@@ -3,98 +3,12 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"hclocksync/internal/cluster"
 	"hclocksync/internal/sim"
 )
-
-// Property: Allreduce with any algorithm equals the sequential fold of the
-// per-rank vectors, for random vectors and rank counts.
-func TestAllreduceMatchesSequentialFoldProperty(t *testing.T) {
-	f := func(seed int64, n8, len8 uint8) bool {
-		n := int(n8%12) + 2
-		vlen := int(len8%6) + 1
-		rng := rand.New(rand.NewSource(seed))
-		inputs := make([][]float64, n)
-		for r := range inputs {
-			inputs[r] = make([]float64, vlen)
-			for i := range inputs[r] {
-				inputs[r][i] = math.Round(rng.Float64()*100) / 4
-			}
-		}
-		want := append([]float64(nil), inputs[0]...)
-		for r := 1; r < n; r++ {
-			for i := range want {
-				want[i] += inputs[r][i]
-			}
-		}
-		ok := true
-		var mu sync.Mutex
-		for _, alg := range AllreduceAlgs() {
-			cfg := Config{Spec: cluster.TestBox(), NProcs: n, Seed: seed}
-			err := Run(cfg, func(p *Proc) {
-				got := p.World().AllreduceSized(inputs[p.Rank()], OpSum, 8*len(inputs[p.Rank()]), alg)
-				for i := range want {
-					if math.Abs(got[i]-want[i]) > 1e-9 {
-						mu.Lock()
-						ok = false
-						mu.Unlock()
-					}
-				}
-			})
-			if err != nil {
-				return false
-			}
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Bcast delivers the root's exact payload to every rank for any
-// root and payload.
-func TestBcastDeliversExactPayloadProperty(t *testing.T) {
-	f := func(seed int64, n8, root8 uint8, payload []float64) bool {
-		n := int(n8%12) + 1
-		root := int(root8) % n
-		if len(payload) > 64 {
-			payload = payload[:64]
-		}
-		ok := true
-		var mu sync.Mutex
-		cfg := Config{Spec: cluster.TestBox(), NProcs: n, Seed: seed}
-		err := Run(cfg, func(p *Proc) {
-			var data []float64
-			if p.World().Rank() == root {
-				data = payload
-			}
-			got := p.World().Bcast(data, root)
-			if len(got) != len(payload) {
-				mu.Lock()
-				ok = false
-				mu.Unlock()
-				return
-			}
-			for i := range payload {
-				if got[i] != payload[i] {
-					mu.Lock()
-					ok = false
-					mu.Unlock()
-				}
-			}
-		})
-		return err == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
 
 // Property: Split partitions ranks — every rank lands in exactly one
 // subcommunicator, groups are disjoint, and ranks within a group are

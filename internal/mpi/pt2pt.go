@@ -3,8 +3,6 @@ package mpi
 import (
 	"fmt"
 	"math"
-
-	"hclocksync/internal/sim"
 )
 
 // Point-to-point messaging.
@@ -61,13 +59,9 @@ type message struct {
 	fv      []float64
 	v       float64
 	arrival float64 // drawn by post, clamped by the wire half
-	// next links the sender's outbox, the messages whose wire half is a
-	// pending kernel callback; nil once the message is on the wire.
-	next *message
-	// The envelope, read by the wire half (the sender is the rank whose
-	// outbox holds the message). It is packed into 32-bit fields so the
-	// struct stays in the allocator's 96-byte class: newSend rejects a tag
-	// or a wire size that does not fit.
+	// The envelope, read by the wire half. It is packed into 32-bit fields
+	// so the struct stays in the allocator's 96-byte class: newSend rejects
+	// a tag or a wire size that does not fit.
 	tag, comm, dst, nbytes int32
 	kind                   msgKind
 	ssend                  bool
@@ -239,9 +233,9 @@ func (p *Proc) arrClamp(dst int) *float64 {
 // half (wire) is everything other ranks can see — the non-overtaking clamp,
 // the mailbox push, the receiver's wake-up — and must happen inside a
 // kernel event at the send's virtual time. post joins them: a rank that has
-// run ahead of the kernel clock queues the message on its outbox and
-// schedules the wire half as a kernel callback at its local time, then
-// keeps running; a rank that is not ahead runs the wire half on the spot.
+// run ahead of the kernel clock settles first, so the wire half runs inside
+// the kernel event at its local time; a rank that is not ahead is already
+// inside one.
 
 // sendF64 sends one float64 carried inside the message struct: no encode,
 // no allocation.
@@ -310,13 +304,12 @@ func (p *Proc) newSend(comm, dst, tag, nbytes int) *message {
 // delay, then its drop coin, from the rank's stream: a dropped message
 // vanishes in the network after the sender paid its overhead, and the
 // arrival of a kept one is the send time plus the delay, clamped by the
-// wire half. Ahead of the kernel clock the wire half is a kernel callback
-// at lt — the event the rank used to block on, with the (t, seq) it had, so
-// the wire halves of all ranks still run in virtual-time order — behind the
-// rank's earlier pending sends (lt never decreases, so the outbox is in
-// callback order). A synchronous send then suspends until the receiver
-// matches it; a dropped one can never complete, just as a real MPI_Ssend
-// cannot, so fault-tolerant code must not Ssend on lossy links.
+// wire half. Ahead of the kernel clock the rank settles first, so the wire
+// half runs at lt, in the kernel event the settle consumed, and the wire
+// halves of all ranks run in virtual-time order. A synchronous send then
+// suspends until the receiver matches it; a dropped one can never complete,
+// just as a real MPI_Ssend cannot, so fault-tolerant code must not Ssend on
+// lossy links.
 //
 //synclint:allocfree
 func (p *Proc) post(m *message, ssend bool) {
@@ -331,15 +324,8 @@ func (p *Proc) post(m *message, ssend bool) {
 		if ssend {
 			p.settle() // the sender stalls at its own time, not the kernel's
 		}
-	} else if p.lt > p.sp.Now() {
-		if p.outTail == nil {
-			m.next = m
-		} else {
-			m.next, p.outTail.next = p.outTail.next, m
-		}
-		p.outTail = m
-		p.world.env.CallAt(p.lt, p.sp)
 	} else {
+		p.settle()
 		p.wire(m)
 	}
 	if ssend {
@@ -347,26 +333,9 @@ func (p *Proc) post(m *message, ssend bool) {
 	}
 }
 
-// wireNext is the kernel callback of every job: it puts the oldest message
-// in the rank's outbox on the wire.
-//
-//synclint:allocfree
-func wireNext(sp *sim.Proc) {
-	p := sp.Ctx.(*Proc)
-	m := p.outTail.next
-	if m == p.outTail {
-		p.outTail = nil
-	} else {
-		p.outTail.next = m.next
-	}
-	m.next = nil
-	p.wire(m)
-}
-
-// wire is the half of a send other ranks can see. It runs inside a kernel
-// event at the send's virtual time — on the sender's fiber when the sender
-// was not ahead, in the dispatch loop otherwise — and never blocks. m
-// arrives with its unclamped arrival time, drawn by post.
+// wire is the half of a send other ranks can see. It runs on the sender's
+// fiber inside a kernel event at the send's virtual time and never blocks.
+// m arrives with its unclamped arrival time, drawn by post.
 //
 //synclint:allocfree
 func (p *Proc) wire(m *message) {

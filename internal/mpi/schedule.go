@@ -191,10 +191,11 @@ func span(block int32, width, n, nbytes int) (lo, hi, size int) {
 
 // collective runs schedule sched on acc, the member's vector (nil for a
 // barrier), which ends up holding the result: message by message, or as
-// one rendezvous. There, as in Meet, a member settles if it has sends in
-// its outbox, so its clamp cells are current, records its Side and vector,
-// and parks; the last to arrive replays the plan for all and wakes each at
-// its end time, never before the last entry, so never in the kernel's past.
+// one rendezvous. There, as in Meet, a member records its Side and vector
+// without settling (its clamp cells are current: every earlier send is on
+// the wire) and parks; the last to arrive replays the plan for all and
+// wakes each at its end time, never before the last entry, so never in the
+// kernel's past.
 //
 //synclint:allocfree
 func (c *Comm) collective(sched int, acc []float64, op Op, tag, nbytes int) {
@@ -205,9 +206,6 @@ func (c *Comm) collective(sched int, acc []float64, op Op, tag, nbytes int) {
 	}
 	if nbytes < unsized || nbytes > math.MaxInt32 {
 		panic("mpi: negative wire size, or a message tag or wire size that does not fit in 32 bits")
-	}
-	if p.outTail != nil {
-		p.settle()
 	}
 	s := c.coll
 	if s == nil {

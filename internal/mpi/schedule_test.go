@@ -29,7 +29,7 @@ type collCase struct {
 	nbytes    int
 	vals      [][]float64
 	skew      []float64 // each rank's CPU time before the collective
-	outbox    []bool    // ranks that send to their right neighbour just before it
+	sendFirst []bool    // ranks that send to their right neighbour just before it
 	colors    []int     // each rank's colour in the split the collective runs on next
 }
 
@@ -42,8 +42,8 @@ func (c collCase) String() string {
 }
 
 // randCollCase draws a machine — links with or without jitter and spikes,
-// overheads that may be zero — entry skews, the ranks whose entry finds
-// sends still in their outbox, and a split into sub-communicators.
+// overheads that may be zero — entry skews, the ranks that send just before
+// they enter, and a split into sub-communicators.
 func randCollCase(rng *rand.Rand, n int) collCase {
 	maybe := func(v float64) float64 {
 		if rng.Intn(3) == 0 {
@@ -68,7 +68,7 @@ func randCollCase(rng *rand.Rand, n int) collCase {
 	ncolors := 1 + rng.Intn(3)
 	for r := 0; r < n; r++ {
 		c.skew = append(c.skew, maybe(rng.Float64()*2e-5))
-		c.outbox = append(c.outbox, rng.Intn(3) == 0)
+		c.sendFirst = append(c.sendFirst, rng.Intn(3) == 0)
 		c.colors = append(c.colors, rng.Intn(ncolors))
 	}
 	return c
@@ -129,7 +129,7 @@ func runCollCase(t *testing.T, c collCase, fused bool) collRun {
 		rec := func(v float64) { run.trace[r] = append(run.trace[r], math.Float64bits(v)) }
 		left, right := (r-1+n)%n, (r+1)%n
 		p.Advance(c.skew[r])
-		if c.outbox[r] && n > 1 {
+		if c.sendFirst[r] && n > 1 {
 			world.SendF64(right, 7, 0)
 		}
 		coll := func(comm *Comm) {
@@ -141,7 +141,7 @@ func runCollCase(t *testing.T, c collCase, fused bool) collRun {
 		coll(world)
 		coll(world) // a pattern's second run reads the messages its first recorded
 		coll(world.Split(c.colors[r], r))
-		if c.outbox[left] && n > 1 {
+		if c.sendFirst[left] && n > 1 {
 			m := p.recvMsg(0, left, 7)
 			rec(m.arrival)
 			p.world.freeMsg(m)

@@ -12,13 +12,46 @@ import (
 )
 
 // A send's wire half — non-overtaking clamp, mailbox push, receiver wake —
-// runs as a kernel callback at the sender's local time when the sender is
-// ahead of the kernel clock, and a blocking receive entered ahead no longer
-// settles first. These tests pin what that must not change. Every literal
-// time was recorded on the implementation it replaced, where the sender
-// blocked until its local time before touching the wire and a receive
-// settled on entry, and re-recorded once when each delay became a draw from
-// the sender's own keyed stream.
+// runs inside the kernel event at the sender's local time (a sender ahead of
+// the kernel clock settles first), and a blocking receive entered ahead does
+// not settle. These tests pin what that must not change. Every literal time
+// was recorded where a receive settled on entry, re-recorded once when each
+// delay became a draw from the sender's own keyed stream, and held while a
+// send made ahead was a kernel callback instead of a settle.
+
+// A send made ahead of the kernel clock is invisible to every other rank
+// until the kernel reaches the sender's time: a rank looking at a kernel time
+// in between finds its mailbox empty and the message uncounted, and a
+// zero-timeout poll there finds nothing.
+func TestSendAheadInvisibleBeforeSenderTime(t *testing.T) {
+	var w *World
+	var queued, sent int
+	var polled bool
+	var got, at float64
+	mustRunOnEnv(t, Config{NProcs: 2, Seed: 7}, func(p *Proc) {
+		c := p.World()
+		if p.Rank() == 0 {
+			w = p.world
+			p.Advance(1e-3)
+			c.SendF64(1, 4, 42)
+			return
+		}
+		c.RecvF64Timeout(0, 9, 5e-4) // nothing comes: the kernel reaches 5e-4
+		if mb := w.mailboxes[mbKey{0, 1, 0, 4}]; mb != nil {
+			queued = mb.n
+		}
+		sent = w.sent
+		_, polled = c.RecvF64Timeout(0, 4, 0)
+		got = c.RecvF64(0, 4)
+		at = p.TrueNow()
+	})
+	if queued != 0 || sent != 0 || polled {
+		t.Errorf("at kernel time 5e-4: %d queued, %d sent, poll found it: %v; want none before the sender's 1e-3", queued, sent, polled)
+	}
+	if want := 0.0010006701419603965; got != 42 || at != want {
+		t.Errorf("received %v at %v, want 42 at %v", got, at, want)
+	}
+}
 
 // A rank that sends three times without blocking in between — to two
 // destinations, with local work between the sends — delivers at the times
@@ -117,7 +150,7 @@ func TestDroppedSsendDeadlocks(t *testing.T) {
 
 // A dropped message goes back to the pool with its pooled payload, before
 // the next send starts: the drop coin is drawn in the send's rank-local
-// half, so a dropped send never reaches the outbox, and the second send
+// half, so a dropped send never reaches the wire half, and the second send
 // reuses the first's message whether or not the sender is ahead.
 func TestDroppedSendReturnsPooledStorage(t *testing.T) {
 	for _, c := range []struct {
@@ -141,9 +174,6 @@ func TestDroppedSendReturnsPooledStorage(t *testing.T) {
 		if len(w.msgFree) != 1 || len(w.f64Free) != 1 {
 			t.Errorf("%s: %d pooled messages and %d pooled vectors after two dropped sends, want 1 and 1",
 				c.name, len(w.msgFree), len(w.f64Free))
-		}
-		if w.procs[0].outTail != nil {
-			t.Errorf("%s: the sender ended with a message in its outbox", c.name)
 		}
 	}
 }

@@ -30,12 +30,12 @@
 // A rank's local CPU charges — Advance, a clock read's cost, the send and
 // receive overheads — move only its rank-local time. What other ranks can
 // observe still happens inside a kernel event at the virtual time it always
-// had: a send's wire half (non-overtaking clamp, mailbox push, receiver wake)
-// runs as a kernel callback at the rank's local time while the rank keeps
-// going, and the rank settles — blocks until the kernel clock reaches its
-// own — before the few things that must see the kernel at that time (a timed
-// receive, WaitUntilTrue, a communicator split, the end of the program). A
-// blocking receive does neither: it takes what is queued or suspends. Rank
+// had: the rank settles — blocks until the kernel clock reaches its own —
+// before the few things that must see the kernel at that time (a send's wire
+// half, which is the non-overtaking clamp, the mailbox push and the
+// receiver's wake; a timed receive, WaitUntilTrue, a communicator split, the
+// end of the program). A blocking receive does not settle: it takes what is
+// queued or suspends. Rank
 // code must not order memory it shares with other ranks by how far each has
 // advanced: see DESIGN.md §8, "Kernel time vs rank-local time".
 //
@@ -147,15 +147,6 @@ type Proc struct {
 	// and a resumed rank starts from the kernel clock.
 	lt float64
 
-	// outTail is the rank's outbox: the messages it sent while ahead of the
-	// kernel clock, each waiting for the kernel callback that puts it on
-	// the wire (see post). It is a ring threaded through the messages —
-	// outTail is the newest, outTail.next the oldest — so a pending send
-	// allocates nothing and the rank record stays in its size class. It is
-	// nil at a quiescent cut (spawn's deferred settle returns after the
-	// rank's last callback), so no snapshot holds it.
-	outTail *message
-
 	sendCache mbCacheEntry
 	recvCache mbCacheEntry
 	lastDst   int      // peer of the cached non-overtaking clamp cell
@@ -245,7 +236,6 @@ func newWorld(env *sim.Env, machine *cluster.Machine, cfg Config) (*World, error
 		nextComm:  1,
 		fuseColl:  fuseBuilt && !cfg.Faults.Drops() && !cfg.Faults.Crashes(),
 	}
-	env.OnCallback(wireNext)
 	ranks := make([]int, cfg.NProcs)
 	for i := range ranks {
 		ranks[i] = i
@@ -287,8 +277,7 @@ func (w *World) spawnMain(main func(p *Proc)) {
 // spawn starts the rank's sim process on main. The rank settles when main
 // ends, by return or by panic, so the kernel clock the job leaves behind
 // (Env.Now, a Session cut, the time of a failure) includes CPU time the
-// rank consumed after its last communication, and every send the rank made
-// is on the wire before its process is done.
+// rank consumed after its last communication.
 func (p *Proc) spawn(main func(p *Proc)) {
 	p.sp = p.world.env.Spawn(func(sp *sim.Proc) {
 		sp.Ctx = p
@@ -309,12 +298,9 @@ func (p *Proc) now() float64 {
 }
 
 // settle brings the kernel clock up to the rank's time: one kernel event,
-// however many Advance calls built up the lead, delivered after every
-// callback the rank's earlier sends left pending (their times are no later
-// and their seqs smaller). It runs before the rank does anything that must
-// see, or be seen by, the kernel at the rank's own time and that cannot be
-// handed to the kernel as a callback (DESIGN.md "Kernel time vs rank-local
-// time" lists every call).
+// however many Advance calls built up the lead. It runs before the rank does
+// anything that must see, or be seen by, the kernel at the rank's own time
+// (DESIGN.md "Kernel time vs rank-local time" lists every call).
 //
 //synclint:allocfree
 func (p *Proc) settle() {

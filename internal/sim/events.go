@@ -18,9 +18,8 @@ package sim
 // by the backing array; the array itself is the free list, reused by the
 // next push.
 
-// event is one scheduled wake-up or callback. Events are values, never
-// individually heap-allocated. The kernel stores seq<<1 | isCallback in seq
-// (see Env.next), which orders exactly like the sequence number itself.
+// event is one scheduled wake-up. Events are values, never individually
+// heap-allocated.
 type event struct {
 	t   float64
 	seq int64

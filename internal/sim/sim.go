@@ -27,18 +27,14 @@
 //     running without any switch. Fibers cost a goroutine stack each; the
 //     direct-style MPI layer (internal/mpi) is written against them.
 //
-// Both kinds are driven by the one dispatch loop on Run's goroutine. One
-// more kind of event resumes nobody: a callback (CallAt) runs the kernel's
-// one callback function inline at its (t, seq), like a step, on behalf of a
-// fiber that has run ahead of the clock and keeps running — the MPI layer
-// puts sends on the wire this way, so a rank is resumed for the messages it
-// waits for and not for the ones it sends.
+// Both kinds are driven by the one dispatch loop on Run's goroutine, and
+// every event is a wake-up of one process.
 //
 // The hot path is allocation-free: events are 24-byte values in an inline
 // 4-ary min-heap (no interface boxing, no per-event pointers) whose (t, seq)
 // order is one branchless 128-bit compare — kernel times are never NaN and
-// never below +0 — step procs and callbacks are run by a plain function
-// call, and a fiber's coroutine is set up once at Spawn. An event records
+// never below +0 — step procs are run by a plain function call, and a
+// fiber's coroutine is set up once at Spawn. An event records
 // no process generation: a wake-up is stale when its sequence number is at
 // most the kernel's counter at its process's last resume. See DESIGN.md §8
 // and §12 for the measured effect.
@@ -68,9 +64,6 @@ type Env struct {
 	// switches a run paid, next to the events it processed. A diagnostic
 	// like processed: not in EnvState, a resumed kernel restarts the count.
 	switches uint64
-	// callback is the function callback events run (see OnCallback); one per
-	// kernel, so an event carries no function value.
-	callback func(p *Proc)
 	// failure is the first panic value recovered from a process and failed
 	// the process that raised it. Dispatch runs one process at a time, so
 	// the record needs no lock.
@@ -96,25 +89,9 @@ func (e *Env) Processed() uint64 { return e.processed }
 
 // Switches returns the number of times dispatch resumed a fiber, one
 // coroutine switch in and one back out each. Events that run inline — step
-// procs, callbacks, a blocking fiber consuming its own next event — are
+// procs, a blocking fiber consuming its own next event — are
 // processed without one. Deterministic and a diagnostic, like Processed.
 func (e *Env) Switches() uint64 { return e.switches }
-
-// OnCallback installs fn as the function the kernel's callback events run.
-// There is one per kernel: CallAt names the process an event belongs to and
-// fn finds the work through it (the MPI layer keeps a FIFO on the rank).
-func (e *Env) OnCallback(fn func(p *Proc)) { e.callback = fn }
-
-// CallAt schedules the kernel's callback function to run for p at time t
-// (clamped to now; a NaN t panics), ordered by (t, seq) with every other
-// event. The callback runs inline in the dispatch loop, like a step
-// function, so it must not block; unlike a wake-up it is not cancelled
-// when p resumes, and p keeps running. It is how a fiber that has run
-// ahead of the kernel clock hands the kernel work that must happen at a
-// later virtual time without waiting for it.
-//
-//synclint:allocfree
-func (e *Env) CallAt(t float64, p *Proc) { e.events.push(e.next(t, p, 1)) }
 
 // Proc is a simulated process — a fiber (Spawn) or a step proc (SpawnStep).
 // The blocking methods (WaitUntil, Sleep, Suspend) must only be called from
@@ -183,15 +160,14 @@ func (e *Env) Spawn(fn func(p *Proc)) *Proc {
 // schedule enqueues a wake-up for p at time t (clamped to now).
 //
 //synclint:allocfree
-func (e *Env) schedule(t float64, p *Proc) { e.events.push(e.next(t, p, 0)) }
+func (e *Env) schedule(t float64, p *Proc) { e.events.push(e.next(t, p)) }
 
 // next returns the next event for p at time t, clamped to now: t ≤ now, −0
 // included, becomes now, which is ≥ +0, as the queue's order requires. A
-// NaN time panics. The event's seq is the next sequence number shifted
-// left once, its low bit set for a callback.
+// NaN time panics. The event's seq is the next sequence number.
 //
 //synclint:allocfree
-func (e *Env) next(t float64, p *Proc, callback int64) event {
+func (e *Env) next(t float64, p *Proc) event {
 	if t != t {
 		panic("sim: NaN event time")
 	}
@@ -199,7 +175,7 @@ func (e *Env) next(t float64, p *Proc, callback int64) event {
 		t = e.now
 	}
 	e.seq++
-	return event{t: t, seq: e.seq<<1 | callback, p: p}
+	return event{t: t, seq: e.seq, p: p}
 }
 
 // dispatch is the kernel's event loop, run on Run's goroutine: it pops
@@ -215,11 +191,7 @@ func (e *Env) dispatch() {
 			return
 		}
 		ev := e.events.pop()
-		if ev.seq&1 != 0 { // a callback (CallAt)
-			e.runCallback(ev)
-			continue
-		}
-		if ev.p.done || ev.seq>>1 <= ev.p.resumed { // stale: p ended or was resumed since
+		if ev.p.done || ev.seq <= ev.p.resumed { // stale: p ended or was resumed since
 			continue
 		}
 		e.now = ev.t
@@ -234,22 +206,11 @@ func (e *Env) dispatch() {
 	}
 }
 
-// runCallback delivers a popped callback event: the clock moves to its time
-// and the kernel's callback function runs on the dispatching goroutine.
-//
-//synclint:allocfree
-func (e *Env) runCallback(ev event) {
-	e.now = ev.t
-	e.processed++
-	e.callback(ev.p)
-}
-
 // resumeSelf is dispatch's loop run by a blocking fiber for as long as
-// nothing else is due: it runs callbacks and discards stale events exactly
-// as dispatch would, and if the next live event is p's own
-// it consumes it and reports true, so p keeps running with no coroutine
-// switch. It leaves any other proc's wake-up in the queue and reports
-// false: only dispatch resumes other procs.
+// nothing else is due: it discards stale events exactly as dispatch would,
+// and if the next live event is p's own it consumes it and reports true, so
+// p keeps running with no coroutine switch. It leaves any other proc's
+// wake-up in the queue and reports false: only dispatch resumes other procs.
 //
 //synclint:allocfree
 func (e *Env) resumeSelf(p *Proc) bool {
@@ -258,11 +219,7 @@ func (e *Env) resumeSelf(p *Proc) bool {
 			return false
 		}
 		ev := &e.events.ev[0]
-		if ev.seq&1 != 0 {
-			e.runCallback(e.events.pop()) // popped first: it may schedule events
-			continue
-		}
-		if ev.p.done || ev.seq>>1 <= ev.p.resumed {
+		if ev.p.done || ev.seq <= ev.p.resumed {
 			e.events.pop()
 			continue
 		}

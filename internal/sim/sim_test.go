@@ -349,10 +349,6 @@ func TestNaNTimesPanic(t *testing.T) {
 			q := env.Spawn(func(p *Proc) { p.Suspend() })
 			env.Spawn(func(p *Proc) { p.Env().Wake(q, nan) })
 		}},
-		{"CallAt", func(env *Env) {
-			env.OnCallback(func(*Proc) {})
-			env.Spawn(func(p *Proc) { p.Env().CallAt(nan, p) })
-		}},
 		{"Until", func(env *Env) { env.SpawnStep(func(*Proc) Control { return Until(nan) }) }},
 		{"After", func(env *Env) { env.SpawnStep(func(p *Proc) Control { return p.After(nan) }) }},
 	} {
