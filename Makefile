@@ -86,25 +86,33 @@ lint:
 
 check: build vet lint test race
 
-# Full substrate bench sweep with allocation stats; writes BENCH_sim.json.
-# Compare two runs with scripts/benchdiff.sh, which gates allocs/op on any
-# increase. Two rows would run only a few iterations at 1s, where allocs/op
-# is runtime noise: BenchmarkDispatch/serial (a 1M-rank simulation, ~2 s an
-# iteration; 83 to 89 across runs) and BenchmarkSimSplit/4096 (~0.3 s;
-# 197237 to 197241). They run in a second pass at one fixed count and one
-# CPU; the first pass skips them. The count alone does not make
-# SimSplit/4096 repeat: at 10x on two CPUs three runs read 197243, 197244,
-# 197243, at 10x on one CPU every run reads 197237 (how many goroutines
-# the runtime allocates afresh rather than reuses depends on which P runs
-# them).
+# Full substrate bench sweep with allocation stats; writes BENCH_sim.json and
+# then compares it with the file it replaced (`bench2json OLD NEW`). At one
+# sample a side only the exact-repeat units (events/op, switches/op,
+# allocs/op) are judged, so a rise there fails the same command that records
+# it; ns/op is informational across sittings. Two rows would run only a
+# few iterations at 1s, where allocs/op is runtime noise:
+# BenchmarkDispatch/serial (a 1M-rank simulation, ~2 s an iteration; 83 to
+# 89 across runs) and BenchmarkSimSplit/4096 (~0.3 s; 197237 to 197241).
+# They run in a second pass at one fixed count and one CPU; the first pass
+# skips them. The count alone does not make SimSplit/4096 repeat: at 10x on
+# two CPUs three runs read 197243, 197244, 197243, at 10x on one CPU every
+# run reads 197237 (how many goroutines the runtime allocates afresh rather
+# than reuses depends on which P runs them).
 FIXED_COUNT_N = 10
 bench:
+	old=$$(mktemp) && trap 'rm -f "$$old"' EXIT && cp BENCH_sim.json "$$old" && \
 	{ $(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCH)' -skip '^(BenchmarkDispatch|BenchmarkSimSplit)$$/^(serial|4096)$$' -benchmem -benchtime 1s . && \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkDispatch|BenchmarkSimSplit)$$/^(serial|4096)$$' -benchmem -benchtime $(FIXED_COUNT_N)x -cpu 1 . ; } \
-		| tee /dev/stderr | $(GO) run ./cmd/bench2json -o BENCH_sim.json
+		| tee /dev/stderr | $(GO) run ./cmd/bench2json -o BENCH_sim.json && \
+	$(GO) run ./cmd/bench2json "$$old" BENCH_sim.json
 
 # One-iteration smoke variant for CI: exercises every substrate bench and
-# still emits the BENCH_sim.json artifact, in seconds not minutes.
+# still emits the BENCH_sim.json artifact, in seconds not minutes. It does
+# not compare: at -benchtime 1x the per-op counts include each benchmark's
+# set-up (BenchmarkFusedSeries reads 66 allocs/op instead of 0, the
+# Allreduce rows 32 events/op instead of 15), so they do not repeat `make
+# bench`'s.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(SUBSTRATE_BENCH)' -benchmem -benchtime 1x . \
 		| tee /dev/stderr | $(GO) run ./cmd/bench2json -o BENCH_sim.json

@@ -54,8 +54,8 @@ func TestRepositoryIsClean(t *testing.T) {
 	wantEscapes := map[string]int{
 		analysis.DirAllocfree: 99,
 		analysis.DirAlloc:     22,
-		analysis.DirOrdered:   6,
-		analysis.DirWallclock: 17,
+		analysis.DirOrdered:   7,
+		analysis.DirWallclock: 18,
 		analysis.DirSeedok:    0,
 	}
 	got := analysis.CountDirectives(pkgs)
